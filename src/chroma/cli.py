@@ -342,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=int(os.environ.get("CHROMA_THREADS", "1")),
-            help="worker cap (env CHROMA_THREADS)",
+            help="accepted and ignored; chains run in sequence (env CHROMA_THREADS)",
         )
         for key, want in schema.items():
             flag = "--" + key.replace("_", "-")

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .coloring import BoundaryCondition
 from .errors import (
     ConfigError,
     PreconditionError,
@@ -322,30 +321,18 @@ def _layer_states(
     return states
 
 
-def transfer_count(
-    G: LatticeGraph,
-    q: int,
-    constraint: Constraint | None = None,
-    state_budget: int = 500_000,
-) -> CountResult:
-    """Exact whole-box count via a dynamic program over one axis.
+def _transfer(G: LatticeGraph, masks: list[int], state_budget: int) -> int:
+    """Whole-box count under per-cell masks by the layer dynamic program.
 
     Layers slide along the longest non-periodic axis; a layer state is a
-    proper coloring of the cross-section consistent with the per-cell
-    masks, and consecutive layers must differ cell-by-cell.
+    proper coloring of the cross-section consistent with the masks, and
+    consecutive layers must differ cell-by-cell.
     """
-    constraint = constraint or Constraint.free()
     axes = [a for a in range(G.d) if not G.periodic[a]]
-    if not axes:
-        raise PreconditionError("transfer counting needs a non-periodic axis")
     axis = max(axes, key=lambda a: G.dims[a])
-    masks, feasible = allowed_masks(G, G.full_set(), q, constraint)
-    if not feasible:
-        return CountResult(0, float("-inf"), "transfer")
     layers: list[list[int]] = [[] for _ in range(G.dims[axis])]
     for v in range(G.n):
         layers[G.coords(v)[axis]].append(v)
-
     prev_states = _layer_states(G, layers[0], masks, state_budget)
     counts = [1] * len(prev_states)
     for k in range(1, G.dims[axis]):
@@ -357,7 +344,23 @@ def transfer_count(
                     compat[j].append(i)
         counts = [sum(counts[i] for i in compat[j]) for j in range(len(states))]
         prev_states = states
-    total = sum(counts)
+    return sum(counts)
+
+
+def transfer_count(
+    G: LatticeGraph,
+    q: int,
+    constraint: Constraint | None = None,
+    state_budget: int = 500_000,
+) -> CountResult:
+    """Exact whole-box count via the layer dynamic program of ``_transfer``."""
+    constraint = constraint or Constraint.free()
+    if all(G.periodic):
+        raise PreconditionError("transfer counting needs a non-periodic axis")
+    masks, feasible = allowed_masks(G, G.full_set(), q, constraint)
+    if not feasible:
+        return CountResult(0, float("-inf"), "transfer")
+    total = _transfer(G, masks, state_budget)
     log_per_site = math.log(total) / G.n if total else float("-inf")
     return CountResult(total, log_per_site, "transfer")
 
@@ -520,7 +523,7 @@ def toy_ratio(
             if masks[v] == 0:
                 return 0
         if domain == G.full_set() and any(not per for per in G.periodic):
-            return _transfer_with_masks(G, masks)
+            return _transfer(G, masks, 500_000)
         return _count_backtrack(G, domain, masks, q)
 
     n_empty = droplet_count(G.empty_set())
@@ -555,26 +558,6 @@ def toy_ratio(
     sign = _compare_power(ratio, base, exponent)
     verdict = {0: "equal", -1: "below", 1: "above"}[sign]
     return ToyRatio(ratio, base, exponent, verdict, expected_eq, n_u, n_empty)
-
-
-def _transfer_with_masks(G: LatticeGraph, masks: list[int]) -> int:
-    axes = [a for a in range(G.d) if not G.periodic[a]]
-    axis = max(axes, key=lambda a: G.dims[a])
-    layers: list[list[int]] = [[] for _ in range(G.dims[axis])]
-    for v in range(G.n):
-        layers[G.coords(v)[axis]].append(v)
-    prev_states = _layer_states(G, layers[0], masks, 500_000)
-    counts = [1] * len(prev_states)
-    for k in range(1, G.dims[axis]):
-        states = _layer_states(G, layers[k], masks, 500_000)
-        compat: list[list[int]] = [[] for _ in states]
-        for j, s2 in enumerate(states):
-            for i, s1 in enumerate(prev_states):
-                if all(a != b for a, b in zip(s1, s2)):
-                    compat[j].append(i)
-        counts = [sum(counts[i] for i in compat[j]) for j in range(len(states))]
-        prev_states = states
-    return sum(counts)
 
 
 @dataclass(frozen=True)
@@ -621,6 +604,3 @@ def htop_estimate(
         out.append(HtopPoint(dims, count, log_per_site, bound, meets))
     return out
 
-
-def marginal_constraint_for_bc(bc: BoundaryCondition) -> Constraint:
-    return Constraint.pattern_boundary(bc.pattern)

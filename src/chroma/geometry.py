@@ -489,16 +489,6 @@ def verify_approximation(
     return all(clauses.values()), clauses
 
 
-def lift_weak_approximation(
-    G: LatticeGraph,
-    weak: WeakApproximation,
-    patterns: Sequence[Pattern],
-) -> Approximation:
-    """Pattern-index a weak approximation (fringe used for both levels)."""
-    a_p = {P: weak.known[i] for i, P in enumerate(patterns)}
-    return Approximation(a_p, weak.fringe, weak.fringe)
-
-
 def enumerate_regular_parity_sets(
     G: LatticeGraph, parity: str, limit: int = 16
 ) -> list[VertexSet]:

@@ -181,14 +181,6 @@ def p_parity(v: int, P: Pattern, G: "LatticeGraph") -> str:
     return "P-even" if is_p_even(v, P, G) else "P-odd"
 
 
-def p_even_set(G: "LatticeGraph", P: Pattern) -> "VertexSet":
-    return G.even if P.klass == 0 else G.odd
-
-
-def p_odd_set(G: "LatticeGraph", P: Pattern) -> "VertexSet":
-    return G.odd if P.klass == 0 else G.even
-
-
 def vertex_in_pattern(value: int, parity: int, P: Pattern) -> bool:
     """Whether one color at one lattice parity fits the pattern."""
     if value < 1:
@@ -203,11 +195,6 @@ def in_pattern(f: "Coloring", U: "VertexSet", P: Pattern, G: "LatticeGraph") -> 
         if not vertex_in_pattern(values[v], G.parity[v], P):
             return False
     return True
-
-
-def pattern_violations(f: "Coloring", U: "VertexSet", P: Pattern, G: "LatticeGraph") -> list[int]:
-    values = f.values
-    return [v for v in U if not vertex_in_pattern(values[v], G.parity[v], P)]
 
 
 def canonical_permutation(P: Pattern, P0: Pattern) -> dict[int, int]:

@@ -12,12 +12,14 @@ certified, so runs report a split-half agreement diagnostic instead of
 claiming convergence.
 
 All randomness comes from one Philox stream per chain, so a (seed,
-config) pair reproduces every output byte, with or without the optional
-numba acceleration.
+config) pair reproduces every output byte.  The heat-bath sweep is one
+plain-Python function shared by single sweeps and chains; chains run one
+after another in index order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 import numpy as np
@@ -28,67 +30,6 @@ from .exact import Constraint, allowed_masks, enumerate_colorings
 from .lattice import LatticeGraph, VertexSet, connected_components
 from .patterns import Pattern
 from .rng import make_rng
-
-try:  # pragma: no cover - exercised implicitly
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-    def _njit(**kwargs):
-        def deco(fn):
-            return fn
-
-        return deco
-
-
-def _sweep_chunk_impl(colors, site_pos, scan, nbr_flat, nbr_off, allowed,
-                      pat_mask, rand, record, viol, occ, status):
-    n_scan = scan.shape[0]
-    for s in range(rand.shape[0]):
-        for k in range(n_scan):
-            i = site_pos[s, k]
-            v = scan[i]
-            used = 0
-            for e in range(nbr_off[v], nbr_off[v + 1]):
-                c = colors[nbr_flat[e]]
-                if c > 0:
-                    used |= 1 << (c - 1)
-            avail = allowed[i] & ~used
-            na = 0
-            tmp = avail
-            while tmp:
-                tmp &= tmp - 1
-                na += 1
-            if na == 0:
-                # impossible for a proper in-constraint state; flag and keep
-                status[0] = 1
-                continue
-            pick = int(rand[s, k] * na)
-            if pick >= na:
-                pick = na - 1
-            j = 0
-            cnt = 0
-            while True:
-                if (avail >> j) & 1:
-                    if cnt == pick:
-                        break
-                    cnt += 1
-                j += 1
-            colors[v] = j + 1
-        if record[s]:
-            for i in range(n_scan):
-                c = colors[scan[i]]
-                occ[i, c - 1] += 1
-                if (pat_mask[i] >> (c - 1)) & 1 == 0:
-                    viol[i] += 1
-
-
-if _HAVE_NUMBA:
-    _sweep_chunk = _njit(cache=True)(_sweep_chunk_impl)
-else:  # pragma: no cover
-    _sweep_chunk = _sweep_chunk_impl
 
 
 @dataclass(frozen=True)
@@ -183,37 +124,67 @@ class OrderStats:
         return rows
 
 
-def _flatten_neighbors(G: LatticeGraph) -> tuple[np.ndarray, np.ndarray]:
-    off = np.zeros(G.n + 1, dtype=np.int64)
-    for v in range(G.n):
-        off[v + 1] = off[v] + len(G.neighbors[v])
-    flat = np.zeros(off[-1], dtype=np.int64)
-    for v in range(G.n):
-        flat[off[v]: off[v + 1]] = G.neighbors[v]
-    return flat, off
-
-
-def _domain_masks(
+def _sweep_setup(
     G: LatticeGraph, domain: VertexSet, q: int, p0: Pattern | None
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """(allowed mask, violation mask) per domain cell, plus the scan order.
+) -> tuple[list[int], list[int], list[int]]:
+    """Scan order, then allowed and reference-side color masks per scan cell.
 
     With no reference pattern the dynamics is free: full masks and no
     violations to tally.
     """
     scan = list(domain)
-    full = (1 << q) - 1
     if p0 is None:
-        allowed = np.full(len(scan), full, dtype=np.int64)
-        return allowed, allowed.copy(), scan
+        full = [(1 << q) - 1] * len(scan)
+        return scan, full, full
     masks, feasible = allowed_masks(G, domain, q, Constraint.pattern_boundary(p0))
     if not feasible:
         raise PreconditionError("the boundary pattern admits no coloring here")
-    allowed = np.array([masks[v] for v in scan], dtype=np.int64)
-    pat = np.array(
-        [p0.side_for_parity(G.parity[v]) for v in scan], dtype=np.int64
-    )
-    return allowed, pat, scan
+    pat = [p0.side_for_parity(G.parity[v]) for v in scan]
+    return scan, [masks[v] for v in scan], pat
+
+
+def _sweep(colors: list[int], G: LatticeGraph, scan: list[int],
+           allowed: list[int], draws: list[float], positions) -> bool:
+    """One heat-bath pass in place over the scan cells at ``positions``.
+
+    Visit k resamples cell ``scan[positions[k]]`` uniformly over its
+    admissible colors: it takes the one of rank ``int(draws[k] * count)``
+    in ascending order.  Returns False as soon as a cell has no admissible color, which a
+    proper state satisfying the constraint never shows.
+    """
+    for i, r in zip(positions, draws):
+        v = scan[i]
+        used = 0
+        for u in G.neighbors[v]:
+            c = colors[u]
+            if c:
+                used |= 1 << (c - 1)
+        avail = allowed[i] & ~used
+        n_avail = avail.bit_count()
+        if not n_avail:
+            return False
+        for _ in range(min(int(r * n_avail), n_avail - 1)):
+            avail &= avail - 1
+        colors[v] = (avail & -avail).bit_length()
+    return True
+
+
+class _Tally:
+    """Color occupation and reference-pattern violations per scan cell."""
+
+    def __init__(self, scan: list[int], pat: list[int], q: int):
+        self.scan = scan
+        self.pat = np.array(pat, dtype=np.int64)
+        self.rows = np.arange(len(scan))
+        self.occ = np.zeros((len(scan), q), dtype=np.int64)
+        self.viol = np.zeros(len(scan), dtype=np.int64)
+        self.samples = 0
+
+    def add(self, colors: list[int]) -> None:
+        c = np.array([colors[v] for v in self.scan], dtype=np.int64) - 1
+        self.occ[self.rows, c] += 1
+        self.viol += (self.pat >> c) & 1 == 0
+        self.samples += 1
 
 
 def heat_bath_sweep(
@@ -231,23 +202,15 @@ def heat_bath_sweep(
     current one); starting from a state outside the constraint set is a
     contract violation and is reported.
     """
-    allowed, _, scan = _domain_masks(G, domain, f.q, p0)
-    colors = np.array(f.values, dtype=np.int64)
-    nbr_flat, nbr_off = _flatten_neighbors(G)
-    rand = rng.random((1, len(scan)))
-    site_pos = np.arange(len(scan), dtype=np.int64).reshape(1, -1)
-    viol = np.zeros(len(scan), dtype=np.int64)
-    occ = np.zeros((len(scan), f.q), dtype=np.int64)
-    record = np.zeros(1, dtype=np.uint8)
-    status = np.zeros(1, dtype=np.int64)
-    _sweep_chunk(colors, site_pos, np.array(scan, dtype=np.int64), nbr_flat,
-                 nbr_off, allowed, allowed, rand, record, viol, occ, status)
-    if status[0]:
+    scan, allowed, _ = _sweep_setup(G, domain, f.q, p0)
+    colors = list(f.values)
+    draws = rng.random(len(scan)).tolist()
+    if not _sweep(colors, G, scan, allowed, draws, range(len(scan))):
         raise PreconditionError(
             "a cell had no admissible color; the initial coloring violates "
             "the boundary constraint"
         )
-    out = Coloring([int(c) for c in colors], f.q)
+    out = Coloring(colors, f.q)
     if assert_proper and not is_proper(out, G):
         raise InternalInvariantError("heat-bath sweep broke properness")
     return out
@@ -315,101 +278,55 @@ def cluster_step(
     return out
 
 
-def _record_flags(start: int, stop: int, burn_in: int, thin: int) -> np.ndarray:
-    """Record-after-sweep flags for sweeps start+1 .. stop."""
-    flags = np.zeros(stop - start, dtype=np.uint8)
-    for s in range(start + 1, stop + 1):
-        if s >= burn_in and (s - burn_in) % thin == 0:
-            flags[s - start - 1] = 1
-    return flags
-
-
-def _run_chain(cfg: ChainConfig, chain_index: int):
-    G = cfg.graph()
-    domain = cfg.domain(G)
-    p0 = cfg.p0()
-    q = cfg.q
+def _run_chain(cfg: ChainConfig, chain_index: int, G: LatticeGraph,
+               domain: VertexSet, p0: Pattern, scan: list[int],
+               allowed: list[int], halves: tuple[_Tally, _Tally]) -> None:
+    """Run one chain, adding its samples to the first or second split half."""
     rng = make_rng(cfg.seed, stream=chain_index)
     init = pure_pattern_sample(G, G.full_set(), p0, seed=int(rng.integers(1 << 62)))
-    colors = np.array(init.values, dtype=np.int64)
-    allowed, pat, scan = _domain_masks(G, domain, q, p0)
-    scan_arr = np.array(scan, dtype=np.int64)
-    nbr_flat, nbr_off = _flatten_neighbors(G)
+    colors = list(init.values)
     n_scan = len(scan)
 
-    halves = [
-        {"viol": np.zeros(n_scan, dtype=np.int64),
-         "occ": np.zeros((n_scan, q), dtype=np.int64),
-         "samples": 0}
-        for _ in range(2)
-    ]
-    planned = 1 if cfg.burn_in == 0 else 0
-    for s in range(1, cfg.sweeps + 1):
-        if s >= cfg.burn_in and (s - cfg.burn_in) % cfg.thin == 0:
-            planned += 1
-    first_half_target = (planned + 1) // 2
+    # a sample is taken after sweep k (k = 0 is the initial state) when
+    # record[k]; taken[k] counts the samples held after sweep k
+    sweep = np.arange(cfg.sweeps + 1)
+    record = (sweep >= cfg.burn_in) & ((sweep - cfg.burn_in) % cfg.thin == 0)
+    taken = np.cumsum(record).tolist()
+    first_half = (taken[-1] + 1) // 2
+    cut = bisect_left(taken, first_half)
 
-    def record_state(which: int) -> None:
-        tally = halves[which]
-        for i in range(n_scan):
-            c = int(colors[scan[i]])
-            tally["occ"][i, c - 1] += 1
-            if (int(pat[i]) >> (c - 1)) & 1 == 0:
-                tally["viol"][i] += 1
-        tally["samples"] += 1
+    def sample(k: int) -> None:
+        if record[k]:
+            halves[taken[k] > first_half].add(colors)
 
-    recorded = 0
-    if cfg.burn_in == 0:
-        record_state(0 if recorded < first_half_target else 1)
-        recorded += 1
-
+    sample(0)
     cluster_every = cfg.cluster_every if cfg.algorithm == "heat-bath+cluster" else 0
     max_chunk = cluster_every if cluster_every else 16384
     s = 0
     while s < cfg.sweeps:
         chunk = min(max_chunk, cfg.sweeps - s)
-        # keep each recorded sample in the correct half tally
-        flags = _record_flags(s, s + chunk, cfg.burn_in, cfg.thin)
-        upcoming = int(flags.sum())
-        if recorded < first_half_target < recorded + upcoming:
-            cut = 0
-            seen = 0
-            for i, fl in enumerate(flags):
-                if fl:
-                    seen += 1
-                    if recorded + seen == first_half_target:
-                        cut = i + 1
-                        break
-            chunk = cut
-            flags = flags[:cut]
+        # chunk ends fix how the draws interleave: a chunk that would
+        # record into both halves ends where the first half fills up
+        if taken[s] < first_half < taken[s + chunk]:
+            chunk = cut - s
         rand = rng.random((chunk, n_scan))
-        if cfg.scan == "random":
-            site_pos = rng.integers(0, n_scan, size=(chunk, n_scan)).astype(np.int64)
-        else:
-            site_pos = np.tile(np.arange(n_scan, dtype=np.int64), (chunk, 1))
-        which = 0 if recorded < first_half_target else 1
-        status = np.zeros(1, dtype=np.int64)
-        _sweep_chunk(colors, site_pos, scan_arr, nbr_flat, nbr_off, allowed,
-                     pat, rand, flags, halves[which]["viol"],
-                     halves[which]["occ"], status)
-        if status[0]:
-            raise InternalInvariantError("the chain reached a stuck state")
-        got = int(flags.sum())
-        halves[which]["samples"] += got
-        recorded += got
-        s += chunk
+        site_pos = (rng.integers(0, n_scan, size=(chunk, n_scan))
+                    if cfg.scan == "random" else None)
+        for j in range(chunk):
+            positions = range(n_scan) if site_pos is None else site_pos[j].tolist()
+            if not _sweep(colors, G, scan, allowed, rand[j].tolist(), positions):
+                raise InternalInvariantError("the chain reached a stuck state")
+            s += 1
+            sample(s)
         if cluster_every and s % cluster_every == 0 and s < cfg.sweeps:
-            f_now = Coloring([int(c) for c in colors], q)
-            f_next = cluster_step(f_now, G, domain, p0, rng)
-            colors = np.array(f_next.values, dtype=np.int64)
+            colors[:] = cluster_step(Coloring(colors, cfg.q), G, domain, p0, rng).values
 
-    final = Coloring([int(c) for c in colors], q)
+    final = Coloring(colors, cfg.q)
     if not is_proper(final, G):
         raise InternalInvariantError("chain ended on an improper coloring")
     for v in G.full_set() - domain:
         if final.values[v] != init.values[v]:
             raise InternalInvariantError("a frozen exterior cell changed")
-    return scan, halves, G, p0
 
 
 def run_experiment(cfg: ChainConfig, threads: int = 1) -> OrderStats:
@@ -418,38 +335,20 @@ def run_experiment(cfg: ChainConfig, threads: int = 1) -> OrderStats:
     Sample states are taken after sweeps burn_in, burn_in + thin, ...;
     with burn_in = 0 the initial pure-pattern state is the first sample,
     so a zero-sweep run reports exactly the initial statistics.  Chains
-    own disjoint Philox streams and merge by index, so the thread cap
-    never changes any output byte.
+    own disjoint Philox streams and run one after another in index
+    order; ``threads`` is accepted and changes nothing.
     """
     G = cfg.graph()
     domain = cfg.domain(G)
+    p0 = cfg.p0()
     q = cfg.q
-    scan = list(domain)
-    n_scan = len(scan)
-    viol = np.zeros(n_scan, dtype=np.int64)
-    occ = np.zeros((n_scan, q), dtype=np.int64)
-    first = {"viol": np.zeros(n_scan, dtype=np.int64),
-             "occ": np.zeros((n_scan, q), dtype=np.int64), "samples": 0}
-    second = {"viol": np.zeros(n_scan, dtype=np.int64),
-              "occ": np.zeros((n_scan, q), dtype=np.int64), "samples": 0}
-    total_samples = 0
-    if threads > 1 and cfg.chains > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool_exec:
-            results = list(pool_exec.map(
-                lambda i: _run_chain(cfg, i), range(cfg.chains)
-            ))
-    else:
-        results = [_run_chain(cfg, i) for i in range(cfg.chains)]
-    for chain_scan, halves, G, p0 in results:
-        for half, pool in zip(halves, (first, second)):
-            pool["viol"] += half["viol"]
-            pool["occ"] += half["occ"]
-            pool["samples"] += half["samples"]
-        viol += halves[0]["viol"] + halves[1]["viol"]
-        occ += halves[0]["occ"] + halves[1]["occ"]
-        total_samples += halves[0]["samples"] + halves[1]["samples"]
+    scan, allowed, pat = _sweep_setup(G, domain, q, p0)
+    first, second = _Tally(scan, pat, q), _Tally(scan, pat, q)
+    for i in range(cfg.chains):
+        _run_chain(cfg, i, G, domain, p0, scan, allowed, (first, second))
+    viol = first.viol + second.viol
+    occ = first.occ + second.occ
+    total_samples = first.samples + second.samples
     if total_samples == 0:
         raise ConfigError("the run records no samples; lower burn_in or thin")
 
@@ -464,9 +363,9 @@ def run_experiment(cfg: ChainConfig, threads: int = 1) -> OrderStats:
             parity_occ[name] = tuple(0.0 for _ in range(q))
 
     diff = 0.0
-    if first["samples"] and second["samples"]:
-        r1 = first["viol"] / first["samples"]
-        r2 = second["viol"] / second["samples"]
+    if first.samples and second.samples:
+        r1 = first.viol / first.samples
+        r2 = second.viol / second.samples
         diff = float(np.max(np.abs(r1 - r2)))
     return OrderStats(
         vertex_ids=tuple(scan),

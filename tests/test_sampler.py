@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from chroma.coloring import Coloring, is_proper, striped_pattern_coloring
@@ -260,3 +262,36 @@ def test_margin_domain_freezes_exterior():
     G = build_graph([6, 6])
     assert all(1 <= c <= 4 for v in stats.vertex_ids
                for c in G.coords(v))
+
+
+def _stats_digest(stats):
+    key = (stats.samples, stats.csv_rows(), stats.split_half_max_diff)
+    return hashlib.sha256(repr(key).encode()).hexdigest()
+
+
+def test_draw_layout_pinned():
+    # fixed output bytes for fixed (config, seed) pairs; a kernel that lays
+    # out its random draws differently must update these with a version bump
+    pinned = [
+        (ChainConfig(dims=(4, 4), q=3, pattern=P03, seed=99, sweeps=400,
+                     burn_in=100, thin=3, algorithm="heat-bath+cluster",
+                     cluster_every=16),
+         "59057c5bb214fe7d87dcb766abf5dbc71560af939cf285b5660d830767d49456"),
+        # the first-half cut (19th of 37 samples per chain) falls inside
+        # the single sweep chunk, where random-scan draws interleave
+        (ChainConfig(dims=(4, 4), q=3, pattern=P03, seed=21, sweeps=90,
+                     burn_in=17, thin=2, scan="random", chains=3),
+         "3f1a310d69cd5727b6db2f8474f4e6ff3efa36eba6aac8cbbc1e6d94ddf7365c"),
+        (ChainConfig(dims=(6, 6), q=3, pattern=P03, seed=8, sweeps=200,
+                     margin=1),
+         "3b47a0af505e013a60e06f55100f30ba31afd958e224860ddc0e48e4c02a19dc"),
+    ]
+    for cfg, want in pinned:
+        assert _stats_digest(run_experiment(cfg)) == want
+        assert _stats_digest(run_experiment(cfg, threads=2)) == want
+    G = build_graph([5, 5])
+    p0 = Pattern.parse(3, P03)
+    out = heat_bath_sweep(striped_pattern_coloring(G, p0), G, G.full_set(),
+                          p0, make_rng(7))
+    assert hashlib.sha256(repr(out.values).encode()).hexdigest() == (
+        "cb171b8486933c701aa30b1fb5612fb115022fe5f01a6059fc729372102ad53d")
