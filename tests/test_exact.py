@@ -115,6 +115,39 @@ def test_transfer_periodic_axis_rejected_and_budget():
         transfer_count(G, 3, state_budget=10)
 
 
+def test_transfer_periodic_cross_section():
+    # Z^{d1} x T^{d2} slabs: layers run along the free axis, so the periodic
+    # wrap-around falls inside each layer's cross-section
+    p0 = Pattern.make(3, [1], [2, 3])
+    slab = ((4, 4, 5), (True, False, False))
+    cases = [
+        ((4, 6), (True, False), 3, Constraint.free()),
+        ((4, 6), (True, False), 4, Constraint.free()),
+        ((6, 4), (False, True), 3, Constraint.free()),
+        (*slab, 3, Constraint.free()),
+        (*slab, 3, Constraint.pattern_boundary(p0)),
+        (*slab, 3, Constraint.pinned({0: 1, 3: 2, 42: 3, 79: 1})),
+    ]
+    for dims, periodic, q, c in cases:
+        G = build_graph(dims, periodic)
+        t = transfer_count(G, q, c)
+        # the free slab needs more than the default 500 000 cache entries
+        b = count_colorings(G, G.full_set(), q, c, method="backtracking",
+                            state_budget=1_000_000)
+        assert t.count == b.count > 0, (dims, periodic, q, c.kind)
+
+
+def test_transfer_wide_strips():
+    G = build_graph([10, 12])
+    b = count_colorings(G, G.full_set(), 3, method="backtracking")
+    assert transfer_count(G, 3).count == b.count
+    W = build_graph([12, 12])
+    # the counter gives the same number with state_budget=4_000_000
+    assert transfer_count(W, 3).count == 198475392061658571459051861720
+    with pytest.raises(ResourceLimitError):
+        transfer_count(W, 3, state_budget=1000)
+
+
 def test_backtracking_cache_budget():
     G = build_graph([3, 3, 4])
     with pytest.raises(ResourceLimitError):
