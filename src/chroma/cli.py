@@ -31,11 +31,16 @@ from .errors import (
     ResourceLimitError,
 )
 from .exact import Constraint, count_colorings, exact_marginal, toy_ratio
-from .geometry import OddSetCollection, separating_set, weak_approximation
+from .geometry import (
+    OddSetCollection,
+    enumerate_regular_parity_sets,
+    separating_set,
+    weak_approximation,
+)
 from .lattice import LatticeGraph, closed_neighborhood
 from .patterns import Pattern
 from .sampler import ChainConfig, run_experiment
-from .suites import run_suite
+from .suites import random_regular_odd_set, run_suite
 from .rng import make_rng
 
 _SCHEMAS: dict[str, dict[str, type]] = {
@@ -154,6 +159,19 @@ def _center_vertex(G: LatticeGraph) -> int:
     return G.vid(tuple(x // 2 for x in G.dims))
 
 
+def _vertex_from(G: LatticeGraph, v: Any) -> int:
+    """'center' or an integer vertex id in [0, n)."""
+    if v == "center":
+        return _center_vertex(G)
+    try:
+        vid = int(v)
+    except ValueError:
+        vid = -1
+    if not 0 <= vid < G.n:
+        raise ConfigError(f"vertex must be 'center' or an id in [0, {G.n}), got {v!r}")
+    return vid
+
+
 # -- commands --------------------------------------------------------------------
 
 
@@ -178,8 +196,7 @@ def _cmd_marginal(args) -> int:
     cfg = _effective_config("marginal", args)
     G = _graph_from(cfg)
     q = cfg["q"]
-    v = cfg.get("vertex", "center")
-    vid = _center_vertex(G) if v == "center" else int(v)
+    vid = _vertex_from(G, cfg.get("vertex", "center"))
     m = exact_marginal(G, G.full_set(), q, vid, _constraint_from(cfg, q))
     _emit_json({"marginal": m.to_json(), "graph": G.key(), "q": q}, cfg, args.out)
     return 0
@@ -276,8 +293,6 @@ def _cmd_approx(args) -> int:
     if cfg.get("exhaustive"):
         # tiny ambients only: sweep the whole family of regular odd sets
         # and coarse-grain each one through its own separating set
-        from .geometry import enumerate_regular_parity_sets
-
         family = enumerate_regular_parity_sets(G, "odd")
         verified = 0
         for U in family:
@@ -294,8 +309,6 @@ def _cmd_approx(args) -> int:
         }
         _emit_json(payload, cfg, args.out)
         return 0
-    from .suites import random_regular_odd_set
-
     rng = make_rng(seed)
     sets = [random_regular_odd_set(G, rng) for _ in range(n_sets)]
     collection = OddSetCollection(G, sets, "odd")
@@ -327,8 +340,19 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a configuration error (exit 1)."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chroma",
         description="exact counting, sampling and contour geometry for "
         "pattern-ordered proper colorings",
@@ -353,10 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
             elif want is str:
                 p.add_argument(flag, dest=key)
             elif want is list:
-                p.add_argument(
-                    flag, dest=key,
-                    type=lambda s: [int(x) for x in s.split(",")],
-                )
+                p.add_argument(flag, dest=key, type=_int_list)
             elif want is dict:
                 p.add_argument(flag, dest=key, type=json.loads)
             else:  # mixed int/str or list/str fields
@@ -365,9 +386,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (ConfigError, PreconditionError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -24,10 +24,11 @@ from .errors import ConfigError, InternalInvariantError, PreconditionError
 from .lattice import (
     LatticeGraph,
     VertexSet,
+    boundary_cells,
     closed_neighborhood,
     vertex_boundaries,
 )
-from .patterns import Pattern, canonical_permutation, vertex_in_pattern
+from .patterns import Pattern, canonical_permutation, in_pattern, vertex_in_pattern
 from .rng import make_rng
 
 HOLE = 0
@@ -139,13 +140,10 @@ class BoundaryCondition:
             raise ConfigError("boundary pattern must have |A| <= |B|")
 
     def boundary_vertices(self, G: LatticeGraph) -> VertexSet:
-        internal, _, _ = vertex_boundaries(G, self.domain)
-        return internal | (self.domain & G.rim)
+        return boundary_cells(G, self.domain)
 
 
 def check_boundary(f: Coloring, bc: BoundaryCondition, G: LatticeGraph) -> bool:
-    from .patterns import in_pattern
-
     return in_pattern(f, bc.boundary_vertices(G), bc.pattern, G)
 
 

@@ -24,6 +24,7 @@ from typing import Iterable, Mapping
 
 from .coloring import Coloring, HOLE
 from .errors import InternalInvariantError, PreconditionError
+from .geometry import regularity_check
 from .lattice import (
     LatticeGraph,
     VertexSet,
@@ -33,34 +34,38 @@ from .lattice import (
     diam_star,
     edge_set,
     expand,
+    neighborhood,
     vertex_boundaries,
 )
-from .patterns import Pattern, enumerate_dominant, vertex_in_pattern
+from .patterns import Pattern, enumerate_dominant, in_pattern
 
 
-def _neighborhood_in_pattern(
-    G: LatticeGraph, f: Coloring, v: int, P: Pattern
-) -> bool:
-    values = f.values
-    for u in G.neighbors[v]:
-        if not vertex_in_pattern(values[u], G.parity[u], P):
-            return False
-    return True
-
-
-def region_core(G: LatticeGraph, f: Coloring, P: Pattern) -> VertexSet:
-    """P-odd vertices whose entire neighborhood is in the P-pattern."""
-    odd_parity = 1 - P.klass
+def _pattern_cells(G: LatticeGraph, f: Coloring, P: Pattern) -> VertexSet:
+    """Cells whose own color is in the P-pattern (never a HOLE)."""
+    fits = (P.a_bits << 1, P.b_bits << 1)  # bit c set when color c fits
+    parity = G.parity
     bits = 0
-    for v in range(G.n):
-        if G.parity[v] == odd_parity and _neighborhood_in_pattern(G, f, v, P):
+    for v, c in enumerate(f.values):
+        if fits[parity[v]] >> c & 1:
             bits |= 1 << v
     return VertexSet(bits, G.n)
 
 
-def _check_regular(G: LatticeGraph, U: VertexSet, P: Pattern, label: str) -> None:
-    from .geometry import regularity_check
+def _settled(G: LatticeGraph, in_pat: VertexSet) -> VertexSet:
+    """Cells whose whole neighborhood is in ``in_pat``: the complement of N(outside)."""
+    return neighborhood(G, in_pat.complement()).complement()
 
+
+def _p_odd(G: LatticeGraph, P: Pattern) -> VertexSet:
+    return G.odd if P.klass == 0 else G.even
+
+
+def region_core(G: LatticeGraph, f: Coloring, P: Pattern) -> VertexSet:
+    """P-odd vertices whose entire neighborhood is in the P-pattern."""
+    return _p_odd(G, P) & _settled(G, _pattern_cells(G, f, P))
+
+
+def _check_regular(G: LatticeGraph, U: VertexSet, P: Pattern, label: str) -> None:
     parity = "even" if P.klass == 0 else "odd"
     ok, witness = regularity_check(G, U, parity)
     if not ok:
@@ -240,8 +245,6 @@ def construct_breakup(
     """
     if p0.klass != 0:
         raise PreconditionError("the reference pattern must have |A| <= |B|")
-    from .patterns import in_pattern
-
     int_c = interior(G, domain).complement()
     if not in_pattern(f, int_c, p0, G):
         raise PreconditionError(
@@ -259,14 +262,13 @@ def construct_breakup(
         if not ring:
             owner = p0
         else:
-            owners = set()
-            for a in ring:
-                mine = [P for P, U in Z.z_p.items() if a in U]
-                if a in Z.z_star or len(mine) != 1:
-                    raise InternalInvariantError(
-                        f"hole ring vertex {a} is not cleanly owned by one pattern"
-                    )
-                owners.add(mine[0])
+            # off the defect set every cell lies in exactly one region
+            stray = ring & Z.z_star
+            if stray:
+                raise InternalInvariantError(
+                    f"hole ring vertex {stray.min_id()} is not cleanly owned by one pattern"
+                )
+            owners = {P for P, U in Z.z_p.items() if not ring.isdisjoint(U)}
             if len(owners) != 1:
                 raise InternalInvariantError(
                     f"hole has ambiguous surrounding patterns {sorted(p.text() for p in owners)}"
@@ -313,8 +315,6 @@ def verify_breakup(
     bad P-odd vertices see a color off the boundary side, and boundary
     edges leave from an in-pattern vertex toward a constrained one).
     """
-    from .geometry import regularity_check
-
     G = X.graph
     problems: list[str] = []
     for P, U in X.x_p.items():
@@ -330,52 +330,43 @@ def verify_breakup(
     overlap, bad, star = _derived_sets(G, X.x_p)
     near = expand(G, star, radius)
     for P, U in X.x_p.items():
-        odd_par = 1 - P.klass
-        for v in near:
-            if G.parity[v] != odd_par:
-                continue
+        in_pat = _pattern_cells(G, f, P)
+        settled = _settled(G, in_pat)
+        p_odd = _p_odd(G, P)
+        p_even = p_odd.complement()
+        for v in near & p_odd & (U ^ settled):
             member = v in U
-            pat = _neighborhood_in_pattern(G, f, v, P)
-            if member != pat:
-                problems.append(
-                    f"vertex {v} near the defect set: membership in {P.text()} is "
-                    f"{member} but its neighborhood in-pattern is {pat}"
-                )
-        even_par = P.klass
-        for v in near & U:
-            if G.parity[v] != even_par:
-                continue
-            if not vertex_in_pattern(f.values[v], G.parity[v], P):
-                problems.append(
-                    f"P-even vertex {v} of region {P.text()} near the defect set "
-                    "is out of pattern"
-                )
-        for v in (near & U) - overlap:
-            if G.parity[v] != odd_par:
-                continue
-            if not vertex_in_pattern(f.values[v], G.parity[v], P):
-                problems.append(
-                    f"non-overlap P-odd vertex {v} of region {P.text()} is out of pattern"
-                )
-        for v in bad:
-            if G.parity[v] != odd_par:
-                continue
-            if _neighborhood_in_pattern(G, f, v, P):
-                problems.append(
-                    f"bad vertex {v} has its whole neighborhood in the {P.text()} pattern"
-                )
-        for u in U:
-            if G.parity[u] != even_par:
-                continue
+            pat = v in settled
+            problems.append(
+                f"vertex {v} near the defect set: membership in {P.text()} is "
+                f"{member} but its neighborhood in-pattern is {pat}"
+            )
+        for v in (near & U & p_even) - in_pat:
+            problems.append(
+                f"P-even vertex {v} of region {P.text()} near the defect set "
+                "is out of pattern"
+            )
+        for v in (near & U & p_odd) - overlap - in_pat:
+            problems.append(
+                f"non-overlap P-odd vertex {v} of region {P.text()} is out of pattern"
+            )
+        for v in bad & p_odd & settled:
+            problems.append(
+                f"bad vertex {v} has its whole neighborhood in the {P.text()} pattern"
+            )
+        # P-even cells of U with an edge leaving U; the edge clauses can
+        # only fail at those out of pattern or next to a settled outside cell
+        leaving = U & p_even & neighborhood(G, U.complement())
+        for u in (leaving - in_pat) | (leaving & neighborhood(G, settled - U)):
             for v in G.neighbors[u]:
                 if v in U:
                     continue
-                if not vertex_in_pattern(f.values[u], G.parity[u], P):
+                if u not in in_pat:
                     problems.append(
                         f"boundary edge ({u},{v}) of {P.text()} leaves an "
                         "out-of-pattern vertex"
                     )
-                if _neighborhood_in_pattern(G, f, v, P):
+                if v in settled:
                     problems.append(
                         f"boundary edge ({u},{v}) of {P.text()} points at a vertex "
                         "whose neighborhood is fully in pattern"
@@ -404,12 +395,7 @@ def bp_components(
     with their total diameter score.
     """
     Z = decompose(G, f, patterns=[P], certify=False)
-    region = Z.z_p[P]
-    bits = 0
-    for v in region:
-        if vertex_in_pattern(f.values[v], G.parity[v], P):
-            bits |= 1 << v
-    bar = VertexSet(bits, G.n)
+    bar = Z.z_p[P] & _pattern_cells(G, f, P)
     b_p = G.empty_set()
     for comp in connected_components(G, bar.complement(), power=2):
         if not comp.isdisjoint(V):

@@ -27,7 +27,14 @@ from .errors import (
     ResourceLimitError,
     UndefinedMeasureError,
 )
-from .lattice import LatticeGraph, VertexSet, closed_neighborhood, edge_set
+from .lattice import (
+    LatticeGraph,
+    VertexSet,
+    boundary_cells,
+    closed_neighborhood,
+    edge_set,
+    vertex_boundaries,
+)
 from .patterns import Pattern
 
 
@@ -70,14 +77,6 @@ class Constraint:
         pins = dict(self.pins)
         pins[v] = c
         return Constraint(self.kind, self.pattern, tuple(sorted(pins.items())))
-
-
-def boundary_cells(G: LatticeGraph, domain: VertexSet) -> VertexSet:
-    """Cells of the domain facing its complement or a non-periodic face."""
-    from .lattice import vertex_boundaries
-
-    internal, _, _ = vertex_boundaries(G, domain)
-    return internal | (domain & G.rim)
 
 
 def allowed_masks(
@@ -479,9 +478,6 @@ class ToyRatio:
     n_u: int
     n_empty: int
 
-    def bound_float(self) -> float:
-        return float(self.bound_base) ** float(self.bound_exponent)
-
     def to_json(self) -> dict:
         return {
             "ratio": f"{self.ratio.numerator}/{self.ratio.denominator}",
@@ -543,9 +539,6 @@ def toy_ratio(
         raise UndefinedMeasureError("the pure-pattern reference count is zero")
     n_u = droplet_count(U)
     ratio = Fraction(n_u, n_empty)
-
-    from .lattice import vertex_boundaries
-
     if q % 2 == 0:
         _, _, both = vertex_boundaries(G, U)
         exponent = Fraction(len(both))
@@ -599,15 +592,9 @@ def htop_estimate(
         dims = tuple(int(x) for x in dims)
         per = tuple(periodic for _ in dims)
         G = LatticeGraph(dims, per)
-        if periodic:
-            masks = [(1 << q) - 1] * G.n
-            count = _count_backtrack(G, G.full_set(), masks, q)
-            method_is_torus = True
-        else:
-            count = count_colorings(G, G.full_set(), q).count
-            method_is_torus = False
+        count = count_colorings(G, G.full_set(), q).count
         log_per_site = math.log(count) / G.n if count else float("-inf")
-        binding = method_is_torus and all(x % 2 == 0 for x in dims)
+        binding = periodic and all(x % 2 == 0 for x in dims)
         meets = (not binding) or log_per_site >= bound - 1e-12
         if binding and not meets:
             raise PreconditionError(

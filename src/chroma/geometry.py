@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .errors import InternalInvariantError, PreconditionError
+from .errors import InternalInvariantError, PreconditionError, ResourceLimitError
 from .lattice import (
     LatticeGraph,
     VertexSet,
@@ -33,6 +33,9 @@ from .lattice import (
     vertex_boundaries,
 )
 from .patterns import Pattern
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .decomposition import Atlas
 
 
 def _core_sets(G: LatticeGraph, parity: str) -> tuple[VertexSet, VertexSet]:
@@ -249,17 +252,10 @@ def _half_separating_core(
         per_set_edges.append(es)
         boundary_all |= es
 
-    def count_at(v: int, edges) -> int:
-        c = 0
-        for u in G.neighbors[v]:
-            e = (v, u) if v < u else (u, v)
-            if e in edges:
-                c += 1
-        return c
-
     a_bits = 0
     for v in range(G.n):
-        if G.parity[v] == outside_par and count_at(v, boundary_all) >= s:
+        if (G.parity[v] == outside_par
+                and boundary_edge_count_at(G, v, boundary_all) >= s):
             a_bits |= 1 << v
     A = VertexSet(a_bits, G.n)
 
@@ -267,7 +263,8 @@ def _half_separating_core(
     for es in per_set_edges:
         bits = 0
         for v in range(G.n):
-            if G.parity[v] == inside_par and count_at(v, es) >= G.full_degree - s:
+            if (G.parity[v] == inside_par
+                    and boundary_edge_count_at(G, v, es) >= G.full_degree - s):
                 bits |= 1 << v
         a_i.append(VertexSet(bits, G.n))
 
@@ -446,8 +443,6 @@ def verify_approximation(
     multiple of L log(d)/sqrt(d); (location) the full fringe hugs the
     region boundaries to distance 3.
     """
-    from .decomposition import Atlas  # noqa: F401  (typing only)
-
     clauses: dict[str, bool] = {}
     sandwich = True
     for P, region in X.x_p.items():
@@ -498,8 +493,6 @@ def enumerate_regular_parity_sets(
     larger than ``limit`` vertices; it exists to let exhaustive
     verification runs cover the whole family at desk scale.
     """
-    from .errors import ResourceLimitError
-
     if G.n > limit:
         raise ResourceLimitError(
             f"exhaustive enumeration is limited to {limit} vertices, got {G.n}"
@@ -543,11 +536,7 @@ def isoperimetry_checks(G: LatticeGraph, U: VertexSet) -> IsoperimetryReport:
         small = (False, None, None, None)
     per_comp = []
     for comp in connected_components(G, U, power=2):
-        iso_bits = 0
-        for v in comp:
-            if G.neighbor_mask[v] & comp.bits == 0:
-                iso_bits |= 1 << v
-        iso_plus = closed_neighborhood(G, VertexSet(iso_bits, G.n))
+        iso_plus = closed_neighborhood(G, comp - neighborhood(G, comp))
         lhs = len(edge_set(G, comp, comp.complement()))
         if iso_plus:
             lhs += len(edge_set(G, iso_plus, iso_plus.complement()))

@@ -5,6 +5,13 @@ carries the parity of its coordinate sum, splitting the graph into the
 even and odd sublattices.  A periodic axis must have even length so the
 split survives the wrap-around.
 
+A vertex set is an integer bitmap, and its neighborhood N(U) is computed
+for the whole set at once: along each axis, the bits off the high face
+shift up by the axis stride and those off the low face shift down, and
+on a periodic axis each face also shifts onto the opposite one.  Vertex
+boundaries, closed neighborhoods, expansions and components are all set
+algebra over N(.).
+
 A non-periodic axis clips at the faces.  The cells missing a neighbor
 along some non-periodic axis form the graph's *rim*; the rim stands in
 for "infinity" whenever a construction needs an unbounded exterior
@@ -148,22 +155,21 @@ class LatticeGraph:
         neighbors: list[tuple[int, ...]] = []
         neighbor_mask: list[int] = []
         parity: list[int] = []
-        rim_bits = 0
+        low = [0] * self.d   # cells with coordinate 0 on the axis
+        high = [0] * self.d  # cells with the last coordinate on the axis
         for v in range(self.n):
             cs = self.coords(v)
             parity.append(sum(cs) & 1)
             nbrs = set()
-            missing = False
             for axis in range(self.d):
+                if cs[axis] == 0:
+                    low[axis] |= 1 << v
+                if cs[axis] == dims[axis] - 1:
+                    high[axis] |= 1 << v
                 for delta in (-1, 1):
                     u = self._step(cs, axis, delta)
-                    if u is None:
-                        if not self.periodic[axis]:
-                            missing = True
-                    else:
+                    if u is not None:
                         nbrs.add(u)
-            if missing:
-                rim_bits |= 1 << v
             ordered = tuple(sorted(nbrs))
             neighbors.append(ordered)
             m = 0
@@ -175,6 +181,23 @@ class LatticeGraph:
         self.neighbor_mask = neighbor_mask
         self.parity = parity
         self.degree = [len(t) for t in neighbors]
+        # N(U) as whole-bitmap shifts of U by (mask, distance): along each
+        # axis, cells off the high face move up one stride and cells off
+        # the low face down one; a periodic axis also wraps each face onto
+        # the other, and a non-periodic one puts both faces on the rim
+        full = (1 << self.n) - 1
+        rim_bits = 0
+        self._shifts_up: list[tuple[int, int]] = []
+        self._shifts_down: list[tuple[int, int]] = []
+        for axis, stride in enumerate(self._strides):
+            self._shifts_up.append((full & ~high[axis], stride))
+            self._shifts_down.append((full & ~low[axis], stride))
+            if periodic[axis]:
+                wrap = (dims[axis] - 1) * stride
+                self._shifts_up.append((low[axis], wrap))
+                self._shifts_down.append((high[axis], wrap))
+            else:
+                rim_bits |= low[axis] | high[axis]
         self.rim = VertexSet(rim_bits, self.n)
         even_bits = 0
         for v in range(self.n):
@@ -182,7 +205,6 @@ class LatticeGraph:
                 even_bits |= 1 << v
         self.even = VertexSet(even_bits, self.n)
         self.odd = self.even.complement()
-        self._power_masks: dict[int, list[int]] = {1: neighbor_mask}
 
     def coords(self, v: int) -> tuple[int, ...]:
         out = []
@@ -213,23 +235,6 @@ class LatticeGraph:
     def axis_step(self, v: int, axis: int, delta: int) -> int | None:
         """Neighbor of v one step along an axis, or None past a face."""
         return self._step(self.coords(v), axis, delta)
-
-    def power_mask(self, power: int) -> list[int]:
-        """Adjacency bitmaps of the distance-<=power graph (self excluded)."""
-        if power < 1:
-            raise PreconditionError("power must be >= 1")
-        if power not in self._power_masks:
-            prev = self.power_mask(power - 1)
-            cur = []
-            for v in range(self.n):
-                m = prev[v]
-                for u in VertexSet(prev[v], self.n):
-                    m |= self.neighbor_mask[u]
-                m |= self.neighbor_mask[v]
-                m &= ~(1 << v)
-                cur.append(m)
-            self._power_masks[power] = cur
-        return self._power_masks[power]
 
     def vertex_set(self, ids: Iterable[int]) -> VertexSet:
         return VertexSet.from_ids(self.n, ids)
@@ -267,10 +272,13 @@ def build_graph(dims: Iterable[int], periodic: Iterable[bool] | None = None) -> 
 
 
 def neighborhood(G: LatticeGraph, U: VertexSet) -> VertexSet:
-    """N(U): vertices adjacent to some vertex of U."""
+    """N(U): vertices adjacent to some vertex of U, by whole-bitmap shifts."""
+    bits = U.bits
     m = 0
-    for v in U:
-        m |= G.neighbor_mask[v]
+    for mask, k in G._shifts_up:
+        m |= (bits & mask) << k
+    for mask, k in G._shifts_down:
+        m |= (bits & mask) >> k
     return VertexSet(m, G.n)
 
 
@@ -310,6 +318,12 @@ def vertex_boundaries(G: LatticeGraph, U: VertexSet) -> tuple[VertexSet, VertexS
     external = neighborhood(G, U) - U
     internal = neighborhood(G, U.complement()) & U
     return internal, external, internal | external
+
+
+def boundary_cells(G: LatticeGraph, domain: VertexSet) -> VertexSet:
+    """Cells of the domain facing its complement or a non-periodic face."""
+    internal, _, _ = vertex_boundaries(G, domain)
+    return internal | (domain & G.rim)
 
 
 def edge_set(G: LatticeGraph, U: VertexSet, W: VertexSet) -> frozenset[tuple[int, int]]:
@@ -393,24 +407,25 @@ def edge_boundaries(G: LatticeGraph, U: VertexSet, W: VertexSet | None = None) -
 # -- connectivity ------------------------------------------------------------
 
 
+def _grow(G: LatticeGraph, U: VertexSet, seed: int, power: int) -> VertexSet:
+    """Component of the seed bits within U under distance-<=power adjacency."""
+    if power < 1:
+        raise PreconditionError("power must be >= 1")
+    comp = frontier = seed
+    while frontier:
+        frontier = expand(G, VertexSet(frontier, G.n), power).bits & U.bits & ~comp
+        comp |= frontier
+    return VertexSet(comp, G.n)
+
+
 def connected_components(G: LatticeGraph, U: VertexSet, power: int = 1) -> list[VertexSet]:
     """Components of U under distance-<=power adjacency, by smallest id."""
-    masks = G.power_mask(power)
     remaining = U.bits
     comps = []
     while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
-        while frontier:
-            grow = 0
-            for v in VertexSet(frontier, G.n):
-                grow |= masks[v]
-            grow &= U.bits & ~comp
-            comp |= grow
-            frontier = grow
-        comps.append(VertexSet(comp, G.n))
-        remaining &= ~comp
+        comp = _grow(G, U, remaining & -remaining, power)
+        comps.append(comp)
+        remaining &= ~comp.bits
     return comps
 
 
@@ -422,17 +437,7 @@ def component_of(G: LatticeGraph, U: VertexSet, v: int, power: int = 1) -> Verte
     """Component of v within U (empty if v is outside U)."""
     if v not in U:
         return G.empty_set()
-    masks = G.power_mask(power)
-    comp = 1 << v
-    frontier = comp
-    while frontier:
-        grow = 0
-        for u in VertexSet(frontier, G.n):
-            grow |= masks[u]
-        grow &= U.bits & ~comp
-        comp |= grow
-        frontier = grow
-    return VertexSet(comp, G.n)
+    return _grow(G, U, 1 << v, power)
 
 
 def co_connected_closure(G: LatticeGraph, U: VertexSet, v: int) -> VertexSet:

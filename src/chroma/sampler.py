@@ -27,7 +27,13 @@ import numpy as np
 from .coloring import Coloring, is_proper, pure_pattern_sample
 from .errors import ConfigError, InternalInvariantError, PreconditionError
 from .exact import Constraint, allowed_masks, enumerate_colorings
-from .lattice import LatticeGraph, VertexSet, connected_components
+from .lattice import (
+    LatticeGraph,
+    VertexSet,
+    boundary_cells,
+    connected_components,
+    neighborhood,
+)
 from .patterns import Pattern
 from .rng import make_rng
 
@@ -99,14 +105,6 @@ class OrderStats:
     occupation_counts: tuple[tuple[int, ...], ...]
     parity_occupation: dict[str, tuple[float, ...]]
     split_half_max_diff: float
-
-    def violation_rates(self) -> tuple[float, ...]:
-        return tuple(c / self.samples for c in self.violation_counts)
-
-    def occupation_rates(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(
-            tuple(c / self.samples for c in row) for row in self.occupation_counts
-        )
 
     def vertex_marginal(self, v: int) -> dict[int, Fraction]:
         i = self.vertex_ids.index(v)
@@ -226,33 +224,16 @@ def swappable_components(
 ) -> list[VertexSet]:
     """Two-color components free to exchange a and b.
 
-    Only unconstrained domain cells move; a component touching any
-    frozen or boundary-constrained cell colored a or b stays put.
+    Only unconstrained domain cells move (with a reference pattern, the
+    boundary cells are constrained); a component touching any frozen or
+    boundary-constrained cell colored a or b stays put.
     """
-    q = f.q
-    full = (1 << q) - 1
-    if p0 is None:
-        masks = [full if v in domain else 0 for v in range(G.n)]
-    else:
-        masks, _ = allowed_masks(G, domain, q, Constraint.pattern_boundary(p0))
-    movable_bits = 0
-    for v in domain:
-        if masks[v] == full and f.values[v] in (a, b):
-            movable_bits |= 1 << v
-    movable = VertexSet(movable_bits, G.n)
-    out = []
-    for comp in connected_components(G, movable):
-        blocked = False
-        for v in comp:
-            for u in G.neighbors[v]:
-                if u not in movable and f.values[u] in (a, b):
-                    blocked = True
-                    break
-            if blocked:
-                break
-        if not blocked:
-            out.append(comp)
-    return out
+    free = domain - boundary_cells(G, domain) if p0 is not None else domain
+    ab = G.vertex_set(v for v, c in enumerate(f.values) if c in (a, b))
+    movable = free & ab
+    stuck = ab - movable
+    return [comp for comp in connected_components(G, movable)
+            if neighborhood(G, comp).isdisjoint(stuck)]
 
 
 def cluster_step(

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from chroma.cli import main
 
 
@@ -57,6 +59,30 @@ def test_invalid_json_config_exit_one(tmp_path):
     cfg.write_text("{not json")
     code, _ = run_cli(["exact-count", "--config", str(cfg), "--q", "3"])
     assert code == 1
+
+
+def test_malformed_flag_value_exit_one(capsys):
+    # a usage error is a configuration error (exit 1), not exit 2, which
+    # means a resource budget was exceeded
+    code = main(["exact-count", "--dims", "a,b", "--q", "3"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "--dims" in err
+
+
+@pytest.mark.parametrize("vertex", ["-1", "abc", "9"])
+def test_marginal_bad_vertex_exit_one(vertex, capsys):
+    code = main(["marginal", "--dims", "3,3", "--q", "3", "--vertex", vertex])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "vertex" in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["exact-count", "--help"])
+    assert exc.value.code == 0
+    assert "--dims" in capsys.readouterr().out
 
 
 def test_marginal_command():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from chroma.coloring import Coloring, is_proper, striped_pattern_coloring
@@ -320,3 +322,48 @@ def test_randomized_construct_verify_small():
         X = construct_breakup(G, cur, V, dom, p0)
         rep = verify_breakup(X, cur, dom, p0)
         assert rep.ok, (trial, rep.violations[:3])
+
+
+def test_contour_outputs_pinned():
+    # fixed outputs of the decomposition layer on fixed instances (a 2D and a
+    # 3D box, a mixed torus; q = 3, 4, 5): a rewrite of the neighbourhood
+    # machinery must leave every one of them unchanged
+    want = {
+        "decompose":
+            "0123a9a6bc032d243a8cc1483451cfd74aa18f583be1ba6b66ebd52dd6b58606",
+        "bp_components":
+            "f6191221b9896ba44e081e58115db84f76c1881359e3ea40ae206de76af13a9e",
+        "verify_breakup":
+            "b72e0bdaea1e103a99e88a3f8ce9f13e9c24d6e72397cca789c750e62ed3cc1d",
+        "construct_breakup":
+            "2ba63c75361b98c750a28f8a92a185f5511c0e270bca699f2b2f51cf9cf92593",
+    }
+    got = {key: [] for key in want}
+    for dims, periodic, q in [((8, 8), None, 3), ((6, 6, 4), None, 4),
+                              ((6, 6), (True, False), 5)]:
+        G = build_graph(dims, periodic)
+        p0 = p0_for(q)
+        dom = inner_domain(G)
+        rng = make_rng(5)
+        states = [striped_pattern_coloring(G, p0)]
+        for _ in range(4):
+            states.append(heat_bath_sweep(states[-1], G, dom, p0, rng))
+        for f in states[1:]:
+            Z = decompose(G, f)
+            got["decompose"].append(Z.to_json())
+            V = G.vertex_set([int(rng.integers(0, G.n))])
+            for P in enumerate_dominant(q):
+                res = bp_components(G, f, V, P)
+                got["bp_components"].append(
+                    (res.bar_z_p.ids(), res.b_p.ids(), res.diam_star))
+            X = construct_breakup(G, f, V, dom, p0)
+            got["construct_breakup"].append(X.to_json())
+            for A in (X, Z.as_atlas()):
+                flipped = {P: U ^ G.vertex_set(int(v) for v in rng.integers(0, G.n, 3))
+                           for P, U in A.x_p.items()}
+                for atlas in (A, Atlas(G, flipped)):
+                    rep = verify_breakup(atlas, f, dom, p0)
+                    got["verify_breakup"].append((rep.ok, rep.violations))
+    digest = {key: hashlib.sha256(repr(val).encode()).hexdigest()
+              for key, val in got.items()}
+    assert digest == want

@@ -5,6 +5,7 @@ from chroma.lattice import (
     LatticeGraph,
     VertexSet,
     build_graph,
+    closed_neighborhood,
     co_connected_closure,
     connected_components,
     diam_star,
@@ -14,6 +15,7 @@ from chroma.lattice import (
     expand,
     n_t,
     n_t_and_expand,
+    neighborhood,
     vertex_boundaries,
 )
 from chroma.rng import make_rng
@@ -167,6 +169,48 @@ def test_components_match_flood_fill_oracle():
                    connected_components(G, G.vertex_set(members), power)]
             want = oracles.flood_components((6, 6), (True, True), members, power)
             assert sorted(got, key=min) == sorted(want, key=min)
+
+
+# a box, a mixed Z^2 x T graph, a length-1 axis and a length-2 periodic axis
+SHIFT_GRAPHS = [((5, 6), (False, False)), ((4, 4, 3), (True, False, False)),
+                ((1, 7), (False, False)), ((2, 6), (True, False))]
+
+
+@pytest.mark.parametrize("dims,periodic", SHIFT_GRAPHS)
+def test_shift_neighborhood_matches_oracles(dims, periodic):
+    G = build_graph(dims, periodic)
+    rng = make_rng(17)
+    samples = [set(), set(range(G.n))]
+    for _ in range(15):
+        p = rng.random()
+        samples.append({v for v in range(G.n) if rng.random() < p})
+    for members in samples:
+        U = G.vertex_set(members)
+        nbhd = set()
+        for v in members:
+            nbhd.update(oracles.neighbors_of(dims, periodic, v))
+        assert set(neighborhood(G, U).ids()) == nbhd
+        assert set(closed_neighborhood(G, U).ids()) == nbhd | members
+        internal, external, both = vertex_boundaries(G, U)
+        want_int, want_ext = oracles.boundary_sets(dims, periodic, members)
+        assert set(internal.ids()) == want_int
+        assert set(external.ids()) == want_ext
+        assert set(both.ids()) == want_int | want_ext
+        for power in (1, 2):
+            got = [frozenset(c.ids()) for c in connected_components(G, U, power)]
+            want = oracles.flood_components(dims, periodic, members, power)
+            assert got == sorted(want, key=min)
+
+
+@pytest.mark.parametrize("dims,periodic", SHIFT_GRAPHS)
+def test_rim_is_the_non_periodic_faces(dims, periodic):
+    G = build_graph(dims, periodic)
+    want = {
+        v for v in range(G.n)
+        if any(not per and c in (0, length - 1)
+               for c, length, per in zip(oracles.coords_of(dims, v), dims, periodic))
+    }
+    assert set(G.rim.ids()) == want
 
 
 def test_co_connected_closure_ring():

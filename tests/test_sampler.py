@@ -295,3 +295,34 @@ def test_draw_layout_pinned():
                           p0, make_rng(7))
     assert hashlib.sha256(repr(out.values).encode()).hexdigest() == (
         "cb171b8486933c701aa30b1fb5612fb115022fe5f01a6059fc729372102ad53d")
+
+
+def test_swappable_components_pinned():
+    # fixed cluster-move outputs on fixed instances (boxes, a mixed torus,
+    # q = 3, 4, 5; pattern-constrained and free states, inner and full domains)
+    instances = [((8, 8), None, 3, "A=1;B=2,3"), ((6, 6, 4), None, 4, "A=1,2;B=3,4"),
+                 ((6, 6), (True, False), 5, "A=1,2;B=3,4,5")]
+    comps, steps = [], []
+    for dims, periodic, q, text in instances:
+        G = build_graph(dims, periodic)
+        p0 = Pattern.parse(q, text)
+        inner = G.vertex_set(
+            v for v in range(G.n)
+            if all(G.periodic[a] or 1 <= c < G.dims[a] - 1
+                   for a, c in enumerate(G.coords(v))))
+        rng = make_rng(11)
+        f = striped_pattern_coloring(G, p0)
+        for sweep_p0 in (p0, p0, None, None):
+            f = heat_bath_sweep(f, G, inner, sweep_p0, rng)
+            for dom in (inner, G.full_set()):
+                for p in (p0, None):
+                    for a in range(1, q + 1):
+                        for b in range(a + 1, q + 1):
+                            comps.append([c.ids() for c in
+                                          swappable_components(f, G, dom, p, a, b)])
+                    steps.append(cluster_step(f, G, dom, p, rng).values)
+    digest = [hashlib.sha256(repr(x).encode()).hexdigest() for x in (comps, steps)]
+    assert digest == [
+        "90501926a782c22b928418825e7b7135205f7c865d3f2b6bbe3b12ad366570c9",
+        "4d1d7f0e0302e7b76cac4433a42372cf8dd2b2fd81d9fcb3182e2391dbca62a3",
+    ]
