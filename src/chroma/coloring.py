@@ -44,9 +44,12 @@ class Coloring:
     def __post_init__(self):
         if self.q < 2:
             raise ConfigError("colorings need q >= 2")
-        for v, c in enumerate(self.values):
-            if not 0 <= c <= self.q:
-                raise ConfigError(f"value {c} at vertex {v} outside 0..{self.q}")
+        values = self.values
+        if values and (min(values) < 0 or max(values) > self.q):
+            # walk the values only to name the first bad vertex
+            for v, c in enumerate(values):
+                if not 0 <= c <= self.q:
+                    raise ConfigError(f"value {c} at vertex {v} outside 0..{self.q}")
 
     def copy(self) -> "Coloring":
         return Coloring(list(self.values), self.q)

@@ -22,7 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .coloring import Coloring, HOLE
+import numpy as np
+
+from .coloring import Coloring
 from .errors import InternalInvariantError, PreconditionError
 from .geometry import regularity_check
 from .lattice import (
@@ -37,18 +39,28 @@ from .lattice import (
     neighborhood,
     vertex_boundaries,
 )
-from .patterns import Pattern, enumerate_dominant, in_pattern
+from .patterns import Pattern, enumerate_dominant
 
 
-def _pattern_cells(G: LatticeGraph, f: Coloring, P: Pattern) -> VertexSet:
+def _color_planes(f: Coloring) -> list[int]:
+    """Bitmap of the cells holding each color 0..q; plane 0 holds the HOLEs.
+
+    Built afresh per call: a Coloring's values are mutable.
+    """
+    values = np.array(f.values)
+    rows = np.packbits(values == np.arange(f.q + 1).reshape(-1, 1), axis=1,
+                       bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
+def _pattern_cells(G: LatticeGraph, planes: list[int], P: Pattern) -> VertexSet:
     """Cells whose own color is in the P-pattern (never a HOLE)."""
-    fits = (P.a_bits << 1, P.b_bits << 1)  # bit c set when color c fits
-    parity = G.parity
-    bits = 0
-    for v, c in enumerate(f.values):
-        if fits[parity[v]] >> c & 1:
-            bits |= 1 << v
-    return VertexSet(bits, G.n)
+    a = b = 0
+    for c in P.a:
+        a |= planes[c]
+    for c in P.b:
+        b |= planes[c]
+    return VertexSet(a & G.even.bits | b & G.odd.bits, G.n)
 
 
 def _settled(G: LatticeGraph, in_pat: VertexSet) -> VertexSet:
@@ -58,11 +70,6 @@ def _settled(G: LatticeGraph, in_pat: VertexSet) -> VertexSet:
 
 def _p_odd(G: LatticeGraph, P: Pattern) -> VertexSet:
     return G.odd if P.klass == 0 else G.even
-
-
-def region_core(G: LatticeGraph, f: Coloring, P: Pattern) -> VertexSet:
-    """P-odd vertices whose entire neighborhood is in the P-pattern."""
-    return _p_odd(G, P) & _settled(G, _pattern_cells(G, f, P))
 
 
 def _check_regular(G: LatticeGraph, U: VertexSet, P: Pattern, label: str) -> None:
@@ -126,12 +133,25 @@ def decompose(
     for large q.  Each region is certified to be a regular P-even set
     unless certify is disabled.
     """
-    if any(c == HOLE for c in f.values):
+    return _decompose(G, _color_planes(f), f.q, patterns, certify)
+
+
+def _decompose(
+    G: LatticeGraph,
+    planes: list[int],
+    q: int,
+    patterns: Iterable[Pattern] | None,
+    certify: bool,
+) -> RegionDecomposition:
+    """``decompose`` from the coloring's color planes."""
+    if planes[0]:
         raise PreconditionError("decomposition needs a total coloring")
-    pats = list(patterns) if patterns is not None else enumerate_dominant(f.q)
+    pats = list(patterns) if patterns is not None else enumerate_dominant(q)
     z_p: dict[Pattern, VertexSet] = {}
     for P in pats:
-        region = closed_neighborhood(G, region_core(G, f, P))
+        # the P-odd cells whose whole neighborhood is in the P-pattern
+        core = _p_odd(G, P) & _settled(G, _pattern_cells(G, planes, P))
+        region = closed_neighborhood(G, core)
         if certify:
             _check_regular(G, region, P, "ordered region")
         z_p[P] = region
@@ -245,12 +265,13 @@ def construct_breakup(
     """
     if p0.klass != 0:
         raise PreconditionError("the reference pattern must have |A| <= |B|")
+    planes = _color_planes(f)
     int_c = interior(G, domain).complement()
-    if not in_pattern(f, int_c, p0, G):
+    if not int_c.issubset(_pattern_cells(G, planes, p0)):
         raise PreconditionError(
             "the complement of the domain interior must follow the reference pattern"
         )
-    Z = decompose(G, f, patterns)
+    Z = _decompose(G, planes, f.q, patterns, True)
     if not domain.complement().issubset(Z.z_p[p0]):
         raise InternalInvariantError(
             "the exterior escaped the reference region despite the boundary pattern"
@@ -329,8 +350,9 @@ def verify_breakup(
 
     overlap, bad, star = _derived_sets(G, X.x_p)
     near = expand(G, star, radius)
+    planes = _color_planes(f)
     for P, U in X.x_p.items():
-        in_pat = _pattern_cells(G, f, P)
+        in_pat = _pattern_cells(G, planes, P)
         settled = _settled(G, in_pat)
         p_odd = _p_odd(G, P)
         p_even = p_odd.complement()
@@ -394,8 +416,9 @@ def bp_components(
     distance-2 adjacency and only those meeting V are returned, together
     with their total diameter score.
     """
-    Z = decompose(G, f, patterns=[P], certify=False)
-    bar = Z.z_p[P] & _pattern_cells(G, f, P)
+    planes = _color_planes(f)
+    Z = _decompose(G, planes, f.q, [P], False)
+    bar = Z.z_p[P] & _pattern_cells(G, planes, P)
     b_p = G.empty_set()
     for comp in connected_components(G, bar.complement(), power=2):
         if not comp.isdisjoint(V):

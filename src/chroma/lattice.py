@@ -205,6 +205,9 @@ class LatticeGraph:
                 even_bits |= 1 << v
         self.even = VertexSet(even_bits, self.n)
         self.odd = self.even.complement()
+        # tables other modules derive from the graph (the sampler's sweep
+        # layouts), built on first use and freed with the graph
+        self.memo: dict = {}
 
     def coords(self, v: int) -> tuple[int, ...]:
         out = []

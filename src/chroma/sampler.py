@@ -16,8 +16,10 @@ one.  Cells of one parity are never adjacent (periodic axes have even
 length), so each half is a few whole-array numpy operations and the
 sweep is still an exact systematic scan.  Chains are the leading axis of
 the same arrays: ``run_experiment`` advances all of its chains together,
-and ``heat_bath_sweep`` is the same kernel with one chain.  The lookup
-tables have 2^q rows, which caps the sampler at q <= 16.
+and ``heat_bath_sweep`` is the same kernel with one chain.  Which columns
+each cell reads is fixed by the graph, domain and pattern, so that layout
+is built once and kept on the graph, and the lookup tables once per q.
+They have 2^q rows, which caps the sampler at q <= 16.
 
 All randomness comes from one Philox stream per chain, which draws one
 uniform per domain cell per sweep, so a (seed, config) pair reproduces
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 import numpy as np
 
 from .coloring import Coloring, is_proper, pure_pattern_sample
@@ -153,8 +156,9 @@ def _neighbor_table(G: LatticeGraph) -> np.ndarray:
     return np.array(rows)
 
 
+@cache
 def _tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lookup tables over color bitmasks m < 2^q.
+    """Lookup tables over color bitmasks m < 2^q, built once per q.
 
     ``free[m]`` counts the colors m leaves free, ``kth[m, k]`` is the bit of
     the k-th free color in ascending order (0 when there is none), and
@@ -169,20 +173,89 @@ def _tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         kth[leaving, free[leaving]] = 1 << c
         free[leaving] += 1
         color[1 << c] = c + 1
+    for table in (free, kth, color):   # shared by every kernel with this q
+        table.flags.writeable = False
     return free, kth, color
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """The columns and reads of a sweep, fixed by (graph, domain, p0, q).
+
+    ``cells`` lists the vertex held by each column: the domain's even
+    cells, then its odd cells (the two scan blocks, each in ascending id
+    order), then the frozen cells.  Column ``n`` is the 0 column and the
+    columns after it hold the distinct forbidden-color masks ``forbidden``.
+    ``spans`` gives each nonempty scan block as (first column, end column,
+    reads): the columns of the block cells' neighbors, padded with the 0
+    column, and then of their forbidden masks, one row each.
+    """
+
+    cells: np.ndarray
+    n_scan: int
+    spans: tuple[tuple[int, int, np.ndarray], ...]
+    forbidden: np.ndarray
+
+
+def _layout(G: LatticeGraph, domain: VertexSet, p0: Pattern | None, q: int) -> _Layout:
+    """The sweep layout, built on first use and kept on the graph.
+
+    An infeasible boundary raises PreconditionError and stores nothing, so
+    every later call raises it again.
+    """
+    key = ("sweep layout", domain.bits, p0, q)
+    layout = G.memo.get(key)
+    if layout is not None:
+        return layout
+    full = (1 << q) - 1
+    if p0 is None:
+        allowed = np.full(G.n, full)
+    else:
+        masks, feasible = allowed_masks(G, domain, q, Constraint.pattern_boundary(p0))
+        if not feasible:
+            raise PreconditionError("the boundary pattern admits no coloring here")
+        allowed = np.array(masks)
+    n = G.n
+    ids = np.arange(n)
+    inside = _members(domain)
+    parity = np.array(G.parity)
+    halves = [ids[inside & (parity == 0)], ids[inside & (parity == 1)]]
+    cells = np.concatenate(halves + [ids[~inside]])
+    n_scan = int(inside.sum())
+    scan = cells[:n_scan]
+    # the distinct forbidden masks in ascending order, and each scan
+    # cell's index among them
+    forbid = full & ~allowed[scan]
+    present = np.zeros(full + 1, dtype=bool)
+    present[forbid] = True
+    forbidden = np.flatnonzero(present)
+    which = np.cumsum(present)[forbid] - 1
+    column = np.empty(n + 1, dtype=np.intp)   # column[-1] is the 0 column
+    column[cells] = ids
+    column[n] = n
+    reads = np.concatenate([column[_neighbor_table(G)[:, scan]],
+                            n + 1 + which.reshape(1, -1)])
+    spans = []
+    lo = 0
+    for half in halves:
+        hi = lo + len(half)
+        if hi > lo:
+            spans.append((lo, hi, reads[:, lo:hi]))
+        lo = hi
+    for shared in (cells, reads, forbidden):   # shared by every kernel on this key
+        shared.flags.writeable = False
+    layout = G.memo[key] = _Layout(cells, n_scan, tuple(spans), forbidden)
+    return layout
 
 
 class _Kernel:
     """Exact heat-bath scans of a batch of chains, one parity block at a time.
 
-    Row c of ``x`` is chain c.  Its columns are the domain's even cells and
-    then its odd cells (the two scan blocks, each in ascending id order),
-    the frozen cells, one column of 0s, and one column per distinct mask of
-    colors the constraint forbids.  A column holds color c as the bit
-    1 << (c - 1) and HOLE as 0.  Each scan cell reads its neighbors'
-    columns, padded with the 0 column, and its forbidden-mask column; their
-    OR is the set of colors it may not take, so padding and HOLE block
-    nothing.
+    Row c of ``x`` is chain c, over the columns of the sweep's ``_Layout``.
+    A column holds color c as the bit 1 << (c - 1) and HOLE as 0.  Each
+    scan cell reads its neighbors' columns, padded with the 0 column, and
+    its forbidden-mask column; their OR is the set of colors it may not
+    take, so padding and HOLE block nothing.
     """
 
     def __init__(self, G: LatticeGraph, domain: VertexSet, p0: Pattern | None,
@@ -190,50 +263,20 @@ class _Kernel:
         q = states[0].q
         if q > MAX_Q:
             raise ConfigError(f"the sampler takes at most {MAX_Q} colors, got q = {q}")
-        full = (1 << q) - 1
-        if p0 is None:
-            allowed = np.full(G.n, full)
-        else:
-            masks, feasible = allowed_masks(G, domain, q, Constraint.pattern_boundary(p0))
-            if not feasible:
-                raise PreconditionError("the boundary pattern admits no coloring here")
-            allowed = np.array(masks)
-        n = G.n
-        ids = np.arange(n)
-        inside = _members(domain)
-        parity = np.array(G.parity)
-        halves = [ids[inside & (parity == 0)], ids[inside & (parity == 1)]]
-        self.cells = np.concatenate(halves + [ids[~inside]])
-        self.n_scan = int(inside.sum())
-        scan = self.cells[:self.n_scan]
-        # the distinct forbidden masks in ascending order, and each scan
-        # cell's index among them
-        forbid = full & ~allowed[scan]
-        present = np.zeros(full + 1, dtype=bool)
-        present[forbid] = True
-        forbidden = np.flatnonzero(present)
-        which = np.cumsum(present)[forbid] - 1
-        column = np.empty(n + 1, dtype=np.intp)   # column[-1] is the 0 column
-        column[self.cells] = ids
-        column[n] = n
-        reads = np.concatenate([column[_neighbor_table(G)[:, scan]],
-                                n + 1 + which.reshape(1, -1)])
-        width = n + 1 + len(forbidden)
+        layout = _layout(G, domain, p0, q)
+        self.cells = layout.cells
+        self.n_scan = layout.n_scan
+        width = G.n + 1 + len(layout.forbidden)
         chains = len(states)
         offsets = (np.arange(chains) * width).reshape(-1, 1, 1)
-        self.blocks = []   # (first column, end column, flat reads, draw scratch)
-        lo = 0
-        for half in halves:
-            hi = lo + len(half)
-            if hi > lo:
-                self.blocks.append((lo, hi, reads[:, lo:hi] + offsets,
-                                    np.empty((chains, hi - lo), dtype=np.intp)))
-            lo = hi
+        # (first column, end column, flat reads, draw scratch) per block
+        self.blocks = [(lo, hi, reads + offsets, np.empty((chains, hi - lo), dtype=np.intp))
+                       for lo, hi, reads in layout.spans]
         self.q = q
         self.free, self.kth, self.color = _tables(q)
         self.bit = np.array([0] + [1 << c for c in range(q)])
         self.x = np.zeros((chains, width), dtype=np.intp)
-        self.x[:, n + 1:] = forbidden
+        self.x[:, G.n + 1:] = layout.forbidden
         self.flat = self.x.reshape(-1)
         for c, f in enumerate(states):
             self.put(c, f)

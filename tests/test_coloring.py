@@ -268,3 +268,11 @@ def test_coloring_file_roundtrip_bit_exact():
     g, G2 = coloring_from_text(text)
     assert g == f and G2.key() == G.key()
     assert coloring_to_text(g, G2) == text
+
+
+def test_out_of_range_value_names_first_bad_vertex():
+    with pytest.raises(ConfigError, match=r"^value 5 at vertex 1 outside 0\.\.3$"):
+        Coloring([1, 5, 2, -1], 3)
+    with pytest.raises(ConfigError, match=r"^value -1 at vertex 2 outside 0\.\.3$"):
+        Coloring([0, 3, -1, 4], 3)
+    assert Coloring([], 3).values == []

@@ -1,10 +1,13 @@
 import hashlib
+import random
 
 import pytest
 
 from chroma.coloring import Coloring, is_proper, striped_pattern_coloring
 from chroma.decomposition import (
     Atlas,
+    _color_planes,
+    _pattern_cells,
     bp_components,
     classify_atlas,
     construct_breakup,
@@ -367,3 +370,25 @@ def test_contour_outputs_pinned():
     digest = {key: hashlib.sha256(repr(val).encode()).hexdigest()
               for key, val in got.items()}
     assert digest == want
+
+
+def test_pattern_cells_from_planes_match_vertex_predicate():
+    # random colorings with HOLEs on a box and a mixed torus: each plane
+    # holds the cells of its color, and the pattern cells built from the
+    # planes are the cells whose own color fits P at their parity
+    rng = random.Random(11)
+    for dims, periodic in (((5, 6), None), ((4, 4, 3), (True, False, False))):
+        G = build_graph(dims, periodic)
+        for q in (3, 4, 5):
+            for _ in range(4):
+                f = Coloring([rng.randrange(q + 1) for _ in range(G.n)], q)
+                planes = _color_planes(f)
+                assert planes == [G.vertex_set(v for v in range(G.n) if f.values[v] == c).bits
+                                  for c in range(q + 1)]
+                for P in enumerate_dominant(q):
+                    want = G.vertex_set(v for v in range(G.n)
+                                        if vertex_in_pattern(f.values[v], G.parity[v], P))
+                    assert _pattern_cells(G, planes, P) == want
+                if planes[0]:
+                    with pytest.raises(PreconditionError):
+                        decompose(G, f)

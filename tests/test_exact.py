@@ -131,9 +131,7 @@ def test_transfer_periodic_cross_section():
     for dims, periodic, q, c in cases:
         G = build_graph(dims, periodic)
         t = transfer_count(G, q, c)
-        # the free slab needs more than the default 500 000 cache entries
-        b = count_colorings(G, G.full_set(), q, c, method="backtracking",
-                            state_budget=1_000_000)
+        b = count_colorings(G, G.full_set(), q, c, method="backtracking")
         assert t.count == b.count > 0, (dims, periodic, q, c.kind)
 
 
@@ -142,7 +140,7 @@ def test_transfer_wide_strips():
     b = count_colorings(G, G.full_set(), 3, method="backtracking")
     assert transfer_count(G, 3).count == b.count
     W = build_graph([12, 12])
-    # the counter gives the same number with state_budget=4_000_000
+    # the counter gives the same number at its default budget
     assert transfer_count(W, 3).count == 198475392061658571459051861720
     with pytest.raises(ResourceLimitError):
         transfer_count(W, 3, state_budget=1000)

@@ -588,3 +588,47 @@ def test_stuck_chain_reported(monkeypatch):
     monkeypatch.setattr(sampler, "pure_pattern_sample", lambda *a, **k: bad.copy())
     with pytest.raises(InternalInvariantError):
         run_experiment(ChainConfig(dims=(4, 4), q=3, pattern=P03, seed=1, sweeps=10))
+
+
+def test_sweep_layout_memo_changes_no_output():
+    # four chains, one per (domain, pattern), sweep in turn on one graph,
+    # so its sweep layouts are reused across calls; every output equals a
+    # sweep on a freshly built graph with the same draws
+    dims, periodic = (6, 6), (True, False)
+    G = build_graph(dims, periodic)
+    inner = G.vertex_set(v for v in range(G.n) if 1 <= G.coords(v)[1] <= 4)
+    runs = []
+    for i, (domain, text) in enumerate([(G.full_set(), P03), (inner, "A=2;B=1,3"),
+                                        (inner, P03), (G.full_set(), "A=2;B=1,3")]):
+        p = Pattern.parse(3, text)
+        f = pure_pattern_sample(G, G.full_set(), p, seed=i)
+        runs.append([domain, p, f, f, make_rng(i), make_rng(i)])
+    for _ in range(5):
+        for run in runs:
+            domain, p, shared, fresh, rng_shared, rng_fresh = run
+            run[2] = heat_bath_sweep(shared, G, domain, p, rng_shared)
+            run[3] = heat_bath_sweep(fresh, build_graph(dims, periodic), domain, p, rng_fresh)
+            assert run[2].values == run[3].values
+    assert len(G.memo) == 4
+    assert sampler._layout(G, inner, runs[1][1], 3) is sampler._layout(G, inner, runs[1][1], 3)
+
+
+def test_infeasible_boundary_refused_on_every_call():
+    # a 5-color pattern leaves the even boundary cells of a 3-coloring no
+    # color: the layout is refused, nothing is kept, and a repeat call is
+    # refused again; a state outside the constraint is refused every time too
+    G = build_graph([4, 4])
+    f = striped_pattern_coloring(G, Pattern.parse(3, P03))
+    far = Pattern.parse(5, "A=4,5;B=1,2,3")
+    for _ in range(3):
+        with pytest.raises(PreconditionError):
+            heat_bath_sweep(f, G, G.full_set(), far, make_rng(0))
+    assert not G.memo
+    p0 = Pattern.parse(3, P03)
+    bad = f.copy()
+    for v in G.neighbors[G.vid((0, 0))]:
+        bad.values[v] = 1
+    for _ in range(3):
+        with pytest.raises(PreconditionError):
+            heat_bath_sweep(bad, G, G.full_set(), p0, make_rng(0))
+        heat_bath_sweep(f, G, G.full_set(), p0, make_rng(0))
