@@ -135,9 +135,14 @@ def _emit_csv(header: list[str], rows: list[list], cfg: Mapping, out: str) -> No
         fh.write("\n".join(lines) + "\n")
 
 
+def _require(cfg: Mapping[str, Any], *fields: str) -> None:
+    for key in fields:
+        if key not in cfg:
+            raise ConfigError(f"missing required field {key!r}")
+
+
 def _graph_from(cfg: Mapping[str, Any]) -> LatticeGraph:
-    if "dims" not in cfg:
-        raise ConfigError("missing required field 'dims'")
+    _require(cfg, "dims")
     return LatticeGraph(cfg["dims"], cfg.get("periodic"))
 
 
@@ -146,8 +151,7 @@ def _constraint_from(cfg: Mapping[str, Any], q: int) -> Constraint:
     if kind == "free":
         return Constraint.free()
     if kind == "pattern":
-        if "pattern" not in cfg:
-            raise ConfigError("pattern constraint needs a 'pattern' field")
+        _require(cfg, "pattern")
         return Constraint.pattern_boundary(Pattern.parse(q, cfg["pattern"]))
     if kind == "pins":
         pins = {int(k): int(v) for k, v in cfg.get("pins", {}).items()}
@@ -178,9 +182,8 @@ def _vertex_from(G: LatticeGraph, v: Any) -> int:
 def _cmd_exact_count(args) -> int:
     cfg = _effective_config("exact-count", args)
     G = _graph_from(cfg)
-    q = cfg.get("q")
-    if q is None:
-        raise ConfigError("missing required field 'q'")
+    _require(cfg, "q")
+    q = cfg["q"]
     domain = (
         G.vertex_set(cfg["domain"]) if "domain" in cfg else G.full_set()
     )
@@ -195,6 +198,7 @@ def _cmd_exact_count(args) -> int:
 def _cmd_marginal(args) -> int:
     cfg = _effective_config("marginal", args)
     G = _graph_from(cfg)
+    _require(cfg, "q")
     q = cfg["q"]
     vid = _vertex_from(G, cfg.get("vertex", "center"))
     m = exact_marginal(G, G.full_set(), q, vid, _constraint_from(cfg, q))
@@ -205,6 +209,7 @@ def _cmd_marginal(args) -> int:
 def _cmd_toy_ratio(args) -> int:
     cfg = _effective_config("toy-ratio", args)
     G = _graph_from(cfg)
+    _require(cfg, "q", "pattern0", "pattern")
     q = cfg["q"]
     p0 = Pattern.parse(q, cfg["pattern0"])
     p = Pattern.parse(q, cfg["pattern"])
@@ -222,9 +227,7 @@ def _cmd_toy_ratio(args) -> int:
 
 def _cmd_sample(args) -> int:
     cfg = _effective_config("sample", args)
-    for key in ("q", "pattern", "seed", "sweeps"):
-        if key not in cfg:
-            raise ConfigError(f"missing required field {key!r}")
+    _require(cfg, "dims", "q", "pattern", "seed", "sweeps")
     chain = ChainConfig(
         dims=tuple(cfg["dims"]),
         periodic=tuple(cfg["periodic"]) if "periodic" in cfg else None,
@@ -255,8 +258,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_decompose(args) -> int:
     cfg = _effective_config("decompose", args)
-    if "coloring" not in cfg:
-        raise ConfigError("missing required field 'coloring'")
+    _require(cfg, "coloring")
     with open(cfg["coloring"]) as fh:
         f, G = coloring_from_text(fh.read())
     Z = decompose(G, f)
@@ -364,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            default=int(os.environ.get("CHROMA_THREADS", "1")),
+            default=os.environ.get("CHROMA_THREADS", "1"),
             help="accepted and ignored; a run's chains advance together as one "
             "batch in a single thread (env CHROMA_THREADS)",
         )

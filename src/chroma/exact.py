@@ -555,8 +555,8 @@ def toy_ratio(
         exponent = Fraction(len(boundary_edges), 2 * G.d)
         base = Fraction(q - 1, q + 1)
         internal, _, _ = vertex_boundaries(G, U)
-        u_is_odd = all(G.parity[v] == 1 for v in internal)
-        u_is_even = all(G.parity[v] == 0 for v in internal)
+        u_is_odd = internal.issubset(G.odd)
+        u_is_even = internal.issubset(G.even)
         a0, a = set(p0.a), set(p.a)
         b0, b = set(p0.b), set(p.b)
         expected_eq = bool(U) and (

@@ -23,6 +23,8 @@ from .errors import InternalInvariantError, PreconditionError, ResourceLimitErro
 from .lattice import (
     LatticeGraph,
     VertexSet,
+    _images,
+    _ladder,
     closed_neighborhood,
     connected_components,
     diameter,
@@ -72,8 +74,7 @@ def regularity_check(
 def is_parity_set(G: LatticeGraph, U: VertexSet, parity: str) -> bool:
     """U is odd (even) when its internal boundary is all odd (even)."""
     internal, _, _ = vertex_boundaries(G, U)
-    want = 1 if parity == "odd" else 0
-    return all(G.parity[v] == want for v in internal)
+    return internal.issubset(G.odd if parity == "odd" else G.even)
 
 
 class OddSetCollection:
@@ -111,15 +112,20 @@ class OddSetCollection:
         )
 
 
-def boundary_edge_count_at(
-    G: LatticeGraph, v: int, boundary: frozenset[tuple[int, int]]
-) -> int:
-    cnt = 0
-    for u in G.neighbors[v]:
-        e = (v, u) if v < u else (u, v)
-        if e in boundary:
-            cnt += 1
-    return cnt
+def _boundary_maps(G: LatticeGraph, sets: Sequence[VertexSet]) -> list[int]:
+    """Entry j: the cells w whose edge to w - e_j is a boundary edge of
+    some set; the number of entries holding w counts its boundary edges."""
+    reach = _images(G, (1 << G.n) - 1)
+    out = [0] * len(reach)
+    for S in sets:
+        for j, image in enumerate(_images(G, S.bits)):
+            out[j] |= (image ^ S.bits) & reach[j]
+    return out
+
+
+def _at_least(G: LatticeGraph, maps: list[int], t: int) -> int:
+    """Cells in at least t of the maps; every cell when t <= 0."""
+    return _ladder(maps, t)[-1] if t > 0 else (1 << G.n) - 1
 
 
 def revealed_vertices(
@@ -133,23 +139,19 @@ def revealed_vertices(
     """
     if not is_parity_set(G, S, parity):
         raise PreconditionError(f"S is not an {parity} set")
-    boundary = edge_set(G, S, S.complement())
-    bits = 0
-    for v in range(G.n):
-        if boundary_edge_count_at(G, v, boundary) >= G.d:
-            bits |= 1 << v
-    revealed = VertexSet(bits, G.n)
+    revealed = VertexSet(_at_least(G, _boundary_maps(G, [S]), G.d), G.n)
     if check:
-        for (u, v) in boundary:
-            if u not in revealed and v not in revealed:
-                if G.degree[u] == G.full_degree and G.degree[v] == G.full_degree:
-                    raise InternalInvariantError(
-                        f"boundary edge ({u},{v}) has no revealed endpoint"
-                    )
-                raise PreconditionError(
-                    f"boundary edge ({u},{v}) is clipped by the ambient rim; "
-                    "revealed-vertex separation needs clearance from the faces"
+        hidden = edge_set(G, S - revealed, S.complement() - revealed)
+        if hidden:
+            u, v = min(hidden)
+            if G.degree[u] == G.full_degree and G.degree[v] == G.full_degree:
+                raise InternalInvariantError(
+                    f"boundary edge ({u},{v}) has no revealed endpoint"
                 )
+            raise PreconditionError(
+                f"boundary edge ({u},{v}) is clipped by the ambient rim; "
+                "revealed-vertex separation needs clearance from the faces"
+            )
     return revealed
 
 
@@ -164,13 +166,14 @@ def four_cycle_check(G: LatticeGraph, S: VertexSet, parity: str = "odd") -> bool
     """
     if not is_parity_set(G, S, parity):
         raise PreconditionError(f"S is not an {parity} set")
-    boundary = edge_set(G, S, S.complement())
+    comp = S.complement()
+    boundary = edge_set(G, S, comp)
 
     def is_boundary(a: int | None, b: int | None) -> bool:
-        if a is None or b is None:
-            return False
-        e = (a, b) if a < b else (b, a)
-        return e in boundary
+        return a is not None and b is not None and (a in S) != (b in S)
+
+    def sees(w: int) -> int:
+        return (G.neighbor_mask[w] & (comp.bits if w in S else S.bits)).bit_count()
 
     for (u, v) in boundary:
         for axis in range(G.d):
@@ -185,9 +188,7 @@ def four_cycle_check(G: LatticeGraph, S: VertexSet, parity: str = "odd") -> bool
                         f"axis {axis}, delta {delta}"
                     )
         if G.degree[u] == G.full_degree and G.degree[v] == G.full_degree:
-            seen = boundary_edge_count_at(G, u, boundary) + boundary_edge_count_at(
-                G, v, boundary
-            )
+            seen = sees(u) + sees(v)
             if seen < G.full_degree:
                 raise InternalInvariantError(
                     f"endpoints of ({u},{v}) see only {seen} boundary edges"
@@ -200,21 +201,19 @@ def greedy_cover(G: LatticeGraph, S: VertexSet, t: int) -> VertexSet:
 
     Every target has at least t neighbors in S, so the greedy pick
     achieves the usual (1 + log degree)/t factor over the fractional
-    optimum.
+    optimum.  Each pick is the lowest id among the cells of S with the
+    most uncovered targets as neighbors.
     """
-    targets = set(n_t(G, S, t).ids())
+    targets = n_t(G, S, t).bits
     chosen = 0
-    pool = list(S)
     while targets:
-        best_v, best_gain = -1, -1
-        for v in pool:
-            gain = sum(1 for u in G.neighbors[v] if u in targets)
-            if gain > best_gain:
-                best_v, best_gain = v, gain
-        if best_gain <= 0:
+        gains = _ladder(_images(G, targets), G.full_degree)
+        best = next((level & S.bits for level in reversed(gains) if level & S.bits), 0)
+        if not best:
             raise InternalInvariantError("cover targets not reachable from S")
-        chosen |= 1 << best_v
-        targets.difference_update(G.neighbors[best_v])
+        v = (best & -best).bit_length() - 1
+        chosen |= 1 << v
+        targets &= ~G.neighbor_mask[v]
     return VertexSet(chosen, G.n)
 
 
@@ -240,73 +239,52 @@ def _half_separating_core(
 
     High-boundary outside vertices and near-saturated inside vertices
     are covered greedily; the remaining revealed vertices are reached
-    through four-cycle witnesses inside the sets.
+    through four-cycle witnesses inside the sets.  Only the witness test
+    that builds T goes cell by cell, over the outside cells next to a cell
+    with m_w > 0; every count is a threshold ladder over shifted bitmaps.
     """
     sets = collection.sets
-    inside_par = 1 if collection.parity == "odd" else 0
-    outside_par = 1 - inside_par
-    boundary_all: set[tuple[int, int]] = set()
-    per_set_edges = []
-    for S in sets:
-        es = edge_set(G, S, S.complement())
-        per_set_edges.append(es)
-        boundary_all |= es
+    inside = G.odd if collection.parity == "odd" else G.even
+    outside = inside.complement()
+    A = VertexSet(outside.bits & _at_least(G, _boundary_maps(G, sets), s), G.n)
+    a_i = [
+        VertexSet(inside.bits & _at_least(G, _boundary_maps(G, [S]), G.full_degree - s), G.n)
+        for S in sets
+    ]
 
-    a_bits = 0
-    for v in range(G.n):
-        if (G.parity[v] == outside_par
-                and boundary_edge_count_at(G, v, boundary_all) >= s):
-            a_bits |= 1 << v
-    A = VertexSet(a_bits, G.n)
-
-    a_i: list[VertexSet] = []
-    for es in per_set_edges:
-        bits = 0
-        for v in range(G.n):
-            if (G.parity[v] == inside_par
-                    and boundary_edge_count_at(G, v, es) >= G.full_degree - s):
-                bits |= 1 << v
-        a_i.append(VertexSet(bits, G.n))
+    # entry j: cells w whose neighbor w - e_j lies in a set S_i with w in a_i;
+    # a cell's m_w is the number of entries holding it
+    owned = [0] * (2 * G.d)
+    for S, a in zip(sets, a_i):
+        for j, image in enumerate(_images(G, S.bits)):
+            owned[j] |= a.bits & image
+    m_levels = _ladder(owned, 2 * max(s, 0) + 1)
+    witnessed = m_levels[0]
+    T_prime = VertexSet(inside.bits & witnessed & ~m_levels[-1], G.n)
 
     def owners(w: int, z: int) -> frozenset[int]:
         return frozenset(
             i for i in range(len(sets)) if w in a_i[i] and z in sets[i]
         )
 
-    m_cache: dict[int, list[tuple[int, frozenset[int]]]] = {}
+    m_cache: dict[int, list[frozenset[int]]] = {}
 
-    def neighbor_owner_list(w: int) -> list[tuple[int, frozenset[int]]]:
+    def neighbor_owners(w: int) -> list[frozenset[int]]:
         if w not in m_cache:
-            m_cache[w] = [(z, owners(w, z)) for z in G.neighbors[w]]
+            m_cache[w] = [own for z in G.neighbors[w] if (own := owners(w, z))]
         return m_cache[w]
 
     t_bits = 0
-    for v in range(G.n):
-        if G.parity[v] != outside_par:
-            continue
-        hit = False
+    for v in outside & neighborhood(G, VertexSet(witnessed, G.n)):
         for w in G.neighbors[v]:
-            pairs = neighbor_owner_list(w)
-            mw = sum(1 for _, own in pairs if own)
-            if mw == 0:
+            if not (witnessed >> w) & 1:
                 continue
+            owned_w = neighbor_owners(w)
             own_v = owners(w, v)
-            mwv = sum(1 for _, own in pairs if own and not own <= own_v)
-            if 2 * mwv < mw:
-                hit = True
+            if 2 * sum(1 for own in owned_w if not own <= own_v) < len(owned_w):
+                t_bits |= 1 << v
                 break
-        if hit:
-            t_bits |= 1 << v
     T = VertexSet(t_bits, G.n)
-
-    tp_bits = 0
-    for w in range(G.n):
-        if G.parity[w] != inside_par:
-            continue
-        mw = sum(1 for _, own in neighbor_owner_list(w) if own)
-        if 1 <= mw <= 2 * s:
-            tp_bits |= 1 << w
-    T_prime = VertexSet(tp_bits, G.n)
 
     B = greedy_cover(G, A, t) if A else G.empty_set()
     B_prime = greedy_cover(G, T, t) if T else G.empty_set()
@@ -444,33 +422,26 @@ def verify_approximation(
     region boundaries to distance 3.
     """
     clauses: dict[str, bool] = {}
+
+    def p_odd(P: Pattern) -> VertexSet:
+        return G.odd if P.klass == 0 else G.even
+
     sandwich = True
     for P, region in X.x_p.items():
         known = A.a_p.get(P, G.empty_set())
-        odd_par = 1 - P.klass
-        even_par = P.klass
-        allowed = known.bits
-        for v in A.a_star:
-            if G.parity[v] == odd_par:
-                allowed |= 1 << v
-        for v in A.a_2star:
-            if G.parity[v] == even_par:
-                allowed |= 1 << v
-        if not known.issubset(region) or region.bits & ~allowed:
+        allowed = known | (A.a_star & p_odd(P)) | (A.a_2star - p_odd(P))
+        if not known.issubset(region) or not region.issubset(allowed):
             sandwich = False
     clauses["sandwich"] = sandwich
 
     support = True
     for P in X.x_p:
-        odd_par = 1 - P.klass
         same_class = G.empty_set()
         for Q, kq in A.a_p.items():
             if Q.klass == P.klass:
                 same_class = same_class | kq
-        good = n_t(G, same_class, G.d) if same_class else G.empty_set()
-        for v in A.a_star:
-            if G.parity[v] == odd_par and v not in good:
-                support = False
+        if not (A.a_star & p_odd(P)).issubset(n_t(G, same_class, G.d)):
+            support = False
     clauses["support"] = support
 
     bound = size_constant * L * math.log(max(G.d, 2)) / math.sqrt(G.d)
@@ -527,7 +498,7 @@ def isoperimetry_checks(G: LatticeGraph, U: VertexSet) -> IsoperimetryReport:
     if not is_parity_set(G, U, "odd"):
         raise PreconditionError("isoperimetry checks expect an odd set")
     d = G.d
-    has_even = any(G.parity[v] == 0 for v in U)
+    has_even = not U.isdisjoint(G.even)
     if has_even:
         lhs = len(edge_set(G, U, U.complement()))
         rhs = 2 * d * (2 * d - 1)

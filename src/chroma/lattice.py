@@ -10,7 +10,9 @@ for the whole set at once: along each axis, the bits off the high face
 shift up by the axis stride and those off the low face shift down, and
 on a periodic axis each face also shifts onto the opposite one.  Vertex
 boundaries, closed neighborhoods, expansions and components are all set
-algebra over N(.).
+algebra over N(.).  Each shift is tagged with the direction it steps,
+so the same shifts give a set's image per direction; counting images
+gives N_t(U) and, over boundary edges, boundary-edge counts.
 
 A non-periodic axis clips at the faces.  The cells missing a neighbor
 along some non-periodic axis form the graph's *rim*; the rim stands in
@@ -181,21 +183,25 @@ class LatticeGraph:
         self.neighbor_mask = neighbor_mask
         self.parity = parity
         self.degree = [len(t) for t in neighbors]
-        # N(U) as whole-bitmap shifts of U by (mask, distance): along each
-        # axis, cells off the high face move up one stride and cells off
-        # the low face down one; a periodic axis also wraps each face onto
-        # the other, and a non-periodic one puts both faces on the rim
+        # N(U) as whole-bitmap shifts of U by (mask, distance, direction):
+        # along each axis, cells off the high face move up one stride
+        # (direction 2*axis) and cells off the low face down one (2*axis+1);
+        # a periodic axis also wraps each face onto the other, stepping the
+        # opposite way (on length 2 both ways reach one cell: one direction),
+        # and a non-periodic one puts both faces on the rim
         full = (1 << self.n) - 1
         rim_bits = 0
-        self._shifts_up: list[tuple[int, int]] = []
-        self._shifts_down: list[tuple[int, int]] = []
+        self._shifts_up: list[tuple[int, int, int]] = []
+        self._shifts_down: list[tuple[int, int, int]] = []
         for axis, stride in enumerate(self._strides):
-            self._shifts_up.append((full & ~high[axis], stride))
-            self._shifts_down.append((full & ~low[axis], stride))
+            up = 2 * axis
+            down = up if periodic[axis] and dims[axis] == 2 else up + 1
+            self._shifts_up.append((full & ~high[axis], stride, up))
+            self._shifts_down.append((full & ~low[axis], stride, down))
             if periodic[axis]:
                 wrap = (dims[axis] - 1) * stride
-                self._shifts_up.append((low[axis], wrap))
-                self._shifts_down.append((high[axis], wrap))
+                self._shifts_up.append((low[axis], wrap, down))
+                self._shifts_down.append((high[axis], wrap, up))
             else:
                 rim_bits |= low[axis] | high[axis]
         self.rim = VertexSet(rim_bits, self.n)
@@ -274,46 +280,62 @@ def build_graph(dims: Iterable[int], periodic: Iterable[bool] | None = None) -> 
 # -- neighborhoods and boundaries -------------------------------------------
 
 
+def _neighbor_bits(G: LatticeGraph, bits: int) -> int:
+    """N(U) of a raw bitmap, by whole-bitmap shifts (direction tags unused)."""
+    m = 0
+    for mask, k, _ in G._shifts_up:
+        m |= (bits & mask) << k
+    for mask, k, _ in G._shifts_down:
+        m |= (bits & mask) >> k
+    return m
+
+
+def _images(G: LatticeGraph, bits: int) -> list[int]:
+    """Entry j holds w when its neighbor w - e_j is in the bitmap; distinct
+    directions name distinct neighbors, so counting entries counts them."""
+    out = [0] * (2 * G.d)
+    for mask, k, j in G._shifts_up:
+        out[j] |= (bits & mask) << k
+    for mask, k, j in G._shifts_down:
+        out[j] |= (bits & mask) >> k
+    return out
+
+
+def _ladder(maps: Iterable[int], top: int) -> list[int]:
+    """Threshold ladder: entry i holds the cells in at least i + 1 of the maps."""
+    levels = [0] * top
+    for b in maps:
+        for i in range(top - 1, 0, -1):
+            levels[i] |= levels[i - 1] & b
+        levels[0] |= b
+    return levels
+
+
 def neighborhood(G: LatticeGraph, U: VertexSet) -> VertexSet:
     """N(U): vertices adjacent to some vertex of U, by whole-bitmap shifts."""
-    bits = U.bits
-    m = 0
-    for mask, k in G._shifts_up:
-        m |= (bits & mask) << k
-    for mask, k in G._shifts_down:
-        m |= (bits & mask) >> k
-    return VertexSet(m, G.n)
+    return VertexSet(_neighbor_bits(G, U.bits), G.n)
 
 
 def closed_neighborhood(G: LatticeGraph, U: VertexSet) -> VertexSet:
     """U^+ = U together with its neighbors."""
-    return U | neighborhood(G, U)
+    return VertexSet(U.bits | _neighbor_bits(G, U.bits), G.n)
 
 
 def expand(G: LatticeGraph, U: VertexSet, r: int) -> VertexSet:
     """U^{+r}: vertices within graph distance r of U."""
     if r < 0:
         raise PreconditionError("radius must be >= 0")
-    cur = U
+    bits = U.bits
     for _ in range(r):
-        cur = closed_neighborhood(G, cur)
-    return cur
+        bits |= _neighbor_bits(G, bits)
+    return VertexSet(bits, G.n)
 
 
 def n_t(G: LatticeGraph, U: VertexSet, t: int) -> VertexSet:
     """Vertices with at least t neighbors inside U."""
     if t < 1:
         raise PreconditionError("t must be >= 1")
-    bits = 0
-    ubits = U.bits
-    for v in range(G.n):
-        if (G.neighbor_mask[v] & ubits).bit_count() >= t:
-            bits |= 1 << v
-    return VertexSet(bits, G.n)
-
-
-def n_t_and_expand(G: LatticeGraph, U: VertexSet, t: int, r: int) -> tuple[VertexSet, VertexSet]:
-    return n_t(G, U, t), expand(G, U, r)
+    return VertexSet(_ladder(_images(G, U.bits), t)[-1], G.n)
 
 
 def vertex_boundaries(G: LatticeGraph, U: VertexSet) -> tuple[VertexSet, VertexSet, VertexSet]:
@@ -377,16 +399,10 @@ def edge_boundaries(G: LatticeGraph, U: VertexSet, W: VertexSet | None = None) -
         W = U.complement()
     edges = edge_set(G, U, W)
     directed = directed_out_edges(G, U)
-    comp = U.complement()
-    even_part = set()
-    odd_part = set()
-    for u in U:
-        for v in VertexSet(G.neighbor_mask[u] & comp.bits, G.n):
-            e = (u, v) if u < v else (v, u)
-            if G.parity[u] == 0:
-                even_part.add(e)
-            else:
-                odd_part.add(e)
+    parts: tuple[set, set] = (set(), set())
+    for u, v in directed:
+        parts[G.parity[u]].add((u, v) if u < v else (v, u))
+    even_part, odd_part = parts
     n_even = len(U & G.even)
     n_odd = len(U) - n_even
     imbalance = n_even - n_odd
@@ -416,7 +432,10 @@ def _grow(G: LatticeGraph, U: VertexSet, seed: int, power: int) -> VertexSet:
         raise PreconditionError("power must be >= 1")
     comp = frontier = seed
     while frontier:
-        frontier = expand(G, VertexSet(frontier, G.n), power).bits & U.bits & ~comp
+        grown = frontier
+        for _ in range(power):
+            grown |= _neighbor_bits(G, grown)
+        frontier = grown & U.bits & ~comp
         comp |= frontier
     return VertexSet(comp, G.n)
 

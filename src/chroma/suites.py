@@ -27,6 +27,7 @@ from .lattice import (
     edge_set,
     is_connected,
     n_t,
+    neighborhood,
     vertex_boundaries,
 )
 from .rng import make_rng
@@ -89,21 +90,18 @@ def random_regular_odd_set(G: LatticeGraph, rng, core_depth: int = 3, p: float =
     the set (required for regularity of the complement).
     """
     cells = [v for v in _interior_cells(G, core_depth) if G.parity[v] == 0]
-    core = {v for v in cells if rng.random() < p}
-    if not core:
+    picked = [v for v in cells if rng.random() < p]
+    if not picked:
         if not cells:
             raise ConfigError("box too small for a padded odd set")
-        core = {cells[int(rng.integers(0, len(cells)))]}
+        picked = [cells[int(rng.integers(0, len(cells)))]]
+    core = G.vertex_set(picked)
     while True:
-        U = closed_neighborhood(G, G.vertex_set(core))
-        grown = False
-        for v in range(G.n):
-            if G.parity[v] == 0 and v not in core and G.neighbor_mask[v] & ~U.bits == 0:
-                core.add(v)
-                grown = True
-        if not grown:
+        U = closed_neighborhood(G, core)
+        absorbed = G.even - core - neighborhood(G, U.complement())
+        if not absorbed:
             break
-    U = closed_neighborhood(G, G.vertex_set(core))
+        core = core | absorbed
     ok, witness = regularity_check(G, U, "odd")
     if not ok:
         raise InternalInvariantError(f"odd-set generator broke regularity at {witness}")

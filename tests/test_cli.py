@@ -78,6 +78,43 @@ def test_marginal_bad_vertex_exit_one(vertex, capsys):
     assert err.startswith("error:") and "vertex" in err
 
 
+@pytest.mark.parametrize("args, field", [
+    (["exact-count", "--q", "3"], "dims"),
+    (["exact-count", "--dims", "2,2"], "q"),
+    (["marginal", "--dims", "3,3"], "q"),
+    (["toy-ratio", "--dims", "3,3", "--pattern0", "A=1;B=2,3",
+      "--pattern", "A=2;B=1,3"], "q"),
+    (["toy-ratio", "--dims", "3,3", "--q", "3", "--pattern", "A=2;B=1,3"],
+     "pattern0"),
+    (["toy-ratio", "--dims", "3,3", "--q", "3", "--pattern0", "A=1;B=2,3"],
+     "pattern"),
+    (["sample", "--q", "3", "--pattern", "A=1;B=2,3", "--seed", "1",
+      "--sweeps", "5"], "dims"),
+    (["sample", "--dims", "4,4", "--pattern", "A=1;B=2,3", "--seed", "1",
+      "--sweeps", "5"], "q"),
+    (["decompose"], "coloring"),
+    (["approx"], "dims"),
+])
+def test_missing_required_field_exit_one(args, field, capsys):
+    code = main(args)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: missing required field {field!r}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["exact-count", "--dims", "2,2", "--q", "3"],
+    ["verify-lemmas", "--suite", "sizes", "--trials", "1"],
+])
+def test_bad_threads_env_exit_one(command, monkeypatch, capsys):
+    monkeypatch.setenv("CHROMA_THREADS", "abc")
+    code = main(command)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "--threads" in err
+    assert err.count("\n") == 1
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["exact-count", "--help"])

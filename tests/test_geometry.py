@@ -6,6 +6,8 @@ from chroma.errors import PreconditionError
 from chroma.geometry import (
     Approximation,
     OddSetCollection,
+    _at_least,
+    _boundary_maps,
     four_cycle_check,
     greedy_cover,
     is_parity_set,
@@ -21,11 +23,15 @@ from chroma.lattice import (
     closed_neighborhood,
     edge_set,
     n_t,
+    neighborhood,
     vertex_boundaries,
 )
 from chroma.patterns import Pattern
 from chroma.rng import make_rng
 from chroma.suites import random_regular_odd_set
+
+import oracles
+from test_lattice import SHIFT_GRAPHS, oracle_samples
 
 
 def plus_at(G, coords):
@@ -109,10 +115,34 @@ def test_greedy_cover_contract():
             T = greedy_cover(G, S, t)
             assert T.issubset(S)
             targets = n_t(G, S, t)
-            covered = closed_neighborhood(G, T) - T if False else None
-            from chroma.lattice import neighborhood
-
             assert targets.issubset(neighborhood(G, T))
+
+
+@pytest.mark.parametrize("dims,periodic", SHIFT_GRAPHS)
+def test_boundary_edge_thresholds_and_cover_match_oracles(dims, periodic):
+    G = build_graph(dims, periodic)
+    nbrs = [oracles.neighbors_of(dims, periodic, v) for v in range(G.n)]
+    samples = oracle_samples(G.n, 41)
+    for k in range(1, len(samples)):
+        sets = [G.vertex_set(members) for members in samples[k - 1:k + 1]]
+        maps = _boundary_maps(G, sets)
+        seen = [
+            sum(1 for u in nbrs[v] if any((v in S) != (u in S) for S in sets))
+            for v in range(G.n)
+        ]
+        for t in range(-1, G.full_degree + 2):
+            want = {v for v in range(G.n) if seen[v] >= t}
+            assert {v for v in range(G.n) if (_at_least(G, maps, t) >> v) & 1} == want
+        # greedy cover: the lowest id of most uncovered target neighbors
+        S = sets[1]
+        for t in range(1, G.full_degree + 1):
+            targets = {v for v in range(G.n) if sum(u in S for u in nbrs[v]) >= t}
+            want = set()
+            while targets:
+                _, neg = max((sum(u in targets for u in nbrs[v]), -v) for v in S)
+                want.add(-neg)
+                targets -= set(nbrs[-neg])
+            assert set(greedy_cover(G, S, t).ids()) == want
 
 
 def test_separating_set_single_and_double_plus():

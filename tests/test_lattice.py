@@ -14,7 +14,6 @@ from chroma.lattice import (
     edge_set,
     expand,
     n_t,
-    n_t_and_expand,
     neighborhood,
     vertex_boundaries,
 )
@@ -80,9 +79,9 @@ def test_vertex_boundaries_sub_box_oracle():
 def test_n_t_basics():
     G = build_graph([6, 6])
     v = G.vid((3, 3))
-    nt, plus = n_t_and_expand(G, G.vertex_set([v]), 1, 0)
+    nt = n_t(G, G.vertex_set([v]), 1)
     assert set(nt.ids()) == set(G.neighbors[v])
-    assert plus == G.vertex_set([v])
+    assert expand(G, G.vertex_set([v]), 0) == G.vertex_set([v])
 
 
 def test_n_t_adjacent_pair_t2_brute_force():
@@ -171,20 +170,26 @@ def test_components_match_flood_fill_oracle():
             assert sorted(got, key=min) == sorted(want, key=min)
 
 
-# a box, a mixed Z^2 x T graph, a length-1 axis and a length-2 periodic axis
+# a box, a mixed Z^2 x T graph, a length-1 axis, a length-2 periodic axis
+# and a torus
 SHIFT_GRAPHS = [((5, 6), (False, False)), ((4, 4, 3), (True, False, False)),
-                ((1, 7), (False, False)), ((2, 6), (True, False))]
+                ((1, 7), (False, False)), ((2, 6), (True, False)),
+                ((6, 4), (True, True))]
+
+
+def oracle_samples(n, seed):
+    rng = make_rng(seed)
+    samples = [set(), set(range(n))]
+    for _ in range(15):
+        p = rng.random()
+        samples.append({v for v in range(n) if rng.random() < p})
+    return samples
 
 
 @pytest.mark.parametrize("dims,periodic", SHIFT_GRAPHS)
 def test_shift_neighborhood_matches_oracles(dims, periodic):
     G = build_graph(dims, periodic)
-    rng = make_rng(17)
-    samples = [set(), set(range(G.n))]
-    for _ in range(15):
-        p = rng.random()
-        samples.append({v for v in range(G.n) if rng.random() < p})
-    for members in samples:
+    for members in oracle_samples(G.n, 17):
         U = G.vertex_set(members)
         nbhd = set()
         for v in members:
@@ -200,6 +205,21 @@ def test_shift_neighborhood_matches_oracles(dims, periodic):
             got = [frozenset(c.ids()) for c in connected_components(G, U, power)]
             want = oracles.flood_components(dims, periodic, members, power)
             assert got == sorted(want, key=min)
+
+
+@pytest.mark.parametrize("dims,periodic", SHIFT_GRAPHS)
+def test_n_t_and_expand_match_oracles(dims, periodic):
+    G = build_graph(dims, periodic)
+    nbrs = [set(oracles.neighbors_of(dims, periodic, v)) for v in range(G.n)]
+    for members in oracle_samples(G.n, 29):
+        U = G.vertex_set(members)
+        for t in range(1, G.full_degree + 2):
+            want = {v for v in range(G.n) if len(nbrs[v] & members) >= t}
+            assert set(n_t(G, U, t).ids()) == want
+        ball = set(members)
+        for r in range(4):
+            assert set(expand(G, U, r).ids()) == ball
+            ball = ball.union(*(nbrs[v] for v in ball))
 
 
 @pytest.mark.parametrize("dims,periodic", SHIFT_GRAPHS)
