@@ -20,10 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .errors import ConfigError, InternalInvariantError, PreconditionError
 from .lattice import (
     LatticeGraph,
     VertexSet,
+    _unpack,
     boundary_cells,
     closed_neighborhood,
     vertex_boundaries,
@@ -87,16 +90,17 @@ def pure_pattern_sample(
     coloring exactly.
     """
     a, b = P.a, P.b
-    if any(G.parity[v] == 0 for v in U) and not a:
+    if not a and U & G.even:
         raise ConfigError("pattern has no even-side colors but U has even cells")
-    if any(G.parity[v] == 1 for v in U) and not b:
+    if not b and U & G.odd:
         raise ConfigError("pattern has no odd-side colors but U has odd cells")
-    rng = make_rng(seed)
-    values = [HOLE] * G.n
-    for v in U:
-        side = a if G.parity[v] == 0 else b
-        values[v] = side[int(rng.integers(0, len(side)))]
-    return Coloring(values, P.q)
+    cells = np.flatnonzero(_unpack(U))
+    odd = _unpack(G.odd)[cells]
+    # one draw per cell in ascending id order, below its side's size
+    index = make_rng(seed).integers(0, np.where(odd, len(b), len(a)))
+    values = np.full(G.n, HOLE)
+    values[cells] = np.array(a + b)[index + odd * len(a)]
+    return Coloring(values.tolist(), P.q)
 
 
 def striped_pattern_coloring(G: LatticeGraph, P: Pattern) -> Coloring:

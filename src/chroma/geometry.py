@@ -358,8 +358,10 @@ def weak_approximation(
     entirely inside or outside every set of the collection.  The fringe
     is W plus the small components.  The containment sandwich
     known_i <= S_i <= known_i + fringe always holds and is asserted, as
-    is fringe inside W^+; the 3|W| size bound is reported (cramped box
-    corners can break the isoperimetry behind it).
+    is fringe inside W^+; a small pocket outside W^+ with a cell below
+    full degree (at the rim, say) is refused as a precondition.  The 3|W|
+    size bound is reported (cramped box corners can break the
+    isoperimetry behind it).
     """
     comps = connected_components(G, W.complement())
     for S in collection.sets:
@@ -387,7 +389,19 @@ def weak_approximation(
     for S, k in zip(collection.sets, known):
         if not k.issubset(S) or not S.issubset(k | fringe):
             raise InternalInvariantError("weak approximation sandwich failed")
-    if not fringe.issubset(closed_neighborhood(G, W)):
+    escaped = fringe - closed_neighborhood(G, W)
+    if escaped:
+        # a pocket of at most d full-degree cells has a neighbor in W at
+        # every cell, so only a pocket clipped below full degree can escape
+        clipped = G.empty_set()
+        for comp in comps:
+            if len(comp) <= G.d and any(G.degree[v] < G.full_degree for v in comp):
+                clipped = clipped | comp
+        if escaped.issubset(clipped):
+            raise PreconditionError(
+                f"fringe cell {escaped.min_id()} lies outside W^+ in a pocket "
+                "below full degree; the bound needs full-degree cells"
+            )
         raise InternalInvariantError("fringe escaped the neighborhood of W")
     return WeakApproximation(known, fringe, len(fringe) <= 3 * len(W))
 

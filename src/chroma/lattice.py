@@ -3,16 +3,20 @@
 Vertices are numbered row-major over the axis lengths, and every vertex
 carries the parity of its coordinate sum, splitting the graph into the
 even and odd sublattices.  A periodic axis must have even length so the
-split survives the wrap-around.
+split survives the wrap-around.  The graph's tables (neighbor ids per
+direction, neighbor lists and masks, parity, degree, face bitmaps) are
+built by numpy from the axis grid, one rolled copy per direction.
 
 A vertex set is an integer bitmap, and its neighborhood N(U) is computed
 for the whole set at once: along each axis, the bits off the high face
 shift up by the axis stride and those off the low face shift down, and
 on a periodic axis each face also shifts onto the opposite one.  Vertex
 boundaries, closed neighborhoods, expansions and components are all set
-algebra over N(.).  Each shift is tagged with the direction it steps,
-so the same shifts give a set's image per direction; counting images
-gives N_t(U) and, over boundary edges, boundary-edge counts.
+algebra over N(.); at power 1, the isolated cells of a set are its
+singleton components, taken in one step.  Each shift is tagged with the
+direction it steps, so the same shifts give a set's image per direction;
+counting images gives N_t(U) and, over boundary edges, boundary-edge
+counts.
 
 A non-periodic axis clips at the faces.  The cells missing a neighbor
 along some non-periodic axis form the graph's *rim*; the rim stands in
@@ -27,6 +31,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import ConfigError, PreconditionError
 
@@ -122,6 +128,17 @@ class VertexSet:
         return cls.from_ids(n, (int(tok) for tok in text.split(",")))
 
 
+def _pack(flags: np.ndarray) -> int:
+    """Bitmap of the vertex ids whose entry in a boolean array is true."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def _unpack(U: VertexSet) -> np.ndarray:
+    """Membership of each vertex id in U, as a boolean array."""
+    raw = np.frombuffer(U.bits.to_bytes((U.n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:U.n].astype(bool)
+
+
 class LatticeGraph:
     """Box/torus product graph with per-axis periodicity."""
 
@@ -154,35 +171,31 @@ class LatticeGraph:
             self._strides[axis] = s
             s *= dims[axis]
 
-        neighbors: list[tuple[int, ...]] = []
-        neighbor_mask: list[int] = []
-        parity: list[int] = []
-        low = [0] * self.d   # cells with coordinate 0 on the axis
-        high = [0] * self.d  # cells with the last coordinate on the axis
-        for v in range(self.n):
-            cs = self.coords(v)
-            parity.append(sum(cs) & 1)
-            nbrs = set()
-            for axis in range(self.d):
-                if cs[axis] == 0:
-                    low[axis] |= 1 << v
-                if cs[axis] == dims[axis] - 1:
-                    high[axis] |= 1 << v
-                for delta in (-1, 1):
-                    u = self._step(cs, axis, delta)
-                    if u is not None:
-                        nbrs.add(u)
-            ordered = tuple(sorted(nbrs))
-            neighbors.append(ordered)
-            m = 0
-            for u in ordered:
-                m |= 1 << u
-            neighbor_mask.append(m)
-
-        self.neighbors = neighbors
-        self.neighbor_mask = neighbor_mask
-        self.parity = parity
-        self.degree = [len(t) for t in neighbors]
+        # row 2*axis holds each cell's neighbor one step up the axis and row
+        # 2*axis+1 the one a step down, -1 where a non-periodic face clips
+        coords = np.indices(dims).reshape(self.d, self.n)
+        ids = np.arange(self.n).reshape(dims)
+        table = np.empty((self.full_degree, self.n), dtype=np.intp)
+        low = [_pack(coords[axis] == 0) for axis in range(self.d)]
+        high = [_pack(coords[axis] == dims[axis] - 1) for axis in range(self.d)]
+        for axis in range(self.d):
+            for row, step, face in ((2 * axis, 1, dims[axis] - 1), (2 * axis + 1, -1, 0)):
+                table[row] = np.roll(ids, -step, axis=axis).ravel()
+                if not periodic[axis]:
+                    table[row, coords[axis] == face] = -1
+        table.flags.writeable = False
+        self.neighbor_table = table
+        # a length-2 periodic axis reaches one cell both ways: keep it once,
+        # then sort each column's -1 entries to its front and cut them off
+        ordered = np.sort(table, axis=0)
+        ordered[1:][ordered[1:] == ordered[:-1]] = -1
+        ordered.sort(axis=0)
+        clipped = (ordered < 0).sum(axis=0)
+        self.neighbors = [tuple(col[k:]) for col, k in zip(ordered.T.tolist(), clipped.tolist())]
+        self.neighbor_mask = [sum(1 << u for u in nbrs) for nbrs in self.neighbors]
+        parity = coords.sum(axis=0) & 1
+        self.parity = parity.tolist()
+        self.degree = [len(t) for t in self.neighbors]
         # N(U) as whole-bitmap shifts of U by (mask, distance, direction):
         # along each axis, cells off the high face move up one stride
         # (direction 2*axis) and cells off the low face down one (2*axis+1);
@@ -205,11 +218,7 @@ class LatticeGraph:
             else:
                 rim_bits |= low[axis] | high[axis]
         self.rim = VertexSet(rim_bits, self.n)
-        even_bits = 0
-        for v in range(self.n):
-            if parity[v] == 0:
-                even_bits |= 1 << v
-        self.even = VertexSet(even_bits, self.n)
+        self.even = VertexSet(_pack(parity == 0), self.n)
         self.odd = self.even.complement()
         # tables other modules derive from the graph (the sampler's sweep
         # layouts), built on first use and freed with the graph
@@ -441,13 +450,22 @@ def _grow(G: LatticeGraph, U: VertexSet, seed: int, power: int) -> VertexSet:
 
 
 def connected_components(G: LatticeGraph, U: VertexSet, power: int = 1) -> list[VertexSet]:
-    """Components of U under distance-<=power adjacency, by smallest id."""
+    """Components of U under distance-<=power adjacency, by smallest id.
+
+    At power 1 the cells of U with no neighbor in U are taken in one step,
+    as singletons, and only the rest is grown component by component.
+    """
     remaining = U.bits
     comps = []
+    if power == 1:
+        isolated = remaining & ~_neighbor_bits(G, remaining)
+        comps = [VertexSet(1 << v, G.n) for v in VertexSet(isolated, G.n)]
+        remaining &= ~isolated
     while remaining:
         comp = _grow(G, U, remaining & -remaining, power)
         comps.append(comp)
         remaining &= ~comp.bits
+    comps.sort(key=lambda comp: comp.bits & -comp.bits)   # by lowest id
     return comps
 
 

@@ -21,6 +21,11 @@ each cell reads is fixed by the graph, domain and pattern, so that layout
 is built once and kept on the graph, and the lookup tables once per q.
 They have 2^q rows, which caps the sampler at q <= 16.
 
+The cluster move is set algebra on bitmaps.  The cells colored a or b
+come from one numpy comparison; the components that touch a stuck cell
+are flooded together from the movable cells next to one, the rest are
+the swappable components, and the chosen ones flip in one numpy pass.
+
 All randomness comes from one Philox stream per chain, which draws one
 uniform per domain cell per sweep, so a (seed, config) pair reproduces
 every output byte and a chain's output does not depend on how many
@@ -40,9 +45,13 @@ from .exact import Constraint, allowed_masks, enumerate_colorings
 from .lattice import (
     LatticeGraph,
     VertexSet,
+    _grow,
+    _neighbor_bits,
+    _pack,
+    _unpack,
     boundary_cells,
     connected_components,
-    neighborhood,
+    expand,
 )
 from .patterns import Pattern
 from .rng import make_rng
@@ -85,23 +94,14 @@ class ChainConfig:
         return LatticeGraph(self.dims, self.periodic)
 
     def domain(self, G: LatticeGraph) -> VertexSet:
+        # a cell's L-inf depth along the non-periodic axes is its graph
+        # distance to the rim
         if self.margin == 0:
             return G.full_set()
-        bits = 0
-        for v in range(G.n):
-            cs = G.coords(v)
-            ok = True
-            for axis, c in enumerate(cs):
-                if G.periodic[axis]:
-                    continue
-                if c < self.margin or c >= G.dims[axis] - self.margin:
-                    ok = False
-                    break
-            if ok:
-                bits |= 1 << v
-        if not bits:
+        domain = G.full_set() - expand(G, G.rim, self.margin - 1)
+        if not domain:
             raise ConfigError("margin leaves an empty domain")
-        return VertexSet(bits, G.n)
+        return domain
 
     def p0(self) -> Pattern:
         P = Pattern.parse(self.q, self.pattern)
@@ -133,27 +133,6 @@ class OrderStats:
             occ = [c / self.samples for c in self.occupation_counts[i]]
             rows.append([v, rate, *occ])
         return rows
-
-
-def _members(U: VertexSet) -> np.ndarray:
-    """Membership of each vertex id in U, as a boolean array."""
-    raw = np.frombuffer(U.bits.to_bytes((U.n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:U.n].astype(bool)
-
-
-def _neighbor_table(G: LatticeGraph) -> np.ndarray:
-    """Neighbor ids, one row per axis direction; -1 where a non-periodic face clips."""
-    ids = np.arange(G.n).reshape(G.dims)
-    rows = []
-    for axis in range(G.d):
-        for step in (1, -1):
-            nb = np.roll(ids, -step, axis=axis)
-            if not G.periodic[axis]:
-                face = [slice(None)] * G.d
-                face[axis] = -1 if step == 1 else 0
-                nb[tuple(face)] = -1
-            rows.append(nb.ravel())
-    return np.array(rows)
 
 
 @cache
@@ -217,7 +196,7 @@ def _layout(G: LatticeGraph, domain: VertexSet, p0: Pattern | None, q: int) -> _
         allowed = np.array(masks)
     n = G.n
     ids = np.arange(n)
-    inside = _members(domain)
+    inside = _unpack(domain)
     parity = np.array(G.parity)
     halves = [ids[inside & (parity == 0)], ids[inside & (parity == 1)]]
     cells = np.concatenate(halves + [ids[~inside]])
@@ -233,7 +212,7 @@ def _layout(G: LatticeGraph, domain: VertexSet, p0: Pattern | None, q: int) -> _
     column = np.empty(n + 1, dtype=np.intp)   # column[-1] is the 0 column
     column[cells] = ids
     column[n] = n
-    reads = np.concatenate([column[_neighbor_table(G)[:, scan]],
+    reads = np.concatenate([column[G.neighbor_table[:, scan]],
                             n + 1 + which.reshape(1, -1)])
     spans = []
     lo = 0
@@ -349,14 +328,17 @@ def swappable_components(
 
     Only unconstrained domain cells move (with a reference pattern, the
     boundary cells are constrained); a component touching any frozen or
-    boundary-constrained cell colored a or b stays put.
+    boundary-constrained cell colored a or b stays put.  The components
+    that do touch one are flooded at once from the movable cells next to
+    a stuck cell, and the rest are the components of what is left.
     """
     free = domain - boundary_cells(G, domain) if p0 is not None else domain
-    ab = G.vertex_set(v for v, c in enumerate(f.values) if c in (a, b))
+    values = np.array(f.values)
+    ab = VertexSet(_pack((values == a) | (values == b)), G.n)
     movable = free & ab
     stuck = ab - movable
-    return [comp for comp in connected_components(G, movable)
-            if neighborhood(G, comp).isdisjoint(stuck)]
+    tainted = _grow(G, movable, movable.bits & _neighbor_bits(G, stuck.bits), 1)
+    return connected_components(G, movable - tainted)
 
 
 def cluster_step(
@@ -372,11 +354,14 @@ def cluster_step(
     pair = rng.choice(q, size=2, replace=False)
     a, b = int(pair[0]) + 1, int(pair[1]) + 1
     comps = swappable_components(f, G, domain, p0, a, b)
-    out = f.copy()
-    for comp in comps:
-        if rng.random() < 0.5:
-            for v in comp:
-                out.values[v] = b if out.values[v] == a else a
+    swap = 0
+    for comp, r in zip(comps, rng.random(len(comps))):
+        if r < 0.5:
+            swap |= comp.bits
+    values = np.array(f.values)
+    flip = _unpack(VertexSet(swap, G.n))
+    values[flip] = a + b - values[flip]
+    out = Coloring(values.tolist(), q)
     if assert_proper and not is_proper(out, G):
         raise InternalInvariantError("cluster step broke properness")
     return out
@@ -474,10 +459,10 @@ def run_experiment(cfg: ChainConfig, threads: int = 1) -> OrderStats:
     if all(halves):
         diff = float(np.max(np.abs(viol[0] / halves[0] - viol[1] / halves[1])))
     return OrderStats(
-        vertex_ids=tuple(int(v) for v in ids),
+        vertex_ids=tuple(ids.tolist()),
         samples=sum(halves),
-        violation_counts=tuple(int(x) for x in viol.sum(axis=0)),
-        occupation_counts=tuple(tuple(int(c) for c in row) for row in total),
+        violation_counts=tuple(viol.sum(axis=0).tolist()),
+        occupation_counts=tuple(map(tuple, total.tolist())),
         parity_occupation=parity_occ,
         split_half_max_diff=diff,
     )

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from chroma.coloring import (
@@ -50,7 +52,27 @@ def test_pure_sample_deterministic_and_sides():
     for v in range(G.n):
         side = P.a if G.parity[v] == 0 else P.b
         assert f1.values[v] in side
-    assert pure_pattern_sample(G, G.full_set(), P, seed=9) != f1 or True
+    assert pure_pattern_sample(G, G.full_set(), P, seed=9) != f1
+
+
+def test_pure_sample_pinned():
+    # fixed outputs for fixed seeds: |A| = 1, 2, 3, full and partial U,
+    # boxes, a length-1 axis and mixed periodic graphs
+    cases = [((6, 6), None, 3, "A=1;B=2,3"),
+             ((5, 4, 3), (False, True, False), 5, "A=1,2;B=3,4,5"),
+             ((4, 6), (True, True), 6, "A=1,2,3;B=4,5,6"),
+             ((1, 7), None, 4, "A=1,2,3;B=4"),
+             ((2, 6, 3), (True, False, False), 4, "A=1,2;B=3,4")]
+    out = []
+    for dims, periodic, q, text in cases:
+        G = build_graph(dims, periodic)
+        P = Pattern.parse(q, text)
+        partial = G.vertex_set(v for v in range(G.n) if v % 3 != 1)
+        for U in (G.full_set(), partial):
+            for seed in (0, 5, 1 << 40):
+                out.append(pure_pattern_sample(G, U, P, seed).values)
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "b0f62e84039a1b08bf7ce83626bbfddc099aa7a9ffa9840d130c3a0110dddf97")
 
 
 def test_pure_sample_support_size():

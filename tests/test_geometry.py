@@ -2,7 +2,8 @@ import pytest
 
 from chroma.decomposition import classify_atlas, construct_breakup
 from chroma.coloring import striped_pattern_coloring
-from chroma.errors import PreconditionError
+from chroma import geometry
+from chroma.errors import InternalInvariantError, PreconditionError
 from chroma.geometry import (
     Approximation,
     OddSetCollection,
@@ -201,6 +202,28 @@ def test_weak_approximation_rejects_nonseparating():
     coll = OddSetCollection(G, [plus_at(G, (3, 3))], "odd")
     with pytest.raises(PreconditionError):
         weak_approximation(G, G.empty_set(), coll)
+
+
+def test_weak_approximation_refuses_rim_clipped_pocket():
+    # W = {2,3,4,5} on the 1x7 path leaves the pocket {0,1}, of at most d
+    # cells, whose end cell 0 is two steps from W
+    G = build_graph([1, 7])
+    coll = OddSetCollection(G, [G.vertex_set([0, 1, 2, 3])])
+    rep = separating_set(coll, s=1, t=1)
+    with pytest.raises(PreconditionError):
+        weak_approximation(G, rep.separator, coll)
+
+
+def test_weak_approximation_full_degree_escape_is_internal(monkeypatch):
+    # pockets of full-degree cells cannot leave W^+; with W^+ shrunk to W
+    # the escape is reported as an invariant failure, not a precondition
+    G = build_graph([6, 6], [True, True])
+    pocket = G.vertex_set([G.vid((2, 2))])
+    W = neighborhood(G, pocket)
+    coll = OddSetCollection(G, [pocket | W], "odd")
+    monkeypatch.setattr(geometry, "closed_neighborhood", lambda G, U: U)
+    with pytest.raises(InternalInvariantError):
+        weak_approximation(G, W, coll)
 
 
 def _droplet_breakup(G, q=3):

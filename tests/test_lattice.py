@@ -233,6 +233,42 @@ def test_rim_is_the_non_periodic_faces(dims, periodic):
     assert set(G.rim.ids()) == want
 
 
+@pytest.mark.parametrize("dims,periodic",
+                         SHIFT_GRAPHS + [((4, 4, 2), (True, True, True))])
+def test_graph_tables_match_oracles(dims, periodic):
+    G = build_graph(dims, periodic)
+    even = set()
+    for v in range(G.n):
+        nbrs = oracles.neighbors_of(dims, periodic, v)
+        assert G.neighbors[v] == tuple(nbrs)
+        assert G.neighbor_mask[v] == sum(1 << u for u in nbrs)
+        assert G.degree[v] == len(nbrs)
+        assert G.parity[v] == sum(oracles.coords_of(dims, v)) % 2
+        if G.parity[v] == 0:
+            even.add(v)
+    assert set(G.even.ids()) == even
+    assert set(G.odd.ids()) == set(range(G.n)) - even
+    assert set(G.rim.ids()) == {
+        v for v in range(G.n)
+        if any(not per and c in (0, length - 1)
+               for c, length, per in zip(oracles.coords_of(dims, v), dims, periodic))
+    }
+
+
+@pytest.mark.parametrize("dims,periodic", SHIFT_GRAPHS)
+def test_components_with_singletons_match_oracle(dims, periodic):
+    # sparse samples are mostly singletons; the last set mixes every third
+    # cell with a run of four
+    G = build_graph(dims, periodic)
+    mixed = set(range(0, G.n, 3)) | set(range(G.n // 2, min(G.n, G.n // 2 + 4)))
+    for members in oracle_samples(G.n, 41) + [mixed]:
+        for power in (1, 2):
+            got = [set(c.ids()) for c in
+                   connected_components(G, G.vertex_set(members), power)]
+            want = [set(c) for c in oracles.flood_components(dims, periodic, members, power)]
+            assert got == want
+
+
 def test_co_connected_closure_ring():
     G = build_graph([5, 5])
     center = G.vid((2, 2))

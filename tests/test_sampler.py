@@ -21,7 +21,6 @@ from chroma.rng import make_rng
 from chroma.sampler import (
     ChainConfig,
     _Kernel,
-    _neighbor_table,
     _tables,
     cluster_step,
     heat_bath_sweep,
@@ -29,6 +28,9 @@ from chroma.sampler import (
     single_site_transition_matrix,
     swappable_components,
 )
+
+import oracles
+from test_lattice import SHIFT_GRAPHS
 
 P03 = "A=1;B=2,3"
 
@@ -267,6 +269,66 @@ def test_margin_domain_freezes_exterior():
                for c in G.coords(v))
 
 
+@pytest.mark.parametrize("dims,periodic", SHIFT_GRAPHS)
+def test_margin_domain_matches_depth_loop(dims, periodic):
+    # the cells at L-inf depth >= margin along every non-periodic axis
+    G = build_graph(dims, periodic)
+    for margin in range(4):
+        cfg = ChainConfig(dims=dims, q=3, pattern=P03, seed=1, sweeps=1,
+                          periodic=periodic, margin=margin)
+        want = {v for v in range(G.n)
+                if all(per or margin <= c < length - margin for c, length, per
+                       in zip(oracles.coords_of(dims, v), dims, periodic))}
+        if want:
+            assert set(cfg.domain(G).ids()) == want
+        else:
+            with pytest.raises(ConfigError):
+                cfg.domain(G)
+
+
+def _oracle_swappable(f, dims, periodic, domain, constrained, a, b):
+    # flood the a/b cells a move may touch and drop every component next to
+    # an a/b cell it may not
+    n = len(f.values)
+    nbrs = [oracles.neighbors_of(dims, periodic, v) for v in range(n)]
+
+    def on_rim(v):
+        return any(not per and c in (0, length - 1) for c, length, per
+                   in zip(oracles.coords_of(dims, v), dims, periodic))
+
+    free = {v for v in domain
+            if not constrained or not (on_rim(v) or any(u not in domain for u in nbrs[v]))}
+    ab = {v for v in range(n) if f.values[v] in (a, b)}
+    stuck = ab - free
+    return [sorted(comp) for comp in oracles.flood_components(dims, periodic, ab & free)
+            if not any(u in stuck for v in comp for u in nbrs[v])]
+
+
+@pytest.mark.parametrize("dims,periodic", SHIFT_GRAPHS)
+def test_swappable_components_match_oracle(dims, periodic):
+    G = build_graph(dims, periodic)
+    inner = G.vertex_set(
+        v for v in range(G.n)
+        if all(per or 1 <= c < length - 1 for c, length, per
+               in zip(oracles.coords_of(dims, v), dims, periodic)))
+    domains = [dom for dom in (inner, G.full_set()) if dom]
+    for q, text in ((3, P03), (4, "A=1,2;B=3,4")):
+        p0 = Pattern.parse(q, text)
+        rng = make_rng(q)
+        f = pure_pattern_sample(G, G.full_set(), p0, seed=q)
+        for sweep_p0 in (p0, None, None):
+            f = heat_bath_sweep(f, G, domains[0], sweep_p0, rng)
+            for dom in domains:
+                members = set(dom.ids())
+                for p in (p0, None):
+                    for a in range(1, q + 1):
+                        for b in range(a + 1, q + 1):
+                            got = [list(c.ids()) for c in
+                                   swappable_components(f, G, dom, p, a, b)]
+                            assert got == _oracle_swappable(
+                                f, dims, periodic, members, p is not None, a, b)
+
+
 def _stats_digest(stats):
     key = (stats.samples, stats.csv_rows(), stats.split_half_max_diff)
     return hashlib.sha256(repr(key).encode()).hexdigest()
@@ -375,10 +437,12 @@ GRAPHS = [((5, 5), None), ((4, 4, 3), (True, False, False)), ((1, 7), None),
 def test_neighbor_table_matches_graph():
     for dims, periodic in GRAPHS:
         G = build_graph(dims, periodic)
-        table = _neighbor_table(G)
+        table = G.neighbor_table
         assert table.shape == (G.full_degree, G.n)
+        periodic = periodic or (False,) * len(dims)
         for v in range(G.n):
-            assert set(table[:, v].tolist()) - {-1} == set(G.neighbors[v])
+            assert (set(table[:, v].tolist()) - {-1}
+                    == set(oracles.neighbors_of(dims, periodic, v)))
 
 
 def test_lookup_tables_match_bit_counts():
