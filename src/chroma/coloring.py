@@ -17,7 +17,7 @@ proper coloring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -190,6 +190,16 @@ class RepairPlan:
     s_star: VertexSet
     shift_axis: int
     shift_dir: int
+    _canonical: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def canonical(self, P: Pattern, p0: Pattern) -> tuple[dict[int, int], dict[int, int]]:
+        """The canonical permutation taking P to p0 and its inverse, built
+        once per plan and reference."""
+        pair = self._canonical.get((P, p0))
+        if pair is None:
+            perm = canonical_permutation(P, p0)
+            pair = self._canonical[P, p0] = (perm, {dst: src for src, dst in perm.items()})
+        return pair
 
 
 def _shift_set(G: LatticeGraph, U: VertexSet, axis: int, delta: int) -> VertexSet:
@@ -215,8 +225,13 @@ def plan_repair(
     """Validate the (S, parts) geometry and fix the regions once.
 
     Requires: the parts partition S^c, every part's internal boundary is
-    adjacent to S, and shifted class-1 parts stay inside the graph.
+    adjacent to S, and shifted class-1 parts stay inside the graph.  The
+    plan is kept in ``G.memo``; an invalid geometry stores nothing, so it
+    raises again on every call.
     """
+    key = ("repair plan", S.bits, frozenset(parts.items()), shift_axis, shift_dir)
+    if key in G.memo:
+        return G.memo[key]
     if not 0 <= shift_axis < G.d:
         raise ConfigError(f"shift axis {shift_axis} outside 0..{G.d - 1}")
     if shift_dir not in (-1, 1):
@@ -253,7 +268,7 @@ def plan_repair(
     for _, region in regions1:
         occupied = occupied | _shift_set(G, region, shift_axis, -shift_dir)
     s_star = occupied.complement()
-    return RepairPlan(
+    plan = G.memo[key] = RepairPlan(
         s=S,
         parts=tuple(sorted(parts.items(), key=lambda kv: kv[0].sort_key())),
         regions0=tuple(regions0),
@@ -262,6 +277,7 @@ def plan_repair(
         shift_axis=shift_axis,
         shift_dir=shift_dir,
     )
+    return plan
 
 
 def filling_count(G: LatticeGraph, plan: RepairPlan, q: int) -> int:
@@ -322,7 +338,7 @@ def repair_transform(
                     f"supplied permutation does not take {P.text()} to the reference"
                 )
         else:
-            perm = canonical_permutation(P, p0)
+            perm = plan.canonical(P, p0)[0]
         perms[P] = perm
 
     h_keys = set(h)
@@ -376,10 +392,9 @@ def repair_inverse(
     values = [HOLE] * G.n
     for P, region in plan.regions0 + plan.regions1:
         if permutations is not None and P in permutations:
-            perm = dict(permutations[P])
+            inv = {dst: src for src, dst in permutations[P].items()}
         else:
-            perm = canonical_permutation(P, p0)
-        inv = {dst: src for src, dst in perm.items()}
+            inv = plan.canonical(P, p0)[1]
         for v in region:
             src = v if P.klass == 0 else G.axis_step(v, plan.shift_axis, -plan.shift_dir)
             values[v] = inv[g.values[src]]

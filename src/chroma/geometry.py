@@ -11,6 +11,11 @@ regions.  Separating sets are upgraded to weak approximations (known
 inside / known outside / small unknown fringe) and those are what a
 coarse-graining enumeration would store instead of the regions
 themselves.
+
+Every boundary test here is set algebra over per-direction edge maps
+(``lattice._edge_maps``): boundary-edge counts are threshold ladders over
+them, the four-cycle check and the separation tests shift them onto the
+far end of each edge, and a failure names the lowest failing edge.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from .errors import InternalInvariantError, PreconditionError, ResourceLimitErro
 from .lattice import (
     LatticeGraph,
     VertexSet,
+    _edge_maps,
+    _full_degree,
     _images,
     _ladder,
     closed_neighborhood,
@@ -113,14 +120,35 @@ class OddSetCollection:
 
 
 def _boundary_maps(G: LatticeGraph, sets: Sequence[VertexSet]) -> list[int]:
-    """Entry j: the cells w whose edge to w - e_j is a boundary edge of
-    some set; the number of entries holding w counts its boundary edges."""
-    reach = _images(G, (1 << G.n) - 1)
-    out = [0] * len(reach)
+    """Entry j: the cells w whose edge one step along direction j is a
+    boundary edge of some set.  Both ends of an edge are flagged, and the
+    number of entries holding w counts its boundary edges."""
+    out = [0] * G.full_degree
     for S in sets:
-        for j, image in enumerate(_images(G, S.bits)):
-            out[j] |= (image ^ S.bits) & reach[j]
+        for j, m in enumerate(_edge_maps(G, S.bits)):
+            out[j] |= m
     return out
+
+
+def _edge_count(maps: list[int]) -> int:
+    """Edges in edge maps that flag both ends of each edge."""
+    return sum(m.bit_count() for m in maps) // 2
+
+
+def _unseparated(G: LatticeGraph, maps: list[int], sep: int) -> list[int]:
+    """The edges of the maps with neither end in sep."""
+    images = _images(G, sep)   # images[opposite[j]] holds w when w's neighbor along j is in sep
+    return [m & ~sep & ~images[k] for m, k in zip(maps, G._opposite)]
+
+
+def _lowest_edge(G: LatticeGraph, maps: list[int]) -> tuple[int, int]:
+    """The lowest edge (u, v), u < v, of nonempty edge maps that flag both
+    ends of each edge: u is the lowest flagged cell, v its lowest partner."""
+    cells = 0
+    for m in maps:
+        cells |= m
+    u = (cells & -cells).bit_length() - 1
+    return u, min(int(G.neighbor_table[j, u]) for j, m in enumerate(maps) if m >> u & 1)
 
 
 def _at_least(G: LatticeGraph, maps: list[int], t: int) -> int:
@@ -139,11 +167,12 @@ def revealed_vertices(
     """
     if not is_parity_set(G, S, parity):
         raise PreconditionError(f"S is not an {parity} set")
-    revealed = VertexSet(_at_least(G, _boundary_maps(G, [S]), G.d), G.n)
+    maps = _boundary_maps(G, [S])
+    revealed = VertexSet(_at_least(G, maps, G.d), G.n)
     if check:
-        hidden = edge_set(G, S - revealed, S.complement() - revealed)
-        if hidden:
-            u, v = min(hidden)
+        hidden = _unseparated(G, maps, revealed.bits)
+        if any(hidden):
+            u, v = _lowest_edge(G, hidden)
             if G.degree[u] == G.full_degree and G.degree[v] == G.full_degree:
                 raise InternalInvariantError(
                     f"boundary edge ({u},{v}) has no revealed endpoint"
@@ -155,6 +184,40 @@ def revealed_vertices(
     return revealed
 
 
+def _four_cycle_failures(G: LatticeGraph, bits: int) -> tuple[list[int], list[int]]:
+    """Boundary edges of a bitmap that break the two clauses of
+    ``four_cycle_check``, as edge maps that flag both ends of each edge.
+
+    Entry a of the first list holds u when the boundary edge from u to its
+    neighbor v along a has a direction j in which u or v has a neighbor but
+    neither {u, u+j} nor {v, v+j} is a boundary edge; entry a of the second
+    holds u when u and v both have full degree and see fewer than 2d
+    boundary edges together.  Any bitmap is accepted, parity set or not.
+    """
+    top = G.full_degree
+    D = _edge_maps(G, bits)          # D[j]: u whose edge along j is a boundary edge
+    reach = G._stepping              # reach[j]: u with a neighbor along j
+    # back[k] of X holds u when the neighbor of u along the opposite of k is in X,
+    # so back[opposite[a]] moves X to the near end of edges along a
+    back_D = [_images(G, m) for m in D]
+    back_reach = [_images(G, m) for m in reach]
+    seen = [(1 << G.n) - 1] + _ladder(D, top)   # seen[i]: cells on >= i boundary edges
+    back_seen = [_images(G, m) for m in seen]
+    full = _full_degree(G)
+    back_full = _images(G, full)
+    exchange, sight = [], []
+    for a, Da in enumerate(D):
+        k = G._opposite[a]
+        bad = enough = 0
+        for j in range(top):
+            bad |= (reach[j] | back_reach[j][k]) & ~D[j] & ~back_D[j][k]
+        for i in range(top + 1):
+            enough |= seen[i] & back_seen[top - i][k]
+        exchange.append(Da & bad)
+        sight.append(Da & full & back_full[k] & ~enough)
+    return exchange, sight
+
+
 def four_cycle_check(G: LatticeGraph, S: VertexSet, parity: str = "odd") -> bool:
     """Exchange property of parity-set boundaries, in every direction.
 
@@ -162,37 +225,20 @@ def four_cycle_check(G: LatticeGraph, S: VertexSet, parity: str = "odd") -> bool
     the graph, one of {u, u+e}, {v, v+e} is again a boundary edge, and
     any two endpoints with full degree jointly see at least 2d boundary
     edges.  This is a theorem for odd/even sets, so a violation raises
-    an internal error; the return value is True for convenience.
+    an internal error naming the lowest failing edge; the return value is
+    True for convenience.
     """
     if not is_parity_set(G, S, parity):
         raise PreconditionError(f"S is not an {parity} set")
-    comp = S.complement()
-    boundary = edge_set(G, S, comp)
-
-    def is_boundary(a: int | None, b: int | None) -> bool:
-        return a is not None and b is not None and (a in S) != (b in S)
-
-    def sees(w: int) -> int:
-        return (G.neighbor_mask[w] & (comp.bits if w in S else S.bits)).bit_count()
-
-    for (u, v) in boundary:
-        for axis in range(G.d):
-            for delta in (-1, 1):
-                ue = G.axis_step(u, axis, delta)
-                ve = G.axis_step(v, axis, delta)
-                if ue is None and ve is None:
-                    continue
-                if not (is_boundary(u, ue) or is_boundary(v, ve)):
-                    raise InternalInvariantError(
-                        f"four-cycle property failed at edge ({u},{v}), "
-                        f"axis {axis}, delta {delta}"
-                    )
-        if G.degree[u] == G.full_degree and G.degree[v] == G.full_degree:
-            seen = sees(u) + sees(v)
-            if seen < G.full_degree:
-                raise InternalInvariantError(
-                    f"endpoints of ({u},{v}) see only {seen} boundary edges"
-                )
+    failures = [(_lowest_edge(G, maps), clause)
+                for clause, maps in enumerate(_four_cycle_failures(G, S.bits)) if any(maps)]
+    if failures:
+        (u, v), clause = min(failures)
+        if clause == 0:
+            raise InternalInvariantError(f"four-cycle property failed at edge ({u},{v})")
+        seen = sum((G.neighbor_mask[w] & (S.complement() if w in S else S).bits).bit_count()
+                   for w in (u, v))
+        raise InternalInvariantError(f"endpoints of ({u},{v}) see only {seen} boundary edges")
     return True
 
 
@@ -316,11 +362,11 @@ def separating_set(
     U = _half_separating_core(G, collection, s_val, t_val)
     U = U | _half_separating_core(G, collection.complements(), s_val, t_val)
     separator = neighborhood(G, U)
-    boundary = collection.boundary_edges()
-    separates = all(u in separator or v in separator for (u, v) in boundary)
+    boundary = _boundary_maps(G, collection.sets)
+    missed = _unseparated(G, boundary, separator.bits)
+    separates = not any(missed)
     if check and not separates:
-        bad = next((u, v) for (u, v) in boundary
-                   if u not in separator and v not in separator)
+        bad = _lowest_edge(G, missed)
         if all(G.degree[w] == G.full_degree for w in bad):
             raise InternalInvariantError(
                 f"constructed set fails to separate the collection at edge {bad}"
@@ -329,7 +375,7 @@ def separating_set(
             f"boundary edge {bad} is clipped by the ambient rim; the separating "
             "construction needs the collection to clear the faces"
         )
-    bound = bound_constant * len(boundary) * math.log(max(d, 2)) / d ** 1.5
+    bound = bound_constant * _edge_count(boundary) * math.log(max(d, 2)) / d ** 1.5
     return SeparatingSetReport(
         vertices=U,
         separator=separator,
@@ -514,7 +560,7 @@ def isoperimetry_checks(G: LatticeGraph, U: VertexSet) -> IsoperimetryReport:
     d = G.d
     has_even = not U.isdisjoint(G.even)
     if has_even:
-        lhs = len(edge_set(G, U, U.complement()))
+        lhs = _edge_count(_edge_maps(G, U.bits))
         rhs = 2 * d * (2 * d - 1)
         small = (True, lhs, rhs, lhs >= rhs)
     else:
@@ -522,9 +568,7 @@ def isoperimetry_checks(G: LatticeGraph, U: VertexSet) -> IsoperimetryReport:
     per_comp = []
     for comp in connected_components(G, U, power=2):
         iso_plus = closed_neighborhood(G, comp - neighborhood(G, comp))
-        lhs = len(edge_set(G, comp, comp.complement()))
-        if iso_plus:
-            lhs += len(edge_set(G, iso_plus, iso_plus.complement()))
+        lhs = _edge_count(_edge_maps(G, comp.bits)) + _edge_count(_edge_maps(G, iso_plus.bits))
         rhs = (d - 1) ** 2 * (2 + diameter(G, comp)) / 2
         per_comp.append(
             {

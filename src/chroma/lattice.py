@@ -15,21 +15,27 @@ boundaries, closed neighborhoods, expansions and components are all set
 algebra over N(.); at power 1, the isolated cells of a set are its
 singleton components, taken in one step.  Each shift is tagged with the
 direction it steps, so the same shifts give a set's image per direction;
-counting images gives N_t(U) and, over boundary edges, boundary-edge
-counts.
+counting images gives N_t(U).  A set's *edge maps* hold, per direction
+j, the cells whose edge along j crosses the set's boundary (both ends of
+each edge are flagged); with the opposite of each direction they give
+boundary-edge counts, out-directed edges and edge-by-edge tests as set
+algebra, without listing edge tuples.
 
 A non-periodic axis clips at the faces.  The cells missing a neighbor
 along some non-periodic axis form the graph's *rim*; the rim stands in
 for "infinity" whenever a construction needs an unbounded exterior
 (a set "disconnects v from infinity" when it cuts every path from v to
 the rim).  Fully periodic graphs have an empty rim and therefore no
-notion of infinity.
+notion of infinity.  ``interior`` gives the cells at a given graph
+distance from the rim or more, the one depth rule for padded domains.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -206,9 +212,11 @@ class LatticeGraph:
         rim_bits = 0
         self._shifts_up: list[tuple[int, int, int]] = []
         self._shifts_down: list[tuple[int, int, int]] = []
+        self._opposite = list(range(self.full_degree))   # the step that undoes each
         for axis, stride in enumerate(self._strides):
             up = 2 * axis
             down = up if periodic[axis] and dims[axis] == 2 else up + 1
+            self._opposite[up], self._opposite[down] = down, up
             self._shifts_up.append((full & ~high[axis], stride, up))
             self._shifts_down.append((full & ~low[axis], stride, down))
             if periodic[axis]:
@@ -218,6 +226,9 @@ class LatticeGraph:
             else:
                 rim_bits |= low[axis] | high[axis]
         self.rim = VertexSet(rim_bits, self.n)
+        # entry j: the cells with a neighbor one step along direction j
+        reach = _images(self, full)
+        self._stepping = [reach[k] for k in self._opposite]
         self.even = VertexSet(_pack(parity == 0), self.n)
         self.odd = self.even.complement()
         # tables other modules derive from the graph (the sampler's sweep
@@ -310,6 +321,13 @@ def _images(G: LatticeGraph, bits: int) -> list[int]:
     return out
 
 
+def _edge_maps(G: LatticeGraph, bits: int) -> list[int]:
+    """Entry j holds w when the edge from w one step along direction j crosses
+    the bitmap's boundary; ``bits & entry`` lists the out-directed edges."""
+    images = _images(G, bits)
+    return [(bits ^ images[k]) & reach for k, reach in zip(G._opposite, G._stepping)]
+
+
 def _ladder(maps: Iterable[int], top: int) -> list[int]:
     """Threshold ladder: entry i holds the cells in at least i + 1 of the maps."""
     levels = [0] * top
@@ -338,6 +356,19 @@ def expand(G: LatticeGraph, U: VertexSet, r: int) -> VertexSet:
     for _ in range(r):
         bits |= _neighbor_bits(G, bits)
     return VertexSet(bits, G.n)
+
+
+def interior(G: LatticeGraph, depth: int) -> VertexSet:
+    """Cells at graph distance >= depth from the rim (every cell at depth 0).
+
+    A cell's distance to the rim is its L-inf depth along the non-periodic
+    axes, so these are the cells with depth <= c < length - depth on each.
+    """
+    if depth < 0:
+        raise PreconditionError("depth must be >= 0")
+    if depth == 0:
+        return G.full_set()
+    return G.full_set() - expand(G, G.rim, depth - 1)
 
 
 def n_t(G: LatticeGraph, U: VertexSet, t: int) -> VertexSet:
@@ -406,30 +437,34 @@ def edge_boundaries(G: LatticeGraph, U: VertexSet, W: VertexSet | None = None) -
     """
     if W is None:
         W = U.complement()
-    edges = edge_set(G, U, W)
-    directed = directed_out_edges(G, U)
-    parts: tuple[set, set] = (set(), set())
-    for u, v in directed:
-        parts[G.parity[u]].add((u, v) if u < v else (v, u))
-    even_part, odd_part = parts
-    n_even = len(U & G.even)
-    n_odd = len(U) - n_even
-    imbalance = n_even - n_odd
-    defined = any(not p for p in G.periodic) and all(
-        G.degree[v] == G.full_degree for v in U
-    )
-    holds = None
-    if defined:
-        holds = 2 * G.d * imbalance == len(even_part) - len(odd_part)
+    imbalance, n_even_out, n_odd_out, defined = _sublattice_identity(G, U)
+    comp = U.complement()
     return EdgeBoundaryReport(
-        edges=edges,
-        directed_out=directed,
-        even_part=frozenset(even_part),
-        odd_part=frozenset(odd_part),
+        edges=edge_set(G, U, W),
+        directed_out=directed_out_edges(G, U),
+        even_part=edge_set(G, U & G.even, comp),
+        odd_part=edge_set(G, U & G.odd, comp),
         imbalance=imbalance,
         identity_defined=defined,
-        identity_holds=holds,
+        identity_holds=2 * G.d * imbalance == n_even_out - n_odd_out if defined else None,
     )
+
+
+def _sublattice_identity(G: LatticeGraph, U: VertexSet) -> tuple[int, int, int, bool]:
+    """(|U_even| - |U_odd|, edges leaving U from even cells, from odd cells,
+    whether the identity applies), counted over U's out-edge maps."""
+    out = [U.bits & m for m in _edge_maps(G, U.bits)]
+    even = G.even.bits
+    n_even_out = sum((m & even).bit_count() for m in out)
+    n_even = (U.bits & even).bit_count()
+    defined = any(not p for p in G.periodic) and U.bits & ~_full_degree(G) == 0
+    return (2 * n_even - len(U), n_even_out, sum(m.bit_count() for m in out) - n_even_out,
+            defined)
+
+
+def _full_degree(G: LatticeGraph) -> int:
+    """The cells with a neighbor along every direction."""
+    return reduce(and_, G._stepping)
 
 
 # -- connectivity ------------------------------------------------------------
@@ -470,7 +505,8 @@ def connected_components(G: LatticeGraph, U: VertexSet, power: int = 1) -> list[
 
 
 def is_connected(G: LatticeGraph, U: VertexSet, power: int = 1) -> bool:
-    return len(U) == 0 or len(connected_components(G, U, power)) == 1
+    """Whether U is empty or the component of its lowest cell is all of it."""
+    return not U or _grow(G, U, U.bits & -U.bits, power) == U
 
 
 def component_of(G: LatticeGraph, U: VertexSet, v: int, power: int = 1) -> VertexSet:

@@ -51,7 +51,7 @@ from .lattice import (
     _unpack,
     boundary_cells,
     connected_components,
-    expand,
+    interior,
 )
 from .patterns import Pattern
 from .rng import make_rng
@@ -94,11 +94,7 @@ class ChainConfig:
         return LatticeGraph(self.dims, self.periodic)
 
     def domain(self, G: LatticeGraph) -> VertexSet:
-        # a cell's L-inf depth along the non-periodic axes is its graph
-        # distance to the rim
-        if self.margin == 0:
-            return G.full_set()
-        domain = G.full_set() - expand(G, G.rim, self.margin - 1)
+        domain = interior(G, self.margin)
         if not domain:
             raise ConfigError("margin leaves an empty domain")
         return domain
@@ -258,15 +254,20 @@ class _Kernel:
         self.x[:, G.n + 1:] = layout.forbidden
         self.flat = self.x.reshape(-1)
         for c, f in enumerate(states):
-            self.put(c, f)
+            self.put(c, f.values)
 
-    def put(self, c: int, f: Coloring) -> None:
-        self.x[c, :len(self.cells)] = self.bit[np.array(f.values)[self.cells]]
+    def put(self, c: int, values) -> None:
+        """Load chain c from its colors in vertex order."""
+        self.x[c, :len(self.cells)] = self.bit[np.asarray(values)[self.cells]]
 
-    def coloring(self, c: int) -> Coloring:
+    def values(self, c: int) -> np.ndarray:
+        """Chain c's colors in vertex order."""
         values = np.empty(len(self.cells), dtype=np.intp)
         values[self.cells] = self.color[self.x[c, :len(self.cells)]]
-        return Coloring(values.tolist(), self.q)
+        return values
+
+    def coloring(self, c: int) -> Coloring:
+        return Coloring(self.values(c).tolist(), self.q)
 
     def half_step(self, block, draws: np.ndarray) -> None:
         """Resample one parity block of every chain; draws[c, i] serves scan cell i.
@@ -332,8 +333,13 @@ def swappable_components(
     that do touch one are flooded at once from the movable cells next to
     a stuck cell, and the rest are the components of what is left.
     """
+    return _swappable(np.array(f.values), G, domain, p0, a, b)
+
+
+def _swappable(values: np.ndarray, G: LatticeGraph, domain: VertexSet,
+               p0: Pattern | None, a: int, b: int) -> list[VertexSet]:
+    """``swappable_components`` on a row of colors in vertex order."""
     free = domain - boundary_cells(G, domain) if p0 is not None else domain
-    values = np.array(f.values)
     ab = VertexSet(_pack((values == a) | (values == b)), G.n)
     movable = free & ab
     stuck = ab - movable
@@ -350,21 +356,26 @@ def cluster_step(
     assert_proper: bool = False,
 ) -> Coloring:
     """Swap two random colors on an independent half of their free components."""
-    q = f.q
+    values = np.array(f.values)
+    _cluster_move(values, f.q, G, domain, p0, rng)
+    out = Coloring(values.tolist(), f.q)
+    if assert_proper and not is_proper(out, G):
+        raise InternalInvariantError("cluster step broke properness")
+    return out
+
+
+def _cluster_move(values: np.ndarray, q: int, G: LatticeGraph, domain: VertexSet,
+                  p0: Pattern | None, rng: np.random.Generator) -> None:
+    """``cluster_step`` in place on a row of colors in vertex order."""
     pair = rng.choice(q, size=2, replace=False)
     a, b = int(pair[0]) + 1, int(pair[1]) + 1
-    comps = swappable_components(f, G, domain, p0, a, b)
+    comps = _swappable(values, G, domain, p0, a, b)
     swap = 0
     for comp, r in zip(comps, rng.random(len(comps))):
         if r < 0.5:
             swap |= comp.bits
-    values = np.array(f.values)
     flip = _unpack(VertexSet(swap, G.n))
     values[flip] = a + b - values[flip]
-    out = Coloring(values.tolist(), q)
-    if assert_proper and not is_proper(out, G):
-        raise InternalInvariantError("cluster step broke properness")
-    return out
 
 
 def run_experiment(cfg: ChainConfig, threads: int = 1) -> OrderStats:
@@ -431,7 +442,9 @@ def run_experiment(cfg: ChainConfig, threads: int = 1) -> OrderStats:
                 raise InternalInvariantError("the chain reached a stuck state")
         if s < cfg.sweeps:
             for c, rng in enumerate(rngs):
-                kernel.put(c, cluster_step(kernel.coloring(c), G, domain, p0, rng))
+                values = kernel.values(c)
+                _cluster_move(values, q, G, domain, p0, rng)
+                kernel.put(c, values)
 
     frozen = G.full_set() - domain
     for c, init in enumerate(inits):

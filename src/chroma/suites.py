@@ -4,14 +4,27 @@ Each suite draws instances from a seeded Philox stream, checks one
 geometric fact that is a theorem for valid inputs, and reports any
 failures with a witness string.  The command line runner treats a
 failing suite as an internal invariant violation.
+
+The generators work on bitmaps: a random subset takes one uniform per
+cell, in ascending id order, from a single call, which is the same
+stream as one scalar draw per cell, and a random connected set tests
+membership on raw integers.  The checks are set algebra over a set's
+per-direction edge maps (``lattice._edge_maps``): which boundary edges
+break the four-cycle exchange, which have no revealed end, whether one
+set's out-directed edges lie among another's, and the even/odd split of
+a boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, InternalInvariantError
 from .geometry import (
+    _lowest_edge,
+    _unseparated,
     four_cycle_check,
     isoperimetry_checks,
     regularity_check,
@@ -20,11 +33,14 @@ from .geometry import (
 from .lattice import (
     LatticeGraph,
     VertexSet,
+    _edge_maps,
+    _pack,
+    _sublattice_identity,
+    _unpack,
     closed_neighborhood,
     co_connected_closure,
-    directed_out_edges,
-    edge_boundaries,
     edge_set,
+    interior,
     is_connected,
     n_t,
     neighborhood,
@@ -44,42 +60,45 @@ class SuiteResult:
         return not self.failures
 
 
-def _interior_cells(G: LatticeGraph, depth: int) -> list[int]:
-    out = []
-    for v in range(G.n):
-        cs = G.coords(v)
-        if all(
-            G.periodic[a] or depth <= c < G.dims[a] - depth
-            for a, c in enumerate(cs)
-        ):
-            out.append(v)
-    return out
+def random_subset(G: LatticeGraph, rng, cells: VertexSet, p: float = 0.35) -> VertexSet:
+    """Each cell kept with probability p: one uniform per cell, in ascending
+    id order, drawn in one call."""
+    keep = _unpack(cells)
+    keep[keep] = rng.random(len(cells)) < p
+    return VertexSet(_pack(keep), G.n)
 
 
-def random_subset(G: LatticeGraph, rng, cells: list[int], p: float = 0.35) -> VertexSet:
-    bits = 0
-    for v in cells:
-        if rng.random() < p:
-            bits |= 1 << v
-    return VertexSet(bits, G.n)
+def _pick(rng, cells: VertexSet) -> int:
+    """A uniform cell of a nonempty set: one integer draw over its ids in order."""
+    ids = np.flatnonzero(_unpack(cells))
+    return int(ids[int(rng.integers(0, len(ids)))])
 
 
 def random_connected_set(G: LatticeGraph, rng, size: int, avoid: VertexSet | None = None) -> VertexSet:
-    avoid = avoid if avoid is not None else G.empty_set()
-    candidates = [v for v in range(G.n) if v not in avoid]
-    if not candidates:
+    """A random connected set of at most ``size`` cells outside ``avoid``.
+
+    A uniform seed cell, then uniform picks from the frontier list (which
+    may repeat a cell; a repeat is drawn and skipped) until the set has
+    ``size`` cells or the frontier runs out.
+    """
+    allowed = avoid.complement() if avoid is not None else G.full_set()
+    if not allowed:
         return G.empty_set()
-    seed = candidates[int(rng.integers(0, len(candidates)))]
-    grown = {seed}
-    frontier = [u for u in G.neighbors[seed] if u not in avoid]
-    while frontier and len(grown) < size:
-        i = int(rng.integers(0, len(frontier)))
-        v = frontier.pop(i)
-        if v in grown:
+    seed = _pick(rng, allowed)
+    blocked = ~allowed.bits
+    neighbors = G.neighbors
+    grown = 1 << seed
+    count = 1
+    frontier = [u for u in neighbors[seed] if not blocked >> u & 1]
+    while frontier and count < size:
+        v = frontier.pop(int(rng.integers(0, len(frontier))))
+        if grown >> v & 1:
             continue
-        grown.add(v)
-        frontier.extend(u for u in G.neighbors[v] if u not in avoid and u not in grown)
-    return G.vertex_set(grown)
+        grown |= 1 << v
+        count += 1
+        stop = blocked | grown
+        frontier += [u for u in neighbors[v] if not stop >> u & 1]
+    return VertexSet(grown, G.n)
 
 
 def random_regular_odd_set(G: LatticeGraph, rng, core_depth: int = 3, p: float = 0.35) -> VertexSet:
@@ -89,13 +108,12 @@ def random_regular_odd_set(G: LatticeGraph, rng, core_depth: int = 3, p: float =
     their neighborhood, then absorbs any even vertex fully surrounded by
     the set (required for regularity of the complement).
     """
-    cells = [v for v in _interior_cells(G, core_depth) if G.parity[v] == 0]
-    picked = [v for v in cells if rng.random() < p]
-    if not picked:
+    cells = interior(G, core_depth) & G.even
+    core = random_subset(G, rng, cells, p)
+    if not core:
         if not cells:
             raise ConfigError("box too small for a padded odd set")
-        picked = [cells[int(rng.integers(0, len(cells)))]]
-    core = G.vertex_set(picked)
+        core = VertexSet(1 << _pick(rng, cells), G.n)
     while True:
         U = closed_neighborhood(G, core)
         absorbed = G.even - core - neighborhood(G, U.complement())
@@ -106,6 +124,30 @@ def random_regular_odd_set(G: LatticeGraph, rng, core_depth: int = 3, p: float =
     if not ok:
         raise InternalInvariantError(f"odd-set generator broke regularity at {witness}")
     return U
+
+
+def _out_edges_within(G: LatticeGraph, X: VertexSet, Y: VertexSet) -> bool:
+    """Whether every out-directed boundary edge of X is one of Y, direction
+    by direction over the two sets' edge maps."""
+    return all(X.bits & x & ~(Y.bits & y) == 0
+               for x, y in zip(_edge_maps(G, X.bits), _edge_maps(G, Y.bits)))
+
+
+def _co_closure_instance(G: LatticeGraph, rng):
+    """The draws of one co-closure trial: a connected set A (None when it
+    fills the graph), an anchor outside it, a subset of the outside, a
+    random dilation of A and a connected set avoiding A."""
+    A = random_connected_set(G, rng, int(rng.integers(1, G.n // 3)))
+    outside = A.complement()
+    if not outside:
+        return None
+    anchor = _pick(rng, outside)
+    B_any = random_subset(G, rng, outside, p=0.4)
+    C = A
+    for _ in range(int(rng.integers(0, 3))):
+        C = C | random_subset(G, rng, closed_neighborhood(G, C) - C, p=0.5)
+    B_conn = random_connected_set(G, rng, int(rng.integers(1, G.n // 3)), avoid=A)
+    return A, anchor, B_any, C, B_conn
 
 
 # -- suites --------------------------------------------------------------------
@@ -138,41 +180,37 @@ def suite_revealed(trials: int, seed: int, dims=(8, 8)) -> SuiteResult:
         except InternalInvariantError as exc:
             failures.append(f"trial {t}: {exc}")
             continue
-        for (u, v) in edge_set(G, S, S.complement()):
-            if u not in rev and v not in rev:
-                failures.append(f"trial {t}: edge ({u},{v}) unseparated")
-                break
+        hidden = _unseparated(G, _edge_maps(G, S.bits), rev.bits)
+        if any(hidden):
+            u, v = _lowest_edge(G, hidden)
+            failures.append(f"trial {t}: edge ({u},{v}) unseparated")
     return SuiteResult("revealed", trials, tuple(failures))
 
 
 def suite_even_odd(trials: int, seed: int, dims=(7, 7)) -> SuiteResult:
     """Sublattice imbalance equals the boundary-split difference over 2d."""
     G = LatticeGraph(dims)
-    cells = _interior_cells(G, 1)
+    cells = interior(G, 1)
     failures = []
     rng = make_rng(seed)
     for t in range(trials):
         U = random_subset(G, rng, cells, p=float(rng.uniform(0.15, 0.7)))
-        rep = edge_boundaries(G, U)
-        if not rep.identity_defined:
+        imbalance, n_even, n_odd, defined = _sublattice_identity(G, U)
+        if not defined:
             failures.append(f"trial {t}: identity unexpectedly undefined")
-        elif not rep.identity_holds:
-            failures.append(
-                f"trial {t}: imbalance {rep.imbalance} vs splits "
-                f"{len(rep.even_part)}/{len(rep.odd_part)}"
-            )
+        elif 2 * G.d * imbalance != n_even - n_odd:
+            failures.append(f"trial {t}: imbalance {imbalance} vs splits {n_even}/{n_odd}")
     return SuiteResult("even-odd", trials, tuple(failures))
 
 
 def suite_sizes(trials: int, seed: int, dims=(6, 6)) -> SuiteResult:
     """|N_t(U)| is at most (max degree / t) |U|."""
     G = LatticeGraph(dims)
-    all_cells = list(range(G.n))
     failures = []
     rng = make_rng(seed)
     delta = G.full_degree
     for t in range(trials):
-        U = random_subset(G, rng, all_cells, p=float(rng.uniform(0.1, 0.6)))
+        U = random_subset(G, rng, G.full_set(), p=float(rng.uniform(0.1, 0.6)))
         if not U:
             continue
         thresh = int(rng.integers(1, delta + 1))
@@ -190,35 +228,26 @@ def suite_co_closure(trials: int, seed: int, dims=(6, 6)) -> SuiteResult:
     failures = []
     rng = make_rng(seed)
     for t in range(trials):
-        A = random_connected_set(G, rng, int(rng.integers(1, G.n // 3)))
-        outside = [v for v in range(G.n) if v not in A]
-        if not outside:
+        instance = _co_closure_instance(G, rng)
+        if instance is None:
             continue
-        anchor = outside[int(rng.integers(0, len(outside)))]
+        A, anchor, B_any, C, B_conn = instance
         closure = co_connected_closure(G, A, anchor)
-        if not directed_out_edges(G, closure) <= directed_out_edges(G, A):
+        if not _out_edges_within(G, closure, A):
             failures.append(f"trial {t}: closure boundary escaped the original")
         if not A.issubset(closure):
             failures.append(f"trial {t}: closure lost part of the set")
         if not is_connected(G, closure.complement()) and closure.complement():
             failures.append(f"trial {t}: closure is not co-connected")
         # (b): clipping any disjoint set by the closure shrinks its boundary
-        B_any = random_subset(G, rng, outside, p=0.4)
-        if not directed_out_edges(G, B_any - closure) <= directed_out_edges(G, B_any):
+        if not _out_edges_within(G, B_any - closure, B_any):
             failures.append(f"trial {t}: clipped-set boundary escaped")
-        # (c): clipping preserves co-connectedness; build B as the complement
-        # of a connected dilation of A so that it is co-connected and disjoint
-        C = A
-        for _ in range(int(rng.integers(0, 3))):
-            ring = (closed_neighborhood(G, C) - C).ids()
-            picked = [v for v in ring if rng.random() < 0.5]
-            C = C | G.vertex_set(picked)
-        B_co = C.complement()
-        clipped = B_co - closure
+        # (c): clipping preserves co-connectedness; B is the complement of a
+        # connected dilation of A, so it is co-connected and disjoint
+        clipped = C.complement() - closure
         if clipped and not is_connected(G, clipped.complement()):
             failures.append(f"trial {t}: clipped co-connected set lost the property")
         # (d): a connected disjoint set is absorbed or untouched
-        B_conn = random_connected_set(G, rng, int(rng.integers(1, G.n // 3)), avoid=A)
         if B_conn:
             swallowed = B_conn.issubset(closure)
             untouched = B_conn.isdisjoint(closure)
@@ -236,9 +265,7 @@ def suite_boundary_connected(trials: int, seed: int, dims=(6, 6, 6)) -> SuiteRes
         A = random_connected_set(G, rng, int(rng.integers(2, max(3, G.n // 2))))
         if not A or A == G.full_set():
             continue
-        outside = [v for v in range(G.n) if v not in A]
-        anchor = outside[int(rng.integers(0, len(outside)))]
-        A = co_connected_closure(G, A, anchor)
+        A = co_connected_closure(G, A, _pick(rng, A.complement()))
         if A == G.full_set():
             continue
         _, _, both = vertex_boundaries(G, A)

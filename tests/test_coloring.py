@@ -281,6 +281,43 @@ def test_repair_class1_shift_roundtrip():
                 assert f_back.values[v] == f.values[v]
 
 
+def test_repair_plan_memo_matches_fresh_graph():
+    # the plan is kept on the graph: every call on a reused graph equals the
+    # same call on a freshly built one, and a bad geometry raises each time
+    from chroma.rng import make_rng
+
+    q = 5
+    p0 = Pattern.make(q, [1, 2], [3, 4, 5])
+    p1 = Pattern.make(q, [3, 4, 5], [1, 2])
+    p2 = Pattern.make(q, [1, 3], [2, 4, 5])
+    G = build_graph([6, 6])
+    S = G.vertex_set([G.vid((i, j)) for i in (2, 3) for j in range(6)])
+    top = G.vertex_set([G.vid((i, j)) for i in (0, 1) for j in range(6)])
+    bot = G.vertex_set([G.vid((i, j)) for i in (4, 5) for j in range(6)])
+    rng = make_rng(4)
+    for parts, shift in (({p1: top, p2: bot}, -1), ({p2: top, p1: bot}, 1)) * 2:
+        fresh = build_graph([6, 6])
+        plan = plan_repair(G, S, parts, 0, shift)
+        assert plan == plan_repair(fresh, S, parts, 0, shift)
+        f = Coloring([HOLE] * G.n, q)
+        for P, region in plan.regions0 + plan.regions1:
+            for v in region:
+                side = P.a if G.parity[v] == 0 else P.b
+                f.values[v] = side[int(rng.integers(0, len(side)))]
+        h = {v: (p0.a if G.parity[v] == 0 else p0.b)[0] for v in plan.s_star}
+        g = repair_transform(f, S, parts, h, G, p0, 0, shift)
+        assert g == repair_transform(f, S, parts, h, fresh, p0, 0, shift)
+        assert repair_inverse(g, S, parts, G, p0, 0, shift) == repair_inverse(
+            g, S, parts, fresh, p0, 0, shift)
+    for _ in range(3):
+        with pytest.raises(PreconditionError):
+            plan_repair(G, S, {p1: top, p2: bot}, shift_axis=0, shift_dir=1)
+        with pytest.raises(PreconditionError):
+            repair_inverse(g, S, {p1: top, p2: bot}, G, p0, 0, 1)
+        with pytest.raises(PreconditionError):
+            plan_repair(G, S, {p1: top}, 0, -1)
+
+
 def test_coloring_file_roundtrip_bit_exact():
     G = build_graph([3, 4], [False, True])
     f = striped_pattern_coloring(G, Pattern.make(4, [1, 2], [3, 4]))

@@ -9,6 +9,7 @@ from chroma.geometry import (
     OddSetCollection,
     _at_least,
     _boundary_maps,
+    _four_cycle_failures,
     four_cycle_check,
     greedy_cover,
     is_parity_set,
@@ -20,6 +21,7 @@ from chroma.geometry import (
     weak_approximation,
 )
 from chroma.lattice import (
+    VertexSet,
     build_graph,
     closed_neighborhood,
     edge_set,
@@ -103,6 +105,81 @@ def test_four_cycle_plus_and_mirrored():
     assert four_cycle_check(G, plus.complement(), "even")
     with pytest.raises(PreconditionError):
         four_cycle_check(G, plus, "even")
+
+
+def _oracle_step(dims, periodic, v, axis, delta):
+    cs = list(oracles.coords_of(dims, v))
+    c = cs[axis] + delta
+    if periodic[axis]:
+        c %= dims[axis]
+    elif not 0 <= c < dims[axis]:
+        return None
+    cs[axis] = c
+    return oracles.vid_of(dims, cs)
+
+
+def _oracle_four_cycle_failures(dims, periodic, members):
+    # the per-edge loop: every boundary edge, every axis direction, by
+    # coordinate arithmetic; then the 2d clause at full-degree endpoints
+    nbrs = [oracles.neighbors_of(dims, periodic, v) for v in range(_volume(dims))]
+
+    def crossing(a, b):
+        return a is not None and b is not None and (a in members) != (b in members)
+
+    exchange, sight = set(), set()
+    for u, v in oracles.all_edges(dims, periodic):
+        if not crossing(u, v):
+            continue
+        for axis in range(len(dims)):
+            for delta in (-1, 1):
+                ue = _oracle_step(dims, periodic, u, axis, delta)
+                ve = _oracle_step(dims, periodic, v, axis, delta)
+                if (ue is not None or ve is not None) and not (
+                        crossing(u, ue) or crossing(v, ve)):
+                    exchange.add((u, v))
+        full = 2 * len(dims)
+        seen = sum(crossing(w, x) for w in (u, v) for x in nbrs[w])
+        if len(nbrs[u]) == full and len(nbrs[v]) == full and seen < full:
+            sight.add((u, v))
+    return [exchange, sight]
+
+
+def _volume(dims):
+    n = 1
+    for x in dims:
+        n *= x
+    return n
+
+
+def _failing_edges(G, maps):
+    return {tuple(sorted((u, int(G.neighbor_table[a, u]))))
+            for a, m in enumerate(maps) for u in VertexSet(m, G.n)}
+
+
+@pytest.mark.parametrize("dims,periodic", SHIFT_GRAPHS + [((2, 2, 4), (True, True, False))])
+def test_four_cycle_failures_match_per_edge_loop(dims, periodic):
+    # random sets, most of them not parity sets, fail both clauses somewhere;
+    # the helper's maps must name exactly the edges the per-edge loop names
+    G = build_graph(dims, periodic)
+    failing = 0
+    for members in oracle_samples(G.n, 53):
+        got = [_failing_edges(G, maps) for maps in _four_cycle_failures(G, G.vertex_set(members).bits)]
+        want = _oracle_four_cycle_failures(dims, periodic, members)
+        assert got == want
+        failing += len(want[0]) + len(want[1])
+    assert failing or 1 in dims   # on the 1x7 path no edge can fail
+
+
+def test_four_cycle_check_names_lowest_failing_edge(monkeypatch):
+    # a non-parity set passed off as one: the message names the lowest edge
+    # the per-edge loop finds failing
+    G = build_graph([6, 6])
+    members = {G.vid((2, 2)), G.vid((2, 3)), G.vid((3, 2))}
+    monkeypatch.setattr(geometry, "is_parity_set", lambda *args: True)
+    want = min(min(edges) for edges in _oracle_four_cycle_failures(G.dims, G.periodic, members)
+               if edges)
+    with pytest.raises(InternalInvariantError, match=rf"\({want[0]},{want[1]}\)"):
+        four_cycle_check(G, G.vertex_set(members), "odd")
 
 
 def test_greedy_cover_contract():

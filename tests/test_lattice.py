@@ -1,7 +1,9 @@
 import pytest
 
-from chroma.errors import ConfigError
+from chroma.errors import ConfigError, PreconditionError
 from chroma.lattice import (
+    _edge_maps,
+    _sublattice_identity,
     LatticeGraph,
     VertexSet,
     build_graph,
@@ -13,11 +15,13 @@ from chroma.lattice import (
     edge_boundaries,
     edge_set,
     expand,
+    interior,
     n_t,
     neighborhood,
     vertex_boundaries,
 )
 from chroma.rng import make_rng
+from chroma.suites import _out_edges_within
 
 import oracles
 
@@ -220,6 +224,39 @@ def test_n_t_and_expand_match_oracles(dims, periodic):
         for r in range(4):
             assert set(expand(G, U, r).ids()) == ball
             ball = ball.union(*(nbrs[v] for v in ball))
+
+
+@pytest.mark.parametrize("dims,periodic", SHIFT_GRAPHS)
+def test_interior_matches_depth_loop(dims, periodic):
+    # the cells at depth <= c < length - depth along every non-periodic axis
+    G = build_graph(dims, periodic)
+    for depth in range(4):
+        want = {v for v in range(G.n)
+                if all(per or depth <= c < length - depth for c, length, per
+                       in zip(oracles.coords_of(dims, v), dims, periodic))}
+        assert set(interior(G, depth).ids()) == want
+    with pytest.raises(PreconditionError):
+        interior(G, -1)
+
+
+@pytest.mark.parametrize("dims,periodic", SHIFT_GRAPHS)
+def test_edge_maps_match_directed_edges(dims, periodic):
+    # U & entry j over all j lists U's out-directed edges, one per edge;
+    # subset tests and the sublattice counts agree with the edge tuples
+    G = build_graph(dims, periodic)
+    samples = [G.vertex_set(m) for m in oracle_samples(G.n, 61)]
+    for k, U in enumerate(samples):
+        maps = _edge_maps(G, U.bits)
+        directed = [(u, int(G.neighbor_table[j, u]))
+                    for j, m in enumerate(maps) for u in VertexSet(U.bits & m, G.n)]
+        assert sorted(directed) == sorted(directed_out_edges(G, U))
+        rep = edge_boundaries(G, U)
+        imbalance, n_even, n_odd, defined = _sublattice_identity(G, U)
+        assert (imbalance, n_even, n_odd, defined) == (
+            rep.imbalance, len(rep.even_part), len(rep.odd_part), rep.identity_defined)
+        for V in (samples[k - 1], U - samples[k - 1], U | samples[k - 1]):
+            assert _out_edges_within(G, U, V) == (
+                directed_out_edges(G, U) <= directed_out_edges(G, V))
 
 
 @pytest.mark.parametrize("dims,periodic", SHIFT_GRAPHS)

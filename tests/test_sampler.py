@@ -615,13 +615,13 @@ def test_cluster_move_every_cluster_every_sweeps(monkeypatch):
     # after sweeps 16, 32, ..., 384 of 400: 24 moves per chain, whatever
     # sweep the split-half cut falls on
     calls = []
-    real = sampler.cluster_step
+    real = sampler._cluster_move
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(sampler, "cluster_step", counting)
+    monkeypatch.setattr(sampler, "_cluster_move", counting)
     for chains in (1, 2):
         calls.clear()
         run_experiment(ChainConfig(dims=(4, 4), q=3, pattern=P03, seed=99, sweeps=400,
