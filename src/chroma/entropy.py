@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .coloring import Coloring, HOLE
-from .errors import PreconditionError
+from .errors import PreconditionError, ResourceLimitError
 from .lattice import LatticeGraph, VertexSet, closed_neighborhood, vertex_boundaries
 from .patterns import Pattern, enumerate_dominant
 
@@ -300,10 +300,19 @@ def u_p_sets(
 
 
 def enumerate_type_functions(
-    J: Iterable[int], z: int, d: int, q: int
+    J: Iterable[int], z: int, d: int, q: int, state_budget: int = 500_000
 ) -> list[tuple[int, ...]]:
-    """All neighbor assignments [2d] -> colors with image exactly J and flag z."""
+    """All neighbor assignments [2d] -> colors with image exactly J and flag z.
+
+    The |J|^{2d} candidates are walked one by one; more than
+    ``state_budget`` of them raise ResourceLimitError before the walk starts.
+    """
     J = tuple(sorted(set(J)))
+    if len(J) ** (2 * d) > state_budget:
+        raise ResourceLimitError(
+            f"{len(J)}^{2 * d} neighbor assignments exceed the budget of "
+            f"{state_budget}"
+        )
     out = []
     for psi in itertools.product(J, repeat=2 * d):
         t = _type_of_values(psi, d, q)

@@ -9,7 +9,8 @@ Two independent engines are provided on purpose: a component-caching
 search (branch on one cell, split what is left into connected components,
 multiply their counts and cache each component under its cells and masks),
 and a cell-by-cell transfer dynamic program over broken-layer profiles,
-which adds one cell at a time at O(S * q) for S live profile states.  The
+which adds one cell at a time at O(S * q) for S live profile states, each
+kept once up to a relabelling of interchangeable colors.  The
 two share no code and must agree to the last digit wherever both run, and
 the test suite holds them to that.
 """
@@ -297,49 +298,144 @@ def _transfer(
     each color of masks[v] that no slot occupied by a neighbor holds and
     writes it into v's slot, at O(S * q) for S profiles.
 
-    A profile is one int, q.bit_length() bits per slot (0 while a slot is
-    unfilled), mapped to its number of partial colorings.  More than
-    ``state_budget`` live profiles raise ResourceLimitError while the next
-    map is being built.
+    Profiles are kept up to the color permutations that cannot change the
+    number of completions.  Two colors are interchangeable at a cell when
+    every mask of a cell still to be added holds both or neither; any
+    permutation mapping each such class to itself preserves those masks,
+    so profiles it relates have equally many completions (the symmetry
+    that Salas and Sokal, J. Stat. Phys. 1997, use for the q-coloring
+    model).  The classes only merge as cells are added: free boxes keep
+    one class of all q colors, a pattern boundary keeps its two sides
+    apart until its last boundary cell, and pins split off smaller ones.
+    Colors are ordered once so that every class at every cell is a run of
+    consecutive positions, and a profile is one int of q planes of one bit
+    per slot, plane g holding the slots of the g-th color in that order.
+
+    The canonical key relabels each class by first occurrence, reading
+    the slots from the one just written backwards (i, i - 1, ..., 0,
+    then the last slot down to i + 1).  The next cell writes the last
+    slot of that reading, so clearing it keeps a key canonical, and the
+    new color is then the first occurrence of its class: it takes the
+    class's first plane and the planes before its own move up by one,
+    a few shifts per successor with no lookup.  Where every class is a
+    single color the successor is the raw one.  When the classes merge,
+    every profile is relabelled once and counts that land on one key are
+    added.
+
+    ``state_budget`` counts canonical profiles: more than that many live
+    at once raise ResourceLimitError while the next map is being built.
+    No table is keyed by profiles, so nothing else can outgrow it: each
+    cell builds its successor moves once per set of neighbor colors met,
+    never more sets than live profiles, and the classes change at most
+    q - 1 times.
     """
     axes = [a for a in range(G.d) if not G.periodic[a]]
     axis = max(axes, key=lambda a: G.dims[a])
     layers: list[list[int]] = [[] for _ in range(G.dims[axis])]
     for v in range(G.n):
         layers[G.coords(v)[axis]].append(v)
-    bits = q.bit_length()
-    field = (1 << bits) - 1
-    occupant = [-1] * len(layers[0])
+    order = [v for layer in layers for v in layer]
+    s = len(layers[0])
+    full = (1 << s) - 1
+    # bit k of a color's signature: cell order[k] allows it.  Sorted with
+    # the last cell most significant, colors sharing a suffix are adjacent,
+    # and colors g - 1 and g become interchangeable after cut[g] cells.
+    sig = [sum((masks[v] >> c & 1) << k for k, v in enumerate(order)) for c in range(q)]
+    colors = sorted(range(q), key=sig.__getitem__)
+    sig.sort()
+    cut = [0] + [(sig[g - 1] ^ sig[g]).bit_length() for g in range(1, q)]
+    spread: dict[int, int] = {}
+    heads = sum(1 << g * s for g in range(q))  # bit 0 of every plane
+
+    def classes_after(k: int) -> list[tuple[int, int]]:
+        """Runs [a, b) of interchangeable colors once k cells are added."""
+        bounds = [g for g in range(1, q) if cut[g] > k]
+        return list(zip([0] + bounds, bounds + [q]))
+
+    occupant = [-1] * s
     counts = {0: 1}
+    classes = classes_after(0)
+    merges = set(cut) - {0, G.n}  # no relabelling once every cell is in
+    k = 0
     for layer in layers:
         for i, v in enumerate(layer):
-            shifts = [j * bits for j, u in enumerate(occupant) if u in G.neighbors[v]]
+            nbrs = [j for j, u in enumerate(occupant) if u in G.neighbors[v]]
             occupant[i] = v
-            keep = ~(field << i * bits)
-            mask = masks[v]
-            options: dict[int, list[int]] = {}
+            keep = ~(heads << i)
+            mask = spread.get(masks[v])
+            if mask is None:
+                mask = spread[masks[v]] = sum(
+                    1 << g * s for g, c in enumerate(colors) if masks[v] >> c & 1
+                )
+            options: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
             nxt: dict[int, int] = {}
             get = nxt.get
             for profile, n in counts.items():
-                used = 0  # bit c set when a neighbor holds color c
-                for s in shifts:
-                    used |= 1 << (profile >> s & field)
-                avail = mask & ~(used >> 1)
-                opts = options.get(avail)
+                used = 0  # bit g * s set when a neighbor holds color g
+                for j in nbrs:
+                    used |= profile >> j
+                used &= heads
+                opts = options.get(used)
                 if opts is None:
-                    opts = options[avail] = [
-                        c + 1 << i * bits for c in range(q) if avail >> c & 1
-                    ]
+                    avail = mask & ~used
+                    plain, turned = [], []
+                    for a, b in classes:
+                        for g in range(a, b):
+                            if not avail >> g * s & 1:
+                                continue
+                            if g == a:
+                                plain.append(1 << g * s + i)
+                            else:
+                                below = (1 << (g - a) * s) - 1 << a * s
+                                turned.append((
+                                    ~(below | full << g * s), below,
+                                    g * s, a * s, 1 << a * s + i,
+                                ))
+                    opts = options[used] = (plain, turned)
                 base = profile & keep
-                for o in opts:
+                for o in opts[0]:
                     key = base | o
                     nxt[key] = get(key, 0) + n
-                    if len(nxt) > state_budget:
-                        raise ResourceLimitError(
-                            f"transfer profiles exceed the budget of {state_budget} states"
-                        )
+                for rest, below, at, head, o in opts[1]:
+                    key = base & rest | (base & below) << s | (base >> at & full) << head | o
+                    nxt[key] = get(key, 0) + n
+                if len(nxt) > state_budget:
+                    raise ResourceLimitError(
+                        f"transfer profiles exceed the budget of {state_budget} states"
+                    )
+            k += 1
+            if k in merges:
+                classes = classes_after(k)
+                nxt = _relabel(nxt, classes, s, q, i)
             counts = nxt
     return sum(counts.values())
+
+
+def _relabel(
+    counts: dict[int, int], classes: list[tuple[int, int]], s: int, q: int, i: int
+) -> dict[int, int]:
+    """Canonical keys of ``_transfer``'s profiles after their classes merge.
+
+    Within each run [a, b) the planes go in order of first occurrence,
+    reading slots i, i - 1, ..., 0, s - 1, ..., i + 1; empty planes last.
+    """
+    full = (1 << s) - 1
+    first = (2 << i) - 1
+
+    def rank(plane: int) -> int:
+        if plane & first:
+            return i - (plane & first).bit_length() + 1
+        return i + s - plane.bit_length() + 1 if plane else 2 * s
+
+    out: dict[int, int] = {}
+    for profile, n in counts.items():
+        planes = [profile >> g * s & full for g in range(q)]
+        key = 0
+        for a, b in classes:
+            for t, plane in enumerate(sorted(planes[a:b], key=rank)):
+                key |= plane << (a + t) * s
+        out[key] = out.get(key, 0) + n
+    return out
 
 
 def _count_masked(
@@ -383,8 +479,9 @@ def transfer_count(
 ) -> CountResult:
     """Exact whole-box count by the cell-by-cell transfer engine, ``_transfer``.
 
-    state_budget caps the profile states live at once; passing it raises
-    ResourceLimitError.
+    state_budget caps the canonical profiles live at once (profiles equal
+    up to a relabelling of interchangeable colors count once); passing it
+    raises ResourceLimitError.
     """
     constraint = constraint or Constraint.free()
     masks, feasible = allowed_masks(G, G.full_set(), q, constraint)
@@ -403,16 +500,16 @@ def count_colorings(
 
     method 'auto' uses the cell-by-cell transfer engine when the domain is
     the whole box, a non-periodic axis exists and the box has more than 16
-    cells, otherwise the component-caching counter.  On small whole boxes
-    the two engines now run neck and neck (free q=3, process time, best
-    of three runs on a 2-core machine, transfer against counter: 8x12
-    0.029 s against 0.028 s, 10x12 0.15 s against 0.15 s, 3x3x3 0.005 s
-    against 0.003 s, 7x7 0.007 s against 0.006 s), and the transfer
-    engine pulls ahead as the boxes grow (12x12: 0.86 s against 1.09 s).
-    Its cost is set by the cross-section, the counter's by a cache that
-    the budget caps, so whole boxes keep going to the transfer engine.
-    state_budget caps the transfer engine's live profile states and the
-    counter's cache entries; passing it raises ResourceLimitError.
+    cells, otherwise the component-caching counter.  With its profiles
+    keyed up to color relabelling the transfer engine is ahead on every
+    whole box tried (free q=3, process time, best of three runs on a
+    2-core machine, transfer against counter: 7x7 0.003 s against 0.009 s,
+    3x3x3 0.0025 s against 0.004 s, 8x12 0.010 s against 0.041 s, 10x12
+    0.048 s against 0.21 s, 12x12 0.29 s against 1.15 s).  Its cost is
+    set by the cross-section, the counter's by a cache that the budget
+    caps.  state_budget caps the transfer engine's live canonical
+    profiles and the counter's cache entries; passing it raises
+    ResourceLimitError.
     """
     constraint = constraint or Constraint.free()
     if method not in ("auto", "backtracking", "transfer"):

@@ -37,10 +37,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 import numpy as np
 
 from .coloring import Coloring, is_proper, pure_pattern_sample
-from .errors import ConfigError, InternalInvariantError, PreconditionError
+from .errors import (
+    ConfigError,
+    InternalInvariantError,
+    PreconditionError,
+    ResourceLimitError,
+)
 from .exact import Constraint, allowed_masks, enumerate_colorings
 from .lattice import (
     LatticeGraph,
@@ -489,6 +495,7 @@ def single_site_transition_matrix(
     domain: VertexSet,
     q: int,
     constraint: Constraint | None = None,
+    state_budget: int = 500,
 ) -> tuple[list[tuple[int, ...]], list[list[Fraction]]]:
     """Random-site heat-bath kernel as an exact stochastic matrix.
 
@@ -496,7 +503,8 @@ def single_site_transition_matrix(
     ascending order); the kernel picks a uniform site and resamples it
     uniformly over the locally admissible colors.  The matrix is doubly
     checkable: rows sum to one and detailed balance for the uniform
-    measure amounts to exact symmetry.
+    measure amounts to exact symmetry.  More than ``state_budget`` states
+    raise ResourceLimitError before the dense m x m matrix is built.
     """
     constraint = constraint or Constraint.free()
     masks, feasible = allowed_masks(G, domain, q, constraint)
@@ -505,8 +513,12 @@ def single_site_transition_matrix(
     order = sorted(domain.ids())
     states = sorted(
         tuple(assign[v] for v in order)
-        for assign in enumerate_colorings(G, domain, masks)
+        for assign in islice(enumerate_colorings(G, domain, masks), state_budget + 1)
     )
+    if len(states) > state_budget:
+        raise ResourceLimitError(
+            f"the transition matrix exceeds the budget of {state_budget} states"
+        )
     index = {s: i for i, s in enumerate(states)}
     pos = {v: i for i, v in enumerate(order)}
     m = len(states)

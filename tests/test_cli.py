@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import json
 import subprocess
 import sys
@@ -282,3 +284,45 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == "18"
+
+
+# sha256 of the stdout of each command, recorded when every transfer
+# profile was keyed by its raw colors; the color-relabelled profiles must
+# reproduce every byte (the exact count and marginals, and the provenance)
+PATTERN_334 = ["--dims", "3,3,4", "--q", "3", "--constraint", "pattern",
+               "--pattern", "A=1;B=2,3"]
+PATTERN_443 = ["--dims", "4,4,3", "--q", "4", "--constraint", "pattern",
+               "--pattern", "A=1,2;B=3,4"]
+
+
+@pytest.mark.parametrize("args, digest", [
+    (["exact-count", "--dims", "7,7", "--q", "3"],
+     "fcec7170bb603cf6660d28855504886fbc0bf4c3f6b6090d38f8a2d6913026b9"),
+    (["marginal", "--dims", "7,7", "--q", "3"],
+     "7d50b44b992244dd7e1c0afbc1ba18db9a416b60e83cd01a03bb8b3cff719472"),
+    (["exact-count", *PATTERN_334],
+     "e0c73c477140ef71228af913fb2a556d62d78bea6a8d92103e9a03456dae9eec"),
+    (["marginal", *PATTERN_334],
+     "44006397ff7fad38fd700b599cd1ebd10de9623db3ae229c4dabae37a1fda9b0"),
+    (["marginal", *PATTERN_334, "--vertex", "0"],
+     "f5e5c5e8e8f84c80c74d659c0e8c3158d9cf1af9e0d9c352de227cdf6c8167bc"),
+    (["exact-count", *PATTERN_443],
+     "d98e6249fb42faf0f989d7dc5736b7dc21bc1224669c759138218112f1ccfe5d"),
+    (["marginal", *PATTERN_443],
+     "3e7d57aaa4f043d8d4682d12551b6f8cf950e005e8006b940602a7a4ed7f975b"),
+])
+def test_transfer_artifacts_pinned(args, digest):
+    code, out = run_cli(args)
+    assert code == 0
+    assert json.loads(out).get("method", "transfer") == "transfer"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+def test_transfer_budget_exit_two(monkeypatch):
+    from chroma import cli
+    from chroma.exact import count_colorings
+
+    monkeypatch.setattr(cli, "count_colorings",
+                        functools.partial(count_colorings, state_budget=10))
+    code, _ = run_cli(["exact-count", *PATTERN_334])
+    assert code == 2

@@ -18,7 +18,7 @@ from chroma.entropy import (
     u_p_sets,
     z_bound_check,
 )
-from chroma.errors import PreconditionError
+from chroma.errors import PreconditionError, ResourceLimitError
 from chroma.exact import Constraint, allowed_masks, enumerate_colorings
 from chroma.lattice import build_graph, closed_neighborhood, vertex_boundaries
 from chroma.patterns import Pattern
@@ -328,6 +328,13 @@ def test_z_bound_saturation_and_cases():
         z_bound_check(psis, [1], d, q)  # I meets J
     with pytest.raises(PreconditionError):
         z_bound_check([], [2], d, q)
+
+
+def test_type_functions_state_budget():
+    # |J|^{2d} = 2^6 = 64 candidates: a budget of 63 refuses, 64 walks them
+    assert enumerate_type_functions([1, 2], 0, 3, 3, state_budget=64)
+    with pytest.raises(ResourceLimitError):
+        enumerate_type_functions([1, 2], 0, 3, 3, state_budget=63)
 
 
 def test_z_bound_exhaustive_small():

@@ -146,6 +146,45 @@ def test_transfer_wide_strips():
         transfer_count(W, 3, state_budget=1000)
 
 
+def test_transfer_relabelled_profiles_fit_small_budget():
+    # free q = 4: S_4 relabelling leaves at most 55 live profiles where the
+    # raw colors need 1296, so a budget of 100 counts the box
+    G = build_graph([8, 6])
+    t = transfer_count(G, 4, state_budget=100)
+    b = count_colorings(G, G.full_set(), 4, method="backtracking")
+    assert t.count == b.count == 16505599723151312196
+    with pytest.raises(ResourceLimitError):
+        transfer_count(G, 4, state_budget=54)
+    # a pin keeps color 1 apart until its neighbors are in; the profiles
+    # are then relabelled under S_4 (122 live at most, 218 without that)
+    pin = Constraint.pinned({0: 1})
+    t = transfer_count(G, 4, pin, state_budget=150)
+    b = count_colorings(G, G.full_set(), 4, pin, method="backtracking")
+    assert t.count == b.count
+
+
+def test_transfer_color_classes_match_counter():
+    # Sym(A) x Sym(B) under a pattern boundary, contiguous or not in the
+    # color order, and pins whose classes merge part way through the box
+    q4 = Pattern.make(4, [1, 2], [3, 4])
+    cases = [
+        ((4, 4, 3), (False,) * 3, 4, Constraint.pattern_boundary(q4)),
+        ((3, 4, 3), (False,) * 3, 4,
+         Constraint.pattern_boundary(Pattern.make(4, [1, 3], [2, 4]))),
+        ((5, 6), (False, False), 5,
+         Constraint.pattern_boundary(Pattern.make(5, [2, 4], [1, 3, 5]))),
+        ((4, 6), (True, False), 4, Constraint.pattern_boundary(q4)),
+        ((7, 7), (False, False), 3, Constraint.pinned({24: 2})),
+        ((6, 5), (False, False), 5, Constraint.pinned({3: 2, 17: 5, 20: 2})),
+        ((4, 6), (True, False), 4, Constraint.pinned({9: 4, 10: 1})),
+    ]
+    for dims, periodic, q, c in cases:
+        G = build_graph(dims, periodic)
+        t = transfer_count(G, q, c)
+        b = count_colorings(G, G.full_set(), q, c, method="backtracking")
+        assert t.count == b.count > 0, (dims, q, c)
+
+
 def test_backtracking_cache_budget():
     G = build_graph([3, 3, 4])
     with pytest.raises(ResourceLimitError):

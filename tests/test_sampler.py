@@ -13,7 +13,12 @@ from chroma.coloring import (
     pure_pattern_sample,
     striped_pattern_coloring,
 )
-from chroma.errors import ConfigError, InternalInvariantError, PreconditionError
+from chroma.errors import (
+    ConfigError,
+    InternalInvariantError,
+    PreconditionError,
+    ResourceLimitError,
+)
 from chroma.exact import Constraint, allowed_masks, enumerate_colorings
 from chroma.lattice import build_graph
 from chroma.patterns import Pattern, vertex_in_pattern
@@ -112,6 +117,17 @@ def test_detailed_balance_exact_2x2():
         assert sum(P[i]) == 1
         for j in range(n):
             assert P[i][j] == P[j][i]  # uniform detailed balance, exactly
+
+
+def test_transition_matrix_state_budget():
+    # free q = 3 on 2 x 5 has 486 states; the budget refuses before the
+    # 486 x 486 matrix exists, and a budget that fits builds it
+    G = build_graph([2, 5])
+    with pytest.raises(ResourceLimitError):
+        single_site_transition_matrix(G, G.full_set(), 3, state_budget=485)
+    H = build_graph([2, 2])
+    states, P = single_site_transition_matrix(H, H.full_set(), 3, state_budget=18)
+    assert len(states) == len(P) == 18
 
 
 def test_chain_connectivity_on_acceptance_instance():
