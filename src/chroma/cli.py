@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from typing import Any, Mapping
 
@@ -37,7 +36,7 @@ from .geometry import (
     separating_set,
     weak_approximation,
 )
-from .lattice import LatticeGraph, closed_neighborhood
+from .lattice import LatticeGraph, boundary_edge_count, closed_neighborhood
 from .patterns import Pattern
 from .sampler import ChainConfig, run_experiment
 from .suites import random_regular_odd_set, run_suite
@@ -242,7 +241,7 @@ def _cmd_sample(args) -> int:
         chains=cfg.get("chains", 1),
         margin=cfg.get("margin", 0),
     )
-    stats = run_experiment(chain, threads=args.threads)
+    stats = run_experiment(chain)
     out = args.out or "stats.csv"
     header = ["vertex_id", "violation_rate"] + [f"c{i}" for i in range(1, chain.q + 1)]
     _emit_csv(header, stats.csv_rows(), cfg, out)
@@ -298,7 +297,7 @@ def _cmd_approx(args) -> int:
         verified = 0
         for U in family:
             coll = OddSetCollection(G, [U], "odd")
-            if not coll.boundary_edges():
+            if not boundary_edge_count(G, coll.sets):
                 verified += 1
                 continue
             sep = separating_set(coll)
@@ -363,13 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--out", help="output file path")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=os.environ.get("CHROMA_THREADS", "1"),
-            help="accepted and ignored; a run's chains advance together as one "
-            "batch in a single thread (env CHROMA_THREADS)",
-        )
         for key, want in schema.items():
             flag = "--" + key.replace("_", "-")
             if want is bool:

@@ -30,11 +30,11 @@ from .geometry import regularity_check
 from .lattice import (
     LatticeGraph,
     VertexSet,
+    boundary_edge_count,
     closed_neighborhood,
     connected_components,
     disconnects_from_rim,
     diam_star,
-    edge_set,
     expand,
     neighborhood,
     vertex_boundaries,
@@ -205,10 +205,7 @@ def classify_atlas(X: Atlas) -> BreakupClass:
     reported rather than enforced.
     """
     G = X.graph
-    edges: set[tuple[int, int]] = set()
-    for U in X.x_p.values():
-        edges |= edge_set(G, U, U.complement())
-    L = len(edges)
+    L = boundary_edge_count(G, X.x_p.values())
     overlap, bad, star = _derived_sets(G, X.x_p)
     trivial = not star
     min_ok = trivial or L >= G.d * G.d

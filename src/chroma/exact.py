@@ -32,8 +32,8 @@ from .lattice import (
     LatticeGraph,
     VertexSet,
     boundary_cells,
+    boundary_edge_count,
     closed_neighborhood,
-    edge_set,
     vertex_boundaries,
 )
 from .patterns import Pattern
@@ -257,7 +257,13 @@ def _count_backtrack(
 def enumerate_colorings(
     G: LatticeGraph, domain: VertexSet, masks: list[int]
 ) -> Iterator[dict[int, int]]:
-    """Yield every proper assignment of the domain respecting the masks."""
+    """Yield every proper assignment of the domain respecting the masks.
+
+    The generator has no budget of its own: a caller takes only what it
+    can hold.  ``sampler.single_site_transition_matrix`` reads at most
+    ``state_budget + 1`` assignments through ``islice``; every other
+    caller is a test on a small domain.
+    """
     order = list(domain)
     values: dict[int, int] = {}
 
@@ -648,8 +654,7 @@ def toy_ratio(
         a0, a = set(p0.a), set(p.a)
         expected_eq = bool(U) and len(a0 ^ a) == 2
     else:
-        boundary_edges = edge_set(G, U, U.complement())
-        exponent = Fraction(len(boundary_edges), 2 * G.d)
+        exponent = Fraction(boundary_edge_count(G, [U]), 2 * G.d)
         base = Fraction(q - 1, q + 1)
         internal, _, _ = vertex_boundaries(G, U)
         u_is_odd = internal.issubset(G.odd)

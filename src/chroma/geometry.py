@@ -13,9 +13,10 @@ coarse-graining enumeration would store instead of the regions
 themselves.
 
 Every boundary test here is set algebra over per-direction edge maps
-(``lattice._edge_maps``): boundary-edge counts are threshold ladders over
-them, the four-cycle check and the separation tests shift them onto the
-far end of each edge, and a failure names the lowest failing edge.
+(``lattice._edge_maps`` and ``lattice._boundary_maps``): boundary-edge
+counts are popcounts and threshold ladders over them, the four-cycle
+check and the separation tests shift them onto the far end of each
+edge, and a failure names the lowest failing edge.
 """
 
 from __future__ import annotations
@@ -28,14 +29,16 @@ from .errors import InternalInvariantError, PreconditionError, ResourceLimitErro
 from .lattice import (
     LatticeGraph,
     VertexSet,
+    _boundary_maps,
+    _edge_count,
     _edge_maps,
     _full_degree,
     _images,
     _ladder,
+    boundary_edge_count,
     closed_neighborhood,
     connected_components,
     diameter,
-    edge_set,
     expand,
     neighborhood,
     n_t,
@@ -106,33 +109,11 @@ class OddSetCollection:
     def __iter__(self):
         return iter(self.sets)
 
-    def boundary_edges(self) -> frozenset[tuple[int, int]]:
-        out: set[tuple[int, int]] = set()
-        for S in self.sets:
-            out |= edge_set(self.graph, S, S.complement())
-        return frozenset(out)
-
     def complements(self) -> "OddSetCollection":
         other = "even" if self.parity == "odd" else "odd"
         return OddSetCollection(
             self.graph, [S.complement() for S in self.sets], other
         )
-
-
-def _boundary_maps(G: LatticeGraph, sets: Sequence[VertexSet]) -> list[int]:
-    """Entry j: the cells w whose edge one step along direction j is a
-    boundary edge of some set.  Both ends of an edge are flagged, and the
-    number of entries holding w counts its boundary edges."""
-    out = [0] * G.full_degree
-    for S in sets:
-        for j, m in enumerate(_edge_maps(G, S.bits)):
-            out[j] |= m
-    return out
-
-
-def _edge_count(maps: list[int]) -> int:
-    """Edges in edge maps that flag both ends of each edge."""
-    return sum(m.bit_count() for m in maps) // 2
 
 
 def _unseparated(G: LatticeGraph, maps: list[int], sep: int) -> list[int]:
@@ -560,7 +541,7 @@ def isoperimetry_checks(G: LatticeGraph, U: VertexSet) -> IsoperimetryReport:
     d = G.d
     has_even = not U.isdisjoint(G.even)
     if has_even:
-        lhs = _edge_count(_edge_maps(G, U.bits))
+        lhs = boundary_edge_count(G, [U])
         rhs = 2 * d * (2 * d - 1)
         small = (True, lhs, rhs, lhs >= rhs)
     else:
@@ -568,7 +549,7 @@ def isoperimetry_checks(G: LatticeGraph, U: VertexSet) -> IsoperimetryReport:
     per_comp = []
     for comp in connected_components(G, U, power=2):
         iso_plus = closed_neighborhood(G, comp - neighborhood(G, comp))
-        lhs = _edge_count(_edge_maps(G, comp.bits)) + _edge_count(_edge_maps(G, iso_plus.bits))
+        lhs = boundary_edge_count(G, [comp]) + boundary_edge_count(G, [iso_plus])
         rhs = (d - 1) ** 2 * (2 + diameter(G, comp)) / 2
         per_comp.append(
             {

@@ -18,8 +18,9 @@ direction it steps, so the same shifts give a set's image per direction;
 counting images gives N_t(U).  A set's *edge maps* hold, per direction
 j, the cells whose edge along j crosses the set's boundary (both ends of
 each edge are flagged); with the opposite of each direction they give
-boundary-edge counts, out-directed edges and edge-by-edge tests as set
-algebra, without listing edge tuples.
+boundary-edge counts (``boundary_edge_count`` over a union of sets),
+out-directed edges and edge-by-edge tests as set algebra, without
+listing edge tuples.
 
 A non-periodic axis clips at the faces.  The cells missing a neighbor
 along some non-periodic axis form the graph's *rim*; the rim stands in
@@ -328,6 +329,27 @@ def _edge_maps(G: LatticeGraph, bits: int) -> list[int]:
     return [(bits ^ images[k]) & reach for k, reach in zip(G._opposite, G._stepping)]
 
 
+def _boundary_maps(G: LatticeGraph, sets: Iterable[VertexSet]) -> list[int]:
+    """Entry j: the cells w whose edge one step along direction j is a
+    boundary edge of some set.  Both ends of an edge are flagged, and the
+    number of entries holding w counts its boundary edges."""
+    out = [0] * G.full_degree
+    for S in sets:
+        for j, m in enumerate(_edge_maps(G, S.bits)):
+            out[j] |= m
+    return out
+
+
+def _edge_count(maps: list[int]) -> int:
+    """Edges in edge maps that flag both ends of each edge."""
+    return sum(m.bit_count() for m in maps) // 2
+
+
+def boundary_edge_count(G: LatticeGraph, sets: Iterable[VertexSet]) -> int:
+    """|union of the edge boundaries of the sets|, each edge counted once."""
+    return _edge_count(_boundary_maps(G, sets))
+
+
 def _ladder(maps: Iterable[int], top: int) -> list[int]:
     """Threshold ladder: entry i holds the cells in at least i + 1 of the maps."""
     levels = [0] * top
@@ -391,68 +413,13 @@ def boundary_cells(G: LatticeGraph, domain: VertexSet) -> VertexSet:
     return internal | (domain & G.rim)
 
 
-def edge_set(G: LatticeGraph, U: VertexSet, W: VertexSet) -> frozenset[tuple[int, int]]:
-    """Undirected edges with one endpoint in U and one in W, as (min, max)."""
-    out = set()
-    for u in U:
-        hits = G.neighbor_mask[u] & W.bits
-        for w in VertexSet(hits, G.n):
-            out.add((u, w) if u < w else (w, u))
-    return frozenset(out)
-
-
-def directed_out_edges(G: LatticeGraph, U: VertexSet) -> frozenset[tuple[int, int]]:
-    """Out-directed boundary edges (u, v) with u in U and v outside."""
-    comp = U.complement().bits
-    out = set()
-    for u in U:
-        for v in VertexSet(G.neighbor_mask[u] & comp, G.n):
-            out.add((u, v))
-    return frozenset(out)
-
-
-@dataclass(frozen=True)
-class EdgeBoundaryReport:
-    edges: frozenset[tuple[int, int]]
-    directed_out: frozenset[tuple[int, int]]
-    even_part: frozenset[tuple[int, int]]
-    odd_part: frozenset[tuple[int, int]]
-    imbalance: int
-    identity_defined: bool
-    identity_holds: bool | None
-
-
-def edge_boundaries(G: LatticeGraph, U: VertexSet, W: VertexSet | None = None) -> EdgeBoundaryReport:
-    """Edges between U and W, plus the even/odd boundary bookkeeping for U.
-
-    The even part of the boundary of U holds the edges leaving U from an
-    even vertex, the odd part those leaving from an odd vertex.  When
-    every vertex of U has full degree on a graph with at least one
-    non-periodic axis, the sublattice imbalance of U satisfies
-
-        |U_even| - |U_odd| = (|even part| - |odd part|) / 2d
-
-    exactly; the report says whether the identity applies and, if so,
-    whether it held.
-    """
-    if W is None:
-        W = U.complement()
-    imbalance, n_even_out, n_odd_out, defined = _sublattice_identity(G, U)
-    comp = U.complement()
-    return EdgeBoundaryReport(
-        edges=edge_set(G, U, W),
-        directed_out=directed_out_edges(G, U),
-        even_part=edge_set(G, U & G.even, comp),
-        odd_part=edge_set(G, U & G.odd, comp),
-        imbalance=imbalance,
-        identity_defined=defined,
-        identity_holds=2 * G.d * imbalance == n_even_out - n_odd_out if defined else None,
-    )
-
-
 def _sublattice_identity(G: LatticeGraph, U: VertexSet) -> tuple[int, int, int, bool]:
     """(|U_even| - |U_odd|, edges leaving U from even cells, from odd cells,
-    whether the identity applies), counted over U's out-edge maps."""
+    whether the identity applies), counted over U's out-edge maps.
+
+    The identity |U_even| - |U_odd| = (even count - odd count) / 2d holds
+    exactly when every cell of U has full degree on a graph with at least
+    one non-periodic axis."""
     out = [U.bits & m for m in _edge_maps(G, U.bits)]
     even = G.even.bits
     n_even_out = sum((m & even).bit_count() for m in out)

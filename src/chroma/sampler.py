@@ -390,8 +390,10 @@ def run_experiment(cfg: ChainConfig, threads: int = 1) -> OrderStats:
     Sample states are taken after sweeps burn_in, burn_in + thin, ...;
     with burn_in = 0 the initial pure-pattern state is the first sample,
     so a zero-sweep run reports exactly the initial statistics.  Chains
-    own disjoint Philox streams and advance together as one batch;
-    ``threads`` is accepted and changes nothing.
+    own disjoint Philox streams and advance together as one batch in a
+    single thread.  ``threads`` is accepted and changes nothing; the CLI
+    no longer offers it, and it stays because perfbench's ``sweep_heavy``
+    op passes ``threads=2``.
     """
     G = cfg.graph()
     domain = cfg.domain(G)

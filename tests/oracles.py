@@ -55,6 +55,19 @@ def all_edges(dims, periodic):
     return out
 
 
+def edges_between(dims, periodic, U, W):
+    """Undirected edges with one end in U and the other in W, as (min, max)."""
+    W = set(W)
+    return {(min(u, w), max(u, w))
+            for u in U for w in neighbors_of(dims, periodic, u) if w in W}
+
+
+def out_edges(dims, periodic, U):
+    """Out-directed boundary edges (u, v) with u in U and v outside."""
+    U = set(U)
+    return {(u, v) for u in U for v in neighbors_of(dims, periodic, u) if v not in U}
+
+
 def boundary_sets(dims, periodic, members: set[int]):
     """(internal, external) vertex boundaries by direct definition."""
     n = 1

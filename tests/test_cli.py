@@ -104,19 +104,6 @@ def test_missing_required_field_exit_one(args, field, capsys):
     assert err == f"error: missing required field {field!r}\n"
 
 
-@pytest.mark.parametrize("command", [
-    ["exact-count", "--dims", "2,2", "--q", "3"],
-    ["verify-lemmas", "--suite", "sizes", "--trials", "1"],
-])
-def test_bad_threads_env_exit_one(command, monkeypatch, capsys):
-    monkeypatch.setenv("CHROMA_THREADS", "abc")
-    code = main(command)
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error:") and "--threads" in err
-    assert err.count("\n") == 1
-
-
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["exact-count", "--help"])
@@ -206,32 +193,25 @@ def test_approx_command():
     assert doc["weak_approximation"]["fringe_size"] >= 0
 
 
-def test_env_threads_accepted(monkeypatch, tmp_path):
-    monkeypatch.setenv("CHROMA_THREADS", "2")
-    out = tmp_path / "s.csv"
-    code, _ = run_cli([
-        "sample", "--dims", "4,4", "--q", "3", "--pattern", "A=1;B=2,3",
-        "--seed", "4", "--sweeps", "60", "--chains", "2", "--out", str(out),
-    ])
-    assert code == 0
-
-
-def test_threads_change_no_byte(monkeypatch, tmp_path):
+def test_threads_flag_and_env_removed(monkeypatch, tmp_path, capsys):
     out = tmp_path / "s.csv"
     args = ["sample", "--dims", "4,4", "--q", "3", "--pattern", "A=1;B=2,3",
             "--seed", "4", "--sweeps", "60", "--chains", "3", "--out", str(out),
             "--algorithm", "heat-bath+cluster", "--cluster-every", "7"]
-    runs = []
-    for env, flag in ((None, []), (None, ["--threads", "4"]), ("2", []),
-                      ("3", ["--threads", "1"])):
-        if env is None:
-            monkeypatch.delenv("CHROMA_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("CHROMA_THREADS", env)
-        code, text = run_cli(args + flag)
-        assert code == 0
-        runs.append((text, out.read_bytes()))
-    assert all(run == runs[0] for run in runs)
+    monkeypatch.delenv("CHROMA_THREADS", raising=False)
+    code, text = run_cli(args)
+    assert code == 0
+    want = (text, out.read_bytes())
+    capsys.readouterr()
+    code, _ = run_cli(args + ["--threads", "2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    # the variable is no longer read: even a malformed value changes nothing
+    monkeypatch.setenv("CHROMA_THREADS", "abc")
+    code, text = run_cli(args)
+    assert code == 0
+    assert (text, out.read_bytes()) == want
 
 
 def test_sample_more_than_sixteen_colors_exit_one(capsys):
@@ -326,3 +306,24 @@ def test_transfer_budget_exit_two(monkeypatch):
                         functools.partial(count_colorings, state_budget=10))
     code, _ = run_cli(["exact-count", *PATTERN_334])
     assert code == 2
+
+
+# sha256 of the stdout of each command, recorded when boundary edges were
+# listed as (u, v) tuples; the edge-map counts must reproduce every byte
+# (the toy ratios' odd-q exponents 3/1 and 14/3, and the approx reports)
+@pytest.mark.parametrize("args, digest", [
+    (["toy-ratio", "--dims", "5,5", "--q", "5", "--pattern0", "A=1,2;B=3,4,5",
+      "--pattern", "A=1,2,3;B=4,5", "--droplet", "center-plus"],
+     "36c55aece87d5803eb63d7be303dac43068d65e3d90056f6260ee76f5c88cfac"),
+    (["toy-ratio", "--dims", "4,4,4", "--periodic", "1,0,0", "--q", "3",
+      "--pattern0", "A=1;B=2,3", "--pattern", "A=1,2;B=3", "--droplet", "center-plus"],
+     "7c7c15b3674009f5f8e374ee1b60f9dd695df6363c3476b6b55a6f5746c89c32"),
+    (["approx", "--dims", "4,4", "--exhaustive"],
+     "8e67cfbd9b4f567d91c4d37faa98a2a74df8d5cb6b3b65c961b25e9bdaf6c0e6"),
+    (["approx", "--dims", "8,8", "--seed", "3", "--sets", "2"],
+     "7623dff54e3f4a1c1cb976a9d5dd3faf428658a9c03946cf0d38dfd3c6f14cda"),
+])
+def test_edge_count_artifacts_pinned(args, digest):
+    code, out = run_cli(args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out

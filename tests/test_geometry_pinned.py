@@ -3,10 +3,12 @@
 Each case draws an odd collection with the package"s own generator and
 hashes what the constructions return on it: the separating set and its
 separator, the weak approximation, the revealed vertices, greedy covers,
-the clauses of `verify_approximation`, the edge-boundary report and the
-isoperimetry report.  The digests were recorded from the earlier
-per-vertex implementation of these constructions, so a digest that
-changes means an output changed.
+the clauses of `verify_approximation`, the edge boundaries with their
+even/odd split, and the isoperimetry report.  The digests were recorded
+from the earlier per-vertex implementation of these constructions, so a
+digest that changes means an output changed.  The edge lists come from
+the per-edge oracle and the sublattice counts from the package's edge
+maps; their digest was recorded when the package listed the edges itself.
 """
 
 import hashlib
@@ -26,10 +28,12 @@ from chroma.geometry import (
     verify_approximation,
     weak_approximation,
 )
-from chroma.lattice import build_graph, edge_boundaries
+from chroma.lattice import _sublattice_identity, build_graph
 from chroma.patterns import Pattern
 from chroma.rng import make_rng
 from chroma.suites import random_regular_odd_set
+
+import oracles
 
 CASES = {
     "8x8": ((8, 8), None, 3, 2),
@@ -166,12 +170,16 @@ def _digests(dims, periodic, seed, n_sets) -> dict[str, str]:
     reports = []
     others = [G.empty_set(), sets[-1], rep.separator]
     for U in sets + [union, rep.separator, weak.fringe]:
-        for W in [None] + others:
-            r = edge_boundaries(G, U, W)
+        comp = U.complement().ids()
+        imbalance, n_even_out, n_odd_out, defined = _sublattice_identity(G, U)
+        for W in [U.complement()] + others:
             reports.append([
-                _edges(r.edges), _edges(r.directed_out), _edges(r.even_part),
-                _edges(r.odd_part), r.imbalance, r.identity_defined,
-                r.identity_holds,
+                _edges(oracles.edges_between(dims, G.periodic, U.ids(), W.ids())),
+                _edges(oracles.out_edges(dims, G.periodic, U.ids())),
+                _edges(oracles.edges_between(dims, G.periodic, (U & G.even).ids(), comp)),
+                _edges(oracles.edges_between(dims, G.periodic, (U & G.odd).ids(), comp)),
+                imbalance, defined,
+                2 * G.d * imbalance == n_even_out - n_odd_out if defined else None,
             ])
     out["edge_boundaries"] = _hash(reports)
 

@@ -6,14 +6,12 @@ from chroma.lattice import (
     _sublattice_identity,
     LatticeGraph,
     VertexSet,
+    boundary_edge_count,
     build_graph,
     closed_neighborhood,
     co_connected_closure,
     connected_components,
     diam_star,
-    directed_out_edges,
-    edge_boundaries,
-    edge_set,
     expand,
     interior,
     n_t,
@@ -118,38 +116,45 @@ def test_edge_boundary_symmetry_and_directed_count():
     G = build_graph([5, 5])
     rng = make_rng(9)
     for _ in range(30):
-        U = G.vertex_set([v for v in range(G.n) if rng.random() < 0.4])
-        W = G.vertex_set([v for v in range(G.n) if rng.random() < 0.4])
-        assert edge_set(G, U, W) == edge_set(G, W, U)
-        rep = edge_boundaries(G, U)
-        assert len(rep.directed_out) == len(edge_set(G, U, U.complement()))
+        U = {v for v in range(G.n) if rng.random() < 0.4}
+        W = {v for v in range(G.n) if rng.random() < 0.4}
+        between = oracles.edges_between(G.dims, G.periodic, U, W)
+        assert between == oracles.edges_between(G.dims, G.periodic, W, U)
+        boundary = oracles.edges_between(G.dims, G.periodic, U, set(range(G.n)) - U)
+        assert len(oracles.out_edges(G.dims, G.periodic, U)) == len(boundary)
+        assert boundary_edge_count(G, [G.vertex_set(U)]) == len(boundary)
+
+
+def _identity(G, U):
+    """(imbalance, even out-edges, odd out-edges, defined, holds)."""
+    imbalance, n_even_out, n_odd_out, defined = _sublattice_identity(G, U)
+    holds = 2 * G.d * imbalance == n_even_out - n_odd_out if defined else None
+    return imbalance, n_even_out, n_odd_out, defined, holds
 
 
 def test_even_odd_identity_examples():
     G = build_graph([7, 7])
     v = G.vid((2, 2))  # even interior vertex
-    rep = edge_boundaries(G, G.vertex_set([v]))
-    assert rep.identity_defined and rep.identity_holds
-    assert rep.imbalance == 1
-    assert len(rep.even_part) == 4 and len(rep.odd_part) == 0
+    imbalance, n_even_out, n_odd_out, defined, holds = _identity(G, G.vertex_set([v]))
+    assert defined and holds
+    assert imbalance == 1
+    assert n_even_out == 4 and n_odd_out == 0
 
     domino = G.vertex_set([v, G.vid((2, 3))])
-    rep = edge_boundaries(G, domino)
-    assert rep.imbalance == 0
-    assert len(rep.even_part) == 3 and len(rep.odd_part) == 3
-    assert rep.identity_holds
+    imbalance, n_even_out, n_odd_out, _, holds = _identity(G, domino)
+    assert imbalance == 0
+    assert n_even_out == 3 and n_odd_out == 3
+    assert holds
 
-    rep = edge_boundaries(G, G.empty_set())
-    assert rep.imbalance == 0 and not rep.edges and rep.identity_holds
+    imbalance, _, _, _, holds = _identity(G, G.empty_set())
+    assert imbalance == 0 and not boundary_edge_count(G, [G.empty_set()]) and holds
 
 
 def test_even_odd_identity_flagged_on_rim_or_torus():
     G = build_graph([5, 5])
-    rep = edge_boundaries(G, G.vertex_set([0]))  # corner lacks full degree
-    assert not rep.identity_defined
+    assert not _identity(G, G.vertex_set([0]))[3]  # corner lacks full degree
     T = build_graph([4, 4], [True, True])
-    rep = edge_boundaries(T, T.vertex_set([5]))
-    assert not rep.identity_defined
+    assert not _identity(T, T.vertex_set([5]))[3]
 
 
 def test_components_power():
@@ -242,21 +247,37 @@ def test_interior_matches_depth_loop(dims, periodic):
 @pytest.mark.parametrize("dims,periodic", SHIFT_GRAPHS)
 def test_edge_maps_match_directed_edges(dims, periodic):
     # U & entry j over all j lists U's out-directed edges, one per edge;
-    # subset tests and the sublattice counts agree with the edge tuples
+    # subset tests, the sublattice counts and the boundary-edge counts of
+    # one set and of a union agree with the per-edge oracle
     G = build_graph(dims, periodic)
-    samples = [G.vertex_set(m) for m in oracle_samples(G.n, 61)]
+    cells = set(range(G.n))
+    even = {v for v in cells if sum(oracles.coords_of(dims, v)) % 2 == 0}
+    full = {v for v in cells if len(oracles.neighbors_of(dims, periodic, v)) == 2 * len(dims)}
+    members = oracle_samples(G.n, 61)
+    samples = [G.vertex_set(m) for m in members]
+
+    def boundary(m):
+        return oracles.edges_between(dims, periodic, m, cells - m)
+
     for k, U in enumerate(samples):
         maps = _edge_maps(G, U.bits)
         directed = [(u, int(G.neighbor_table[j, u]))
                     for j, m in enumerate(maps) for u in VertexSet(U.bits & m, G.n)]
-        assert sorted(directed) == sorted(directed_out_edges(G, U))
-        rep = edge_boundaries(G, U)
+        out = oracles.out_edges(dims, periodic, members[k])
+        assert sorted(directed) == sorted(out)
         imbalance, n_even, n_odd, defined = _sublattice_identity(G, U)
+        m_even, m_odd = members[k] & even, members[k] - even
         assert (imbalance, n_even, n_odd, defined) == (
-            rep.imbalance, len(rep.even_part), len(rep.odd_part), rep.identity_defined)
+            len(m_even) - len(m_odd),
+            len(oracles.edges_between(dims, periodic, m_even, cells - members[k])),
+            len(oracles.edges_between(dims, periodic, m_odd, cells - members[k])),
+            not all(periodic) and members[k] <= full)
+        assert boundary_edge_count(G, [U]) == len(boundary(members[k]))
+        assert boundary_edge_count(G, [U, samples[k - 1]]) == len(
+            boundary(members[k]) | boundary(members[k - 1]))
         for V in (samples[k - 1], U - samples[k - 1], U | samples[k - 1]):
             assert _out_edges_within(G, U, V) == (
-                directed_out_edges(G, U) <= directed_out_edges(G, V))
+                out <= oracles.out_edges(dims, periodic, set(V.ids())))
 
 
 @pytest.mark.parametrize("dims,periodic", SHIFT_GRAPHS)
@@ -337,7 +358,8 @@ def test_co_connected_closure_boundary_containment_randomized():
             continue
         anchor = outside[int(rng.integers(0, len(outside)))]
         closure = co_connected_closure(G, U, anchor)
-        assert directed_out_edges(G, closure) <= directed_out_edges(G, U)
+        assert (oracles.out_edges(G.dims, G.periodic, closure.ids())
+                <= oracles.out_edges(G.dims, G.periodic, U.ids()))
         assert U.issubset(closure)
 
 
