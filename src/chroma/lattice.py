@@ -451,22 +451,31 @@ def _grow(G: LatticeGraph, U: VertexSet, seed: int, power: int) -> VertexSet:
     return VertexSet(comp, G.n)
 
 
-def connected_components(G: LatticeGraph, U: VertexSet, power: int = 1) -> list[VertexSet]:
-    """Components of U under distance-<=power adjacency, by smallest id.
+def _split_components(G: LatticeGraph, U: VertexSet,
+                      power: int = 1) -> tuple[int, list[VertexSet]]:
+    """U's isolated cells as one bitmap, and its other components by smallest id.
 
-    At power 1 the cells of U with no neighbor in U are taken in one step,
-    as singletons, and only the rest is grown component by component.
+    At power 1 the cells of U with no neighbor in U are taken in one step
+    (at a larger power the bitmap is empty), and only the rest is grown
+    component by component under distance-<=power adjacency.
     """
     remaining = U.bits
-    comps = []
+    isolated = 0
     if power == 1:
         isolated = remaining & ~_neighbor_bits(G, remaining)
-        comps = [VertexSet(1 << v, G.n) for v in VertexSet(isolated, G.n)]
         remaining &= ~isolated
+    grown = []
     while remaining:
         comp = _grow(G, U, remaining & -remaining, power)
-        comps.append(comp)
+        grown.append(comp)
         remaining &= ~comp.bits
+    return isolated, grown
+
+
+def connected_components(G: LatticeGraph, U: VertexSet, power: int = 1) -> list[VertexSet]:
+    """Components of U under distance-<=power adjacency, by smallest id."""
+    isolated, comps = _split_components(G, U, power)
+    comps += [VertexSet(1 << v, G.n) for v in VertexSet(isolated, G.n)]
     comps.sort(key=lambda comp: comp.bits & -comp.bits)   # by lowest id
     return comps
 

@@ -13,18 +13,28 @@ claiming convergence.
 
 A heat-bath sweep resamples every even domain cell and then every odd
 one.  Cells of one parity are never adjacent (periodic axes have even
-length), so each half is a few whole-array numpy operations and the
-sweep is still an exact systematic scan.  Chains are the leading axis of
-the same arrays: ``run_experiment`` advances all of its chains together,
-and ``heat_bath_sweep`` is the same kernel with one chain.  Which columns
-each cell reads is fixed by the graph, domain and pattern, so that layout
-is built once and kept on the graph, and the lookup tables once per q.
-They have 2^q rows, which caps the sampler at q <= 16.
+length), so each half is four whole-array numpy calls and the sweep is
+still an exact systematic scan: gather each cell's neighbor and
+forbidden-mask columns, OR them into its blocked mask, add its draw
+code, and read its new color from one table.  A uniform u takes the free
+color of rank floor(u * count); its code, the sum of floor(u * n) over
+n = 2..q, is computed once per block of draws and fixes every such rank
+at once, so the table over (code, blocked mask) holds the color itself.
+Chains are the leading axis of the same arrays: ``run_experiment``
+advances all of its chains together, and ``heat_bath_sweep`` is the same
+kernel with one chain.  Which columns each cell reads is fixed by the
+graph, domain and pattern, so that layout is built once and kept on the
+graph, and the tables once per q, when q is first used.  They hold one
+uint16 entry per code and mask m < 2^q (15.9 MB at q = 16), which caps
+the sampler at q <= 16.
 
 The cluster move is set algebra on bitmaps.  The cells colored a or b
 come from one numpy comparison; the components that touch a stuck cell
-are flooded together from the movable cells next to one, the rest are
-the swappable components, and the chosen ones flip in one numpy pass.
+are flooded together from the movable cells next to one (kept on the
+graph), and the rest are the swappable components.  Each flips on a
+draw below 1/2, drawn in order of lowest id: the isolated cells flip
+through one boolean mask, and only the larger components are visited
+one by one.
 
 All randomness comes from one Philox stream per chain, which draws one
 uniform per domain cell per sweep, so a (seed, config) pair reproduces
@@ -38,6 +48,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import islice
+import math
+
 import numpy as np
 
 from .coloring import Coloring, is_proper, pure_pattern_sample
@@ -54,6 +66,7 @@ from .lattice import (
     _grow,
     _neighbor_bits,
     _pack,
+    _split_components,
     _unpack,
     boundary_cells,
     connected_components,
@@ -62,7 +75,7 @@ from .lattice import (
 from .patterns import Pattern
 from .rng import make_rng
 
-MAX_Q = 16               # the kernel's lookup tables have 2^q rows
+MAX_Q = 16               # the kernel's tables hold masks m < 2^q in uint16
 _DRAW_BLOCK = 1 << 15    # uniforms drawn for a batch of chains at a time
 _TALLY_BLOCK = 1 << 15   # recorded cell states held before they are counted
 
@@ -159,6 +172,53 @@ def _tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return free, kth, color
 
 
+@cache
+def _pick(q: int) -> np.ndarray:
+    """The heat-bath color table over (draw code, blocked mask), built once per q.
+
+    A draw u picks the free color of rank floor(u * count), the float64
+    product truncated.  Each floor(u * n) is a step function of u that rises
+    by one at the smallest double t with int(t * n) >= a, for 1 <= a < n, so
+    the rank vector (floor(u * n) for n = 2..q) only grows with u and its sum
+    ``code`` (at most q(q - 1)/2) identifies it.  Entry ``code << q | m`` is
+    the color a draw of that code picks under blocked mask m (0 when m
+    leaves none).  At q = 16 the table has 121 x 2^16 uint16 entries, 15.9 MB.
+    """
+    free, kth, _ = _tables(q)
+    steps = []
+    for n in range(2, q + 1):
+        for a in range(1, n):
+            t = a / n   # within an ulp or two of the threshold
+            while int(t * n) >= a:
+                t = math.nextafter(t, 0.0)
+            while int(t * n) < a:
+                t = math.nextafter(t, 1.0)
+            steps.append((t, n))
+    steps.sort()
+    rank = np.zeros(q + 1, dtype=np.intp)   # rank[n] = floor(u * n) for this code
+    masks = np.arange(1 << q)
+    pick = np.empty((len(steps) + 1, 1 << q), dtype=np.uint16)
+    for code in range(len(steps) + 1):
+        if code:
+            rank[steps[code - 1][1]] += 1
+        pick[code] = kth[masks, rank[free]]
+    pick = pick.reshape(-1)
+    pick.flags.writeable = False
+    return pick
+
+
+def _draw_codes(draws: np.ndarray, q: int) -> np.ndarray:
+    """Each uniform u as code(u) << q, code(u) = sum over n = 2..q of
+    floor(u * n), the float64 products truncated one by one; the row
+    offsets of ``_pick``."""
+    codes = np.zeros(draws.shape, dtype=np.int8)   # at most 120, at q = 16
+    term = np.empty_like(codes)
+    for n in range(2, q + 1):
+        np.multiply(draws, n, out=term, casting="unsafe")
+        codes += term
+    return np.left_shift(codes, q, dtype=np.intp)
+
+
 @dataclass(frozen=True)
 class _Layout:
     """The columns and reads of a sweep, fixed by (graph, domain, p0, q).
@@ -233,7 +293,8 @@ class _Kernel:
     """Exact heat-bath scans of a batch of chains, one parity block at a time.
 
     Row c of ``x`` is chain c, over the columns of the sweep's ``_Layout``.
-    A column holds color c as the bit 1 << (c - 1) and HOLE as 0.  Each
+    A column holds color c as the bit 1 << (c - 1) and HOLE as 0, in
+    uint16 like the entries of ``_pick``, which are stored into it.  Each
     scan cell reads its neighbors' columns, padded with the 0 column, and
     its forbidden-mask column; their OR is the set of colors it may not
     take, so padding and HOLE block nothing.
@@ -250,15 +311,16 @@ class _Kernel:
         width = G.n + 1 + len(layout.forbidden)
         chains = len(states)
         offsets = (np.arange(chains) * width).reshape(-1, 1, 1)
-        # (first column, end column, flat reads, draw scratch) per block
-        self.blocks = [(lo, hi, reads + offsets, np.empty((chains, hi - lo), dtype=np.intp))
-                       for lo, hi, reads in layout.spans]
         self.q = q
-        self.free, self.kth, self.color = _tables(q)
+        self.color = _tables(q)[2]
+        self.pick = _pick(q)
         self.bit = np.array([0] + [1 << c for c in range(q)])
-        self.x = np.zeros((chains, width), dtype=np.intp)
+        self.x = np.zeros((chains, width), dtype=np.uint16)
         self.x[:, G.n + 1:] = layout.forbidden
         self.flat = self.x.reshape(-1)
+        # (first column, end column, flat reads, the block's columns of x) per block
+        self.blocks = [(lo, hi, reads + offsets, self.x[:, lo:hi])
+                       for lo, hi, reads in layout.spans]
         for c, f in enumerate(states):
             self.put(c, f.values)
 
@@ -275,20 +337,23 @@ class _Kernel:
     def coloring(self, c: int) -> Coloring:
         return Coloring(self.values(c).tolist(), self.q)
 
-    def half_step(self, block, draws: np.ndarray) -> None:
-        """Resample one parity block of every chain; draws[c, i] serves scan cell i.
+    def half_step(self, block, codes: np.ndarray) -> None:
+        """Resample one parity block of every chain; codes[c, i], the
+        ``_draw_codes`` of a uniform draw, serves scan cell i.
 
-        A cell takes the free color of rank floor(draw * count); a cell with
-        no free color takes 0, which ``stuck`` reports.
+        A cell takes the free color of rank floor(draw * count), read from
+        ``_pick`` at its code plus its blocked mask; a cell with no free
+        color takes 0, which ``stuck`` reports.
         """
-        lo, hi, reads, rank = block
+        lo, hi, reads, out = block
         blocked = np.bitwise_or.reduce(self.flat.take(reads), axis=1)
-        np.multiply(draws[:, lo:hi], self.free[blocked], out=rank, casting="unsafe")
-        self.x[:, lo:hi] = self.kth[blocked, rank]
+        # every index is in range (a code row plus a mask below 2^q), and
+        # "clip" writes straight into x where the default mode would buffer
+        self.pick.take(np.add(blocked, codes[:, lo:hi]), out=out, mode="clip")
 
-    def sweep(self, draws: np.ndarray) -> None:
+    def sweep(self, codes: np.ndarray) -> None:
         for block in self.blocks:
-            self.half_step(block, draws)
+            self.half_step(block, codes)
 
     def stuck(self) -> bool:
         """Whether a scan cell holds 0: it had no free color at its last update."""
@@ -311,7 +376,7 @@ def heat_bath_sweep(
     contract violation and is reported.
     """
     kernel = _Kernel(G, domain, p0, [f])
-    kernel.sweep(rng.random((1, kernel.n_scan)))
+    kernel.sweep(_draw_codes(rng.random((1, kernel.n_scan)), f.q))
     if kernel.stuck():
         raise PreconditionError(
             "a cell had no admissible color; the initial coloring violates "
@@ -339,18 +404,29 @@ def swappable_components(
     that do touch one are flooded at once from the movable cells next to
     a stuck cell, and the rest are the components of what is left.
     """
-    return _swappable(np.array(f.values), G, domain, p0, a, b)
+    return connected_components(G, _swappable(np.array(f.values), G, domain, p0, a, b))
+
+
+def _movable(G: LatticeGraph, domain: VertexSet, p0: Pattern | None) -> VertexSet:
+    """The cells a cluster move may recolor: the domain, less its boundary
+    cells when a reference pattern constrains them; kept on the graph."""
+    if p0 is None:
+        return domain
+    key = ("movable cells", domain.bits)
+    movable = G.memo.get(key)
+    if movable is None:
+        movable = G.memo[key] = domain - boundary_cells(G, domain)
+    return movable
 
 
 def _swappable(values: np.ndarray, G: LatticeGraph, domain: VertexSet,
-               p0: Pattern | None, a: int, b: int) -> list[VertexSet]:
-    """``swappable_components`` on a row of colors in vertex order."""
-    free = domain - boundary_cells(G, domain) if p0 is not None else domain
+               p0: Pattern | None, a: int, b: int) -> VertexSet:
+    """The cells of ``swappable_components``, on a row of colors in vertex order."""
     ab = VertexSet(_pack((values == a) | (values == b)), G.n)
-    movable = free & ab
+    movable = _movable(G, domain, p0) & ab
     stuck = ab - movable
     tainted = _grow(G, movable, movable.bits & _neighbor_bits(G, stuck.bits), 1)
-    return connected_components(G, movable - tainted)
+    return movable - tainted
 
 
 def cluster_step(
@@ -372,13 +448,24 @@ def cluster_step(
 
 def _cluster_move(values: np.ndarray, q: int, G: LatticeGraph, domain: VertexSet,
                   p0: Pattern | None, rng: np.random.Generator) -> None:
-    """``cluster_step`` in place on a row of colors in vertex order."""
+    """``cluster_step`` in place on a row of colors in vertex order.
+
+    Each swappable component flips when its draw is below 1/2, the draws
+    taken in order of the components' lowest ids.  The singletons flip
+    through one mask; only the larger components are visited one by one.
+    """
     pair = rng.choice(q, size=2, replace=False)
     a, b = int(pair[0]) + 1, int(pair[1]) + 1
-    comps = _swappable(values, G, domain, p0, a, b)
-    swap = 0
-    for comp, r in zip(comps, rng.random(len(comps))):
-        if r < 0.5:
+    singles, grown = _split_components(G, _swappable(values, G, domain, p0, a, b))
+    heads = singles
+    for comp in grown:
+        heads |= comp.bits & -comp.bits
+    draw = _unpack(VertexSet(heads, G.n))
+    draw[draw] = rng.random(np.count_nonzero(draw)) < 0.5   # ascending ids
+    chosen = _pack(draw)
+    swap = singles & chosen
+    for comp in grown:
+        if comp.bits & chosen:   # its one head was chosen
             swap |= comp.bits
     flip = _unpack(VertexSet(swap, G.n))
     values[flip] = a + b - values[flip]
@@ -411,7 +498,7 @@ def run_experiment(cfg: ChainConfig, threads: int = 1) -> OrderStats:
     first_half = (per_chain + 1) // 2
     occ = np.zeros((2, n_scan * q), dtype=np.int64)
     held = np.empty((max(1, _TALLY_BLOCK // (cfg.chains * n_scan)), cfg.chains, n_scan),
-                    dtype=np.intp)
+                    dtype=kernel.x.dtype)
     bins = np.arange(n_scan) * q - 1   # bin of (scan cell i, color c) is bins[i] + c
     n_held = taken = 0
 
@@ -439,9 +526,10 @@ def run_experiment(cfg: ChainConfig, threads: int = 1) -> OrderStats:
         # which leaves each stream's sequence as it is
         stop = min(s + every, cfg.sweeps)
         while s < stop:
-            draws = np.stack([rng.random((min(block, stop - s), n_scan)) for rng in rngs])
-            for j in range(draws.shape[1]):
-                kernel.sweep(draws[:, j])
+            codes = _draw_codes(
+                np.stack([rng.random((min(block, stop - s), n_scan)) for rng in rngs]), q)
+            for j in range(codes.shape[1]):
+                kernel.sweep(codes[:, j])
                 s += 1
                 if s == next_record:
                     record()

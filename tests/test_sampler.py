@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 from collections import Counter
 from fractions import Fraction
 
@@ -26,6 +27,8 @@ from chroma.rng import make_rng
 from chroma.sampler import (
     ChainConfig,
     _Kernel,
+    _draw_codes,
+    _pick,
     _tables,
     cluster_step,
     heat_bath_sweep,
@@ -378,6 +381,22 @@ def test_draw_layout_pinned():
         "d4434f01135f9b751c75973e8343d2a36460f4571023d0fc33e405ec82d15b40")
 
 
+@pytest.mark.parametrize("cfg,want", [
+    # four chains of 24x24 in one batch
+    (ChainConfig(dims=(24, 24), q=3, pattern=P03, seed=5, sweeps=60, chains=4),
+     "bef60eb7158914a11ba83469b29b175d7ad0e03d6c57e9facc4225ea5e736aeb"),
+    # a cluster move after every sweep, with many singleton components
+    (ChainConfig(dims=(8, 8, 8), q=4, pattern="A=1,2;B=3,4", seed=6, sweeps=60,
+                 algorithm="heat-bath+cluster", cluster_every=1),
+     "099a3c20abb41fef0d67e9f25f16fe4e44631c673d5498e0be4801b2c53945d5"),
+    # 2100 sweeps of 16 cells cross the 2048-sweep block of draws
+    (ChainConfig(dims=(4, 4), q=3, pattern=P03, seed=7, sweeps=2100),
+     "d9d522e75835570afeb7e6d7d10cf818f65aa9580c5cc63b389bcf14f83ade6f"),
+])
+def test_chain_outputs_pinned(cfg, want):
+    assert _stats_digest(run_experiment(cfg)) == want
+
+
 def test_swappable_components_pinned():
     # fixed cluster-move outputs on fixed instances (boxes, a mixed torus,
     # q = 3, 4, 5; pattern-constrained and free states, inner and full domains)
@@ -472,6 +491,52 @@ def test_lookup_tables_match_bit_counts():
             m.bit_length() if m & (m - 1) == 0 else 0 for m in range(1 << q)]
 
 
+def _float_bits(u):
+    return struct.unpack("<q", struct.pack("<d", u))[0]
+
+
+def _bits_float(k):
+    return struct.unpack("<d", struct.pack("<q", k))[0]
+
+
+def _first_at_least(a, n):
+    # the smallest double u >= 0 with int(u * n) >= a, by bisection over the
+    # bit patterns, which order non-negative doubles as integers
+    lo, hi = 0, _float_bits(1.0)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if int(_bits_float(mid) * n) >= a:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def test_pick_table_matches_rank_rule():
+    # for every q, at each step of floor(u * n) and 4 ulps around it, at the
+    # ends of [0, 1) and at random draws, the table gives the free color of
+    # rank floor(u * count) under every mask (random masks for q >= 12)
+    rng = make_rng(13)
+    top = math.nextafter(1.0, 0.0)
+    for q in range(1, 17):
+        free, kth, _ = _tables(q)
+        pick = _pick(q)
+        assert pick.dtype == np.uint16 and pick.size == (q * (q - 1) // 2 + 1) << q
+        us = [0.0, top] + rng.random(200).tolist()
+        for n in range(2, q + 1):
+            for a in range(1, n):
+                k = _first_at_least(a, n)
+                us += [_bits_float(k + d) for d in range(-4, 5)]
+        us = np.array(us)
+        codes = _draw_codes(us, q)
+        assert codes.max() >> q == q * (q - 1) // 2 <= np.iinfo(np.int8).max
+        masks = np.arange(1 << q) if q < 12 else rng.integers(0, 1 << q, 300)
+        for chunk in np.array_split(masks, max(1, len(masks) // 256)):
+            rank = (us[:, None] * free[chunk]).astype(np.intp)
+            assert (pick[codes[:, None] + chunk] == kth[chunk, rank]).all()
+    assert _pick(16).nbytes <= 16 * 2 ** 20
+
+
 def test_kernel_matches_cell_by_cell_scan():
     for dims, periodic in GRAPHS:
         G = build_graph(dims, periodic)
@@ -505,10 +570,10 @@ def test_batched_chains_match_single_chains():
         singles = [_Kernel(G, domain, p, [f]) for f in starts]
         rng = make_rng(3)
         for _ in range(20):
-            draws = rng.random((3, batch.n_scan))
-            batch.sweep(draws)
+            codes = _draw_codes(rng.random((3, batch.n_scan)), 4)
+            batch.sweep(codes)
             for c, kernel in enumerate(singles):
-                kernel.sweep(draws[c:c + 1])
+                kernel.sweep(codes[c:c + 1])
         assert [batch.coloring(c) for c in range(3)] == [k.coloring(0) for k in singles]
 
 
@@ -568,7 +633,7 @@ def test_kernel_sweep_keeps_uniform_stationary():
         for h in range(2):
             kernel = _Kernel(G, G.full_set(), p0, batch)
             block = kernel.blocks[h]
-            kernel.half_step(block, draws)
+            kernel.half_step(block, _draw_codes(draws, q))
             lo, hi = block[0], block[1]
             moved = kernel.color[kernel.x[:, lo:hi]].reshape(len(states), grid, hi - lo)
             rows = []
