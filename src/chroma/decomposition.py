@@ -15,6 +15,13 @@ equivalent to their neighborhood being in the P-pattern.  The
 construction here localizes the canonical decomposition so that every
 finite defect component surrounds a requested vertex, filling the holes
 with the unique pattern that surrounds them.
+
+All of it is algebra on raw ``int`` bitmaps over the lattice's shift
+tables: pattern cells from the color planes, settled cores and closures
+as neighborhood shifts, each region's vertex boundary as the OR of its
+edge maps, components grown bit-parallel.  A ``VertexSet`` is made only
+where a public function returns one or an atlas or decomposition field
+holds one.
 """
 
 from __future__ import annotations
@@ -26,18 +33,19 @@ import numpy as np
 
 from .coloring import Coloring
 from .errors import InternalInvariantError, PreconditionError
-from .geometry import regularity_check
+from .geometry import _regularity_witness
 from .lattice import (
     LatticeGraph,
     VertexSet,
+    _bit_ids,
+    _components,
+    _edge_maps,
+    _expand_bits,
+    _grow,
+    _neighbor_bits,
     boundary_edge_count,
-    closed_neighborhood,
     connected_components,
-    disconnects_from_rim,
     diam_star,
-    expand,
-    neighborhood,
-    vertex_boundaries,
 )
 from .patterns import Pattern, enumerate_dominant
 
@@ -53,32 +61,29 @@ def _color_planes(f: Coloring) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
-def _pattern_cells(G: LatticeGraph, planes: list[int], P: Pattern) -> VertexSet:
-    """Cells whose own color is in the P-pattern (never a HOLE)."""
+def _pattern_cells(G: LatticeGraph, planes: list[int], P: Pattern) -> int:
+    """Bitmap of the cells whose own color is in the P-pattern (never a HOLE)."""
     a = b = 0
     for c in P.a:
         a |= planes[c]
     for c in P.b:
         b |= planes[c]
-    return VertexSet(a & G.even.bits | b & G.odd.bits, G.n)
+    return a & G.even.bits | b & G.odd.bits
 
 
-def _settled(G: LatticeGraph, in_pat: VertexSet) -> VertexSet:
+def _settled(G: LatticeGraph, in_pat: int) -> int:
     """Cells whose whole neighborhood is in ``in_pat``: the complement of N(outside)."""
-    return neighborhood(G, in_pat.complement()).complement()
+    full = (1 << G.n) - 1
+    return full & ~_neighbor_bits(G, full & ~in_pat)
 
 
-def _p_odd(G: LatticeGraph, P: Pattern) -> VertexSet:
-    return G.odd if P.klass == 0 else G.even
+def _p_odd(G: LatticeGraph, P: Pattern) -> int:
+    return (G.odd if P.klass == 0 else G.even).bits
 
 
-def _check_regular(G: LatticeGraph, U: VertexSet, P: Pattern, label: str) -> None:
-    parity = "even" if P.klass == 0 else "odd"
-    ok, witness = regularity_check(G, U, parity)
-    if not ok:
-        raise InternalInvariantError(
-            f"{label} for {P.text()} is not a regular set (witness vertex {witness})"
-        )
+def _regular_witness(G: LatticeGraph, bits: int, P: Pattern) -> int | None:
+    """Where a region fails to be a regular P-even set, None when it is one."""
+    return _regularity_witness(G, bits, "even" if P.klass == 0 else "odd")
 
 
 @dataclass(frozen=True)
@@ -104,21 +109,20 @@ class RegionDecomposition:
         }
 
 
-def _derived_sets(
-    G: LatticeGraph, x_p: Mapping[Pattern, VertexSet]
-) -> tuple[VertexSet, VertexSet, VertexSet]:
-    n = G.n
-    overlap = VertexSet.empty(n)
-    union = VertexSet.empty(n)
-    star = VertexSet.empty(n)
-    for P, U in x_p.items():
-        overlap = overlap | (union & U)
-        union = union | U
-        _, _, both = vertex_boundaries(G, U)
-        star = star | both
-    bad = union.complement()
-    star = star | overlap | bad
-    return overlap, bad, star
+def _derived_sets(G: LatticeGraph, x_p: Mapping[Pattern, VertexSet]) -> tuple[int, int, int]:
+    """(overlap, bad, defect) bitmaps of a pattern-indexed family of regions.
+
+    A region's vertex boundary (both sides) is the set of cells with an
+    edge crossing it: the OR of its edge maps over the directions.
+    """
+    overlap = union = star = 0
+    for U in x_p.values():
+        overlap |= union & U.bits
+        union |= U.bits
+        for crossing in _edge_maps(G, U.bits):
+            star |= crossing
+    bad = ((1 << G.n) - 1) & ~union
+    return overlap, bad, star | overlap | bad
 
 
 def decompose(
@@ -151,12 +155,14 @@ def _decompose(
     for P in pats:
         # the P-odd cells whose whole neighborhood is in the P-pattern
         core = _p_odd(G, P) & _settled(G, _pattern_cells(G, planes, P))
-        region = closed_neighborhood(G, core)
-        if certify:
-            _check_regular(G, region, P, "ordered region")
-        z_p[P] = region
+        region = core | _neighbor_bits(G, core)
+        if certify and (witness := _regular_witness(G, region, P)) is not None:
+            raise InternalInvariantError(
+                f"ordered region for {P.text()} is not a regular set (witness vertex {witness})"
+            )
+        z_p[P] = VertexSet(region, G.n)
     overlap, bad, star = _derived_sets(G, z_p)
-    return RegionDecomposition(G, z_p, overlap, bad, star)
+    return RegionDecomposition(G, z_p, *(VertexSet(x, G.n) for x in (overlap, bad, star)))
 
 
 @dataclass(frozen=True)
@@ -169,18 +175,15 @@ class Atlas:
 
     @property
     def x_overlap(self) -> VertexSet:
-        overlap, _, _ = _derived_sets(self.graph, self.x_p)
-        return overlap
+        return VertexSet(_derived_sets(self.graph, self.x_p)[0], self.graph.n)
 
     @property
     def x_bad(self) -> VertexSet:
-        _, bad, _ = _derived_sets(self.graph, self.x_p)
-        return bad
+        return VertexSet(_derived_sets(self.graph, self.x_p)[1], self.graph.n)
 
     @property
     def x_star(self) -> VertexSet:
-        _, _, star = _derived_sets(self.graph, self.x_p)
-        return star
+        return VertexSet(_derived_sets(self.graph, self.x_p)[2], self.graph.n)
 
     def to_json(self) -> dict:
         return {P.text(): list(U.ids()) for P, U in sorted(
@@ -209,7 +212,7 @@ def classify_atlas(X: Atlas) -> BreakupClass:
     overlap, bad, star = _derived_sets(G, X.x_p)
     trivial = not star
     min_ok = trivial or L >= G.d * G.d
-    return BreakupClass(L, len(overlap), len(bad), min_ok)
+    return BreakupClass(L, overlap.bit_count(), bad.bit_count(), min_ok)
 
 
 def seen_from(
@@ -223,24 +226,23 @@ def seen_from(
     Accepts a decomposition or its defect set directly.  Returns the
     union of connected components of defect^{+radius} that touch the rim
     (the stand-in for infinite components) or disconnect some vertex of
-    V from the rim.
+    V from the rim; on a fully periodic graph (no rim) that is nothing.
     """
     z_star = z.z_star if isinstance(z, RegionDecomposition) else z
-    fat = expand(G, z_star, radius)
-    keep = G.empty_set()
-    for comp in connected_components(G, fat):
-        if not comp.isdisjoint(G.rim):
-            keep = keep | comp
-            continue
-        if any(disconnects_from_rim(G, comp, v) for v in V):
-            keep = keep | comp
-    return keep
-
-
-def interior(G: LatticeGraph, U: VertexSet) -> VertexSet:
-    """Vertices of U all of whose neighbors are also in U."""
-    internal, _, _ = vertex_boundaries(G, U)
-    return U - internal
+    fat = _expand_bits(G, z_star.bits, radius)
+    rim = G.rim.bits
+    if not rim:
+        return G.empty_set()
+    full = (1 << G.n) - 1
+    keep = _grow(G, fat, fat & rim, 1)   # every component touching the rim
+    rest = fat & ~keep
+    while rest:
+        comp = _grow(G, rest, rest & -rest, 1)
+        rest &= ~comp
+        # V's cells off the rim's side of comp (or in comp) are cut off by it
+        if V.bits & ~_grow(G, full & ~comp, rim & ~comp, 1):
+            keep |= comp
+    return VertexSet(keep, G.n)
 
 
 def construct_breakup(
@@ -254,56 +256,61 @@ def construct_breakup(
 ) -> Atlas:
     """Localize the region decomposition into a breakup seen from V.
 
-    Requires the complement of the domain's interior to be in the
-    reference pattern.  Components of the complement of the kept defect
-    neighborhood are holes; each hole is absorbed into the unique region
-    whose pattern surrounds it (an ambiguous hole is impossible for
-    valid inputs and aborts loudly).
+    Requires the complement of the domain's interior (the domain cells
+    with no neighbor outside it) to be in the reference pattern.
+    Components of the complement of the kept defect neighborhood are
+    holes; each hole is absorbed into the unique region whose pattern
+    surrounds it (an ambiguous hole is impossible for valid inputs and
+    aborts loudly).
     """
     if p0.klass != 0:
         raise PreconditionError("the reference pattern must have |A| <= |B|")
+    full = (1 << G.n) - 1
+    outside = (G.full_set() - domain).bits   # refuses a domain of another graph
     planes = _color_planes(f)
-    int_c = interior(G, domain).complement()
-    if not int_c.issubset(_pattern_cells(G, planes, p0)):
+    if (outside | _neighbor_bits(G, outside)) & ~_pattern_cells(G, planes, p0):
         raise PreconditionError(
             "the complement of the domain interior must follow the reference pattern"
         )
     Z = _decompose(G, planes, f.q, patterns, True)
-    if not domain.complement().issubset(Z.z_p[p0]):
+    regions = {P: U.bits for P, U in Z.z_p.items()}
+    if outside & ~regions[p0]:
         raise InternalInvariantError(
             "the exterior escaped the reference region despite the boundary pattern"
         )
-    B = seen_from(G, Z.z_star, V, radius)
-    x_p = {P: U & B for P, U in Z.z_p.items()}
-    for hole in connected_components(G, B.complement()):
-        ring = expand(G, hole, radius) - hole
+    z_star = Z.z_star.bits
+    B = seen_from(G, Z.z_star, V, radius).bits
+    x_p = {P: U & B for P, U in regions.items()}
+    for hole in _components(G, full & ~B):
+        ring = _expand_bits(G, hole, radius) & ~hole
         if not ring:
             owner = p0
         else:
             # off the defect set every cell lies in exactly one region
-            stray = ring & Z.z_star
+            stray = ring & z_star
             if stray:
                 raise InternalInvariantError(
-                    f"hole ring vertex {stray.min_id()} is not cleanly owned by one pattern"
+                    f"hole ring vertex {(stray & -stray).bit_length() - 1} is not cleanly "
+                    "owned by one pattern"
                 )
-            owners = {P for P, U in Z.z_p.items() if not ring.isdisjoint(U)}
+            owners = [P for P, U in regions.items() if ring & U]
             if len(owners) != 1:
                 raise InternalInvariantError(
                     f"hole has ambiguous surrounding patterns {sorted(p.text() for p in owners)}"
                 )
-            owner = owners.pop()
-            if not hole.issubset(domain) and owner != p0:
+            owner = owners[0]
+            if hole & outside and owner != p0:
                 raise InternalInvariantError(
                     "a hole reaching outside the domain is not owned by the reference"
                 )
-        x_p[owner] = x_p[owner] | hole
-    X = Atlas(G, x_p)
-    _, _, x_star = _derived_sets(G, x_p)
-    if expand(G, x_star, radius) != B:
+        x_p[owner] |= hole
+    X = Atlas(G, {P: VertexSet(U, G.n) for P, U in x_p.items()})
+    _, _, x_star = _derived_sets(G, X.x_p)
+    if _expand_bits(G, x_star, radius) != B:
         raise InternalInvariantError(
             "the fattened defect set of the breakup does not match the kept components"
         )
-    if (Z.z_star & B) != x_star:
+    if z_star & B != x_star:
         raise InternalInvariantError(
             "the breakup defect set is not the visible part of the decomposition's"
         )
@@ -334,58 +341,58 @@ def verify_breakup(
     edges leave from an in-pattern vertex toward a constrained one).
     """
     G = X.graph
+    full = (1 << G.n) - 1
     problems: list[str] = []
     for P, U in X.x_p.items():
-        parity = "even" if P.klass == 0 else "odd"
-        ok, witness = regularity_check(G, U, parity)
-        if not ok:
+        witness = _regular_witness(G, U.bits, P)
+        if witness is not None:
             problems.append(
                 f"region {P.text()} is not a regular set (witness {witness})"
             )
-    if p0 not in X.x_p or not domain.complement().issubset(X.x_p[p0]):
+    outside = (G.full_set() - domain).bits   # refuses a domain of another graph
+    if p0 not in X.x_p or outside & ~X.x_p[p0].bits:
         problems.append("domain complement is not inside the reference region")
 
     overlap, bad, star = _derived_sets(G, X.x_p)
-    near = expand(G, star, radius)
+    near = _expand_bits(G, star, radius)
     planes = _color_planes(f)
-    for P, U in X.x_p.items():
+    for P, region in X.x_p.items():
+        U = region.bits
         in_pat = _pattern_cells(G, planes, P)
         settled = _settled(G, in_pat)
         p_odd = _p_odd(G, P)
-        p_even = p_odd.complement()
-        for v in near & p_odd & (U ^ settled):
-            member = v in U
-            pat = v in settled
+        p_even = full & ~p_odd
+        for v in _bit_ids(near & p_odd & (U ^ settled)):
             problems.append(
                 f"vertex {v} near the defect set: membership in {P.text()} is "
-                f"{member} but its neighborhood in-pattern is {pat}"
+                f"{bool(U >> v & 1)} but its neighborhood in-pattern is {bool(settled >> v & 1)}"
             )
-        for v in (near & U & p_even) - in_pat:
+        for v in _bit_ids(near & U & p_even & ~in_pat):
             problems.append(
                 f"P-even vertex {v} of region {P.text()} near the defect set "
                 "is out of pattern"
             )
-        for v in (near & U & p_odd) - overlap - in_pat:
+        for v in _bit_ids(near & U & p_odd & ~overlap & ~in_pat):
             problems.append(
                 f"non-overlap P-odd vertex {v} of region {P.text()} is out of pattern"
             )
-        for v in bad & p_odd & settled:
+        for v in _bit_ids(bad & p_odd & settled):
             problems.append(
                 f"bad vertex {v} has its whole neighborhood in the {P.text()} pattern"
             )
         # P-even cells of U with an edge leaving U; the edge clauses can
         # only fail at those out of pattern or next to a settled outside cell
-        leaving = U & p_even & neighborhood(G, U.complement())
-        for u in (leaving - in_pat) | (leaving & neighborhood(G, settled - U)):
+        leaving = U & p_even & _neighbor_bits(G, full & ~U)
+        for u in _bit_ids(leaving & (~in_pat | _neighbor_bits(G, settled & ~U))):
             for v in G.neighbors[u]:
-                if v in U:
+                if U >> v & 1:
                     continue
-                if u not in in_pat:
+                if not in_pat >> u & 1:
                     problems.append(
                         f"boundary edge ({u},{v}) of {P.text()} leaves an "
                         "out-of-pattern vertex"
                     )
-                if v in settled:
+                if settled >> v & 1:
                     problems.append(
                         f"boundary edge ({u},{v}) of {P.text()} points at a vertex "
                         "whose neighborhood is fully in pattern"
@@ -415,7 +422,7 @@ def bp_components(
     """
     planes = _color_planes(f)
     Z = _decompose(G, planes, f.q, [P], False)
-    bar = Z.z_p[P] & _pattern_cells(G, planes, P)
+    bar = VertexSet(Z.z_p[P].bits & _pattern_cells(G, planes, P), G.n)
     b_p = G.empty_set()
     for comp in connected_components(G, bar.complement(), power=2):
         if not comp.isdisjoint(V):

@@ -35,6 +35,7 @@ from .lattice import (
     _full_degree,
     _images,
     _ladder,
+    _neighbor_bits,
     boundary_edge_count,
     closed_neighborhood,
     connected_components,
@@ -68,17 +69,21 @@ def regularity_check(
     Returns (ok, witness vertex) where the witness violates one of the
     two closures.
     """
+    witness = _regularity_witness(G, U.bits, parity)
+    return witness is None, witness
+
+
+def _regularity_witness(G: LatticeGraph, bits: int, parity: str) -> int | None:
+    """``regularity_check`` on a raw bitmap: the lowest cell where the first
+    failing closure differs from its set, None when the set is regular."""
     inside_core, outside_core = _core_sets(G, parity)
-    closure_in = closed_neighborhood(G, inside_core & U)
-    if closure_in != U:
-        bad = (closure_in ^ U).min_id()
-        return False, bad
-    comp = U.complement()
-    closure_out = closed_neighborhood(G, outside_core & comp)
-    if closure_out != comp:
-        bad = (closure_out ^ comp).min_id()
-        return False, bad
-    return True, None
+    outside = ~bits & ((1 << G.n) - 1)
+    for core, side in ((inside_core.bits, bits), (outside_core.bits, outside)):
+        part = core & side
+        diff = (part | _neighbor_bits(G, part)) ^ side
+        if diff:
+            return (diff & -diff).bit_length() - 1
+    return None
 
 
 def is_parity_set(G: LatticeGraph, U: VertexSet, parity: str) -> bool:

@@ -76,11 +76,7 @@ class VertexSet:
         return bool((self.bits >> v) & 1)
 
     def __iter__(self) -> Iterator[int]:
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        return _bit_ids(self.bits)
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -133,6 +129,14 @@ class VertexSet:
         if not text:
             return cls.empty(n)
         return cls.from_ids(n, (int(tok) for tok in text.split(",")))
+
+
+def _bit_ids(bits: int) -> Iterator[int]:
+    """The ids of a raw bitmap's set bits, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 def _pack(flags: np.ndarray) -> int:
@@ -372,12 +376,16 @@ def closed_neighborhood(G: LatticeGraph, U: VertexSet) -> VertexSet:
 
 def expand(G: LatticeGraph, U: VertexSet, r: int) -> VertexSet:
     """U^{+r}: vertices within graph distance r of U."""
+    return VertexSet(_expand_bits(G, U.bits, r), G.n)
+
+
+def _expand_bits(G: LatticeGraph, bits: int, r: int) -> int:
+    """``expand`` on a raw bitmap."""
     if r < 0:
         raise PreconditionError("radius must be >= 0")
-    bits = U.bits
     for _ in range(r):
         bits |= _neighbor_bits(G, bits)
-    return VertexSet(bits, G.n)
+    return bits
 
 
 def interior(G: LatticeGraph, depth: int) -> VertexSet:
@@ -437,59 +445,60 @@ def _full_degree(G: LatticeGraph) -> int:
 # -- connectivity ------------------------------------------------------------
 
 
-def _grow(G: LatticeGraph, U: VertexSet, seed: int, power: int) -> VertexSet:
-    """Component of the seed bits within U under distance-<=power adjacency."""
+def _grow(G: LatticeGraph, bits: int, seed: int, power: int) -> int:
+    """Component of the seed bits within a bitmap under distance-<=power adjacency."""
     if power < 1:
         raise PreconditionError("power must be >= 1")
     comp = frontier = seed
     while frontier:
-        grown = frontier
-        for _ in range(power):
-            grown |= _neighbor_bits(G, grown)
-        frontier = grown & U.bits & ~comp
+        frontier = _expand_bits(G, frontier, power) & bits & ~comp
         comp |= frontier
-    return VertexSet(comp, G.n)
+    return comp
 
 
-def _split_components(G: LatticeGraph, U: VertexSet,
-                      power: int = 1) -> tuple[int, list[VertexSet]]:
-    """U's isolated cells as one bitmap, and its other components by smallest id.
+def _split_components(G: LatticeGraph, bits: int, power: int = 1) -> tuple[int, list[int]]:
+    """A bitmap's isolated cells as one bitmap, and its other components by smallest id.
 
-    At power 1 the cells of U with no neighbor in U are taken in one step
-    (at a larger power the bitmap is empty), and only the rest is grown
-    component by component under distance-<=power adjacency.
+    At power 1 the cells with no neighbor in the bitmap are taken in one
+    step (at a larger power the first bitmap is empty), and only the rest
+    is grown component by component under distance-<=power adjacency.
     """
-    remaining = U.bits
+    remaining = bits
     isolated = 0
     if power == 1:
         isolated = remaining & ~_neighbor_bits(G, remaining)
         remaining &= ~isolated
     grown = []
     while remaining:
-        comp = _grow(G, U, remaining & -remaining, power)
+        comp = _grow(G, bits, remaining & -remaining, power)
         grown.append(comp)
-        remaining &= ~comp.bits
+        remaining &= ~comp
     return isolated, grown
+
+
+def _components(G: LatticeGraph, bits: int, power: int = 1) -> list[int]:
+    """Components of a bitmap under distance-<=power adjacency, by smallest id."""
+    isolated, comps = _split_components(G, bits, power)
+    comps += [1 << v for v in _bit_ids(isolated)]
+    comps.sort(key=lambda comp: comp & -comp)   # by lowest id
+    return comps
 
 
 def connected_components(G: LatticeGraph, U: VertexSet, power: int = 1) -> list[VertexSet]:
     """Components of U under distance-<=power adjacency, by smallest id."""
-    isolated, comps = _split_components(G, U, power)
-    comps += [VertexSet(1 << v, G.n) for v in VertexSet(isolated, G.n)]
-    comps.sort(key=lambda comp: comp.bits & -comp.bits)   # by lowest id
-    return comps
+    return [VertexSet(comp, G.n) for comp in _components(G, U.bits, power)]
 
 
 def is_connected(G: LatticeGraph, U: VertexSet, power: int = 1) -> bool:
     """Whether U is empty or the component of its lowest cell is all of it."""
-    return not U or _grow(G, U, U.bits & -U.bits, power) == U
+    return not U or _grow(G, U.bits, U.bits & -U.bits, power) == U.bits
 
 
 def component_of(G: LatticeGraph, U: VertexSet, v: int, power: int = 1) -> VertexSet:
     """Component of v within U (empty if v is outside U)."""
     if v not in U:
         return G.empty_set()
-    return _grow(G, U, 1 << v, power)
+    return VertexSet(_grow(G, U.bits, 1 << v, power), G.n)
 
 
 def co_connected_closure(G: LatticeGraph, U: VertexSet, v: int) -> VertexSet:
@@ -497,20 +506,6 @@ def co_connected_closure(G: LatticeGraph, U: VertexSet, v: int) -> VertexSet:
     if v in U:
         return G.full_set()
     return component_of(G, U.complement(), v).complement()
-
-
-def disconnects_from_rim(G: LatticeGraph, blocker: VertexSet, v: int) -> bool:
-    """True when every path from v to the rim meets ``blocker``.
-
-    Vertices inside the blocker count as disconnected.  On a fully
-    periodic graph nothing is ever disconnected (there is no infinity).
-    """
-    if not G.rim:
-        return False
-    if v in blocker:
-        return True
-    comp = component_of(G, blocker.complement(), v)
-    return comp.isdisjoint(G.rim)
 
 
 def bfs_distances(G: LatticeGraph, src: int) -> list[int]:

@@ -404,7 +404,8 @@ def swappable_components(
     that do touch one are flooded at once from the movable cells next to
     a stuck cell, and the rest are the components of what is left.
     """
-    return connected_components(G, _swappable(np.array(f.values), G, domain, p0, a, b))
+    return connected_components(
+        G, VertexSet(_swappable(np.array(f.values), G, domain, p0, a, b), G.n))
 
 
 def _movable(G: LatticeGraph, domain: VertexSet, p0: Pattern | None) -> VertexSet:
@@ -420,13 +421,13 @@ def _movable(G: LatticeGraph, domain: VertexSet, p0: Pattern | None) -> VertexSe
 
 
 def _swappable(values: np.ndarray, G: LatticeGraph, domain: VertexSet,
-               p0: Pattern | None, a: int, b: int) -> VertexSet:
-    """The cells of ``swappable_components``, on a row of colors in vertex order."""
-    ab = VertexSet(_pack((values == a) | (values == b)), G.n)
-    movable = _movable(G, domain, p0) & ab
-    stuck = ab - movable
-    tainted = _grow(G, movable, movable.bits & _neighbor_bits(G, stuck.bits), 1)
-    return movable - tainted
+               p0: Pattern | None, a: int, b: int) -> int:
+    """The cells of ``swappable_components`` as a bitmap, on a row of colors in vertex order."""
+    ab = _pack((values == a) | (values == b))
+    movable = _movable(G, domain, p0).bits & ab
+    stuck = ab & ~movable
+    tainted = _grow(G, movable, movable & _neighbor_bits(G, stuck), 1)
+    return movable & ~tainted
 
 
 def cluster_step(
@@ -459,14 +460,14 @@ def _cluster_move(values: np.ndarray, q: int, G: LatticeGraph, domain: VertexSet
     singles, grown = _split_components(G, _swappable(values, G, domain, p0, a, b))
     heads = singles
     for comp in grown:
-        heads |= comp.bits & -comp.bits
+        heads |= comp & -comp
     draw = _unpack(VertexSet(heads, G.n))
     draw[draw] = rng.random(np.count_nonzero(draw)) < 0.5   # ascending ids
     chosen = _pack(draw)
     swap = singles & chosen
     for comp in grown:
-        if comp.bits & chosen:   # its one head was chosen
-            swap |= comp.bits
+        if comp & chosen:   # its one head was chosen
+            swap |= comp
     flip = _unpack(VertexSet(swap, G.n))
     values[flip] = a + b - values[flip]
 

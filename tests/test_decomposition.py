@@ -7,6 +7,7 @@ from chroma.coloring import Coloring, is_proper, striped_pattern_coloring
 from chroma.decomposition import (
     Atlas,
     _color_planes,
+    _derived_sets,
     _pattern_cells,
     bp_components,
     classify_atlas,
@@ -20,6 +21,9 @@ from chroma.lattice import build_graph, closed_neighborhood, expand
 from chroma.patterns import Pattern, enumerate_dominant, vertex_in_pattern
 from chroma.rng import make_rng
 from chroma.sampler import heat_bath_sweep
+
+import oracles
+from test_lattice import SHIFT_GRAPHS
 
 P0_BY_Q = {3: ([1], [2, 3]), 4: ([1, 2], [3, 4]), 5: ([1, 2], [3, 4, 5])}
 
@@ -158,6 +162,38 @@ def test_seen_from_cases():
     assert seen_from(G, blob, V, radius=0) == blob
     inner_blob = G.vertex_set([G.vid((4, 2))])
     assert not seen_from(G, inner_blob, V, radius=0)
+
+
+@pytest.mark.parametrize("dims,periodic", SHIFT_GRAPHS)
+def test_seen_from_matches_component_flood(dims, periodic):
+    # per-component oracle: a component of the fattened set is kept when it
+    # meets the rim, holds a vertex of V or cuts one off from the rim; on a
+    # graph without rim nothing is kept
+    G = build_graph(dims, periodic)
+    nbrs = [oracles.neighbors_of(dims, periodic, v) for v in range(G.n)]
+    rim = {v for v in range(G.n) if any(
+        not per and c in (0, length - 1)
+        for c, length, per in zip(oracles.coords_of(dims, v), dims, periodic))}
+    rng = random.Random(len(dims) * 100 + G.n)
+    for trial in range(40):
+        star = {v for v in range(G.n) if rng.random() < 0.1}
+        V = set(rng.sample(range(G.n), 1 + trial % 3))
+        radius = trial % 3
+        fat = set(star)
+        for _ in range(radius):
+            fat |= {u for v in fat for u in nbrs[v]}
+        want = set()
+        for comp in (oracles.flood_components(dims, periodic, fat) if rim else []):
+            reach = rim - comp
+            frontier = list(reach)
+            while frontier:
+                step = {u for v in frontier for u in nbrs[v]} - comp - reach
+                reach |= step
+                frontier = list(step)
+            if comp & rim or V - reach:
+                want |= comp
+        got = seen_from(G, G.vertex_set(star), G.vertex_set(V), radius)
+        assert set(got.ids()) == want
 
 
 def test_construct_trivial_on_pure():
@@ -388,7 +424,32 @@ def test_pattern_cells_from_planes_match_vertex_predicate():
                 for P in enumerate_dominant(q):
                     want = G.vertex_set(v for v in range(G.n)
                                         if vertex_in_pattern(f.values[v], G.parity[v], P))
-                    assert _pattern_cells(G, planes, P) == want
+                    assert _pattern_cells(G, planes, P) == want.bits
                 if planes[0]:
                     with pytest.raises(PreconditionError):
                         decompose(G, f)
+
+
+@pytest.mark.parametrize("dims,periodic", SHIFT_GRAPHS)
+def test_derived_sets_match_per_vertex_definitions(dims, periodic):
+    # random families of zero to four regions, each sparse, half full or
+    # nearly full: the overlap is the cells in two or more regions, the bad
+    # set the cells in none, and the defect set adds every cell with a
+    # neighbor on the other side of some region's boundary
+    G = build_graph(dims, periodic)
+    nbrs = [oracles.neighbors_of(dims, periodic, v) for v in range(G.n)]
+    rng = random.Random(sum(dims) * 10 + len(dims))
+    pats = enumerate_dominant(4)
+    for _ in range(30):
+        density = rng.choices((0.1, 0.5, 0.9), k=4)
+        family = {P: {v for v in range(G.n) if rng.random() < p}
+                  for P, p in zip(rng.sample(pats, rng.randrange(5)), density)}
+        hits = [sum(v in S for S in family.values()) for v in range(G.n)]
+        overlap = {v for v in range(G.n) if hits[v] >= 2}
+        bad = {v for v in range(G.n) if hits[v] == 0}
+        crossing = {v for v in range(G.n) for S in family.values()
+                    if any((u in S) != (v in S) for u in nbrs[v])}
+        X = Atlas(G, {P: G.vertex_set(S) for P, S in family.items()})
+        want = [G.vertex_set(W).bits for W in (overlap, bad, crossing | overlap | bad)]
+        assert list(_derived_sets(G, X.x_p)) == want
+        assert [X.x_overlap.bits, X.x_bad.bits, X.x_star.bits] == want

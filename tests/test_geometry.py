@@ -83,6 +83,31 @@ def test_regularity_closed_form_matches_direct_definition():
             assert got == direct
 
 
+@pytest.mark.parametrize("dims,periodic", SHIFT_GRAPHS)
+def test_regularity_witness_is_lowest_closure_violation(dims, periodic):
+    # U is odd-regular when U is the closed neighborhood of its even cells
+    # and U^c that of its odd cells (parities swapped for even-regular); the
+    # witness is the lowest cell where the first failing closure differs
+    G = build_graph(dims, periodic)
+    nbrs = [oracles.neighbors_of(dims, periodic, v) for v in range(G.n)]
+    parity = [sum(oracles.coords_of(dims, v)) % 2 for v in range(G.n)]
+    rng = make_rng(sum(dims))
+    regular = [random_regular_odd_set(G, rng, 0) for _ in range(4)]
+    samples = [set(U.ids()) for U in regular] + [set(U.complement().ids()) for U in regular]
+    samples += oracle_samples(G.n, sum(dims) + 1)
+    for members in samples:
+        outside = set(range(G.n)) - members
+        for kind, inside_core in (("odd", 0), ("even", 1)):
+            violations = []
+            for side, core in ((members, inside_core), (outside, 1 - inside_core)):
+                core_cells = {v for v in side if parity[v] == core}
+                closure = core_cells | {u for v in core_cells for u in nbrs[v]}
+                violations.append(sorted(closure ^ side))
+            first = next((bad for bad in violations if bad), None)
+            want = (first is None, None if first is None else first[0])
+            assert regularity_check(G, G.vertex_set(members), kind) == want
+
+
 def test_revealed_plus_shape_d3():
     G = build_graph([7, 7, 7])
     plus = plus_at(G, (3, 3, 3)) if G.parity[G.vid((3, 3, 3))] == 0 else None

@@ -170,54 +170,37 @@ def test_chain_connectivity_on_acceptance_instance():
 
 
 def test_cluster_two_dominoes_four_outcomes():
-    # two separated {2,3} dominoes flip independently: four outcomes
+    # two far-apart dominoes (odd cell 3, even cell 2) in a q=5 fill of 1 on
+    # even and 4 on odd cells: when the move draws the pair {3, 5}, the two
+    # odd cells are its only swappable components, each flips to 5 with
+    # probability 1/2, and all four outcomes occur
     G = build_graph([7, 7])
-    p0 = Pattern.parse(3, P03)
-    f = striped_pattern_coloring(G, p0)
-    a, b = 2, 3
-
-    def put_domino(f, i, j):
-        v, w = G.vid((i, j)), G.vid((i + 1, j))
-        odd, even = (v, w) if G.parity[v] == 1 else (w, v)
-        f.values[odd] = a
-        f.values[even] = b
-
-    # carve two far-apart dominoes whose neighbors avoid colors 2 and 3
-    for i, j in [(2, 2), (4, 4)]:
-        put_domino(f, i, j)
-    for v in range(G.n):
-        coords = G.coords(v)
-        if f.values[v] in (a, b) and G.parity[v] == 1:
-            continue
-    comps = swappable_components(f, G, G.full_set(), p0, a, b)
-    # the two dominoes are swappable only if isolated from other {2,3} cells;
-    # in the striped fill odd cells all carry 2 or 3, so instead test on an
-    # instance where the rest of the lattice avoids both colors
     q = 5
-    p0w = Pattern.make(q, [1, 2], [3, 4, 5])
+    p0 = Pattern.make(q, [1, 2], [3, 4, 5])
     base = Coloring([1 if G.parity[v] == 0 else 4 for v in range(G.n)], q)
-    fa, fb = 3, 5
+    odds = []
     for i, j in [(2, 2), (4, 4)]:
         v, w = G.vid((i, j)), G.vid((i + 1, j))
         odd, even = (v, w) if G.parity[v] == 1 else (w, v)
-        base.values[odd] = fa
+        base.values[odd] = 3
         base.values[even] = 2
+        odds.append(odd)
     assert is_proper(base, G)
-    comps = swappable_components(base, G, G.full_set(), p0w, fa, fb)
-    inner = [c for c in comps if len(c) >= 1]
-    assert len(inner) == 2
-    outcomes = set()
-    for seed in range(200):
-        rng = make_rng(seed)
-        rng.choice(q, size=2, replace=False)  # not used; drive the step directly
-        out = base.copy()
-        for comp in comps:
-            if rng.random() < 0.5:
-                for v in comp:
-                    out.values[v] = fb if out.values[v] == fa else fa
-        outcomes.add(out.as_tuple())
+    comps = swappable_components(base, G, G.full_set(), p0, 3, 5)
+    assert sorted(comp.ids() for comp in comps) == sorted((v,) for v in odds)
+    outcomes = Counter()
+    for seed in range(400):
+        # the seeds whose drawn pair is {3, 5}, found with a probe rng
+        probe = make_rng(seed)
+        if sorted(int(x) + 1 for x in probe.choice(q, size=2, replace=False)) != [3, 5]:
+            continue
+        out = cluster_step(base, G, G.full_set(), p0, make_rng(seed), assert_proper=True)
         assert is_proper(out, G)
-    assert len(outcomes) == 4
+        flipped = tuple(v for v in range(G.n) if out.values[v] != base.values[v])
+        assert set(flipped) <= set(odds)
+        assert all(out.values[v] == 5 for v in flipped)
+        outcomes[flipped] += 1
+    assert len(outcomes) == 4, outcomes
 
 
 def test_cluster_spanning_component_noop():
