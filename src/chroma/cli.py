@@ -6,9 +6,10 @@ overrides), whose SHA-256 is stamped into every output next to the seed
 and the package version, so any artifact can be regenerated from its
 own header.
 
-Exit codes: 0 success, 1 configuration/precondition error, 2 resource
-budget exceeded, 3 violation of a mathematical invariant the library
-guarantees (a bug, not a user error).
+Exit codes: 0 success, 1 configuration/precondition error (an input file
+that cannot be read included), 2 resource budget exceeded, 3 violation
+of a mathematical invariant the library guarantees (a bug, not a user
+error).
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ def _validate(command: str, cfg: Mapping[str, Any]) -> dict:
         if key not in schema:
             raise ConfigError(f"unknown config field {key!r} for command {command}")
         want = schema[key]
-        if not isinstance(value, want):
+        # a JSON true/false is a Python bool, which is an int: only bool fields take it
+        if not isinstance(value, want) or isinstance(value, bool) and want is not bool:
             raise ConfigError(
                 f"config field {key!r} should be {want}, got {type(value).__name__}"
             )
@@ -84,14 +86,21 @@ def _validate(command: str, cfg: Mapping[str, Any]) -> dict:
     return out
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path!r}: {exc.strerror}") from exc
+
+
 def _effective_config(command: str, args: argparse.Namespace) -> dict:
     cfg: dict[str, Any] = {}
     if args.config:
-        with open(args.config) as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        try:
+            loaded = json.loads(_read_text(args.config))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         loaded.pop("command", None)
@@ -153,7 +162,10 @@ def _constraint_from(cfg: Mapping[str, Any], q: int) -> Constraint:
         _require(cfg, "pattern")
         return Constraint.pattern_boundary(Pattern.parse(q, cfg["pattern"]))
     if kind == "pins":
-        pins = {int(k): int(v) for k, v in cfg.get("pins", {}).items()}
+        try:
+            pins = {int(k): int(v) for k, v in cfg.get("pins", {}).items()}
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"pins must map vertex ids to colors: {exc}") from exc
         return Constraint.pinned(pins)
     raise ConfigError(f"unknown constraint kind {kind!r}")
 
@@ -227,20 +239,11 @@ def _cmd_toy_ratio(args) -> int:
 def _cmd_sample(args) -> int:
     cfg = _effective_config("sample", args)
     _require(cfg, "dims", "q", "pattern", "seed", "sweeps")
-    chain = ChainConfig(
-        dims=tuple(cfg["dims"]),
-        periodic=tuple(cfg["periodic"]) if "periodic" in cfg else None,
-        q=cfg["q"],
-        pattern=cfg["pattern"],
-        seed=cfg["seed"],
-        sweeps=cfg["sweeps"],
-        burn_in=cfg.get("burn_in", 0),
-        thin=cfg.get("thin", 1),
-        algorithm=cfg.get("algorithm", "heat-bath"),
-        cluster_every=cfg.get("cluster_every", 8),
-        chains=cfg.get("chains", 1),
-        margin=cfg.get("margin", 0),
-    )
+    # every sample field is a ChainConfig field, and ChainConfig holds the defaults
+    chain = ChainConfig(**{
+        key: tuple(value) if isinstance(value, list) else value
+        for key, value in cfg.items()
+    })
     stats = run_experiment(chain)
     out = args.out or "stats.csv"
     header = ["vertex_id", "violation_rate"] + [f"c{i}" for i in range(1, chain.q + 1)]
@@ -258,8 +261,7 @@ def _cmd_sample(args) -> int:
 def _cmd_decompose(args) -> int:
     cfg = _effective_config("decompose", args)
     _require(cfg, "coloring")
-    with open(cfg["coloring"]) as fh:
-        f, G = coloring_from_text(fh.read())
+    f, G = coloring_from_text(_read_text(cfg["coloring"]))
     Z = decompose(G, f)
     payload = {"graph": G.key(), "q": f.q, "decomposition": Z.to_json()}
     _emit_json(payload, cfg, args.out or "regions.json")

@@ -309,35 +309,20 @@ def repair_transform(
     p0: Pattern,
     shift_axis: int = 0,
     shift_dir: int = 1,
-    permutations: Mapping[Pattern, Mapping[int, int]] | None = None,
 ) -> Coloring:
     """Delete S, recolor the parts onto the reference pattern, fill the rest.
 
     f only needs values on the parts away from S^+ (HOLE elsewhere is
     fine); h must cover exactly the filling region and follow the
-    reference pattern.  Custom pattern-aligning permutations may be
-    supplied per part; by default the canonical order-preserving ones
-    are used.  The output is asserted proper.
+    reference pattern.  Each part is recolored by the canonical
+    order-preserving permutation onto the reference.  The output is
+    asserted proper.
     """
     plan = plan_repair(G, S, parts, shift_axis, shift_dir)
     q = p0.q
     if f.q != q:
         raise PreconditionError("coloring and reference pattern disagree on q")
-    perms: dict[Pattern, dict[int, int]] = {}
-    for P, _ in plan.parts:
-        if permutations is not None and P in permutations:
-            perm = dict(permutations[P])
-            target = p0 if P.klass == 0 else p0.reversed()
-            src_a = set(P.a)
-            if {perm[c] for c in src_a} != set(target.a) or {
-                perm[c] for c in set(P.b)
-            } != set(target.b):
-                raise PreconditionError(
-                    f"supplied permutation does not take {P.text()} to the reference"
-                )
-        else:
-            perm = plan.canonical(P, p0)[0]
-        perms[P] = perm
+    perms = {P: plan.canonical(P, p0)[0] for P, _ in plan.parts}
 
     h_keys = set(h)
     star_ids = set(plan.s_star.ids())
@@ -383,16 +368,12 @@ def repair_inverse(
     p0: Pattern,
     shift_axis: int = 0,
     shift_dir: int = 1,
-    permutations: Mapping[Pattern, Mapping[int, int]] | None = None,
 ) -> tuple[Coloring, dict[int, int]]:
     """Recover (f restricted to the parts, h) from a repaired coloring."""
     plan = plan_repair(G, S, parts, shift_axis, shift_dir)
     values = [HOLE] * G.n
     for P, region in plan.regions0 + plan.regions1:
-        if permutations is not None and P in permutations:
-            inv = {dst: src for src, dst in permutations[P].items()}
-        else:
-            inv = plan.canonical(P, p0)[1]
+        inv = plan.canonical(P, p0)[1]
         for v in region:
             src = v if P.klass == 0 else G.axis_step(v, plan.shift_axis, -plan.shift_dir)
             values[v] = inv[g.values[src]]
@@ -413,15 +394,18 @@ def coloring_from_text(text: str) -> tuple[Coloring, LatticeGraph]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) != 2:
         raise ConfigError("coloring file must have a header line and a value line")
-    header = dict(part.split("=", 1) for part in lines[0].strip().split(";"))
     try:
+        header = dict(part.split("=", 1) for part in lines[0].strip().split(";"))
         q = int(header["q"])
         dims = [int(x) for x in header["dims"].split(",")]
         per = [x == "1" for x in header["periodic"].split(",")]
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad coloring header {lines[0]!r}") from exc
     G = LatticeGraph(dims, per)
-    values = [int(tok) for tok in lines[1].split()]
+    try:
+        values = [int(tok) for tok in lines[1].split()]
+    except ValueError as exc:
+        raise ConfigError(f"coloring values must be integers: {exc}") from exc
     if len(values) != G.n:
         raise ConfigError(
             f"coloring has {len(values)} values but the graph has {G.n} vertices"

@@ -47,7 +47,7 @@ from .lattice import (
     connected_components,
     diam_star,
 )
-from .patterns import Pattern, enumerate_dominant
+from .patterns import Pattern, _dominant
 
 
 def _color_planes(f: Coloring) -> list[int]:
@@ -125,19 +125,11 @@ def _derived_sets(G: LatticeGraph, x_p: Mapping[Pattern, VertexSet]) -> tuple[in
     return overlap, bad, star | overlap | bad
 
 
-def decompose(
-    G: LatticeGraph,
-    f: Coloring,
-    patterns: Iterable[Pattern] | None = None,
-    certify: bool = True,
-) -> RegionDecomposition:
-    """Region decomposition of a total proper coloring.
-
-    By default all dominant patterns are used; a whitelist may be passed
-    for large q.  Each region is certified to be a regular P-even set
-    unless certify is disabled.
+def decompose(G: LatticeGraph, f: Coloring) -> RegionDecomposition:
+    """Region decomposition of a total proper coloring over every dominant
+    pattern.  Each region is certified to be a regular P-even set.
     """
-    return _decompose(G, _color_planes(f), f.q, patterns, certify)
+    return _decompose(G, _color_planes(f), f.q, None)
 
 
 def _decompose(
@@ -145,18 +137,18 @@ def _decompose(
     planes: list[int],
     q: int,
     patterns: Iterable[Pattern] | None,
-    certify: bool,
 ) -> RegionDecomposition:
-    """``decompose`` from the coloring's color planes."""
+    """``decompose`` from the coloring's color planes, over the given
+    patterns (every dominant one when None)."""
     if planes[0]:
         raise PreconditionError("decomposition needs a total coloring")
-    pats = list(patterns) if patterns is not None else enumerate_dominant(q)
+    pats = list(patterns) if patterns is not None else _dominant(q)
     z_p: dict[Pattern, VertexSet] = {}
     for P in pats:
         # the P-odd cells whose whole neighborhood is in the P-pattern
         core = _p_odd(G, P) & _settled(G, _pattern_cells(G, planes, P))
         region = core | _neighbor_bits(G, core)
-        if certify and (witness := _regular_witness(G, region, P)) is not None:
+        if (witness := _regular_witness(G, region, P)) is not None:
             raise InternalInvariantError(
                 f"ordered region for {P.text()} is not a regular set (witness vertex {witness})"
             )
@@ -272,7 +264,7 @@ def construct_breakup(
         raise PreconditionError(
             "the complement of the domain interior must follow the reference pattern"
         )
-    Z = _decompose(G, planes, f.q, patterns, True)
+    Z = _decompose(G, planes, f.q, patterns)
     regions = {P: U.bits for P, U in Z.z_p.items()}
     if outside & ~regions[p0]:
         raise InternalInvariantError(
@@ -421,7 +413,7 @@ def bp_components(
     with their total diameter score.
     """
     planes = _color_planes(f)
-    Z = _decompose(G, planes, f.q, [P], False)
+    Z = _decompose(G, planes, f.q, [P])
     bar = VertexSet(Z.z_p[P].bits & _pattern_cells(G, planes, P), G.n)
     b_p = G.empty_set()
     for comp in connected_components(G, bar.complement(), power=2):

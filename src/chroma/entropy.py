@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 from .coloring import Coloring, HOLE
 from .errors import PreconditionError, ResourceLimitError
 from .lattice import LatticeGraph, VertexSet, closed_neighborhood, vertex_boundaries
-from .patterns import Pattern, enumerate_dominant
+from .patterns import Pattern, _dominant
 
 ENT_TOL = 1e-10
 STAR = -1  # masked symbol for cells outside the working set
@@ -101,12 +101,10 @@ class ShearerResult:
 
 
 def shearer_check(
-    joint: Mapping[tuple, float],
-    cover: Sequence[Sequence[int]],
-    k: int,
-    tol: float = ENT_TOL,
+    joint: Mapping[tuple, float], cover: Sequence[Sequence[int]], k: int
 ) -> ShearerResult:
-    """Ent(all) <= (1/k) * sum of Ent over the cover, when it covers k-fold."""
+    """Ent(all) <= (1/k) * sum of Ent over the cover, when it covers k-fold,
+    up to ENT_TOL."""
     check_distribution(joint)
     n = len(next(iter(joint)))
     counts = [0] * n
@@ -122,7 +120,7 @@ def shearer_check(
         )
     lhs = shannon_entropy(joint)
     rhs = sum(shannon_entropy(marginal(joint, block)) for block in cover) / k
-    return ShearerResult(lhs, rhs, lhs <= rhs + tol)
+    return ShearerResult(lhs, rhs, lhs <= rhs + ENT_TOL)
 
 
 # -- neighborhood types and classification ------------------------------------
@@ -270,18 +268,13 @@ def k_omega(omega: Sequence[Coloring], S: VertexSet, G: LatticeGraph) -> Fractio
     return min(classify(f, omega, S, G).k_value for f in omega)
 
 
-def u_p_sets(
-    f: Coloring,
-    G: LatticeGraph,
-    x_bad: VertexSet,
-    patterns: Iterable[Pattern] | None = None,
-) -> dict[Pattern, VertexSet]:
-    """Bad vertices of each pattern's P-even parity whose neighborhood colors
-    are exactly the pattern's interior side.  The sets are pairwise disjoint.
+def u_p_sets(f: Coloring, G: LatticeGraph, x_bad: VertexSet) -> dict[Pattern, VertexSet]:
+    """Bad vertices of each dominant pattern's P-even parity whose neighborhood
+    colors are exactly the pattern's interior side.  The sets are pairwise
+    disjoint.
     """
-    pats = list(patterns) if patterns is not None else enumerate_dominant(f.q)
     out: dict[Pattern, VertexSet] = {}
-    for P in pats:
+    for P in _dominant(f.q):
         even_par = P.klass
         interior = set(
             c + 1 for c in range(f.q) if (P.int_bits >> c) & 1
@@ -400,7 +393,6 @@ class VertexTerms:
     term_local: float               # Ent(masked N(v) | image)/2d + Ent(masked v | image)
     cap_applicable: bool
     caps_hold: bool | None
-    excluded: bool
 
 
 @dataclass(frozen=True)
@@ -416,7 +408,6 @@ def entropy_loss_eval(
     S: VertexSet,
     dist: Mapping[tuple, float],
     q: int,
-    support_floor: float = 0.0,
 ) -> EntropyLossReport:
     """Two-term local bound on the entropy of the S-masked configuration.
 
@@ -427,8 +418,7 @@ def entropy_loss_eval(
     inequality Ent(masked field) <= sum(I + II)/2 is asserted along with
     the per-vertex caps I <= q log 2 / 2d and II <= log(floor * ceil),
     where the caps apply unless a vertex of S has no neighbor in S and
-    q = 3.  Vertices whose conditioning events all fall below
-    ``support_floor`` are excluded with a notice flag.
+    q = 3.  A failed cap or grand inequality raises PreconditionError.
     """
     check_distribution(dist)
     for v in S:
@@ -467,11 +457,7 @@ def entropy_loss_eval(
             img = frozenset(nbr)
             key = (me, nbr, img)
             joint[key] = joint.get(key, 0.0) + float(p)
-        img_dist = marginal(joint, [2])
-        excluded = support_floor > 0.0 and all(
-            p < support_floor for p in img_dist.values()
-        )
-        ent_img = shannon_entropy(img_dist)
+        ent_img = shannon_entropy(marginal(joint, [2]))
         ent_nbr_given_img = conditional_entropy(marginal(joint, [1, 2]), [1])
         ent_v_given_img = conditional_entropy(marginal(joint, [0, 2]), [1])
         term1 = ent_img / two_d
@@ -479,21 +465,18 @@ def entropy_loss_eval(
         isolated_in_s = v in S and all(u not in S for u in G.neighbors[v])
         cap_applicable = not (isolated_in_s and q == 3)
         caps_hold = None
-        if cap_applicable and not excluded:
+        if cap_applicable:
             caps_hold = term1 <= cap_i + ENT_TOL and term2 <= cap_ii + ENT_TOL
             if not caps_hold:
                 raise PreconditionError(
                     f"per-vertex entropy caps failed at {v}: "
                     f"I={term1} (cap {cap_i}), II={term2} (cap {cap_ii})"
                 )
-        if not excluded:
-            total += term1 + term2
-        terms.append(
-            VertexTerms(v, term1, term2, cap_applicable, caps_hold, excluded)
-        )
+        total += term1 + term2
+        terms.append(VertexTerms(v, term1, term2, cap_applicable, caps_hold))
     bound = total / 2
     holds = ent_masked <= bound + ENT_TOL
-    if not holds and support_floor == 0.0:
+    if not holds:
         raise PreconditionError(
             f"local entropy bound failed: Ent={ent_masked} > bound={bound}"
         )

@@ -86,7 +86,8 @@ def allowed_masks(
     """Per-vertex color bitmasks for the domain; second value is feasibility.
 
     Pins inside the domain force single colors; pins outside it knock
-    their color out of adjacent domain cells.  Infeasibility (a pinned
+    their color out of adjacent domain cells.  A pin off the graph or
+    outside 1..q is a ConfigError.  Infeasibility (a pinned
     pair clashing, or an empty mask) yields count zero, not an error.
     """
     full = (1 << q) - 1
@@ -98,6 +99,8 @@ def allowed_masks(
             masks[v] &= P.side_for_parity(G.parity[v])
     pins = dict(constraint.pins)
     for v, c in pins.items():
+        if not 0 <= v < G.n:
+            raise ConfigError(f"pinned vertex {v} outside 0..{G.n - 1}")
         if not 1 <= c <= q:
             raise ConfigError(f"pinned color {c} outside 1..{q}")
     for v, c in pins.items():
@@ -545,18 +548,17 @@ def exact_marginal(
     q: int,
     v: int,
     constraint: Constraint | None = None,
-    method: str = "auto",
 ) -> ExactMarginal:
     """Exact color distribution at v under the constrained uniform measure."""
     if v not in domain:
         raise PreconditionError(f"vertex {v} is outside the domain")
     constraint = constraint or Constraint.free()
-    total = count_colorings(G, domain, q, constraint, method).count
+    total = count_colorings(G, domain, q, constraint).count
     if total == 0:
         raise UndefinedMeasureError("no proper coloring satisfies the constraint")
     probs = []
     for c in range(1, q + 1):
-        pinned = count_colorings(G, domain, q, constraint.with_pin(v, c), method).count
+        pinned = count_colorings(G, domain, q, constraint.with_pin(v, c)).count
         probs.append(Fraction(pinned, total))
     if sum(probs) != 1:
         raise PreconditionError("marginal slices do not add up; inconsistent pins?")
@@ -681,27 +683,22 @@ class HtopPoint:
     meets_bound: bool
 
 
-def htop_estimate(
-    q: int,
-    boxes: Iterable[Iterable[int]],
-    periodic: bool = True,
-) -> list[HtopPoint]:
-    """Per-box log(count)/sites for free colorings, with the pure-pattern bound.
+def htop_estimate(q: int, boxes: Iterable[Iterable[int]]) -> list[HtopPoint]:
+    """Per-torus log(count)/sites for free colorings, with the pure-pattern bound.
 
-    On even-sided tori the density can never fall below
-    log(floor(q/2) * ceil(q/2)) / 2, witnessed by the pure pattern
-    colorings themselves; the bound is checked there and merely reported
-    elsewhere.
+    Every box is a torus.  On even-sided tori the density can never fall
+    below log(floor(q/2) * ceil(q/2)) / 2, witnessed by the pure pattern
+    colorings themselves; the bound is checked there and only reported on
+    tori with an odd side.
     """
     bound = 0.5 * math.log((q // 2) * ((q + 1) // 2))
     out = []
     for dims in boxes:
         dims = tuple(int(x) for x in dims)
-        per = tuple(periodic for _ in dims)
-        G = LatticeGraph(dims, per)
+        G = LatticeGraph(dims, (True,) * len(dims))
         count = count_colorings(G, G.full_set(), q).count
         log_per_site = math.log(count) / G.n if count else float("-inf")
-        binding = periodic and all(x % 2 == 0 for x in dims)
+        binding = all(x % 2 == 0 for x in dims)
         meets = (not binding) or log_per_site >= bound - 1e-12
         if binding and not meets:
             raise PreconditionError(

@@ -142,31 +142,26 @@ def _at_least(G: LatticeGraph, maps: list[int], t: int) -> int:
     return _ladder(maps, t)[-1] if t > 0 else (1 << G.n) - 1
 
 
-def revealed_vertices(
-    G: LatticeGraph, S: VertexSet, parity: str = "odd", check: bool = True
-) -> VertexSet:
+def revealed_vertices(G: LatticeGraph, S: VertexSet, parity: str = "odd") -> VertexSet:
     """Vertices incident to at least d boundary edges of S.
 
     For an odd (or even) set these separate S: every boundary edge has a
-    revealed endpoint.  That is a theorem, so with check enabled a
-    failure aborts as an internal error.
+    revealed endpoint.  That is a theorem, so a failure away from the rim
+    aborts as an internal error.
     """
     if not is_parity_set(G, S, parity):
         raise PreconditionError(f"S is not an {parity} set")
     maps = _boundary_maps(G, [S])
     revealed = VertexSet(_at_least(G, maps, G.d), G.n)
-    if check:
-        hidden = _unseparated(G, maps, revealed.bits)
-        if any(hidden):
-            u, v = _lowest_edge(G, hidden)
-            if G.degree[u] == G.full_degree and G.degree[v] == G.full_degree:
-                raise InternalInvariantError(
-                    f"boundary edge ({u},{v}) has no revealed endpoint"
-                )
-            raise PreconditionError(
-                f"boundary edge ({u},{v}) is clipped by the ambient rim; "
-                "revealed-vertex separation needs clearance from the faces"
-            )
+    hidden = _unseparated(G, maps, revealed.bits)
+    if any(hidden):
+        u, v = _lowest_edge(G, hidden)
+        if G.degree[u] == G.full_degree and G.degree[v] == G.full_degree:
+            raise InternalInvariantError(f"boundary edge ({u},{v}) has no revealed endpoint")
+        raise PreconditionError(
+            f"boundary edge ({u},{v}) is clipped by the ambient rim; "
+            "revealed-vertex separation needs clearance from the faces"
+        )
     return revealed
 
 
@@ -254,8 +249,7 @@ class SeparatingSetReport:
     vertices: VertexSet          # the set U; N(U) does the separating
     separator: VertexSet         # N(U)
     size: int
-    size_bound: float            # reported, asymptotic: C |dS| d^{-3/2} log d
-    bound_constant: float
+    size_bound: float            # reported, asymptotic: |dS| d^{-3/2} log d
     separates: bool
     s_threshold: int
     t_threshold: int
@@ -330,8 +324,6 @@ def separating_set(
     collection: OddSetCollection,
     s: int | None = None,
     t: int | None = None,
-    bound_constant: float = 1.0,
-    check: bool = True,
 ) -> SeparatingSetReport:
     """Small U such that N(U) separates every set of the collection.
 
@@ -339,7 +331,8 @@ def separating_set(
     mirrored, on the complements, so both endpoints of every boundary
     edge are handled.  Default thresholds are s = ceil(sqrt(d)) and
     t = d/6, clamped up to 1 in low dimension where the asymptotic
-    bound is not claimed; the size bound is reported, never asserted.
+    bound is not claimed; the size bound |dS| d^{-3/2} log d is reported,
+    never asserted.  A set that fails to separate raises.
     """
     G = collection.graph
     d = G.d
@@ -350,8 +343,7 @@ def separating_set(
     separator = neighborhood(G, U)
     boundary = _boundary_maps(G, collection.sets)
     missed = _unseparated(G, boundary, separator.bits)
-    separates = not any(missed)
-    if check and not separates:
+    if any(missed):
         bad = _lowest_edge(G, missed)
         if all(G.degree[w] == G.full_degree for w in bad):
             raise InternalInvariantError(
@@ -361,14 +353,13 @@ def separating_set(
             f"boundary edge {bad} is clipped by the ambient rim; the separating "
             "construction needs the collection to clear the faces"
         )
-    bound = bound_constant * _edge_count(boundary) * math.log(max(d, 2)) / d ** 1.5
+    bound = _edge_count(boundary) * math.log(max(d, 2)) / d ** 1.5
     return SeparatingSetReport(
         vertices=U,
         separator=separator,
         size=len(U),
         size_bound=bound,
-        bound_constant=bound_constant,
-        separates=separates,
+        separates=True,
         s_threshold=s_val,
         t_threshold=t_val,
     )
@@ -501,18 +492,19 @@ def verify_approximation(
     return all(clauses.values()), clauses
 
 
-def enumerate_regular_parity_sets(
-    G: LatticeGraph, parity: str, limit: int = 16
-) -> list[VertexSet]:
+ENUMERATION_LIMIT = 16   # most vertices enumerate_regular_parity_sets sweeps
+
+
+def enumerate_regular_parity_sets(G: LatticeGraph, parity: str) -> list[VertexSet]:
     """Every regular odd (even) subset of a tiny ambient, by brute force.
 
     The sweep is exponential in the vertex count, so it refuses graphs
-    larger than ``limit`` vertices; it exists to let exhaustive
+    larger than ``ENUMERATION_LIMIT`` vertices; it exists to let exhaustive
     verification runs cover the whole family at desk scale.
     """
-    if G.n > limit:
+    if G.n > ENUMERATION_LIMIT:
         raise ResourceLimitError(
-            f"exhaustive enumeration is limited to {limit} vertices, got {G.n}"
+            f"exhaustive enumeration is limited to {ENUMERATION_LIMIT} vertices, got {G.n}"
         )
     out = []
     for bits in range(1 << G.n):

@@ -489,16 +489,16 @@ def connected_components(G: LatticeGraph, U: VertexSet, power: int = 1) -> list[
     return [VertexSet(comp, G.n) for comp in _components(G, U.bits, power)]
 
 
-def is_connected(G: LatticeGraph, U: VertexSet, power: int = 1) -> bool:
+def is_connected(G: LatticeGraph, U: VertexSet) -> bool:
     """Whether U is empty or the component of its lowest cell is all of it."""
-    return not U or _grow(G, U.bits, U.bits & -U.bits, power) == U.bits
+    return not U or _grow(G, U.bits, U.bits & -U.bits, 1) == U.bits
 
 
-def component_of(G: LatticeGraph, U: VertexSet, v: int, power: int = 1) -> VertexSet:
+def component_of(G: LatticeGraph, U: VertexSet, v: int) -> VertexSet:
     """Component of v within U (empty if v is outside U)."""
     if v not in U:
         return G.empty_set()
-    return VertexSet(_grow(G, U.bits, 1 << v, power), G.n)
+    return VertexSet(_grow(G, U.bits, 1 << v, 1), G.n)
 
 
 def co_connected_closure(G: LatticeGraph, U: VertexSet, v: int) -> VertexSet:

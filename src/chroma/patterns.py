@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Iterable, TYPE_CHECKING
 
 from .errors import ConfigError, PreconditionError
@@ -49,7 +50,11 @@ def mask_colors(bits: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Pattern:
-    """Ordered pair of disjoint color subsets over 1..q, stored as bitmasks."""
+    """Ordered pair of disjoint color subsets over 1..q, stored as bitmasks.
+
+    Equality and hashing read the three fields only; the derived sides
+    and class are computed once per pattern and kept on it.
+    """
 
     q: int
     a_bits: int
@@ -68,11 +73,11 @@ class Pattern:
     def make(cls, q: int, a: Iterable[int], b: Iterable[int]) -> "Pattern":
         return cls(q, color_mask(a, q), color_mask(b, q))
 
-    @property
+    @cached_property
     def a(self) -> tuple[int, ...]:
         return mask_colors(self.a_bits)
 
-    @property
+    @cached_property
     def b(self) -> tuple[int, ...]:
         return mask_colors(self.b_bits)
 
@@ -88,7 +93,7 @@ class Pattern:
         sizes = {self.size_a, self.size_b}
         return sizes == {self.q // 2, (self.q + 1) // 2}
 
-    @property
+    @cached_property
     def klass(self) -> int:
         """0 when |A| <= |B|, 1 otherwise."""
         return 0 if self.size_a <= self.size_b else 1
@@ -144,6 +149,12 @@ def enumerate_dominant(q: int) -> list[Pattern]:
 
     There are C(q, q/2) for even q and 2*C(q, floor(q/2)) for odd q.
     """
+    return list(_dominant(q))
+
+
+@cache
+def _dominant(q: int) -> tuple[Pattern, ...]:
+    """``enumerate_dominant``, built once per q and shared."""
     if q < 3:
         raise ConfigError("dominant pattern enumeration needs q >= 3")
     if q > MAX_COLORS:
@@ -156,8 +167,7 @@ def enumerate_dominant(q: int) -> list[Pattern]:
         for combo in itertools.combinations(range(1, q + 1), size):
             a_bits = color_mask(combo, q)
             out.append(Pattern(q, a_bits, full & ~a_bits))
-    out.sort(key=Pattern.sort_key)
-    return out
+    return tuple(sorted(out, key=Pattern.sort_key))
 
 
 def pattern_sides(P: Pattern) -> PatternSides:

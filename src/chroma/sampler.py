@@ -585,22 +585,20 @@ def single_site_transition_matrix(
     G: LatticeGraph,
     domain: VertexSet,
     q: int,
-    constraint: Constraint | None = None,
     state_budget: int = 500,
 ) -> tuple[list[tuple[int, ...]], list[list[Fraction]]]:
     """Random-site heat-bath kernel as an exact stochastic matrix.
 
-    States are the admissible colorings (as tuples over the domain in
+    States are the proper colorings (as tuples over the domain in
     ascending order); the kernel picks a uniform site and resamples it
     uniformly over the locally admissible colors.  The matrix is doubly
     checkable: rows sum to one and detailed balance for the uniform
     measure amounts to exact symmetry.  More than ``state_budget`` states
     raise ResourceLimitError before the dense m x m matrix is built.
     """
-    constraint = constraint or Constraint.free()
-    masks, feasible = allowed_masks(G, domain, q, constraint)
+    masks, feasible = allowed_masks(G, domain, q, Constraint.free())
     if not feasible:
-        raise PreconditionError("constraint admits no coloring")
+        raise PreconditionError(f"the domain has no coloring with {q} colors")
     order = sorted(domain.ids())
     states = sorted(
         tuple(assign[v] for v in order)

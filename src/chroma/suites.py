@@ -152,9 +152,9 @@ def _co_closure_instance(G: LatticeGraph, rng):
 # -- suites --------------------------------------------------------------------
 
 
-def suite_four_cycle(trials: int, seed: int, dims=(8, 8)) -> SuiteResult:
+def suite_four_cycle(trials: int, seed: int) -> SuiteResult:
     """Boundary edges of odd sets satisfy the direction-exchange property."""
-    G = LatticeGraph(dims)
+    G = LatticeGraph((8, 8))
     failures = []
     rng = make_rng(seed)
     for t in range(trials):
@@ -167,15 +167,15 @@ def suite_four_cycle(trials: int, seed: int, dims=(8, 8)) -> SuiteResult:
     return SuiteResult("four-cycle", trials, tuple(failures))
 
 
-def suite_revealed(trials: int, seed: int, dims=(8, 8)) -> SuiteResult:
+def suite_revealed(trials: int, seed: int) -> SuiteResult:
     """Revealed vertices meet every boundary edge of a regular odd set."""
-    G = LatticeGraph(dims)
+    G = LatticeGraph((8, 8))
     failures = []
     rng = make_rng(seed)
     for t in range(trials):
         S = random_regular_odd_set(G, rng)
         try:
-            rev = revealed_vertices(G, S, "odd", check=True)
+            rev = revealed_vertices(G, S, "odd")
         except InternalInvariantError as exc:
             failures.append(f"trial {t}: {exc}")
             continue
@@ -186,9 +186,9 @@ def suite_revealed(trials: int, seed: int, dims=(8, 8)) -> SuiteResult:
     return SuiteResult("revealed", trials, tuple(failures))
 
 
-def suite_even_odd(trials: int, seed: int, dims=(7, 7)) -> SuiteResult:
+def suite_even_odd(trials: int, seed: int) -> SuiteResult:
     """Sublattice imbalance equals the boundary-split difference over 2d."""
-    G = LatticeGraph(dims)
+    G = LatticeGraph((7, 7))
     cells = interior(G, 1)
     failures = []
     rng = make_rng(seed)
@@ -202,9 +202,9 @@ def suite_even_odd(trials: int, seed: int, dims=(7, 7)) -> SuiteResult:
     return SuiteResult("even-odd", trials, tuple(failures))
 
 
-def suite_sizes(trials: int, seed: int, dims=(6, 6)) -> SuiteResult:
+def suite_sizes(trials: int, seed: int) -> SuiteResult:
     """|N_t(U)| is at most (max degree / t) |U|."""
-    G = LatticeGraph(dims)
+    G = LatticeGraph((6, 6))
     failures = []
     rng = make_rng(seed)
     delta = G.full_degree
@@ -221,9 +221,9 @@ def suite_sizes(trials: int, seed: int, dims=(6, 6)) -> SuiteResult:
     return SuiteResult("sizes", trials, tuple(failures))
 
 
-def suite_co_closure(trials: int, seed: int, dims=(6, 6)) -> SuiteResult:
+def suite_co_closure(trials: int, seed: int) -> SuiteResult:
     """Boundary containment, co-connectedness and absorption of closures."""
-    G = LatticeGraph(dims)
+    G = LatticeGraph((6, 6))
     failures = []
     rng = make_rng(seed)
     for t in range(trials):
@@ -255,9 +255,9 @@ def suite_co_closure(trials: int, seed: int, dims=(6, 6)) -> SuiteResult:
     return SuiteResult("co-closure", trials, tuple(failures))
 
 
-def suite_boundary_connected(trials: int, seed: int, dims=(6, 6, 6)) -> SuiteResult:
+def suite_boundary_connected(trials: int, seed: int) -> SuiteResult:
     """The two-sided boundary of a connected co-connected set is connected."""
-    G = LatticeGraph(dims)
+    G = LatticeGraph((6, 6, 6))
     failures = []
     rng = make_rng(seed)
     for t in range(trials):
@@ -273,7 +273,7 @@ def suite_boundary_connected(trials: int, seed: int, dims=(6, 6, 6)) -> SuiteRes
     return SuiteResult("boundary-connected", trials, tuple(failures))
 
 
-def suite_isoperimetry(trials: int, seed: int, dims=None) -> SuiteResult:
+def suite_isoperimetry(trials: int, seed: int) -> SuiteResult:
     """|edge boundary of v^+| = 2d(2d-1) for even v deep in boxes, d = 2..5."""
     failures = []
     for d in range(2, 6):

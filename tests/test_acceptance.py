@@ -305,7 +305,7 @@ def test_criterion_10_shearer_suite():
         k = min(counts)
         if k == 0:
             continue
-        res = shearer_check(joint, cover, k, tol=1e-10)
+        res = shearer_check(joint, cover, k)
         assert res.holds
         done += 1
 

@@ -327,3 +327,59 @@ def test_edge_count_artifacts_pinned(args, digest):
     code, out = run_cli(args)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("exact-count", {"dims": [2, 2], "q": True}),
+    ("marginal", {"dims": [3, 3], "q": 3, "vertex": True}),
+    ("sample", {"dims": [4, 4], "q": 3, "pattern": "A=1;B=2,3", "seed": 1,
+                "sweeps": 5, "chains": True}),
+    ("verify-lemmas", {"suite": "sizes", "trials": True}),
+])
+def test_config_bool_in_non_bool_field_exit_one(command, cfg, tmp_path, capsys):
+    # JSON true is a Python bool, which is an int; only bool fields take it
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = main([command, "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+
+@pytest.mark.parametrize("command, cfg, coloring", [
+    pytest.param("exact-count", {"dims": [2, 2], "q": 3, "constraint": "pins",
+                                 "pins": {"4": 1}}, None, id="pin-id-past-n"),
+    pytest.param("exact-count", {"dims": [2, 2], "q": 3, "constraint": "pins",
+                                 "pins": {"-1": 1}}, None, id="pin-id-negative"),
+    pytest.param("marginal", {"dims": [3, 3], "q": 3, "constraint": "pins",
+                              "pins": {"9": 2}}, None, id="marginal-pin-id-past-n"),
+    pytest.param("exact-count", {"dims": [2, 2], "q": 3, "constraint": "pins",
+                                 "pins": {"a": 1}}, None, id="pin-key-not-int"),
+    pytest.param("exact-count", {"dims": [2, 2], "q": 3, "constraint": "pins",
+                                 "pins": {"0": "x"}}, None, id="pin-value-not-int"),
+    pytest.param("exact-count", {"dims": [2, 2], "q": 3, "constraint": "pins",
+                                 "pins": {"0": [1]}}, None, id="pin-value-list"),
+    pytest.param("decompose", {}, "q=3;dims=2,2;periodic\n1 2 2 1\n",
+                 id="header-part-without-equals"),
+    pytest.param("decompose", {}, "q=3;dims=2,2;periodic=0,0\n1 2 x 1\n",
+                 id="coloring-value-not-int"),
+    pytest.param("decompose", {}, "missing", id="missing-coloring-file"),
+    pytest.param("exact-count", "missing", None, id="missing-config-file"),
+])
+def test_malformed_outside_input_exit_one(command, cfg, coloring, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    if cfg != "missing":
+        cfg = dict(cfg)
+        if coloring is not None:
+            cfg["coloring"] = str(tmp_path / "f.txt")
+            if coloring != "missing":
+                (tmp_path / "f.txt").write_text(coloring)
+        cfg_path.write_text(json.dumps(cfg))
+    code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert captured.out == ""
+

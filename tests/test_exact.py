@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from chroma.errors import (
+    ConfigError,
     PreconditionError,
     ResourceLimitError,
     UndefinedMeasureError,
@@ -47,6 +48,13 @@ def test_infeasible_pins_count_zero():
     G = build_graph([2, 1])
     res = count_colorings(G, G.full_set(), 3, Constraint.pinned({0: 1, 1: 1}))
     assert res.count == 0
+
+
+@pytest.mark.parametrize("v", [-1, 4])
+def test_pins_off_the_graph_are_refused(v):
+    G = build_graph([2, 2])
+    with pytest.raises(ConfigError, match="pinned vertex"):
+        allowed_masks(G, G.full_set(), 3, Constraint.pinned({v: 1}))
 
 
 def test_count_matches_brute_force_random_subgraphs():
@@ -338,11 +346,11 @@ def test_toy_ratio_counts_against_enumeration():
 
 
 def test_htop_torus_example_and_bound():
-    points = htop_estimate(3, [(2, 2)], periodic=True)
+    points = htop_estimate(3, [(2, 2)])
     assert points[0].count == 18
     assert abs(points[0].log_per_site - math.log(18) / 4) < 1e-12
     assert points[0].meets_bound
-    pts = htop_estimate(4, [(2, 2), (2, 4)], periodic=True)
+    pts = htop_estimate(4, [(2, 2), (2, 4)])
     bound = 0.5 * math.log(4)
     for pt in pts:
         assert pt.lower_bound == pytest.approx(bound)

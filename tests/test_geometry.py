@@ -125,7 +125,7 @@ def test_revealed_separation_randomized():
     rng = make_rng(7)
     for _ in range(60):
         S = random_regular_odd_set(G, rng)
-        rev = revealed_vertices(G, S, "odd", check=True)
+        rev = revealed_vertices(G, S, "odd")
         for (u, v) in boundary_edges(G, [S]):
             assert u in rev or v in rev
 
