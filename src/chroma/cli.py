@@ -82,8 +82,23 @@ def _validate(command: str, cfg: Mapping[str, Any]) -> dict:
             raise ConfigError(
                 f"config field {key!r} should be {want}, got {type(value).__name__}"
             )
+        _check_items(key, value)
         out[key] = value
     return out
+
+
+def _check_items(key: str, value: Any) -> None:
+    """The items of a list field and the values of a dict field: 0/1 or a
+    bool in ``periodic``, an int that is not a bool everywhere else."""
+    if not isinstance(value, (list, dict)):
+        return
+    for x in value.values() if isinstance(value, dict) else value:
+        if key == "periodic":
+            ok, want = isinstance(x, int) and x in (0, 1), "0/1 or a bool"
+        else:
+            ok, want = isinstance(x, int) and not isinstance(x, bool), "an int"
+        if not ok:
+            raise ConfigError(f"config field {key!r} holds {x!r}; each entry should be {want}")
 
 
 def _read_text(path: str) -> str:
@@ -92,6 +107,14 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path!r}: {exc.strerror}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror}") from exc
 
 
 def _effective_config(command: str, args: argparse.Namespace) -> dict:
@@ -125,8 +148,7 @@ def _emit_json(payload: dict, cfg: Mapping[str, Any], out: str | None) -> None:
     doc = {"provenance": _provenance(cfg), **payload}
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        _write_text(out, text)
     sys.stdout.write(text)
 
 
@@ -139,8 +161,7 @@ def _emit_csv(header: list[str], rows: list[list], cfg: Mapping, out: str) -> No
     ]
     for row in rows:
         lines.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
-    with open(out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(out, "\n".join(lines) + "\n")
 
 
 def _require(cfg: Mapping[str, Any], *fields: str) -> None:
@@ -162,9 +183,9 @@ def _constraint_from(cfg: Mapping[str, Any], q: int) -> Constraint:
         _require(cfg, "pattern")
         return Constraint.pattern_boundary(Pattern.parse(q, cfg["pattern"]))
     if kind == "pins":
-        try:
-            pins = {int(k): int(v) for k, v in cfg.get("pins", {}).items()}
-        except (TypeError, ValueError) as exc:
+        try:   # _validate has checked the colors; the keys are JSON strings
+            pins = {int(k): v for k, v in cfg.get("pins", {}).items()}
+        except ValueError as exc:
             raise ConfigError(f"pins must map vertex ids to colors: {exc}") from exc
         return Constraint.pinned(pins)
     raise ConfigError(f"unknown constraint kind {kind!r}")

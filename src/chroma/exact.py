@@ -160,12 +160,11 @@ def _count_backtrack(
     rank = {v: i for i, v in enumerate(order)}
     nbr = []
     for v in order:
-        inside = G.neighbor_mask[v] & domain.bits
         bits = 0
-        while inside:
-            low = inside & -inside
-            inside ^= low
-            bits |= 1 << rank[low.bit_length() - 1]
+        for u in G.neighbors[v]:
+            r = rank.get(u)
+            if r is not None:
+                bits |= 1 << r
         nbr.append(bits)
     m = len(cells)
     cache: dict[int, int] = {}

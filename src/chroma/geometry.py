@@ -217,8 +217,7 @@ def four_cycle_check(G: LatticeGraph, S: VertexSet, parity: str = "odd") -> bool
         (u, v), clause = min(failures)
         if clause == 0:
             raise InternalInvariantError(f"four-cycle property failed at edge ({u},{v})")
-        seen = sum((G.neighbor_mask[w] & (S.complement() if w in S else S).bits).bit_count()
-                   for w in (u, v))
+        seen = sum((x in S) != (w in S) for w in (u, v) for x in G.neighbors[w])
         raise InternalInvariantError(f"endpoints of ({u},{v}) see only {seen} boundary edges")
     return True
 
@@ -240,7 +239,7 @@ def greedy_cover(G: LatticeGraph, S: VertexSet, t: int) -> VertexSet:
             raise InternalInvariantError("cover targets not reachable from S")
         v = (best & -best).bit_length() - 1
         chosen |= 1 << v
-        targets &= ~G.neighbor_mask[v]
+        targets &= ~_neighbor_bits(G, 1 << v)
     return VertexSet(chosen, G.n)
 
 

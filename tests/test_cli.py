@@ -335,6 +335,11 @@ def test_edge_count_artifacts_pinned(args, digest):
     ("sample", {"dims": [4, 4], "q": 3, "pattern": "A=1;B=2,3", "seed": 1,
                 "sweeps": 5, "chains": True}),
     ("verify-lemmas", {"suite": "sizes", "trials": True}),
+    ("exact-count", {"dims": [True, 2], "q": 3}),
+    ("exact-count", {"dims": [2, 2], "q": 3, "domain": [True]}),
+    ("exact-count", {"dims": [2, 2], "q": 3, "constraint": "pins", "pins": {"0": True}}),
+    ("toy-ratio", {"dims": [3, 3], "q": 3, "pattern0": "A=1;B=2,3",
+                   "pattern": "A=1,2;B=3", "droplet": [True]}),
 ])
 def test_config_bool_in_non_bool_field_exit_one(command, cfg, tmp_path, capsys):
     # JSON true is a Python bool, which is an int; only bool fields take it
@@ -361,6 +366,14 @@ def test_config_bool_in_non_bool_field_exit_one(command, cfg, tmp_path, capsys):
                                  "pins": {"0": "x"}}, None, id="pin-value-not-int"),
     pytest.param("exact-count", {"dims": [2, 2], "q": 3, "constraint": "pins",
                                  "pins": {"0": [1]}}, None, id="pin-value-list"),
+    pytest.param("exact-count", {"dims": [2.7, 2], "q": 3}, None, id="dims-float"),
+    pytest.param("exact-count", {"dims": ["a", 2], "q": 3}, None, id="dims-string"),
+    pytest.param("exact-count", {"dims": [2, 2], "periodic": [1, "x"], "q": 3}, None,
+                 id="periodic-string"),
+    pytest.param("exact-count", {"dims": [2, 2], "periodic": [2, 0], "q": 3}, None,
+                 id="periodic-not-0-1"),
+    pytest.param("exact-count", {"dims": [2, 2], "q": 3, "domain": [1.5]}, None,
+                 id="domain-float"),
     pytest.param("decompose", {}, "q=3;dims=2,2;periodic\n1 2 2 1\n",
                  id="header-part-without-equals"),
     pytest.param("decompose", {}, "q=3;dims=2,2;periodic=0,0\n1 2 x 1\n",
@@ -383,3 +396,35 @@ def test_malformed_outside_input_exit_one(command, cfg, coloring, tmp_path, caps
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert captured.out == ""
 
+
+@pytest.mark.parametrize("args", [
+    ["exact-count", "--dims", "2,2", "--q", "3"],
+    ["sample", "--dims", "4,4", "--q", "3", "--pattern", "A=1;B=2,3", "--seed", "1",
+     "--sweeps", "2"],
+], ids=["json", "csv"])
+def test_out_in_missing_directory_exit_one(args, tmp_path, capsys):
+    code = main(args + ["--out", str(tmp_path / "missing" / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: cannot write") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["exact-count", "decompose"])
+def test_box_over_cell_limit_exit_two(command, tmp_path, capsys):
+    # refused before the graph allocates anything; decompose reads the box
+    # from the coloring file's header before its values
+    from chroma.lattice import CELL_LIMIT
+
+    assert 100000 * 100000 > CELL_LIMIT
+    if command == "exact-count":
+        args = ["exact-count", "--dims", "100000,100000", "--q", "3"]
+    else:
+        path = tmp_path / "f.txt"
+        path.write_text("q=3;dims=100000,100000;periodic=0,0\n1 2 1 2\n")
+        args = ["decompose", "--coloring", str(path), "--out", str(tmp_path / "o.json")]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("resource error:") and captured.err.count("\n") == 1
+    assert captured.out == ""

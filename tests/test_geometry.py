@@ -77,8 +77,8 @@ def test_regularity_closed_form_matches_direct_definition():
             direct = (
                 all(G.parity[v] == inside for v in internal)
                 and all(G.parity[v] == 1 - inside for v in internal_c)
-                and all(G.neighbor_mask[v] & U.bits for v in U)
-                and all(G.neighbor_mask[v] & comp.bits for v in comp)
+                and all(any(u in U for u in G.neighbors[v]) for v in U)
+                and all(any(u in comp for u in G.neighbors[v]) for v in comp)
             )
             assert got == direct
 

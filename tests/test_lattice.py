@@ -1,6 +1,8 @@
+import tracemalloc
+
 import pytest
 
-from chroma.errors import ConfigError, PreconditionError
+from chroma.errors import ConfigError, PreconditionError, ResourceLimitError
 from chroma.lattice import (
     _edge_maps,
     _sublattice_identity,
@@ -299,7 +301,6 @@ def test_graph_tables_match_oracles(dims, periodic):
     for v in range(G.n):
         nbrs = oracles.neighbors_of(dims, periodic, v)
         assert G.neighbors[v] == tuple(nbrs)
-        assert G.neighbor_mask[v] == sum(1 << u for u in nbrs)
         assert G.degree[v] == len(nbrs)
         assert G.parity[v] == sum(oracles.coords_of(dims, v)) % 2
         if G.parity[v] == 0:
@@ -311,6 +312,28 @@ def test_graph_tables_match_oracles(dims, periodic):
         if any(not per and c in (0, length - 1)
                for c, length, per in zip(oracles.coords_of(dims, v), dims, periodic))
     }
+
+
+def test_graph_memory_is_linear_in_cells():
+    # a 200 x 200 build peaks at 15.6 MiB traced; the bound leaves 1.5x
+    # headroom, and a per-cell bitmap of neighbors (n^2/16 bytes) took 117 MiB
+    tracemalloc.start()
+    try:
+        G = LatticeGraph((200, 200))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert G.n == 40000
+    assert peak < 24 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_graph_over_cell_limit_refused():
+    from chroma.lattice import CELL_LIMIT
+
+    with pytest.raises(ResourceLimitError, match="exceeds the limit"):
+        LatticeGraph((CELL_LIMIT + 1,))
+    with pytest.raises(ResourceLimitError):
+        LatticeGraph((100000, 100000), (True, True))
 
 
 @pytest.mark.parametrize("dims,periodic", SHIFT_GRAPHS)
