@@ -2,7 +2,11 @@
 
 A coloring assigns one of 1..q to each vertex; the sentinel 0 (HOLE)
 marks cells whose value is deleted or simply unknown, and properness is
-only enforced between two non-HOLE endpoints.
+only enforced between two non-HOLE endpoints.  The colors live in one
+writable int16 numpy array in vertex order, which the sampler, the color
+planes of the decomposition and ``is_proper`` read directly; code that
+walks the vertices one by one takes the array's ``tolist()`` once, so its
+loops stay on Python ints.
 
 The repair transformation is the one-to-many surgery that powers the
 package's contour accounting: given a finite set S, a pattern-labelled
@@ -35,37 +39,44 @@ from .patterns import Pattern, canonical_permutation, in_pattern, vertex_in_patt
 from .rng import make_rng
 
 HOLE = 0
+MAX_COLORS = np.iinfo(np.int16).max   # the largest color an int16 entry holds
 
 
 @dataclass
 class Coloring:
-    """Vertex -> color table; 0 is the HOLE sentinel."""
+    """Vertex -> color table; 0 is the HOLE sentinel.
 
-    values: list[int]
+    ``values`` may be given as any integer sequence; it is stored as a
+    writable int16 numpy array (an int16 array is kept as it is, not
+    copied), checked once to lie in 0..q.
+    """
+
+    values: np.ndarray
     q: int
 
     def __post_init__(self):
         if self.q < 2:
             raise ConfigError("colorings need q >= 2")
-        values = self.values
-        if values and (min(values) < 0 or max(values) > self.q):
-            # walk the values only to name the first bad vertex
-            for v, c in enumerate(values):
-                if not 0 <= c <= self.q:
-                    raise ConfigError(f"value {c} at vertex {v} outside 0..{self.q}")
+        if self.q > MAX_COLORS:
+            raise ConfigError(f"colorings take at most {MAX_COLORS} colors")
+        values = np.asarray(self.values)
+        if values.size and (values.min() < 0 or values.max() > self.q):
+            v = int(np.flatnonzero((values < 0) | (values > self.q))[0])
+            raise ConfigError(f"value {int(values[v])} at vertex {v} outside 0..{self.q}")
+        self.values = values.astype(np.int16, copy=False)
 
     def copy(self) -> "Coloring":
-        return Coloring(list(self.values), self.q)
+        return Coloring(self.values.copy(), self.q)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Coloring)
             and self.q == other.q
-            and self.values == other.values
+            and np.array_equal(self.values, other.values)
         )
 
     def as_tuple(self) -> tuple[int, ...]:
-        return tuple(self.values)
+        return tuple(self.values.tolist())
 
 
 def is_proper(f: Coloring, G: LatticeGraph) -> bool:
@@ -74,7 +85,7 @@ def is_proper(f: Coloring, G: LatticeGraph) -> bool:
     One gather of every cell's neighbor a step up each axis (each edge
     once); -1 marks a clipped face.
     """
-    values = np.asarray(f.values)
+    values = f.values
     up = G.neighbor_table[0::2]
     return not ((values[up] == values) & (up >= 0) & (values != HOLE)).any()
 
@@ -96,9 +107,9 @@ def pure_pattern_sample(
     odd = _unpack(G.odd)[cells]
     # one draw per cell in ascending id order, below its side's size
     index = make_rng(seed).integers(0, np.where(odd, len(b), len(a)))
-    values = np.full(G.n, HOLE)
+    values = np.full(G.n, HOLE, dtype=np.int16)
     values[cells] = np.array(a + b)[index + odd * len(a)]
-    return Coloring(values.tolist(), P.q)
+    return Coloring(values, P.q)
 
 
 def striped_pattern_coloring(G: LatticeGraph, P: Pattern) -> Coloring:
@@ -164,11 +175,10 @@ def extend_outside(
     """
     if not check_boundary(f, bc, G):
         raise PreconditionError("coloring violates its boundary condition")
-    exterior = bc.domain.complement()
-    out = f.copy()
-    sampled = pure_pattern_sample(G, exterior, bc.pattern, seed)
-    for v in exterior:
-        out.values[v] = sampled.values[v]
+    # the sample leaves the domain HOLE; f's values go there
+    out = pure_pattern_sample(G, bc.domain.complement(), bc.pattern, seed)
+    inside = _unpack(bc.domain)
+    out.values[inside] = f.values[inside]
     if not is_proper(out, G):
         raise InternalInvariantError("pattern extension produced an improper coloring")
     return out
@@ -286,11 +296,11 @@ def filling_count(G: LatticeGraph, plan: RepairPlan, q: int) -> int:
 
 
 def _check_part_pattern(
-    G: LatticeGraph, f: Coloring, P: Pattern, region: VertexSet
+    G: LatticeGraph, values: list[int], P: Pattern, region: VertexSet
 ) -> None:
     internal, _, _ = vertex_boundaries(G, region)
     for v in internal:
-        c = f.values[v]
+        c = values[v]
         if c == HOLE:
             continue
         if not vertex_in_pattern(c, G.parity[v], P):
@@ -334,20 +344,21 @@ def repair_transform(
                 f"filling color {c} at vertex {v} violates the reference pattern"
             )
 
+    values = f.values.tolist()
     out = [HOLE] * G.n
     for P, region in plan.regions0:
-        _check_part_pattern(G, f, P, region)
+        _check_part_pattern(G, values, P, region)
         perm = perms[P]
         for v in region:
-            c = f.values[v]
+            c = values[v]
             if c == HOLE:
                 raise PreconditionError(f"coloring has a HOLE at part vertex {v}")
             out[v] = perm[c]
     for P, region in plan.regions1:
-        _check_part_pattern(G, f, P, region)
+        _check_part_pattern(G, values, P, region)
         perm = perms[P]
         for v in region:
-            c = f.values[v]
+            c = values[v]
             if c == HOLE:
                 raise PreconditionError(f"coloring has a HOLE at part vertex {v}")
             w = G.axis_step(v, plan.shift_axis, -plan.shift_dir)
@@ -371,13 +382,14 @@ def repair_inverse(
 ) -> tuple[Coloring, dict[int, int]]:
     """Recover (f restricted to the parts, h) from a repaired coloring."""
     plan = plan_repair(G, S, parts, shift_axis, shift_dir)
+    repaired = g.values.tolist()
     values = [HOLE] * G.n
     for P, region in plan.regions0 + plan.regions1:
         inv = plan.canonical(P, p0)[1]
         for v in region:
             src = v if P.klass == 0 else G.axis_step(v, plan.shift_axis, -plan.shift_dir)
-            values[v] = inv[g.values[src]]
-    h = {v: g.values[v] for v in plan.s_star}
+            values[v] = inv[repaired[src]]
+    h = {v: repaired[v] for v in plan.s_star}
     return Coloring(values, p0.q), h
 
 
@@ -386,7 +398,7 @@ def repair_inverse(
 
 def coloring_to_text(f: Coloring, G: LatticeGraph) -> str:
     header = f"q={f.q};{G.key()}"
-    body = " ".join(str(c) for c in f.values)
+    body = " ".join(map(str, f.values.tolist()))
     return f"{header}\n{body}\n"
 
 

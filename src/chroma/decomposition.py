@@ -55,8 +55,7 @@ def _color_planes(f: Coloring) -> list[int]:
 
     Built afresh per call: a Coloring's values are mutable.
     """
-    values = np.array(f.values)
-    rows = np.packbits(values == np.arange(f.q + 1).reshape(-1, 1), axis=1,
+    rows = np.packbits(f.values == np.arange(f.q + 1).reshape(-1, 1), axis=1,
                        bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in rows]
 

@@ -148,7 +148,7 @@ def neighborhood_type(f: Coloring, v: int, G: LatticeGraph, q: int) -> Neighborh
     """
     if G.degree[v] != G.full_degree:
         raise PreconditionError(f"vertex {v} lacks full degree; type undefined")
-    values = [f.values[u] for u in G.neighbors[v]]
+    values = f.values.take(G.neighbors[v]).tolist()
     if any(c == HOLE for c in values):
         raise PreconditionError(f"vertex {v} has HOLE neighbors; type undefined")
     return _type_of_values(values, G.d, q)
@@ -201,8 +201,8 @@ def classify(
     a neighborhood image, so the event is grouped per image once.
     """
     q = f.q
-    values = f.values
-    omega_tuples = [g.values for g in omega]
+    values = f.values.tolist()
+    omega_tuples = [g.values.tolist() for g in omega]
     if not any(values == g for g in omega_tuples):
         raise PreconditionError("f must belong to omega")
     for v in S:
@@ -273,6 +273,7 @@ def u_p_sets(f: Coloring, G: LatticeGraph, x_bad: VertexSet) -> dict[Pattern, Ve
     colors are exactly the pattern's interior side.  The sets are pairwise
     disjoint.
     """
+    values = f.values.tolist()
     out: dict[Pattern, VertexSet] = {}
     for P in _dominant(f.q):
         even_par = P.klass
@@ -283,7 +284,7 @@ def u_p_sets(f: Coloring, G: LatticeGraph, x_bad: VertexSet) -> dict[Pattern, Ve
         for v in x_bad:
             if G.parity[v] != even_par:
                 continue
-            if set(_image(f.values, G.neighbors[v])) == interior:
+            if set(_image(values, G.neighbors[v])) == interior:
                 bits |= 1 << v
         out[P] = VertexSet(bits, G.n)
     return out

@@ -72,7 +72,8 @@ class Constraint:
 
     @classmethod
     def pinned(cls, pins: Mapping[int, int]) -> "Constraint":
-        return cls("pinned", pins=tuple(sorted(pins.items())))
+        # pins read off a coloring's values arrive as numpy ints
+        return cls("pinned", pins=tuple(sorted((int(v), int(c)) for v, c in pins.items())))
 
     def with_pin(self, v: int, c: int) -> "Constraint":
         pins = dict(self.pins)
@@ -91,12 +92,15 @@ def allowed_masks(
     pair clashing, or an empty mask) yields count zero, not an error.
     """
     full = (1 << q) - 1
-    masks = [full if v in domain else 0 for v in range(G.n)]
+    # one character per vertex, "1" inside: linear in the cell count, where
+    # testing or iterating the bits of an n-bit int one at a time is not
+    inside = _bit_chars(domain)
+    masks = [full if b == "1" else 0 for b in inside]
     feasible = True
     if constraint.kind == "pattern":
-        P = constraint.pattern
-        for v in boundary_cells(G, domain):
-            masks[v] &= P.side_for_parity(G.parity[v])
+        sides = (constraint.pattern.side_for_parity(0), constraint.pattern.side_for_parity(1))
+        masks = [m & sides[p] if b == "1" else m
+                 for m, b, p in zip(masks, _bit_chars(boundary_cells(G, domain)), G.parity)]
     pins = dict(constraint.pins)
     for v, c in pins.items():
         if not 0 <= v < G.n:
@@ -109,15 +113,20 @@ def allowed_masks(
                 feasible = False
     for v, c in pins.items():
         bit = 1 << (c - 1)
-        if v in domain:
+        if inside[v] == "1":
             masks[v] &= bit
         for u in G.neighbors[v]:
-            if u in domain and u not in pins:
+            if inside[u] == "1" and u not in pins:
                 masks[u] &= ~bit
-    for v in domain:
-        if masks[v] == 0:
-            feasible = False
+    # every cell outside the domain holds 0, so an empty domain cell is one 0 too many
+    if masks.count(0) > G.n - len(domain):
+        feasible = False
     return masks, feasible
+
+
+def _bit_chars(U: VertexSet) -> str:
+    """U's membership as one "0"/"1" character per vertex id, ascending."""
+    return format(U.bits, f"0{U.n}b")[::-1]
 
 
 # -- backtracking engine -------------------------------------------------------

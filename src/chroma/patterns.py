@@ -200,7 +200,7 @@ def vertex_in_pattern(value: int, parity: int, P: Pattern) -> bool:
 
 def in_pattern(f: "Coloring", U: "VertexSet", P: Pattern, G: "LatticeGraph") -> bool:
     """True when every vertex of U follows (A, B): evens in A, odds in B."""
-    values = f.values
+    values = f.values.tolist()
     for v in U:
         if not vertex_in_pattern(values[v], G.parity[v], P):
             return False

@@ -161,7 +161,7 @@ def _tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     masks = np.arange(1 << q)
     free = np.zeros(1 << q, dtype=np.intp)
     kth = np.zeros((1 << q, q), dtype=np.int32)
-    color = np.zeros(1 << q, dtype=np.intp)
+    color = np.zeros(1 << q, dtype=np.int16)
     for c in range(q):
         leaving = masks[(masks >> c) & 1 == 0]   # the masks that leave color c + 1 free
         kth[leaving, free[leaving]] = 1 << c
@@ -170,6 +170,15 @@ def _tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for table in (free, kth, color):   # shared by every kernel with this q
         table.flags.writeable = False
     return free, kth, color
+
+
+@cache
+def _bits(q: int) -> np.ndarray:
+    """``bit[c]``, the uint16 bit of color c in a kernel column (0 for
+    HOLE), built once per q."""
+    bit = np.array([0] + [1 << c for c in range(q)], dtype=np.uint16)
+    bit.flags.writeable = False
+    return bit
 
 
 @cache
@@ -310,32 +319,35 @@ class _Kernel:
         self.n_scan = layout.n_scan
         width = G.n + 1 + len(layout.forbidden)
         chains = len(states)
-        offsets = (np.arange(chains) * width).reshape(-1, 1, 1)
         self.q = q
         self.color = _tables(q)[2]
+        self.bit = _bits(q)
         self.pick = _pick(q)
-        self.bit = np.array([0] + [1 << c for c in range(q)])
         self.x = np.zeros((chains, width), dtype=np.uint16)
         self.x[:, G.n + 1:] = layout.forbidden
         self.flat = self.x.reshape(-1)
-        # (first column, end column, flat reads, the block's columns of x) per block
-        self.blocks = [(lo, hi, reads + offsets, self.x[:, lo:hi])
+        # (first column, end column, flat reads, the block's columns of x) per
+        # block; chain c reads row c of x, so a lone chain reads the layout's
+        # columns as they are, without a copy
+        self.blocks = [(lo, hi, reads[np.newaxis] if chains == 1 else
+                        reads + np.arange(0, chains * width, width).reshape(-1, 1, 1),
+                        self.x[:, lo:hi])
                        for lo, hi, reads in layout.spans]
         for c, f in enumerate(states):
             self.put(c, f.values)
 
-    def put(self, c: int, values) -> None:
+    def put(self, c: int, values: np.ndarray) -> None:
         """Load chain c from its colors in vertex order."""
-        self.x[c, :len(self.cells)] = self.bit[np.asarray(values)[self.cells]]
+        self.x[c, :len(self.cells)] = self.bit.take(values.take(self.cells))
 
     def values(self, c: int) -> np.ndarray:
         """Chain c's colors in vertex order."""
-        values = np.empty(len(self.cells), dtype=np.intp)
-        values[self.cells] = self.color[self.x[c, :len(self.cells)]]
+        values = np.empty(len(self.cells), dtype=np.int16)
+        values[self.cells] = self.color.take(self.x[c, :len(self.cells)])
         return values
 
     def coloring(self, c: int) -> Coloring:
-        return Coloring(self.values(c).tolist(), self.q)
+        return Coloring(self.values(c), self.q)
 
     def half_step(self, block, codes: np.ndarray) -> None:
         """Resample one parity block of every chain; codes[c, i], the
@@ -405,7 +417,7 @@ def swappable_components(
     a stuck cell, and the rest are the components of what is left.
     """
     return connected_components(
-        G, VertexSet(_swappable(np.array(f.values), G, domain, p0, a, b), G.n))
+        G, VertexSet(_swappable(f.values, G, domain, p0, a, b), G.n))
 
 
 def _movable(G: LatticeGraph, domain: VertexSet, p0: Pattern | None) -> VertexSet:
@@ -439,9 +451,9 @@ def cluster_step(
     assert_proper: bool = False,
 ) -> Coloring:
     """Swap two random colors on an independent half of their free components."""
-    values = np.array(f.values)
+    values = f.values.copy()
     _cluster_move(values, f.q, G, domain, p0, rng)
-    out = Coloring(values.tolist(), f.q)
+    out = Coloring(values, f.q)
     if assert_proper and not is_proper(out, G):
         raise InternalInvariantError("cluster step broke properness")
     return out
@@ -543,12 +555,12 @@ def run_experiment(cfg: ChainConfig, threads: int = 1) -> OrderStats:
                 _cluster_move(values, q, G, domain, p0, rng)
                 kernel.put(c, values)
 
-    frozen = G.full_set() - domain
+    frozen = ~_unpack(domain)
     for c, init in enumerate(inits):
         final = kernel.coloring(c)
         if not is_proper(final, G):
             raise InternalInvariantError("chain ended on an improper coloring")
-        if any(final.values[v] != init.values[v] for v in frozen):
+        if not np.array_equal(final.values[frozen], init.values[frozen]):
             raise InternalInvariantError("a frozen exterior cell changed")
 
     order = np.argsort(kernel.cells[:n_scan])   # scan cells in ascending id order

@@ -1,5 +1,7 @@
 import hashlib
+import json
 
+import numpy as np
 import pytest
 
 from chroma.coloring import (
@@ -70,7 +72,7 @@ def test_pure_sample_pinned():
         partial = G.vertex_set(v for v in range(G.n) if v % 3 != 1)
         for U in (G.full_set(), partial):
             for seed in (0, 5, 1 << 40):
-                out.append(pure_pattern_sample(G, U, P, seed).values)
+                out.append(pure_pattern_sample(G, U, P, seed).values.tolist())
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
         "b0f62e84039a1b08bf7ce83626bbfddc099aa7a9ffa9840d130c3a0110dddf97")
 
@@ -174,7 +176,7 @@ def test_repair_pure_relabel():
     from chroma.patterns import canonical_permutation
 
     perm = canonical_permutation(p, p0)
-    assert g.values == [perm[c] for c in f.values]
+    assert g.values.tolist() == [perm[c] for c in f.values]
 
 
 def test_repair_filling_count_formula():
@@ -330,8 +332,61 @@ def test_coloring_file_roundtrip_bit_exact():
 
 
 def test_out_of_range_value_names_first_bad_vertex():
-    with pytest.raises(ConfigError, match=r"^value 5 at vertex 1 outside 0\.\.3$"):
-        Coloring([1, 5, 2, -1], 3)
-    with pytest.raises(ConfigError, match=r"^value -1 at vertex 2 outside 0\.\.3$"):
-        Coloring([0, 3, -1, 4], 3)
-    assert Coloring([], 3).values == []
+    for kind in (list, np.array):
+        with pytest.raises(ConfigError, match=r"^value 5 at vertex 1 outside 0\.\.3$"):
+            Coloring(kind([1, 5, 2, -1]), 3)
+        with pytest.raises(ConfigError, match=r"^value -1 at vertex 2 outside 0\.\.3$"):
+            Coloring(kind([0, 3, -1, 4]), 3)
+    assert Coloring([], 3).values.tolist() == []
+    with pytest.raises(ConfigError, match="at most 32767 colors"):
+        Coloring([40000], 40000)   # int16 entries could not hold its colors
+
+
+def test_list_and_array_colorings_agree():
+    values = [1, 2, 0, 3, 2]
+    f, g = Coloring(values, 3), Coloring(np.array(values), 3)
+    assert f == g
+    assert f.values.dtype == g.values.dtype == np.int16
+    assert f != Coloring([1, 2, 0, 3, 1], 3)
+    assert f != Coloring(values, 4)
+
+
+def test_copy_is_independent():
+    f = Coloring(np.array([1, 2, 3, 1]), 3)
+    g = f.copy()
+    g.values[0] = 2
+    assert f.values.tolist() == [1, 2, 3, 1]
+    assert f != g
+
+
+def test_outputs_carry_python_ints(tmp_path, capsys):
+    # numpy scalars must not reach tuples, text, JSON or the sample CSV
+    from chroma.cli import main
+
+    G = build_graph([6, 6])
+    f = pure_pattern_sample(G, G.full_set(), Pattern.make(3, [1], [2, 3]), seed=2)
+    assert all(type(c) is int for c in f.as_tuple())
+    assert f.as_tuple() == tuple(f.values.tolist())
+    text = coloring_to_text(f, G)
+    assert text.splitlines()[1] == " ".join(str(c) for c in f.as_tuple())
+    src = tmp_path / "f.txt"
+    src.write_text(text)
+    assert main(["decompose", "--coloring", str(src), "--out", str(tmp_path / "z.json")]) == 0
+    capsys.readouterr()
+    csv = tmp_path / "s.csv"
+    assert main(["sample", "--dims", "6,6", "--q", "3", "--pattern", "A=1;B=2,3",
+                 "--seed", "4", "--sweeps", "4", "--margin", "1", "--out", str(csv)]) == 0
+    out = capsys.readouterr().out
+    for artifact in (out, (tmp_path / "z.json").read_text(), csv.read_text()):
+        assert "np." not in artifact and "int16" not in artifact
+    doc = json.loads(out[out.index("{"):])
+
+    def leaves(x):
+        if isinstance(x, dict):
+            return [y for v in x.values() for y in leaves(v)]
+        if isinstance(x, list):
+            return [y for v in x for y in leaves(v)]
+        return [x]
+
+    for document in (doc, json.loads((tmp_path / "z.json").read_text())):
+        assert all(type(x) in (int, float, str, bool, type(None)) for x in leaves(document))

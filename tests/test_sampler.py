@@ -360,7 +360,7 @@ def test_draw_layout_pinned():
     p0 = Pattern.parse(3, P03)
     out = heat_bath_sweep(striped_pattern_coloring(G, p0), G, G.full_set(),
                           p0, make_rng(7))
-    assert hashlib.sha256(repr(out.values).encode()).hexdigest() == (
+    assert hashlib.sha256(repr(out.values.tolist()).encode()).hexdigest() == (
         "d4434f01135f9b751c75973e8343d2a36460f4571023d0fc33e405ec82d15b40")
 
 
@@ -403,7 +403,7 @@ def test_swappable_components_pinned():
                         for b in range(a + 1, q + 1):
                             comps.append([c.ids() for c in
                                           swappable_components(f, G, dom, p, a, b)])
-                    steps.append(cluster_step(f, G, dom, p, rng).values)
+                    steps.append(cluster_step(f, G, dom, p, rng).values.tolist())
     digest = [hashlib.sha256(repr(x).encode()).hexdigest() for x in (comps, steps)]
     assert digest == [
         "a29833835bfcf79bb5656e46ff3077c382f2c685a47be2ae99a0e35b64f7cfa2",
@@ -435,7 +435,7 @@ def _cell_by_cell_sweep(f, G, domain, p0, draws):
     q = f.q
     masks = (allowed_masks(G, domain, q, Constraint.pattern_boundary(p0))[0]
              if p0 is not None else [(1 << q) - 1] * G.n)
-    colors = list(f.values)
+    colors = f.values.tolist()
     for v, r in zip(_scan_order(G, domain), draws):
         used = 0
         for u in G.neighbors[v]:
@@ -540,7 +540,7 @@ def test_kernel_matches_cell_by_cell_scan():
                     continue
                 out = heat_bath_sweep(start, G, domain, p, make_rng(seed))
                 draws = make_rng(seed).random(len(domain))
-                assert out.values == _cell_by_cell_sweep(start, G, domain, p, draws)
+                assert out.values.tolist() == _cell_by_cell_sweep(start, G, domain, p, draws)
 
 
 def test_batched_chains_match_single_chains():
@@ -558,6 +558,27 @@ def test_batched_chains_match_single_chains():
             for c, kernel in enumerate(singles):
                 kernel.sweep(codes[c:c + 1])
         assert [batch.coloring(c) for c in range(3)] == [k.coloring(0) for k in singles]
+
+
+def test_lone_sweep_matches_batch_row():
+    # heat_bath_sweep runs one chain on the layout's reads without a copy;
+    # on the draws its stream makes, it must equal that chain's row of a batch
+    for dims, periodic, q, text in (((24, 24), None, 3, P03),
+                                    ((6, 6), (True, False), 4, "A=1,2;B=3,4")):
+        G = build_graph(dims, periodic)
+        p0 = Pattern.parse(q, text)
+        inner = G.vertex_set(v for v in range(G.n) if 1 <= G.coords(v)[1] < dims[1] - 1)
+        for domain, p in ((G.full_set(), p0), (inner, p0), (inner, None)):
+            starts = [pure_pattern_sample(G, G.full_set(), p0, seed=s) for s in range(3)]
+            lone = _Kernel(G, domain, p, starts[:1])
+            for (_, _, reads), (_, _, flat, _) in zip(sampler._layout(G, domain, p, q).spans,
+                                                      lone.blocks):
+                assert np.shares_memory(flat, reads)
+            batch = _Kernel(G, domain, p, starts)
+            draws = [make_rng(9, stream=c).random((1, batch.n_scan)) for c in range(3)]
+            batch.sweep(_draw_codes(np.concatenate(draws), q))
+            for c, f in enumerate(starts):
+                assert heat_bath_sweep(f, G, domain, p, make_rng(9, stream=c)) == batch.coloring(c)
 
 
 def _sequential_scan_rows(G, q, masks, states, order):
@@ -736,7 +757,7 @@ def test_sweep_layout_memo_changes_no_output():
             domain, p, shared, fresh, rng_shared, rng_fresh = run
             run[2] = heat_bath_sweep(shared, G, domain, p, rng_shared)
             run[3] = heat_bath_sweep(fresh, build_graph(dims, periodic), domain, p, rng_fresh)
-            assert run[2].values == run[3].values
+            assert run[2].values.tolist() == run[3].values.tolist()
     assert len(G.memo) == 4
     assert sampler._layout(G, inner, runs[1][1], 3) is sampler._layout(G, inner, runs[1][1], 3)
 
