@@ -159,8 +159,7 @@ def _emit_csv(header: list[str], rows: list[list], cfg: Mapping, out: str) -> No
         f"seed={prov['seed']}",
         ",".join(header),
     ]
-    for row in rows:
-        lines.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
+    lines += [",".join(map(repr, row)) for row in rows]   # Python ints and floats: repr is the text
     _write_text(out, "\n".join(lines) + "\n")
 
 

@@ -42,6 +42,7 @@ from .lattice import (
     _edge_maps,
     _expand_bits,
     _grow,
+    _id_list,
     _neighbor_bits,
     boundary_edge_count,
     connected_components,
@@ -97,14 +98,14 @@ class RegionDecomposition:
         return Atlas(self.graph, dict(self.z_p))
 
     def to_json(self) -> dict:
-        out = {P.text(): list(U.ids()) for P, U in sorted(
+        out = {P.text(): _id_list(U) for P, U in sorted(
             self.z_p.items(), key=lambda kv: kv[0].sort_key()
         )}
         return {
             "regions": out,
-            "overlap": list(self.z_overlap.ids()),
-            "bad": list(self.z_bad.ids()),
-            "defect": list(self.z_star.ids()),
+            "overlap": _id_list(self.z_overlap),
+            "bad": _id_list(self.z_bad),
+            "defect": _id_list(self.z_star),
         }
 
 
@@ -177,7 +178,7 @@ class Atlas:
         return VertexSet(_derived_sets(self.graph, self.x_p)[2], self.graph.n)
 
     def to_json(self) -> dict:
-        return {P.text(): list(U.ids()) for P, U in sorted(
+        return {P.text(): _id_list(U) for P, U in sorted(
             self.x_p.items(), key=lambda kv: kv[0].sort_key()
         )}
 

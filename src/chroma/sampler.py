@@ -13,13 +13,14 @@ claiming convergence.
 
 A heat-bath sweep resamples every even domain cell and then every odd
 one.  Cells of one parity are never adjacent (periodic axes have even
-length), so each half is four whole-array numpy calls and the sweep is
-still an exact systematic scan: gather each cell's neighbor and
-forbidden-mask columns, OR them into its blocked mask, add its draw
-code, and read its new color from one table.  A uniform u takes the free
-color of rank floor(u * count); its code, the sum of floor(u * n) over
-n = 2..q, is computed once per block of draws and fixes every such rank
-at once, so the table over (code, blocked mask) holds the color itself.
+length), so on a large batch each half is four whole-array numpy calls
+and the sweep is still an exact systematic scan: gather each cell's
+neighbor and forbidden-mask columns, OR them into its blocked mask, add
+its draw code, and read its new color from one table.  A uniform u takes
+the free color of rank floor(u * count); its code, the sum of
+floor(u * n) over n = 2..q, is computed once per block of draws and
+fixes every such rank at once, so the table over (code, blocked mask)
+holds the color itself.
 Chains are the leading axis of the same arrays: ``run_experiment``
 advances all of its chains together, and ``heat_bath_sweep`` is the same
 kernel with one chain.  Which columns each cell reads is fixed by the
@@ -27,6 +28,17 @@ graph, domain and pattern, so that layout is built once and kept on the
 graph, and the tables once per q, when q is first used.  They hold one
 uint16 entry per code and mask m < 2^q (15.9 MB at q = 16), which caps
 the sampler at q <= 16.
+
+A batch of at most ``_LOOP_CELLS`` (48) chain cells is too small for
+those numpy calls, whose fixed cost outweighs their work there (a 4 x 4
+chain sweeps about three times faster without them).  It sweeps in a
+Python loop over lists instead: each chain in turn, each scan cell in
+turn, takes pick[code + (the OR of its reads)], its reads unpacked at
+the fixed width ``_ROW_WIDTH`` (7, padded with the 0 column).  The loop
+reads the same columns, codes and table as the half-steps, so the path
+changes no output.  ``_Kernel`` picks it in one place, from the batch
+size, the graph's degree and q (at most 8, where the table is a short
+list).
 
 The cluster move is set algebra on bitmaps.  The cells colored a or b
 come from one numpy comparison; the components that touch a stuck cell
@@ -46,8 +58,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from itertools import islice
+from functools import cache, cached_property
+import itertools
 import math
 
 import numpy as np
@@ -78,6 +90,9 @@ from .rng import make_rng
 MAX_Q = 16               # the kernel's tables hold masks m < 2^q in uint16
 _DRAW_BLOCK = 1 << 15    # uniforms drawn for a batch of chains at a time
 _TALLY_BLOCK = 1 << 15   # recorded cell states held before they are counted
+_LOOP_CELLS = 48         # batches of at most this many chain cells sweep in a Python loop
+_ROW_WIDTH = 7           # reads per cell on the loop path: up to 6 neighbors and the mask
+_LOOP_MAX_Q = 8          # the loop reads _pick as a list, 7424 small ints at q = 8
 
 
 @dataclass(frozen=True)
@@ -142,12 +157,13 @@ class OrderStats:
         }
 
     def csv_rows(self) -> list[list]:
-        rows = []
-        for i, v in enumerate(self.vertex_ids):
-            rate = self.violation_counts[i] / self.samples
-            occ = [c / self.samples for c in self.occupation_counts[i]]
-            rows.append([v, rate, *occ])
-        return rows
+        """Per vertex: its id, violation rate and occupation rates.  Each
+        rate column is one numpy division of its counts by ``samples``,
+        exact as Python's, since the counts stay below 2^53."""
+        occ = np.fromiter(itertools.chain.from_iterable(self.occupation_counts), dtype=np.int64)
+        columns = [self.vertex_ids, (np.array(self.violation_counts) / self.samples).tolist(),
+                   *(occ.reshape(len(self.vertex_ids), -1).T / self.samples).tolist()]
+        return list(map(list, zip(*columns)))
 
 
 @cache
@@ -216,6 +232,12 @@ def _pick(q: int) -> np.ndarray:
     return pick
 
 
+@cache
+def _pick_list(q: int) -> list[int]:
+    """``_pick(q)`` as a list, for the loop path."""
+    return _pick(q).tolist()
+
+
 def _draw_codes(draws: np.ndarray, q: int) -> np.ndarray:
     """Each uniform u as code(u) << q, code(u) = sum over n = 2..q of
     floor(u * n), the float64 products truncated one by one; the row
@@ -245,6 +267,24 @@ class _Layout:
     n_scan: int
     spans: tuple[tuple[int, int, np.ndarray], ...]
     forbidden: np.ndarray
+
+    @cached_property
+    def rows(self) -> tuple[list[tuple[int, ...]], np.ndarray]:
+        """The loop path's reads, built when a kernel first takes that path.
+
+        ``columns`` lists the columns the scan reads or writes, the scan
+        columns first, so scan column i keeps index i.  Row i is (i, then the
+        indices in ``columns`` of scan cell i's reads, padded with the 0
+        column to ``_ROW_WIDTH`` reads).
+        """
+        reads = np.concatenate([reads for _, _, reads in self.spans], axis=1)
+        pad = np.full((_ROW_WIDTH - len(reads), self.n_scan), len(self.cells))
+        reads = np.concatenate([reads, pad])
+        used = np.zeros(len(self.cells) + 1 + len(self.forbidden), dtype=bool)
+        used[:self.n_scan] = True
+        used[reads] = True
+        local = (np.cumsum(used) - 1)[reads].T.tolist()
+        return [(i, *row) for i, row in enumerate(local)], np.flatnonzero(used)
 
 
 def _layout(G: LatticeGraph, domain: VertexSet, p0: Pattern | None, q: int) -> _Layout:
@@ -307,6 +347,9 @@ class _Kernel:
     scan cell reads its neighbors' columns, padded with the 0 column, and
     its forbidden-mask column; their OR is the set of colors it may not
     take, so padding and HOLE block nothing.
+
+    ``loop`` is the layout's ``rows`` when the batch sweeps in the Python
+    loop of the module docstring, and None when it takes the half-steps.
     """
 
     def __init__(self, G: LatticeGraph, domain: VertexSet, p0: Pattern | None,
@@ -335,6 +378,10 @@ class _Kernel:
                        for lo, hi, reads in layout.spans]
         for c, f in enumerate(states):
             self.put(c, f.values)
+        # the one choice of sweep path
+        small = (0 < chains * self.n_scan <= _LOOP_CELLS and G.full_degree < _ROW_WIDTH
+                 and q <= _LOOP_MAX_Q)
+        self.loop = layout.rows if small else None
 
     def put(self, c: int, values: np.ndarray) -> None:
         """Load chain c from its colors in vertex order."""
@@ -364,12 +411,56 @@ class _Kernel:
         self.pick.take(np.add(blocked, codes[:, lo:hi]), out=out, mode="clip")
 
     def sweep(self, codes: np.ndarray) -> None:
+        """One sweep of every chain; codes[c, i] serves scan cell i of chain c."""
+        if self.loop is not None:
+            self.sweeps(codes[:, np.newaxis], range(0), None)
+            return
         for block in self.blocks:
             self.half_step(block, codes)
+
+    def sweeps(self, codes: np.ndarray, keep: range, out: np.ndarray | None) -> None:
+        """Sweep once per codes[:, j], the ``_draw_codes`` of a (chains,
+        sweeps, n_scan) block of draws, and write the scan states after the
+        sweeps j in ``keep`` to out[0], out[1], ...
+
+        The loop path sets each scan cell i of each chain's list x to
+        pick[code[i] + (x[a] | x[b] | ...)] over the cell's row of reads, in
+        scan order, which is the numpy half-steps cell by cell.
+        """
+        n = self.n_scan
+        if self.loop is None:
+            for j in range(codes.shape[1]):
+                step = codes[:, j]
+                for block in self.blocks:
+                    self.half_step(block, step)
+                if j in keep:
+                    out[keep.index(j)] = self.x[:, :n]
+            return
+        rows, columns = self.loop
+        pick = _pick_list(self.q)
+        xs = self.x[:, columns].tolist()
+        held = []   # chain by chain, sample by sample, the scan cells' states
+        for x, chain_codes in zip(xs, codes):
+            for j, code in enumerate(_row_lists(chain_codes)):
+                for i, a, b, c, d, e, f, g in rows:
+                    x[i] = pick[code[i] + (x[a] | x[b] | x[c] | x[d] | x[e] | x[f] | x[g])]
+                if j in keep:
+                    held += x[:n]
+        self.x[:, :n] = [x[:n] for x in xs]
+        if keep:
+            out[:len(keep)] = np.array(held, dtype=out.dtype).reshape(
+                len(xs), len(keep), n).swapaxes(0, 1)
 
     def stuck(self) -> bool:
         """Whether a scan cell holds 0: it had no free color at its last update."""
         return not self.x[:, :self.n_scan].all()
+
+
+def _row_lists(a: np.ndarray):
+    """The rows of a 2-D array as lists, converted 256 rows at a time so
+    that a block of draws never exists as lists all at once."""
+    for lo in range(0, len(a), 256):
+        yield from a[lo:lo + 256].tolist()
 
 
 def heat_bath_sweep(
@@ -484,6 +575,18 @@ def _cluster_move(values: np.ndarray, q: int, G: LatticeGraph, domain: VertexSet
     values[flip] = a + b - values[flip]
 
 
+def _count(occ: np.ndarray, states: np.ndarray, cut: int, color: np.ndarray,
+           bins: np.ndarray) -> None:
+    """Add recorded (sample, chain, scan cell) states to the occupation
+    counts: the first ``cut`` samples to the first half, the rest to the
+    second.  A held 0 is a stuck chain."""
+    if not states.all():
+        raise InternalInvariantError("the chain reached a stuck state")
+    cut = max(cut, 0)
+    for half, part in enumerate((states[:cut], states[cut:])):
+        occ[half] += np.bincount((color[part] + bins).ravel(), minlength=occ.shape[1])
+
+
 def run_experiment(cfg: ChainConfig, threads: int = 1) -> OrderStats:
     """Run the configured chains and pool their sample statistics.
 
@@ -510,28 +613,18 @@ def run_experiment(cfg: ChainConfig, threads: int = 1) -> OrderStats:
     per_chain = (cfg.sweeps - cfg.burn_in) // cfg.thin + 1
     first_half = (per_chain + 1) // 2
     occ = np.zeros((2, n_scan * q), dtype=np.int64)
-    held = np.empty((max(1, _TALLY_BLOCK // (cfg.chains * n_scan)), cfg.chains, n_scan),
-                    dtype=kernel.x.dtype)
     bins = np.arange(n_scan) * q - 1   # bin of (scan cell i, color c) is bins[i] + c
-    n_held = taken = 0
+    block = max(1, _DRAW_BLOCK // (cfg.chains * n_scan))
+    # recorded samples are held here until they are counted
+    held = np.empty((max(block, _TALLY_BLOCK // (cfg.chains * n_scan)), cfg.chains, n_scan),
+                    dtype=kernel.x.dtype)
+    n_held = counted = 0
+    if cfg.burn_in == 0:   # the initial state is the first sample
+        held[0] = kernel.x[:, :n_scan]
+        n_held = 1
 
-    def record() -> None:
-        nonlocal n_held, taken
-        held[n_held] = kernel.x[:, :n_scan]
-        n_held += 1
-        taken += 1
-        if n_held == len(held) or taken in (first_half, per_chain):
-            if not held[:n_held].all():
-                raise InternalInvariantError("the chain reached a stuck state")
-            keys = kernel.color[held[:n_held]] + bins
-            occ[int(taken > first_half)] += np.bincount(keys.ravel(), minlength=n_scan * q)
-            n_held = 0
-
-    if cfg.burn_in == 0:
-        record()
     next_record = cfg.burn_in if cfg.burn_in else cfg.thin
     every = cfg.cluster_every if cfg.algorithm == "heat-bath+cluster" else cfg.sweeps
-    block = max(1, _DRAW_BLOCK // (cfg.chains * n_scan))
     s = 0
     while s < cfg.sweeps:
         # the cluster move draws from the chains' streams after every
@@ -539,14 +632,17 @@ def run_experiment(cfg: ChainConfig, threads: int = 1) -> OrderStats:
         # which leaves each stream's sequence as it is
         stop = min(s + every, cfg.sweeps)
         while s < stop:
-            codes = _draw_codes(
-                np.stack([rng.random((min(block, stop - s), n_scan)) for rng in rngs]), q)
-            for j in range(codes.shape[1]):
-                kernel.sweep(codes[:, j])
-                s += 1
-                if s == next_record:
-                    record()
-                    next_record += cfg.thin
+            n = min(block, stop - s)
+            codes = _draw_codes(np.stack([rng.random((n, n_scan)) for rng in rngs]), q)
+            keep = range(next_record - s - 1, n, cfg.thin)
+            if n_held + len(keep) > len(held):
+                _count(occ, held[:n_held], first_half - counted, kernel.color, bins)
+                counted += n_held
+                n_held = 0
+            kernel.sweeps(codes, keep, held[n_held:])
+            n_held += len(keep)
+            next_record += len(keep) * cfg.thin
+            s += n
             if kernel.stuck():
                 raise InternalInvariantError("the chain reached a stuck state")
         if s < cfg.sweeps:
@@ -554,6 +650,7 @@ def run_experiment(cfg: ChainConfig, threads: int = 1) -> OrderStats:
                 values = kernel.values(c)
                 _cluster_move(values, q, G, domain, p0, rng)
                 kernel.put(c, values)
+    _count(occ, held[:n_held], first_half - counted, kernel.color, bins)
 
     frozen = ~_unpack(domain)
     for c, init in enumerate(inits):
@@ -614,7 +711,7 @@ def single_site_transition_matrix(
     order = sorted(domain.ids())
     states = sorted(
         tuple(assign[v] for v in order)
-        for assign in islice(enumerate_colorings(G, domain, masks), state_budget + 1)
+        for assign in itertools.islice(enumerate_colorings(G, domain, masks), state_budget + 1)
     )
     if len(states) > state_budget:
         raise ResourceLimitError(

@@ -5,6 +5,7 @@ import pytest
 from chroma.errors import ConfigError, PreconditionError, ResourceLimitError
 from chroma.lattice import (
     _edge_maps,
+    _id_list,
     _sublattice_identity,
     LatticeGraph,
     VertexSet,
@@ -424,3 +425,13 @@ def test_expand_matches_bfs_distance():
             if sum(abs(a - b) for a, b in zip(G.coords(w), G.coords(v))) <= r
         }
         assert got == want
+
+
+def test_id_list_matches_ids():
+    # the linear listing used for output equals the bit walk, ascending
+    rng = make_rng(17)
+    for n in (1, 7, 8, 9, 64, 577):
+        for p in (0.0, 0.1, 0.5, 1.0):
+            U = VertexSet.from_ids(n, [v for v in range(n) if rng.random() < p])
+            assert _id_list(U) == list(U.ids())
+            assert all(type(v) is int for v in _id_list(U))

@@ -728,15 +728,20 @@ def test_draw_and_tally_blocks_change_no_output(monkeypatch):
 
 def test_stuck_chain_reported(monkeypatch):
     # an initial state outside the constraint leaves the corner cell no
-    # color; the chain reports it (exit 3) instead of tallying a HOLE
+    # color; the chain reports it (exit 3) instead of tallying a HOLE, on
+    # either sweep path
     G = build_graph([4, 4])
     p0 = Pattern.parse(3, P03)
     bad = striped_pattern_coloring(G, p0)
     for v in G.neighbors[G.vid((0, 0))]:
         bad.values[v] = 1
     monkeypatch.setattr(sampler, "pure_pattern_sample", lambda *a, **k: bad.copy())
+    cfg = ChainConfig(dims=(4, 4), q=3, pattern=P03, seed=1, sweeps=10)
     with pytest.raises(InternalInvariantError):
-        run_experiment(ChainConfig(dims=(4, 4), q=3, pattern=P03, seed=1, sweeps=10))
+        run_experiment(cfg)
+    for loop in (True, False):
+        with pytest.raises(InternalInvariantError):
+            _on_path(monkeypatch, loop, lambda: run_experiment(cfg))
 
 
 def test_sweep_layout_memo_changes_no_output():
@@ -781,3 +786,97 @@ def test_infeasible_boundary_refused_on_every_call():
         with pytest.raises(PreconditionError):
             heat_bath_sweep(bad, G, G.full_set(), p0, make_rng(0))
         heat_bath_sweep(f, G, G.full_set(), p0, make_rng(0))
+
+
+# -- the loop path for small batches --------------------------------------------
+
+
+LOOP_CONFIGS = [
+    ChainConfig(dims=(4, 4), q=3, pattern=P03, seed=3, sweeps=300, burn_in=20),
+    ChainConfig(dims=(4, 4), q=3, pattern=P03, seed=4, sweeps=300, burn_in=20, thin=2,
+                chains=3),
+    ChainConfig(dims=(6, 6), q=3, pattern=P03, seed=8, sweeps=200, margin=1),
+    ChainConfig(dims=(6, 6), q=4, pattern="A=1,2;B=3,4", seed=9, sweeps=150,
+                periodic=(True, False)),
+    ChainConfig(dims=(4, 4, 4), q=4, pattern="A=1,2;B=3,4", seed=10, sweeps=120),
+    ChainConfig(dims=(5, 4), q=3, pattern=P03, seed=12, sweeps=260, burn_in=33, thin=4,
+                algorithm="heat-bath+cluster", cluster_every=7, chains=2),
+]
+
+
+def _on_path(monkeypatch, loop, run):
+    # every kernel that `run` makes takes the loop path (loop=True) or the
+    # numpy half-steps (loop=False)
+    monkeypatch.setattr(sampler, "_LOOP_CELLS", 10 ** 9 if loop else 0)
+    paths = []
+    real = sampler._Kernel.__init__
+
+    def init(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        paths.append(self.loop is not None)
+
+    monkeypatch.setattr(sampler._Kernel, "__init__", init)
+    try:
+        return run()
+    finally:
+        monkeypatch.setattr(sampler._Kernel, "__init__", real)
+        assert paths and set(paths) == {loop}
+
+
+@pytest.mark.parametrize("cfg", LOOP_CONFIGS)
+def test_loop_and_numpy_paths_agree(monkeypatch, cfg):
+    loop = _on_path(monkeypatch, True, lambda: run_experiment(cfg))
+    numpy_ = _on_path(monkeypatch, False, lambda: run_experiment(cfg))
+    assert loop == numpy_
+    assert loop.samples == cfg.chains * ((cfg.sweeps - cfg.burn_in) // cfg.thin + 1)
+
+
+def test_lone_sweep_same_on_both_paths(monkeypatch):
+    for dims, periodic, q, text in (((5, 5), None, 3, P03), ((4, 4, 3), None, 4, "A=1,2;B=3,4"),
+                                    ((6, 4), (True, True), 3, P03)):
+        G = build_graph(dims, periodic)
+        p0 = Pattern.parse(q, text)
+        inner = G.vertex_set(v for v in range(G.n) if 1 <= G.coords(v)[0] < dims[0] - 1)
+        f = pure_pattern_sample(G, G.full_set(), p0, seed=1)
+        for domain, p in ((G.full_set(), p0), (inner, p0), (inner, None)):
+            outs = [_on_path(monkeypatch, loop,
+                             lambda: heat_bath_sweep(f, G, domain, p, make_rng(5)))
+                    for loop in (True, False)]
+            assert outs[0] == outs[1]
+            assert outs[0].values[~sampler._unpack(domain)].tolist() == (
+                f.values[~sampler._unpack(domain)].tolist())
+
+
+def test_loop_rows_built_only_for_the_loop_and_kept():
+    # a 4x4 chain takes the loop and keeps its rows on the layout; a
+    # 24x24 chain and a 4-D box (9 reads a cell) take the numpy half-steps
+    # and build none
+    p0 = Pattern.parse(3, P03)
+    for dims, loop in (((4, 4), True), ((24, 24), False), ((2, 2, 2, 2), False)):
+        G = build_graph(dims)
+        f = pure_pattern_sample(G, G.full_set(), p0, seed=1)
+        kernel = _Kernel(G, G.full_set(), p0, [f])
+        layout = sampler._layout(G, G.full_set(), p0, 3)
+        assert (kernel.loop is not None) == loop
+        assert ("rows" in vars(layout)) == loop
+        if loop:
+            assert _Kernel(G, G.full_set(), p0, [f]).loop is kernel.loop
+            rows, columns = kernel.loop
+            assert len(rows) == kernel.n_scan
+            assert all(len(row) == 1 + sampler._ROW_WIDTH for row in rows)
+            assert columns[:kernel.n_scan].tolist() == list(range(kernel.n_scan))
+    # above q = 8 the table is no short list, so even a 4x4 chain takes numpy
+    G = build_graph([4, 4])
+    f = Coloring([1 + G.parity[v] for v in range(G.n)], 9)
+    assert _Kernel(G, G.full_set(), None, [f]).loop is None
+
+
+def test_csv_rows_are_python_quotients():
+    stats = run_experiment(ChainConfig(dims=(5, 4), q=4, pattern="A=1,2;B=3,4", seed=2,
+                                       sweeps=70, chains=3, margin=1))
+    n = stats.samples
+    want = [[v, stats.violation_counts[i] / n, *(c / n for c in stats.occupation_counts[i])]
+            for i, v in enumerate(stats.vertex_ids)]
+    rows = stats.csv_rows()
+    assert rows == want and repr(rows) == repr(want)
+    assert all(type(x) in (int, float) for row in rows for x in row)
