@@ -249,6 +249,9 @@ def _cmd_toy_ratio(args) -> int:
         U = G.vertex_set([_center_vertex(G)])
     elif droplet == "center-plus":
         U = closed_neighborhood(G, G.vertex_set([_center_vertex(G)]))
+    elif isinstance(droplet, str):
+        raise ConfigError(f"droplet must be 'center', 'center-plus' or a list of ids, "
+                          f"got {droplet!r}")
     else:
         U = G.vertex_set(droplet)
     result = toy_ratio(G, G.full_set(), U, p0, p)

@@ -30,12 +30,20 @@ from .errors import ConfigError, InternalInvariantError, PreconditionError
 from .lattice import (
     LatticeGraph,
     VertexSet,
+    _pack,
     _unpack,
     boundary_cells,
     closed_neighborhood,
     vertex_boundaries,
 )
-from .patterns import Pattern, canonical_permutation, in_pattern, vertex_in_pattern
+from .patterns import (
+    Pattern,
+    _color_planes,
+    _pattern_cells,
+    canonical_permutation,
+    in_pattern,
+    vertex_in_pattern,
+)
 from .rng import make_rng
 
 HOLE = 0
@@ -189,38 +197,35 @@ def extend_outside(
 
 @dataclass(frozen=True)
 class RepairPlan:
-    """Geometry shared by the forward and inverse repair maps."""
+    """Geometry shared by the forward and inverse repair maps.
+
+    ``moves`` holds, per region, the ids of its cells, the ids their
+    colors land on (one step against the shift for a class-1 part, the
+    cells themselves otherwise) and the bitmap of its internal boundary.
+    """
 
     s: VertexSet
     parts: tuple[tuple[Pattern, VertexSet], ...]
-    regions0: tuple[tuple[Pattern, VertexSet], ...]  # class-0 parts minus S^+
-    regions1: tuple[tuple[Pattern, VertexSet], ...]  # class-1 parts minus S^+
+    regions: tuple[tuple[Pattern, VertexSet], ...]   # parts minus S^+, class-0 first
     s_star: VertexSet
     shift_axis: int
     shift_dir: int
+    moves: tuple[tuple[np.ndarray, np.ndarray, int], ...] = field(compare=False, repr=False)
     _canonical: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def canonical(self, P: Pattern, p0: Pattern) -> tuple[dict[int, int], dict[int, int]]:
-        """The canonical permutation taking P to p0 and its inverse, built
-        once per plan and reference."""
+    def canonical(self, P: Pattern, p0: Pattern) -> tuple[np.ndarray, np.ndarray]:
+        """The canonical permutation taking P to p0 and its inverse, as
+        color-indexed tables that keep HOLE, built once per plan and
+        reference."""
         pair = self._canonical.get((P, p0))
         if pair is None:
             perm = canonical_permutation(P, p0)
-            pair = self._canonical[P, p0] = (perm, {dst: src for src, dst in perm.items()})
+            forward = np.zeros(P.q + 1, dtype=np.int16)
+            forward[list(perm)] = list(perm.values())
+            inverse = np.zeros_like(forward)
+            inverse[forward] = np.arange(P.q + 1)
+            pair = self._canonical[P, p0] = (forward, inverse)
         return pair
-
-
-def _shift_set(G: LatticeGraph, U: VertexSet, axis: int, delta: int) -> VertexSet:
-    bits = 0
-    for v in U:
-        w = G.axis_step(v, axis, delta)
-        if w is None:
-            raise PreconditionError(
-                f"shifting vertex {v} leaves the ambient graph along axis {axis}; "
-                "class-1 parts must keep one cell of clearance from that face"
-            )
-        bits |= 1 << w
-    return VertexSet(bits, G.n)
 
 
 def plan_repair(
@@ -255,35 +260,41 @@ def plan_repair(
         raise PreconditionError("parts must partition the complement of S")
     _, ext_s, _ = vertex_boundaries(G, S)
     s_plus = closed_neighborhood(G, S)
-    regions0 = []
-    regions1 = []
-    for P, part in sorted(parts.items(), key=lambda kv: kv[0].sort_key()):
+    # sort_key puts every class-0 pattern before every class-1 one
+    sorted_parts = tuple(sorted(parts.items(), key=lambda kv: kv[0].sort_key()))
+    regions = []
+    for P, part in sorted_parts:
         internal, _, _ = vertex_boundaries(G, part)
         if not internal.issubset(ext_s):
             raise PreconditionError(
                 f"part {P.text()} has boundary cells not adjacent to S"
             )
         region = part - s_plus
-        if not region:
-            continue
-        if P.klass == 0:
-            regions0.append((P, region))
-        else:
-            regions1.append((P, region))
-    occupied = G.empty_set()
-    for _, region in regions0:
-        occupied = occupied | region
-    for _, region in regions1:
-        occupied = occupied | _shift_set(G, region, shift_axis, -shift_dir)
-    s_star = occupied.complement()
+        if region:
+            regions.append((P, region))
+    # a step by -shift_dir: row 2*axis steps up the axis, 2*axis+1 down
+    step = G.neighbor_table[2 * shift_axis + (shift_dir > 0)]
+    occupied = np.zeros(G.n, dtype=bool)
+    moves = []
+    for P, region in regions:
+        cells = np.flatnonzero(_unpack(region))
+        dest = cells if P.klass == 0 else step[cells]
+        if (dest < 0).any():
+            raise PreconditionError(
+                f"shifting vertex {cells[np.argmax(dest < 0)]} leaves the ambient graph "
+                f"along axis {shift_axis}; class-1 parts must keep one cell of clearance "
+                "from that face"
+            )
+        occupied[dest] = True
+        moves.append((cells, dest, vertex_boundaries(G, region)[0].bits))
     plan = G.memo[key] = RepairPlan(
         s=S,
-        parts=tuple(sorted(parts.items(), key=lambda kv: kv[0].sort_key())),
-        regions0=tuple(regions0),
-        regions1=tuple(regions1),
-        s_star=s_star,
+        parts=sorted_parts,
+        regions=tuple(regions),
+        s_star=VertexSet(_pack(~occupied), G.n),
         shift_axis=shift_axis,
         shift_dir=shift_dir,
+        moves=tuple(moves),
     )
     return plan
 
@@ -293,21 +304,6 @@ def filling_count(G: LatticeGraph, plan: RepairPlan, q: int) -> int:
     n_even = len(plan.s_star & G.even)
     n_odd = len(plan.s_star) - n_even
     return (q // 2) ** n_even * ((q + 1) // 2) ** n_odd
-
-
-def _check_part_pattern(
-    G: LatticeGraph, values: list[int], P: Pattern, region: VertexSet
-) -> None:
-    internal, _, _ = vertex_boundaries(G, region)
-    for v in internal:
-        c = values[v]
-        if c == HOLE:
-            continue
-        if not vertex_in_pattern(c, G.parity[v], P):
-            raise PreconditionError(
-                f"vertex {v} of the {P.text()} part borders the filling region "
-                f"but carries color {c} outside the pattern"
-            )
 
 
 def repair_transform(
@@ -344,25 +340,21 @@ def repair_transform(
                 f"filling color {c} at vertex {v} violates the reference pattern"
             )
 
-    values = f.values.tolist()
-    out = [HOLE] * G.n
-    for P, region in plan.regions0:
-        _check_part_pattern(G, values, P, region)
-        perm = perms[P]
-        for v in region:
-            c = values[v]
-            if c == HOLE:
-                raise PreconditionError(f"coloring has a HOLE at part vertex {v}")
-            out[v] = perm[c]
-    for P, region in plan.regions1:
-        _check_part_pattern(G, values, P, region)
-        perm = perms[P]
-        for v in region:
-            c = values[v]
-            if c == HOLE:
-                raise PreconditionError(f"coloring has a HOLE at part vertex {v}")
-            w = G.axis_step(v, plan.shift_axis, -plan.shift_dir)
-            out[w] = perm[c]
+    planes = _color_planes(f)
+    out = np.zeros(G.n, dtype=np.int16)
+    for (P, region), (cells, dest, internal) in zip(plan.regions, plan.moves):
+        stray = internal & ~planes[HOLE] & ~_pattern_cells(G, planes, P)
+        if stray:
+            v = (stray & -stray).bit_length() - 1
+            raise PreconditionError(
+                f"vertex {v} of the {P.text()} part borders the filling region "
+                f"but carries color {f.values[v]} outside the pattern"
+            )
+        holes = region.bits & planes[HOLE]
+        if holes:
+            raise PreconditionError(
+                f"coloring has a HOLE at part vertex {(holes & -holes).bit_length() - 1}")
+        out[dest] = perms[P][f.values[cells]]
     for v, c in h.items():
         out[v] = c
     result = Coloring(out, q)
@@ -382,13 +374,14 @@ def repair_inverse(
 ) -> tuple[Coloring, dict[int, int]]:
     """Recover (f restricted to the parts, h) from a repaired coloring."""
     plan = plan_repair(G, S, parts, shift_axis, shift_dir)
+    values = np.zeros(G.n, dtype=np.int16)
+    for (P, _), (cells, dest, _) in zip(plan.regions, plan.moves):
+        colors = g.values[dest]
+        if not colors.all():
+            raise PreconditionError(
+                f"repaired coloring has a HOLE at vertex {dest[np.argmin(colors)]}")
+        values[cells] = plan.canonical(P, p0)[1][colors]
     repaired = g.values.tolist()
-    values = [HOLE] * G.n
-    for P, region in plan.regions0 + plan.regions1:
-        inv = plan.canonical(P, p0)[1]
-        for v in region:
-            src = v if P.klass == 0 else G.axis_step(v, plan.shift_axis, -plan.shift_dir)
-            values[v] = inv[repaired[src]]
     h = {v: repaired[v] for v in plan.s_star}
     return Coloring(values, p0.q), h
 
@@ -409,11 +402,9 @@ def coloring_from_text(text: str) -> tuple[Coloring, LatticeGraph]:
     try:
         header = dict(part.split("=", 1) for part in lines[0].strip().split(";"))
         q = int(header["q"])
-        dims = [int(x) for x in header["dims"].split(",")]
-        per = [x == "1" for x in header["periodic"].split(",")]
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad coloring header {lines[0]!r}") from exc
-    G = LatticeGraph(dims, per)
+    G = LatticeGraph.from_key(lines[0])
     try:
         values = [int(tok) for tok in lines[1].split()]
     except ValueError as exc:

@@ -29,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .coloring import Coloring
 from .errors import InternalInvariantError, PreconditionError
 from .geometry import _regularity_witness
@@ -48,37 +46,13 @@ from .lattice import (
     connected_components,
     diam_star,
 )
-from .patterns import Pattern, _dominant
-
-
-def _color_planes(f: Coloring) -> list[int]:
-    """Bitmap of the cells holding each color 0..q; plane 0 holds the HOLEs.
-
-    Built afresh per call: a Coloring's values are mutable.
-    """
-    rows = np.packbits(f.values == np.arange(f.q + 1).reshape(-1, 1), axis=1,
-                       bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in rows]
-
-
-def _pattern_cells(G: LatticeGraph, planes: list[int], P: Pattern) -> int:
-    """Bitmap of the cells whose own color is in the P-pattern (never a HOLE)."""
-    a = b = 0
-    for c in P.a:
-        a |= planes[c]
-    for c in P.b:
-        b |= planes[c]
-    return a & G.even.bits | b & G.odd.bits
+from .patterns import Pattern, _color_planes, _dominant, _p_odd, _pattern_cells
 
 
 def _settled(G: LatticeGraph, in_pat: int) -> int:
     """Cells whose whole neighborhood is in ``in_pat``: the complement of N(outside)."""
     full = (1 << G.n) - 1
     return full & ~_neighbor_bits(G, full & ~in_pat)
-
-
-def _p_odd(G: LatticeGraph, P: Pattern) -> int:
-    return (G.odd if P.klass == 0 else G.even).bits
 
 
 def _regular_witness(G: LatticeGraph, bits: int, P: Pattern) -> int | None:
@@ -146,7 +120,7 @@ def _decompose(
     z_p: dict[Pattern, VertexSet] = {}
     for P in pats:
         # the P-odd cells whose whole neighborhood is in the P-pattern
-        core = _p_odd(G, P) & _settled(G, _pattern_cells(G, planes, P))
+        core = _p_odd(G, P).bits & _settled(G, _pattern_cells(G, planes, P))
         region = core | _neighbor_bits(G, core)
         if (witness := _regular_witness(G, region, P)) is not None:
             raise InternalInvariantError(
@@ -207,20 +181,14 @@ def classify_atlas(X: Atlas) -> BreakupClass:
     return BreakupClass(L, overlap.bit_count(), bad.bit_count(), min_ok)
 
 
-def seen_from(
-    G: LatticeGraph,
-    z: "RegionDecomposition | VertexSet",
-    V: VertexSet,
-    radius: int = 5,
-) -> VertexSet:
+def seen_from(G: LatticeGraph, z_star: VertexSet, V: VertexSet, radius: int = 5) -> VertexSet:
     """Components of the fattened defect set that matter to V.
 
-    Accepts a decomposition or its defect set directly.  Returns the
-    union of connected components of defect^{+radius} that touch the rim
-    (the stand-in for infinite components) or disconnect some vertex of
-    V from the rim; on a fully periodic graph (no rim) that is nothing.
+    Returns the union of connected components of z_star^{+radius} that
+    touch the rim (the stand-in for infinite components) or disconnect
+    some vertex of V from the rim; on a fully periodic graph (no rim)
+    that is nothing.
     """
-    z_star = z.z_star if isinstance(z, RegionDecomposition) else z
     fat = _expand_bits(G, z_star.bits, radius)
     rim = G.rim.bits
     if not rim:
@@ -352,7 +320,7 @@ def verify_breakup(
         U = region.bits
         in_pat = _pattern_cells(G, planes, P)
         settled = _settled(G, in_pat)
-        p_odd = _p_odd(G, P)
+        p_odd = _p_odd(G, P).bits
         p_even = full & ~p_odd
         for v in _bit_ids(near & p_odd & (U ^ settled)):
             problems.append(

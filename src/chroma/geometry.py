@@ -45,7 +45,7 @@ from .lattice import (
     n_t,
     vertex_boundaries,
 )
-from .patterns import Pattern
+from .patterns import Pattern, _p_odd
 
 if TYPE_CHECKING:  # pragma: no cover
     from .decomposition import Atlas
@@ -458,14 +458,11 @@ def verify_approximation(
     region boundaries to distance 3.
     """
     clauses: dict[str, bool] = {}
-
-    def p_odd(P: Pattern) -> VertexSet:
-        return G.odd if P.klass == 0 else G.even
-
     sandwich = True
     for P, region in X.x_p.items():
         known = A.a_p.get(P, G.empty_set())
-        allowed = known | (A.a_star & p_odd(P)) | (A.a_2star - p_odd(P))
+        odd = _p_odd(G, P)
+        allowed = known | (A.a_star & odd) | (A.a_2star - odd)
         if not known.issubset(region) or not region.issubset(allowed):
             sandwich = False
     clauses["sandwich"] = sandwich
@@ -476,7 +473,7 @@ def verify_approximation(
         for Q, kq in A.a_p.items():
             if Q.klass == P.klass:
                 same_class = same_class | kq
-        if not (A.a_star & p_odd(P)).issubset(n_t(G, same_class, G.d)):
+        if not (A.a_star & _p_odd(G, P)).issubset(n_t(G, same_class, G.d)):
             support = False
     clauses["support"] = support
 

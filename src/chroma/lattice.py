@@ -270,22 +270,6 @@ class LatticeGraph:
             v += c * self._strides[axis]
         return v
 
-    def _step(self, coords: tuple[int, ...], axis: int, delta: int) -> int | None:
-        c = coords[axis] + delta
-        if self.periodic[axis]:
-            c %= self.dims[axis]
-        elif not 0 <= c < self.dims[axis]:
-            return None
-        return (
-            sum(cc * self._strides[a] for a, cc in enumerate(coords))
-            - coords[axis] * self._strides[axis]
-            + c * self._strides[axis]
-        )
-
-    def axis_step(self, v: int, axis: int, delta: int) -> int | None:
-        """Neighbor of v one step along an axis, or None past a face."""
-        return self._step(self.coords(v), axis, delta)
-
     def vertex_set(self, ids: Iterable[int]) -> VertexSet:
         return VertexSet.from_ids(self.n, ids)
 
@@ -305,7 +289,7 @@ class LatticeGraph:
         try:
             fields = dict(part.split("=", 1) for part in key.strip().split(";"))
             dims = [int(x) for x in fields["dims"].split(",")]
-            per = [x == "1" for x in fields["periodic"].split(",")]
+            per = [{"0": False, "1": True}[x] for x in fields["periodic"].split(",")]
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad graph key {key!r}") from exc
         return cls(dims, per)

@@ -12,6 +12,12 @@ size floor(q/2) is the boundary side, the other the interior side, and a
 vertex is P-even exactly when its lattice parity matches the side
 assignment.  For patterns with |A| <= |B| (class 0) P-even coincides
 with lattice-even; for |A| > |B| (class 1, odd q only) it is flipped.
+
+Membership has one scalar definition (``vertex_in_pattern``: one color
+at one parity) and one set-level rule: a coloring's color planes give
+the bitmap of every cell whose own color fits a pattern
+(``_pattern_cells``), which ``in_pattern``, the decomposition, breakups
+and the repair transformation all read.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, TYPE_CHECKING
+
+import numpy as np
 
 from .errors import ConfigError, PreconditionError
 
@@ -185,6 +193,11 @@ def is_p_even(v: int, P: Pattern, G: "LatticeGraph") -> bool:
     return G.parity[v] == P.klass
 
 
+def _p_odd(G: "LatticeGraph", P: Pattern) -> "VertexSet":
+    """The P-odd sublattice: the odd cells for class 0, the even ones for class 1."""
+    return G.odd if P.klass == 0 else G.even
+
+
 def p_parity(v: int, P: Pattern, G: "LatticeGraph") -> str:
     if not P.is_dominant():
         raise PreconditionError(f"{P!r} is not dominant")
@@ -198,13 +211,30 @@ def vertex_in_pattern(value: int, parity: int, P: Pattern) -> bool:
     return bool((P.side_for_parity(parity) >> (value - 1)) & 1)
 
 
+def _color_planes(f: "Coloring") -> list[int]:
+    """Bitmap of the cells holding each color 0..q; plane 0 holds the HOLEs.
+
+    Built afresh per call: a Coloring's values are mutable.
+    """
+    rows = np.packbits(f.values == np.arange(f.q + 1).reshape(-1, 1), axis=1,
+                       bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
+def _pattern_cells(G: "LatticeGraph", planes: list[int], P: Pattern) -> int:
+    """Bitmap of the cells whose own color is in the P-pattern (never a HOLE):
+    ``vertex_in_pattern`` over every cell at once."""
+    a = b = 0
+    for c in P.a:
+        a |= planes[c]
+    for c in P.b:
+        b |= planes[c]
+    return a & G.even.bits | b & G.odd.bits
+
+
 def in_pattern(f: "Coloring", U: "VertexSet", P: Pattern, G: "LatticeGraph") -> bool:
     """True when every vertex of U follows (A, B): evens in A, odds in B."""
-    values = f.values.tolist()
-    for v in U:
-        if not vertex_in_pattern(values[v], G.parity[v], P):
-            return False
-    return True
+    return not U.bits & ~_pattern_cells(G, _color_planes(f), P)
 
 
 def canonical_permutation(P: Pattern, P0: Pattern) -> dict[int, int]:

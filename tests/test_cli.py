@@ -378,6 +378,11 @@ def test_config_bool_in_non_bool_field_exit_one(command, cfg, tmp_path, capsys):
                  id="header-part-without-equals"),
     pytest.param("decompose", {}, "q=3;dims=2,2;periodic=0,0\n1 2 x 1\n",
                  id="coloring-value-not-int"),
+    pytest.param("decompose", {}, "q=3;dims=2,2;periodic=yes,0\n1 2 2 1\n",
+                 id="header-periodic-not-0-1"),
+    pytest.param("toy-ratio", {"dims": [3, 3], "q": 3, "pattern0": "A=1;B=2,3",
+                               "pattern": "A=1,2;B=3", "droplet": "foo"}, None,
+                 id="droplet-string"),
     pytest.param("decompose", {}, "missing", id="missing-coloring-file"),
     pytest.param("exact-count", "missing", None, id="missing-config-file"),
 ])

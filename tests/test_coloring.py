@@ -262,7 +262,7 @@ def test_repair_class1_shift_roundtrip():
     }
     plan = plan_repair(G, S, parts, 0, -1)
     f = Coloring([HOLE] * G.n, q)
-    for P, region in plan.regions0 + plan.regions1:
+    for P, region in plan.regions:
         for v in region:
             side = P.a if G.parity[v] == 0 else P.b
             f.values[v] = side[sum(G.coords(v)) % len(side)]
@@ -278,7 +278,7 @@ def test_repair_class1_shift_roundtrip():
         assert is_proper(g, G)
         f_back, h_back = repair_inverse(g, S, parts, G, p0, 0, -1)
         assert h_back == h
-        for P, region in plan.regions0 + plan.regions1:
+        for P, region in plan.regions:
             for v in region:
                 assert f_back.values[v] == f.values[v]
 
@@ -302,7 +302,7 @@ def test_repair_plan_memo_matches_fresh_graph():
         plan = plan_repair(G, S, parts, 0, shift)
         assert plan == plan_repair(fresh, S, parts, 0, shift)
         f = Coloring([HOLE] * G.n, q)
-        for P, region in plan.regions0 + plan.regions1:
+        for P, region in plan.regions:
             for v in region:
                 side = P.a if G.parity[v] == 0 else P.b
                 f.values[v] = side[int(rng.integers(0, len(side)))]
@@ -318,6 +318,132 @@ def test_repair_plan_memo_matches_fresh_graph():
             repair_inverse(g, S, {p1: top, p2: bot}, G, p0, 0, 1)
         with pytest.raises(PreconditionError):
             plan_repair(G, S, {p1: top}, 0, -1)
+
+
+def _class1_families(q=5):
+    """The 6x6 q=5 two-part families, class-1 part on top and below."""
+    G = build_graph([6, 6])
+    p0 = Pattern.make(q, [1, 2], [3, 4, 5])
+    p1 = Pattern.make(q, [3, 4, 5], [1, 2])
+    p2 = Pattern.make(q, [1, 3], [2, 4, 5])
+    S = G.vertex_set([G.vid((i, j)) for i in (2, 3) for j in range(6)])
+    top = G.vertex_set([G.vid((i, j)) for i in (0, 1) for j in range(6)])
+    bot = G.vertex_set([G.vid((i, j)) for i in (4, 5) for j in range(6)])
+    return G, p0, S, (({p1: top, p2: bot}, -1), ({p2: top, p1: bot}, 1))
+
+
+def test_repair_outputs_pinned():
+    # digest of forward and inverse outputs (values, dtype bytes and the
+    # filling's Python ints) over a seeded sample of criterion 8's family
+    # and over both class-1 shift directions
+    from chroma.rng import make_rng
+
+    digest = hashlib.sha256()
+
+    def record(g, back, h_back):
+        digest.update(g.values.tobytes())
+        digest.update(back.values.tobytes())
+        digest.update(repr(list(h_back.items())).encode())
+
+    G, p0, p, S, parts = _center_block_instance()
+    plan = plan_repair(G, S, parts)
+    rng = make_rng(8)
+    for _ in range(64):
+        f = Coloring([HOLE] * G.n, 4)
+        for v in (S.complement() - plan.s_star):
+            side = p.a if G.parity[v] == 0 else p.b
+            f.values[v] = side[int(rng.integers(0, len(side)))]
+        h = {v: (p0.a if G.parity[v] == 0 else p0.b)[int(rng.integers(0, 2))]
+             for v in plan.s_star}
+        g = repair_transform(f, S, parts, h, G, p0)
+        record(g, *repair_inverse(g, S, parts, G, p0))
+
+    G, p0, S, families = _class1_families()
+    for parts, shift in families:
+        plan = plan_repair(G, S, parts, 0, shift)
+        for _ in range(16):
+            f = Coloring([HOLE] * G.n, 5)
+            for P, part in parts.items():
+                for v in part - S:
+                    side = P.a if G.parity[v] == 0 else P.b
+                    f.values[v] = side[int(rng.integers(0, len(side)))]
+            h = {}
+            for v in plan.s_star:
+                side = p0.a if G.parity[v] == 0 else p0.b
+                h[v] = side[int(rng.integers(0, len(side)))]
+            g = repair_transform(f, S, parts, h, G, p0, 0, shift)
+            record(g, *repair_inverse(g, S, parts, G, p0, 0, shift))
+    assert digest.hexdigest() == (
+        "cce473b9fe80706400a17f679f602c42379eef200973e777379f37667b03a0a5")
+
+
+def test_repair_error_messages_and_order():
+    G, p0, S, families = _class1_families()
+    (parts, _), _ = families
+    with pytest.raises(PreconditionError) as exc:
+        plan_repair(G, S, parts, shift_axis=0, shift_dir=1)
+    assert str(exc.value) == (
+        "shifting vertex 0 leaves the ambient graph along axis 0; "
+        "class-1 parts must keep one cell of clearance from that face")
+
+    G, p0, p, S, parts = _center_block_instance()
+    plan = plan_repair(G, S, parts)
+    corners = sorted((S.complement() - plan.s_star).ids())
+    h = {v: (p0.a if G.parity[v] == 0 else p0.b)[0] for v in plan.s_star}
+    f = Coloring([HOLE] * G.n, 4)
+    for v in corners:
+        f.values[v] = (p.a if G.parity[v] == 0 else p.b)[0]
+    cases = []
+    hole = f.copy()
+    hole.values[corners[1]] = HOLE
+    cases.append((hole, f"coloring has a HOLE at part vertex {corners[1]}"))
+    wrong = f.copy()
+    v = corners[2]
+    wrong.values[v] = (p.b if G.parity[v] == 0 else p.a)[0]
+    cases.append((wrong, f"vertex {v} of the {p.text()} part borders the filling "
+                         f"region but carries color {wrong.values[v]} outside the pattern"))
+    # a HOLE and an out-of-pattern boundary cell in one region: the
+    # region's boundary check runs before its HOLE check
+    both = wrong.copy()
+    both.values[corners[0]] = HOLE
+    cases.append((both, cases[-1][1]))
+    for bad, message in cases:
+        with pytest.raises(PreconditionError) as exc:
+            repair_transform(bad, S, parts, h, G, p0)
+        assert str(exc.value) == message
+    # a bad filling is reported before any part fault
+    v0 = min(h)
+    bad_h = {**h, v0: (p0.b if G.parity[v0] == 0 else p0.a)[0]}
+    with pytest.raises(PreconditionError) as exc:
+        repair_transform(both, S, parts, bad_h, G, p0)
+    assert str(exc.value) == (f"filling color {bad_h[v0]} at vertex {v0} "
+                              "violates the reference pattern")
+
+    # class-0 regions are checked before class-1 ones
+    G, p0, S, families = _class1_families()
+    (parts, shift), _ = families
+    plan = plan_repair(G, S, parts, 0, shift)
+    f = Coloring([HOLE] * G.n, 5)
+    for P, part in parts.items():
+        for v in part:
+            f.values[v] = (P.a if G.parity[v] == 0 else P.b)[0]
+    h = {v: (p0.a if G.parity[v] == 0 else p0.b)[0] for v in plan.s_star}
+    (p1, top), (p2, bot) = parts.items()
+    u = G.vid((0, 5))   # a cell of the class-1 region (row 0)
+    f.values[u] = (p1.b if G.parity[u] == 0 else p1.a)[0]
+    w = max(bot.ids())
+    f.values[w] = HOLE
+    with pytest.raises(PreconditionError) as exc:
+        repair_transform(f, S, parts, h, G, p0, 0, shift)
+    assert str(exc.value) == f"coloring has a HOLE at part vertex {w}"
+
+
+def test_repair_inverse_refuses_hole_in_part_image():
+    G, p0, p, S, parts = _center_block_instance()
+    g = Coloring([HOLE] * G.n, 4)
+    with pytest.raises(PreconditionError) as exc:
+        repair_inverse(g, S, parts, G, p0)
+    assert str(exc.value) == "repaired coloring has a HOLE at vertex 0"
 
 
 def test_coloring_file_roundtrip_bit_exact():

@@ -6,9 +6,7 @@ import pytest
 from chroma.coloring import Coloring, is_proper, striped_pattern_coloring
 from chroma.decomposition import (
     Atlas,
-    _color_planes,
     _derived_sets,
-    _pattern_cells,
     bp_components,
     classify_atlas,
     construct_breakup,
@@ -18,7 +16,13 @@ from chroma.decomposition import (
 )
 from chroma.errors import PreconditionError
 from chroma.lattice import build_graph, closed_neighborhood, expand
-from chroma.patterns import Pattern, enumerate_dominant, vertex_in_pattern
+from chroma.patterns import (
+    Pattern,
+    _color_planes,
+    _pattern_cells,
+    enumerate_dominant,
+    vertex_in_pattern,
+)
 from chroma.rng import make_rng
 from chroma.sampler import heat_bath_sweep
 

@@ -13,6 +13,7 @@ from chroma.patterns import (
     is_p_even,
     p_parity,
     pattern_sides,
+    vertex_in_pattern,
 )
 
 
@@ -96,6 +97,35 @@ def test_single_vertex_side_equivalence():
                     member = in_pattern(f, G.vertex_set([v]), P, G)
                     side = P.bdry_bits if is_p_even(v, P, G) else P.int_bits
                     assert member == bool((side >> (c - 1)) & 1)
+
+
+def test_in_pattern_on_sets_is_and_of_vertex_rule():
+    # multi-cell sets over colorings with HOLEs and stray colors, q = 3..6
+    from chroma.coloring import pure_pattern_sample
+    from chroma.rng import make_rng
+
+    rng = make_rng(19)
+    seen = set()
+    for q in range(3, 7):
+        for dims, periodic in (([4, 5], None), ([4, 4], [True, False]), ([3, 2, 3], None)):
+            G = build_graph(dims, periodic)
+            pats = enumerate_dominant(q)
+            for trial in range(12):
+                base = pats[int(rng.integers(0, len(pats)))]
+                f = pure_pattern_sample(G, G.full_set(), base, int(rng.integers(0, 2**31)))
+                for v in range(G.n):
+                    r = rng.random()
+                    if r < 0.08:
+                        f.values[v] = 0
+                    elif r < 0.16:
+                        f.values[v] = int(rng.integers(1, q + 1))
+                for P in pats:
+                    size = int(rng.integers(2, 7))
+                    U = G.vertex_set(rng.choice(G.n, size=size, replace=False).tolist())
+                    want = all(vertex_in_pattern(int(f.values[v]), G.parity[v], P) for v in U)
+                    assert in_pattern(f, U, P, G) == want
+                    seen.add(want)
+    assert seen == {True, False}
 
 
 def test_canonical_order_is_stable():
