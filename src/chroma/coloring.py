@@ -325,24 +325,40 @@ def repair_transform(
     asserted proper.
     """
     plan = plan_repair(G, S, parts, shift_axis, shift_dir)
-    q = p0.q
-    if f.q != q:
-        raise PreconditionError("coloring and reference pattern disagree on q")
+    _check_q(f, p0)
     perms = {P: plan.canonical(P, p0)[0] for P, _ in plan.parts}
-
-    h_keys = set(h)
-    star_ids = set(plan.s_star.ids())
-    if h_keys != star_ids:
+    if set(h) != set(plan.s_star.ids()):
         raise PreconditionError("filling must cover exactly the leftover region")
+    _check_filling(G, h, p0)
+    _check_regions(G, plan, f)
+    out = np.zeros(G.n, dtype=np.int16)
+    for (P, _), (cells, dest, _) in zip(plan.regions, plan.moves):
+        out[dest] = perms[P][f.values[cells]]
+    for v, c in h.items():
+        out[v] = c
+    result = Coloring(out, p0.q)
+    if not is_proper(result, G):
+        raise InternalInvariantError("repair produced an improper coloring")
+    return result
+
+
+def _check_q(f: Coloring, p0: Pattern) -> None:
+    if f.q != p0.q:
+        raise PreconditionError("coloring and reference pattern disagree on q")
+
+
+def _check_filling(G: LatticeGraph, h: Mapping[int, int], p0: Pattern) -> None:
     for v, c in h.items():
         if not vertex_in_pattern(c, G.parity[v], p0):
             raise PreconditionError(
                 f"filling color {c} at vertex {v} violates the reference pattern"
             )
 
+
+def _check_regions(G: LatticeGraph, plan: RepairPlan, f: Coloring) -> None:
+    """Per region: f in its part's pattern on the internal boundary, no HOLE."""
     planes = _color_planes(f)
-    out = np.zeros(G.n, dtype=np.int16)
-    for (P, region), (cells, dest, internal) in zip(plan.regions, plan.moves):
+    for (P, region), (_, _, internal) in zip(plan.regions, plan.moves):
         stray = internal & ~planes[HOLE] & ~_pattern_cells(G, planes, P)
         if stray:
             v = (stray & -stray).bit_length() - 1
@@ -354,13 +370,6 @@ def repair_transform(
         if holes:
             raise PreconditionError(
                 f"coloring has a HOLE at part vertex {(holes & -holes).bit_length() - 1}")
-        out[dest] = perms[P][f.values[cells]]
-    for v, c in h.items():
-        out[v] = c
-    result = Coloring(out, q)
-    if not is_proper(result, G):
-        raise InternalInvariantError("repair produced an improper coloring")
-    return result
 
 
 def repair_inverse(
@@ -372,8 +381,13 @@ def repair_inverse(
     shift_axis: int = 0,
     shift_dir: int = 1,
 ) -> tuple[Coloring, dict[int, int]]:
-    """Recover (f restricted to the parts, h) from a repaired coloring."""
+    """Recover (f restricted to the parts, h) from a repaired coloring.
+
+    A g the forward map cannot produce raises: the forward's checks run on
+    the recovered (f, h), and g must be proper.
+    """
     plan = plan_repair(G, S, parts, shift_axis, shift_dir)
+    _check_q(g, p0)
     values = np.zeros(G.n, dtype=np.int16)
     for (P, _), (cells, dest, _) in zip(plan.regions, plan.moves):
         colors = g.values[dest]
@@ -381,9 +395,14 @@ def repair_inverse(
             raise PreconditionError(
                 f"repaired coloring has a HOLE at vertex {dest[np.argmin(colors)]}")
         values[cells] = plan.canonical(P, p0)[1][colors]
+    f = Coloring(values, p0.q)
+    _check_regions(G, plan, f)
     repaired = g.values.tolist()
     h = {v: repaired[v] for v in plan.s_star}
-    return Coloring(values, p0.q), h
+    _check_filling(G, h, p0)
+    if not is_proper(g, G):
+        raise PreconditionError("repaired coloring is not proper")
+    return f, h
 
 
 # -- file format --------------------------------------------------------------

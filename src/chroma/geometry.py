@@ -16,13 +16,18 @@ Every boundary test here is set algebra over per-direction edge maps
 (``lattice._edge_maps`` and ``lattice._boundary_maps``): boundary-edge
 counts are popcounts and threshold ladders over them, the four-cycle
 check and the separation tests shift them onto the far end of each
-edge, and a failure names the lowest failing edge.
+edge, and a failure names the lowest failing edge.  The separating
+set's four-cycle witnesses come the same way from per-direction owner
+maps, and the rim-pocket test of a weak approximation reads the
+full-degree bitmap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import InternalInvariantError, PreconditionError, ResourceLimitError
@@ -254,6 +259,28 @@ class SeparatingSetReport:
     t_threshold: int
 
 
+def _witness_set(
+    G: LatticeGraph, own: list[list[int]], m_levels: list[int], outside: int
+) -> int:
+    """T: the outside cells v = w - e_k with m_w > 0 and 2 c_k(w) < m_w.
+
+    own[i][j] holds the cells w of a_i with w - e_j in S_i, m_levels is the
+    ladder of m_w (the directions with an owner), and c_k(w) counts the
+    directions j with some i owning j but not k at w.  The test fails
+    exactly when c_k(w) >= t and m_w < 2t + 1 for some t in 1..d.
+    """
+    top = G.full_degree
+    found = 0
+    for k in range(top):
+        c_levels = _ladder(
+            [reduce(or_, (own_i[j] & ~own_i[k] for own_i in own), 0) for j in range(top)], G.d)
+        passing = m_levels[0] & ~c_levels[-1]
+        for t in range(1, G.d):
+            passing &= ~(c_levels[t - 1] & ~m_levels[2 * t])
+        found |= _images(G, passing)[G._opposite[k]]
+    return found & outside
+
+
 def _half_separating_core(
     G: LatticeGraph,
     collection: OddSetCollection,
@@ -264,58 +291,25 @@ def _half_separating_core(
 
     High-boundary outside vertices and near-saturated inside vertices
     are covered greedily; the remaining revealed vertices are reached
-    through four-cycle witnesses inside the sets.  Only the witness test
-    that builds T goes cell by cell, over the outside cells next to a cell
-    with m_w > 0; every count is a threshold ladder over shifted bitmaps.
+    through four-cycle witnesses inside the sets (``_witness_set``).
+    Every count is a threshold ladder over shifted bitmaps.
     """
     sets = collection.sets
-    inside = G.odd if collection.parity == "odd" else G.even
-    outside = inside.complement()
-    A = VertexSet(outside.bits & _at_least(G, _boundary_maps(G, sets), s), G.n)
-    a_i = [
-        VertexSet(inside.bits & _at_least(G, _boundary_maps(G, [S]), G.full_degree - s), G.n)
-        for S in sets
-    ]
-
-    # entry j: cells w whose neighbor w - e_j lies in a set S_i with w in a_i;
-    # a cell's m_w is the number of entries holding it
-    owned = [0] * (2 * G.d)
-    for S, a in zip(sets, a_i):
-        for j, image in enumerate(_images(G, S.bits)):
-            owned[j] |= a.bits & image
-    m_levels = _ladder(owned, 2 * max(s, 0) + 1)
-    witnessed = m_levels[0]
-    T_prime = VertexSet(inside.bits & witnessed & ~m_levels[-1], G.n)
-
-    def owners(w: int, z: int) -> frozenset[int]:
-        return frozenset(
-            i for i in range(len(sets)) if w in a_i[i] and z in sets[i]
-        )
-
-    m_cache: dict[int, list[frozenset[int]]] = {}
-
-    def neighbor_owners(w: int) -> list[frozenset[int]]:
-        if w not in m_cache:
-            m_cache[w] = [own for z in G.neighbors[w] if (own := owners(w, z))]
-        return m_cache[w]
-
-    t_bits = 0
-    for v in outside & neighborhood(G, VertexSet(witnessed, G.n)):
-        for w in G.neighbors[v]:
-            if not (witnessed >> w) & 1:
-                continue
-            owned_w = neighbor_owners(w)
-            own_v = owners(w, v)
-            if 2 * sum(1 for own in owned_w if not own <= own_v) < len(owned_w):
-                t_bits |= 1 << v
-                break
-    T = VertexSet(t_bits, G.n)
+    inside = (G.odd if collection.parity == "odd" else G.even).bits
+    outside = inside ^ ((1 << G.n) - 1)
+    A = VertexSet(outside & _at_least(G, _boundary_maps(G, sets), s), G.n)
+    a_i = [inside & _at_least(G, _boundary_maps(G, [S]), G.full_degree - s) for S in sets]
+    own = [[a & image for image in _images(G, S.bits)] for S, a in zip(sets, a_i)]
+    m_levels = _ladder([reduce(or_, maps) for maps in zip(*own)], G.full_degree)
+    heavy = m_levels[2 * max(s, 0)] if s < G.d else 0   # m_w >= 2s + 1
+    T_prime = m_levels[0] & ~heavy
+    T = VertexSet(_witness_set(G, own, m_levels, outside), G.n)
 
     B = greedy_cover(G, A, t) if A else G.empty_set()
     B_prime = greedy_cover(G, T, t) if T else G.empty_set()
     B_dprime = G.empty_set()
-    for i, S in enumerate(sets):
-        B_dprime = B_dprime | (S & n_t(G, a_i[i] & T_prime, t))
+    for S, a in zip(sets, a_i):
+        B_dprime = B_dprime | (S & n_t(G, VertexSet(a & T_prime, G.n), t))
     return B | B_prime | B_dprime
 
 
@@ -415,11 +409,7 @@ def weak_approximation(
     if escaped:
         # a pocket of at most d full-degree cells has a neighbor in W at
         # every cell, so only a pocket clipped below full degree can escape
-        clipped = G.empty_set()
-        for comp in comps:
-            if len(comp) <= G.d and any(G.degree[v] < G.full_degree for v in comp):
-                clipped = clipped | comp
-        if escaped.issubset(clipped):
+        if all(comp.bits & ~_full_degree(G) for comp in comps if comp & escaped):
             raise PreconditionError(
                 f"fringe cell {escaped.min_id()} lies outside W^+ in a pocket "
                 "below full degree; the bound needs full-degree cells"

@@ -14,11 +14,12 @@ A vertex set is an integer bitmap, and its neighborhood N(U) is computed
 for the whole set at once: along each axis, the bits off the high face
 shift up by the axis stride and those off the low face shift down, and
 on a periodic axis each face also shifts onto the opposite one.  Vertex
-boundaries, closed neighborhoods, expansions and components are all set
-algebra over N(.); at power 1, the isolated cells of a set are its
-singleton components, taken in one step.  Each shift is tagged with the
-direction it steps, so the same shifts give a set's image per direction;
-counting images gives N_t(U).  A set's *edge maps* hold, per direction
+boundaries, closed neighborhoods, expansions, components and diameters
+are all set algebra over N(.): a diameter counts the neighborhood steps
+each cell's ball takes to cover the set, and at power 1 the isolated
+cells of a set are its singleton components, taken in one step.  Each
+shift is tagged with the direction it steps, so the same shifts give a
+set's image per direction; counting images gives N_t(U).  A set's *edge maps* hold, per direction
 j, the cells whose edge along j crosses the set's boundary (both ends of
 each edge are flagged); with the opposite of each direction they give
 boundary-edge counts (``boundary_edge_count`` over a union of sets),
@@ -36,7 +37,6 @@ distance from the rim or more, the one depth rule for padded domains.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
@@ -508,32 +508,22 @@ def co_connected_closure(G: LatticeGraph, U: VertexSet, v: int) -> VertexSet:
     return component_of(G, U.complement(), v).complement()
 
 
-def bfs_distances(G: LatticeGraph, src: int) -> list[int]:
-    """Graph distances from src; unreachable cells get -1."""
-    dist = [-1] * G.n
-    dist[src] = 0
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for w in G.neighbors[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
-
-
 def diameter(G: LatticeGraph, U: VertexSet) -> int:
     """Largest ambient graph distance between two vertices of U.
 
-    The empty set has no diameter; callers must special-case it.
+    Each vertex's farthest distance into U is the number of neighborhood
+    steps its ball takes to cover U (the ambient graph is connected).  The
+    empty set has no diameter; callers must special-case it.
     """
     if not U:
         raise PreconditionError("diameter of the empty set is undefined")
     best = 0
-    members = U.ids()
-    for u in members:
-        dist = bfs_distances(G, u)
-        best = max(best, max(dist[v] for v in members))
+    for u in U:
+        reached, steps = 1 << u, 0
+        while U.bits & ~reached:
+            reached |= _neighbor_bits(G, reached)
+            steps += 1
+        best = max(best, steps)
     return best
 
 

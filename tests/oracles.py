@@ -180,3 +180,45 @@ def enumerate_proper(dims, periodic, domain: list[int], q: int,
                 del assign[v]
 
     yield from rec(0)
+
+
+def distances_from(dims, periodic, src):
+    """Graph distances from src by plain BFS, as a dict over every cell."""
+    dist = {src: 0}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for w in neighbors_of(dims, periodic, u):
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def witness_set(dims, periodic, sets, a, outside):
+    """The separating construction's witness set T, cell by cell.
+
+    Set i owns the pair (w, z) when w is in a[i] and its neighbor z is in
+    sets[i].  An outside cell v is in T when some neighbor w has an owner
+    toward at least one neighbor and fewer than half of those nonempty
+    owner sets fail to be contained in w's owner set toward v.
+    """
+    n = 1
+    for x in dims:
+        n *= x
+
+    def owners(w, z):
+        return frozenset(i for i in range(len(sets)) if w in a[i] and z in sets[i])
+
+    found = set()
+    for w in range(n):
+        nbrs = neighbors_of(dims, periodic, w)
+        owned = [own for own in (owners(w, z) for z in nbrs) if own]
+        if not owned:
+            continue
+        for v in nbrs:
+            if v in outside:
+                escaping = sum(1 for own in owned if not own <= owners(w, v))
+                if 2 * escaping < len(owned):
+                    found.add(v)
+    return found

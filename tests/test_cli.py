@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -257,10 +258,17 @@ def test_theorem_failure_exit_code_three(monkeypatch):
 
 
 def test_console_entry_point():
+    # the child process imports the same chroma package as this one,
+    # whether it comes from PYTHONPATH or from pytest's pythonpath setting
+    import chroma
+
+    src = os.path.dirname(os.path.dirname(chroma.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "chroma.cli", "exact-count",
          "--dims", "2,2", "--q", "3"],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == "18"

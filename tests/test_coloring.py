@@ -446,6 +446,63 @@ def test_repair_inverse_refuses_hole_in_part_image():
     assert str(exc.value) == "repaired coloring has a HOLE at vertex 0"
 
 
+def _repaired_center_block():
+    # one forward output of criterion 8's 4x4 family
+    G, p0, p, S, parts = _center_block_instance()
+    plan = plan_repair(G, S, parts)
+    f = Coloring([HOLE] * G.n, 4)
+    for v in (S.complement() - plan.s_star):
+        f.values[v] = (p.a if G.parity[v] == 0 else p.b)[0]
+    h = {v: (p0.a if G.parity[v] == 0 else p0.b)[v % 2] for v in plan.s_star}
+    return G, p0, p, S, parts, repair_transform(f, S, parts, h, G, p0)
+
+
+def test_repair_inverse_refuses_other_q():
+    G, p0, p, S, parts, g = _repaired_center_block()
+    with pytest.raises(PreconditionError) as exc:
+        repair_inverse(Coloring(g.values.copy(), 5), S, parts, G, p0)
+    assert str(exc.value) == "coloring and reference pattern disagree on q"
+
+
+def test_repair_inverse_refuses_filling_out_of_pattern():
+    # cell 1 is odd and in the filling region; its neighbors 0, 2 and 5
+    # all hold color 1, so A-side color 2 there keeps g proper
+    G, p0, p, S, parts, g = _repaired_center_block()
+    bad = g.copy()
+    bad.values[5] = 1
+    bad.values[1] = 2
+    assert is_proper(bad, G) and bad.values[[0, 2]].tolist() == [1, 1]
+    with pytest.raises(PreconditionError) as exc:
+        repair_inverse(bad, S, parts, G, p0)
+    assert str(exc.value) == "filling color 2 at vertex 1 violates the reference pattern"
+
+
+def test_repair_inverse_refuses_part_boundary_out_of_pattern():
+    # corner 0's filling neighbors 1 and 4 share color 3, so color 4 at the
+    # corner keeps g proper while its preimage lies on the wrong side of p
+    G, p0, p, S, parts, g = _repaired_center_block()
+    bad = g.copy()
+    bad.values[[1, 4]] = 3
+    bad.values[0] = 4
+    assert is_proper(bad, G)
+    with pytest.raises(PreconditionError) as exc:
+        repair_inverse(bad, S, parts, G, p0)
+    assert str(exc.value) == (f"vertex 0 of the {p.text()} part borders the filling "
+                              "region but carries color 4 outside the pattern")
+
+
+def test_repair_inverse_refuses_improper_coloring():
+    # empty S, one part over the whole box: no boundary and no filling to
+    # check, so only properness rules this g out
+    G = build_graph([4, 4])
+    p0 = Pattern.make(4, [1, 2], [3, 4])
+    p = Pattern.make(4, [1, 3], [2, 4])
+    g = Coloring([1] * G.n, 4)
+    with pytest.raises(PreconditionError) as exc:
+        repair_inverse(g, G.empty_set(), {p: G.full_set()}, G, p0)
+    assert str(exc.value) == "repaired coloring is not proper"
+
+
 def test_coloring_file_roundtrip_bit_exact():
     G = build_graph([3, 4], [False, True])
     f = striped_pattern_coloring(G, Pattern.make(4, [1, 2], [3, 4]))

@@ -1,3 +1,6 @@
+from functools import reduce
+from operator import or_
+
 import pytest
 
 from chroma.decomposition import classify_atlas, construct_breakup
@@ -9,6 +12,7 @@ from chroma.geometry import (
     OddSetCollection,
     _at_least,
     _four_cycle_failures,
+    _witness_set,
     four_cycle_check,
     greedy_cover,
     is_parity_set,
@@ -22,6 +26,8 @@ from chroma.geometry import (
 from chroma.lattice import (
     VertexSet,
     _boundary_maps,
+    _images,
+    _ladder,
     build_graph,
     closed_neighborhood,
     n_t,
@@ -253,6 +259,36 @@ def test_boundary_edge_thresholds_and_cover_match_oracles(dims, periodic):
                 want.add(-neg)
                 targets -= set(nbrs[-neg])
             assert set(greedy_cover(G, S, t).ids()) == want
+
+
+@pytest.mark.parametrize("dims,periodic", [
+    ((7, 7), (False, False)), ((8, 8, 2), (False, False, True)),
+    ((3, 3, 3, 3), (False,) * 4), ((6, 6), (True, True))])
+def test_witness_set_matches_per_cell_oracle(dims, periodic):
+    # a_i is computed from its definition too: the inside cells on at
+    # least 2d - s boundary edges of S_i; own and m_levels are built as
+    # _half_separating_core builds them
+    G = build_graph(dims, periodic)
+    nbrs = [oracles.neighbors_of(dims, periodic, v) for v in range(G.n)]
+    parity = [sum(oracles.coords_of(dims, v)) % 2 for v in range(G.n)]
+    rng = make_rng(29)
+    for trial in range(6):
+        sets = [{v for v in range(G.n) if rng.random() < p}
+                for p in (rng.random() for _ in range(1 + trial % 3))]
+        for odd in (1, 0):
+            inside = {v for v in range(G.n) if parity[v] == odd}
+            outside = set(range(G.n)) - inside
+            for s in (0, 1, 2, 4):
+                a = [{w for w in inside
+                      if sum((z in S) != (w in S) for z in nbrs[w]) >= 2 * G.d - s}
+                     for S in sets]
+                own = [[G.vertex_set(ai).bits & image
+                        for image in _images(G, G.vertex_set(S).bits)]
+                       for S, ai in zip(sets, a)]
+                m_levels = _ladder([reduce(or_, maps) for maps in zip(*own)], G.full_degree)
+                got = _witness_set(G, own, m_levels, G.vertex_set(outside).bits)
+                want = oracles.witness_set(dims, periodic, sets, a, outside)
+                assert set(VertexSet(got, G.n).ids()) == want
 
 
 def test_separating_set_single_and_double_plus():

@@ -15,6 +15,7 @@ from chroma.lattice import (
     co_connected_closure,
     connected_components,
     diam_star,
+    diameter,
     expand,
     interior,
     n_t,
@@ -393,6 +394,18 @@ def test_diam_star():
     assert diam_star(G, G.vertex_set([G.vid((3, 3))])) == 2
     two = G.vertex_set([G.vid((0, 0)), G.vid((0, 5))])
     assert diam_star(G, two) == 4
+
+
+@pytest.mark.parametrize("dims,periodic", SHIFT_GRAPHS + [((2, 4, 2), (True, False, True))])
+def test_diameter_matches_bfs_oracle(dims, periodic):
+    G = build_graph(dims, periodic)
+    with pytest.raises(PreconditionError):
+        diameter(G, G.empty_set())
+    dist = [oracles.distances_from(dims, periodic, v) for v in range(G.n)]
+    for members in oracle_samples(G.n, 23):
+        if members:
+            want = max(dist[u][v] for u in members for v in members)
+            assert diameter(G, G.vertex_set(members)) == want
 
 
 def test_vertex_set_algebra_and_serialization():
