@@ -314,6 +314,8 @@ def _cmd_approx(args) -> int:
     G = _graph_from(cfg)
     seed = cfg.get("seed", 0)
     n_sets = cfg.get("sets", 2)
+    if n_sets < 1:
+        raise ConfigError(f"sets must be >= 1, got {n_sets}")
     payload: dict[str, Any] = {"graph": G.key()}
     if cfg.get("exhaustive"):
         # tiny ambients only: sweep the whole family of regular odd sets

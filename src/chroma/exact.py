@@ -87,10 +87,12 @@ def allowed_masks(
     """Per-vertex color bitmasks for the domain; second value is feasibility.
 
     Pins inside the domain force single colors; pins outside it knock
-    their color out of adjacent domain cells.  A pin off the graph or
-    outside 1..q is a ConfigError.  Infeasibility (a pinned
+    their color out of adjacent domain cells.  A negative q, or a pin off
+    the graph or outside 1..q, is a ConfigError.  Infeasibility (a pinned
     pair clashing, or an empty mask) yields count zero, not an error.
     """
+    if q < 0:
+        raise ConfigError(f"q must be >= 0, got {q}")
     full = (1 << q) - 1
     # one character per vertex, "1" inside: linear in the cell count, where
     # testing or iterating the bits of an n-bit int one at a time is not

@@ -31,13 +31,13 @@ the sampler at q <= 16.
 
 A batch of at most ``_LOOP_CELLS`` (48) chain cells is too small for
 those numpy calls, whose fixed cost outweighs their work there (a 4 x 4
-chain sweeps about three times faster without them).  It sweeps in a
-Python loop over lists instead: each chain in turn, each scan cell in
-turn, takes pick[code + (the OR of its reads)], its reads unpacked at
-the fixed width ``_ROW_WIDTH`` (7, padded with the 0 column).  The loop
-reads the same columns, codes and table as the half-steps, so the path
-changes no output.  ``_Kernel`` picks it in one place, from the batch
-size, the graph's degree and q (at most 8, where the table is a short
+chain sweeps about six times faster without them).  It sweeps in a
+straight-line Python function written for its layout instead, one line
+per scan cell: x{i} = pick[c{i} + (x{a} | x{b} | ...)], over just that
+cell's neighbors in the box and its forbidden mask, when nonzero.  The
+function reads the same codes and table as the half-steps, in the same
+scan order, so the path changes no output.  ``_Kernel`` picks it in one
+place, from the batch size and q (at most 8, where the table is a short
 list).
 
 The cluster move is set algebra on bitmaps.  The cells colored a or b
@@ -59,6 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from typing import Callable
 import itertools
 import math
 
@@ -91,7 +92,6 @@ MAX_Q = 16               # the kernel's tables hold masks m < 2^q in uint16
 _DRAW_BLOCK = 1 << 15    # uniforms drawn for a batch of chains at a time
 _TALLY_BLOCK = 1 << 15   # recorded cell states held before they are counted
 _LOOP_CELLS = 48         # batches of at most this many chain cells sweep in a Python loop
-_ROW_WIDTH = 7           # reads per cell on the loop path: up to 6 neighbors and the mask
 _LOOP_MAX_Q = 8          # the loop reads _pick as a list, 7424 small ints at q = 8
 
 
@@ -269,22 +269,60 @@ class _Layout:
     forbidden: np.ndarray
 
     @cached_property
-    def rows(self) -> tuple[list[tuple[int, ...]], np.ndarray]:
-        """The loop path's reads, built when a kernel first takes that path.
-
-        ``columns`` lists the columns the scan reads or writes, the scan
-        columns first, so scan column i keeps index i.  Row i is (i, then the
-        indices in ``columns`` of scan cell i's reads, padded with the 0
-        column to ``_ROW_WIDTH`` reads).
-        """
+    def loop(self) -> tuple[Callable, np.ndarray]:
+        """The loop path's sweep function and columns (``_sweep_function``),
+        built when a kernel first takes that path."""
         reads = np.concatenate([reads for _, _, reads in self.spans], axis=1)
-        pad = np.full((_ROW_WIDTH - len(reads), self.n_scan), len(self.cells))
-        reads = np.concatenate([reads, pad])
-        used = np.zeros(len(self.cells) + 1 + len(self.forbidden), dtype=bool)
-        used[:self.n_scan] = True
-        used[reads] = True
-        local = (np.cumsum(used) - 1)[reads].T.tolist()
-        return [(i, *row) for i, row in enumerate(local)], np.flatnonzero(used)
+        return _sweep_function(len(self.cells), self.n_scan, tuple(map(tuple, reads.T.tolist())),
+                               tuple(self.forbidden.tolist()))
+
+
+@cache
+def _sweep_function(n: int, n_scan: int, reads: tuple[tuple[int, ...], ...],
+                    masks: tuple[int, ...]) -> tuple[Callable, np.ndarray]:
+    """The loop path of a layout with n columns before the 0 column, row i
+    of ``reads`` holding scan cell i's reads and the mask column n + 1 + k
+    holding masks[k].  Built once per process for each distinct layout, so
+    a new graph of a layout already seen builds nothing.
+
+    ``columns`` lists the columns the scan reads or writes, the scan columns
+    first, so scan column i keeps index i.  The function,
+    ``sweeps(x, codes, keep, held, pick)``, holds one chain's values at
+    ``columns`` (the list x) in the locals x0, x1, ... and sweeps once per
+    list c0, c1, ... of scan-cell codes that ``codes`` yields.  Its body is
+    one line per scan cell, in scan order:
+    x{i} = pick[c{i} + (x{a} | x{b} | ... | m)], over the cell's distinct
+    neighbors in the box and its forbidden mask m.  A clipped neighbor (the
+    0 column) and a mask of 0 are left out.  After each sweep j in ``keep``
+    it appends the scan cells' states to ``held``; it returns them after the
+    last sweep.  The source holds only names and integers taken from the
+    layout.
+    """
+    used = np.zeros(n, dtype=bool)
+    used[:n_scan] = True
+    used[[c for row in reads for c in row if c < n]] = True
+    columns = np.flatnonzero(used)
+    local = (np.cumsum(used) - 1).tolist()
+
+    def names(prefix, count):
+        return ", ".join(f"{prefix}{i}" for i in range(count)) + ","
+
+    lines = [f"def sweeps(x, codes, keep, held, pick):\n"
+             f"    {names('x', len(columns))} = x\n"
+             f"    for j, ({names('c', n_scan)}) in enumerate(codes):\n"]
+    for i, (*cells, mask) in enumerate(reads):
+        terms = [f"x{k}" for k in sorted({local[c] for c in cells if c < n})]
+        if masks[mask - n - 1]:
+            terms.append(str(masks[mask - n - 1]))
+        blocked = f" + ({' | '.join(terms)})" if terms else ""
+        lines.append(f"        x{i} = pick[c{i}{blocked}]\n")
+    scan = names("x", n_scan)
+    lines.append(f"        if j in keep:\n"
+                 f"            held += {scan}\n"
+                 f"    return {scan}\n")
+    space = {}
+    exec(compile("".join(lines), "<sweep layout>", "exec"), space)
+    return space["sweeps"], columns
 
 
 def _layout(G: LatticeGraph, domain: VertexSet, p0: Pattern | None, q: int) -> _Layout:
@@ -348,8 +386,9 @@ class _Kernel:
     its forbidden-mask column; their OR is the set of colors it may not
     take, so padding and HOLE block nothing.
 
-    ``loop`` is the layout's ``rows`` when the batch sweeps in the Python
-    loop of the module docstring, and None when it takes the half-steps.
+    ``loop`` is the layout's ``loop`` (its sweep function and columns) when
+    the batch sweeps on the loop path of the module docstring, and None
+    when it takes the half-steps.
     """
 
     def __init__(self, G: LatticeGraph, domain: VertexSet, p0: Pattern | None,
@@ -379,9 +418,8 @@ class _Kernel:
         for c, f in enumerate(states):
             self.put(c, f.values)
         # the one choice of sweep path
-        small = (0 < chains * self.n_scan <= _LOOP_CELLS and G.full_degree < _ROW_WIDTH
-                 and q <= _LOOP_MAX_Q)
-        self.loop = layout.rows if small else None
+        small = 0 < chains * self.n_scan <= _LOOP_CELLS and q <= _LOOP_MAX_Q
+        self.loop = layout.loop if small else None
 
     def put(self, c: int, values: np.ndarray) -> None:
         """Load chain c from its colors in vertex order."""
@@ -423,9 +461,9 @@ class _Kernel:
         sweeps, n_scan) block of draws, and write the scan states after the
         sweeps j in ``keep`` to out[0], out[1], ...
 
-        The loop path sets each scan cell i of each chain's list x to
-        pick[code[i] + (x[a] | x[b] | ...)] over the cell's row of reads, in
-        scan order, which is the numpy half-steps cell by cell.
+        The loop path runs the layout's sweep function on each chain in
+        turn, which sets each scan cell, in scan order, as the numpy
+        half-steps do.
         """
         n = self.n_scan
         if self.loop is None:
@@ -436,20 +474,14 @@ class _Kernel:
                 if j in keep:
                     out[keep.index(j)] = self.x[:, :n]
             return
-        rows, columns = self.loop
+        sweeps, columns = self.loop
         pick = _pick_list(self.q)
-        xs = self.x[:, columns].tolist()
         held = []   # chain by chain, sample by sample, the scan cells' states
-        for x, chain_codes in zip(xs, codes):
-            for j, code in enumerate(_row_lists(chain_codes)):
-                for i, a, b, c, d, e, f, g in rows:
-                    x[i] = pick[code[i] + (x[a] | x[b] | x[c] | x[d] | x[e] | x[f] | x[g])]
-                if j in keep:
-                    held += x[:n]
-        self.x[:, :n] = [x[:n] for x in xs]
+        self.x[:, :n] = [sweeps(x, _row_lists(chain_codes), keep, held, pick)
+                         for x, chain_codes in zip(self.x[:, columns].tolist(), codes)]
         if keep:
             out[:len(keep)] = np.array(held, dtype=out.dtype).reshape(
-                len(xs), len(keep), n).swapaxes(0, 1)
+                len(codes), len(keep), n).swapaxes(0, 1)
 
     def stuck(self) -> bool:
         """Whether a scan cell holds 0: it had no free color at its last update."""

@@ -305,6 +305,8 @@ SUITES = {
 
 
 def run_suite(name: str, trials: int, seed: int) -> list[SuiteResult]:
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     if name == "all":
         return [fn(trials, seed) for fn in SUITES.values()]
     if name not in SUITES:

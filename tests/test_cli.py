@@ -391,6 +391,13 @@ def test_config_bool_in_non_bool_field_exit_one(command, cfg, tmp_path, capsys):
     pytest.param("toy-ratio", {"dims": [3, 3], "q": 3, "pattern0": "A=1;B=2,3",
                                "pattern": "A=1,2;B=3", "droplet": "foo"}, None,
                  id="droplet-string"),
+    pytest.param("exact-count", {"dims": [2, 2], "q": -1}, None, id="count-q-negative"),
+    pytest.param("marginal", {"dims": [3, 3], "q": -2}, None, id="marginal-q-negative"),
+    pytest.param("verify-lemmas", {"suite": "sizes", "trials": -3}, None,
+                 id="trials-negative"),
+    pytest.param("verify-lemmas", {"suite": "all", "trials": 0}, None, id="trials-zero"),
+    pytest.param("approx", {"dims": [8, 8], "sets": 0}, None, id="sets-zero"),
+    pytest.param("approx", {"dims": [8, 8], "sets": -2}, None, id="sets-negative"),
     pytest.param("decompose", {}, "missing", id="missing-coloring-file"),
     pytest.param("exact-count", "missing", None, id="missing-config-file"),
 ])

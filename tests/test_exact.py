@@ -57,6 +57,22 @@ def test_pins_off_the_graph_are_refused(v):
         allowed_masks(G, G.full_set(), 3, Constraint.pinned({v: 1}))
 
 
+def test_negative_q_refused_and_zero_q_counts():
+    # both engines enter through allowed_masks; q = 0 leaves a nonempty
+    # domain no coloring and the empty domain its one
+    G = build_graph([2, 2])
+    for q in (-1, -2):
+        with pytest.raises(ConfigError, match="q must be >= 0"):
+            allowed_masks(G, G.full_set(), q, Constraint.free())
+        with pytest.raises(ConfigError):
+            count_colorings(G, G.full_set(), q)
+        with pytest.raises(ConfigError):
+            transfer_count(G, q)
+    assert count_colorings(G, G.full_set(), 0).count == 0
+    assert transfer_count(G, 0).count == 0
+    assert count_colorings(G, G.vertex_set([]), 0).count == 1
+
+
 def test_count_matches_brute_force_random_subgraphs():
     rng = make_rng(101)
     for _ in range(25):

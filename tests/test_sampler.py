@@ -801,6 +801,25 @@ LOOP_CONFIGS = [
     ChainConfig(dims=(4, 4, 4), q=4, pattern="A=1,2;B=3,4", seed=10, sweeps=120),
     ChainConfig(dims=(5, 4), q=3, pattern=P03, seed=12, sweeps=260, burn_in=33, thin=4,
                 algorithm="heat-bath+cluster", cluster_every=7, chains=2),
+    # one chain of 64 cells
+    ChainConfig(dims=(8, 8), q=3, pattern=P03, seed=13, sweeps=150, burn_in=10, thin=2),
+    # a 4-D box: eight neighbors a cell
+    ChainConfig(dims=(2, 2, 2, 2), q=4, pattern="A=1,2;B=3,4", seed=14, sweeps=200,
+                burn_in=5),
+    # a periodic length-2 axis reaches one neighbor both ways
+    ChainConfig(dims=(4, 2), q=3, pattern=P03, seed=15, sweeps=250, periodic=(False, True),
+                algorithm="heat-bath+cluster", cluster_every=9),
+]
+LOOP_DIGESTS = [   # the _stats_digest of each of LOOP_CONFIGS
+    "f041fd09c8b3e6ff0d7ac0a0744386fb8fe18a44607b8f140d460f07a9ae281b",
+    "4f1ba2ecb55259269f49d5650a23d1e267599398ee7afd863bc0cebb9f71f2ef",
+    "12b0d922d28c9ae354342e117ddd23b4aca7f19c58d507955805bc927f3098c9",
+    "ff0ec2b2dfbc20e9c728ec4239dae247f4cb8f87cd22404d548ecbdd441565af",
+    "132f76d74e1cdc10a15b34ae10d8fdb844e67f8fcc7f27b6be1531ceb5c35c72",
+    "c6a9ae809dd23093123c941674ba1fd1a142a0c0485ab41858cafeeb50e51b7c",
+    "878a37944b68229ce1f4affd04e6513f2a85c747a30fb50c615bacc72099dc14",
+    "60d4f92eb9a7b84fc9a129c4ccfe685872942d0d44f6b649b7e4788636dfc6e4",
+    "03899bc9ceae7d8fa52c4b1a569971b23534b8fb88a2fbec584059dff48d79cc",
 ]
 
 
@@ -828,6 +847,7 @@ def test_loop_and_numpy_paths_agree(monkeypatch, cfg):
     loop = _on_path(monkeypatch, True, lambda: run_experiment(cfg))
     numpy_ = _on_path(monkeypatch, False, lambda: run_experiment(cfg))
     assert loop == numpy_
+    assert _stats_digest(loop) == LOOP_DIGESTS[LOOP_CONFIGS.index(cfg)]
     assert loop.samples == cfg.chains * ((cfg.sweeps - cfg.burn_in) // cfg.thin + 1)
 
 
@@ -848,22 +868,28 @@ def test_lone_sweep_same_on_both_paths(monkeypatch):
 
 
 def test_loop_rows_built_only_for_the_loop_and_kept():
-    # a 4x4 chain takes the loop and keeps its rows on the layout; a
-    # 24x24 chain and a 4-D box (9 reads a cell) take the numpy half-steps
-    # and build none
+    # a 4x4 chain and a 4-D box (eight neighbors a cell) take the loop and
+    # keep its function on the layout, shared by every kernel of its key and
+    # by every graph of the same layout; a 24x24 chain takes the numpy
+    # half-steps and builds none
     p0 = Pattern.parse(3, P03)
-    for dims, loop in (((4, 4), True), ((24, 24), False), ((2, 2, 2, 2), False)):
+    for dims, loop in (((4, 4), True), ((24, 24), False), ((2, 2, 2, 2), True)):
         G = build_graph(dims)
         f = pure_pattern_sample(G, G.full_set(), p0, seed=1)
         kernel = _Kernel(G, G.full_set(), p0, [f])
         layout = sampler._layout(G, G.full_set(), p0, 3)
         assert (kernel.loop is not None) == loop
-        assert ("rows" in vars(layout)) == loop
+        assert ("loop" in vars(layout)) == loop
         if loop:
             assert _Kernel(G, G.full_set(), p0, [f]).loop is kernel.loop
-            rows, columns = kernel.loop
-            assert len(rows) == kernel.n_scan
-            assert all(len(row) == 1 + sampler._ROW_WIDTH for row in rows)
+            sweeps, columns = kernel.loop
+            held = []   # one sweep, recorded, returns and records every scan cell
+            x = sweeps(kernel.x[0, columns].tolist(), [[0] * kernel.n_scan], [0], held,
+                       sampler._pick_list(3))
+            assert len(x) == kernel.n_scan and held == list(x)
+            # a new graph of the same layout reuses the compiled function
+            G2 = build_graph(dims)
+            assert _Kernel(G2, G2.full_set(), p0, [f]).loop[0] is sweeps
             assert columns[:kernel.n_scan].tolist() == list(range(kernel.n_scan))
     # above q = 8 the table is no short list, so even a 4x4 chain takes numpy
     G = build_graph([4, 4])
