@@ -378,6 +378,16 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",")]
 
 
+def _int_list_or_name(text: str) -> list[int] | str:
+    """A name (a letter first) as given; anything else parsed like ``--dims``."""
+    return text if text[:1].isalpha() else _int_list(text)
+
+
+# a flag's text as a config value, by schema type; a str field and the
+# mixed int/str field keep the text
+_FLAG_TYPES = {int: int, list: _int_list, dict: json.loads, (list, str): _int_list_or_name}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="chroma",
@@ -393,16 +403,8 @@ def _build_parser() -> argparse.ArgumentParser:
             flag = "--" + key.replace("_", "-")
             if want is bool:
                 p.add_argument(flag, dest=key, action="store_true", default=None)
-            elif want is int:
-                p.add_argument(flag, dest=key, type=int)
-            elif want is str:
-                p.add_argument(flag, dest=key)
-            elif want is list:
-                p.add_argument(flag, dest=key, type=_int_list)
-            elif want is dict:
-                p.add_argument(flag, dest=key, type=json.loads)
-            else:  # mixed int/str or list/str fields
-                p.add_argument(flag, dest=key)
+            else:
+                p.add_argument(flag, dest=key, type=_FLAG_TYPES.get(want))
     return parser
 
 

@@ -135,12 +135,9 @@ def striped_pattern_coloring(G: LatticeGraph, P: Pattern) -> Coloring:
     a, b = P.a, P.b
     if not a or not b:
         raise ConfigError("both pattern sides must be nonempty")
-    values = [HOLE] * G.n
-    for v in range(G.n):
-        side = a if G.parity[v] == 0 else b
-        idx = sum((axis + 1) * c for axis, c in enumerate(G.coords(v))) % len(side)
-        values[v] = side[idx]
-    return Coloring(values, P.q)
+    index = np.arange(1, G.d + 1) @ np.indices(G.dims).reshape(G.d, G.n)
+    odd = _unpack(G.odd)   # an odd cell's color number is offset by |A| into a + b
+    return Coloring(np.array(a + b)[index % np.where(odd, len(b), len(a)) + odd * len(a)], P.q)
 
 
 @dataclass(frozen=True)
@@ -349,7 +346,7 @@ def _check_q(f: Coloring, p0: Pattern) -> None:
 
 def _check_filling(G: LatticeGraph, h: Mapping[int, int], p0: Pattern) -> None:
     for v, c in h.items():
-        if not vertex_in_pattern(c, G.parity[v], p0):
+        if not vertex_in_pattern(c, G.odd.bits >> v & 1, p0):
             raise PreconditionError(
                 f"filling color {c} at vertex {v} violates the reference pattern"
             )

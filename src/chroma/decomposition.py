@@ -344,7 +344,8 @@ def verify_breakup(
         # only fail at those out of pattern or next to a settled outside cell
         leaving = U & p_even & _neighbor_bits(G, full & ~U)
         for u in _bit_ids(leaving & (~in_pat | _neighbor_bits(G, settled & ~U))):
-            for v in G.neighbors[u]:
+            # u's distinct neighbors in ascending order; -1 marks a clipped face
+            for v in sorted(set(G.neighbor_table[:, u].tolist()) - {-1}):
                 if U >> v & 1:
                     continue
                 if not in_pat >> u & 1:

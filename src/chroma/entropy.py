@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .coloring import Coloring, HOLE
 from .errors import PreconditionError, ResourceLimitError
-from .lattice import LatticeGraph, VertexSet, closed_neighborhood, vertex_boundaries
+from .lattice import LatticeGraph, VertexSet, _full_degree, closed_neighborhood, vertex_boundaries
 from .patterns import Pattern, _dominant
 
 ENT_TOL = 1e-10
@@ -146,7 +146,7 @@ def neighborhood_type(f: Coloring, v: int, G: LatticeGraph, q: int) -> Neighborh
     A color counts as rare when its multiplicity is at most d/q, the
     comparison done exactly (mult * q <= d).
     """
-    if G.degree[v] != G.full_degree:
+    if not _full_degree(G) >> v & 1:
         raise PreconditionError(f"vertex {v} lacks full degree; type undefined")
     values = f.values.take(G.neighbors[v]).tolist()
     if any(c == HOLE for c in values):
@@ -205,11 +205,9 @@ def classify(
     omega_tuples = [g.values.tolist() for g in omega]
     if not any(values == g for g in omega_tuples):
         raise PreconditionError("f must belong to omega")
-    for v in S:
-        if G.degree[v] != G.full_degree:
-            raise PreconditionError(
-                f"classification needs full degree at {v}; pad the instance"
-            )
+    short = (S - VertexSet(_full_degree(G), G.n)).min_id()
+    if short is not None:
+        raise PreconditionError(f"classification needs full degree at {short}; pad the instance")
     all_colors = set(range(1, q + 1))
     unbal_bits = 0
     nondom_bits = 0
@@ -422,11 +420,9 @@ def entropy_loss_eval(
     q = 3.  A failed cap or grand inequality raises PreconditionError.
     """
     check_distribution(dist)
-    for v in S:
-        if G.degree[v] != G.full_degree:
-            raise PreconditionError(
-                f"vertex {v} of S lacks full degree; embed the instance deeper"
-            )
+    short = (S - VertexSet(_full_degree(G), G.n)).min_id()
+    if short is not None:
+        raise PreconditionError(f"vertex {short} of S lacks full degree; embed the instance deeper")
     _, ext, _ = vertex_boundaries(G, S)
     window = sorted((S | ext).ids())
     index = {v: i for i, v in enumerate(window)}

@@ -100,25 +100,27 @@ def allowed_masks(
     masks = [full if b == "1" else 0 for b in inside]
     feasible = True
     if constraint.kind == "pattern":
-        sides = (constraint.pattern.side_for_parity(0), constraint.pattern.side_for_parity(1))
+        sides = {p: constraint.pattern.side_for_parity(int(p)) for p in "01"}
         masks = [m & sides[p] if b == "1" else m
-                 for m, b, p in zip(masks, _bit_chars(boundary_cells(G, domain)), G.parity)]
+                 for m, b, p in zip(masks, _bit_chars(boundary_cells(G, domain)),
+                                    _bit_chars(G.odd))]
     pins = dict(constraint.pins)
     for v, c in pins.items():
         if not 0 <= v < G.n:
             raise ConfigError(f"pinned vertex {v} outside 0..{G.n - 1}")
         if not 1 <= c <= q:
             raise ConfigError(f"pinned color {c} outside 1..{q}")
+    # a pin's table neighbors, -1 where a face clips (a repeat changes nothing)
     for v, c in pins.items():
-        for u in G.neighbors[v]:
-            if u in pins and pins[u] == c:
+        for u in G.neighbor_table[:, v].tolist():
+            if u >= 0 and pins.get(u) == c:
                 feasible = False
     for v, c in pins.items():
         bit = 1 << (c - 1)
         if inside[v] == "1":
             masks[v] &= bit
-        for u in G.neighbors[v]:
-            if inside[u] == "1" and u not in pins:
+        for u in G.neighbor_table[:, v].tolist():
+            if u >= 0 and inside[u] == "1" and u not in pins:
                 masks[u] &= ~bit
     # every cell outside the domain holds 0, so an empty domain cell is one 0 too many
     if masks.count(0) > G.n - len(domain):

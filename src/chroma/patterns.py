@@ -190,7 +190,7 @@ def pattern_sides(P: Pattern) -> PatternSides:
 
 def is_p_even(v: int, P: Pattern, G: "LatticeGraph") -> bool:
     """P-even means lattice parity equals the pattern class."""
-    return G.parity[v] == P.klass
+    return v not in _p_odd(G, P)
 
 
 def _p_odd(G: "LatticeGraph", P: Pattern) -> "VertexSet":

@@ -346,8 +346,8 @@ def _layout(G: LatticeGraph, domain: VertexSet, p0: Pattern | None, q: int) -> _
     n = G.n
     ids = np.arange(n)
     inside = _unpack(domain)
-    parity = np.array(G.parity)
-    halves = [ids[inside & (parity == 0)], ids[inside & (parity == 1)]]
+    odd = _unpack(G.odd)
+    halves = [ids[inside & ~odd], ids[inside & odd]]
     cells = np.concatenate(halves + [ids[~inside]])
     n_scan = int(inside.sum())
     scan = cells[:n_scan]
@@ -448,14 +448,6 @@ class _Kernel:
         # "clip" writes straight into x where the default mode would buffer
         self.pick.take(np.add(blocked, codes[:, lo:hi]), out=out, mode="clip")
 
-    def sweep(self, codes: np.ndarray) -> None:
-        """One sweep of every chain; codes[c, i] serves scan cell i of chain c."""
-        if self.loop is not None:
-            self.sweeps(codes[:, np.newaxis], range(0), None)
-            return
-        for block in self.blocks:
-            self.half_step(block, codes)
-
     def sweeps(self, codes: np.ndarray, keep: range, out: np.ndarray | None) -> None:
         """Sweep once per codes[:, j], the ``_draw_codes`` of a (chains,
         sweeps, n_scan) block of draws, and write the scan states after the
@@ -511,7 +503,7 @@ def heat_bath_sweep(
     contract violation and is reported.
     """
     kernel = _Kernel(G, domain, p0, [f])
-    kernel.sweep(_draw_codes(rng.random((1, kernel.n_scan)), f.q))
+    kernel.sweeps(_draw_codes(rng.random((1, 1, kernel.n_scan)), f.q), range(0), None)
     if kernel.stuck():
         raise PreconditionError(
             "a cell had no admissible color; the initial coloring violates "
@@ -694,15 +686,15 @@ def run_experiment(cfg: ChainConfig, threads: int = 1) -> OrderStats:
 
     order = np.argsort(kernel.cells[:n_scan])   # scan cells in ascending id order
     ids = kernel.cells[order]
-    parity = np.array(G.parity)[ids]
+    odd = _unpack(G.odd)[ids]
     occ = occ.reshape(2, n_scan, q)[:, order]
-    sides = np.where(parity == 0, p0.side_for_parity(0), p0.side_for_parity(1))
+    sides = np.where(odd, p0.side_for_parity(1), p0.side_for_parity(0))
     viol = (occ * ((sides[:, None] >> np.arange(q)) & 1 == 0)).sum(axis=2)
     halves = (first_half * cfg.chains, (per_chain - first_half) * cfg.chains)
     total = occ.sum(axis=0)
     parity_occ: dict[str, tuple[float, ...]] = {}
-    for name, want in (("even", 0), ("odd", 1)):
-        sums = total[parity == want].sum(axis=0)
+    for name, cells in (("even", ~odd), ("odd", odd)):
+        sums = total[cells].sum(axis=0)
         denom = int(sums.sum())
         parity_occ[name] = tuple(float(x) / denom if denom else 0.0 for x in sums)
 

@@ -222,3 +222,18 @@ def witness_set(dims, periodic, sets, a, outside):
                 if 2 * escaping < len(owned):
                     found.add(v)
     return found
+
+
+def striped_fill(dims, a, b):
+    """The striped pure-pattern fill cell by cell: an even cell (by
+    coordinate sum) takes color number (axis+1)-weighted coordinate sum
+    mod |A| of A, an odd cell the same number mod |B| of B."""
+    n = 1
+    for x in dims:
+        n *= x
+    out = []
+    for v in range(n):
+        cs = coords_of(dims, v)
+        side = a if sum(cs) % 2 == 0 else b
+        out.append(side[sum((axis + 1) * c for axis, c in enumerate(cs)) % len(side)])
+    return out

@@ -135,6 +135,36 @@ def test_toy_ratio_command():
     assert doc["toy_ratio"]["verdict"] == "equal"
 
 
+TOY_5X5 = {"dims": [5, 5], "q": 4, "pattern0": "A=1,2;B=3,4", "pattern": "A=1,3;B=2,4"}
+
+
+@pytest.mark.parametrize("flag, ids", [("12", [12]), ("12,13", [12, 13])])
+def test_toy_ratio_droplet_ids_flag_matches_config(flag, ids, tmp_path):
+    # comma-separated ids on the command line are the list a config gives,
+    # down to the config's sha256
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TOY_5X5, "droplet": ids}))
+    code, from_config = run_cli(["toy-ratio", "--config", str(cfg)])
+    assert code == 0
+    cfg.write_text(json.dumps(TOY_5X5))
+    code, from_flag = run_cli(["toy-ratio", "--config", str(cfg), "--droplet", flag])
+    assert code == 0
+    assert from_flag == from_config
+    assert json.loads(from_flag)["toy_ratio"]["ratio"] == ("1/32" if ids == [12] else "1/256")
+
+
+@pytest.mark.parametrize("flag", ["12,x", "12,,13", "", "1.5", "x,12", "12;13"])
+def test_toy_ratio_malformed_droplet_exit_one(flag, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TOY_5X5))
+    code = main(["toy-ratio", "--config", str(cfg), "--droplet", flag])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "droplet" in captured.err
+    assert captured.out == ""
+
+
 def test_sample_csv_format_and_determinism(tmp_path):
     args = [
         "sample", "--dims", "4,4", "--q", "3", "--pattern", "A=1;B=2,3",
@@ -152,6 +182,25 @@ def test_sample_csv_format_and_determinism(tmp_path):
     assert lines[0].startswith("# version=")
     assert lines[1] == "vertex_id,violation_rate,c1,c2,c3"
     assert len(lines) == 2 + 16
+
+
+# sha256 of the CSV a medium box writes (numpy half-step path, a periodic
+# axis, a margin), recorded when the graph built its per-vertex lists eagerly
+MEDIUM_SAMPLE = ["sample", "--dims", "48,40", "--periodic", "0,1", "--margin", "1",
+                 "--chains", "2", "--sweeps", "3", "--q", "4", "--pattern", "A=1,2;B=3,4",
+                 "--seed", "11"]
+
+
+@pytest.mark.parametrize("extra, digest", [
+    ([], "4e4f9a038f2253089bcc2a68db0aee5caa81c015d35bbef86cea532dc547b798"),
+    (["--algorithm", "heat-bath+cluster", "--cluster-every", "1"],
+     "f12b5e1fc51d158dae3ecf8a60d2a34b7e05907db750db6a69ec3934255ab301"),
+])
+def test_sample_csv_pinned(extra, digest, tmp_path):
+    out = tmp_path / "s.csv"
+    code, _ = run_cli(MEDIUM_SAMPLE + extra + ["--out", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_sample_config_file_with_flag_override(tmp_path):

@@ -24,9 +24,28 @@ from chroma.errors import ConfigError, PreconditionError
 from chroma.lattice import build_graph
 from chroma.patterns import Pattern
 
+import oracles
+
 
 def chessboard(G, q=2):
     return Coloring([1 if G.parity[v] == 0 else 2 for v in range(G.n)], q)
+
+
+@pytest.mark.parametrize("dims, periodic", [
+    ((5, 7), None), ((6, 4), (True, False)), ((3, 4, 5), None),
+    ((2, 3, 2, 3), (True, False, True, False)),
+])
+@pytest.mark.parametrize("q, a, b", [
+    (3, [1], [2, 3]), (3, [2, 3], [1]), (5, [1, 2], [3, 4, 5]), (4, [4], [1, 2, 3]),
+    (6, [1, 3, 5], [2, 4, 6]),
+])
+def test_striped_fill_matches_oracle(dims, periodic, q, a, b):
+    # sides of 1, 2 and 3 colors on either parity, 2- to 4-D, with and
+    # without a periodic axis
+    G = build_graph(dims, periodic)
+    f = striped_pattern_coloring(G, Pattern.make(q, a, b))
+    assert f.q == q
+    assert f.values.tolist() == oracles.striped_fill(dims, a, b)
 
 
 def test_is_proper_cases():

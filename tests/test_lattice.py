@@ -448,3 +448,86 @@ def test_id_list_matches_ids():
             U = VertexSet.from_ids(n, [v for v in range(n) if rng.random() < p])
             assert _id_list(U) == list(U.ids())
             assert all(type(v) is int for v in _id_list(U))
+
+
+VIEWS = ("neighbors", "degree", "parity")
+
+
+def _unbuilt(G):
+    return not any(name in G.__dict__ for name in VIEWS)
+
+
+def test_views_built_on_first_read_only(monkeypatch):
+    # the per-vertex lists are small-box views of the table and the parity
+    # bitmap: the sampler, the breakup path, separating sets and the mask
+    # builder run on a large box without them
+    from chroma import sampler
+    from chroma.coloring import striped_pattern_coloring
+    from chroma.decomposition import construct_breakup, decompose, verify_breakup
+    from chroma.exact import Constraint, allowed_masks
+    from chroma.geometry import OddSetCollection, separating_set, weak_approximation
+    from chroma.patterns import Pattern
+    from chroma.suites import random_regular_odd_set
+
+    G = LatticeGraph((4, 4))
+    assert _unbuilt(G)
+    for dims, extra in (((40, 40), {"algorithm": "heat-bath+cluster", "cluster_every": 2}),
+                        ((4, 4), {})):   # the loop path
+        G = LatticeGraph(dims)
+        monkeypatch.setattr(sampler.ChainConfig, "graph", lambda self, G=G: G)
+        sampler.run_experiment(sampler.ChainConfig(dims, 3, "A=1;B=2,3", seed=1, sweeps=4,
+                                                   chains=2, **extra))
+        assert _unbuilt(G), dims
+
+    G = LatticeGraph((24, 24))
+    p0 = Pattern.make(3, [1], [2, 3])
+    f = sampler.heat_bath_sweep(striped_pattern_coloring(G, p0), G, G.full_set(), p0,
+                                make_rng(2))
+    X = construct_breakup(G, f, G.vertex_set([G.vid((12, 12))]), G.full_set(), p0)
+    assert verify_breakup(X, f, G.full_set(), p0).ok
+    # a punctured region walks the table neighbors of the cells next to the hole
+    regions = dict(X.x_p)
+    regions[p0] = G.full_set() - G.vertex_set([G.vid((11, 12))])
+    rep = verify_breakup(type(X)(G, regions), f, G.full_set(), p0)
+    assert any(v.startswith("boundary edge") for v in rep.violations)
+    decompose(G, f)
+    assert _unbuilt(G)
+
+    G = LatticeGraph((16, 16))
+    rng = make_rng(3)
+    coll = OddSetCollection(G, [random_regular_odd_set(G, rng) for _ in range(2)], "odd")
+    weak_approximation(G, separating_set(coll).separator, coll)
+    assert _unbuilt(G)
+
+    G = LatticeGraph((6, 5))
+    inner = interior(G, 1)
+    allowed_masks(G, inner, 3, Constraint.pinned({0: 1, 7: 2, 8: 3}))
+    allowed_masks(G, inner, 3, Constraint.pattern_boundary(p0))
+    assert _unbuilt(G)
+    # a read builds that view alone
+    assert G.parity == [sum(G.coords(v)) % 2 for v in range(G.n)]
+    assert [name for name in VIEWS if name in G.__dict__] == ["parity"]
+
+
+@pytest.mark.parametrize("pins, count", [
+    ({0: 1, 3: 2}, 3), ({1: 1, 4: 3}, 5), ({0: 1, 1: 1}, 0), ({0: 2, 1: 3, 5: 2}, 1),
+])
+def test_pinned_count_on_length_two_periodic_axis(pins, count):
+    # the table lists the one neighbor across a length-2 periodic axis
+    # twice; the pins must count it once.  Cell 0 lies outside the domain.
+    from chroma.exact import Constraint, count_colorings
+
+    dims, periodic = (3, 2), (False, True)
+    G = LatticeGraph(dims, periodic)
+    assert (G.neighbor_table[:, 0] == 1).sum() == 2
+    domain = G.full_set() - G.vertex_set([0])
+    allowed = {v: {pins[v]} if v in pins else
+               {1, 2, 3} - {pins[u] for u in oracles.neighbors_of(dims, periodic, v)
+                            if u in pins and u not in domain}
+               for v in domain}
+    clash = any(pins.get(u) == c for v, c in pins.items()
+                for u in oracles.neighbors_of(dims, periodic, v))
+    want = 0 if clash else oracles.brute_force_count(dims, periodic, sorted(domain.ids()), 3,
+                                                     allowed)
+    got = count_colorings(G, domain, 3, Constraint.pinned(pins)).count
+    assert got == want == count

@@ -553,10 +553,10 @@ def test_batched_chains_match_single_chains():
         singles = [_Kernel(G, domain, p, [f]) for f in starts]
         rng = make_rng(3)
         for _ in range(20):
-            codes = _draw_codes(rng.random((3, batch.n_scan)), 4)
-            batch.sweep(codes)
+            codes = _draw_codes(rng.random((3, 1, batch.n_scan)), 4)
+            batch.sweeps(codes, range(0), None)
             for c, kernel in enumerate(singles):
-                kernel.sweep(codes[c:c + 1])
+                kernel.sweeps(codes[c:c + 1], range(0), None)
         assert [batch.coloring(c) for c in range(3)] == [k.coloring(0) for k in singles]
 
 
@@ -575,8 +575,8 @@ def test_lone_sweep_matches_batch_row():
                                                       lone.blocks):
                 assert np.shares_memory(flat, reads)
             batch = _Kernel(G, domain, p, starts)
-            draws = [make_rng(9, stream=c).random((1, batch.n_scan)) for c in range(3)]
-            batch.sweep(_draw_codes(np.concatenate(draws), q))
+            draws = [make_rng(9, stream=c).random((1, 1, batch.n_scan)) for c in range(3)]
+            batch.sweeps(_draw_codes(np.concatenate(draws), q), range(0), None)
             for c, f in enumerate(starts):
                 assert heat_bath_sweep(f, G, domain, p, make_rng(9, stream=c)) == batch.coloring(c)
 
