@@ -375,7 +375,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",")]
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def _int_list_or_name(text: str) -> list[int] | str:

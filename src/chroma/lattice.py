@@ -161,7 +161,7 @@ def _pack(flags: np.ndarray) -> int:
 def _unpack(U: VertexSet) -> np.ndarray:
     """Membership of each vertex id in U, as a boolean array."""
     raw = np.frombuffer(U.bits.to_bytes((U.n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:U.n].astype(bool)
+    return np.unpackbits(raw, count=U.n, bitorder="little").view(bool)
 
 
 class LatticeGraph:
@@ -460,7 +460,8 @@ def _grow(G: LatticeGraph, bits: int, seed: int, power: int) -> int:
         raise PreconditionError("power must be >= 1")
     comp = frontier = seed
     while frontier:
-        frontier = _expand_bits(G, frontier, power) & bits & ~comp
+        reach = _neighbor_bits(G, frontier) if power == 1 else _expand_bits(G, frontier, power)
+        frontier = reach & bits & ~comp
         comp |= frontier
     return comp
 

@@ -40,13 +40,15 @@ scan order, so the path changes no output.  ``_Kernel`` picks it in one
 place, from the batch size and q (at most 8, where the table is a short
 list).
 
-The cluster move is set algebra on bitmaps.  The cells colored a or b
-come from one numpy comparison; the components that touch a stuck cell
-are flooded together from the movable cells next to one (kept on the
-graph), and the rest are the swappable components.  Each flips on a
-draw below 1/2, drawn in order of lowest id: the isolated cells flip
-through one boolean mask, and only the larger components are visited
-one by one.
+The cluster move runs on a chain's kernel row as it stands.  With m the
+bits of the two drawn colors, the cells colored either are the row's
+entries AND m, read in vertex order through the layout's ``slot`` and
+packed into a bitmap.  One flood through it from the stuck cells takes
+the components that touch one; the other movable cells fall into the
+swappable components.  Each flips on a draw below 1/2, drawn in order of
+lowest id, by an XOR with m: one for the chosen lowest ids, one for the
+rest of the chosen larger components.  ``cluster_step`` runs the same
+move on its coloring encoded as a row.
 
 All randomness comes from one Philox stream per chain, which draws one
 uniform per domain cell per sweep, so a (seed, config) pair reproduces
@@ -77,7 +79,6 @@ from .lattice import (
     LatticeGraph,
     VertexSet,
     _grow,
-    _neighbor_bits,
     _pack,
     _split_components,
     _unpack,
@@ -191,7 +192,9 @@ def _tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @cache
 def _bits(q: int) -> np.ndarray:
     """``bit[c]``, the uint16 bit of color c in a kernel column (0 for
-    HOLE), built once per q."""
+    HOLE), built once per q; q > MAX_Q raises ConfigError."""
+    if q > MAX_Q:
+        raise ConfigError(f"the sampler takes at most {MAX_Q} colors, got q = {q}")
     bit = np.array([0] + [1 << c for c in range(q)], dtype=np.uint16)
     bit.flags.writeable = False
     return bit
@@ -260,10 +263,12 @@ class _Layout:
     columns after it hold the distinct forbidden-color masks ``forbidden``.
     ``spans`` gives each nonempty scan block as (first column, end column,
     reads): the columns of the block cells' neighbors, padded with the 0
-    column, and then of their forbidden masks, one row each.
+    column, and then of their forbidden masks, one row each.  ``slot[v]``
+    is vertex v's column, the inverse of ``cells``.
     """
 
     cells: np.ndarray
+    slot: np.ndarray
     n_scan: int
     spans: tuple[tuple[int, int, np.ndarray], ...]
     forbidden: np.ndarray
@@ -370,9 +375,10 @@ def _layout(G: LatticeGraph, domain: VertexSet, p0: Pattern | None, q: int) -> _
         if hi > lo:
             spans.append((lo, hi, reads[:, lo:hi]))
         lo = hi
-    for shared in (cells, reads, forbidden):   # shared by every kernel on this key
+    slot = column[:n]
+    for shared in (cells, slot, reads, forbidden):   # shared by every kernel on this key
         shared.flags.writeable = False
-    layout = G.memo[key] = _Layout(cells, n_scan, tuple(spans), forbidden)
+    layout = G.memo[key] = _Layout(cells, slot, n_scan, tuple(spans), forbidden)
     return layout
 
 
@@ -394,16 +400,15 @@ class _Kernel:
     def __init__(self, G: LatticeGraph, domain: VertexSet, p0: Pattern | None,
                  states: list[Coloring]):
         q = states[0].q
-        if q > MAX_Q:
-            raise ConfigError(f"the sampler takes at most {MAX_Q} colors, got q = {q}")
+        bit = _bits(q)   # refuses q > MAX_Q before the layout is built
         layout = _layout(G, domain, p0, q)
         self.cells = layout.cells
+        self.slot = layout.slot
         self.n_scan = layout.n_scan
         width = G.n + 1 + len(layout.forbidden)
         chains = len(states)
         self.q = q
         self.color = _tables(q)[2]
-        self.bit = _bits(q)
         self.pick = _pick(q)
         self.x = np.zeros((chains, width), dtype=np.uint16)
         self.x[:, G.n + 1:] = layout.forbidden
@@ -416,23 +421,14 @@ class _Kernel:
                         self.x[:, lo:hi])
                        for lo, hi, reads in layout.spans]
         for c, f in enumerate(states):
-            self.put(c, f.values)
+            self.x[c, :G.n] = bit.take(f.values.take(self.cells))
         # the one choice of sweep path
         small = 0 < chains * self.n_scan <= _LOOP_CELLS and q <= _LOOP_MAX_Q
         self.loop = layout.loop if small else None
 
-    def put(self, c: int, values: np.ndarray) -> None:
-        """Load chain c from its colors in vertex order."""
-        self.x[c, :len(self.cells)] = self.bit.take(values.take(self.cells))
-
-    def values(self, c: int) -> np.ndarray:
-        """Chain c's colors in vertex order."""
-        values = np.empty(len(self.cells), dtype=np.int16)
-        values[self.cells] = self.color.take(self.x[c, :len(self.cells)])
-        return values
-
     def coloring(self, c: int) -> Coloring:
-        return Coloring(self.values(c), self.q)
+        """Chain c's state."""
+        return Coloring(self.color.take(self.x[c].take(self.slot)), self.q)
 
     def half_step(self, block, codes: np.ndarray) -> None:
         """Resample one parity block of every chain; codes[c, i], the
@@ -471,8 +467,8 @@ class _Kernel:
         held = []   # chain by chain, sample by sample, the scan cells' states
         self.x[:, :n] = [sweeps(x, _row_lists(chain_codes), keep, held, pick)
                          for x, chain_codes in zip(self.x[:, columns].tolist(), codes)]
-        if keep:
-            out[:len(keep)] = np.array(held, dtype=out.dtype).reshape(
+        if keep:   # q <= _LOOP_MAX_Q = 8 here, so every held state fits a byte
+            out[:len(keep)] = np.frombuffer(bytes(held), dtype=np.uint8).reshape(
                 len(codes), len(keep), n).swapaxes(0, 1)
 
     def stuck(self) -> bool:
@@ -528,11 +524,11 @@ def swappable_components(
     Only unconstrained domain cells move (with a reference pattern, the
     boundary cells are constrained); a component touching any frozen or
     boundary-constrained cell colored a or b stays put.  The components
-    that do touch one are flooded at once from the movable cells next to
-    a stuck cell, and the rest are the components of what is left.
+    that do touch one are flooded at once from the stuck cells, and the
+    rest are the components of what is left.
     """
-    return connected_components(
-        G, VertexSet(_swappable(f.values, G, domain, p0, a, b), G.n))
+    ab = _pack((f.values == a) | (f.values == b))
+    return connected_components(G, VertexSet(_swappable(ab, G, domain, p0), G.n))
 
 
 def _movable(G: LatticeGraph, domain: VertexSet, p0: Pattern | None) -> VertexSet:
@@ -547,14 +543,16 @@ def _movable(G: LatticeGraph, domain: VertexSet, p0: Pattern | None) -> VertexSe
     return movable
 
 
-def _swappable(values: np.ndarray, G: LatticeGraph, domain: VertexSet,
-               p0: Pattern | None, a: int, b: int) -> int:
-    """The cells of ``swappable_components`` as a bitmap, on a row of colors in vertex order."""
-    ab = _pack((values == a) | (values == b))
+def _swappable(ab: int, G: LatticeGraph, domain: VertexSet, p0: Pattern | None) -> int:
+    """The cells of ``swappable_components`` as a bitmap, from the bitmap
+    ``ab`` of the cells colored a or b.
+
+    A movable cell is tainted when a path of cells colored a or b joins it
+    to a stuck one, so the taint is one flood through ``ab`` from the stuck
+    cells; with none, the flood takes no step.
+    """
     movable = _movable(G, domain, p0).bits & ab
-    stuck = ab & ~movable
-    tainted = _grow(G, movable, movable & _neighbor_bits(G, stuck), 1)
-    return movable & ~tainted
+    return movable & ~_grow(G, ab, ab & ~movable, 1)
 
 
 def cluster_step(
@@ -565,38 +563,51 @@ def cluster_step(
     rng: np.random.Generator,
     assert_proper: bool = False,
 ) -> Coloring:
-    """Swap two random colors on an independent half of their free components."""
-    values = f.values.copy()
-    _cluster_move(values, f.q, G, domain, p0, rng)
-    out = Coloring(values, f.q)
+    """Swap two random colors on an independent half of their free components.
+
+    Runs ``_cluster_move`` on the coloring encoded as a kernel row (the
+    identity slot), so it takes at most MAX_Q colors, as a sweep does.
+    """
+    row = _bits(f.q).take(f.values)
+    _cluster_move(row, np.arange(G.n), f.q, G, domain, p0, rng)
+    out = Coloring(_tables(f.q)[2].take(row), f.q)
     if assert_proper and not is_proper(out, G):
         raise InternalInvariantError("cluster step broke properness")
     return out
 
 
-def _cluster_move(values: np.ndarray, q: int, G: LatticeGraph, domain: VertexSet,
-                  p0: Pattern | None, rng: np.random.Generator) -> None:
-    """``cluster_step`` in place on a row of colors in vertex order.
+def _cluster_move(row: np.ndarray, slot: np.ndarray, q: int, G: LatticeGraph,
+                  domain: VertexSet, p0: Pattern | None, rng: np.random.Generator) -> None:
+    """``cluster_step`` in place on a kernel row of color bits, vertex v
+    in column ``slot[v]``.
 
-    Each swappable component flips when its draw is below 1/2, the draws
-    taken in order of the components' lowest ids.  The singletons flip
-    through one mask; only the larger components are visited one by one.
+    With m the bits of the drawn pair a, b, a cell is colored a or b when
+    its entry AND m is nonzero, and swaps a and b by XOR with m.  Each
+    swappable component flips when its draw is below 1/2, the draws taken
+    in order of the components' lowest ids (their heads): the chosen heads
+    flip in one XOR, and the other cells of the chosen larger components
+    in one more.  With nothing swappable the move draws nothing after the
+    pair.
     """
-    pair = rng.choice(q, size=2, replace=False)
-    a, b = int(pair[0]) + 1, int(pair[1]) + 1
-    singles, grown = _split_components(G, _swappable(values, G, domain, p0, a, b))
+    a, b = rng.choice(q, size=2, replace=False).tolist()
+    m = 1 << a | 1 << b
+    ab = _pack((row.take(slot) & m) != 0)   # the cells colored a or b
+    singles, grown = _split_components(G, _swappable(ab, G, domain, p0))
     heads = singles
     for comp in grown:
         heads |= comp & -comp
-    draw = _unpack(VertexSet(heads, G.n))
-    draw[draw] = rng.random(np.count_nonzero(draw)) < 0.5   # ascending ids
-    chosen = _pack(draw)
-    swap = singles & chosen
+    if not heads:
+        return
+    ids = _unpack(VertexSet(heads, G.n)).nonzero()[0]   # ascending
+    chosen = rng.random(len(ids)) < 0.5
+    row[slot[ids[chosen]]] ^= m
+    rest = 0
     for comp in grown:
-        if comp & chosen:   # its one head was chosen
-            swap |= comp
-    flip = _unpack(VertexSet(swap, G.n))
-    values[flip] = a + b - values[flip]
+        head = comp & -comp
+        if chosen[(heads & (head - 1)).bit_count()]:   # the draw of its head
+            rest |= comp ^ head
+    if rest:
+        row[slot[_unpack(VertexSet(rest, G.n))]] ^= m
 
 
 def _count(occ: np.ndarray, states: np.ndarray, cut: int, color: np.ndarray,
@@ -608,7 +619,7 @@ def _count(occ: np.ndarray, states: np.ndarray, cut: int, color: np.ndarray,
         raise InternalInvariantError("the chain reached a stuck state")
     cut = max(cut, 0)
     for half, part in enumerate((states[:cut], states[cut:])):
-        occ[half] += np.bincount((color[part] + bins).ravel(), minlength=occ.shape[1])
+        occ[half] += np.bincount((color.take(part) + bins).ravel(), minlength=occ.shape[1])
 
 
 def run_experiment(cfg: ChainConfig, threads: int = 1) -> OrderStats:
@@ -642,6 +653,7 @@ def run_experiment(cfg: ChainConfig, threads: int = 1) -> OrderStats:
     # recorded samples are held here until they are counted
     held = np.empty((max(block, _TALLY_BLOCK // (cfg.chains * n_scan)), cfg.chains, n_scan),
                     dtype=kernel.x.dtype)
+    draws = np.empty((cfg.chains, block, n_scan))   # each block's uniforms, chain by chain
     n_held = counted = 0
     if cfg.burn_in == 0:   # the initial state is the first sample
         held[0] = kernel.x[:, :n_scan]
@@ -657,7 +669,9 @@ def run_experiment(cfg: ChainConfig, threads: int = 1) -> OrderStats:
         stop = min(s + every, cfg.sweeps)
         while s < stop:
             n = min(block, stop - s)
-            codes = _draw_codes(np.stack([rng.random((n, n_scan)) for rng in rngs]), q)
+            for c, rng in enumerate(rngs):
+                rng.random(out=draws[c, :n])
+            codes = _draw_codes(draws[:, :n], q)
             keep = range(next_record - s - 1, n, cfg.thin)
             if n_held + len(keep) > len(held):
                 _count(occ, held[:n_held], first_half - counted, kernel.color, bins)
@@ -671,9 +685,7 @@ def run_experiment(cfg: ChainConfig, threads: int = 1) -> OrderStats:
                 raise InternalInvariantError("the chain reached a stuck state")
         if s < cfg.sweeps:
             for c, rng in enumerate(rngs):
-                values = kernel.values(c)
-                _cluster_move(values, q, G, domain, p0, rng)
-                kernel.put(c, values)
+                _cluster_move(kernel.x[c], kernel.slot, q, G, domain, p0, rng)
     _count(occ, held[:n_held], first_half - counted, kernel.color, bins)
 
     frozen = ~_unpack(domain)

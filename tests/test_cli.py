@@ -73,6 +73,19 @@ def test_malformed_flag_value_exit_one(capsys):
     assert err.startswith("error:") and "--dims" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["exact-count", "--dims", "a,b", "--q", "3"],
+    ["toy-ratio", "--droplet", "12,x"],
+])
+def test_malformed_int_list_names_the_format(args, capsys):
+    # the message states the expected format, not the name of a parser helper
+    code = main(args)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "comma-separated integers" in err and "_int_list" not in err
+
+
 @pytest.mark.parametrize("vertex", ["-1", "abc", "9"])
 def test_marginal_bad_vertex_exit_one(vertex, capsys):
     code = main(["marginal", "--dims", "3,3", "--q", "3", "--vertex", vertex])

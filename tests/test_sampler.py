@@ -375,9 +375,32 @@ def test_draw_layout_pinned():
     # 2100 sweeps of 16 cells cross the 2048-sweep block of draws
     (ChainConfig(dims=(4, 4), q=3, pattern=P03, seed=7, sweeps=2100),
      "d9d522e75835570afeb7e6d7d10cf818f65aa9580c5cc63b389bcf14f83ade6f"),
+    # three chains of a critical q=3 torus, a move after every sweep: large
+    # components, and each chain moves on its own row of the batch
+    (ChainConfig(dims=(16, 16), q=3, pattern=P03, seed=23, sweeps=40, periodic=(True, True),
+                 algorithm="heat-bath+cluster", cluster_every=1, chains=3),
+     "af7fd03dd897c5e8769c33c17a79b30ebac2fbab05f12a17c798f37f6a6a9a24"),
+    # a q=5 box with a frozen exterior two cells deep, whose cells taint
+    # the components next to them
+    (ChainConfig(dims=(8, 8), q=5, pattern="A=1,2;B=3,4,5", seed=23, sweeps=60, margin=2,
+                 algorithm="heat-bath+cluster", cluster_every=1, chains=2),
+     "ce01e1ea90e4861d377204ff94d502f4218ca9bb12689e2bb36066c5c9a6734b"),
 ])
 def test_chain_outputs_pinned(cfg, want):
     assert _stats_digest(run_experiment(cfg)) == want
+
+
+def test_cluster_step_nothing_swappable_draws_nothing():
+    # q = 2 on a chessboard with a frozen rim: the one pair's component
+    # touches the rim, so the move draws no flip and leaves the stream where
+    # the pair draw left it
+    G = build_graph([4, 4])
+    f = Coloring([1 + G.parity[v] for v in range(G.n)], 2)
+    inner = G.vertex_set(v for v in range(G.n) if all(1 <= c <= 2 for c in G.coords(v)))
+    rng = make_rng(23)
+    out = cluster_step(f, G, inner, None, rng, assert_proper=True)
+    assert out == f
+    assert rng.random() == 0.29437939405718616
 
 
 def test_swappable_components_pinned():
@@ -691,9 +714,13 @@ def test_more_than_sixteen_colors_refused():
         if q == 16:
             out = heat_bath_sweep(f, G, G.full_set(), None, make_rng(0))
             assert is_proper(out, G)
+            assert is_proper(cluster_step(f, G, G.full_set(), None, make_rng(0)), G)
         else:
             with pytest.raises(ConfigError):
                 heat_bath_sweep(f, G, G.full_set(), None, make_rng(0))
+            # the cluster move runs on kernel rows, whose bits hold 16 colors
+            with pytest.raises(ConfigError):
+                cluster_step(f, G, G.full_set(), None, make_rng(0))
 
 
 def test_cluster_move_every_cluster_every_sweeps(monkeypatch):
