@@ -22,6 +22,20 @@ as neighborhood shifts, each region's vertex boundary as the OR of its
 edge maps, components grown bit-parallel.  A ``VertexSet`` is made only
 where a public function returns one or an atlas or decomposition field
 holds one.
+
+Every pattern is handled at once.  With k patterns, one ``int`` holds
+pattern i's bitmap in slot i (bits i*n .. i*n+n-1), and the shift masks,
+copied into every slot, move each slot's set within its own slot: a
+masked shift moves a cell only to its neighbor in the box (the mask drops
+the face a step would leave, and on a periodic axis, length 2 included,
+the wrap lands on the opposite face), so no bit reaches another slot or
+passes k*n and the slots never mix.  Pattern cells, settled cells, cores,
+regions, both regularity closures (each slot's P-odd cells are its inside
+core, so one slotted P-odd mask serves every pattern), the clause masks of
+a breakup check and the edge maps of the derived sets are one expression
+each over all slots.  Python walks the slots only to fill the returned
+dicts and, where a slotted failure mask is nonzero, to name the failures
+in the atlas's pattern order.
 """
 
 from __future__ import annotations
@@ -31,7 +45,7 @@ from typing import Iterable, Mapping
 
 from .coloring import Coloring
 from .errors import InternalInvariantError, PreconditionError
-from .geometry import _regularity_witness
+from .geometry import _closure_diffs, _lowest
 from .lattice import (
     LatticeGraph,
     VertexSet,
@@ -39,25 +53,25 @@ from .lattice import (
     _components,
     _edge_maps,
     _expand_bits,
+    _fold_slots,
     _grow,
     _id_list,
     _neighbor_bits,
+    _pack_slots,
+    _replicate,
+    _slot,
     boundary_edge_count,
     connected_components,
     diam_star,
 )
-from .patterns import Pattern, _color_planes, _dominant, _p_odd, _pattern_cells
+from .patterns import Pattern, _color_planes, _dominant, _pattern_cells, _pattern_slots
 
 
-def _settled(G: LatticeGraph, in_pat: int) -> int:
-    """Cells whose whole neighborhood is in ``in_pat``: the complement of N(outside)."""
-    full = (1 << G.n) - 1
-    return full & ~_neighbor_bits(G, full & ~in_pat)
-
-
-def _regular_witness(G: LatticeGraph, bits: int, P: Pattern) -> int | None:
-    """Where a region fails to be a regular P-even set, None when it is one."""
-    return _regularity_witness(G, bits, "even" if P.klass == 0 else "odd")
+def _settled(G: LatticeGraph, in_pat: int, k: int) -> int:
+    """Cells whose whole neighborhood is in ``in_pat``: the complement of
+    N(outside), slot by slot on a k-slot bitmap."""
+    full = (1 << k * G.n) - 1
+    return full & ~_neighbor_bits(G, full & ~in_pat, k)
 
 
 @dataclass(frozen=True)
@@ -84,19 +98,22 @@ class RegionDecomposition:
 
 
 def _derived_sets(G: LatticeGraph, x_p: Mapping[Pattern, VertexSet]) -> tuple[int, int, int]:
-    """(overlap, bad, defect) bitmaps of a pattern-indexed family of regions.
+    """(overlap, bad, defect) bitmaps of a pattern-indexed family of regions."""
+    return _derived_slots(G, _pack_slots((U.bits for U in x_p.values()), G.n), len(x_p))
+
+
+def _derived_slots(G: LatticeGraph, regions: int, k: int) -> tuple[int, int, int]:
+    """``_derived_sets`` of the regions held in the k slots of one bitmap.
 
     A region's vertex boundary (both sides) is the set of cells with an
     edge crossing it: the OR of its edge maps over the directions.
     """
-    overlap = union = star = 0
-    for U in x_p.values():
-        overlap |= union & U.bits
-        union |= U.bits
-        for crossing in _edge_maps(G, U.bits):
-            star |= crossing
+    crossing = 0
+    for m in _edge_maps(G, regions, k):
+        crossing |= m
+    union, overlap = _fold_slots(regions, G.n, k)
     bad = ((1 << G.n) - 1) & ~union
-    return overlap, bad, star | overlap | bad
+    return overlap, bad, _fold_slots(crossing, G.n, k)[0] | overlap | bad
 
 
 def decompose(G: LatticeGraph, f: Coloring) -> RegionDecomposition:
@@ -113,22 +130,25 @@ def _decompose(
     patterns: Iterable[Pattern] | None,
 ) -> RegionDecomposition:
     """``decompose`` from the coloring's color planes, over the given
-    patterns (every dominant one when None)."""
+    patterns (every dominant one when None), each pattern in its own slot."""
     if planes[0]:
         raise PreconditionError("decomposition needs a total coloring")
-    pats = list(patterns) if patterns is not None else _dominant(q)
-    z_p: dict[Pattern, VertexSet] = {}
-    for P in pats:
-        # the P-odd cells whose whole neighborhood is in the P-pattern
-        core = _p_odd(G, P).bits & _settled(G, _pattern_cells(G, planes, P))
-        region = core | _neighbor_bits(G, core)
-        if (witness := _regular_witness(G, region, P)) is not None:
-            raise InternalInvariantError(
-                f"ordered region for {P.text()} is not a regular set (witness vertex {witness})"
-            )
-        z_p[P] = VertexSet(region, G.n)
-    overlap, bad, star = _derived_sets(G, z_p)
-    return RegionDecomposition(G, z_p, *(VertexSet(x, G.n) for x in (overlap, bad, star)))
+    pats = tuple(dict.fromkeys(patterns)) if patterns is not None else _dominant(q)
+    k, n = len(pats), G.n
+    in_pat, p_odd = _pattern_slots(G, planes, pats)
+    # the P-odd cells whose whole neighborhood is in the P-pattern
+    core = p_odd & _settled(G, in_pat, k)
+    regions = core | _neighbor_bits(G, core, k)
+    in_diff, out_diff = _closure_diffs(G, regions, p_odd, k)
+    if in_diff | out_diff:
+        for i, P in enumerate(pats):
+            if (witness := _lowest(_slot(in_diff, i, n), _slot(out_diff, i, n))) is not None:
+                raise InternalInvariantError(
+                    f"ordered region for {P.text()} is not a regular set (witness vertex {witness})"
+                )
+    z_p = {P: VertexSet(_slot(regions, i, n), n) for i, P in enumerate(pats)}
+    overlap, bad, star = _derived_slots(G, regions, k)
+    return RegionDecomposition(G, z_p, *(VertexSet(x, n) for x in (overlap, bad, star)))
 
 
 @dataclass(frozen=True)
@@ -300,60 +320,75 @@ def verify_breakup(
     bad P-odd vertices see a color off the boundary side, and boundary
     edges leave from an in-pattern vertex toward a constrained one).
     """
-    G = X.graph
-    full = (1 << G.n) - 1
+    G, n = X.graph, X.graph.n
+    pats = tuple(X.x_p)
+    k = len(pats)
+    full = (1 << k * n) - 1
     problems: list[str] = []
-    for P, U in X.x_p.items():
-        witness = _regular_witness(G, U.bits, P)
-        if witness is not None:
-            problems.append(
-                f"region {P.text()} is not a regular set (witness {witness})"
-            )
+    # every region in its pattern's slot; each slot's P-odd cells are the
+    # inside core of its regularity test
+    U = _pack_slots((region.bits for region in X.x_p.values()), n)
+    in_pat, p_odd = _pattern_slots(G, _color_planes(f), pats)
+    in_diff, out_diff = _closure_diffs(G, U, p_odd, k)
+    if in_diff | out_diff:
+        for i, P in enumerate(pats):
+            witness = _lowest(_slot(in_diff, i, n), _slot(out_diff, i, n))
+            if witness is not None:
+                problems.append(
+                    f"region {P.text()} is not a regular set (witness {witness})"
+                )
     outside = (G.full_set() - domain).bits   # refuses a domain of another graph
     if p0 not in X.x_p or outside & ~X.x_p[p0].bits:
         problems.append("domain complement is not inside the reference region")
 
-    overlap, bad, star = _derived_sets(G, X.x_p)
-    near = _expand_bits(G, star, radius)
-    planes = _color_planes(f)
-    for P, region in X.x_p.items():
-        U = region.bits
-        in_pat = _pattern_cells(G, planes, P)
-        settled = _settled(G, in_pat)
-        p_odd = _p_odd(G, P).bits
-        p_even = full & ~p_odd
-        for v in _bit_ids(near & p_odd & (U ^ settled)):
+    overlap, bad, star = _derived_slots(G, U, k)
+    near = _replicate(_expand_bits(G, star, radius), n, k)
+    settled = _settled(G, in_pat, k)
+    p_even = full & ~p_odd
+    # P-even cells of U with an edge leaving U; the edge clauses can only
+    # fail at those out of pattern or next to a settled outside cell
+    leaving = U & p_even & _neighbor_bits(G, full & ~U, k)
+    clauses = (
+        near & p_odd & (U ^ settled),
+        near & U & p_even & ~in_pat,
+        near & U & p_odd & ~_replicate(overlap, n, k) & ~in_pat,
+        _replicate(bad, n, k) & p_odd & settled,
+        leaving & (~in_pat | _neighbor_bits(G, settled & ~U, k)),
+    )
+    if not any(clauses):
+        return BreakupReport(not problems, tuple(problems))
+    for i, P in enumerate(pats):
+        member, fits, calm = (_slot(x, i, n) for x in (U, in_pat, settled))
+        mismatch, even_out, odd_out, bad_calm, edges = (_slot(x, i, n) for x in clauses)
+        for v in _bit_ids(mismatch):
             problems.append(
                 f"vertex {v} near the defect set: membership in {P.text()} is "
-                f"{bool(U >> v & 1)} but its neighborhood in-pattern is {bool(settled >> v & 1)}"
+                f"{bool(member >> v & 1)} but its neighborhood in-pattern is {bool(calm >> v & 1)}"
             )
-        for v in _bit_ids(near & U & p_even & ~in_pat):
+        for v in _bit_ids(even_out):
             problems.append(
                 f"P-even vertex {v} of region {P.text()} near the defect set "
                 "is out of pattern"
             )
-        for v in _bit_ids(near & U & p_odd & ~overlap & ~in_pat):
+        for v in _bit_ids(odd_out):
             problems.append(
                 f"non-overlap P-odd vertex {v} of region {P.text()} is out of pattern"
             )
-        for v in _bit_ids(bad & p_odd & settled):
+        for v in _bit_ids(bad_calm):
             problems.append(
                 f"bad vertex {v} has its whole neighborhood in the {P.text()} pattern"
             )
-        # P-even cells of U with an edge leaving U; the edge clauses can
-        # only fail at those out of pattern or next to a settled outside cell
-        leaving = U & p_even & _neighbor_bits(G, full & ~U)
-        for u in _bit_ids(leaving & (~in_pat | _neighbor_bits(G, settled & ~U))):
+        for u in _bit_ids(edges):
             # u's distinct neighbors in ascending order; -1 marks a clipped face
             for v in sorted(set(G.neighbor_table[:, u].tolist()) - {-1}):
-                if U >> v & 1:
+                if member >> v & 1:
                     continue
-                if not in_pat >> u & 1:
+                if not fits >> u & 1:
                     problems.append(
                         f"boundary edge ({u},{v}) of {P.text()} leaves an "
                         "out-of-pattern vertex"
                     )
-                if settled >> v & 1:
+                if calm >> v & 1:
                     problems.append(
                         f"boundary edge ({u},{v}) of {P.text()} points at a vertex "
                         "whose neighborhood is fully in pattern"

@@ -81,14 +81,24 @@ def regularity_check(
 def _regularity_witness(G: LatticeGraph, bits: int, parity: str) -> int | None:
     """``regularity_check`` on a raw bitmap: the lowest cell where the first
     failing closure differs from its set, None when the set is regular."""
-    inside_core, outside_core = _core_sets(G, parity)
-    outside = ~bits & ((1 << G.n) - 1)
-    for core, side in ((inside_core.bits, bits), (outside_core.bits, outside)):
-        part = core & side
-        diff = (part | _neighbor_bits(G, part)) ^ side
-        if diff:
-            return (diff & -diff).bit_length() - 1
-    return None
+    return _lowest(*_closure_diffs(G, bits, _core_sets(G, parity)[0].bits))
+
+
+def _closure_diffs(G: LatticeGraph, bits: int, inside_core: int, k: int = 1) -> tuple[int, int]:
+    """Where U differs from (core cap U)^+ and U^c from (core^c cap U^c)^+,
+    the inside core's complement being the other parity class; slot by slot
+    on a k-slot bitmap, each slot with its own inside core."""
+    part = inside_core & bits
+    inside = (part | _neighbor_bits(G, part, k)) ^ bits
+    outside = ((1 << k * G.n) - 1) & ~bits
+    part = outside & ~inside_core
+    return inside, (part | _neighbor_bits(G, part, k)) ^ outside
+
+
+def _lowest(first: int, second: int) -> int | None:
+    """The lowest cell of the first nonzero bitmap, None when both are empty."""
+    diff = first or second
+    return (diff & -diff).bit_length() - 1 if diff else None
 
 
 def is_parity_set(G: LatticeGraph, U: VertexSet, parity: str) -> bool:

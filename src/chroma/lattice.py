@@ -24,7 +24,9 @@ j, the cells whose edge along j crosses the set's boundary (both ends of
 each edge are flagged); with the opposite of each direction they give
 boundary-edge counts (``boundary_edge_count`` over a union of sets),
 out-directed edges and edge-by-edge tests as set algebra, without
-listing edge tuples.
+listing edge tuples.  The same shifts act on k sets at once when one
+bitmap holds set i in slot i (bits i*n .. i*n+n-1): each mask copied into
+every slot keeps every moved bit inside its own slot.
 
 A non-periodic axis clips at the faces.  The cells missing a neighbor
 along some non-periodic axis form the graph's *rim*; the rim stands in
@@ -242,8 +244,9 @@ class LatticeGraph:
         self._stepping = [reach[k] for k in self._opposite]
         self.odd = VertexSet(_pack(coords.sum(axis=0) % 2 == 1), self.n)
         self.even = self.odd.complement()
-        # tables other modules derive from the graph (the sampler's sweep
-        # layouts), built on first use and freed with the graph
+        # tables derived from the graph (the sampler's sweep layouts, the
+        # slot tables, the patterns' slot masks), built on first use and
+        # freed with the graph
         self.memo: dict = {}
 
     @cached_property
@@ -314,32 +317,95 @@ def build_graph(dims: Iterable[int], periodic: Iterable[bool] | None = None) -> 
 # -- neighborhoods and boundaries -------------------------------------------
 
 
-def _neighbor_bits(G: LatticeGraph, bits: int) -> int:
-    """N(U) of a raw bitmap, by whole-bitmap shifts (direction tags unused)."""
+def _replicate(bits: int, n: int, k: int) -> int:
+    """An n-bit bitmap copied into each of k slots (slot i is bits i*n .. i*n+n-1)."""
+    width = 1
+    while width < k:
+        bits |= bits << (width * n)
+        width *= 2
+    return bits & ((1 << k * n) - 1)
+
+
+def _slot_tables(G: LatticeGraph, k: int) -> tuple[list, list, list[int]]:
+    """The shift tables and stepping masks with every mask copied into each of
+    k slots, so one shift moves each slot's set within its own slot; built
+    once per k > 1 and kept on the graph (at k = 1 the shifts read the
+    graph's own tables)."""
+    key = ("slot tables", k)
+    tables = G.memo.get(key)
+    if tables is None:
+        tables = G.memo[key] = (
+            [(_replicate(mask, G.n, k), s, j) for mask, s, j in G._shifts_up],
+            [(_replicate(mask, G.n, k), s, j) for mask, s, j in G._shifts_down],
+            [_replicate(reach, G.n, k) for reach in G._stepping],
+        )
+    return tables
+
+
+def _neighbor_bits(G: LatticeGraph, bits: int, k: int = 1) -> int:
+    """N(U) of a raw bitmap, by whole-bitmap shifts (direction tags unused);
+    of each slot's set at once on a k-slot bitmap."""
+    if k == 1:
+        ups, downs = G._shifts_up, G._shifts_down
+    else:
+        ups, downs, _ = _slot_tables(G, k)
     m = 0
-    for mask, k, _ in G._shifts_up:
-        m |= (bits & mask) << k
-    for mask, k, _ in G._shifts_down:
-        m |= (bits & mask) >> k
+    for mask, s, _ in ups:
+        m |= (bits & mask) << s
+    for mask, s, _ in downs:
+        m |= (bits & mask) >> s
     return m
 
 
-def _images(G: LatticeGraph, bits: int) -> list[int]:
+def _images(G: LatticeGraph, bits: int, k: int = 1) -> list[int]:
     """Entry j holds w when its neighbor w - e_j is in the bitmap; distinct
     directions name distinct neighbors, so counting entries counts them."""
+    if k == 1:
+        ups, downs = G._shifts_up, G._shifts_down
+    else:
+        ups, downs, _ = _slot_tables(G, k)
     out = [0] * (2 * G.d)
-    for mask, k, j in G._shifts_up:
-        out[j] |= (bits & mask) << k
-    for mask, k, j in G._shifts_down:
-        out[j] |= (bits & mask) >> k
+    for mask, s, j in ups:
+        out[j] |= (bits & mask) << s
+    for mask, s, j in downs:
+        out[j] |= (bits & mask) >> s
     return out
 
 
-def _edge_maps(G: LatticeGraph, bits: int) -> list[int]:
+def _edge_maps(G: LatticeGraph, bits: int, k: int = 1) -> list[int]:
     """Entry j holds w when the edge from w one step along direction j crosses
     the bitmap's boundary; ``bits & entry`` lists the out-directed edges."""
-    images = _images(G, bits)
-    return [(bits ^ images[k]) & reach for k, reach in zip(G._opposite, G._stepping)]
+    images = _images(G, bits, k)
+    stepping = G._stepping if k == 1 else _slot_tables(G, k)[2]
+    return [(bits ^ images[o]) & reach for o, reach in zip(G._opposite, stepping)]
+
+
+def _pack_slots(parts: Iterable[int], n: int) -> int:
+    """n-bit bitmaps into consecutive slots, the first in slot 0."""
+    out = 0
+    for i, bits in enumerate(parts):
+        out |= bits << (i * n)
+    return out
+
+
+def _slot(bits: int, i: int, n: int) -> int:
+    """Slot i of a slotted bitmap, as an n-bit bitmap."""
+    return (bits >> (i * n)) & ((1 << n) - 1)
+
+
+def _fold_slots(bits: int, n: int, k: int) -> tuple[int, int]:
+    """(cells in at least one slot, cells in at least two) of a k-slot bitmap,
+    folding the upper half of the slots onto the lower half until one is left."""
+    once, twice = bits, 0
+    while k > 1:
+        low = (k + 1) // 2
+        keep = (1 << low * n) - 1
+        once_up, twice_up = once >> low * n, twice >> low * n
+        once, twice = once & keep, twice & keep
+        twice |= twice_up | (once & once_up)
+        once |= once_up
+        k = low
+    return once, twice
 
 
 def _boundary_maps(G: LatticeGraph, sets: Iterable[VertexSet]) -> list[int]:

@@ -16,8 +16,11 @@ with lattice-even; for |A| > |B| (class 1, odd q only) it is flipped.
 Membership has one scalar definition (``vertex_in_pattern``: one color
 at one parity) and one set-level rule: a coloring's color planes give
 the bitmap of every cell whose own color fits a pattern
-(``_pattern_cells``), which ``in_pattern``, the decomposition, breakups
-and the repair transformation all read.
+(``_pattern_cells``), which breakups and the repair transformation
+read, and which ``_pattern_slots`` gives for several patterns at once,
+one per slot, for the decomposition and the breakup check.
+``in_pattern`` reads only the cells it is asked about, through a table
+of the scalar rule by parity and color.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import Iterable, TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
+from .lattice import _pack_slots, _replicate, _unpack
 
 if TYPE_CHECKING:  # pragma: no cover
     from .coloring import Coloring
@@ -60,8 +64,8 @@ def mask_colors(bits: int) -> tuple[int, ...]:
 class Pattern:
     """Ordered pair of disjoint color subsets over 1..q, stored as bitmasks.
 
-    Equality and hashing read the three fields only; the derived sides
-    and class are computed once per pattern and kept on it.
+    Equality and hashing read the three fields only; the hash, the derived
+    sides and the class are computed once per pattern and kept on it.
     """
 
     q: int
@@ -76,6 +80,10 @@ class Pattern:
             raise ConfigError("pattern side uses a color outside 1..q")
         if self.a_bits & self.b_bits:
             raise ConfigError("pattern sides must be disjoint")
+        object.__setattr__(self, "_hash", hash((self.q, self.a_bits, self.b_bits)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def make(cls, q: int, a: Iterable[int], b: Iterable[int]) -> "Pattern":
@@ -232,9 +240,37 @@ def _pattern_cells(G: "LatticeGraph", planes: list[int], P: Pattern) -> int:
     return a & G.even.bits | b & G.odd.bits
 
 
+def _pattern_slots(G: "LatticeGraph", planes: list[int], pats: tuple[Pattern, ...]) -> tuple[int, int]:
+    """``_pattern_cells`` and the P-odd cells of every pattern at once, pattern
+    i's in slot i (bits i*n .. i*n+n-1): each color plane, copied into every
+    slot, keeps the cells where that color fits the slot's pattern.  Those
+    per-color masks and the slotted P-odd cells are built once per pattern
+    tuple and kept on the graph."""
+    q, k = len(planes) - 1, len(pats)
+    key = ("pattern slots", pats, q)
+    masks = G.memo.get(key)
+    if masks is None:
+        even, odd = G.even.bits, G.odd.bits
+        fits = [_pack_slots([(even if P.a_bits >> c & 1 else 0) | (odd if P.b_bits >> c & 1 else 0)
+                             for P in pats], G.n)
+                for c in range(q)]
+        masks = G.memo[key] = fits, _pack_slots([_p_odd(G, P).bits for P in pats], G.n)
+    fits, p_odd = masks
+    out = 0
+    for plane, fit in zip(planes[1:], fits):
+        out |= _replicate(plane, G.n, k) & fit
+    return out, p_odd
+
+
 def in_pattern(f: "Coloring", U: "VertexSet", P: Pattern, G: "LatticeGraph") -> bool:
-    """True when every vertex of U follows (A, B): evens in A, odds in B."""
-    return not U.bits & ~_pattern_cells(G, _color_planes(f), P)
+    """True when every vertex of U follows (A, B): evens in A, odds in B.
+
+    Reads the colors and parities of U's cells only, through a table of
+    ``vertex_in_pattern`` by (parity, color)."""
+    ids = np.flatnonzero(_unpack(U))
+    parity = sum(np.unravel_index(ids, G.dims)) % 2
+    fits = np.array([[vertex_in_pattern(c, p, P) for c in range(f.q + 1)] for p in (0, 1)])
+    return bool(fits[parity, f.values[ids]].all())
 
 
 def canonical_permutation(P: Pattern, P0: Pattern) -> dict[int, int]:

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 
 import pytest
@@ -15,11 +16,13 @@ from chroma.decomposition import (
     verify_breakup,
 )
 from chroma.errors import PreconditionError
-from chroma.lattice import build_graph, closed_neighborhood, expand
+from chroma.lattice import _pack_slots, build_graph, closed_neighborhood, expand
 from chroma.patterns import (
     Pattern,
     _color_planes,
+    _p_odd,
     _pattern_cells,
+    _pattern_slots,
     enumerate_dominant,
     vertex_in_pattern,
 )
@@ -429,6 +432,11 @@ def test_pattern_cells_from_planes_match_vertex_predicate():
                     want = G.vertex_set(v for v in range(G.n)
                                         if vertex_in_pattern(f.values[v], G.parity[v], P))
                     assert _pattern_cells(G, planes, P) == want.bits
+                # every pattern at once, pattern i's cells and P-odd cells in slot i
+                pats = tuple(reversed(enumerate_dominant(q)))
+                assert _pattern_slots(G, planes, pats) == (
+                    _pack_slots([_pattern_cells(G, planes, P) for P in pats], G.n),
+                    _pack_slots([_p_odd(G, P).bits for P in pats], G.n))
                 if planes[0]:
                     with pytest.raises(PreconditionError):
                         decompose(G, f)
@@ -457,3 +465,47 @@ def test_derived_sets_match_per_vertex_definitions(dims, periodic):
         want = [G.vertex_set(W).bits for W in (overlap, bad, crossing | overlap | bad)]
         assert list(_derived_sets(G, X.x_p)) == want
         assert [X.x_overlap.bits, X.x_bad.bits, X.x_star.bits] == want
+
+
+def test_verify_failures_named_in_atlas_order():
+    # an atlas whose patterns run in reverse sort order, with two non-regular
+    # regions (one of each class) and one failing clause: the messages come
+    # region by region in x_p order, and each witness is regularity_check's
+    from chroma.geometry import regularity_check
+
+    G = build_graph([8, 8])
+    p0 = p0_for(3)
+    f = striped_pattern_coloring(G, p0)
+    pats = enumerate_dominant(3)
+    x_p = {P: G.empty_set() for P in reversed(pats)}
+    x_p[p0] = G.full_set() - G.vertex_set([G.vid((3, 3))])
+    other = Pattern.make(3, [1, 2], [3])
+    x_p[other] = G.vertex_set([G.vid((5, 5)), G.vid((5, 6))])
+    rep = verify_breakup(Atlas(G, x_p), f, inner_domain(G), p0)
+    want = []
+    for P, U in x_p.items():
+        ok, witness = regularity_check(G, U, "even" if P.klass == 0 else "odd")
+        if not ok:
+            want.append(f"region {P.text()} is not a regular set (witness {witness})")
+    assert [P.text() for P in x_p][2] == other.text() and len(want) == 2
+    assert rep.violations == (
+        *want,
+        f"vertex 45 near the defect set: membership in {other.text()} is True but "
+        "its neighborhood in-pattern is False",
+    )
+    assert not rep.ok
+
+
+def test_decompose_pinned_on_twenty_patterns():
+    # 48x48 at q = 5 after 12 sweeps: every one of the 20 dominant patterns
+    # orders a region, so all of them are decomposed together
+    G = build_graph([48, 48])
+    p0 = p0_for(5)
+    rng = make_rng(48)
+    f = striped_pattern_coloring(G, p0)
+    for _ in range(12):
+        f = heat_bath_sweep(f, G, G.full_set(), p0, rng)
+    got = decompose(G, f).to_json()
+    assert sum(1 for ids in got["regions"].values() if ids) == 20
+    digest = hashlib.sha256(json.dumps(got).encode()).hexdigest()
+    assert digest == "6045debe15158a8923039648b460729fd063b3d480b7cb084e26cd94064ebbeb"

@@ -11,7 +11,9 @@ from chroma.geometry import (
     Approximation,
     OddSetCollection,
     _at_least,
+    _closure_diffs,
     _four_cycle_failures,
+    _lowest,
     _witness_set,
     four_cycle_check,
     greedy_cover,
@@ -28,6 +30,8 @@ from chroma.lattice import (
     _boundary_maps,
     _images,
     _ladder,
+    _pack_slots,
+    _slot,
     build_graph,
     closed_neighborhood,
     n_t,
@@ -113,6 +117,26 @@ def test_regularity_witness_is_lowest_closure_violation(dims, periodic):
             want = (first is None, None if first is None else first[0])
             assert regularity_check(G, G.vertex_set(members), kind) == want
 
+
+
+@pytest.mark.parametrize("dims,periodic", SHIFT_GRAPHS)
+def test_slot_closures_match_per_set_witnesses(dims, periodic):
+    # the sets of the sample above in slots, each with its own inside core
+    # (even or odd cells): each slot's lowest closure difference is the
+    # witness regularity_check gives that set
+    G = build_graph(dims, periodic)
+    rng = make_rng(sum(dims) + 2)
+    sets = [random_regular_odd_set(G, rng, 0) for _ in range(3)]
+    sets += [G.vertex_set(m) for m in oracle_samples(G.n, sum(dims) + 3)]
+    kinds = ["odd", "even"] * len(sets)
+    sets = [U for U in sets for _ in (0, 1)]
+    cores = [(G.even if kind == "odd" else G.odd).bits for kind in kinds]
+    n, k = G.n, len(sets)
+    inside, outside = _closure_diffs(G, _pack_slots([U.bits for U in sets], n),
+                                     _pack_slots(cores, n), k)
+    for i, (U, kind) in enumerate(zip(sets, kinds)):
+        witness = _lowest(_slot(inside, i, n), _slot(outside, i, n))
+        assert regularity_check(G, U, kind) == (witness is None, witness)
 
 def test_revealed_plus_shape_d3():
     G = build_graph([7, 7, 7])

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -5,7 +6,13 @@ import pytest
 from chroma.errors import ConfigError, PreconditionError, ResourceLimitError
 from chroma.lattice import (
     _edge_maps,
+    _fold_slots,
     _id_list,
+    _images,
+    _neighbor_bits,
+    _pack_slots,
+    _replicate,
+    _slot,
     _sublattice_identity,
     LatticeGraph,
     VertexSet,
@@ -531,3 +538,35 @@ def test_pinned_count_on_length_two_periodic_axis(pins, count):
                                                      allowed)
     got = count_colorings(G, domain, 3, Constraint.pinned(pins)).count
     assert got == want == count
+
+
+@pytest.mark.parametrize("dims,periodic", [
+    ((7,), None), ((4, 6), None), ((4, 4), (True, True)),
+    ((8, 2, 6), (False, True, False)), ((3, 2, 3, 2), None)])
+def test_slot_shifts_match_per_slot_shifts(dims, periodic):
+    # random k-slot bitmaps, slot i holding set i: the packed neighbourhood,
+    # images and edge maps are the per-set ones slot by slot, nothing lands
+    # at or above k*n, and the fold counts the slots each cell is in
+    G = build_graph(dims, periodic)
+    n = G.n
+    rng = random.Random(n * 7 + len(dims))
+    for k in (1, 2, 3, 6, 20):
+        for _ in range(6):
+            sets = [rng.getrandbits(n) & rng.getrandbits(n) if rng.random() < 0.5
+                    else rng.getrandbits(n) for _ in range(k)]
+            packed = _pack_slots(sets, n)
+            assert [_slot(packed, i, n) for i in range(k)] == sets
+            assert _replicate(sets[0], n, k) == _pack_slots([sets[0]] * k, n)
+            nb = _neighbor_bits(G, packed, k)
+            images = _images(G, packed, k)
+            edges = _edge_maps(G, packed, k)
+            for packed_out in [nb, *images, *edges]:
+                assert packed_out >> (k * n) == 0
+            for i, bits in enumerate(sets):
+                assert _slot(nb, i, n) == _neighbor_bits(G, bits)
+                assert [_slot(m, i, n) for m in images] == _images(G, bits)
+                assert [_slot(m, i, n) for m in edges] == _edge_maps(G, bits)
+            hits = [sum(bits >> v & 1 for bits in sets) for v in range(n)]
+            assert _fold_slots(packed, n, k) == (
+                sum(1 << v for v in range(n) if hits[v] >= 1),
+                sum(1 << v for v in range(n) if hits[v] >= 2))

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -158,3 +159,21 @@ def test_canonical_permutation_properties():
 def test_disjointness_enforced():
     with pytest.raises(ConfigError):
         Pattern.make(4, [1, 2], [2, 3])
+
+
+@pytest.mark.parametrize("dims,periodic", [((5, 6), None), ((4, 4, 3), (True, False, False)),
+                                           ((300, 300), None)])
+def test_in_pattern_matches_vertex_rule_cell_by_cell(dims, periodic):
+    # random colorings with HOLEs at q = 3..5: a one-cell U is in pattern
+    # exactly when its cell's color fits P at its parity; on 300x300 a few
+    # cells stand in for all of them
+    rng = random.Random(sum(dims))
+    G = build_graph(dims, periodic)
+    cells = range(G.n) if G.n < 1000 else rng.sample(range(G.n), 40) + [0, G.n - 1]
+    for q in (3, 4, 5):
+        f = Coloring([rng.randrange(q + 1) for _ in range(G.n)], q)
+        for P in enumerate_dominant(q):
+            assert in_pattern(f, G.empty_set(), P, G)
+            for v in cells:
+                want = vertex_in_pattern(int(f.values[v]), G.parity[v], P)
+                assert in_pattern(f, G.vertex_set([v]), P, G) == want
