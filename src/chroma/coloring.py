@@ -30,6 +30,7 @@ from .errors import ConfigError, InternalInvariantError, PreconditionError
 from .lattice import (
     LatticeGraph,
     VertexSet,
+    _bits_to_ids,
     _pack,
     _unpack,
     boundary_cells,
@@ -39,10 +40,10 @@ from .lattice import (
 from .patterns import (
     Pattern,
     _color_planes,
+    _fits,
     _pattern_cells,
     canonical_permutation,
     in_pattern,
-    vertex_in_pattern,
 )
 from .rng import make_rng
 
@@ -111,8 +112,8 @@ def pure_pattern_sample(
         raise ConfigError("pattern has no even-side colors but U has even cells")
     if not b and U & G.odd:
         raise ConfigError("pattern has no odd-side colors but U has odd cells")
-    cells = np.flatnonzero(_unpack(U))
-    odd = _unpack(G.odd)[cells]
+    cells = np.array(_bits_to_ids(U.bits, U.n), dtype=np.intp)
+    odd = G.odd_flags[cells]
     # one draw per cell in ascending id order, below its side's size
     index = make_rng(seed).integers(0, np.where(odd, len(b), len(a)))
     values = np.full(G.n, HOLE, dtype=np.int16)
@@ -136,7 +137,7 @@ def striped_pattern_coloring(G: LatticeGraph, P: Pattern) -> Coloring:
     if not a or not b:
         raise ConfigError("both pattern sides must be nonempty")
     index = np.arange(1, G.d + 1) @ np.indices(G.dims).reshape(G.d, G.n)
-    odd = _unpack(G.odd)   # an odd cell's color number is offset by |A| into a + b
+    odd = G.odd_flags   # an odd cell's color number is offset by |A| into a + b
     return Coloring(np.array(a + b)[index % np.where(odd, len(b), len(a)) + odd * len(a)], P.q)
 
 
@@ -198,7 +199,8 @@ class RepairPlan:
 
     ``moves`` holds, per region, the ids of its cells, the ids their
     colors land on (one step against the shift for a class-1 part, the
-    cells themselves otherwise) and the bitmap of its internal boundary.
+    cells themselves otherwise) and the bitmap of its internal boundary;
+    ``filling`` holds the ids of S*, the cells a filling must cover.
     """
 
     s: VertexSet
@@ -208,6 +210,7 @@ class RepairPlan:
     shift_axis: int
     shift_dir: int
     moves: tuple[tuple[np.ndarray, np.ndarray, int], ...] = field(compare=False, repr=False)
+    filling: frozenset[int] = field(compare=False, repr=False)
     _canonical: dict = field(default_factory=dict, compare=False, repr=False)
 
     def canonical(self, P: Pattern, p0: Pattern) -> tuple[np.ndarray, np.ndarray]:
@@ -274,7 +277,7 @@ def plan_repair(
     occupied = np.zeros(G.n, dtype=bool)
     moves = []
     for P, region in regions:
-        cells = np.flatnonzero(_unpack(region))
+        cells = np.array(_bits_to_ids(region.bits, G.n), dtype=np.intp)
         dest = cells if P.klass == 0 else step[cells]
         if (dest < 0).any():
             raise PreconditionError(
@@ -284,14 +287,16 @@ def plan_repair(
             )
         occupied[dest] = True
         moves.append((cells, dest, vertex_boundaries(G, region)[0].bits))
+    s_star = VertexSet(_pack(~occupied), G.n)
     plan = G.memo[key] = RepairPlan(
         s=S,
         parts=sorted_parts,
         regions=tuple(regions),
-        s_star=VertexSet(_pack(~occupied), G.n),
+        s_star=s_star,
         shift_axis=shift_axis,
         shift_dir=shift_dir,
         moves=tuple(moves),
+        filling=frozenset(s_star),
     )
     return plan
 
@@ -324,9 +329,9 @@ def repair_transform(
     plan = plan_repair(G, S, parts, shift_axis, shift_dir)
     _check_q(f, p0)
     perms = {P: plan.canonical(P, p0)[0] for P, _ in plan.parts}
-    if set(h) != set(plan.s_star.ids()):
+    if set(h) != plan.filling:
         raise PreconditionError("filling must cover exactly the leftover region")
-    _check_filling(G, h, p0)
+    _check_filling(G, list(h), list(h.values()), p0)
     _check_regions(G, plan, f)
     out = np.zeros(G.n, dtype=np.int16)
     for (P, _), (cells, dest, _) in zip(plan.regions, plan.moves):
@@ -344,12 +349,15 @@ def _check_q(f: Coloring, p0: Pattern) -> None:
         raise PreconditionError("coloring and reference pattern disagree on q")
 
 
-def _check_filling(G: LatticeGraph, h: Mapping[int, int], p0: Pattern) -> None:
-    for v, c in h.items():
-        if not vertex_in_pattern(c, G.odd.bits >> v & 1, p0):
-            raise PreconditionError(
-                f"filling color {c} at vertex {v} violates the reference pattern"
-            )
+def _check_filling(G: LatticeGraph, ids: list[int], colors: list[int], p0: Pattern) -> None:
+    """Every filled cell's color in the reference pattern; the first bad one
+    in the given order is named."""
+    fits = _fits(G, p0, ids, colors)
+    if not fits.all():
+        i = int(np.argmin(fits))
+        raise PreconditionError(
+            f"filling color {colors[i]} at vertex {ids[i]} violates the reference pattern"
+        )
 
 
 def _check_regions(G: LatticeGraph, plan: RepairPlan, f: Coloring) -> None:
@@ -394,9 +402,10 @@ def repair_inverse(
         values[cells] = plan.canonical(P, p0)[1][colors]
     f = Coloring(values, p0.q)
     _check_regions(G, plan, f)
-    repaired = g.values.tolist()
-    h = {v: repaired[v] for v in plan.s_star}
-    _check_filling(G, h, p0)
+    ids = _bits_to_ids(plan.s_star.bits, G.n)
+    colors = g.values[ids].tolist()
+    _check_filling(G, ids, colors, p0)
+    h = dict(zip(ids, colors))
     if not is_proper(g, G):
         raise PreconditionError("repaired coloring is not proper")
     return f, h

@@ -41,7 +41,7 @@ in the atlas's pattern order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .coloring import Coloring
 from .errors import InternalInvariantError, PreconditionError
@@ -49,13 +49,12 @@ from .geometry import _closure_diffs, _lowest
 from .lattice import (
     LatticeGraph,
     VertexSet,
-    _bit_ids,
+    _bits_to_ids,
     _components,
     _edge_maps,
     _expand_bits,
     _fold_slots,
     _grow,
-    _id_list,
     _neighbor_bits,
     _pack_slots,
     _replicate,
@@ -86,14 +85,14 @@ class RegionDecomposition:
         return Atlas(self.graph, dict(self.z_p))
 
     def to_json(self) -> dict:
-        out = {P.text(): _id_list(U) for P, U in sorted(
+        out = {P.text(): list(U) for P, U in sorted(
             self.z_p.items(), key=lambda kv: kv[0].sort_key()
         )}
         return {
             "regions": out,
-            "overlap": _id_list(self.z_overlap),
-            "bad": _id_list(self.z_bad),
-            "defect": _id_list(self.z_star),
+            "overlap": list(self.z_overlap),
+            "bad": list(self.z_bad),
+            "defect": list(self.z_star),
         }
 
 
@@ -114,6 +113,21 @@ def _derived_slots(G: LatticeGraph, regions: int, k: int) -> tuple[int, int, int
     union, overlap = _fold_slots(regions, G.n, k)
     bad = ((1 << G.n) - 1) & ~union
     return overlap, bad, _fold_slots(crossing, G.n, k)[0] | overlap | bad
+
+
+def _irregular(G: LatticeGraph, regions: int, p_odd: int,
+               pats: tuple[Pattern, ...]) -> Iterator[tuple[Pattern, int]]:
+    """(pattern, witness) for each slot of ``regions`` that is not a regular
+    set, in slot order: slot i holds pats[i]'s region, and its P-odd cells in
+    ``p_odd`` are the inside core of its test.  The witness is the one
+    ``regularity_check`` names."""
+    n = G.n
+    in_diff, out_diff = _closure_diffs(G, regions, p_odd, len(pats))
+    if in_diff | out_diff:
+        for i, P in enumerate(pats):
+            witness = _lowest(_slot(in_diff, i, n), _slot(out_diff, i, n))
+            if witness is not None:
+                yield P, witness
 
 
 def decompose(G: LatticeGraph, f: Coloring) -> RegionDecomposition:
@@ -139,13 +153,10 @@ def _decompose(
     # the P-odd cells whose whole neighborhood is in the P-pattern
     core = p_odd & _settled(G, in_pat, k)
     regions = core | _neighbor_bits(G, core, k)
-    in_diff, out_diff = _closure_diffs(G, regions, p_odd, k)
-    if in_diff | out_diff:
-        for i, P in enumerate(pats):
-            if (witness := _lowest(_slot(in_diff, i, n), _slot(out_diff, i, n))) is not None:
-                raise InternalInvariantError(
-                    f"ordered region for {P.text()} is not a regular set (witness vertex {witness})"
-                )
+    for P, witness in _irregular(G, regions, p_odd, pats):
+        raise InternalInvariantError(
+            f"ordered region for {P.text()} is not a regular set (witness vertex {witness})"
+        )
     z_p = {P: VertexSet(_slot(regions, i, n), n) for i, P in enumerate(pats)}
     overlap, bad, star = _derived_slots(G, regions, k)
     return RegionDecomposition(G, z_p, *(VertexSet(x, n) for x in (overlap, bad, star)))
@@ -172,7 +183,7 @@ class Atlas:
         return VertexSet(_derived_sets(self.graph, self.x_p)[2], self.graph.n)
 
     def to_json(self) -> dict:
-        return {P.text(): _id_list(U) for P, U in sorted(
+        return {P.text(): list(U) for P, U in sorted(
             self.x_p.items(), key=lambda kv: kv[0].sort_key()
         )}
 
@@ -329,14 +340,8 @@ def verify_breakup(
     # inside core of its regularity test
     U = _pack_slots((region.bits for region in X.x_p.values()), n)
     in_pat, p_odd = _pattern_slots(G, _color_planes(f), pats)
-    in_diff, out_diff = _closure_diffs(G, U, p_odd, k)
-    if in_diff | out_diff:
-        for i, P in enumerate(pats):
-            witness = _lowest(_slot(in_diff, i, n), _slot(out_diff, i, n))
-            if witness is not None:
-                problems.append(
-                    f"region {P.text()} is not a regular set (witness {witness})"
-                )
+    problems += [f"region {P.text()} is not a regular set (witness {witness})"
+                 for P, witness in _irregular(G, U, p_odd, pats)]
     outside = (G.full_set() - domain).bits   # refuses a domain of another graph
     if p0 not in X.x_p or outside & ~X.x_p[p0].bits:
         problems.append("domain complement is not inside the reference region")
@@ -360,25 +365,25 @@ def verify_breakup(
     for i, P in enumerate(pats):
         member, fits, calm = (_slot(x, i, n) for x in (U, in_pat, settled))
         mismatch, even_out, odd_out, bad_calm, edges = (_slot(x, i, n) for x in clauses)
-        for v in _bit_ids(mismatch):
+        for v in _bits_to_ids(mismatch, n):
             problems.append(
                 f"vertex {v} near the defect set: membership in {P.text()} is "
                 f"{bool(member >> v & 1)} but its neighborhood in-pattern is {bool(calm >> v & 1)}"
             )
-        for v in _bit_ids(even_out):
+        for v in _bits_to_ids(even_out, n):
             problems.append(
                 f"P-even vertex {v} of region {P.text()} near the defect set "
                 "is out of pattern"
             )
-        for v in _bit_ids(odd_out):
+        for v in _bits_to_ids(odd_out, n):
             problems.append(
                 f"non-overlap P-odd vertex {v} of region {P.text()} is out of pattern"
             )
-        for v in _bit_ids(bad_calm):
+        for v in _bits_to_ids(bad_calm, n):
             problems.append(
                 f"bad vertex {v} has its whole neighborhood in the {P.text()} pattern"
             )
-        for u in _bit_ids(edges):
+        for u in _bits_to_ids(edges, n):
             # u's distinct neighbors in ascending order; -1 marks a clipped face
             for v in sorted(set(G.neighbor_table[:, u].tolist()) - {-1}):
                 if member >> v & 1:

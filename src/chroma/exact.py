@@ -31,6 +31,7 @@ from .errors import (
 from .lattice import (
     LatticeGraph,
     VertexSet,
+    _bit_chars,
     boundary_cells,
     boundary_edge_count,
     closed_neighborhood,
@@ -126,11 +127,6 @@ def allowed_masks(
     if masks.count(0) > G.n - len(domain):
         feasible = False
     return masks, feasible
-
-
-def _bit_chars(U: VertexSet) -> str:
-    """U's membership as one "0"/"1" character per vertex id, ascending."""
-    return format(U.bits, f"0{U.n}b")[::-1]
 
 
 # -- backtracking engine -------------------------------------------------------

@@ -56,12 +56,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from .decomposition import Atlas
 
 
-def _core_sets(G: LatticeGraph, parity: str) -> tuple[VertexSet, VertexSet]:
-    """(inside-core parity class, outside-core parity class) for a set kind."""
+def _inside_core(G: LatticeGraph, parity: str) -> VertexSet:
+    """The inside core of a set kind's regularity test: a regular odd set U
+    is (Even cap U)^+, a regular even one (Odd cap U)^+."""
     if parity == "odd":
-        return G.even, G.odd
+        return G.even
     if parity == "even":
-        return G.odd, G.even
+        return G.odd
     raise PreconditionError(f"parity must be 'odd' or 'even', got {parity!r}")
 
 
@@ -81,7 +82,7 @@ def regularity_check(
 def _regularity_witness(G: LatticeGraph, bits: int, parity: str) -> int | None:
     """``regularity_check`` on a raw bitmap: the lowest cell where the first
     failing closure differs from its set, None when the set is regular."""
-    return _lowest(*_closure_diffs(G, bits, _core_sets(G, parity)[0].bits))
+    return _lowest(*_closure_diffs(G, bits, _inside_core(G, parity).bits))
 
 
 def _closure_diffs(G: LatticeGraph, bits: int, inside_core: int, k: int = 1) -> tuple[int, int]:

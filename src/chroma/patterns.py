@@ -19,8 +19,9 @@ the bitmap of every cell whose own color fits a pattern
 (``_pattern_cells``), which breakups and the repair transformation
 read, and which ``_pattern_slots`` gives for several patterns at once,
 one per slot, for the decomposition and the breakup check.
-``in_pattern`` reads only the cells it is asked about, through a table
-of the scalar rule by parity and color.
+``in_pattern`` and the repair's filling check read only the cells they
+are asked about, through one table of the scalar rule by parity and
+color (``_fits``).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Iterable, TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .lattice import _pack_slots, _replicate, _unpack
+from .lattice import _bits_to_ids, _pack_rows, _pack_slots, _replicate
 
 if TYPE_CHECKING:  # pragma: no cover
     from .coloring import Coloring
@@ -224,9 +225,7 @@ def _color_planes(f: "Coloring") -> list[int]:
 
     Built afresh per call: a Coloring's values are mutable.
     """
-    rows = np.packbits(f.values == np.arange(f.q + 1).reshape(-1, 1), axis=1,
-                       bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+    return _pack_rows(f.values == np.arange(f.q + 1).reshape(-1, 1))
 
 
 def _pattern_cells(G: "LatticeGraph", planes: list[int], P: Pattern) -> int:
@@ -265,12 +264,27 @@ def _pattern_slots(G: "LatticeGraph", planes: list[int], pats: tuple[Pattern, ..
 def in_pattern(f: "Coloring", U: "VertexSet", P: Pattern, G: "LatticeGraph") -> bool:
     """True when every vertex of U follows (A, B): evens in A, odds in B.
 
-    Reads the colors and parities of U's cells only, through a table of
-    ``vertex_in_pattern`` by (parity, color)."""
-    ids = np.flatnonzero(_unpack(U))
-    parity = sum(np.unravel_index(ids, G.dims)) % 2
-    fits = np.array([[vertex_in_pattern(c, p, P) for c in range(f.q + 1)] for p in (0, 1)])
-    return bool(fits[parity, f.values[ids]].all())
+    Reads the colors of U's cells only, through ``_fits``."""
+    ids = np.array(_bits_to_ids(U.bits, U.n), dtype=np.intp)
+    return bool(_fits(G, P, ids, f.values[ids]).all())
+
+
+def _fits(G: "LatticeGraph", P: Pattern, ids, colors) -> np.ndarray:
+    """Whether each color fits the P-pattern at its cell, for cells ``ids``:
+    ``vertex_in_pattern`` through ``_fit_table``."""
+    parity = G.odd_flags[np.asarray(ids, dtype=np.intp)].view(np.uint8)
+    colors = np.asarray(colors, dtype=np.intp)
+    return _fit_table(P)[parity, np.minimum(np.maximum(colors, 0), P.q + 1)]
+
+
+@cache
+def _fit_table(P: Pattern) -> np.ndarray:
+    """``vertex_in_pattern`` by (parity, color) for colors 0..q + 1, built
+    once per pattern; colors below 0 and above q read columns 0 and q + 1,
+    where nothing fits."""
+    table = np.array([[vertex_in_pattern(c, p, P) for c in range(P.q + 2)] for p in (0, 1)])
+    table.flags.writeable = False
+    return table
 
 
 def canonical_permutation(P: Pattern, P0: Pattern) -> dict[int, int]:

@@ -78,6 +78,7 @@ from .exact import Constraint, allowed_masks, enumerate_colorings
 from .lattice import (
     LatticeGraph,
     VertexSet,
+    _bits_to_ids,
     _grow,
     _pack,
     _split_components,
@@ -351,7 +352,7 @@ def _layout(G: LatticeGraph, domain: VertexSet, p0: Pattern | None, q: int) -> _
     n = G.n
     ids = np.arange(n)
     inside = _unpack(domain)
-    odd = _unpack(G.odd)
+    odd = G.odd_flags
     halves = [ids[inside & ~odd], ids[inside & odd]]
     cells = np.concatenate(halves + [ids[~inside]])
     n_scan = int(inside.sum())
@@ -598,7 +599,7 @@ def _cluster_move(row: np.ndarray, slot: np.ndarray, q: int, G: LatticeGraph,
         heads |= comp & -comp
     if not heads:
         return
-    ids = _unpack(VertexSet(heads, G.n)).nonzero()[0]   # ascending
+    ids = np.array(_bits_to_ids(heads, G.n), dtype=np.intp)   # ascending
     chosen = rng.random(len(ids)) < 0.5
     row[slot[ids[chosen]]] ^= m
     rest = 0
@@ -698,7 +699,7 @@ def run_experiment(cfg: ChainConfig, threads: int = 1) -> OrderStats:
 
     order = np.argsort(kernel.cells[:n_scan])   # scan cells in ascending id order
     ids = kernel.cells[order]
-    odd = _unpack(G.odd)[ids]
+    odd = G.odd_flags[ids]
     occ = occ.reshape(2, n_scan, q)[:, order]
     sides = np.where(odd, p0.side_for_parity(1), p0.side_for_parity(0))
     viol = (occ * ((sides[:, None] >> np.arange(q)) & 1 == 0)).sum(axis=2)

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError, InternalInvariantError
 from .geometry import (
     _lowest_edge,
@@ -33,6 +31,7 @@ from .geometry import (
 from .lattice import (
     LatticeGraph,
     VertexSet,
+    _bits_to_ids,
     _edge_maps,
     _pack,
     _sublattice_identity,
@@ -69,8 +68,8 @@ def random_subset(G: LatticeGraph, rng, cells: VertexSet, p: float = 0.35) -> Ve
 
 def _pick(rng, cells: VertexSet) -> int:
     """A uniform cell of a nonempty set: one integer draw over its ids in order."""
-    ids = np.flatnonzero(_unpack(cells))
-    return int(ids[int(rng.integers(0, len(ids)))])
+    ids = _bits_to_ids(cells.bits, cells.n)
+    return ids[int(rng.integers(0, len(ids)))]
 
 
 def random_connected_set(G: LatticeGraph, rng, size: int, avoid: VertexSet | None = None) -> VertexSet:
