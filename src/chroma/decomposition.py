@@ -19,9 +19,9 @@ with the unique pattern that surrounds them.
 All of it is algebra on raw ``int`` bitmaps over the lattice's shift
 tables: pattern cells from the color planes, settled cores and closures
 as neighborhood shifts, each region's vertex boundary as the OR of its
-edge maps, components grown bit-parallel.  A ``VertexSet`` is made only
-where a public function returns one or an atlas or decomposition field
-holds one.
+edge maps, components grown bit-parallel (those meeting V as one
+flood).  A ``VertexSet`` is made only where a public function returns
+one or an atlas or decomposition field holds one.
 
 Every pattern is handled at once.  With k patterns, one ``int`` holds
 pattern i's bitmap in slot i (bits i*n .. i*n+n-1), and the shift masks,
@@ -50,7 +50,6 @@ from .lattice import (
     LatticeGraph,
     VertexSet,
     _bits_to_ids,
-    _components,
     _edge_maps,
     _expand_bits,
     _fold_slots,
@@ -59,8 +58,8 @@ from .lattice import (
     _pack_slots,
     _replicate,
     _slot,
+    _split_components,
     boundary_edge_count,
-    connected_components,
     diam_star,
 )
 from .patterns import Pattern, _color_planes, _dominant, _pattern_cells, _pattern_slots
@@ -272,7 +271,8 @@ def construct_breakup(
     z_star = Z.z_star.bits
     B = seen_from(G, Z.z_star, V, radius).bits
     x_p = {P: U & B for P, U in regions.items()}
-    for hole in _components(G, full & ~B):
+    isolated, grown = _split_components(G, full & ~B)
+    for hole in grown + [1 << v for v in _bits_to_ids(isolated, G.n)]:
         ring = _expand_bits(G, hole, radius) & ~hole
         if not ring:
             owner = p0
@@ -417,15 +417,13 @@ def bp_components(
     """In-pattern core of the P-region and the defect components meeting V.
 
     bar Z_P keeps only the region vertices that are themselves in the
-    P-pattern; the components of its complement are taken under
-    distance-2 adjacency and only those meeting V are returned, together
-    with their total diameter score.
+    P-pattern; the components of its complement under distance-2
+    adjacency that meet V are returned as one flood from V's cells in
+    it, together with their total diameter score.
     """
     planes = _color_planes(f)
     Z = _decompose(G, planes, f.q, [P])
     bar = VertexSet(Z.z_p[P].bits & _pattern_cells(G, planes, P), G.n)
-    b_p = G.empty_set()
-    for comp in connected_components(G, bar.complement(), power=2):
-        if not comp.isdisjoint(V):
-            b_p = b_p | comp
+    rest = bar.complement()
+    b_p = VertexSet(_grow(G, rest.bits, (rest & V).bits, 2), G.n)
     return BPResult(bar, b_p, diam_star(G, b_p))

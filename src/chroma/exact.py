@@ -43,7 +43,6 @@ from .patterns import Pattern
 @dataclass(frozen=True)
 class CountResult:
     count: int
-    log_count_per_site: float
     method: str
 
     def to_json(self, instance: Mapping | None = None) -> dict:
@@ -479,13 +478,12 @@ def _count_masked(
         if all(G.periodic):
             raise PreconditionError("transfer counting needs a non-periodic axis")
     if not feasible:
-        return CountResult(0, float("-inf"), method)
+        return CountResult(0, method)
     if method == "transfer":
         total = _transfer(G, masks, q, state_budget)
     else:
         total = _count_backtrack(G, domain, masks, q, state_budget)
-    log_per_site = math.log(total) / max(len(domain), 1) if total else float("-inf")
-    return CountResult(total, log_per_site, method)
+    return CountResult(total, method)
 
 
 def transfer_count(
@@ -694,10 +692,10 @@ class HtopPoint:
 def htop_estimate(q: int, boxes: Iterable[Iterable[int]]) -> list[HtopPoint]:
     """Per-torus log(count)/sites for free colorings, with the pure-pattern bound.
 
-    Every box is a torus.  On even-sided tori the density can never fall
-    below log(floor(q/2) * ceil(q/2)) / 2, witnessed by the pure pattern
-    colorings themselves; the bound is checked there and only reported on
-    tori with an odd side.
+    Every box is a torus, so every side is even (the graph refuses an odd
+    periodic axis with a ConfigError).  The density can never fall below
+    log(floor(q/2) * ceil(q/2)) / 2, witnessed by the pure pattern
+    colorings themselves, and a torus below it raises.
     """
     bound = 0.5 * math.log((q // 2) * ((q + 1) // 2))
     out = []
@@ -706,12 +704,10 @@ def htop_estimate(q: int, boxes: Iterable[Iterable[int]]) -> list[HtopPoint]:
         G = LatticeGraph(dims, (True,) * len(dims))
         count = count_colorings(G, G.full_set(), q).count
         log_per_site = math.log(count) / G.n if count else float("-inf")
-        binding = all(x % 2 == 0 for x in dims)
-        meets = (not binding) or log_per_site >= bound - 1e-12
-        if binding and not meets:
+        if log_per_site < bound - 1e-12:
             raise PreconditionError(
                 f"torus {dims} fell below the pure-pattern entropy bound"
             )
-        out.append(HtopPoint(dims, count, log_per_site, bound, meets))
+        out.append(HtopPoint(dims, count, log_per_site, bound, True))
     return out
 

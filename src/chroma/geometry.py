@@ -10,7 +10,8 @@ that in turn lets a small vertex set separate an entire collection of
 regions.  Separating sets are upgraded to weak approximations (known
 inside / known outside / small unknown fringe) and those are what a
 coarse-graining enumeration would store instead of the regions
-themselves.
+themselves; the fringe is W plus the small components of W^c, and each
+known part is its set less the fringe.
 
 Every boundary test here is set algebra over per-direction edge maps
 (``lattice._edge_maps`` and ``lattice._boundary_maps``): boundary-edge
@@ -41,6 +42,7 @@ from .lattice import (
     _images,
     _ladder,
     _neighbor_bits,
+    _split_components,
     boundary_edge_count,
     closed_neighborhood,
     connected_components,
@@ -381,46 +383,33 @@ def weak_approximation(
 ) -> WeakApproximation:
     """Coarse description of a collection from a separating set W.
 
-    Components of the complement of W larger than d are known: each lies
-    entirely inside or outside every set of the collection.  The fringe
-    is W plus the small components.  The containment sandwich
-    known_i <= S_i <= known_i + fringe always holds and is asserted, as
-    is fringe inside W^+; a small pocket outside W^+ with a cell below
-    full degree (at the rim, say) is refused as a precondition.  The 3|W|
-    size bound is reported (cramped box corners can break the
-    isoperimetry behind it).
+    W separates the collection when every boundary edge of every set has
+    an end in W, so each component of the complement of W lies entirely
+    inside or outside every set.  The fringe is W plus the small
+    components, of at most d cells: the isolated cells of W^c and the
+    grown components that small.  Every other cell is known, so known_i
+    is S_i less the fringe and the containment sandwich known_i <= S_i <=
+    known_i + fringe holds by construction.  The fringe must lie inside
+    W^+; a small pocket outside W^+ with a cell below full degree (at the
+    rim, say) is refused as a precondition.  The 3|W| size bound is
+    reported (cramped box corners can break the isoperimetry behind it).
     """
-    comps = connected_components(G, W.complement())
-    for S in collection.sets:
-        for comp in comps:
-            inside = comp & S
-            if inside and inside != comp:
-                u = inside.min_id()
-                w = (comp - S).min_id()
-                raise PreconditionError(
-                    f"W does not separate the collection: component containing "
-                    f"{u} (inside) and {w} (outside) crosses a boundary"
-                )
-    known = []
-    small = G.empty_set()
-    for comp in comps:
-        if len(comp) <= G.d:
-            small = small | comp
-    for S in collection.sets:
-        k = G.empty_set()
-        for comp in comps:
-            if len(comp) > G.d and comp.issubset(S):
-                k = k | comp
-        known.append(k)
+    missed = _unseparated(G, _boundary_maps(G, collection.sets), W.bits)
+    if any(missed):
+        raise PreconditionError(
+            f"W does not separate the collection: boundary edge {_lowest_edge(G, missed)} "
+            "has neither end in W"
+        )
+    isolated, grown = _split_components(G, W.complement().bits)
+    small = VertexSet(reduce(or_, (c for c in grown if c.bit_count() <= G.d), isolated), G.n)
     fringe = W | small
-    for S, k in zip(collection.sets, known):
-        if not k.issubset(S) or not S.issubset(k | fringe):
-            raise InternalInvariantError("weak approximation sandwich failed")
+    known = [S - fringe for S in collection.sets]
     escaped = fringe - closed_neighborhood(G, W)
     if escaped:
         # a pocket of at most d full-degree cells has a neighbor in W at
         # every cell, so only a pocket clipped below full degree can escape
-        if all(comp.bits & ~_full_degree(G) for comp in comps if comp & escaped):
+        pockets = connected_components(G, small)
+        if all(comp.bits & ~_full_degree(G) for comp in pockets if comp & escaped):
             raise PreconditionError(
                 f"fringe cell {escaped.min_id()} lies outside W^+ in a pocket "
                 "below full degree; the bound needs full-degree cells"

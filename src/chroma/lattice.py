@@ -21,9 +21,13 @@ shift up by the axis stride and those off the low face shift down, and
 on a periodic axis each face also shifts onto the opposite one.  Vertex
 boundaries, closed neighborhoods, expansions, components and diameters
 are all set algebra over N(.): a diameter counts the neighborhood steps
-each cell's ball takes to cover the set, and at power 1 the isolated
-cells of a set are its singleton components, taken in one step.  Each
-shift is tagged with the direction it steps, so the same shifts give a
+each cell's ball takes to cover the set, and a component is a flood of
+N(.) from a seed.  At power 1 the isolated cells of a set are its
+singleton components, taken in one step as one bitmap.  Only
+``connected_components`` lists components one bitmap each: the union of
+the components meeting a seed set is one flood, and the small ones are
+read from the isolated cells and the grown components.  Each shift is
+tagged with the direction it steps, so the same shifts give a
 set's image per direction; counting images gives N_t(U).  A set's *edge maps* hold, per direction
 j, the cells whose edge along j crosses the set's boundary (both ends of
 each edge are flagged); with the opposite of each direction they give
@@ -589,17 +593,12 @@ def _split_components(G: LatticeGraph, bits: int, power: int = 1) -> tuple[int, 
     return isolated, grown
 
 
-def _components(G: LatticeGraph, bits: int, power: int = 1) -> list[int]:
-    """Components of a bitmap under distance-<=power adjacency, by smallest id."""
-    isolated, comps = _split_components(G, bits, power)
-    comps += [1 << v for v in _bits_to_ids(isolated, G.n)]
-    comps.sort(key=lambda comp: comp & -comp)   # by lowest id
-    return comps
-
-
 def connected_components(G: LatticeGraph, U: VertexSet, power: int = 1) -> list[VertexSet]:
     """Components of U under distance-<=power adjacency, by smallest id."""
-    return [VertexSet(comp, G.n) for comp in _components(G, U.bits, power)]
+    isolated, comps = _split_components(G, U.bits, power)
+    comps += [1 << v for v in _bits_to_ids(isolated, G.n)]
+    comps.sort(key=lambda comp: comp & -comp)   # by lowest id
+    return [VertexSet(comp, G.n) for comp in comps]
 
 
 def is_connected(G: LatticeGraph, U: VertexSet) -> bool:
@@ -608,14 +607,19 @@ def is_connected(G: LatticeGraph, U: VertexSet) -> bool:
 
 
 def component_of(G: LatticeGraph, U: VertexSet, v: int) -> VertexSet:
-    """Component of v within U (empty if v is outside U)."""
+    """Component of v within U (empty if v is outside U); an id outside
+    [0, n) is a ConfigError."""
+    v = operator.index(v)
+    if not 0 <= v < G.n:
+        raise ConfigError(f"vertex id {v} outside ambient range [0, {G.n})")
     if v not in U:
         return G.empty_set()
     return VertexSet(_grow(G, U.bits, 1 << v, 1), G.n)
 
 
 def co_connected_closure(G: LatticeGraph, U: VertexSet, v: int) -> VertexSet:
-    """Complement of the component of v in U^c; the full set when v is in U."""
+    """Complement of the component of v in U^c; the full set when v is in U
+    (an id outside [0, n) is refused by ``component_of``)."""
     if v in U:
         return G.full_set()
     return component_of(G, U.complement(), v).complement()

@@ -120,6 +120,34 @@ def flood_components(dims, periodic, members: set[int], power: int = 1):
     return comps
 
 
+def weak_approximation(dims, periodic, W: set[int], sets: list[set[int]]):
+    """(known, fringe) of a collection from W, component by component.
+
+    Lists every component of W^c by BFS.  When one of them has cells both
+    inside and outside some set, raises ValueError naming the lowest edge
+    (u, v), u < v, that crosses a set's boundary with neither end in W.
+    Otherwise the fringe is W plus the components of at most d cells, and
+    set i is known on the larger components inside it; a fringe cell with
+    no neighbor in W raises ValueError naming the lowest such cell.
+    """
+    n = 1
+    for x in dims:
+        n *= x
+    comps = flood_components(dims, periodic, set(range(n)) - W)
+    if any(comp & S and comp - S for S in sets for comp in comps):
+        edge = min((u, v) for u, v in all_edges(dims, periodic)
+                   if u not in W and v not in W and any((u in S) != (v in S) for S in sets))
+        raise ValueError(f"boundary edge {edge}")
+    small = set().union(*(comp for comp in comps if len(comp) <= len(dims)))
+    fringe = W | small
+    near = W | {u for w in W for u in neighbors_of(dims, periodic, w)}
+    if fringe - near:
+        raise ValueError(f"fringe cell {min(fringe - near)}")
+    known = [set().union(*(comp for comp in comps if len(comp) > len(dims) and comp <= S))
+             for S in sets]
+    return known, fringe
+
+
 def brute_force_count(dims, periodic, domain: list[int], q: int,
                       allowed: dict[int, set[int]] | None = None,
                       chunk: int = 1 << 18) -> int:

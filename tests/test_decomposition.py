@@ -28,6 +28,7 @@ from chroma.patterns import (
 )
 from chroma.rng import make_rng
 from chroma.sampler import heat_bath_sweep
+from chroma.suites import random_subset
 
 import oracles
 from test_lattice import SHIFT_GRAPHS
@@ -353,6 +354,37 @@ def test_bp_components():
     res3 = bp_components(G, f2, far, p0)
     if (0 in res2.b_p) is False:
         assert G.vid((0, 0)) in res3.b_p or not res3.b_p or res3.diam_star >= 0
+
+
+@pytest.mark.parametrize("dims,periodic,q", [((14, 14), None, 3), ((6, 6, 6), None, 4),
+                                             ((10, 10), (True, False), 5),
+                                             ((16, 2), (False, True), 3)])
+def test_bp_components_match_flood_oracle(dims, periodic, q):
+    # b_p is the union of the distance-2 components of bar Z_P's complement
+    # that meet V, each listed by BFS; droplets (as in droplet_coloring) at
+    # sparse random even centers leave several components, some missing V
+    G = build_graph(dims, periodic)
+    p0 = p0_for(q)
+    rng = make_rng(9)
+    seen = set()
+    for _ in range(3):
+        f = striped_pattern_coloring(G, p0)
+        centers = random_subset(G, rng, G.even, 0.04)
+        for center in centers:
+            for u in G.neighbors[center]:
+                f.values[u] = p0.b[0]
+            f.values[center] = p0.b[1]
+        assert is_proper(f, G)
+        for P in enumerate_dominant(q):
+            V = G.vertex_set(int(v) for v in rng.integers(0, G.n, int(rng.integers(1, 3))))
+            V = V | G.vertex_set(list(centers)[:1])
+            res = bp_components(G, f, V, P)
+            rest = set(res.bar_z_p.complement().ids())
+            comps = oracles.flood_components(dims, periodic or (False,) * len(dims), rest, 2)
+            want = set().union(*(comp for comp in comps if comp & set(V.ids())))
+            assert set(res.b_p.ids()) == want
+            seen.add((len(comps) > 1, bool(want), want != rest))
+    assert (True, True, True) in seen
 
 
 def test_randomized_construct_verify_small():

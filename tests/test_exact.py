@@ -373,6 +373,11 @@ def test_htop_torus_example_and_bound():
         assert pt.log_per_site >= bound - 1e-12
 
 
+def test_htop_refuses_an_odd_torus_side():
+    with pytest.raises(ConfigError, match="periodic axis 0 has odd length 3"):
+        htop_estimate(3, [(3, 4)])
+
+
 def test_counts_are_reported_as_strings_in_json():
     G = build_graph([2, 2])
     res = count_colorings(G, G.full_set(), 3)

@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 from functools import reduce
 from operator import or_
 
@@ -26,6 +28,7 @@ from chroma.geometry import (
     weak_approximation,
 )
 from chroma.lattice import (
+    LatticeGraph,
     VertexSet,
     _boundary_maps,
     _images,
@@ -40,7 +43,7 @@ from chroma.lattice import (
 )
 from chroma.patterns import Pattern
 from chroma.rng import make_rng
-from chroma.suites import random_regular_odd_set
+from chroma.suites import random_regular_odd_set, random_subset
 
 import oracles
 from test_lattice import SHIFT_GRAPHS, oracle_samples
@@ -393,6 +396,78 @@ def test_weak_approximation_full_degree_escape_is_internal(monkeypatch):
     monkeypatch.setattr(geometry, "closed_neighborhood", lambda G, U: U)
     with pytest.raises(InternalInvariantError):
         weak_approximation(G, W, coll)
+
+
+WEAK_GRAPHS = [((12, 12), (False, False)), ((9, 7), (False, False)), ((10, 8), (True, True)),
+               ((10, 2), (False, True)), ((2, 8), (True, True)),
+               ((8, 4, 2), (False, True, True)), ((1, 9), (False, False))]
+
+
+@pytest.mark.parametrize("dims,periodic", WEAK_GRAPHS)
+def test_weak_approximation_matches_component_oracle(dims, periodic):
+    # W is a separator plus random extra cells, the odd cells, the sets'
+    # inner boundaries, a separator less one cell, or random; the oracle
+    # lists every component of W^c and tests each against each set
+    G = build_graph(dims, periodic)
+    rng = make_rng(41)
+    outcomes = set()
+    for _ in range(6):
+        if G.dims[0] == 1:   # too thin for a padded set: a short segment
+            sets = [G.vertex_set(range(int(rng.integers(1, 4)) * 2))]
+        else:
+            sets = [random_regular_odd_set(G, rng, core_depth=2, p=p)
+                    for p in rng.choice([0.1, 0.7], int(rng.integers(1, 3)))]
+        coll = OddSetCollection(G, sets, "odd")
+        sep = separating_set(coll, s=1, t=1).separator
+        inner = reduce(or_, (vertex_boundaries(G, S)[0] for S in sets))
+        candidates = [sep | random_subset(G, rng, G.full_set(), 0.1), G.odd,
+                      inner | random_subset(G, rng, G.full_set(), 0.05),
+                      random_subset(G, rng, G.full_set(), 0.5)]
+        if sep:
+            candidates.append(sep - G.vertex_set([sep.min_id()]))
+        for W in candidates:
+            try:
+                known, fringe = oracles.weak_approximation(
+                    dims, periodic, set(W.ids()), [set(S.ids()) for S in sets])
+            except ValueError as exc:
+                outcomes.add(str(exc).split()[0])
+                with pytest.raises(PreconditionError, match=re.escape(str(exc))):
+                    weak_approximation(G, W, coll)
+                continue
+            outcomes.add("known" if any(known) else "ok")
+            weak = weak_approximation(G, W, coll)
+            assert [set(k.ids()) for k in weak.known] == known
+            assert set(weak.fringe.ids()) == fringe
+            assert weak.fringe_bound_ok == (len(fringe) <= 3 * len(W))
+    assert {"ok", "known", "boundary"} <= outcomes
+    assert ("fringe" in outcomes) == (G.dims[0] == 1)
+
+
+def test_weak_approximation_names_lowest_unseparated_edge():
+    # the plus at 24 on 7 x 7 has boundary edges (10,17), (16,17), (17,18),
+    # ...; with 10 in W the lowest one left with neither end in W is (16,17)
+    G = build_graph([7, 7])
+    coll = OddSetCollection(G, [plus_at(G, (3, 3))], "odd")
+    with pytest.raises(PreconditionError,
+                       match=r"boundary edge \(16, 17\) has neither end in W"):
+        weak_approximation(G, G.vertex_set([10]), coll)
+    with pytest.raises(PreconditionError, match=r"boundary edge \(10, 17\)"):
+        weak_approximation(G, G.empty_set(), coll)
+
+
+def test_weak_approximation_memory_is_linear_in_cells():
+    # W = the odd cells of 200 x 200 leaves 20 000 singleton pockets; listing
+    # them one n-bit bitmap each peaked at 103 MiB traced
+    G = LatticeGraph((200, 200))
+    coll = OddSetCollection(G, [plus_at(G, (100, 100)), plus_at(G, (50, 60))], "odd")
+    tracemalloc.start()
+    try:
+        weak = weak_approximation(G, G.odd, coll)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert weak.fringe == G.full_set() and not any(weak.known)
+    assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def _droplet_breakup(G, q=3):

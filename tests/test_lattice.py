@@ -523,9 +523,20 @@ def test_membership_outside_the_ambient_range_is_false():
     with pytest.raises(PreconditionError, match="vertex -1 is outside the domain"):
         exact_marginal(G, D, 3, -1)
     W = G.vertex_set([4])
-    assert component_of(G, W, -1) == G.empty_set()
-    assert co_connected_closure(G, W, -2) == G.full_set()
+    with pytest.raises(ConfigError, match=r"vertex id -1 outside ambient range \[0, 9\)"):
+        component_of(G, W, -1)
+    with pytest.raises(ConfigError, match=r"vertex id -2 outside ambient range \[0, 9\)"):
+        co_connected_closure(G, W, -2)
     assert component_of(G, W, np.int64(4)) == W
+
+
+@pytest.mark.parametrize("v", [9, 10**30, np.int64(-1), np.int64(9)])
+def test_component_queries_refuse_ids_outside_the_box(v):
+    G = build_graph([3, 3])
+    W = G.vertex_set([4])
+    for query in (component_of, co_connected_closure):
+        with pytest.raises(ConfigError, match=rf"vertex id {int(v)} outside ambient range"):
+            query(G, W, v)
 
 
 def test_id_listings_are_linear_on_a_large_box():
