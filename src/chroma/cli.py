@@ -174,20 +174,28 @@ def _graph_from(cfg: Mapping[str, Any]) -> LatticeGraph:
     return LatticeGraph(cfg["dims"], cfg.get("periodic"))
 
 
+# the config fields each constraint kind reads: each must be given, and no other
+_CONSTRAINT_FIELDS = {"free": (), "pattern": ("pattern",), "pins": ("pins",)}
+
+
 def _constraint_from(cfg: Mapping[str, Any], q: int) -> Constraint:
     kind = cfg.get("constraint", "free")
+    if kind not in _CONSTRAINT_FIELDS:
+        raise ConfigError(f"unknown constraint kind {kind!r}")
+    reads = _CONSTRAINT_FIELDS[kind]
+    for field in ("pattern", "pins"):
+        if field in cfg and field not in reads:
+            raise ConfigError(f"field {field!r} is not read by constraint {kind!r}")
+    _require(cfg, *reads)
     if kind == "free":
         return Constraint.free()
     if kind == "pattern":
-        _require(cfg, "pattern")
         return Constraint.pattern_boundary(Pattern.parse(q, cfg["pattern"]))
-    if kind == "pins":
-        try:   # _validate has checked the colors; the keys are JSON strings
-            pins = {int(k): v for k, v in cfg.get("pins", {}).items()}
-        except ValueError as exc:
-            raise ConfigError(f"pins must map vertex ids to colors: {exc}") from exc
-        return Constraint.pinned(pins)
-    raise ConfigError(f"unknown constraint kind {kind!r}")
+    try:   # _validate has checked the colors; the keys are JSON strings
+        pins = {int(k): v for k, v in cfg["pins"].items()}
+    except ValueError as exc:
+        raise ConfigError(f"pins must map vertex ids to colors: {exc}") from exc
+    return Constraint.pinned(pins)
 
 
 def _center_vertex(G: LatticeGraph) -> int:

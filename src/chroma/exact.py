@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -146,30 +147,41 @@ def _count_backtrack(
     still take color c + 1.  A connected component of unassigned cells
     branches on its first cell; each color knocks itself out of the cell's
     neighbors, and the cells left split into connected components whose
-    counts multiply.  Every component of three or more cells is cached
-    under its color bitsets in sorted order: relabeling the colors does
-    not change the count, and the union of the bitsets still fixes the
-    component's cells, since no cell's mask is empty.  So the residual
-    subproblems that the fixed order repeats are counted once, up to a
-    permutation of the colors (component caching, as in the #SAT solvers
-    of Sang et al. 2004 and Thurley's sharpSAT 2006).  Along the longest axis the boundary between assigned
-    and free cells stays a small cross-section, which keeps the distinct
-    residuals few.  The cache holds at most ``budget`` entries.
+    counts multiply.  Colors whose bitsets within the component are equal
+    form a class: swapping two of them maps the colorings with the first
+    cell in one onto those with it in the other, so the search branches
+    once per class and weighs that branch by the class's size
+    (interchangeable values, Freuder 1991).  At the root of a free count
+    all q colors are one class.  Every component of three or more cells
+    is cached under its color bitsets in sorted order: relabeling the
+    colors does not change the count, and the union of the bitsets still
+    fixes the component's cells, since no cell's mask is empty.  So the
+    residual subproblems that the fixed order repeats are counted once, up
+    to a permutation of the colors (component caching, as in the #SAT
+    solvers of Sang et al. 2004 and Thurley's sharpSAT 2006).  Along the
+    longest axis the boundary between assigned and free cells stays a
+    small cross-section, which keeps the distinct residuals few.  The
+    cache holds at most ``budget`` entries.
 
     Every mask is nonempty on entry; the count is exact.
     """
     cells = list(domain)
     if not cells:
         return 1
-    coords = [G.coords(v) for v in cells]
-    spans = [max(col) - min(col) for col in zip(*coords)]
+    at = G.coordinates
+    spans = [max(col) - min(col) for col in zip(*[at[v] for v in cells])]
     axes = sorted(range(G.d), key=spans.__getitem__, reverse=True)
-    order = [v for _, v in sorted(zip(([c[a] for a in axes] for c in coords), cells))]
+    if axes == sorted(axes):
+        order = cells  # ascending ids already run in lattice order
+    else:
+        by_axes = itemgetter(*axes)
+        order = sorted(cells, key=lambda v: by_axes(at[v]))
     rank = {v: i for i, v in enumerate(order)}
+    neighbors = G.neighbors
     nbr = []
     for v in order:
         bits = 0
-        for u in G.neighbors[v]:
+        for u in neighbors[v]:
             r = rank.get(u)
             if r is not None:
                 bits |= 1 << r
@@ -194,7 +206,7 @@ def _count_backtrack(
             free ^= comp
         return parts
 
-    def count(comp: int, sets: tuple[int, ...]) -> int:
+    def count(comp: int, sets: list[int]) -> int:
         low = comp & -comp
         if low == comp:
             return sum(1 for s in sets if s & low)
@@ -220,11 +232,17 @@ def _count_backtrack(
         if parts is None:
             parts = splits[rest] = split(rest)
         around = nbr[low.bit_length() - 1] & rest
+        left = [t & rest for t in sets]
         total = 0
         for c, s in enumerate(sets):
             if not s & low:
                 continue
-            sub = [t & rest for t in sets]
+            # colors with equal bitsets are interchangeable: the first of
+            # each class branches, for every color in the class
+            weight = sets.count(s)
+            if weight > 1 and sets.index(s) < c:
+                continue
+            sub = left.copy()
             sub[c] &= ~around
             alive = 0
             for t in sub:
@@ -232,11 +250,11 @@ def _count_backtrack(
             if around & ~alive:
                 continue
             if len(parts) == 1:
-                total += count(rest, tuple(sub))
+                total += weight * count(rest, sub)
                 continue
-            product = 1
+            product = weight
             for part in parts:
-                product *= count(part, tuple(t & part for t in sub))
+                product *= count(part, [t & part for t in sub])
                 if not product:
                     break
             total += product
@@ -247,16 +265,18 @@ def _count_backtrack(
             )
         return total
 
-    sets = [0] * q
+    cells_by_mask: dict[int, int] = {}
     for i, v in enumerate(order):
-        mask = masks[v]
+        cells_by_mask[masks[v]] = cells_by_mask.get(masks[v], 0) | 1 << i
+    sets = [0] * q
+    for mask, bits in cells_by_mask.items():
         for c in range(q):
             if mask >> c & 1:
-                sets[c] |= 1 << i
+                sets[c] |= bits
     total = 1
     try:
         for part in split((1 << m) - 1):
-            total *= count(part, tuple(t & part for t in sets))
+            total *= count(part, [t & part for t in sets])
     except RecursionError:
         raise ResourceLimitError(
             f"a {m}-cell domain is too deep for the counting search"
@@ -517,10 +537,10 @@ def count_colorings(
     the whole box, a non-periodic axis exists and the box has more than 16
     cells, otherwise the component-caching counter.  With its profiles
     keyed up to color relabelling the transfer engine is ahead on every
-    whole box tried (free q=3, process time, best of three runs on a
-    2-core machine, transfer against counter: 7x7 0.003 s against 0.009 s,
-    3x3x3 0.0025 s against 0.004 s, 8x12 0.010 s against 0.041 s, 10x12
-    0.048 s against 0.21 s, 12x12 0.29 s against 1.15 s).  Its cost is
+    whole box tried (free q=3, process time, best of ten runs on a shared
+    2-core machine, transfer against counter: 7x7 0.003 s against 0.012 s,
+    3x3x3 0.0026 s against 0.0053 s, 8x12 0.014 s against 0.050 s, 10x12
+    0.045 s against 0.19 s, 12x12 0.27 s against 0.96 s).  Its cost is
     set by the cross-section, the counter's by a cache that the budget
     caps.  state_budget caps the transfer engine's live canonical
     profiles and the counter's cache entries; passing it raises
@@ -555,17 +575,35 @@ def exact_marginal(
     v: int,
     constraint: Constraint | None = None,
 ) -> ExactMarginal:
-    """Exact color distribution at v under the constrained uniform measure."""
+    """Exact color distribution at v under the constrained uniform measure.
+
+    Colors c and c' are alike when every cell's mask under the constraint
+    with v's own pin dropped holds both or neither: swapping them maps the
+    colorings with v pinned to c onto those with v pinned to c'.  So one
+    pinned count is made per class of alike colors, and its probability
+    is shared by the class.  (v's pin is dropped first: kept, it leaves v
+    allowing one color only, and colors that a pattern boundary treats
+    differently at v could then look alike.)
+    """
     if v not in domain:
         raise PreconditionError(f"vertex {v} is outside the domain")
     constraint = constraint or Constraint.free()
     total = count_colorings(G, domain, q, constraint).count
     if total == 0:
         raise UndefinedMeasureError("no proper coloring satisfies the constraint")
+    others = Constraint(
+        constraint.kind, constraint.pattern, tuple((u, c) for u, c in constraint.pins if u != v)
+    )
+    distinct = set(allowed_masks(G, domain, q, others)[0])
+    by_class: dict[tuple[int, ...], Fraction] = {}
     probs = []
     for c in range(1, q + 1):
-        pinned = count_colorings(G, domain, q, constraint.with_pin(v, c)).count
-        probs.append(Fraction(pinned, total))
+        column = tuple(m >> c - 1 & 1 for m in distinct)
+        prob = by_class.get(column)
+        if prob is None:
+            pinned = count_colorings(G, domain, q, constraint.with_pin(v, c)).count
+            prob = by_class[column] = Fraction(pinned, total)
+        probs.append(prob)
     if sum(probs) != 1:
         raise PreconditionError("marginal slices do not add up; inconsistent pins?")
     return ExactMarginal(v, tuple(probs))
@@ -686,7 +724,6 @@ class HtopPoint:
     count: int
     log_per_site: float
     lower_bound: float
-    meets_bound: bool
 
 
 def htop_estimate(q: int, boxes: Iterable[Iterable[int]]) -> list[HtopPoint]:
@@ -708,6 +745,6 @@ def htop_estimate(q: int, boxes: Iterable[Iterable[int]]) -> list[HtopPoint]:
             raise PreconditionError(
                 f"torus {dims} fell below the pure-pattern entropy bound"
             )
-        out.append(HtopPoint(dims, count, log_per_site, bound, True))
+        out.append(HtopPoint(dims, count, log_per_site, bound))
     return out
 

@@ -51,6 +51,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import product
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -300,6 +301,11 @@ class LatticeGraph:
         ordered.sort(axis=0)
         clipped = (ordered < 0).sum(axis=0)
         return [tuple(col[k:]) for col, k in zip(ordered.T.tolist(), clipped.tolist())]
+
+    @cached_property
+    def coordinates(self) -> list[tuple[int, ...]]:
+        """Each cell's coordinates, by vertex id: ``coords`` of every cell."""
+        return list(product(*map(range, self.dims)))  # row-major: the last axis varies fastest
 
     @cached_property
     def degree(self) -> list[int]:

@@ -510,3 +510,30 @@ def test_box_over_cell_limit_exit_two(command, tmp_path, capsys):
     assert code == 2
     assert captured.err.startswith("resource error:") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["exact-count", "marginal"])
+@pytest.mark.parametrize("extra, message", [
+    (["--pins", '{"0": 1}'], "field 'pins' is not read by constraint 'free'"),
+    (["--pattern", "A=1;B=2,3"], "field 'pattern' is not read by constraint 'free'"),
+    (["--constraint", "pins", "--pins", '{"0": 1}', "--pattern", "A=1;B=2,3"],
+     "field 'pattern' is not read by constraint 'pins'"),
+    (["--constraint", "pattern", "--pattern", "A=1;B=2,3", "--pins", '{"0": 1}'],
+     "field 'pins' is not read by constraint 'pattern'"),
+    (["--constraint", "pins"], "missing required field 'pins'"),
+    (["--constraint", "pattern"], "missing required field 'pattern'"),
+], ids=["pins-free", "pattern-free", "pattern-pins", "pins-pattern",
+        "pins-missing", "pattern-missing"])
+def test_constraint_field_not_read_exit_one(command, extra, message, capsys):
+    # a field the chosen constraint ignores would otherwise drop silently
+    code = main([command, "--dims", "3,3", "--q", "3"] + extra)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_pins_constraint_with_its_field_counts(capsys):
+    code, out = run_cli(["exact-count", "--dims", "3,3", "--q", "3",
+                         "--constraint", "pins", "--pins", '{"0": 1}'])
+    assert code == 0 and json.loads(out)["count"] == "82"

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from chroma.errors import (
 )
 from chroma.exact import (
     Constraint,
+    _count_backtrack,
     allowed_masks,
     count_colorings,
     enumerate_colorings,
@@ -209,6 +211,116 @@ def test_transfer_color_classes_match_counter():
         assert t.count == b.count > 0, (dims, q, c)
 
 
+def _shared_column_masks(rng, G, cells, q):
+    """Nonempty per-cell masks under which some colors share columns.
+
+    The colors are cut at random into groups; a cell takes each group
+    whole or not at all, so the colors of one group have equal columns,
+    and a group of one color has a column of its own.  Each group has its
+    own rate, so some groups reach a few cells only.
+    """
+    colors = rng.permutation(q).tolist()
+    cuts = sorted(set(rng.integers(1, q, size=int(rng.integers(0, q))).tolist()))
+    groups = [sum(1 << c for c in colors[a:b]) for a, b in zip([0] + cuts, cuts + [q])]
+    rates = rng.uniform(0.1, 0.9, size=len(groups)).tolist()
+    masks = [0] * G.n
+    for v in cells:
+        m = sum(g for g, rate in zip(groups, rates) if rng.random() < rate)
+        masks[v] = m or groups[int(rng.integers(0, len(groups)))]
+    return masks
+
+
+def test_counter_matches_brute_force_under_random_masks():
+    # boxes, tori and length-2 periodic axes, q = 2..6, masks whose color
+    # columns partly coincide: the counter branches once per color class
+    graphs = [
+        ((3, 4), (False, False)), ((4, 4), (True, True)), ((2, 5), (True, False)),
+        ((2, 3, 3), (False,) * 3), ((2, 2, 4), (True, True, False)),
+        ((4, 2, 2), (False, True, False)),
+    ]
+    most = {2: 14, 3: 10, 4: 8, 5: 7, 6: 7}   # cells, so that brute force stays small
+    rng = make_rng(2027)
+    for dims, periodic in graphs:
+        G = build_graph(dims, periodic)
+        for q in range(2, 7):
+            for _ in range(2):
+                size = min(G.n, most[q])
+                cells = sorted(rng.choice(G.n, size=size, replace=False).tolist())
+                masks = _shared_column_masks(rng, G, cells, q)
+                allowed = {v: {c + 1 for c in range(q) if masks[v] >> c & 1} for v in cells}
+                got = _count_backtrack(G, G.vertex_set(cells), masks, q)
+                want = oracles.brute_force_count(dims, periodic, cells, q, allowed=allowed)
+                assert got == want, (dims, periodic, q, cells, masks)
+
+
+def _per_color_marginal(G, domain, q, v, constraint):
+    """exact_marginal's rule one color at a time: a pinned count per color."""
+    if v not in domain:
+        raise PreconditionError(f"vertex {v} is outside the domain")
+    total = count_colorings(G, domain, q, constraint).count
+    if total == 0:
+        raise UndefinedMeasureError("no proper coloring satisfies the constraint")
+    probs = tuple(
+        Fraction(count_colorings(G, domain, q, constraint.with_pin(v, c)).count, total)
+        for c in range(1, q + 1)
+    )
+    if sum(probs) != 1:
+        raise PreconditionError("marginal slices do not add up; inconsistent pins?")
+    return probs
+
+
+def test_marginal_matches_per_color_oracle():
+    q4, q5 = Pattern.make(4, [1, 2], [3, 4]), Pattern.make(5, [1, 2], [3, 4, 5])
+    # A = {1, 4}: at an even cell that is the only boundary cell, colors 1
+    # and 4 are told apart from 2, 3, 5 at v alone
+    q5_split = Pattern.make(5, [1, 4], [2, 3, 5])
+    G33, G44, G36, T = (build_graph((3, 3)), build_graph((4, 4)), build_graph((3, 6)),
+                        build_graph((4, 4), (True, True)))
+    centre, corner = G33.vid((1, 1)), G33.vid((0, 0))
+    sub = G44.vertex_set([5, 6, 9, 10, 13])
+    cases = [
+        # free
+        (G33, G33.full_set(), 3, centre, Constraint.free()),
+        (G36, G36.full_set(), 4, G36.vid((1, 2)), Constraint.free()),
+        (T, T.full_set(), 3, 5, Constraint.free()),
+        (G44, sub, 5, 6, Constraint.free()),
+        # pattern boundary at q = 4 and q = 5, v inside and on the boundary
+        (G33, G33.full_set(), 4, centre, Constraint.pattern_boundary(q4)),
+        (G33, G33.full_set(), 4, corner, Constraint.pattern_boundary(q4)),
+        (G44, G44.full_set(), 5, G44.vid((1, 2)), Constraint.pattern_boundary(q5)),
+        (G44, sub, 5, 10, Constraint.pattern_boundary(q5_split)),
+        (G44, sub, 4, 9, Constraint.pattern_boundary(q4)),
+        # pins elsewhere: inside the domain, and outside it next to v
+        (G33, G33.full_set(), 3, centre, Constraint.pinned({0: 1, 8: 2})),
+        (G36, G36.full_set(), 4, 7, Constraint.pinned({1: 4, 8: 4, 17: 2})),
+        (G44, sub, 4, 5, Constraint.pinned({1: 2, 4: 3, 13: 1})),
+        (G33, G33.full_set(), 3, 1, Constraint.pinned({0: 1, 2: 2, 4: 3})),
+        # a pin on v itself
+        (G33, G33.full_set(), 3, centre, Constraint.pinned({centre: 2})),
+        (G33, G33.full_set(), 3, 1, Constraint.pinned({1: 3, 0: 1, 2: 2, 4: 1})),
+        (G33, G33.vertex_set([centre]), 5, centre,
+         Constraint.pattern_boundary(q5_split).with_pin(centre, 1)),
+        (G33, G33.vertex_set([centre]), 5, centre,
+         Constraint.pattern_boundary(q5_split).with_pin(centre, 3)),
+        (G33, G33.full_set(), 3, centre, Constraint.pinned({centre: 1, 1: 1})),
+        (G33, G33.full_set(), 3, centre, Constraint.pinned({centre: 7})),
+        # v outside the domain
+        (G44, sub, 4, 0, Constraint.free()),
+    ]
+    outcomes = set()
+    for G, domain, q, v, c in cases:
+        try:
+            want = _per_color_marginal(G, domain, q, v, c)
+        except Exception as exc:
+            outcomes.add(type(exc))
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                exact_marginal(G, domain, q, v, c)
+            continue
+        outcomes.add(None)
+        assert exact_marginal(G, domain, q, v, c).probs == want, (G.dims, q, v, c)
+    assert outcomes == {None, ConfigError, PreconditionError, UndefinedMeasureError}
+
+
 def test_backtracking_cache_budget():
     G = build_graph([3, 3, 4])
     with pytest.raises(ResourceLimitError):
@@ -365,7 +477,6 @@ def test_htop_torus_example_and_bound():
     points = htop_estimate(3, [(2, 2)])
     assert points[0].count == 18
     assert abs(points[0].log_per_site - math.log(18) / 4) < 1e-12
-    assert points[0].meets_bound
     pts = htop_estimate(4, [(2, 2), (2, 4)])
     bound = 0.5 * math.log(4)
     for pt in pts:
