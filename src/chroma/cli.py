@@ -183,9 +183,10 @@ def _constraint_from(cfg: Mapping[str, Any], q: int) -> Constraint:
     if kind not in _CONSTRAINT_FIELDS:
         raise ConfigError(f"unknown constraint kind {kind!r}")
     reads = _CONSTRAINT_FIELDS[kind]
-    for field in ("pattern", "pins"):
-        if field in cfg and field not in reads:
-            raise ConfigError(f"field {field!r} is not read by constraint {kind!r}")
+    for other in _CONSTRAINT_FIELDS.values():
+        for field in other:
+            if field in cfg and field not in reads:
+                raise ConfigError(f"field {field!r} is not read by constraint {kind!r}")
     _require(cfg, *reads)
     if kind == "free":
         return Constraint.free()

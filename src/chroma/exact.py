@@ -171,11 +171,8 @@ def _count_backtrack(
     at = G.coordinates
     spans = [max(col) - min(col) for col in zip(*[at[v] for v in cells])]
     axes = sorted(range(G.d), key=spans.__getitem__, reverse=True)
-    if axes == sorted(axes):
-        order = cells  # ascending ids already run in lattice order
-    else:
-        by_axes = itemgetter(*axes)
-        order = sorted(cells, key=lambda v: by_axes(at[v]))
+    by_axes = itemgetter(*axes)
+    order = sorted(cells, key=lambda v: by_axes(at[v]))
     rank = {v: i for i, v in enumerate(order)}
     neighbors = G.neighbors
     nbr = []

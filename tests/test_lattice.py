@@ -307,6 +307,17 @@ def test_rim_is_the_non_periodic_faces(dims, periodic):
 
 
 @pytest.mark.parametrize("dims,periodic",
+                         SHIFT_GRAPHS + [((4, 4, 2), (True, True, True)),
+                                         ((3, 2, 5), (False, True, False))])
+def test_coordinates_view_matches_coords(dims, periodic):
+    # the counter orders its cells by this view: a layout slip would only
+    # slow it down, so tie the view to coords and to the row-major oracle
+    G = build_graph(dims, periodic)
+    assert G.coordinates == [G.coords(v) for v in range(G.n)]
+    assert G.coordinates == [oracles.coords_of(dims, v) for v in range(G.n)]
+
+
+@pytest.mark.parametrize("dims,periodic",
                          SHIFT_GRAPHS + [((4, 4, 2), (True, True, True))])
 def test_graph_tables_match_oracles(dims, periodic):
     G = build_graph(dims, periodic)
