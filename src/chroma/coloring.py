@@ -41,7 +41,7 @@ from .patterns import (
     Pattern,
     _color_planes,
     _fits,
-    _pattern_cells,
+    _pattern_slots,
     canonical_permutation,
     in_pattern,
 )
@@ -362,9 +362,9 @@ def _check_filling(G: LatticeGraph, ids: list[int], colors: list[int], p0: Patte
 
 def _check_regions(G: LatticeGraph, plan: RepairPlan, f: Coloring) -> None:
     """Per region: f in its part's pattern on the internal boundary, no HOLE."""
-    planes = _color_planes(f)
+    planes = _color_planes(G, f)
     for (P, region), (_, _, internal) in zip(plan.regions, plan.moves):
-        stray = internal & ~planes[HOLE] & ~_pattern_cells(G, planes, P)
+        stray = internal & ~planes[HOLE] & ~_pattern_slots(G, planes, (P,))[0]
         if stray:
             v = (stray & -stray).bit_length() - 1
             raise PreconditionError(

@@ -17,11 +17,11 @@ finite defect component surrounds a requested vertex, filling the holes
 with the unique pattern that surrounds them.
 
 All of it is algebra on raw ``int`` bitmaps over the lattice's shift
-tables: pattern cells from the color planes, settled cores and closures
-as neighborhood shifts, each region's vertex boundary as the OR of its
-edge maps, components grown bit-parallel (those meeting V as one
-flood).  A ``VertexSet`` is made only where a public function returns
-one or an atlas or decomposition field holds one.
+tables: pattern cells from the color planes (``_pattern_slots``), settled
+cores and closures as neighborhood shifts, each region's vertex boundary
+as the OR of its edge maps, components grown bit-parallel (those meeting
+V as one flood).  A ``VertexSet`` is made only where a public function
+returns one or an atlas or decomposition field holds one.
 
 Every pattern is handled at once.  With k patterns, one ``int`` holds
 pattern i's bitmap in slot i (bits i*n .. i*n+n-1), and the shift masks,
@@ -62,7 +62,7 @@ from .lattice import (
     boundary_edge_count,
     diam_star,
 )
-from .patterns import Pattern, _color_planes, _dominant, _pattern_cells, _pattern_slots
+from .patterns import Pattern, _color_planes, _dominant, _pattern_slots
 
 
 def _settled(G: LatticeGraph, in_pat: int, k: int) -> int:
@@ -133,7 +133,7 @@ def decompose(G: LatticeGraph, f: Coloring) -> RegionDecomposition:
     """Region decomposition of a total proper coloring over every dominant
     pattern.  Each region is certified to be a regular P-even set.
     """
-    return _decompose(G, _color_planes(f), f.q, None)
+    return _decompose(G, _color_planes(G, f), f.q, None)
 
 
 def _decompose(
@@ -217,7 +217,8 @@ def seen_from(G: LatticeGraph, z_star: VertexSet, V: VertexSet, radius: int = 5)
     Returns the union of connected components of z_star^{+radius} that
     touch the rim (the stand-in for infinite components) or disconnect
     some vertex of V from the rim; on a fully periodic graph (no rim)
-    that is nothing.
+    that is nothing.  Off the rim, ``_split_components`` gives the
+    components: a lone cell is kept when it is in V.
     """
     fat = _expand_bits(G, z_star.bits, radius)
     rim = G.rim.bits
@@ -225,10 +226,11 @@ def seen_from(G: LatticeGraph, z_star: VertexSet, V: VertexSet, radius: int = 5)
         return G.empty_set()
     full = (1 << G.n) - 1
     keep = _grow(G, fat, fat & rim, 1)   # every component touching the rim
-    rest = fat & ~keep
-    while rest:
-        comp = _grow(G, rest, rest & -rest, 1)
-        rest &= ~comp
+    isolated, grown = _split_components(G, fat & ~keep)
+    # a lone cell off the rim cuts off only itself: it blocks at most one of
+    # another cell's two straight paths to the faces of a non-periodic axis
+    keep |= isolated & V.bits
+    for comp in grown:
         # V's cells off the rim's side of comp (or in comp) are cut off by it
         if V.bits & ~_grow(G, full & ~comp, rim & ~comp, 1):
             keep |= comp
@@ -251,18 +253,20 @@ def construct_breakup(
     Components of the complement of the kept defect neighborhood are
     holes; each hole is absorbed into the unique region whose pattern
     surrounds it (an ambiguous hole is impossible for valid inputs and
-    aborts loudly).
+    aborts loudly).  Given patterns must include the reference.
     """
     if p0.klass != 0:
         raise PreconditionError("the reference pattern must have |A| <= |B|")
     full = (1 << G.n) - 1
     outside = (G.full_set() - domain).bits   # refuses a domain of another graph
-    planes = _color_planes(f)
-    if (outside | _neighbor_bits(G, outside)) & ~_pattern_cells(G, planes, p0):
+    planes = _color_planes(G, f)
+    if (outside | _neighbor_bits(G, outside)) & ~_pattern_slots(G, planes, (p0,))[0]:
         raise PreconditionError(
             "the complement of the domain interior must follow the reference pattern"
         )
     Z = _decompose(G, planes, f.q, patterns)
+    if p0 not in Z.z_p:
+        raise PreconditionError(f"the breakup patterns omit the reference pattern {p0!r}")
     regions = {P: U.bits for P, U in Z.z_p.items()}
     if outside & ~regions[p0]:
         raise InternalInvariantError(
@@ -330,6 +334,8 @@ def verify_breakup(
     defect set are in pattern, non-overlap P-odd members are in pattern,
     bad P-odd vertices see a color off the boundary side, and boundary
     edges leave from an in-pattern vertex toward a constrained one).
+    A coloring of another size, or an atlas pattern not dominant for the
+    coloring's q, is refused (``PreconditionError``) rather than reported.
     """
     G, n = X.graph, X.graph.n
     pats = tuple(X.x_p)
@@ -339,7 +345,7 @@ def verify_breakup(
     # every region in its pattern's slot; each slot's P-odd cells are the
     # inside core of its regularity test
     U = _pack_slots((region.bits for region in X.x_p.values()), n)
-    in_pat, p_odd = _pattern_slots(G, _color_planes(f), pats)
+    in_pat, p_odd = _pattern_slots(G, _color_planes(G, f), pats)
     problems += [f"region {P.text()} is not a regular set (witness {witness})"
                  for P, witness in _irregular(G, U, p_odd, pats)]
     outside = (G.full_set() - domain).bits   # refuses a domain of another graph
@@ -421,9 +427,9 @@ def bp_components(
     adjacency that meet V are returned as one flood from V's cells in
     it, together with their total diameter score.
     """
-    planes = _color_planes(f)
+    planes = _color_planes(G, f)
     Z = _decompose(G, planes, f.q, [P])
-    bar = VertexSet(Z.z_p[P].bits & _pattern_cells(G, planes, P), G.n)
+    bar = VertexSet(Z.z_p[P].bits & _pattern_slots(G, planes, (P,))[0], G.n)
     rest = bar.complement()
     b_p = VertexSet(_grow(G, rest.bits, (rest & V).bits, 2), G.n)
     return BPResult(bar, b_p, diam_star(G, b_p))

@@ -91,6 +91,7 @@ def allowed_masks(
     their color out of adjacent domain cells.  A negative q, or a pin off
     the graph or outside 1..q, is a ConfigError.  Infeasibility (a pinned
     pair clashing, or an empty mask) yields count zero, not an error.
+    A pattern constraint cuts the boundary cells by ``_pattern_cut``.
     """
     if q < 0:
         raise ConfigError(f"q must be >= 0, got {q}")
@@ -101,10 +102,7 @@ def allowed_masks(
     masks = [full if b == "1" else 0 for b in inside]
     feasible = True
     if constraint.kind == "pattern":
-        sides = {p: constraint.pattern.side_for_parity(int(p)) for p in "01"}
-        masks = [m & sides[p] if b == "1" else m
-                 for m, b, p in zip(masks, _bit_chars(boundary_cells(G, domain)),
-                                    _bit_chars(G.odd))]
+        masks = _pattern_cut(G, masks, boundary_cells(G, domain), constraint.pattern)
     pins = dict(constraint.pins)
     for v, c in pins.items():
         if not 0 <= v < G.n:
@@ -127,6 +125,14 @@ def allowed_masks(
     if masks.count(0) > G.n - len(domain):
         feasible = False
     return masks, feasible
+
+
+def _pattern_cut(G: LatticeGraph, masks: list[int], U: VertexSet, P: Pattern) -> list[int]:
+    """``masks`` with each cell of U cut to P's side for its parity; linear
+    in the cell count, one ``_bit_chars`` character per cell."""
+    sides = {p: P.side_for_parity(int(p)) for p in "01"}
+    return [m & sides[p] if b == "1" else m
+            for m, b, p in zip(masks, _bit_chars(U), _bit_chars(G.odd))]
 
 
 # -- backtracking engine -------------------------------------------------------
@@ -509,15 +515,13 @@ def transfer_count(
     constraint: Constraint | None = None,
     state_budget: int = 500_000,
 ) -> CountResult:
-    """Exact whole-box count by the cell-by-cell transfer engine, ``_transfer``.
+    """``count_colorings`` of the whole box by the transfer engine, ``_transfer``.
 
     state_budget caps the canonical profiles live at once (profiles equal
     up to a relabelling of interchangeable colors count once); passing it
     raises ResourceLimitError.
     """
-    constraint = constraint or Constraint.free()
-    masks, feasible = allowed_masks(G, G.full_set(), q, constraint)
-    return _count_masked(G, G.full_set(), q, masks, feasible, "transfer", state_budget)
+    return count_colorings(G, G.full_set(), q, constraint, "transfer", state_budget)
 
 
 def count_colorings(
@@ -664,7 +668,8 @@ def toy_ratio(
     empty droplet, and compares the exact ratio against the sharp
     per-interface bound: ((q-2)/q)^{|vertex boundary of U|} for even q,
     ((q-1)/(q+1))^{|edge boundary of U| / 2d} for odd q.  Both counts
-    use the engine that ``count_colorings`` would choose.
+    cut the free masks by ``_pattern_cut`` (U^+ to p, (domain minus U)^+
+    to p0) and use the engine that ``count_colorings`` would choose.
     """
     q = p0.q
     if p.q != q:
@@ -674,15 +679,13 @@ def toy_ratio(
     if not closed_neighborhood(G, U).issubset(domain):
         raise PreconditionError("U^+ must be inside the domain")
 
+    free, _ = allowed_masks(G, domain, q, Constraint.free())
+
     def droplet_count(drop: VertexSet) -> int:
-        full = (1 << q) - 1
-        masks = [full if v in domain else 0 for v in range(G.n)]
-        for v in closed_neighborhood(G, drop) & domain if drop else []:
-            masks[v] &= p.side_for_parity(G.parity[v])
-        sea = closed_neighborhood(G, domain - drop) & domain
-        for v in sea:
-            masks[v] &= p0.side_for_parity(G.parity[v])
-        feasible = all(masks[v] for v in domain)
+        # cells off the domain hold 0 and keep it under every cut
+        masks = _pattern_cut(G, free, closed_neighborhood(G, drop), p)
+        masks = _pattern_cut(G, masks, closed_neighborhood(G, domain - drop), p0)
+        feasible = masks.count(0) == G.n - len(domain)
         return _count_masked(G, domain, q, masks, feasible).count
 
     n_empty = droplet_count(G.empty_set())

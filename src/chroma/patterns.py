@@ -15,10 +15,10 @@ with lattice-even; for |A| > |B| (class 1, odd q only) it is flipped.
 
 Membership has one scalar definition (``vertex_in_pattern``: one color
 at one parity) and one set-level rule: a coloring's color planes give
-the bitmap of every cell whose own color fits a pattern
-(``_pattern_cells``), which breakups and the repair transformation
-read, and which ``_pattern_slots`` gives for several patterns at once,
-one per slot, for the decomposition and the breakup check.
+the bitmap of every cell whose own color fits a pattern, one slot per
+pattern of a tuple (``_pattern_slots``); breakups, the decomposition and
+the repair transformation read it, a one-pattern tuple where they need
+one pattern.
 ``in_pattern`` and the repair's filling check read only the cells they
 are asked about, through one table of the scalar rule by parity and
 color (``_fits``).
@@ -220,35 +220,30 @@ def vertex_in_pattern(value: int, parity: int, P: Pattern) -> bool:
     return bool((P.side_for_parity(parity) >> (value - 1)) & 1)
 
 
-def _color_planes(f: "Coloring") -> list[int]:
+def _color_planes(G: "LatticeGraph", f: "Coloring") -> list[int]:
     """Bitmap of the cells holding each color 0..q; plane 0 holds the HOLEs.
 
-    Built afresh per call: a Coloring's values are mutable.
+    Built afresh per call: a Coloring's values are mutable.  A coloring of
+    another size than G is a PreconditionError.
     """
+    if len(f.values) != G.n:
+        raise PreconditionError(f"coloring has {len(f.values)} values for {G.n} cells")
     return _pack_rows(f.values == np.arange(f.q + 1).reshape(-1, 1))
 
 
-def _pattern_cells(G: "LatticeGraph", planes: list[int], P: Pattern) -> int:
-    """Bitmap of the cells whose own color is in the P-pattern (never a HOLE):
-    ``vertex_in_pattern`` over every cell at once."""
-    a = b = 0
-    for c in P.a:
-        a |= planes[c]
-    for c in P.b:
-        b |= planes[c]
-    return a & G.even.bits | b & G.odd.bits
-
-
 def _pattern_slots(G: "LatticeGraph", planes: list[int], pats: tuple[Pattern, ...]) -> tuple[int, int]:
-    """``_pattern_cells`` and the P-odd cells of every pattern at once, pattern
-    i's in slot i (bits i*n .. i*n+n-1): each color plane, copied into every
-    slot, keeps the cells where that color fits the slot's pattern.  Those
-    per-color masks and the slotted P-odd cells are built once per pattern
-    tuple and kept on the graph."""
+    """The cells whose own color fits the pattern (``vertex_in_pattern``, never
+    a HOLE) and the P-odd cells, of every pattern at once, pattern i's in slot
+    i (bits i*n .. i*n+n-1): each color plane, copied into every slot, keeps
+    the cells where that color fits the slot's pattern.  Those masks are built
+    once per pattern tuple, each pattern checked dominant for q, and kept on the graph."""
     q, k = len(planes) - 1, len(pats)
     key = ("pattern slots", pats, q)
     masks = G.memo.get(key)
     if masks is None:
+        for P in pats:
+            if P.q != q or not P.is_dominant():
+                raise PreconditionError(f"{P!r} is not a dominant pattern for q={q}")
         even, odd = G.even.bits, G.odd.bits
         fits = [_pack_slots([(even if P.a_bits >> c & 1 else 0) | (odd if P.b_bits >> c & 1 else 0)
                              for P in pats], G.n)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -21,7 +22,6 @@ from chroma.patterns import (
     Pattern,
     _color_planes,
     _p_odd,
-    _pattern_cells,
     _pattern_slots,
     enumerate_dominant,
     vertex_in_pattern,
@@ -337,6 +337,50 @@ def test_classify_plus_shape_boundary_d3():
     assert cls.min_boundary_ok
 
 
+NOT_DOMINANT = Pattern.make(3, [1], [2])
+
+
+@pytest.mark.parametrize("case", ["other pattern only", "no patterns", "q=4 reference",
+                                  "q=4 bp pattern", "non-dominant bp pattern",
+                                  "non-dominant atlas pattern"])
+def test_breakup_patterns_are_validated(case):
+    # a breakup's patterns must include the reference, and every pattern
+    # must be a dominant one of the coloring's q; the refusal names it
+    G = build_graph([8, 8])
+    p0 = p0_for(3)
+    f, center = droplet_coloring(G, 3)
+    V, dom = G.vertex_set([center]), inner_domain(G)
+    call, named = {
+        "other pattern only": (lambda: construct_breakup(
+            G, f, V, dom, p0, 5, [Pattern.make(3, [2], [1, 3])]), p0),
+        "no patterns": (lambda: construct_breakup(G, f, V, dom, p0, 5, []), p0),
+        "q=4 reference": (lambda: construct_breakup(G, f, V, dom, p0_for(4)), p0_for(4)),
+        "q=4 bp pattern": (lambda: bp_components(G, f, V, p0_for(4)), p0_for(4)),
+        "non-dominant bp pattern": (lambda: bp_components(G, f, V, NOT_DOMINANT), NOT_DOMINANT),
+        "non-dominant atlas pattern": (lambda: verify_breakup(
+            Atlas(G, {p0: G.full_set(), NOT_DOMINANT: G.empty_set()}), f, dom, p0), NOT_DOMINANT),
+    }[case]
+    with pytest.raises(PreconditionError, match=re.escape(repr(named))):
+        call()
+
+
+def test_coloring_of_another_size_is_refused():
+    # every decomposition entry refuses a coloring with fewer or more values
+    # than the graph has cells, instead of reading it as a partial box
+    G = build_graph([8, 8])
+    p0 = p0_for(3)
+    V, dom = G.vertex_set([G.vid((4, 4))]), inner_domain(G)
+    X = construct_breakup(G, striped_pattern_coloring(G, p0), V, dom, p0)
+    for dims in ((8, 7), (8, 9)):
+        f = striped_pattern_coloring(build_graph(dims), p0)
+        for call in (lambda: decompose(G, f),
+                     lambda: construct_breakup(G, f, V, dom, p0),
+                     lambda: bp_components(G, f, V, p0),
+                     lambda: verify_breakup(X, f, dom, p0)):
+            with pytest.raises(PreconditionError, match=f"{len(f.values)} values for 64 cells"):
+                call()
+
+
 def test_bp_components():
     G = build_graph([6, 6])
     p0 = p0_for(3)
@@ -457,17 +501,18 @@ def test_pattern_cells_from_planes_match_vertex_predicate():
         for q in (3, 4, 5):
             for _ in range(4):
                 f = Coloring([rng.randrange(q + 1) for _ in range(G.n)], q)
-                planes = _color_planes(f)
+                planes = _color_planes(G, f)
                 assert planes == [G.vertex_set(v for v in range(G.n) if f.values[v] == c).bits
                                   for c in range(q + 1)]
+                want = {P: G.vertex_set(v for v in range(G.n)
+                                        if vertex_in_pattern(f.values[v], G.parity[v], P)).bits
+                        for P in enumerate_dominant(q)}
                 for P in enumerate_dominant(q):
-                    want = G.vertex_set(v for v in range(G.n)
-                                        if vertex_in_pattern(f.values[v], G.parity[v], P))
-                    assert _pattern_cells(G, planes, P) == want.bits
+                    assert _pattern_slots(G, planes, (P,))[0] == want[P]
                 # every pattern at once, pattern i's cells and P-odd cells in slot i
                 pats = tuple(reversed(enumerate_dominant(q)))
                 assert _pattern_slots(G, planes, pats) == (
-                    _pack_slots([_pattern_cells(G, planes, P) for P in pats], G.n),
+                    _pack_slots([want[P] for P in pats], G.n),
                     _pack_slots([_p_odd(G, P).bits for P in pats], G.n))
                 if planes[0]:
                     with pytest.raises(PreconditionError):

@@ -445,32 +445,37 @@ def test_toy_ratio_odd_q_sharp():
 
 
 def test_toy_ratio_counts_against_enumeration():
-    # cross-check n(U) and n(empty) against plain recursion on a small box
-    dims = (3, 3)
-    G = build_graph(dims)
-    q = 4
-    p0 = Pattern.make(q, [1, 2], [3, 4])
-    p = Pattern.make(q, [1, 3], [2, 4])
-    U = G.vertex_set([G.vid((1, 1))])
-    r = toy_ratio(G, G.full_set(), U, p0, p)
-    u_plus = set(closed_neighborhood(G, U).ids())
-    sea_plus = set(closed_neighborhood(G, G.full_set() - U).ids())
-    n_u = 0
-    n_empty = 0
-    for assign in oracles.enumerate_proper(dims, (False, False),
-                                           list(range(G.n)), q):
-        in_u = all(
-            assign[v] in (p.a if G.parity[v] == 0 else p.b) for v in u_plus
-        ) and all(
-            assign[v] in (p0.a if G.parity[v] == 0 else p0.b) for v in sea_plus
-        )
-        in_empty = all(
-            assign[v] in (p0.a if G.parity[v] == 0 else p0.b) for v in range(G.n)
-        )
-        n_u += in_u
-        n_empty += in_empty
-    assert r.n_u == n_u and r.n_empty == n_empty
-    assert n_empty > 0 and r.ratio == Fraction(n_u, n_empty)
+    # cross-check n(U) and n(empty) against plain recursion over the domain:
+    # a full box; a proper subdomain with U^+ inside it, whose sea's
+    # neighborhood reaches past the domain; a box with one periodic axis;
+    # q = 5 with a class-1 droplet pattern (the q = 3 droplets are class 1
+    # too: a class-0 one shares no color with the sea at U's cell)
+    cases = [
+        ((3, 3), None, None, 4, ([1, 2], [3, 4]), ([1, 3], [2, 4]), (1, 1)),
+        ((4, 4), None, [(x, y) for x in range(4) for y in range(4) if x < 3 or y == 0],
+         3, ([1], [2, 3]), ([1, 3], [2]), (1, 2)),
+        ((4, 3), (True, False), None, 3, ([1], [2, 3]), ([1, 2], [3]), (0, 1)),
+        ((2, 3), None, None, 5, ([1, 2], [3, 4, 5]), ([1, 2, 3], [4, 5]), (0, 1)),
+    ]
+    for dims, periodic, cells, q, sides0, sides, u in cases:
+        periodic = periodic or (False,) * len(dims)
+        G = build_graph(dims, periodic)
+        domain = G.full_set() if cells is None else G.vertex_set(G.vid(c) for c in cells)
+        p0, p = Pattern.make(q, *sides0), Pattern.make(q, *sides)
+        U = G.vertex_set([G.vid(u)])
+        r = toy_ratio(G, domain, U, p0, p)
+
+        def fits(assign, P, cells):
+            return all(assign[v] in (P.a if G.parity[v] == 0 else P.b) for v in cells)
+
+        u_plus = set(closed_neighborhood(G, U).ids())
+        sea_plus = set((closed_neighborhood(G, domain - U) & domain).ids())
+        n_u = n_empty = 0
+        for assign in oracles.enumerate_proper(dims, periodic, list(domain.ids()), q):
+            n_u += fits(assign, p, u_plus) and fits(assign, p0, sea_plus)
+            n_empty += fits(assign, p0, domain.ids())
+        assert (r.n_u, r.n_empty) == (n_u, n_empty), dims
+        assert n_u > 0 and n_empty > 0 and r.ratio == Fraction(n_u, n_empty)
 
 
 def test_htop_torus_example_and_bound():

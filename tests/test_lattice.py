@@ -1,3 +1,4 @@
+import ast
 import random
 import re
 import time
@@ -581,6 +582,42 @@ def test_bit_layout_only_in_lattice():
     offenders = [f"{path.name}:{i}" for path in modules if path.name != "lattice.py"
                  for i, line in enumerate(path.read_text().splitlines(), 1)
                  if forbidden.search(line)]
+    assert offenders == []
+
+
+def _loaded_names(tree: ast.AST):
+    """The names a module reads: every Name, and the names inside string
+    annotations (the quoted forward references of TYPE_CHECKING imports)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        annotations = []
+        if isinstance(node, ast.arg | ast.AnnAssign):
+            annotations.append(node.annotation)
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef):
+            annotations.append(node.returns)
+        for ann in annotations:
+            for sub in ast.walk(ann) if ann is not None else ():
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    yield from _loaded_names(ast.parse(sub.value, mode="eval"))
+
+
+def test_every_import_is_used():
+    # a name a module imports and never reads is left over from a deleted
+    # helper or call; no module re-exports names
+    src = Path(__file__).resolve().parent.parent / "src" / "chroma"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = set(_loaded_names(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, ast.Import | ast.ImportFrom):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in used:
+                        offenders.append(f"{path.name}:{node.lineno} {name}")
     assert offenders == []
 
 

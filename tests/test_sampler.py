@@ -106,7 +106,8 @@ def test_sweep_preserves_properness_and_pattern_masks():
     cur = f
     boundary = [v for v in range(G.n) if G.degree[v] < G.full_degree]
     for _ in range(30):
-        cur = heat_bath_sweep(cur, G, G.full_set(), p0, rng, assert_proper=True)
+        cur = heat_bath_sweep(cur, G, G.full_set(), p0, rng)
+        assert is_proper(cur, G)
         for v in boundary:
             assert vertex_in_pattern(cur.values[v], G.parity[v], p0)
 
@@ -194,7 +195,7 @@ def test_cluster_two_dominoes_four_outcomes():
         probe = make_rng(seed)
         if sorted(int(x) + 1 for x in probe.choice(q, size=2, replace=False)) != [3, 5]:
             continue
-        out = cluster_step(base, G, G.full_set(), p0, make_rng(seed), assert_proper=True)
+        out = cluster_step(base, G, G.full_set(), p0, make_rng(seed))
         assert is_proper(out, G)
         flipped = tuple(v for v in range(G.n) if out.values[v] != base.values[v])
         assert set(flipped) <= set(odds)
@@ -219,7 +220,8 @@ def test_cluster_spanning_component_noop():
         rng = make_rng(seed)
         probe = make_rng(seed)
         pair = sorted(int(x) + 1 for x in probe.choice(3, size=2, replace=False))
-        out = cluster_step(f, G, interior, None, rng, assert_proper=True)
+        out = cluster_step(f, G, interior, None, rng)
+        assert is_proper(out, G)
         for v in interior.complement():
             assert out.values[v] == f.values[v]
         if pair == [2, 3]:
@@ -398,7 +400,8 @@ def test_cluster_step_nothing_swappable_draws_nothing():
     f = Coloring([1 + G.parity[v] for v in range(G.n)], 2)
     inner = G.vertex_set(v for v in range(G.n) if all(1 <= c <= 2 for c in G.coords(v)))
     rng = make_rng(23)
-    out = cluster_step(f, G, inner, None, rng, assert_proper=True)
+    out = cluster_step(f, G, inner, None, rng)
+    assert is_proper(out, G)
     assert out == f
     assert rng.random() == 0.29437939405718616
 
