@@ -22,6 +22,7 @@ proper coloring.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Mapping
 
 import numpy as np
@@ -211,21 +212,19 @@ class RepairPlan:
     shift_dir: int
     moves: tuple[tuple[np.ndarray, np.ndarray, int], ...] = field(compare=False, repr=False)
     filling: frozenset[int] = field(compare=False, repr=False)
-    _canonical: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def canonical(self, P: Pattern, p0: Pattern) -> tuple[np.ndarray, np.ndarray]:
-        """The canonical permutation taking P to p0 and its inverse, as
-        color-indexed tables that keep HOLE, built once per plan and
-        reference."""
-        pair = self._canonical.get((P, p0))
-        if pair is None:
-            perm = canonical_permutation(P, p0)
-            forward = np.zeros(P.q + 1, dtype=np.int16)
-            forward[list(perm)] = list(perm.values())
-            inverse = np.zeros_like(forward)
-            inverse[forward] = np.arange(P.q + 1)
-            pair = self._canonical[P, p0] = (forward, inverse)
-        return pair
+
+@cache
+def _canonical_tables(P: Pattern, p0: Pattern) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical permutation taking P to p0 and its inverse, as
+    color-indexed tables that keep HOLE, built once per pair."""
+    perm = canonical_permutation(P, p0)
+    forward = np.zeros(P.q + 1, dtype=np.int16)
+    forward[list(perm)] = list(perm.values())
+    inverse = np.zeros_like(forward)
+    inverse[forward] = np.arange(P.q + 1)
+    forward.flags.writeable = inverse.flags.writeable = False
+    return forward, inverse
 
 
 def plan_repair(
@@ -328,7 +327,7 @@ def repair_transform(
     """
     plan = plan_repair(G, S, parts, shift_axis, shift_dir)
     _check_q(f, p0)
-    perms = {P: plan.canonical(P, p0)[0] for P, _ in plan.parts}
+    perms = {P: _canonical_tables(P, p0)[0] for P, _ in plan.parts}
     if set(h) != plan.filling:
         raise PreconditionError("filling must cover exactly the leftover region")
     _check_filling(G, list(h), list(h.values()), p0)
@@ -399,7 +398,7 @@ def repair_inverse(
         if not colors.all():
             raise PreconditionError(
                 f"repaired coloring has a HOLE at vertex {dest[np.argmin(colors)]}")
-        values[cells] = plan.canonical(P, p0)[1][colors]
+        values[cells] = _canonical_tables(P, p0)[1][colors]
     f = Coloring(values, p0.q)
     _check_regions(G, plan, f)
     ids = _bits_to_ids(plan.s_star.bits, G.n)

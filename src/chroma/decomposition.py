@@ -31,21 +31,22 @@ the face a step would leave, and on a periodic axis, length 2 included,
 the wrap lands on the opposite face), so no bit reaches another slot or
 passes k*n and the slots never mix.  Pattern cells, settled cells, cores,
 regions, both regularity closures (each slot's P-odd cells are its inside
-core, so one slotted P-odd mask serves every pattern), the clause masks of
-a breakup check and the edge maps of the derived sets are one expression
-each over all slots.  Python walks the slots only to fill the returned
-dicts and, where a slotted failure mask is nonzero, to name the failures
-in the atlas's pattern order.
+core, so one slotted P-odd mask serves every pattern, and the verdict is
+geometry's ``_irregular``), the clause masks of a breakup check and the
+edge maps of the derived sets are one expression each over all slots.
+Python walks the slots only to fill the returned dicts and, where a
+slotted failure mask is nonzero, to name the failures in the atlas's
+pattern order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .coloring import Coloring
 from .errors import InternalInvariantError, PreconditionError
-from .geometry import _closure_diffs, _lowest
+from .geometry import _irregular
 from .lattice import (
     LatticeGraph,
     VertexSet,
@@ -112,21 +113,6 @@ def _derived_slots(G: LatticeGraph, regions: int, k: int) -> tuple[int, int, int
     union, overlap = _fold_slots(regions, G.n, k)
     bad = ((1 << G.n) - 1) & ~union
     return overlap, bad, _fold_slots(crossing, G.n, k)[0] | overlap | bad
-
-
-def _irregular(G: LatticeGraph, regions: int, p_odd: int,
-               pats: tuple[Pattern, ...]) -> Iterator[tuple[Pattern, int]]:
-    """(pattern, witness) for each slot of ``regions`` that is not a regular
-    set, in slot order: slot i holds pats[i]'s region, and its P-odd cells in
-    ``p_odd`` are the inside core of its test.  The witness is the one
-    ``regularity_check`` names."""
-    n = G.n
-    in_diff, out_diff = _closure_diffs(G, regions, p_odd, len(pats))
-    if in_diff | out_diff:
-        for i, P in enumerate(pats):
-            witness = _lowest(_slot(in_diff, i, n), _slot(out_diff, i, n))
-            if witness is not None:
-                yield P, witness
 
 
 def decompose(G: LatticeGraph, f: Coloring) -> RegionDecomposition:

@@ -18,7 +18,7 @@ the test suite holds them to that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
@@ -55,31 +55,34 @@ class CountResult:
 
 @dataclass(frozen=True)
 class Constraint:
-    """free | pattern-boundary(P) | pinned(vertex -> color)."""
+    """A boundary condition is its fields: a dominant pattern P whose side
+    the domain's boundary cells take (None for none), and (vertex, color)
+    pins sorted by vertex.  Both may be set; with neither the count is free."""
 
-    kind: str
     pattern: Pattern | None = None
     pins: tuple[tuple[int, int], ...] = ()
 
+    def __post_init__(self):
+        if self.pattern is not None and not self.pattern.is_dominant():
+            raise ConfigError("boundary constraint needs a dominant pattern")
+
     @classmethod
     def free(cls) -> "Constraint":
-        return cls("free")
+        return cls()
 
     @classmethod
     def pattern_boundary(cls, P: Pattern) -> "Constraint":
-        if not P.is_dominant():
-            raise ConfigError("boundary constraint needs a dominant pattern")
-        return cls("pattern", pattern=P)
+        return cls(pattern=P)
 
     @classmethod
     def pinned(cls, pins: Mapping[int, int]) -> "Constraint":
         # pins read off a coloring's values arrive as numpy ints
-        return cls("pinned", pins=tuple(sorted((int(v), int(c)) for v, c in pins.items())))
+        return cls(pins=tuple(sorted((int(v), int(c)) for v, c in pins.items())))
 
     def with_pin(self, v: int, c: int) -> "Constraint":
         pins = dict(self.pins)
         pins[v] = c
-        return Constraint(self.kind, self.pattern, tuple(sorted(pins.items())))
+        return replace(self, pins=tuple(sorted(pins.items())))
 
 
 def allowed_masks(
@@ -91,7 +94,8 @@ def allowed_masks(
     their color out of adjacent domain cells.  A negative q, or a pin off
     the graph or outside 1..q, is a ConfigError.  Infeasibility (a pinned
     pair clashing, or an empty mask) yields count zero, not an error.
-    A pattern constraint cuts the boundary cells by ``_pattern_cut``.
+    When the constraint has a pattern, ``_pattern_cut`` cuts the boundary
+    cells to its side; the pins apply on top.
     """
     if q < 0:
         raise ConfigError(f"q must be >= 0, got {q}")
@@ -101,7 +105,7 @@ def allowed_masks(
     inside = _bit_chars(domain)
     masks = [full if b == "1" else 0 for b in inside]
     feasible = True
-    if constraint.kind == "pattern":
+    if constraint.pattern is not None:
         masks = _pattern_cut(G, masks, boundary_cells(G, domain), constraint.pattern)
     pins = dict(constraint.pins)
     for v, c in pins.items():
@@ -592,9 +596,7 @@ def exact_marginal(
     total = count_colorings(G, domain, q, constraint).count
     if total == 0:
         raise UndefinedMeasureError("no proper coloring satisfies the constraint")
-    others = Constraint(
-        constraint.kind, constraint.pattern, tuple((u, c) for u, c in constraint.pins if u != v)
-    )
+    others = replace(constraint, pins=tuple((u, c) for u, c in constraint.pins if u != v))
     distinct = set(allowed_masks(G, domain, q, others)[0])
     by_class: dict[tuple[int, ...], Fraction] = {}
     probs = []

@@ -21,6 +21,11 @@ edge, and a failure names the lowest failing edge.  The separating
 set's four-cycle witnesses come the same way from per-direction owner
 maps, and the rim-pocket test of a weak approximation reads the
 full-degree bitmap.
+
+Each verdict has one body: ``_parity_classes`` resolves every parity
+name, ``_irregular`` judges regularity on a slotted bitmap (one set, a
+collection, or the regions of a decomposition), and ``_require_separated``
+judges the separation of revealed vertices and of separating sets.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import InternalInvariantError, PreconditionError, ResourceLimitError
 from .lattice import (
@@ -42,6 +47,9 @@ from .lattice import (
     _images,
     _ladder,
     _neighbor_bits,
+    _pack_slots,
+    _replicate,
+    _slot,
     _split_components,
     boundary_edge_count,
     closed_neighborhood,
@@ -58,13 +66,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from .decomposition import Atlas
 
 
-def _inside_core(G: LatticeGraph, parity: str) -> VertexSet:
-    """The inside core of a set kind's regularity test: a regular odd set U
-    is (Even cap U)^+, a regular even one (Odd cap U)^+."""
+def _parity_classes(G: LatticeGraph, parity: str) -> tuple[VertexSet, VertexSet]:
+    """(the class a parity set's internal boundary lies in, its complement)
+    for the name 'odd' or 'even'; the complement is the inside core of the
+    regularity test, a regular odd set U being (Even cap U)^+.  Every
+    ``parity`` argument here is read through this function."""
     if parity == "odd":
-        return G.even
+        return G.odd, G.even
     if parity == "even":
-        return G.odd
+        return G.even, G.odd
     raise PreconditionError(f"parity must be 'odd' or 'even', got {parity!r}")
 
 
@@ -75,16 +85,29 @@ def regularity_check(
     and U^c = (Odd cap U^c)^+ (parities swapped for even-regular).
 
     Returns (ok, witness vertex) where the witness violates one of the
-    two closures.
+    two closures; it is ``_irregular`` on one slot.
     """
-    witness = _regularity_witness(G, U.bits, parity)
-    return witness is None, witness
+    core = _parity_classes(G, parity)[1]
+    core._check(U)   # a set of another graph: no slot sees cells at n and above
+    for _, witness in _irregular(G, U.bits, core.bits, (U,)):
+        return False, witness
+    return True, None
 
 
-def _regularity_witness(G: LatticeGraph, bits: int, parity: str) -> int | None:
-    """``regularity_check`` on a raw bitmap: the lowest cell where the first
-    failing closure differs from its set, None when the set is regular."""
-    return _lowest(*_closure_diffs(G, bits, _inside_core(G, parity).bits))
+def _irregular(G: LatticeGraph, bits: int, inside_core: int,
+               labels: Sequence) -> Iterator[tuple]:
+    """(label, witness) for each slot of a k-slot bitmap that is not a
+    regular set, in slot order: slot i holds labels[i]'s set, and its cells
+    in the slotted ``inside_core`` are the inside core of its test.  The
+    witness is the lowest cell where the first failing closure differs from
+    its set."""
+    n = G.n
+    in_diff, out_diff = _closure_diffs(G, bits, inside_core, len(labels))
+    if in_diff | out_diff:
+        for i, label in enumerate(labels):
+            witness = _lowest(_slot(in_diff, i, n), _slot(out_diff, i, n))
+            if witness is not None:
+                yield label, witness
 
 
 def _closure_diffs(G: LatticeGraph, bits: int, inside_core: int, k: int = 1) -> tuple[int, int]:
@@ -107,23 +130,22 @@ def _lowest(first: int, second: int) -> int | None:
 def is_parity_set(G: LatticeGraph, U: VertexSet, parity: str) -> bool:
     """U is odd (even) when its internal boundary is all odd (even)."""
     internal, _, _ = vertex_boundaries(G, U)
-    return internal.issubset(G.odd if parity == "odd" else G.even)
+    return internal.issubset(_parity_classes(G, parity)[0])
 
 
 class OddSetCollection:
-    """A list of regular odd (or, mirrored, regular even) sets."""
+    """A list of regular odd (or, mirrored, regular even) sets, checked in
+    one slotted pass that names the first irregular set."""
 
     def __init__(self, G: LatticeGraph, sets: Sequence[VertexSet], parity: str = "odd"):
-        if parity not in ("odd", "even"):
-            raise PreconditionError("parity must be 'odd' or 'even'")
-        for i, S in enumerate(sets):
-            ok, witness = regularity_check(G, S, parity)
-            if not ok:
-                raise PreconditionError(
-                    f"set {i} is not regular {parity} (witness vertex {witness})"
-                )
+        sets, core = list(sets), _parity_classes(G, parity)[1]
+        for S in sets:   # a set of another graph would spill into the next slot
+            core._check(S)
+        for i, witness in _irregular(G, _pack_slots((S.bits for S in sets), G.n),
+                                     _replicate(core.bits, G.n, len(sets)), range(len(sets))):
+            raise PreconditionError(f"set {i} is not regular {parity} (witness vertex {witness})")
         self.graph = G
-        self.sets = list(sets)
+        self.sets = sets
         self.parity = parity
 
     def __len__(self) -> int:
@@ -134,9 +156,7 @@ class OddSetCollection:
 
     def complements(self) -> "OddSetCollection":
         other = "even" if self.parity == "odd" else "odd"
-        return OddSetCollection(
-            self.graph, [S.complement() for S in self.sets], other
-        )
+        return OddSetCollection(self.graph, [S.complement() for S in self.sets], other)
 
 
 def _unseparated(G: LatticeGraph, maps: list[int], sep: int) -> list[int]:
@@ -155,6 +175,20 @@ def _lowest_edge(G: LatticeGraph, maps: list[int]) -> tuple[int, int]:
     return u, min(int(G.neighbor_table[j, u]) for j, m in enumerate(maps) if m >> u & 1)
 
 
+def _require_separated(G: LatticeGraph, maps: list[int], sep: int,
+                       invariant: str, rim: str) -> None:
+    """Raise unless every edge of the maps has an end in sep, formatting a
+    template with the lowest unseparated edge (u, v): ``invariant`` when both
+    ends have full degree (a broken theorem), ``rim`` otherwise."""
+    missed = _unseparated(G, maps, sep)
+    if any(missed):
+        u, v = _lowest_edge(G, missed)
+        full = _full_degree(G)
+        if full >> u & full >> v & 1:
+            raise InternalInvariantError(invariant.format(u=u, v=v))
+        raise PreconditionError(rim.format(u=u, v=v))
+
+
 def _at_least(G: LatticeGraph, maps: list[int], t: int) -> int:
     """Cells in at least t of the maps; every cell when t <= 0."""
     return _ladder(maps, t)[-1] if t > 0 else (1 << G.n) - 1
@@ -171,15 +205,10 @@ def revealed_vertices(G: LatticeGraph, S: VertexSet, parity: str = "odd") -> Ver
         raise PreconditionError(f"S is not an {parity} set")
     maps = _boundary_maps(G, [S])
     revealed = VertexSet(_at_least(G, maps, G.d), G.n)
-    hidden = _unseparated(G, maps, revealed.bits)
-    if any(hidden):
-        u, v = _lowest_edge(G, hidden)
-        if all(_full_degree(G) >> w & 1 for w in (u, v)):
-            raise InternalInvariantError(f"boundary edge ({u},{v}) has no revealed endpoint")
-        raise PreconditionError(
-            f"boundary edge ({u},{v}) is clipped by the ambient rim; "
-            "revealed-vertex separation needs clearance from the faces"
-        )
+    _require_separated(
+        G, maps, revealed.bits, "boundary edge ({u},{v}) has no revealed endpoint",
+        "boundary edge ({u},{v}) is clipped by the ambient rim; "
+        "revealed-vertex separation needs clearance from the faces")
     return revealed
 
 
@@ -308,7 +337,7 @@ def _half_separating_core(
     Every count is a threshold ladder over shifted bitmaps.
     """
     sets = collection.sets
-    inside = (G.odd if collection.parity == "odd" else G.even).bits
+    inside = _parity_classes(G, collection.parity)[0].bits
     outside = inside ^ ((1 << G.n) - 1)
     A = VertexSet(outside & _at_least(G, _boundary_maps(G, sets), s), G.n)
     a_i = [inside & _at_least(G, _boundary_maps(G, [S]), G.full_degree - s) for S in sets]
@@ -348,17 +377,11 @@ def separating_set(
     U = U | _half_separating_core(G, collection.complements(), s_val, t_val)
     separator = neighborhood(G, U)
     boundary = _boundary_maps(G, collection.sets)
-    missed = _unseparated(G, boundary, separator.bits)
-    if any(missed):
-        bad = _lowest_edge(G, missed)
-        if all(_full_degree(G) >> w & 1 for w in bad):
-            raise InternalInvariantError(
-                f"constructed set fails to separate the collection at edge {bad}"
-            )
-        raise PreconditionError(
-            f"boundary edge {bad} is clipped by the ambient rim; the separating "
-            "construction needs the collection to clear the faces"
-        )
+    _require_separated(
+        G, boundary, separator.bits,
+        "constructed set fails to separate the collection at edge ({u}, {v})",
+        "boundary edge ({u}, {v}) is clipped by the ambient rim; the separating "
+        "construction needs the collection to clear the faces")
     bound = _edge_count(boundary) * math.log(max(d, 2)) / d ** 1.5
     return SeparatingSetReport(
         vertices=U,

@@ -94,7 +94,7 @@ def test_criterion_2_transfer_backtracking_agreement():
         t = transfer_count(G, 3, constraint)
         b = count_colorings(G, G.full_set(), 3, constraint,
                             method="backtracking")
-        assert t.count == b.count, (dims, constraint.kind)
+        assert t.count == b.count, (dims, constraint)
     elapsed = time.monotonic() - start
     assert elapsed < 120.0, f"took {elapsed:.1f}s"
     _report(2, f"25 slab instances agree exactly in {elapsed:.1f}s")

@@ -59,6 +59,22 @@ def test_pins_off_the_graph_are_refused(v):
         allowed_masks(G, G.full_set(), 3, Constraint.pinned({v: 1}))
 
 
+def test_constraint_is_its_fields():
+    # a pattern field is a pattern boundary however the constraint is built,
+    # a pin keeps it, and a pattern that is not dominant is refused
+    G = build_graph([3, 3])
+    P = Pattern.parse(3, "A=1;B=2,3")
+    count = lambda c: count_colorings(G, G.full_set(), 3, c).count
+    assert count(Constraint()) == count(Constraint.free()) == 246
+    assert count(Constraint(pattern=P)) == count(Constraint.pattern_boundary(P)) == 18
+    pinned = Constraint.pattern_boundary(P).with_pin(4, 1)
+    assert pinned == Constraint(pattern=P, pins=((4, 1),))
+    assert 0 < count(pinned) < count(Constraint.pinned({4: 1}))
+    for make in (lambda Q: Constraint(pattern=Q), Constraint.pattern_boundary):
+        with pytest.raises(ConfigError, match="boundary constraint needs a dominant pattern"):
+            make(Pattern.make(3, [1], [2]))
+
+
 def test_negative_q_refused_and_zero_q_counts():
     # both engines enter through allowed_masks; q = 0 leaves a nonempty
     # domain no coloring and the empty domain its one
@@ -158,7 +174,7 @@ def test_transfer_periodic_cross_section():
         G = build_graph(dims, periodic)
         t = transfer_count(G, q, c)
         b = count_colorings(G, G.full_set(), q, c, method="backtracking")
-        assert t.count == b.count > 0, (dims, periodic, q, c.kind)
+        assert t.count == b.count > 0, (dims, periodic, q, c)
 
 
 def test_transfer_wide_strips():
@@ -303,6 +319,9 @@ def test_marginal_matches_per_color_oracle():
         (G33, G33.vertex_set([centre]), 5, centre,
          Constraint.pattern_boundary(q5_split).with_pin(centre, 3)),
         (G33, G33.full_set(), 3, centre, Constraint.pinned({centre: 1, 1: 1})),
+        # a pattern and pins together, built from the fields
+        (G33, G33.full_set(), 4, centre, Constraint(pattern=q4, pins=((0, 1),))),
+        (G33, G33.full_set(), 4, centre, Constraint(pattern=q4, pins=((0, 3), (centre, 1)))),
         (G33, G33.full_set(), 3, centre, Constraint.pinned({centre: 7})),
         # v outside the domain
         (G44, sub, 4, 0, Constraint.free()),

@@ -17,6 +17,7 @@ from chroma.geometry import (
     _four_cycle_failures,
     _lowest,
     _witness_set,
+    enumerate_regular_parity_sets,
     four_cycle_check,
     greedy_cover,
     is_parity_set,
@@ -557,3 +558,51 @@ def test_odd_set_collection_validates():
     G = build_graph([7, 7])
     with pytest.raises(PreconditionError):
         OddSetCollection(G, [G.vertex_set([G.vid((2, 2))])], "odd")
+
+
+def test_odd_set_collection_names_first_irregular_set():
+    # one slotted pass: the lowest irregular index is named, with the witness
+    # regularity_check gives that set, though a later set has a lower witness
+    G = build_graph([7, 7])
+    plus, bad, later = (plus_at(G, (4, 4)), G.vertex_set([G.vid((2, 2))]),
+                        G.vertex_set([G.vid((0, 1))]))
+    for parity, sets in (("odd", [plus, bad, later]),
+                         ("even", [S.complement() for S in (plus, bad, later)])):
+        ok, witness = regularity_check(G, sets[1], parity)
+        assert not ok and regularity_check(G, sets[2], parity)[1] < witness
+        message = f"set 1 is not regular {parity} (witness vertex {witness})"
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            OddSetCollection(G, sets, parity)
+
+
+def test_sets_of_another_graph_are_refused():
+    # a slot holds n cells, so a set with cells at n or above is refused
+    # rather than judged on its first n cells
+    G, H = build_graph([7, 7]), build_graph([8, 8])
+    plus = plus_at(G, (2, 2))
+    for U in (VertexSet(plus.bits | 1 << 60, H.n), plus_at(H, (2, 2))):
+        for check in (lambda: regularity_check(G, U, "odd"),
+                      lambda: OddSetCollection(G, [plus, U, plus], "odd")):
+            with pytest.raises(PreconditionError, match="different ambient graphs"):
+                check()
+
+
+_PARITY_TAKERS = {
+    "is_parity_set": is_parity_set,
+    "revealed_vertices": revealed_vertices,
+    "four_cycle_check": four_cycle_check,
+    "regularity_check": regularity_check,
+    "OddSetCollection": lambda G, S, parity: OddSetCollection(G, [S], parity),
+    "enumerate_regular_parity_sets":
+        lambda G, S, parity: enumerate_regular_parity_sets(build_graph([3, 3]), parity),
+}
+
+
+@pytest.mark.parametrize("parity", ["bogus", "Odd"])
+@pytest.mark.parametrize("name", sorted(_PARITY_TAKERS))
+def test_unknown_parity_name_is_refused(name, parity):
+    # every parity argument goes through one resolver; S^c is an even set,
+    # which a reading of every other name as "even" would accept
+    G = build_graph([7, 7])
+    with pytest.raises(PreconditionError, match=f"parity must be 'odd' or 'even', got '{parity}'"):
+        _PARITY_TAKERS[name](G, plus_at(G, (3, 3)).complement(), parity)

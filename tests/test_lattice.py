@@ -585,6 +585,19 @@ def test_bit_layout_only_in_lattice():
     assert offenders == []
 
 
+def test_regularity_closures_only_in_geometry():
+    # the closure rule behind every regularity verdict lives in geometry;
+    # other modules ask geometry._irregular for the verdict
+    forbidden = re.compile(r"\b(_closure_diffs|_lowest)\b")
+    src = Path(__file__).resolve().parent.parent / "src" / "chroma"
+    modules = sorted(src.glob("*.py"))
+    assert any(forbidden.search(path.read_text()) for path in modules if path.name == "geometry.py")
+    offenders = [f"{path.name}:{i}" for path in modules if path.name != "geometry.py"
+                 for i, line in enumerate(path.read_text().splitlines(), 1)
+                 if forbidden.search(line)]
+    assert offenders == []
+
+
 def _loaded_names(tree: ast.AST):
     """The names a module reads: every Name, and the names inside string
     annotations (the quoted forward references of TYPE_CHECKING imports)."""
