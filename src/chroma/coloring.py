@@ -75,6 +75,12 @@ class Coloring:
             raise ConfigError(f"value {int(values[v])} at vertex {v} outside 0..{self.q}")
         self.values = values.astype(np.int16, copy=False)
 
+    def values_on(self, G: LatticeGraph) -> np.ndarray:
+        """``values``, refused (PreconditionError) unless there is one per cell of G."""
+        if len(self.values) != G.n:
+            raise PreconditionError(f"coloring has {len(self.values)} values for {G.n} cells")
+        return self.values
+
     def copy(self) -> "Coloring":
         return Coloring(self.values.copy(), self.q)
 
@@ -93,9 +99,10 @@ def is_proper(f: Coloring, G: LatticeGraph) -> bool:
     """No edge joins two equal non-HOLE colors.
 
     One gather of every cell's neighbor a step up each axis (each edge
-    once); -1 marks a clipped face.
+    once); -1 marks a clipped face.  A coloring of another size than G is
+    a PreconditionError.
     """
-    values = f.values
+    values = f.values_on(G)
     up = G.neighbor_table[0::2]
     return not ((values[up] == values) & (up >= 0) & (values != HOLE)).any()
 

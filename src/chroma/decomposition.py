@@ -152,9 +152,6 @@ class Atlas:
     graph: LatticeGraph
     x_p: dict[Pattern, VertexSet]
 
-    def patterns(self) -> list[Pattern]:
-        return sorted(self.x_p, key=Pattern.sort_key)
-
     @property
     def x_overlap(self) -> VertexSet:
         return VertexSet(_derived_sets(self.graph, self.x_p)[0], self.graph.n)

@@ -92,21 +92,28 @@ def allowed_masks(
 
     Pins inside the domain force single colors; pins outside it knock
     their color out of adjacent domain cells.  A negative q, or a pin off
-    the graph or outside 1..q, is a ConfigError.  Infeasibility (a pinned
-    pair clashing, or an empty mask) yields count zero, not an error.
-    When the constraint has a pattern, ``_pattern_cut`` cuts the boundary
-    cells to its side; the pins apply on top.
+    the graph or outside 1..q, is a ConfigError; a domain of another graph
+    or a pattern of another q is a PreconditionError.  Infeasibility (a
+    pinned pair clashing, or an empty mask) yields count zero, not an
+    error.  When the constraint has a pattern, ``_pattern_cut`` cuts the
+    boundary cells to its side; the pins apply on top.  A dominant side
+    is never empty, so only pins can make a pattern boundary infeasible.
     """
     if q < 0:
         raise ConfigError(f"q must be >= 0, got {q}")
+    if domain.n != G.n:
+        raise PreconditionError(f"the domain belongs to a graph of {domain.n} cells, not {G.n}")
+    P = constraint.pattern
+    if P is not None and P.q != q:
+        raise PreconditionError(f"{P!r} is not a dominant pattern for q={q}")
     full = (1 << q) - 1
     # one character per vertex, "1" inside: linear in the cell count, where
     # testing or iterating the bits of an n-bit int one at a time is not
     inside = _bit_chars(domain)
     masks = [full if b == "1" else 0 for b in inside]
     feasible = True
-    if constraint.pattern is not None:
-        masks = _pattern_cut(G, masks, boundary_cells(G, domain), constraint.pattern)
+    if P is not None:
+        masks = _pattern_cut(G, masks, boundary_cells(G, domain), P)
     pins = dict(constraint.pins)
     for v, c in pins.items():
         if not 0 <= v < G.n:

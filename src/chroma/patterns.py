@@ -143,11 +143,14 @@ class Pattern:
     @classmethod
     def parse(cls, q: int, text: str) -> "Pattern":
         try:
-            fields = dict(part.split("=", 1) for part in text.strip().split(";"))
+            pairs = [part.split("=", 1) for part in text.strip().split(";")]
+            fields = dict(pairs)
             a = [int(x) for x in fields["A"].split(",") if x]
             b = [int(x) for x in fields["B"].split(",") if x]
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad pattern text {text!r}") from exc
+        if len(pairs) != 2:   # A and B are there, so another or a repeated field is
+            raise ConfigError(f"bad pattern text {text!r}: it takes one A and one B field")
         return cls.make(q, a, b)
 
     def __repr__(self) -> str:
@@ -226,9 +229,7 @@ def _color_planes(G: "LatticeGraph", f: "Coloring") -> list[int]:
     Built afresh per call: a Coloring's values are mutable.  A coloring of
     another size than G is a PreconditionError.
     """
-    if len(f.values) != G.n:
-        raise PreconditionError(f"coloring has {len(f.values)} values for {G.n} cells")
-    return _pack_rows(f.values == np.arange(f.q + 1).reshape(-1, 1))
+    return _pack_rows(f.values_on(G) == np.arange(f.q + 1).reshape(-1, 1))
 
 
 def _pattern_slots(G: "LatticeGraph", planes: list[int], pats: tuple[Pattern, ...]) -> tuple[int, int]:
@@ -297,14 +298,5 @@ def canonical_permutation(P: Pattern, P0: Pattern) -> dict[int, int]:
     if P0.klass != 0:
         raise PreconditionError("the reference pattern must have |A| <= |B|")
     target = P0 if P.klass == 0 else P0.reversed()
-    perm: dict[int, int] = {}
-    for src, dst in zip(P.a, target.a):
-        perm[src] = dst
-    for src, dst in zip(P.b, target.b):
-        perm[src] = dst
-    leftovers_src = [c for c in range(1, P.q + 1) if c not in perm]
-    used = set(perm.values())
-    leftovers_dst = [c for c in range(1, P.q + 1) if c not in used]
-    for src, dst in zip(leftovers_src, leftovers_dst):
-        perm[src] = dst
-    return perm
+    # the two sides of a dominant pattern cover every color
+    return dict(zip(P.a + P.b, target.a + target.b))

@@ -43,12 +43,16 @@ list).
 The cluster move runs on a chain's kernel row as it stands.  With m the
 bits of the two drawn colors, the cells colored either are the row's
 entries AND m, read in vertex order through the layout's ``slot`` and
-packed into a bitmap.  One flood through it from the stuck cells takes
-the components that touch one; the other movable cells fall into the
+packed into a bitmap.  The cells it may recolor are the layout's
+``movable`` ones, the domain cells whose allowed mask is full (a
+dominant side never holds all q colors, so a pattern boundary cell is
+never one).  One flood through the bitmap from the stuck cells takes the
+components that touch one; the other movable cells fall into the
 swappable components.  Each flips on a draw below 1/2, drawn in order of
 lowest id, by an XOR with m: one for the chosen lowest ids, one for the
-rest of the chosen larger components.  ``cluster_step`` runs the same
-move on its coloring encoded as a row.
+rest of the chosen larger components.  ``cluster_step`` and
+``swappable_components`` run on a one-chain kernel of their coloring, so
+the layout is the sampler's only reading of (graph, domain, pattern, q).
 
 All randomness comes from one Philox stream per chain, which draws one
 uniform per domain cell per sweep, so a (seed, config) pair reproduces
@@ -83,11 +87,10 @@ from .lattice import (
     _pack,
     _split_components,
     _unpack,
-    boundary_cells,
     connected_components,
     interior,
 )
-from .patterns import Pattern
+from .patterns import Pattern, _fit_table, color_mask
 from .rng import make_rng
 
 MAX_Q = 16               # the kernel's tables hold masks m < 2^q in uint16
@@ -265,7 +268,9 @@ class _Layout:
     ``spans`` gives each nonempty scan block as (first column, end column,
     reads): the columns of the block cells' neighbors, padded with the 0
     column, and then of their forbidden masks, one row each.  ``slot[v]``
-    is vertex v's column, the inverse of ``cells``.
+    is vertex v's column, the inverse of ``cells``.  ``movable`` is the
+    bitmap of the domain cells whose allowed mask is full, the cells a
+    cluster move may recolor.
     """
 
     cells: np.ndarray
@@ -273,6 +278,7 @@ class _Layout:
     n_scan: int
     spans: tuple[tuple[int, int, np.ndarray], ...]
     forbidden: np.ndarray
+    movable: int
 
     @cached_property
     def loop(self) -> tuple[Callable, np.ndarray]:
@@ -334,21 +340,16 @@ def _sweep_function(n: int, n_scan: int, reads: tuple[tuple[int, ...], ...],
 def _layout(G: LatticeGraph, domain: VertexSet, p0: Pattern | None, q: int) -> _Layout:
     """The sweep layout, built on first use and kept on the graph.
 
-    An infeasible boundary raises PreconditionError and stores nothing, so
-    every later call raises it again.
+    The cells' masks are ``allowed_masks`` under the pattern boundary of
+    p0 (none for None); it refuses a domain of another graph or a pattern
+    of another q, and stores nothing, so every later call is refused again.
     """
     key = ("sweep layout", domain.bits, p0, q)
     layout = G.memo.get(key)
     if layout is not None:
         return layout
     full = (1 << q) - 1
-    if p0 is None:
-        allowed = np.full(G.n, full)
-    else:
-        masks, feasible = allowed_masks(G, domain, q, Constraint.pattern_boundary(p0))
-        if not feasible:
-            raise PreconditionError("the boundary pattern admits no coloring here")
-        allowed = np.array(masks)
+    allowed = np.array(allowed_masks(G, domain, q, Constraint(pattern=p0))[0])
     n = G.n
     ids = np.arange(n)
     inside = _unpack(domain)
@@ -379,7 +380,8 @@ def _layout(G: LatticeGraph, domain: VertexSet, p0: Pattern | None, q: int) -> _
     slot = column[:n]
     for shared in (cells, slot, reads, forbidden):   # shared by every kernel on this key
         shared.flags.writeable = False
-    layout = G.memo[key] = _Layout(cells, slot, n_scan, tuple(spans), forbidden)
+    layout = G.memo[key] = _Layout(cells, slot, n_scan, tuple(spans), forbidden,
+                                   _pack(allowed == full))
     return layout
 
 
@@ -393,16 +395,17 @@ class _Kernel:
     its forbidden-mask column; their OR is the set of colors it may not
     take, so padding and HOLE block nothing.
 
-    ``loop`` is the layout's ``loop`` (its sweep function and columns) when
-    the batch sweeps on the loop path of the module docstring, and None
-    when it takes the half-steps.
+    ``layout`` is the ``_Layout`` the kernel read, and ``loop`` is its
+    ``loop`` (its sweep function and columns) when the batch sweeps on the
+    loop path of the module docstring, and None when it takes the
+    half-steps.  A state of another size than G is a PreconditionError.
     """
 
     def __init__(self, G: LatticeGraph, domain: VertexSet, p0: Pattern | None,
                  states: list[Coloring]):
         q = states[0].q
         bit = _bits(q)   # refuses q > MAX_Q before the layout is built
-        layout = _layout(G, domain, p0, q)
+        layout = self.layout = _layout(G, domain, p0, q)
         self.cells = layout.cells
         self.slot = layout.slot
         self.n_scan = layout.n_scan
@@ -422,7 +425,7 @@ class _Kernel:
                         self.x[:, lo:hi])
                        for lo, hi, reads in layout.spans]
         for c, f in enumerate(states):
-            self.x[c, :G.n] = bit.take(f.values.take(self.cells))
+            self.x[c, :G.n] = bit.take(f.values_on(G).take(self.cells))
         # the one choice of sweep path
         small = 0 < chains * self.n_scan <= _LOOP_CELLS and q <= _LOOP_MAX_Q
         self.loop = layout.loop if small else None
@@ -519,37 +522,27 @@ def swappable_components(
 ) -> list[VertexSet]:
     """Two-color components free to exchange a and b.
 
-    Only unconstrained domain cells move (with a reference pattern, the
+    Only the layout's movable cells move (with a reference pattern, the
     boundary cells are constrained); a component touching any frozen or
-    boundary-constrained cell colored a or b stays put.  The components
-    that do touch one are flooded at once from the stuck cells, and the
-    rest are the components of what is left.
+    boundary-constrained cell colored a or b stays put.  Reads f through a
+    one-chain ``_Kernel``, as ``cluster_step`` does; a color outside 1..q
+    is a ConfigError.
     """
-    ab = _pack((f.values == a) | (f.values == b))
-    return connected_components(G, VertexSet(_swappable(ab, G, domain, p0), G.n))
+    m = color_mask((a, b), f.q)
+    cells = _swappable(_Kernel(G, domain, p0, [f]), 0, m, G)
+    return connected_components(G, VertexSet(cells, G.n))
 
 
-def _movable(G: LatticeGraph, domain: VertexSet, p0: Pattern | None) -> VertexSet:
-    """The cells a cluster move may recolor: the domain, less its boundary
-    cells when a reference pattern constrains them; kept on the graph."""
-    if p0 is None:
-        return domain
-    key = ("movable cells", domain.bits)
-    movable = G.memo.get(key)
-    if movable is None:
-        movable = G.memo[key] = domain - boundary_cells(G, domain)
-    return movable
-
-
-def _swappable(ab: int, G: LatticeGraph, domain: VertexSet, p0: Pattern | None) -> int:
-    """The cells of ``swappable_components`` as a bitmap, from the bitmap
-    ``ab`` of the cells colored a or b.
+def _swappable(kernel: _Kernel, c: int, m: int, G: LatticeGraph) -> int:
+    """The cells of chain c free to exchange the two colors of the bits m,
+    as a bitmap: the cells colored either are the row's entries AND m.
 
     A movable cell is tainted when a path of cells colored a or b joins it
-    to a stuck one, so the taint is one flood through ``ab`` from the stuck
-    cells; with none, the flood takes no step.
+    to a stuck one, so the taint is one flood through those cells from the
+    stuck ones; with none, the flood takes no step.
     """
-    movable = _movable(G, domain, p0).bits & ab
+    ab = _pack((kernel.x[c].take(kernel.slot) & m) != 0)
+    movable = kernel.layout.movable & ab
     return movable & ~_grow(G, ab, ab & ~movable, 1)
 
 
@@ -562,37 +555,34 @@ def cluster_step(
 ) -> Coloring:
     """Swap two random colors on an independent half of their free components.
 
-    Runs ``_cluster_move`` on the coloring encoded as a kernel row (the
-    identity slot), so it takes at most MAX_Q colors, as a sweep does.
-    Properness is not re-tested here, as in ``heat_bath_sweep``.
+    Runs ``_cluster_move`` on a one-chain ``_Kernel`` of f, so it takes at
+    most MAX_Q colors, as a sweep does.  Properness is not re-tested here,
+    as in ``heat_bath_sweep``.
     """
-    row = _bits(f.q).take(f.values)
-    _cluster_move(row, np.arange(G.n), f.q, G, domain, p0, rng)
-    return Coloring(_tables(f.q)[2].take(row), f.q)
+    kernel = _Kernel(G, domain, p0, [f])
+    _cluster_move(kernel, 0, G, rng)
+    return kernel.coloring(0)
 
 
-def _cluster_move(row: np.ndarray, slot: np.ndarray, q: int, G: LatticeGraph,
-                  domain: VertexSet, p0: Pattern | None, rng: np.random.Generator) -> None:
-    """``cluster_step`` in place on a kernel row of color bits, vertex v
-    in column ``slot[v]``.
+def _cluster_move(kernel: _Kernel, c: int, G: LatticeGraph, rng: np.random.Generator) -> None:
+    """``cluster_step`` in place on chain c of the kernel.
 
-    With m the bits of the drawn pair a, b, a cell is colored a or b when
-    its entry AND m is nonzero, and swaps a and b by XOR with m.  Each
-    swappable component flips when its draw is below 1/2, the draws taken
-    in order of the components' lowest ids (their heads): the chosen heads
-    flip in one XOR, and the other cells of the chosen larger components
-    in one more.  With nothing swappable the move draws nothing after the
-    pair.
+    With m the bits of the drawn pair a, b, ``_swappable`` gives the cells
+    free to swap, and a cell swaps a and b by XOR with m.  Each swappable
+    component flips when its draw is below 1/2, the draws taken in order
+    of the components' lowest ids (their heads): the chosen heads flip in
+    one XOR, and the other cells of the chosen larger components in one
+    more.  With nothing swappable the move draws nothing after the pair.
     """
-    a, b = rng.choice(q, size=2, replace=False).tolist()
+    a, b = rng.choice(kernel.q, size=2, replace=False).tolist()
     m = 1 << a | 1 << b
-    ab = _pack((row.take(slot) & m) != 0)   # the cells colored a or b
-    singles, grown = _split_components(G, _swappable(ab, G, domain, p0))
+    singles, grown = _split_components(G, _swappable(kernel, c, m, G))
     heads = singles
     for comp in grown:
         heads |= comp & -comp
     if not heads:
         return
+    row, slot = kernel.x[c], kernel.slot
     ids = np.array(_bits_to_ids(heads, G.n), dtype=np.intp)   # ascending
     chosen = rng.random(len(ids)) < 0.5
     row[slot[ids[chosen]]] ^= m
@@ -680,7 +670,7 @@ def run_experiment(cfg: ChainConfig, threads: int = 1) -> OrderStats:
                 raise InternalInvariantError("the chain reached a stuck state")
         if s < cfg.sweeps:
             for c, rng in enumerate(rngs):
-                _cluster_move(kernel.x[c], kernel.slot, q, G, domain, p0, rng)
+                _cluster_move(kernel, c, G, rng)
     _count(occ, held[:n_held], first_half - counted, kernel.color, bins)
 
     frozen = ~_unpack(domain)
@@ -695,8 +685,7 @@ def run_experiment(cfg: ChainConfig, threads: int = 1) -> OrderStats:
     ids = kernel.cells[order]
     odd = G.odd_flags[ids]
     occ = occ.reshape(2, n_scan, q)[:, order]
-    sides = np.where(odd, p0.side_for_parity(1), p0.side_for_parity(0))
-    viol = (occ * ((sides[:, None] >> np.arange(q)) & 1 == 0)).sum(axis=2)
+    viol = (occ * ~_fit_table(p0)[odd.view(np.uint8), 1:q + 1]).sum(axis=2)
     halves = (first_half * cfg.chains, (per_chain - first_half) * cfg.chains)
     total = occ.sum(axis=0)
     parity_occ: dict[str, tuple[float, ...]] = {}

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -253,6 +254,36 @@ def test_repair_rejects_out_of_pattern_part_boundary():
     h = {v: (p0.a if G.parity[v] == 0 else p0.b)[0] for v in star}
     with pytest.raises(PreconditionError):
         repair_transform(f, S, parts, h, G, p0)
+
+
+def test_plan_repair_refusals():
+    # each geometry refusal of plan_repair, and a filling that does not
+    # cover the leftover region exactly
+    G, p0, p, S, parts = _center_block_instance()
+    for kwargs, message in (({"shift_axis": 2}, "shift axis 2 outside 0..1"),
+                            ({"shift_dir": 0}, "shift direction must be +1 or -1")):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            plan_repair(G, S, parts, **kwargs)
+    not_dominant = Pattern.make(4, [1], [2])
+    with pytest.raises(PreconditionError, match=re.escape(f"{not_dominant!r} is not dominant")):
+        plan_repair(G, S, {not_dominant: S.complement()})
+    with pytest.raises(PreconditionError, match="parts overlap"):
+        plan_repair(G, S, {p: S.complement(), p0: G.vertex_set([0])})
+    f = Coloring([HOLE] * G.n, 4)
+    h = {v: (p0.a if G.parity[v] == 0 else p0.b)[0] for v in plan_repair(G, S, parts).s_star}
+    corner = G.vid((0, 0))   # a part cell away from S^+
+    for cover in ({}, dict(list(h.items())[1:]), {**h, corner: 1}):
+        with pytest.raises(PreconditionError, match="filling must cover exactly"):
+            repair_transform(f, S, parts, cover, G, p0)
+    # on 6x6 a part split into rows 0-2 and 3-5 has cells on the split
+    # that border the other part and not S
+    G = build_graph([6, 6])
+    S = G.vertex_set([G.vid((i, j)) for i in (2, 3) for j in (2, 3)])
+    top = G.vertex_set(v for v in S.complement() if G.coords(v)[0] < 3)
+    with pytest.raises(PreconditionError,
+                       match=f"part {p0.text()} has boundary cells not adjacent to S"):
+        plan_repair(G, S, {p: top, p0: S.complement() - top})
+    assert not G.memo
 
 
 def test_repair_shift_overflow_reported():

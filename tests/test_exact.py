@@ -463,6 +463,22 @@ def test_toy_ratio_odd_q_sharp():
     assert r.verdict == "equal" and r.expected_equality
 
 
+def test_toy_ratio_preconditions():
+    # patterns of two q, a non-dominant pattern, and a droplet whose U^+
+    # leaves the domain are each refused
+    G = build_graph([5, 5])
+    p0 = Pattern.make(4, [1, 2], [3, 4])
+    U = G.vertex_set([G.vid((2, 2))])
+    inner = G.vertex_set(v for v in range(G.n) if 0 < min(G.coords(v)) and max(G.coords(v)) < 4)
+    for domain, U, p, message in (
+            (G.full_set(), U, Pattern.make(5, [1, 2], [3, 4, 5]), "patterns use different color counts"),
+            (G.full_set(), U, Pattern.make(4, [1], [2]), "both patterns must be dominant"),
+            (inner, G.vertex_set([G.vid((1, 1))]), Pattern.make(4, [1, 3], [2, 4]),
+             "U^+ must be inside the domain")):
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            toy_ratio(G, domain, U, p0, p)
+
+
 def test_toy_ratio_counts_against_enumeration():
     # cross-check n(U) and n(empty) against plain recursion over the domain:
     # a full box; a proper subdomain with U^+ inside it, whose sea's

@@ -154,6 +154,17 @@ def test_revealed_plus_shape_d3():
     assert revealed_vertices(G, G.empty_set(), "odd") == G.empty_set()
 
 
+def test_revealed_vertices_refuse_an_edge_clipped_by_the_rim():
+    # on the (2,2,2) box the odd set {0,1,2,4} leaves boundary edge (1,3)
+    # with no revealed end, and cell 3 lacks a neighbor along every axis:
+    # the rim's PreconditionError, not the theorem's internal error
+    G = build_graph([2, 2, 2])
+    with pytest.raises(PreconditionError, match=re.escape(
+            "boundary edge (1,3) is clipped by the ambient rim; "
+            "revealed-vertex separation needs clearance from the faces")):
+        revealed_vertices(G, G.vertex_set([0, 1, 2, 4]), "odd")
+
+
 def test_revealed_separation_randomized():
     G = build_graph([8, 8])
     rng = make_rng(7)

@@ -598,6 +598,25 @@ def test_regularity_closures_only_in_geometry():
     assert offenders == []
 
 
+def test_sampler_reads_constrained_cells_from_its_layout(monkeypatch):
+    # which cells a pattern boundary constrains, the sampler reads from its
+    # sweep layout alone: it does not name boundary_cells, and a cluster run
+    # keeps no set of movable cells of its own on the graph
+    from chroma import sampler
+
+    src = Path(__file__).resolve().parent.parent / "src" / "chroma" / "sampler.py"
+    assert not re.search(r"\bboundary_cells\b", src.read_text())
+    graphs = []
+    real = sampler.ChainConfig.graph
+    monkeypatch.setattr(sampler.ChainConfig, "graph",
+                        lambda cfg: graphs.append(real(cfg)) or graphs[-1])
+    sampler.run_experiment(sampler.ChainConfig(
+        dims=(6, 6), q=3, pattern="A=1;B=2,3", seed=4, sweeps=20, margin=1,
+        algorithm="heat-bath+cluster", cluster_every=2))
+    kinds = {key[0] for key in graphs[0].memo}
+    assert "sweep layout" in kinds and "movable cells" not in kinds
+
+
 def _loaded_names(tree: ast.AST):
     """The names a module reads: every Name, and the names inside string
     annotations (the quoted forward references of TYPE_CHECKING imports)."""

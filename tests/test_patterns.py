@@ -143,6 +143,15 @@ def test_text_roundtrip():
         Pattern.parse(5, "A=1,3")
 
 
+def test_parse_takes_one_a_and_one_b_field():
+    # a third field or a repeated one is refused, not dropped or read as a
+    # clash of the sides; the two fields may come in either order
+    for text in ("A=1;B=2,3;C=4", "A=1;B=2,3;A=2", "A=1;B=2;B=3"):
+        with pytest.raises(ConfigError, match="one A and one B field"):
+            Pattern.parse(3, text)
+    assert Pattern.parse(3, "B=2,3;A=1") == Pattern.make(3, [1], [2, 3])
+
+
 def test_canonical_permutation_properties():
     p0 = Pattern.make(5, [1, 2], [3, 4, 5])
     for P in enumerate_dominant(5):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import struct
 from collections import Counter
 from fractions import Fraction
@@ -20,7 +21,7 @@ from chroma.errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from chroma.exact import Constraint, allowed_masks, enumerate_colorings
+from chroma.exact import Constraint, allowed_masks, count_colorings, enumerate_colorings
 from chroma.lattice import build_graph
 from chroma.patterns import Pattern, vertex_in_pattern
 from chroma.rng import make_rng
@@ -51,6 +52,51 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ChainConfig(dims=(4, 4), q=3, pattern=P03, seed=1, sweeps=5,
                     algorithm="bogus")
+
+
+def test_config_refuses_no_chains_no_cluster_interval_and_class1_pattern():
+    base = dict(dims=(4, 4), q=3, pattern=P03, seed=1, sweeps=5)
+    for kwargs, message in (({"chains": 0}, "chains must be >= 1"),
+                            ({"algorithm": "heat-bath+cluster", "cluster_every": 0},
+                             "cluster_every must be >= 1")):
+        with pytest.raises(ConfigError, match=message):
+            ChainConfig(**base, **kwargs)
+    with pytest.raises(ConfigError, match="dominant with"):
+        ChainConfig(**{**base, "pattern": "A=1,2;B=3"}).p0()
+
+
+def test_inputs_of_another_graph_or_q_are_refused():
+    # a coloring of another size, a domain of another graph and a pattern
+    # of another q are refused by every entry that reads them, where they
+    # were read as part of a box, counted under the wrong masks or gave []
+    G = build_graph([8, 8])
+    p0 = Pattern.parse(3, P03)
+    for dims in ((8, 7), (8, 9)):
+        f = striped_pattern_coloring(build_graph(dims), p0)
+        for call in (lambda: is_proper(f, G),
+                     lambda: heat_bath_sweep(f, G, G.full_set(), p0, make_rng(0)),
+                     lambda: cluster_step(f, G, G.full_set(), p0, make_rng(0)),
+                     lambda: swappable_components(f, G, G.full_set(), p0, 1, 2)):
+            with pytest.raises(PreconditionError, match=f"{len(f.values)} values for 64 cells"):
+                call()
+    G = build_graph([3, 3])
+    f = striped_pattern_coloring(G, p0)
+    for a, b in ((0, 1), (2, 4)):   # a HOLE or a color past q is no color to swap
+        with pytest.raises(ConfigError, match="outside 1..3"):
+            swappable_components(f, G, G.full_set(), p0, a, b)
+    other = build_graph([2, 3]).full_set()
+    for call in (lambda: count_colorings(G, other, 3),
+                 lambda: heat_bath_sweep(f, G, other, p0, make_rng(0)),
+                 lambda: heat_bath_sweep(f, G, other, None, make_rng(0))):
+        with pytest.raises(PreconditionError, match="a graph of 6 cells, not 9"):
+            call()
+    f4 = striped_pattern_coloring(G, Pattern.parse(4, "A=1,2;B=3,4"))
+    for call in (lambda: count_colorings(G, G.full_set(), 4, Constraint.pattern_boundary(p0)),
+                 lambda: heat_bath_sweep(f4, G, G.full_set(), p0, make_rng(0))):
+        with pytest.raises(PreconditionError,
+                           match=re.escape(f"{p0!r} is not a dominant pattern for q=4")):
+            call()
+    assert not G.memo
 
 
 def test_forced_resample():
@@ -798,8 +844,8 @@ def test_sweep_layout_memo_changes_no_output():
 
 
 def test_infeasible_boundary_refused_on_every_call():
-    # a 5-color pattern leaves the even boundary cells of a 3-coloring no
-    # color: the layout is refused, nothing is kept, and a repeat call is
+    # a 5-color pattern is refused under a 3-coloring (allowed_masks takes
+    # a pattern of its own q only): nothing is kept, and a repeat call is
     # refused again; a state outside the constraint is refused every time too
     G = build_graph([4, 4])
     f = striped_pattern_coloring(G, Pattern.parse(3, P03))
