@@ -21,7 +21,6 @@ proper coloring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from typing import Mapping
 
@@ -46,34 +45,38 @@ from .patterns import (
     canonical_permutation,
     in_pattern,
 )
+from .record import Record
 from .rng import make_rng
 
 HOLE = 0
 MAX_COLORS = np.iinfo(np.int16).max   # the largest color an int16 entry holds
 
 
-@dataclass
 class Coloring:
     """Vertex -> color table; 0 is the HOLE sentinel.
 
     ``values`` may be given as any integer sequence; it is stored as a
     writable int16 numpy array (an int16 array is kept as it is, not
-    copied), checked once to lie in 0..q.
+    copied), checked once to lie in 0..q.  Both fields may be reassigned,
+    and a coloring is not hashable.
     """
 
-    values: np.ndarray
-    q: int
+    __slots__ = ("values", "q")
 
-    def __post_init__(self):
-        if self.q < 2:
+    def __init__(self, values: np.ndarray, q: int):
+        if q < 2:
             raise ConfigError("colorings need q >= 2")
-        if self.q > MAX_COLORS:
+        if q > MAX_COLORS:
             raise ConfigError(f"colorings take at most {MAX_COLORS} colors")
-        values = np.asarray(self.values)
-        if values.size and (values.min() < 0 or values.max() > self.q):
-            v = int(np.flatnonzero((values < 0) | (values > self.q))[0])
-            raise ConfigError(f"value {int(values[v])} at vertex {v} outside 0..{self.q}")
+        values = np.asarray(values)
+        if values.size and (values.min() < 0 or values.max() > q):
+            v = int(np.flatnonzero((values < 0) | (values > q))[0])
+            raise ConfigError(f"value {int(values[v])} at vertex {v} outside 0..{q}")
         self.values = values.astype(np.int16, copy=False)
+        self.q = q
+
+    def __repr__(self) -> str:
+        return f"Coloring(values={self.values!r}, q={self.q!r})"
 
     def values_on(self, G: LatticeGraph) -> np.ndarray:
         """``values``, refused (PreconditionError) unless there is one per cell of G."""
@@ -149,8 +152,7 @@ def striped_pattern_coloring(G: LatticeGraph, P: Pattern) -> Coloring:
     return Coloring(np.array(a + b)[index % np.where(odd, len(b), len(a)) + odd * len(a)], P.q)
 
 
-@dataclass(frozen=True)
-class BoundaryCondition:
+class BoundaryCondition(Record):
     """Domain plus the dominant pattern imposed on its inner boundary.
 
     The reference pattern must have |A| <= |B| so that its parity
@@ -160,14 +162,14 @@ class BoundaryCondition:
     the boundary toward infinity).
     """
 
-    domain: VertexSet
-    pattern: Pattern
+    __slots__ = ("domain", "pattern")
 
-    def __post_init__(self):
-        if not self.pattern.is_dominant():
+    def __init__(self, domain: VertexSet, pattern: Pattern):
+        if not pattern.is_dominant():
             raise ConfigError("boundary pattern must be dominant")
-        if self.pattern.klass != 0:
+        if pattern.klass != 0:
             raise ConfigError("boundary pattern must have |A| <= |B|")
+        self._init(domain, pattern)
 
     def boundary_vertices(self, G: LatticeGraph) -> VertexSet:
         return boundary_cells(G, self.domain)
@@ -201,24 +203,26 @@ def extend_outside(
 # -- repair transformation ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RepairPlan:
+class RepairPlan(Record):
     """Geometry shared by the forward and inverse repair maps.
 
-    ``moves`` holds, per region, the ids of its cells, the ids their
-    colors land on (one step against the shift for a class-1 part, the
-    cells themselves otherwise) and the bitmap of its internal boundary;
-    ``filling`` holds the ids of S*, the cells a filling must cover.
+    ``regions`` are the parts minus S^+, class-0 first.  ``moves`` holds,
+    per region, the ids of its cells, the ids their colors land on (one
+    step against the shift for a class-1 part, the cells themselves
+    otherwise) and the bitmap of its internal boundary; ``filling`` holds
+    the ids of S*, the cells a filling must cover.  Equality, hashing and
+    the repr leave ``moves`` and ``filling`` out.
     """
 
-    s: VertexSet
-    parts: tuple[tuple[Pattern, VertexSet], ...]
-    regions: tuple[tuple[Pattern, VertexSet], ...]   # parts minus S^+, class-0 first
-    s_star: VertexSet
-    shift_axis: int
-    shift_dir: int
-    moves: tuple[tuple[np.ndarray, np.ndarray, int], ...] = field(compare=False, repr=False)
-    filling: frozenset[int] = field(compare=False, repr=False)
+    __slots__ = ("s", "parts", "regions", "s_star", "shift_axis", "shift_dir",
+                 "moves", "filling")
+    _compared = 6
+
+    def __init__(self, s: VertexSet, parts: tuple[tuple[Pattern, VertexSet], ...],
+                 regions: tuple[tuple[Pattern, VertexSet], ...], s_star: VertexSet,
+                 shift_axis: int, shift_dir: int,
+                 moves: tuple[tuple[np.ndarray, np.ndarray, int], ...], filling: frozenset[int]):
+        self._init(s, parts, regions, s_star, shift_axis, shift_dir, moves, filling)
 
 
 @cache

@@ -41,7 +41,6 @@ pattern order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .coloring import Coloring
@@ -64,6 +63,7 @@ from .lattice import (
     diam_star,
 )
 from .patterns import Pattern, _color_planes, _dominant, _pattern_slots
+from .record import Record
 
 
 def _settled(G: LatticeGraph, in_pat: int, k: int) -> int:
@@ -73,13 +73,12 @@ def _settled(G: LatticeGraph, in_pat: int, k: int) -> int:
     return full & ~_neighbor_bits(G, full & ~in_pat, k)
 
 
-@dataclass(frozen=True)
-class RegionDecomposition:
-    graph: LatticeGraph
-    z_p: dict[Pattern, VertexSet]
-    z_overlap: VertexSet
-    z_bad: VertexSet
-    z_star: VertexSet
+class RegionDecomposition(Record):
+    __slots__ = ("graph", "z_p", "z_overlap", "z_bad", "z_star")
+
+    def __init__(self, graph: LatticeGraph, z_p: dict[Pattern, VertexSet],
+                 z_overlap: VertexSet, z_bad: VertexSet, z_star: VertexSet):
+        self._init(graph, z_p, z_overlap, z_bad, z_star)
 
     def as_atlas(self) -> "Atlas":
         return Atlas(self.graph, dict(self.z_p))
@@ -147,10 +146,11 @@ def _decompose(
     return RegionDecomposition(G, z_p, *(VertexSet(x, n) for x in (overlap, bad, star)))
 
 
-@dataclass(frozen=True)
-class Atlas:
-    graph: LatticeGraph
-    x_p: dict[Pattern, VertexSet]
+class Atlas(Record):
+    __slots__ = ("graph", "x_p")
+
+    def __init__(self, graph: LatticeGraph, x_p: dict[Pattern, VertexSet]):
+        self._init(graph, x_p)
 
     @property
     def x_overlap(self) -> VertexSet:
@@ -170,12 +170,11 @@ class Atlas:
         )}
 
 
-@dataclass(frozen=True)
-class BreakupClass:
-    L: int
-    M: int
-    N: int
-    min_boundary_ok: bool
+class BreakupClass(Record):
+    __slots__ = ("L", "M", "N", "min_boundary_ok")
+
+    def __init__(self, L: int, M: int, N: int, min_boundary_ok: bool):
+        self._init(L, M, N, min_boundary_ok)
 
 
 def classify_atlas(X: Atlas) -> BreakupClass:
@@ -295,10 +294,11 @@ def construct_breakup(
     return X
 
 
-@dataclass(frozen=True)
-class BreakupReport:
-    ok: bool
-    violations: tuple[str, ...]
+class BreakupReport(Record):
+    __slots__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple[str, ...]):
+        self._init(ok, violations)
 
 
 def verify_breakup(
@@ -390,11 +390,11 @@ def verify_breakup(
     return BreakupReport(not problems, tuple(problems))
 
 
-@dataclass(frozen=True)
-class BPResult:
-    bar_z_p: VertexSet
-    b_p: VertexSet
-    diam_star: int
+class BPResult(Record):
+    __slots__ = ("bar_z_p", "b_p", "diam_star")
+
+    def __init__(self, bar_z_p: VertexSet, b_p: VertexSet, diam_star: int):
+        self._init(bar_z_p, b_p, diam_star)
 
 
 def bp_components(

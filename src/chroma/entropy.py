@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -23,6 +22,7 @@ from .coloring import Coloring, HOLE
 from .errors import PreconditionError, ResourceLimitError
 from .lattice import LatticeGraph, VertexSet, _full_degree, closed_neighborhood, vertex_boundaries
 from .patterns import Pattern, _dominant
+from .record import Record
 
 ENT_TOL = 1e-10
 STAR = -1  # masked symbol for cells outside the working set
@@ -39,24 +39,24 @@ def check_distribution(dist: Mapping, tol: float = 1e-9) -> None:
         raise PreconditionError(f"probabilities sum to {total}, not 1")
 
 
-@dataclass(frozen=True)
-class FiniteDistribution:
+class FiniteDistribution(Record):
     """Validated outcome -> probability table.
 
     Probabilities may be floats or exact Fractions; sums are checked to
     1e-12 in float mode and exactly when all entries are rational.
     """
 
-    probs: dict
+    __slots__ = ("probs",)
 
-    def __post_init__(self):
-        if all(isinstance(p, (int, Fraction)) for p in self.probs.values()):
-            if any(p < 0 for p in self.probs.values()):
+    def __init__(self, probs: dict):
+        if all(isinstance(p, (int, Fraction)) for p in probs.values()):
+            if any(p < 0 for p in probs.values()):
                 raise PreconditionError("negative probabilities are not allowed")
-            if sum(self.probs.values()) != 1:
+            if sum(probs.values()) != 1:
                 raise PreconditionError("exact probabilities must sum to 1")
         else:
-            check_distribution(self.probs, tol=1e-12)
+            check_distribution(probs, tol=1e-12)
+        self._init(probs)
 
     def entropy(self) -> float:
         return shannon_entropy(self.probs)
@@ -93,11 +93,11 @@ def conditional_entropy(joint: Mapping[tuple, float], given: Sequence[int]) -> f
     return shannon_entropy(joint) - shannon_entropy(marginal(joint, given))
 
 
-@dataclass(frozen=True)
-class ShearerResult:
-    lhs: float
-    rhs: float
-    holds: bool
+class ShearerResult(Record):
+    __slots__ = ("lhs", "rhs", "holds")
+
+    def __init__(self, lhs: float, rhs: float, holds: bool):
+        self._init(lhs, rhs, holds)
 
 
 def shearer_check(
@@ -126,10 +126,11 @@ def shearer_check(
 # -- neighborhood types and classification ------------------------------------
 
 
-@dataclass(frozen=True)
-class NeighborhoodType:
-    colorset: frozenset[int]
-    unbal: bool
+class NeighborhoodType(Record):
+    __slots__ = ("colorset", "unbal")
+
+    def __init__(self, colorset: frozenset[int], unbal: bool):
+        self._init(colorset, unbal)
 
 
 def _type_of_values(values: Sequence[int], d: int, q: int) -> NeighborhoodType:
@@ -158,13 +159,12 @@ def _image(f_values: Sequence[int], vertices: Iterable[int]) -> frozenset[int]:
     return frozenset(f_values[u] for u in vertices)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    unbal: VertexSet
-    nondom: VertexSet
-    restricted: tuple[tuple[int, int], ...]
-    uniq: VertexSet
-    k_value: Fraction
+class ClassificationReport(Record):
+    __slots__ = ("unbal", "nondom", "restricted", "uniq", "k_value")
+
+    def __init__(self, unbal: VertexSet, nondom: VertexSet,
+                 restricted: tuple[tuple[int, int], ...], uniq: VertexSet, k_value: Fraction):
+        self._init(unbal, nondom, restricted, uniq, k_value)
 
     def to_json(self) -> dict:
         return {
@@ -313,20 +313,19 @@ def enumerate_type_functions(
     return out
 
 
-@dataclass(frozen=True)
-class ZBoundCase:
-    name: str
-    applicable: bool
-    rhs: float
-    holds: bool | None
+class ZBoundCase(Record):
+    __slots__ = ("name", "applicable", "rhs", "holds")
+
+    def __init__(self, name: str, applicable: bool, rhs: float, holds: bool | None):
+        self._init(name, applicable, rhs, holds)
 
 
-@dataclass(frozen=True)
-class ZBoundReport:
-    lhs: int
-    k_semi_restricted: int
-    cases: tuple[ZBoundCase, ...]
-    holds: bool
+class ZBoundReport(Record):
+    __slots__ = ("lhs", "k_semi_restricted", "cases", "holds")
+
+    def __init__(self, lhs: int, k_semi_restricted: int, cases: tuple[ZBoundCase, ...],
+                 holds: bool):
+        self._init(lhs, k_semi_restricted, cases, holds)
 
 
 def z_bound_check(
@@ -385,21 +384,23 @@ def z_bound_check(
 # -- local entropy decomposition ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VertexTerms:
-    vertex: int
-    term_neighborhood_image: float  # Ent(image of masked values on N(v)) / 2d
-    term_local: float               # Ent(masked N(v) | image)/2d + Ent(masked v | image)
-    cap_applicable: bool
-    caps_hold: bool | None
+class VertexTerms(Record):
+    __slots__ = ("vertex",
+                 "term_neighborhood_image",   # Ent(image of masked values on N(v)) / 2d
+                 "term_local",                # Ent(masked N(v) | image)/2d + Ent(masked v | image)
+                 "cap_applicable", "caps_hold")
+
+    def __init__(self, vertex: int, term_neighborhood_image: float, term_local: float,
+                 cap_applicable: bool, caps_hold: bool | None):
+        self._init(vertex, term_neighborhood_image, term_local, cap_applicable, caps_hold)
 
 
-@dataclass(frozen=True)
-class EntropyLossReport:
-    terms: tuple[VertexTerms, ...]
-    total_bound: float
-    ent_masked: float
-    holds: bool
+class EntropyLossReport(Record):
+    __slots__ = ("terms", "total_bound", "ent_masked", "holds")
+
+    def __init__(self, terms: tuple[VertexTerms, ...], total_bound: float, ent_masked: float,
+                 holds: bool):
+        self._init(terms, total_bound, ent_masked, holds)
 
 
 def entropy_loss_eval(

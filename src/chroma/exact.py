@@ -18,7 +18,6 @@ the test suite holds them to that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
@@ -39,12 +38,15 @@ from .lattice import (
     vertex_boundaries,
 )
 from .patterns import Pattern
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CountResult:
-    count: int
-    method: str
+class CountResult(Record):
+    __slots__ = ("count", "method")
+
+    def __init__(self, count: int, method: str):
+        _set_count(self, count)
+        _set_method(self, method)
 
     def to_json(self, instance: Mapping | None = None) -> dict:
         out = {"count": str(self.count), "method": self.method}
@@ -53,18 +55,18 @@ class CountResult:
         return out
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record):
     """A boundary condition is its fields: a dominant pattern P whose side
     the domain's boundary cells take (None for none), and (vertex, color)
     pins sorted by vertex.  Both may be set; with neither the count is free."""
 
-    pattern: Pattern | None = None
-    pins: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("pattern", "pins")
 
-    def __post_init__(self):
-        if self.pattern is not None and not self.pattern.is_dominant():
+    def __init__(self, pattern: Pattern | None = None, pins: tuple[tuple[int, int], ...] = ()):
+        if pattern is not None and not pattern.is_dominant():
             raise ConfigError("boundary constraint needs a dominant pattern")
+        _set_pattern(self, pattern)
+        _set_pins(self, pins)
 
     @classmethod
     def free(cls) -> "Constraint":
@@ -82,7 +84,13 @@ class Constraint:
     def with_pin(self, v: int, c: int) -> "Constraint":
         pins = dict(self.pins)
         pins[v] = c
-        return replace(self, pins=tuple(sorted(pins.items())))
+        return Constraint(self.pattern, tuple(sorted(pins.items())))
+
+
+# the slots' own setters, past the refusing __setattr__ (counts build these
+# records by the hundred)
+_set_count, _set_method = CountResult.count.__set__, CountResult.method.__set__
+_set_pattern, _set_pins = Constraint.pattern.__set__, Constraint.pins.__set__
 
 
 def allowed_masks(
@@ -568,10 +576,11 @@ def count_colorings(
 # -- marginals, distances, ratios ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExactMarginal:
-    vertex: int
-    probs: tuple[Fraction, ...]
+class ExactMarginal(Record):
+    __slots__ = ("vertex", "probs")
+
+    def __init__(self, vertex: int, probs: tuple[Fraction, ...]):
+        self._init(vertex, probs)
 
     def to_json(self) -> dict:
         return {
@@ -603,7 +612,7 @@ def exact_marginal(
     total = count_colorings(G, domain, q, constraint).count
     if total == 0:
         raise UndefinedMeasureError("no proper coloring satisfies the constraint")
-    others = replace(constraint, pins=tuple((u, c) for u, c in constraint.pins if u != v))
+    others = Constraint(constraint.pattern, tuple((u, c) for u, c in constraint.pins if u != v))
     distinct = set(allowed_masks(G, domain, q, others)[0])
     by_class: dict[tuple[int, ...], Fraction] = {}
     probs = []
@@ -632,15 +641,14 @@ def tv_distance(m1: Mapping, m2: Mapping, universe: Iterable | None = None) -> F
     return total / 2
 
 
-@dataclass(frozen=True)
-class ToyRatio:
-    ratio: Fraction
-    bound_base: Fraction
-    bound_exponent: Fraction
-    verdict: str  # 'equal' | 'below' | 'above'
-    expected_equality: bool
-    n_u: int
-    n_empty: int
+class ToyRatio(Record):
+    __slots__ = ("ratio", "bound_base", "bound_exponent",
+                 "verdict",   # 'equal' | 'below' | 'above'
+                 "expected_equality", "n_u", "n_empty")
+
+    def __init__(self, ratio: Fraction, bound_base: Fraction, bound_exponent: Fraction,
+                 verdict: str, expected_equality: bool, n_u: int, n_empty: int):
+        self._init(ratio, bound_base, bound_exponent, verdict, expected_equality, n_u, n_empty)
 
     def to_json(self) -> dict:
         return {
@@ -727,12 +735,12 @@ def toy_ratio(
     return ToyRatio(ratio, base, exponent, verdict, expected_eq, n_u, n_empty)
 
 
-@dataclass(frozen=True)
-class HtopPoint:
-    dims: tuple[int, ...]
-    count: int
-    log_per_site: float
-    lower_bound: float
+class HtopPoint(Record):
+    __slots__ = ("dims", "count", "log_per_site", "lower_bound")
+
+    def __init__(self, dims: tuple[int, ...], count: int, log_per_site: float,
+                 lower_bound: float):
+        self._init(dims, count, log_per_site, lower_bound)
 
 
 def htop_estimate(q: int, boxes: Iterable[Iterable[int]]) -> list[HtopPoint]:

@@ -31,7 +31,6 @@ judges the separation of revealed vertices and of separating sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -61,6 +60,7 @@ from .lattice import (
     vertex_boundaries,
 )
 from .patterns import Pattern, _p_odd
+from .record import Record
 
 if TYPE_CHECKING:  # pragma: no cover
     from .decomposition import Atlas
@@ -290,15 +290,16 @@ def greedy_cover(G: LatticeGraph, S: VertexSet, t: int) -> VertexSet:
     return VertexSet(chosen, G.n)
 
 
-@dataclass(frozen=True)
-class SeparatingSetReport:
-    vertices: VertexSet          # the set U; N(U) does the separating
-    separator: VertexSet         # N(U)
-    size: int
-    size_bound: float            # reported, asymptotic: |dS| d^{-3/2} log d
-    separates: bool
-    s_threshold: int
-    t_threshold: int
+class SeparatingSetReport(Record):
+    __slots__ = ("vertices",     # the set U; N(U) does the separating
+                 "separator",    # N(U)
+                 "size",
+                 "size_bound",   # reported, asymptotic: |dS| d^{-3/2} log d
+                 "separates", "s_threshold", "t_threshold")
+
+    def __init__(self, vertices: VertexSet, separator: VertexSet, size: int,
+                 size_bound: float, separates: bool, s_threshold: int, t_threshold: int):
+        self._init(vertices, separator, size, size_bound, separates, s_threshold, t_threshold)
 
 
 def _witness_set(
@@ -394,11 +395,13 @@ def separating_set(
     )
 
 
-@dataclass(frozen=True)
-class WeakApproximation:
-    known: list[VertexSet]   # known-inside part per set
-    fringe: VertexSet        # unknown region (separator plus small pockets)
-    fringe_bound_ok: bool    # |fringe| <= 3 |W| (true away from box faces)
+class WeakApproximation(Record):
+    __slots__ = ("known",             # known-inside part per set
+                 "fringe",            # unknown region (separator plus small pockets)
+                 "fringe_bound_ok")   # |fringe| <= 3 |W| (true away from box faces)
+
+    def __init__(self, known: list[VertexSet], fringe: VertexSet, fringe_bound_ok: bool):
+        self._init(known, fringe, fringe_bound_ok)
 
 
 def weak_approximation(
@@ -441,17 +444,15 @@ def weak_approximation(
     return WeakApproximation(known, fringe, len(fringe) <= 3 * len(W))
 
 
-@dataclass(frozen=True)
-class Approximation:
+class Approximation(Record):
     """Coarse description of an atlas: known regions and unknown fringes."""
 
-    a_p: dict[Pattern, VertexSet]
-    a_star: VertexSet
-    a_2star: VertexSet
+    __slots__ = ("a_p", "a_star", "a_2star")
 
-    def __post_init__(self):
-        if not self.a_star.issubset(self.a_2star):
+    def __init__(self, a_p: dict[Pattern, VertexSet], a_star: VertexSet, a_2star: VertexSet):
+        if not a_star.issubset(a_2star):
             raise PreconditionError("a_star must be contained in a_2star")
+        self._init(a_p, a_star, a_2star)
 
 
 def verify_approximation(
@@ -524,13 +525,12 @@ def enumerate_regular_parity_sets(G: LatticeGraph, parity: str) -> list[VertexSe
     return out
 
 
-@dataclass(frozen=True)
-class IsoperimetryReport:
-    applicable_small: bool
-    small_lhs: int | None
-    small_rhs: int | None
-    small_holds: bool | None
-    per_component: tuple[dict, ...]
+class IsoperimetryReport(Record):
+    __slots__ = ("applicable_small", "small_lhs", "small_rhs", "small_holds", "per_component")
+
+    def __init__(self, applicable_small: bool, small_lhs: int | None, small_rhs: int | None,
+                 small_holds: bool | None, per_component: tuple[dict, ...]):
+        self._init(applicable_small, small_lhs, small_rhs, small_holds, per_component)
 
 
 def isoperimetry_checks(G: LatticeGraph, U: VertexSet) -> IsoperimetryReport:

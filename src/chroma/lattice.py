@@ -49,14 +49,14 @@ distance from the rim or more, the one depth rule for padded domains.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, PreconditionError, ResourceLimitError
+from .record import Record
 
 # the most cells a graph may have; a 1024 x 1024 box builds in about 0.09 s
 # to a process peak of about 100 MB (Python 3.11, one core), and a graph's
@@ -64,12 +64,29 @@ from .errors import ConfigError, PreconditionError, ResourceLimitError
 CELL_LIMIT = 1 << 20
 
 
-@dataclass(frozen=True)
-class VertexSet:
-    """Set of vertex ids in [0, n), backed by an integer bitmap."""
+class VertexSet(Record):
+    """Set of vertex ids in [0, n), backed by an integer bitmap.
 
-    bits: int
-    n: int
+    A bitmap outside [0, 2^n), a negative one or one with a bit at or past
+    n, is refused (PreconditionError) when the set is built: no graph of n
+    cells owns it.
+    """
+
+    __slots__ = ("bits", "n")
+
+    def __init__(self, bits: int, n: int):
+        if bits < 0 or bits.bit_length() > n:
+            raise PreconditionError(f"bitmap outside [0, 2^{n}) for a set of {n} cells")
+        _set_bits(self, bits)
+        _set_n(self, n)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.bits == other.bits and self.n == other.n
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.bits, self.n))
 
     @classmethod
     def empty(cls, n: int) -> "VertexSet":
@@ -149,6 +166,11 @@ class VertexSet:
         return cls.from_ids(n, (int(tok) for tok in text.split(",")))
 
 
+# the slots' own setters: a set is built by them alone, past the refusing
+# __setattr__, at about the cost of a plain attribute store
+_set_bits, _set_n = VertexSet.bits.__set__, VertexSet.n.__set__
+
+
 # -- the bit layout ----------------------------------------------------------
 
 
@@ -172,12 +194,19 @@ def _bits_to_ids(bits: int, n: int) -> list[int]:
 
 def _ids_to_bits(ids: Iterable[int], n: int) -> int:
     """The n-bit bitmap of integer ids (numpy integers included), in any
-    order and with repeats, packed from one flag per cell; an id outside
-    [0, n) is a ConfigError naming the first such id in the order given."""
+    order and with repeats; an id outside [0, n) is a ConfigError naming the
+    first such id in the order given.  Up to 16 ids, the count at which
+    ``_bits_to_ids`` stops walking bits, are set by shifts; more are packed
+    from one flag per cell."""
     ids = [operator.index(v) for v in ids]
     if ids and (min(ids) < 0 or max(ids) >= n):
         v = next(v for v in ids if not 0 <= v < n)
         raise ConfigError(f"vertex id {v} outside ambient range [0, {n})")
+    if len(ids) <= 16:
+        bits = 0
+        for v in ids:
+            bits |= 1 << v
+        return bits
     flags = np.zeros(n, dtype=bool)
     flags[ids] = True
     return _pack(flags)
@@ -316,17 +345,27 @@ class LatticeGraph:
         return self.odd_flags.view(np.uint8).tolist()
 
     def coords(self, v: int) -> tuple[int, ...]:
-        out = []
-        for axis in range(self.d):
-            out.append((v // self._strides[axis]) % self.dims[axis])
-        return tuple(out)
+        """Vertex v's coordinates, read off ``coordinates`` (so the first call
+        builds that table, linear in the cell count); an id outside [0, n)
+        is a ConfigError."""
+        v = operator.index(v)
+        if not 0 <= v < self.n:
+            raise ConfigError(f"vertex id {v} outside ambient range [0, {self.n})")
+        return self.coordinates[v]
 
-    def vid(self, coords: Iterable[int]) -> int:
-        v = 0
-        for axis, c in enumerate(coords):
-            if not 0 <= c < self.dims[axis]:
+    def vid(self, coords: Sequence[int]) -> int:
+        """The id of the vertex at the given coordinates, one per axis; another
+        number of coordinates, or one outside its axis, is a ConfigError."""
+        dims = self.dims
+        if len(coords) != len(dims):
+            raise ConfigError(f"{len(coords)} coordinates for a graph of {len(dims)} axes")
+        v = axis = 0
+        for c in coords:   # row-major: v = v * length + c, axis by axis
+            length = dims[axis]
+            if not 0 <= c < length:
                 raise ConfigError(f"coordinate {c} outside axis {axis}")
-            v += c * self._strides[axis]
+            v = v * length + c
+            axis += 1
         return v
 
     def vertex_set(self, ids: Iterable[int]) -> VertexSet:

@@ -27,14 +27,14 @@ color (``_fits``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import Iterable, TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
 from .lattice import _bits_to_ids, _pack_rows, _pack_slots, _replicate
+from .record import Record
 
 if TYPE_CHECKING:  # pragma: no cover
     from .coloring import Coloring
@@ -61,27 +61,34 @@ def mask_colors(bits: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(Record):
     """Ordered pair of disjoint color subsets over 1..q, stored as bitmasks.
 
-    Equality and hashing read the three fields only; the hash, the derived
-    sides and the class are computed once per pattern and kept on it.
+    Equality and hashing read the three fields only; the hash and the class
+    are computed once, when the pattern is built, and kept on it.
     """
 
-    q: int
-    a_bits: int
-    b_bits: int
+    __slots__ = ("q", "a_bits", "b_bits", "klass", "_hash")
 
-    def __post_init__(self):
-        if not 2 <= self.q <= MAX_COLORS:
-            raise ConfigError(f"q must be in 2..{MAX_COLORS}, got {self.q}")
-        full = (1 << self.q) - 1
-        if self.a_bits & ~full or self.b_bits & ~full:
+    def __init__(self, q: int, a_bits: int, b_bits: int):
+        if not 2 <= q <= MAX_COLORS:
+            raise ConfigError(f"q must be in 2..{MAX_COLORS}, got {q}")
+        full = (1 << q) - 1
+        if a_bits & ~full or b_bits & ~full:
             raise ConfigError("pattern side uses a color outside 1..q")
-        if self.a_bits & self.b_bits:
+        if a_bits & b_bits:
             raise ConfigError("pattern sides must be disjoint")
-        object.__setattr__(self, "_hash", hash((self.q, self.a_bits, self.b_bits)))
+        _set_q(self, q)
+        _set_a_bits(self, a_bits)
+        _set_b_bits(self, b_bits)
+        # 0 when |A| <= |B|, 1 otherwise
+        _set_klass(self, 0 if a_bits.bit_count() <= b_bits.bit_count() else 1)
+        _set_hash(self, hash((q, a_bits, b_bits)))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.q == other.q and self.a_bits == other.a_bits and self.b_bits == other.b_bits
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
@@ -90,11 +97,11 @@ class Pattern:
     def make(cls, q: int, a: Iterable[int], b: Iterable[int]) -> "Pattern":
         return cls(q, color_mask(a, q), color_mask(b, q))
 
-    @cached_property
+    @property
     def a(self) -> tuple[int, ...]:
         return mask_colors(self.a_bits)
 
-    @cached_property
+    @property
     def b(self) -> tuple[int, ...]:
         return mask_colors(self.b_bits)
 
@@ -109,11 +116,6 @@ class Pattern:
     def is_dominant(self) -> bool:
         sizes = {self.size_a, self.size_b}
         return sizes == {self.q // 2, (self.q + 1) // 2}
-
-    @cached_property
-    def klass(self) -> int:
-        """0 when |A| <= |B|, 1 otherwise."""
-        return 0 if self.size_a <= self.size_b else 1
 
     @property
     def bdry_bits(self) -> int:
@@ -157,11 +159,15 @@ class Pattern:
         return f"Pattern(q={self.q}, {self.text()})"
 
 
-@dataclass(frozen=True)
-class PatternSides:
-    bdry: tuple[int, ...]
-    interior: tuple[int, ...]
-    klass: int
+_set_q, _set_a_bits, _set_b_bits, _set_klass, _set_hash = (
+    getattr(Pattern, name).__set__ for name in Pattern.__slots__)
+
+
+class PatternSides(Record):
+    __slots__ = ("bdry", "interior", "klass")
+
+    def __init__(self, bdry: tuple[int, ...], interior: tuple[int, ...], klass: int):
+        self._init(bdry, interior, klass)
 
 
 def enumerate_dominant(q: int) -> list[Pattern]:

@@ -62,7 +62,6 @@ chains share its batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable
@@ -91,6 +90,7 @@ from .lattice import (
     interior,
 )
 from .patterns import Pattern, _fit_table, color_mask
+from .record import Record
 from .rng import make_rng
 
 MAX_Q = 16               # the kernel's tables hold masks m < 2^q in uint16
@@ -100,34 +100,32 @@ _LOOP_CELLS = 48         # batches of at most this many chain cells sweep in a P
 _LOOP_MAX_Q = 8          # the loop reads _pick as a list, 7424 small ints at q = 8
 
 
-@dataclass(frozen=True)
-class ChainConfig:
-    dims: tuple[int, ...]
-    q: int
-    pattern: str                      # e.g. "A=1;B=2,3"
-    seed: int
-    sweeps: int
-    periodic: tuple[bool, ...] | None = None
-    margin: int = 0                   # domain = cells at L-inf depth >= margin
-    burn_in: int = 0
-    thin: int = 1
-    algorithm: str = "heat-bath"      # or "heat-bath+cluster"
-    cluster_every: int = 8
-    chains: int = 1
+class ChainConfig(Record):
+    """A sampler run.  ``pattern`` is pattern text such as "A=1;B=2,3", the
+    domain is the cells at L-inf depth >= ``margin``, and ``algorithm`` is
+    "heat-bath" or "heat-bath+cluster"."""
 
-    def __post_init__(self):
-        if self.q > MAX_Q:
-            raise ConfigError(f"the sampler takes at most {MAX_Q} colors, got q = {self.q}")
-        if self.sweeps < self.burn_in or self.burn_in < 0:
+    __slots__ = ("dims", "q", "pattern", "seed", "sweeps", "periodic", "margin", "burn_in",
+                 "thin", "algorithm", "cluster_every", "chains")
+
+    def __init__(self, dims: tuple[int, ...], q: int, pattern: str, seed: int, sweeps: int,
+                 periodic: tuple[bool, ...] | None = None, margin: int = 0, burn_in: int = 0,
+                 thin: int = 1, algorithm: str = "heat-bath", cluster_every: int = 8,
+                 chains: int = 1):
+        if q > MAX_Q:
+            raise ConfigError(f"the sampler takes at most {MAX_Q} colors, got q = {q}")
+        if sweeps < burn_in or burn_in < 0:
             raise ConfigError("need sweeps >= burn_in >= 0")
-        if self.thin < 1:
+        if thin < 1:
             raise ConfigError("thin must be >= 1")
-        if self.algorithm not in ("heat-bath", "heat-bath+cluster"):
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        if self.chains < 1:
+        if algorithm not in ("heat-bath", "heat-bath+cluster"):
+            raise ConfigError(f"unknown algorithm {algorithm!r}")
+        if chains < 1:
             raise ConfigError("chains must be >= 1")
-        if self.algorithm == "heat-bath+cluster" and self.cluster_every < 1:
+        if algorithm == "heat-bath+cluster" and cluster_every < 1:
             raise ConfigError("cluster_every must be >= 1")
+        self._init(dims, q, pattern, seed, sweeps, periodic, margin, burn_in, thin, algorithm,
+                   cluster_every, chains)
 
     def graph(self) -> LatticeGraph:
         return LatticeGraph(self.dims, self.periodic)
@@ -145,14 +143,16 @@ class ChainConfig:
         return P
 
 
-@dataclass(frozen=True)
-class OrderStats:
-    vertex_ids: tuple[int, ...]
-    samples: int
-    violation_counts: tuple[int, ...]
-    occupation_counts: tuple[tuple[int, ...], ...]
-    parity_occupation: dict[str, tuple[float, ...]]
-    split_half_max_diff: float
+class OrderStats(Record):
+    __slots__ = ("vertex_ids", "samples", "violation_counts", "occupation_counts",
+                 "parity_occupation", "split_half_max_diff")
+
+    def __init__(self, vertex_ids: tuple[int, ...], samples: int,
+                 violation_counts: tuple[int, ...],
+                 occupation_counts: tuple[tuple[int, ...], ...],
+                 parity_occupation: dict[str, tuple[float, ...]], split_half_max_diff: float):
+        self._init(vertex_ids, samples, violation_counts, occupation_counts, parity_occupation,
+                   split_half_max_diff)
 
     def vertex_marginal(self, v: int) -> dict[int, Fraction]:
         i = self.vertex_ids.index(v)
@@ -257,8 +257,7 @@ def _draw_codes(draws: np.ndarray, q: int) -> np.ndarray:
     return np.left_shift(codes, q, dtype=np.intp)
 
 
-@dataclass(frozen=True)
-class _Layout:
+class _Layout(Record):
     """The columns and reads of a sweep, fixed by (graph, domain, p0, q).
 
     ``cells`` lists the vertex held by each column: the domain's even
@@ -270,15 +269,16 @@ class _Layout:
     column, and then of their forbidden masks, one row each.  ``slot[v]``
     is vertex v's column, the inverse of ``cells``.  ``movable`` is the
     bitmap of the domain cells whose allowed mask is full, the cells a
-    cluster move may recolor.
+    cluster move may recolor.  The instance dict holds ``loop`` once built.
     """
 
-    cells: np.ndarray
-    slot: np.ndarray
-    n_scan: int
-    spans: tuple[tuple[int, int, np.ndarray], ...]
-    forbidden: np.ndarray
-    movable: int
+    __slots__ = ("cells", "slot", "n_scan", "spans", "forbidden", "movable", "__dict__")
+    _compared = 6
+
+    def __init__(self, cells: np.ndarray, slot: np.ndarray, n_scan: int,
+                 spans: tuple[tuple[int, int, np.ndarray], ...], forbidden: np.ndarray,
+                 movable: int):
+        self._init(cells, slot, n_scan, spans, forbidden, movable)
 
     @cached_property
     def loop(self) -> tuple[Callable, np.ndarray]:

@@ -17,8 +17,6 @@ a boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ConfigError, InternalInvariantError
 from .geometry import (
     four_cycle_check,
@@ -42,14 +40,15 @@ from .lattice import (
     neighborhood,
     vertex_boundaries,
 )
+from .record import Record
 from .rng import make_rng
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    trials: int
-    failures: tuple[str, ...]
+class SuiteResult(Record):
+    __slots__ = ("name", "trials", "failures")
+
+    def __init__(self, name: str, trials: int, failures: tuple[str, ...]):
+        self._init(name, trials, failures)
 
     @property
     def ok(self) -> bool:

@@ -12,6 +12,7 @@ from chroma.errors import ConfigError, PreconditionError, ResourceLimitError
 from chroma.lattice import (
     _edge_maps,
     _fold_slots,
+    _ids_to_bits,
     _images,
     _neighbor_bits,
     _pack_slots,
@@ -549,6 +550,77 @@ def test_component_queries_refuse_ids_outside_the_box(v):
     for query in (component_of, co_connected_closure):
         with pytest.raises(ConfigError, match=rf"vertex id {int(v)} outside ambient range"):
             query(G, W, v)
+
+
+@pytest.mark.parametrize("dims", [(3, 4), (2, 4, 2), (5,)])
+def test_coords_reads_the_table_and_refuses_ids_outside_the_box(dims):
+    G = build_graph(dims)
+    for v in range(G.n):
+        want, rest = [], v
+        for length in reversed(dims):
+            rest, c = divmod(rest, length)
+            want.insert(0, c)
+        assert G.coords(v) == tuple(want) and G.coords(np.int64(v)) == tuple(want)
+        assert G.vid(G.coords(v)) == v
+    # 3 x 4 read coords(-1) as (2, 3) and coords(12) as (0, 0)
+    for v in (-1, G.n, 10**30, np.int64(G.n)):
+        message = rf"vertex id {int(v)} outside ambient range \[0, {G.n}\)"
+        with pytest.raises(ConfigError, match=message):
+            G.coords(v)
+
+
+def test_vid_refuses_another_number_of_coordinates():
+    # 3 x 4 x 5 read (1, 2) as 30, and 3 x 4 raised a bare IndexError on (1, 2, 3)
+    G3, G2 = build_graph([3, 4, 5]), build_graph([3, 4])
+    with pytest.raises(ConfigError, match="2 coordinates for a graph of 3 axes"):
+        G3.vid((1, 2))
+    with pytest.raises(ConfigError, match="3 coordinates for a graph of 2 axes"):
+        G2.vid((1, 2, 3))
+    with pytest.raises(ConfigError, match="coordinate 4 outside axis 1"):
+        G2.vid([1, 4])
+    with pytest.raises(ConfigError, match="coordinate -1 outside axis 0"):
+        G3.vid((-1, 0, 0))
+    assert G3.vid([2, 3, 4]) == G3.n - 1 and G2.vid((1, 2)) == 6
+
+
+@pytest.mark.parametrize("n", [20, 64, 577])
+def test_id_packing_by_shifts_and_by_flags_agree(n):
+    # up to 16 ids are set by shifts, more packed from flags; lists with
+    # repeats, in any order and as numpy ints, on both sides of 16 ids
+    rng = np.random.default_rng(n)
+    for k in list(range(0, 34)) * 3:
+        ids = rng.integers(0, n, size=k)
+        want = 0
+        for v in set(ids.tolist()):
+            want |= 1 << v
+        assert _ids_to_bits(ids.tolist(), n) == _ids_to_bits(ids, n) == want
+        assert _ids_to_bits(list(ids), n) == want   # numpy scalars one by one
+        if k > 16:
+            # the same set as at most 16 distinct ids, one path each
+            distinct = sorted(set(ids.tolist()))[:16]
+            few = sum(1 << v for v in distinct)
+            assert _ids_to_bits(distinct, n) == _ids_to_bits(distinct * 2, n) == few
+    for ids, bad in (([3, n], n), ([n] + list(range(20)), n), ([-1], -1),
+                     (list(range(20)) + [-1, n], -1)):
+        with pytest.raises(ConfigError, match=rf"vertex id {bad} outside ambient range"):
+            _ids_to_bits(ids, n)
+
+
+def test_vertex_set_refuses_a_bitmap_outside_its_range():
+    for bits, n in ((-1, 4), (16, 4), (1 << 64, 64), (1, 0), (-(1 << 70), 64)):
+        message = rf"bitmap outside \[0, 2\^{n}\) for a set of {n} cells"
+        with pytest.raises(PreconditionError, match=message):
+            VertexSet(bits, n)
+    assert len(VertexSet(15, 4)) == 4 and not VertexSet(0, 0)
+    assert VertexSet((1 << 64) - 1, 64) == build_graph([8, 8]).full_set()
+    # a set of the 8 x 9 graph holding ids 70 and 71: expanded or split in
+    # the 8 x 8 graph it gave a set of 64 cells with bits past 63
+    G, H = build_graph([8, 8]), build_graph([8, 9])
+    U = H.vertex_set([70, 71])
+    for call in (lambda: expand(G, U, 1), lambda: expand(G, U, 0),
+                 lambda: connected_components(G, U), lambda: connected_components(G, U, 2)):
+        with pytest.raises(PreconditionError, match=r"bitmap outside \[0, 2\^64\)"):
+            call()
 
 
 def test_id_listings_are_linear_on_a_large_box():
