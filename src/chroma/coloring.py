@@ -425,8 +425,10 @@ def repair_inverse(
 
 
 def coloring_to_text(f: Coloring, G: LatticeGraph) -> str:
+    """The header ``q=...;dims=...;periodic=...`` and one line of values; a coloring
+    of another size than G is a PreconditionError."""
     header = f"q={f.q};{G.key()}"
-    body = " ".join(map(str, f.values.tolist()))
+    body = " ".join(map(str, f.values_on(G).tolist()))
     return f"{header}\n{body}\n"
 
 

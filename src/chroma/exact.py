@@ -32,12 +32,13 @@ from .lattice import (
     LatticeGraph,
     VertexSet,
     _bit_chars,
+    _bits_to_ids,
     boundary_cells,
     boundary_edge_count,
     closed_neighborhood,
     vertex_boundaries,
 )
-from .patterns import Pattern
+from .patterns import Pattern, _not_dominant_for
 from .record import Record
 
 
@@ -113,7 +114,7 @@ def allowed_masks(
         raise PreconditionError(f"the domain belongs to a graph of {domain.n} cells, not {G.n}")
     P = constraint.pattern
     if P is not None and P.q != q:
-        raise PreconditionError(f"{P!r} is not a dominant pattern for q={q}")
+        raise _not_dominant_for(P, q)
     full = (1 << q) - 1
     # one character per vertex, "1" inside: linear in the cell count, where
     # testing or iterating the bits of an n-bit int one at a time is not
@@ -167,48 +168,55 @@ def _count_backtrack(
     """Component-caching search over per-cell color masks.
 
     The domain's cells are put in a static lattice order in which the axis
-    of its longest extent varies slowest, and cells and masks become
-    integer bitsets over that order: ``sets[c]`` holds the cells that may
-    still take color c + 1.  A connected component of unassigned cells
-    branches on its first cell; each color knocks itself out of the cell's
-    neighbors, and the cells left split into connected components whose
-    counts multiply.  Colors whose bitsets within the component are equal
-    form a class: swapping two of them maps the colorings with the first
-    cell in one onto those with it in the other, so the search branches
-    once per class and weighs that branch by the class's size
-    (interchangeable values, Freuder 1991).  At the root of a free count
-    all q colors are one class.  Every component of three or more cells
-    is cached under its color bitsets in sorted order: relabeling the
-    colors does not change the count, and the union of the bitsets still
-    fixes the component's cells, since no cell's mask is empty.  So the
-    residual subproblems that the fixed order repeats are counted once, up
-    to a permutation of the colors (component caching, as in the #SAT
-    solvers of Sang et al. 2004 and Thurley's sharpSAT 2006).  Along the
-    longest axis the boundary between assigned and free cells stays a
-    small cross-section, which keeps the distinct residuals few.  The
-    cache holds at most ``budget`` entries.
+    of its longest extent varies slowest (ascending ids are row-major, so
+    they are re-sorted only when ordering the axes by extent changes the
+    axis order), and cells and masks become integer bitsets over that order:
+    ``sets[c]`` holds the cells that may still take color c + 1.  A
+    component of at most three cells is counted in closed form: one cell by
+    its mask, an edge by the product of its masks less the shared colors,
+    and three cells, a path since the lattice is bipartite, by summing over
+    each color of the middle cell the choices it leaves at either end.  A
+    larger connected component of unassigned cells branches on its first
+    cell; each color knocks itself out of the cell's neighbors, and the
+    cells left split into connected components whose counts multiply.
+    Colors whose bitsets within the component are equal form a class:
+    swapping two of them maps the colorings with the first cell in one onto
+    those with it in the other, so the search branches once per class and
+    weighs that branch by the class's size (interchangeable values, Freuder
+    1991).  At the root of a free count all q colors are one class.  Every
+    component of four or more cells is cached under its color bitsets in
+    sorted order: relabeling the colors does not change the count, and the
+    union of the bitsets still fixes the component's cells, since no cell's
+    mask is empty.  So the residual subproblems that the fixed order repeats
+    are counted once, up to a permutation of the colors (component caching,
+    as in the #SAT solvers of Sang et al. 2004 and Thurley's sharpSAT
+    2006).  Along the longest axis the boundary between assigned and free
+    cells stays a small cross-section, which keeps the distinct residuals
+    few.  The cache holds at most ``budget`` entries (the ``state_budget``
+    of ``count_colorings``), one per distinct component of four or more
+    cells.
 
     Every mask is nonempty on entry; the count is exact.
     """
-    cells = list(domain)
-    if not cells:
+    # ascending ids are row-major: axis 0 varies slowest
+    order = _bits_to_ids(domain.bits, G.n)
+    if not order:
         return 1
     at = G.coordinates
-    spans = [max(col) - min(col) for col in zip(*[at[v] for v in cells])]
-    axes = sorted(range(G.d), key=spans.__getitem__, reverse=True)
-    by_axes = itemgetter(*axes)
-    order = sorted(cells, key=lambda v: by_axes(at[v]))
-    rank = {v: i for i, v in enumerate(order)}
+    spans = [max(col) - min(col) for col in zip(*[at[v] for v in order])]
+    if spans != sorted(spans, reverse=True):
+        # axes by extent, longest first, ties in axis order
+        by_axes = itemgetter(*sorted(range(G.d), key=spans.__getitem__, reverse=True))
+        order.sort(key=lambda v: by_axes(at[v]))
+    bit = {v: 1 << i for i, v in enumerate(order)}.get
     neighbors = G.neighbors
     nbr = []
     for v in order:
         bits = 0
         for u in neighbors[v]:
-            r = rank.get(u)
-            if r is not None:
-                bits |= 1 << r
+            bits |= bit(u, 0)
         nbr.append(bits)
-    m = len(cells)
+    m = len(order)
     cache: dict[int, int] = {}
     splits: dict[int, list[int]] = {}
 
@@ -244,6 +252,24 @@ def _count_backtrack(
                 if s & rest:
                     b += 1
             return a * b - shared
+        around = nbr[low.bit_length() - 1] & rest
+        high = rest & (rest - 1)   # rest less its lowest cell
+        if high & (high - 1) == 0:
+            # three cells: a path, since the lattice has no triangle; each
+            # color of the middle cell times the choices it leaves at the ends
+            mid, end = (low, high ^ rest) if around == rest else (around, low)
+            other = comp ^ mid ^ end
+            a = b = 0
+            for s in sets:
+                if s & end:
+                    a += 1
+                if s & other:
+                    b += 1
+            total = 0
+            for s in sets:
+                if s & mid:
+                    total += (a - 1 if s & end else a) * (b - 1 if s & other else b)
+            return total
         key = 0
         for s in sorted(sets):
             key = key << m | s
@@ -253,7 +279,6 @@ def _count_backtrack(
         parts = splits.get(rest)
         if parts is None:
             parts = splits[rest] = split(rest)
-        around = nbr[low.bit_length() - 1] & rest
         left = [t & rest for t in sets]
         total = 0
         for c, s in enumerate(sets):
@@ -510,7 +535,7 @@ def _count_masked(
     The engine choice for ``method='auto'`` (see ``count_colorings``) is
     made here and nowhere else.
     """
-    whole = domain == G.full_set()
+    whole = domain.bits == (1 << G.n) - 1
     if method == "auto":
         auto_transfer = whole and not all(G.periodic) and G.n > 16
         method = "transfer" if auto_transfer else "backtracking"

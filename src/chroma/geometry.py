@@ -503,6 +503,7 @@ def verify_approximation(
 
 
 ENUMERATION_LIMIT = 16   # most vertices enumerate_regular_parity_sets sweeps
+ENUMERATION_CHUNK = 128  # consecutive subsets it tests per slotted pass
 
 
 def enumerate_regular_parity_sets(G: LatticeGraph, parity: str) -> list[VertexSet]:
@@ -510,18 +511,22 @@ def enumerate_regular_parity_sets(G: LatticeGraph, parity: str) -> list[VertexSe
 
     The sweep is exponential in the vertex count, so it refuses graphs
     larger than ``ENUMERATION_LIMIT`` vertices; it exists to let exhaustive
-    verification runs cover the whole family at desk scale.
+    verification runs cover the whole family at desk scale.  Subsets are
+    tested ``ENUMERATION_CHUNK`` at a time, one per slot of one
+    ``_closure_diffs`` pass (a short last chunk leaves its top slots empty).
     """
     if G.n > ENUMERATION_LIMIT:
         raise ResourceLimitError(
             f"exhaustive enumeration is limited to {ENUMERATION_LIMIT} vertices, got {G.n}"
         )
+    n, k = G.n, ENUMERATION_CHUNK
+    core = _replicate(_parity_classes(G, parity)[1].bits, n, k)
     out = []
-    for bits in range(1 << G.n):
-        U = VertexSet(bits, G.n)
-        ok, _ = regularity_check(G, U, parity)
-        if ok:
-            out.append(U)
+    for start in range(0, 1 << n, k):
+        chunk = range(start, min(start + k, 1 << n))
+        in_diff, out_diff = _closure_diffs(G, _pack_slots(chunk, n), core, k)
+        diff = in_diff | out_diff
+        out.extend(VertexSet(bits, n) for i, bits in enumerate(chunk) if not _slot(diff, i, n))
     return out
 
 

@@ -192,6 +192,15 @@ def _bits_to_ids(bits: int, n: int) -> list[int]:
     return out
 
 
+def _vertex_id(v: int, n: int) -> int:
+    """v as a Python int (numpy integers included); an id outside [0, n) is
+    a ConfigError."""
+    v = operator.index(v)
+    if not 0 <= v < n:
+        raise ConfigError(f"vertex id {v} outside ambient range [0, {n})")
+    return v
+
+
 def _ids_to_bits(ids: Iterable[int], n: int) -> int:
     """The n-bit bitmap of integer ids (numpy integers included), in any
     order and with repeats; an id outside [0, n) is a ConfigError naming the
@@ -348,10 +357,7 @@ class LatticeGraph:
         """Vertex v's coordinates, read off ``coordinates`` (so the first call
         builds that table, linear in the cell count); an id outside [0, n)
         is a ConfigError."""
-        v = operator.index(v)
-        if not 0 <= v < self.n:
-            raise ConfigError(f"vertex id {v} outside ambient range [0, {self.n})")
-        return self.coordinates[v]
+        return self.coordinates[_vertex_id(v, self.n)]
 
     def vid(self, coords: Sequence[int]) -> int:
         """The id of the vertex at the given coordinates, one per axis; another
@@ -654,9 +660,7 @@ def is_connected(G: LatticeGraph, U: VertexSet) -> bool:
 def component_of(G: LatticeGraph, U: VertexSet, v: int) -> VertexSet:
     """Component of v within U (empty if v is outside U); an id outside
     [0, n) is a ConfigError."""
-    v = operator.index(v)
-    if not 0 <= v < G.n:
-        raise ConfigError(f"vertex id {v} outside ambient range [0, {G.n})")
+    v = _vertex_id(v, G.n)
     if v not in U:
         return G.empty_set()
     return VertexSet(_grow(G, U.bits, 1 << v, 1), G.n)

@@ -33,7 +33,7 @@ from typing import Iterable, TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .lattice import _bits_to_ids, _pack_rows, _pack_slots, _replicate
+from .lattice import _bits_to_ids, _pack_rows, _pack_slots, _replicate, _vertex_id
 from .record import Record
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -207,8 +207,9 @@ def pattern_sides(P: Pattern) -> PatternSides:
 
 
 def is_p_even(v: int, P: Pattern, G: "LatticeGraph") -> bool:
-    """P-even means lattice parity equals the pattern class."""
-    return v not in _p_odd(G, P)
+    """P-even means lattice parity equals the pattern class; an id outside
+    [0, n) is a ConfigError."""
+    return _vertex_id(v, G.n) not in _p_odd(G, P)
 
 
 def _p_odd(G: "LatticeGraph", P: Pattern) -> "VertexSet":
@@ -238,6 +239,11 @@ def _color_planes(G: "LatticeGraph", f: "Coloring") -> list[int]:
     return _pack_rows(f.values_on(G) == np.arange(f.q + 1).reshape(-1, 1))
 
 
+def _not_dominant_for(P: Pattern, q: int) -> PreconditionError:
+    """The error for a pattern that is not a dominant pattern of q colors."""
+    return PreconditionError(f"{P!r} is not a dominant pattern for q={q}")
+
+
 def _pattern_slots(G: "LatticeGraph", planes: list[int], pats: tuple[Pattern, ...]) -> tuple[int, int]:
     """The cells whose own color fits the pattern (``vertex_in_pattern``, never
     a HOLE) and the P-odd cells, of every pattern at once, pattern i's in slot
@@ -250,7 +256,7 @@ def _pattern_slots(G: "LatticeGraph", planes: list[int], pats: tuple[Pattern, ..
     if masks is None:
         for P in pats:
             if P.q != q or not P.is_dominant():
-                raise PreconditionError(f"{P!r} is not a dominant pattern for q={q}")
+                raise _not_dominant_for(P, q)
         even, odd = G.even.bits, G.odd.bits
         fits = [_pack_slots([(even if P.a_bits >> c & 1 else 0) | (odd if P.b_bits >> c & 1 else 0)
                              for P in pats], G.n)
@@ -266,9 +272,15 @@ def _pattern_slots(G: "LatticeGraph", planes: list[int], pats: tuple[Pattern, ..
 def in_pattern(f: "Coloring", U: "VertexSet", P: Pattern, G: "LatticeGraph") -> bool:
     """True when every vertex of U follows (A, B): evens in A, odds in B.
 
-    Reads the colors of U's cells only, through ``_fits``."""
+    Reads the colors of U's cells only, through ``_fits``.  A coloring or a
+    set of another graph, or a pattern of another q than the coloring's,
+    is a PreconditionError."""
+    values = f.values_on(G)
+    G.odd._check(U)   # any set of G compares n
+    if P.q != f.q:
+        raise _not_dominant_for(P, f.q)
     ids = np.array(_bits_to_ids(U.bits, U.n), dtype=np.intp)
-    return bool(_fits(G, P, ids, f.values[ids]).all())
+    return bool(_fits(G, P, ids, values[ids]).all())
 
 
 def _fits(G: "LatticeGraph", P: Pattern, ids, colors) -> np.ndarray:

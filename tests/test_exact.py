@@ -1,6 +1,8 @@
+import ast
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -535,3 +537,132 @@ def test_counts_are_reported_as_strings_in_json():
     doc = res.to_json({"graph": G.key()})
     assert doc["count"] == "18"
     assert doc["instance"]["graph"] == "dims=2,2;periodic=0,0"
+
+
+# -- the counter's closed-form leaves ------------------------------------------
+
+LEAF_GRAPHS = [((3, 3), None), ((2, 2, 2), None), ((2, 4), None), ((4, 4), None),
+               ((2, 4), (True, False)), ((4, 2, 2), (False, True, True))]
+
+
+def _enumerated(G, cells, masks):
+    return len(list(enumerate_colorings(G, G.vertex_set(cells), masks)))
+
+
+def _static_order(G, cells):
+    """The counter's cell order: axes by span, longest slowest, ties in axis order."""
+    spans = [max(col) - min(col) for col in zip(*(G.coords(v) for v in cells))]
+    axes = sorted(range(G.d), key=lambda a: -spans[a])
+    return sorted(cells, key=lambda v: [G.coords(v)[a] for a in axes])
+
+
+def test_counter_matches_enumeration_on_small_random_domains():
+    # 1-6 cells, connected or not, with random nonempty masks at q = 2..5:
+    # every component reaches a single-cell, edge or three-cell leaf
+    rng = make_rng(3203)
+    seen_zero = False
+    for dims, periodic in LEAF_GRAPHS:
+        G = build_graph(dims, periodic)
+        for q in range(2, 6):
+            for _ in range(12):
+                size = int(rng.integers(1, 7))
+                cells = rng.choice(G.n, size=size, replace=False).tolist()
+                masks = [0] * G.n
+                for v in cells:
+                    masks[v] = int(rng.integers(1, 1 << q))
+                got = _count_backtrack(G, G.vertex_set(cells), masks, q)
+                want = _enumerated(G, cells, masks)
+                assert got == want, (dims, periodic, q, cells, masks)
+                seen_zero |= want == 0
+    assert seen_zero
+
+
+def test_counter_matches_enumeration_under_constraints():
+    # free, pinned and pattern-bounded counts through count_colorings
+    rng = make_rng(3204)
+    for dims, periodic in LEAF_GRAPHS:
+        G = build_graph(dims, periodic)
+        for q in range(3, 6):
+            P = Pattern.make(q, range(1, q // 2 + 1), range(q // 2 + 1, q + 1))
+            for _ in range(6):
+                cells = rng.choice(G.n, size=int(rng.integers(1, 7)), replace=False).tolist()
+                domain = G.vertex_set(cells)
+                pin = int(rng.integers(0, G.n))
+                for constraint in (Constraint.free(), Constraint.pattern_boundary(P),
+                                   Constraint.pinned({pin: int(rng.integers(1, q + 1))})):
+                    masks, feasible = allowed_masks(G, domain, q, constraint)
+                    want = _enumerated(G, cells, masks) if feasible else 0
+                    got = count_colorings(G, domain, q, constraint, method="backtracking")
+                    assert got.count == want, (dims, periodic, q, cells, constraint)
+
+
+def test_three_cell_paths_with_the_middle_anywhere_in_the_order():
+    # every connected three-cell set of the lattice is a path; its middle
+    # cell may come first, second or last in the counter's static order
+    rng = make_rng(3205)
+    places = set()
+    for dims, periodic in LEAF_GRAPHS:
+        G = build_graph(dims, periodic)
+        paths = {tuple(sorted((a, mid, b))): mid
+                 for mid in range(G.n) for a in G.neighbors[mid] for b in G.neighbors[mid]
+                 if a < b}
+        for cells, mid in paths.items():
+            places.add(_static_order(G, list(cells)).index(mid))
+            for q in range(2, 6):
+                free = [(1 << q) - 1] * G.n
+                assert (count_colorings(G, G.vertex_set(cells), q, method="backtracking").count
+                        == _enumerated(G, cells, free))
+                masks = [0] * G.n
+                for v in cells:
+                    masks[v] = int(rng.integers(1, 1 << q))
+                assert _count_backtrack(G, G.vertex_set(cells), masks, q) == _enumerated(
+                    G, cells, masks), (dims, periodic, cells, masks)
+    assert places == {0, 1, 2}
+
+
+def test_counter_masks_that_leave_no_coloring():
+    # nonempty masks whose only colorings would repeat a color along an edge,
+    # at the edge, three-cell and cached four-cell sizes
+    G = build_graph((2, 4))
+    row = [G.vid((0, j)) for j in range(4)]
+    one, two, both = 0b01, 0b10, 0b11
+    cases = [
+        {row[0]: one, row[1]: one},
+        {row[0]: one, row[1]: one, row[2]: both},
+        {row[0]: both, row[1]: one, row[2]: one},
+        {row[0]: one, row[1]: both, row[2]: two},
+        {row[0]: one, row[1]: both, row[2]: both, row[3]: one},
+        {v: both for v in range(G.n)} | {row[0]: one, G.vid((1, 0)): one},
+    ]
+    for chosen in cases:
+        masks = [0] * G.n
+        for v, m in chosen.items():
+            masks[v] = m
+        cells = sorted(chosen)
+        assert _enumerated(G, cells, masks) == 0
+        assert _count_backtrack(G, G.vertex_set(cells), masks, 2) == 0, chosen
+
+
+def _reachable(functions, root):
+    """The module functions a function's body names, transitively, itself included."""
+    seen, todo = set(), [root]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        todo.extend(node.id for node in ast.walk(functions[name])
+                    if isinstance(node, ast.Name) and node.id in functions)
+    return seen
+
+
+def test_the_two_engines_share_no_function():
+    # the digit-for-digit agreement tests compare two independent engines
+    # only while no exact.py function is reachable from both
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "src" / "chroma" / "exact.py")
+                     .read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    counter = _reachable(functions, "_count_backtrack")
+    transfer = _reachable(functions, "_transfer")
+    assert "_relabel" in transfer
+    assert counter & transfer == set()

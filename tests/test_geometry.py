@@ -617,3 +617,14 @@ def test_unknown_parity_name_is_refused(name, parity):
     G = build_graph([7, 7])
     with pytest.raises(PreconditionError, match=f"parity must be 'odd' or 'even', got '{parity}'"):
         _PARITY_TAKERS[name](G, plus_at(G, (3, 3)).complement(), parity)
+
+
+@pytest.mark.parametrize("dims", [[2, 3], [3, 3], [2, 2, 2], [4, 4]])
+@pytest.mark.parametrize("parity", ["odd", "even"])
+def test_enumeration_in_chunks_matches_the_per_subset_check(dims, parity):
+    # chunks of consecutive subsets, one per slot; 2x3 has fewer subsets
+    # than one chunk
+    G = build_graph(dims)
+    want = [VertexSet(bits, G.n) for bits in range(1 << G.n)
+            if regularity_check(G, VertexSet(bits, G.n), parity)[0]]
+    assert enumerate_regular_parity_sets(G, parity) == want

@@ -186,3 +186,29 @@ def test_in_pattern_matches_vertex_rule_cell_by_cell(dims, periodic):
             for v in cells:
                 want = vertex_in_pattern(int(f.values[v]), G.parity[v], P)
                 assert in_pattern(f, G.vertex_set([v]), P, G) == want
+
+
+def test_inputs_of_another_graph_or_q_are_refused():
+    # a coloring, set, pattern or id that G does not own is refused by the
+    # rule its kind already has, never read with G's sizes or parity
+    from chroma.coloring import coloring_to_text
+    from chroma.errors import PreconditionError
+
+    G, H = build_graph([8, 8]), build_graph([6, 6])
+    P3, P4 = Pattern.make(3, [1], [2, 3]), Pattern.make(4, [1, 2], [3, 4])
+    f, h = Coloring([1] * G.n, 3), Coloring([1] * H.n, 3)
+    cases = [
+        (lambda: in_pattern(h, G.full_set(), P3, G), PreconditionError,
+         "coloring has 36 values for 64 cells"),
+        (lambda: in_pattern(f, G.full_set(), P4, G), PreconditionError,
+         "is not a dominant pattern for q=3"),
+        (lambda: in_pattern(f, H.vertex_set([0, 1]), P3, G), PreconditionError,
+         "vertex sets belong to different ambient graphs"),
+        (lambda: is_p_even(999, P3, G), ConfigError, r"vertex id 999 outside ambient range \[0, 64\)"),
+        (lambda: is_p_even(-1, P3, G), ConfigError, r"vertex id -1 outside ambient range \[0, 64\)"),
+        (lambda: p_parity(999, P3, G), ConfigError, r"vertex id 999 outside ambient range \[0, 64\)"),
+        (lambda: coloring_to_text(f, H), PreconditionError, "coloring has 64 values for 36 cells"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error, match=message):
+            call()
