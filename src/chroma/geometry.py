@@ -226,13 +226,17 @@ def _four_cycle_failures(G: LatticeGraph, bits: int) -> tuple[list[int], list[in
     D = _edge_maps(G, bits)          # D[j]: u whose edge along j is a boundary edge
     reach = G._stepping              # reach[j]: u with a neighbor along j
     # back[k] of X holds u when the neighbor of u along the opposite of k is in X,
-    # so back[opposite[a]] moves X to the near end of edges along a
+    # so back[opposite[a]] moves X to the near end of edges along a; the
+    # graph's own constants are moved once and kept on the graph
+    constants = G.memo.get(("four-cycle constants",))
+    if constants is None:
+        full = _full_degree(G)
+        constants = G.memo[("four-cycle constants",)] = (
+            [_images(G, m) for m in reach], full, _images(G, full))
+    back_reach, full, back_full = constants
     back_D = [_images(G, m) for m in D]
-    back_reach = [_images(G, m) for m in reach]
     seen = [(1 << G.n) - 1] + _ladder(D, top)   # seen[i]: cells on >= i boundary edges
     back_seen = [_images(G, m) for m in seen]
-    full = _full_degree(G)
-    back_full = _images(G, full)
     exchange, sight = [], []
     for a, Da in enumerate(D):
         k = G._opposite[a]

@@ -679,8 +679,10 @@ def diameter(G: LatticeGraph, U: VertexSet) -> int:
 
     Each vertex's farthest distance into U is the number of neighborhood
     steps its ball takes to cover U (the ambient graph is connected).  The
-    empty set has no diameter; callers must special-case it.
+    empty set has no diameter; callers must special-case it.  A set of
+    another graph is refused: no ball of G covers its cells at n and above.
     """
+    G.odd._check(U)
     if not U:
         raise PreconditionError("diameter of the empty set is undefined")
     best = 0
@@ -694,7 +696,9 @@ def diameter(G: LatticeGraph, U: VertexSet) -> int:
 
 
 def diam_star(G: LatticeGraph, U: VertexSet) -> int:
-    """Sum of (2 + diameter) over the distance-2 components of U; 0 if empty."""
+    """Sum of (2 + diameter) over the distance-2 components of U; 0 if
+    empty.  A set of another graph is refused, as ``diameter`` refuses it."""
+    G.odd._check(U)
     total = 0
     for comp in connected_components(G, U, power=2):
         total += 2 + diameter(G, comp)

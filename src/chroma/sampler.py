@@ -32,13 +32,20 @@ the sampler at q <= 16.
 A batch of at most ``_LOOP_CELLS`` (48) chain cells is too small for
 those numpy calls, whose fixed cost outweighs their work there (a 4 x 4
 chain sweeps about six times faster without them).  It sweeps in a
-straight-line Python function written for its layout instead, one line
-per scan cell: x{i} = pick[c{i} + (x{a} | x{b} | ...)], over just that
-cell's neighbors in the box and its forbidden mask, when nonzero.  The
-function reads the same codes and table as the half-steps, in the same
-scan order, so the path changes no output.  ``_Kernel`` picks it in one
-place, from the batch size and q (at most 8, where the table is a short
-list).
+straight-line Python function written for its layout instead, with one
+line per live scan cell: x{k} = pick[c{k} + (x{a} | x{b} | ... | m)],
+over just that cell's neighbors in the box that can change and the
+constant m of its forbidden mask and its one-color neighbors' bits.  A
+cell with one admissible color (for odd q, each boundary cell on the
+smaller side) has no line: in a state that satisfies the constraint it
+holds that color, no neighbor can take it, and a sweep leaves it as it
+is, so ``_Kernel`` checks that once and reports a start that breaks it
+as stuck, on either path.  The function reads one flat list of the live
+cells' codes per chain, taken from the same codes and table as the
+half-steps, in the same scan order; the one-color cells still take their
+draws, and their recorded states are their colors, so the path changes
+no output.  ``_Kernel`` picks it in one place, from the batch size and q
+(at most 8, where the table is a short list).
 
 The cluster move runs on a chain's kernel row as it stands.  With m the
 bits of the two drawn colors, the cells colored either are the row's
@@ -245,16 +252,17 @@ def _pick_list(q: int) -> list[int]:
     return _pick(q).tolist()
 
 
-def _draw_codes(draws: np.ndarray, q: int) -> np.ndarray:
+def _draw_codes(draws: np.ndarray, q: int, out: np.ndarray | None = None) -> np.ndarray:
     """Each uniform u as code(u) << q, code(u) = sum over n = 2..q of
     floor(u * n), the float64 products truncated one by one; the row
-    offsets of ``_pick``."""
+    offsets of ``_pick``, written to ``out`` (an intp array of the draws'
+    shape) when given."""
     codes = np.zeros(draws.shape, dtype=np.int8)   # at most 120, at q = 16
     term = np.empty_like(codes)
     for n in range(2, q + 1):
         np.multiply(draws, n, out=term, casting="unsafe")
         codes += term
-    return np.left_shift(codes, q, dtype=np.intp)
+    return np.left_shift(codes, q, out=out, dtype=np.intp)
 
 
 class _Layout(Record):
@@ -269,16 +277,24 @@ class _Layout(Record):
     column, and then of their forbidden masks, one row each.  ``slot[v]``
     is vertex v's column, the inverse of ``cells``.  ``movable`` is the
     bitmap of the domain cells whose allowed mask is full, the cells a
-    cluster move may recolor.  The instance dict holds ``loop`` once built.
+    cluster move may recolor.  ``single[i]`` is the bit of scan cell i's
+    one admissible color, or 0 when it has more; ``live`` lists the scan
+    cells with more.  ``fixed`` describes the others as (around, bits,
+    good): their own columns and then their neighbors' columns, one row
+    each; their bits; and the bytes of one chain's ``around`` entries AND
+    ``bits`` when each holds its bit and no neighbor holds it.  The
+    instance dict holds ``loop`` once built.
     """
 
-    __slots__ = ("cells", "slot", "n_scan", "spans", "forbidden", "movable", "__dict__")
+    __slots__ = ("cells", "slot", "n_scan", "spans", "forbidden", "movable", "single", "live",
+                 "fixed", "__dict__")
     _compared = 6
 
     def __init__(self, cells: np.ndarray, slot: np.ndarray, n_scan: int,
                  spans: tuple[tuple[int, int, np.ndarray], ...], forbidden: np.ndarray,
-                 movable: int):
-        self._init(cells, slot, n_scan, spans, forbidden, movable)
+                 movable: int, single: np.ndarray, live: np.ndarray,
+                 fixed: tuple[np.ndarray, np.ndarray, bytes]):
+        self._init(cells, slot, n_scan, spans, forbidden, movable, single, live, fixed)
 
     @cached_property
     def loop(self) -> tuple[Callable, np.ndarray]:
@@ -286,52 +302,65 @@ class _Layout(Record):
         built when a kernel first takes that path."""
         reads = np.concatenate([reads for _, _, reads in self.spans], axis=1)
         return _sweep_function(len(self.cells), self.n_scan, tuple(map(tuple, reads.T.tolist())),
-                               tuple(self.forbidden.tolist()))
+                               tuple(self.forbidden.tolist()), tuple(self.single.tolist()))
 
 
 @cache
 def _sweep_function(n: int, n_scan: int, reads: tuple[tuple[int, ...], ...],
-                    masks: tuple[int, ...]) -> tuple[Callable, np.ndarray]:
+                    masks: tuple[int, ...], single: tuple[int, ...]) -> tuple[Callable, np.ndarray]:
     """The loop path of a layout with n columns before the 0 column, row i
-    of ``reads`` holding scan cell i's reads and the mask column n + 1 + k
-    holding masks[k].  Built once per process for each distinct layout, so
-    a new graph of a layout already seen builds nothing.
+    of ``reads`` holding scan cell i's reads, the mask column n + 1 + k
+    holding masks[k] and single[i] the bit of scan cell i's one admissible
+    color (0 when it has more).  Built once per process for each distinct
+    layout, so a new graph of a layout already seen builds nothing.
 
-    ``columns`` lists the columns the scan reads or writes, the scan columns
-    first, so scan column i keeps index i.  The function,
-    ``sweeps(x, codes, keep, held, pick)``, holds one chain's values at
-    ``columns`` (the list x) in the locals x0, x1, ... and sweeps once per
-    list c0, c1, ... of scan-cell codes that ``codes`` yields.  Its body is
-    one line per scan cell, in scan order:
-    x{i} = pick[c{i} + (x{a} | x{b} | ... | m)], over the cell's distinct
-    neighbors in the box and its forbidden mask m.  A clipped neighbor (the
-    0 column) and a mask of 0 are left out.  After each sweep j in ``keep``
-    it appends the scan cells' states to ``held``; it returns them after the
-    last sweep.  The source holds only names and integers taken from the
-    layout.
+    Only the live scan cells, those with single[i] = 0, change: a cell
+    with one admissible color keeps it while no neighbor holds it, which
+    ``_Kernel`` checks once.  ``columns`` lists the columns the live cells
+    read or write, the live scan columns first, in scan order.  The
+    function, ``sweeps(x, it, keep, held, pick)``, holds one chain's values
+    at ``columns`` (the list x) in the locals x0, x1, ... and sweeps once
+    per tuple (j, c0, c1, ...) that ``it`` yields: sweep j with the codes
+    of the live cells.  Its body is one line per live cell, in scan order:
+    x{k} = pick[c{k} + (x{a} | x{b} | ... | m)], over the cell's distinct
+    neighbors in the box that change or are frozen, with m the OR of its
+    forbidden mask and its one-color neighbors' bits.  A clipped neighbor
+    (the 0 column) and an m of 0 are left out.  After each sweep j in
+    ``keep`` it appends the live cells' states to ``held``; it returns them
+    after the last sweep.  The source holds only the names x*, c*, j, x,
+    it, keep, held and pick, and integers taken from the layout.
     """
+    live = [i for i in range(n_scan) if not single[i]]
     used = np.zeros(n, dtype=bool)
-    used[:n_scan] = True
-    used[[c for row in reads for c in row if c < n]] = True
+    used[live] = True
+    used[[c for i in live for c in reads[i][:-1] if n_scan <= c < n]] = True
     columns = np.flatnonzero(used)
     local = (np.cumsum(used) - 1).tolist()
 
     def names(prefix, count):
-        return ", ".join(f"{prefix}{i}" for i in range(count)) + ","
+        return "".join(f"{prefix}{i}, " for i in range(count))
 
-    lines = [f"def sweeps(x, codes, keep, held, pick):\n"
-             f"    {names('x', len(columns))} = x\n"
-             f"    for j, ({names('c', n_scan)}) in enumerate(codes):\n"]
-    for i, (*cells, mask) in enumerate(reads):
-        terms = [f"x{k}" for k in sorted({local[c] for c in cells if c < n})]
-        if masks[mask - n - 1]:
-            terms.append(str(masks[mask - n - 1]))
-        blocked = f" + ({' | '.join(terms)})" if terms else ""
-        lines.append(f"        x{i} = pick[c{i}{blocked}]\n")
-    scan = names("x", n_scan)
+    lines = ["def sweeps(x, it, keep, held, pick):\n"]
+    if len(columns):
+        lines.append(f"    {names('x', len(columns))}= x\n")
+    lines.append(f"    for j, {names('c', len(live))}in it:\n")
+    for k, i in enumerate(live):
+        *cells, mask = reads[i]
+        m = masks[mask - n - 1]
+        changing = set()
+        for c in cells:
+            if c < n_scan and single[c]:
+                m |= single[c]
+            elif c < n:
+                changing.add(local[c])
+        terms = [f"x{a}" for a in sorted(changing)] + ([str(m)] if m else [])
+        if len(terms) > 1:
+            terms = [f"({' | '.join(terms)})"]
+        lines.append(f"        x{k} = pick[{' + '.join([f'c{k}'] + terms)}]\n")
+    states = names("x", len(live)) or "()"
     lines.append(f"        if j in keep:\n"
-                 f"            held += {scan}\n"
-                 f"    return {scan}\n")
+                 f"            held += {states}\n"
+                 f"    return {states}\n")
     space = {}
     exec(compile("".join(lines), "<sweep layout>", "exec"), space)
     return space["sweeps"], columns
@@ -358,9 +387,10 @@ def _layout(G: LatticeGraph, domain: VertexSet, p0: Pattern | None, q: int) -> _
     cells = np.concatenate(halves + [ids[~inside]])
     n_scan = int(inside.sum())
     scan = cells[:n_scan]
+    mask = allowed[scan]
     # the distinct forbidden masks in ascending order, and each scan
     # cell's index among them
-    forbid = full & ~allowed[scan]
+    forbid = full & ~mask
     present = np.zeros(full + 1, dtype=bool)
     present[forbid] = True
     forbidden = np.flatnonzero(present)
@@ -378,10 +408,20 @@ def _layout(G: LatticeGraph, domain: VertexSet, p0: Pattern | None, q: int) -> _
             spans.append((lo, hi, reads[:, lo:hi]))
         lo = hi
     slot = column[:n]
-    for shared in (cells, slot, reads, forbidden):   # shared by every kernel on this key
-        shared.flags.writeable = False
+    # a scan cell's bit when it is its one admissible color (no mask is 0)
+    single = np.where(mask & (mask - 1) == 0, mask, 0).astype(np.uint16)
+    one = single != 0
+    # a one-color cell's own column, then its neighbors', AND its bit: its
+    # bit, then zeros, on a good start (a column holds one bit or none)
+    around = np.concatenate([np.flatnonzero(one).reshape(1, -1), reads[:-1, one]])
+    good = np.zeros(around.shape, dtype=np.uint16)
+    good[0] = single[one]
+    fixed = (around, single[one], good.tobytes())
+    live = np.flatnonzero(~one)
+    for shared in (cells, slot, reads, forbidden, single, live, *fixed[:2]):
+        shared.flags.writeable = False   # shared by every kernel on this key
     layout = G.memo[key] = _Layout(cells, slot, n_scan, tuple(spans), forbidden,
-                                   _pack(allowed == full))
+                                   _pack(allowed == full), single, live, fixed)
     return layout
 
 
@@ -399,6 +439,9 @@ class _Kernel:
     ``loop`` (its sweep function and columns) when the batch sweeps on the
     loop path of the module docstring, and None when it takes the
     half-steps.  A state of another size than G is a PreconditionError.
+    ``bad_start`` is whether a chain starts with a cell of one admissible
+    color off that color or a neighbor holding it, which ``stuck`` reports:
+    no sweep could change such a cell's state, and the loop path reads none.
     """
 
     def __init__(self, G: LatticeGraph, domain: VertexSet, p0: Pattern | None,
@@ -426,6 +469,9 @@ class _Kernel:
                        for lo, hi, reads in layout.spans]
         for c, f in enumerate(states):
             self.x[c, :G.n] = bit.take(f.values_on(G).take(self.cells))
+        around, bits, good = layout.fixed
+        self.bad_start = bool(bits.size) and (
+            (self.x.take(around, axis=1) & bits).tobytes() != good * chains)
         # the one choice of sweep path
         small = 0 < chains * self.n_scan <= _LOOP_CELLS and q <= _LOOP_MAX_Q
         self.loop = layout.loop if small else None
@@ -454,8 +500,9 @@ class _Kernel:
         sweeps j in ``keep`` to out[0], out[1], ...
 
         The loop path runs the layout's sweep function on each chain in
-        turn, which sets each scan cell, in scan order, as the numpy
-        half-steps do.
+        turn, on one flat list of its live cells' codes; it sets each live
+        cell, in scan order, as the numpy half-steps do, and the states it
+        records are completed with the one-color cells' bits.
         """
         n = self.n_scan
         if self.loop is None:
@@ -467,24 +514,28 @@ class _Kernel:
                     out[keep.index(j)] = self.x[:, :n]
             return
         sweeps, columns = self.loop
+        live = self.layout.live
+        k = len(live)
+        chains, m = codes.shape[:2]
         pick = _pick_list(self.q)
-        held = []   # chain by chain, sample by sample, the scan cells' states
-        self.x[:, :n] = [sweeps(x, _row_lists(chain_codes), keep, held, pick)
-                         for x, chain_codes in zip(self.x[:, columns].tolist(), codes)]
+        held = []   # chain by chain, sample by sample, the live cells' states
+        ends = []
+        rows = codes.take(live, axis=2).reshape(chains, m * k)   # one flat row per chain
+        for x, row in zip(self.x[:, columns].tolist(), rows):
+            it = zip(range(m), *[iter(row.tolist())] * k)   # (j, c0, c1, ...) per sweep
+            ends.append(sweeps(x, it, keep, held, pick))
+        self.x[:, live] = ends
         if keep:   # q <= _LOOP_MAX_Q = 8 here, so every held state fits a byte
-            out[:len(keep)] = np.frombuffer(bytes(held), dtype=np.uint8).reshape(
-                len(codes), len(keep), n).swapaxes(0, 1)
+            around, bits, _ = self.layout.fixed
+            out[:len(keep), :, live] = np.frombuffer(bytes(held), dtype=np.uint8).reshape(
+                chains, len(keep), k).swapaxes(0, 1)
+            out[:len(keep), :, around[0]] = bits
 
     def stuck(self) -> bool:
-        """Whether a scan cell holds 0: it had no free color at its last update."""
-        return not self.x[:, :self.n_scan].all()
-
-
-def _row_lists(a: np.ndarray):
-    """The rows of a 2-D array as lists, converted 256 rows at a time so
-    that a block of draws never exists as lists all at once."""
-    for lo in range(0, len(a), 256):
-        yield from a[lo:lo + 256].tolist()
+        """Whether a chain started off a one-color cell's only state
+        (``bad_start``) or a scan cell holds 0: it had no free color at its
+        last update."""
+        return self.bad_start or not self.x[:, :self.n_scan].all()
 
 
 def heat_bath_sweep(
@@ -639,6 +690,7 @@ def run_experiment(cfg: ChainConfig, threads: int = 1) -> OrderStats:
     held = np.empty((max(block, _TALLY_BLOCK // (cfg.chains * n_scan)), cfg.chains, n_scan),
                     dtype=kernel.x.dtype)
     draws = np.empty((cfg.chains, block, n_scan))   # each block's uniforms, chain by chain
+    codes = np.empty(draws.shape, dtype=np.intp)    # and their _draw_codes
     n_held = counted = 0
     if cfg.burn_in == 0:   # the initial state is the first sample
         held[0] = kernel.x[:, :n_scan]
@@ -656,13 +708,13 @@ def run_experiment(cfg: ChainConfig, threads: int = 1) -> OrderStats:
             n = min(block, stop - s)
             for c, rng in enumerate(rngs):
                 rng.random(out=draws[c, :n])
-            codes = _draw_codes(draws[:, :n], q)
+            _draw_codes(draws[:, :n], q, out=codes[:, :n])
             keep = range(next_record - s - 1, n, cfg.thin)
             if n_held + len(keep) > len(held):
                 _count(occ, held[:n_held], first_half - counted, kernel.color, bins)
                 counted += n_held
                 n_held = 0
-            kernel.sweeps(codes, keep, held[n_held:])
+            kernel.sweeps(codes[:, :n], keep, held[n_held:])
             n_held += len(keep)
             next_record += len(keep) * cfg.thin
             s += n

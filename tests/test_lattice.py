@@ -420,6 +420,16 @@ def test_diam_star():
     assert diam_star(G, two) == 4
 
 
+def test_diameter_refuses_a_set_of_another_graph():
+    # the 8x9 ids 70 and 71 lie past the 8x8 graph's cells: no ball of G
+    # ever covers them, so without the refusal the search never ends
+    G = build_graph([8, 8])
+    for W in (build_graph([8, 9]).vertex_set([70, 71]), build_graph([2, 2]).full_set()):
+        for measure in (diameter, diam_star):
+            with pytest.raises(PreconditionError, match="different ambient graphs"):
+                measure(G, W)
+
+
 @pytest.mark.parametrize("dims,periodic", SHIFT_GRAPHS + [((2, 4, 2), (True, False, True))])
 def test_diameter_matches_bfs_oracle(dims, periodic):
     G = build_graph(dims, periodic)

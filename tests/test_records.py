@@ -97,7 +97,8 @@ RECORDS = [
      "OrderStats(vertex_ids=(0, 1), samples=10, violation_counts=(1, 2), "
      "occupation_counts=((5, 5, 0), (3, 3, 4)), parity_occupation={'even': (0.5,)}, "
      "split_half_max_diff=0.125)", False),
-    (_Layout, (np.arange(2), np.arange(2), 1, (), np.zeros(1, dtype=np.uint16), 3), 2, 2,
+    (_Layout, (np.arange(2), np.arange(2), 1, (), np.zeros(1, dtype=np.uint16), 3,
+               np.zeros(1, dtype=np.uint16), np.arange(1), (np.arange(0),) * 3), 2, 2,
      "_Layout(cells=array([0, 1]), slot=array([0, 1]), n_scan=1, spans=(), "
      "forbidden=array([0], dtype=uint16), movable=3)", False),
     (SuiteResult, ("boundary-connected", 3, ()), 2, ("seed 1",),

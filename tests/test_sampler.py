@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import math
 import re
@@ -22,7 +23,7 @@ from chroma.errors import (
     ResourceLimitError,
 )
 from chroma.exact import Constraint, allowed_masks, count_colorings, enumerate_colorings
-from chroma.lattice import build_graph
+from chroma.lattice import build_graph, interior
 from chroma.patterns import Pattern, vertex_in_pattern
 from chroma.rng import make_rng
 from chroma.sampler import (
@@ -959,18 +960,123 @@ def test_loop_rows_built_only_for_the_loop_and_kept():
         if loop:
             assert _Kernel(G, G.full_set(), p0, [f]).loop is kernel.loop
             sweeps, columns = kernel.loop
-            held = []   # one sweep, recorded, returns and records every scan cell
-            x = sweeps(kernel.x[0, columns].tolist(), [[0] * kernel.n_scan], [0], held,
+            live = layout.live.tolist()
+            assert 0 < len(live) < kernel.n_scan   # the A side's cells have one color
+            held = []   # one sweep, recorded, returns and records every live cell
+            x = sweeps(kernel.x[0, columns].tolist(), iter([(0, *[0] * len(live))]), [0], held,
                        sampler._pick_list(3))
-            assert len(x) == kernel.n_scan and held == list(x)
+            assert len(x) == len(live) and held == list(x)
             # a new graph of the same layout reuses the compiled function
             G2 = build_graph(dims)
             assert _Kernel(G2, G2.full_set(), p0, [f]).loop[0] is sweeps
-            assert columns[:kernel.n_scan].tolist() == list(range(kernel.n_scan))
+            assert columns[:len(live)].tolist() == live
     # above q = 8 the table is no short list, so even a 4x4 chain takes numpy
     G = build_graph([4, 4])
     f = Coloring([1 + G.parity[v] for v in range(G.n)], 9)
     assert _Kernel(G, G.full_set(), None, [f]).loop is None
+
+
+def _sweep_source(monkeypatch, G, domain, p, q):
+    # the source _sweep_function writes for this layout, built afresh past
+    # its cache
+    sources = []
+    monkeypatch.setattr(sampler, "_sweep_function", sampler._sweep_function.__wrapped__)
+    monkeypatch.setattr(sampler, "compile",
+                        lambda text, *args: sources.append(text) or compile(text, *args),
+                        raising=False)
+    layout = sampler._layout(G, domain, p, q)
+    _, columns = layout.loop
+    monkeypatch.undo()
+    return sources[0], columns, layout
+
+
+def test_sweep_source_has_no_line_for_a_one_color_cell(monkeypatch):
+    # q = 3, A=1;B=2,3: the A side's boundary cells keep color 1, so the
+    # function assigns, unpacks and records only the other cells, and folds
+    # the one-color neighbors' bit into each reader's constant
+    G = build_graph([4, 4])
+    source, columns, layout = _sweep_source(monkeypatch, G, G.full_set(), Pattern.parse(3, P03), 3)
+    around, bits, _ = layout.fixed
+    fixed = around[0]   # the one-color cells' scan columns
+    assert len(fixed) == 6 and len(layout.live) == 10 and (bits == 1).all()
+    assert (layout.single[fixed] == 1).all() and not layout.single[layout.live].any()
+    assert not set(columns.tolist()) & set(fixed.tolist())
+    tree = ast.parse(source)
+    assigned = [t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                for t in node.targets if isinstance(t, ast.Name)]
+    assert assigned == [f"x{k}" for k in range(10)]
+    loop = next(node for node in ast.walk(tree) if isinstance(node, ast.For))
+    assert [t.id for t in loop.target.elts] == ["j"] + [f"c{k}" for k in range(10)]
+
+
+def test_sweep_source_names_only_its_locals_and_integers(monkeypatch):
+    # the exec'd source reads nothing but its own arguments and locals and
+    # integers from the layout: no call, attribute, import or other name
+    cases = [((4, 4), None, 3, P03, 0), ((3, 3), None, 3, P03, 1),
+             ((6, 6), (True, False), 4, "A=1,2;B=3,4", 1),
+             ((2, 2, 2, 2), None, 4, "A=1,2;B=3,4", 0), ((4, 2), (False, True), 3, P03, 0),
+             ((5, 4), None, 3, None, 1), ((3, 3), None, 5, "A=1,2;B=3,4,5", 0)]
+    allowed = re.compile(r"[xc]\d+|j|x|it|keep|held|pick")
+    for dims, periodic, q, text, margin in cases:
+        G = build_graph(dims, periodic)
+        domain = interior(G, margin)
+        p = Pattern.parse(q, text) if text else None
+        source, _, _ = _sweep_source(monkeypatch, G, domain, p, q)
+        for node in ast.walk(ast.parse(source)):
+            assert not isinstance(node, (ast.Call, ast.Attribute, ast.Import, ast.ImportFrom,
+                                         ast.Global, ast.Nonlocal, ast.Lambda)), source
+            if isinstance(node, ast.Name):
+                assert allowed.fullmatch(node.id), (node.id, source)
+            if isinstance(node, ast.Constant):
+                assert type(node.value) is int, (node.value, source)
+
+
+def test_layout_of_one_color_cells_only_sweeps_and_records(monkeypatch):
+    # the 3x3 box at margin 1 is its centre alone, on the A side: no cell
+    # is live, yet every sweep runs and every sample records color 1
+    cfg = ChainConfig(dims=(3, 3), q=3, pattern=P03, seed=21, sweeps=40, burn_in=3, thin=2,
+                      chains=2, margin=1)
+    G = cfg.graph()
+    layout = sampler._layout(G, cfg.domain(G), cfg.p0(), 3)
+    assert layout.n_scan == 1 and len(layout.live) == 0
+    runs = [_on_path(monkeypatch, loop, lambda: run_experiment(cfg)) for loop in (True, False)]
+    assert runs[0] == runs[1]
+    assert runs[0].samples == 2 * ((40 - 3) // 2 + 1)
+    assert runs[0].occupation_counts == ((runs[0].samples, 0, 0),)
+
+
+def test_both_paths_refuse_the_same_bad_starts(monkeypatch):
+    # the corner of a 4x4 box is an A-side cell whose one color is 1; a
+    # start with it off 1, or a neighbor holding 1, is refused on both
+    # paths, including the start with it on 3 and 1 free, which no sweep
+    # is needed to repair
+    G = build_graph([4, 4])
+    p0 = Pattern.parse(3, P03)
+    good = striped_pattern_coloring(G, p0)
+    corner = G.vid((0, 0))
+    blocked = good.copy()            # off its color, and 1 blocked
+    blocked.values[corner] = 2
+    for v in G.neighbors[corner]:
+        blocked.values[v] = 1
+    crowded = good.copy()            # on its color, a neighbor holding it
+    crowded.values[G.neighbors[corner][0]] = 1
+    free = good.copy()               # off its color, 1 free around it
+    free.values[corner] = 3
+    for v in G.neighbors[corner]:
+        free.values[v] = 2
+    assert not _Kernel(G, G.full_set(), p0, [good]).stuck()
+    for bad in (blocked, crowded, free):
+        assert _Kernel(G, G.full_set(), p0, [bad]).stuck()
+        assert _Kernel(G, G.full_set(), p0, [good, bad, good]).stuck()
+        for loop in (True, False):
+            with pytest.raises(PreconditionError):
+                _on_path(monkeypatch, loop,
+                         lambda: heat_bath_sweep(bad, G, G.full_set(), p0, make_rng(0)))
+            monkeypatch.setattr(sampler, "pure_pattern_sample", lambda *a, **k: bad.copy())
+            cfg = ChainConfig(dims=(4, 4), q=3, pattern=P03, seed=1, sweeps=10)
+            with pytest.raises(InternalInvariantError):
+                _on_path(monkeypatch, loop, lambda: run_experiment(cfg))
+            monkeypatch.undo()
 
 
 def test_csv_rows_are_python_quotients():
