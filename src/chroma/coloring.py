@@ -118,12 +118,12 @@ def pure_pattern_sample(
     Cells outside U are left as HOLE.  A fixed seed reproduces the same
     coloring exactly.
     """
-    a, b = P.a, P.b
-    if not a and U & G.even:
+    a, b, bits = P.a, P.b, G.own(U)
+    if not a and bits & G.even.bits:
         raise ConfigError("pattern has no even-side colors but U has even cells")
-    if not b and U & G.odd:
+    if not b and bits & G.odd.bits:
         raise ConfigError("pattern has no odd-side colors but U has odd cells")
-    cells = np.array(_bits_to_ids(U.bits, U.n), dtype=np.intp)
+    cells = np.array(_bits_to_ids(bits, G.n), dtype=np.intp)
     odd = G.odd_flags[cells]
     # one draw per cell in ascending id order, below its side's size
     index = make_rng(seed).integers(0, np.where(odd, len(b), len(a)))
@@ -252,7 +252,7 @@ def plan_repair(
     plan is kept in ``G.memo``; an invalid geometry stores nothing, so it
     raises again on every call.
     """
-    key = ("repair plan", S.bits, frozenset(parts.items()), shift_axis, shift_dir)
+    key = ("repair plan", G.own(S), frozenset(parts.items()), shift_axis, shift_dir)
     if key in G.memo:
         return G.memo[key]
     if not 0 <= shift_axis < G.d:
@@ -263,7 +263,7 @@ def plan_repair(
     for P, part in parts.items():
         if not P.is_dominant():
             raise PreconditionError(f"part pattern {P!r} is not dominant")
-        if not part.isdisjoint(union):
+        if not union.isdisjoint(part):
             raise PreconditionError("parts overlap")
         union = union | part
     if union != S.complement():

@@ -202,8 +202,8 @@ def seen_from(G: LatticeGraph, z_star: VertexSet, V: VertexSet, radius: int = 5)
     that is nothing.  Off the rim, ``_split_components`` gives the
     components: a lone cell is kept when it is in V.
     """
-    fat = _expand_bits(G, z_star.bits, radius)
-    rim = G.rim.bits
+    fat = _expand_bits(G, G.own(z_star), radius)
+    rim, seen = G.rim.bits, G.own(V)
     if not rim:
         return G.empty_set()
     full = (1 << G.n) - 1
@@ -211,10 +211,10 @@ def seen_from(G: LatticeGraph, z_star: VertexSet, V: VertexSet, radius: int = 5)
     isolated, grown = _split_components(G, fat & ~keep)
     # a lone cell off the rim cuts off only itself: it blocks at most one of
     # another cell's two straight paths to the faces of a non-periodic axis
-    keep |= isolated & V.bits
+    keep |= isolated & seen
     for comp in grown:
         # V's cells off the rim's side of comp (or in comp) are cut off by it
-        if V.bits & ~_grow(G, full & ~comp, rim & ~comp, 1):
+        if seen & ~_grow(G, full & ~comp, rim & ~comp, 1):
             keep |= comp
     return VertexSet(keep, G.n)
 
@@ -240,7 +240,7 @@ def construct_breakup(
     if p0.klass != 0:
         raise PreconditionError("the reference pattern must have |A| <= |B|")
     full = (1 << G.n) - 1
-    outside = (G.full_set() - domain).bits   # refuses a domain of another graph
+    outside = full & ~G.own(domain)
     planes = _color_planes(G, f)
     if (outside | _neighbor_bits(G, outside)) & ~_pattern_slots(G, planes, (p0,))[0]:
         raise PreconditionError(
@@ -331,7 +331,7 @@ def verify_breakup(
     in_pat, p_odd = _pattern_slots(G, _color_planes(G, f), pats)
     problems += [f"region {P.text()} is not a regular set (witness {witness})"
                  for P, witness in _irregular(G, U, p_odd, pats)]
-    outside = (G.full_set() - domain).bits   # refuses a domain of another graph
+    outside = G.full_set().bits & ~G.own(domain)
     if p0 not in X.x_p or outside & ~X.x_p[p0].bits:
         problems.append("domain complement is not inside the reference region")
 
@@ -414,5 +414,5 @@ def bp_components(
     Z = _decompose(G, planes, f.q, [P])
     bar = VertexSet(Z.z_p[P].bits & _pattern_slots(G, planes, (P,))[0], G.n)
     rest = bar.complement()
-    b_p = VertexSet(_grow(G, rest.bits, (rest & V).bits, 2), G.n)
+    b_p = VertexSet(_grow(G, rest.bits, rest.bits & G.own(V), 2), G.n)
     return BPResult(bar, b_p, diam_star(G, b_p))

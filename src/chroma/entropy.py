@@ -205,7 +205,7 @@ def classify(
     omega_tuples = [g.values.tolist() for g in omega]
     if not any(values == g for g in omega_tuples):
         raise PreconditionError("f must belong to omega")
-    short = (S - VertexSet(_full_degree(G), G.n)).min_id()
+    short = VertexSet(G.own(S) & ~_full_degree(G), G.n).min_id()
     if short is not None:
         raise PreconditionError(f"classification needs full degree at {short}; pad the instance")
     all_colors = set(range(1, q + 1))
@@ -272,6 +272,7 @@ def u_p_sets(f: Coloring, G: LatticeGraph, x_bad: VertexSet) -> dict[Pattern, Ve
     disjoint.
     """
     values = f.values.tolist()
+    G.own(x_bad)
     out: dict[Pattern, VertexSet] = {}
     for P in _dominant(f.q):
         even_par = P.klass
@@ -421,7 +422,7 @@ def entropy_loss_eval(
     q = 3.  A failed cap or grand inequality raises PreconditionError.
     """
     check_distribution(dist)
-    short = (S - VertexSet(_full_degree(G), G.n)).min_id()
+    short = VertexSet(G.own(S) & ~_full_degree(G), G.n).min_id()
     if short is not None:
         raise PreconditionError(f"vertex {short} of S lacks full degree; embed the instance deeper")
     _, ext, _ = vertex_boundaries(G, S)

@@ -101,17 +101,16 @@ def allowed_masks(
 
     Pins inside the domain force single colors; pins outside it knock
     their color out of adjacent domain cells.  A negative q, or a pin off
-    the graph or outside 1..q, is a ConfigError; a domain of another graph
-    or a pattern of another q is a PreconditionError.  Infeasibility (a
-    pinned pair clashing, or an empty mask) yields count zero, not an
-    error.  When the constraint has a pattern, ``_pattern_cut`` cuts the
-    boundary cells to its side; the pins apply on top.  A dominant side
-    is never empty, so only pins can make a pattern boundary infeasible.
+    the graph or outside 1..q, is a ConfigError; a pattern of another q is
+    a PreconditionError.  Infeasibility (a pinned pair clashing, or an
+    empty mask) yields count zero, not an error.  When the constraint has
+    a pattern, ``_pattern_cut`` cuts the boundary cells to its side; the
+    pins apply on top.  A dominant side is never empty, so only pins can
+    make a pattern boundary infeasible.
     """
     if q < 0:
         raise ConfigError(f"q must be >= 0, got {q}")
-    if domain.n != G.n:
-        raise PreconditionError(f"the domain belongs to a graph of {domain.n} cells, not {G.n}")
+    G.own(domain)
     P = constraint.pattern
     if P is not None and P.q != q:
         raise _not_dominant_for(P, q)
@@ -341,7 +340,7 @@ def enumerate_colorings(
     ``state_budget + 1`` assignments through ``islice``; every other
     caller is a test on a small domain.
     """
-    order = list(domain)
+    order = _bits_to_ids(G.own(domain), G.n)
     values: dict[int, int] = {}
 
     def rec(i: int) -> Iterator[dict[int, int]]:
@@ -631,6 +630,7 @@ def exact_marginal(
     allowing one color only, and colors that a pattern boundary treats
     differently at v could then look alike.)
     """
+    G.own(domain)
     if v not in domain:
         raise PreconditionError(f"vertex {v} is outside the domain")
     constraint = constraint or Constraint.free()

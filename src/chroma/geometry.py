@@ -39,6 +39,7 @@ from .errors import InternalInvariantError, PreconditionError, ResourceLimitErro
 from .lattice import (
     LatticeGraph,
     VertexSet,
+    _at_least,
     _boundary_maps,
     _edge_count,
     _edge_maps,
@@ -88,8 +89,7 @@ def regularity_check(
     two closures; it is ``_irregular`` on one slot.
     """
     core = _parity_classes(G, parity)[1]
-    core._check(U)   # a set of another graph: no slot sees cells at n and above
-    for _, witness in _irregular(G, U.bits, core.bits, (U,)):
+    for _, witness in _irregular(G, G.own(U), core.bits, (U,)):
         return False, witness
     return True, None
 
@@ -139,9 +139,7 @@ class OddSetCollection:
 
     def __init__(self, G: LatticeGraph, sets: Sequence[VertexSet], parity: str = "odd"):
         sets, core = list(sets), _parity_classes(G, parity)[1]
-        for S in sets:   # a set of another graph would spill into the next slot
-            core._check(S)
-        for i, witness in _irregular(G, _pack_slots((S.bits for S in sets), G.n),
+        for i, witness in _irregular(G, _pack_slots((G.own(S) for S in sets), G.n),
                                      _replicate(core.bits, G.n, len(sets)), range(len(sets))):
             raise PreconditionError(f"set {i} is not regular {parity} (witness vertex {witness})")
         self.graph = G
@@ -187,11 +185,6 @@ def _require_separated(G: LatticeGraph, maps: list[int], sep: int,
         if full >> u & full >> v & 1:
             raise InternalInvariantError(invariant.format(u=u, v=v))
         raise PreconditionError(rim.format(u=u, v=v))
-
-
-def _at_least(G: LatticeGraph, maps: list[int], t: int) -> int:
-    """Cells in at least t of the maps; every cell when t <= 0."""
-    return _ladder(maps, t)[-1] if t > 0 else (1 << G.n) - 1
 
 
 def revealed_vertices(G: LatticeGraph, S: VertexSet, parity: str = "odd") -> VertexSet:
@@ -424,7 +417,7 @@ def weak_approximation(
     rim, say) is refused as a precondition.  The 3|W| size bound is
     reported (cramped box corners can break the isoperimetry behind it).
     """
-    missed = _unseparated(G, _boundary_maps(G, collection.sets), W.bits)
+    missed = _unseparated(G, _boundary_maps(G, collection.sets), G.own(W))
     if any(missed):
         raise PreconditionError(
             f"W does not separate the collection: boundary edge {_lowest_edge(G, missed)} "

@@ -15,7 +15,9 @@ A vertex set is an integer bitmap: bit v is vertex v, and as bytes the
 bitmap is little-endian.  Only this module reads or writes that layout:
 ``_bits_to_ids`` and ``_ids_to_bits`` convert between bitmaps and ids in
 time linear in the cell count, and the packers between bitmaps and
-boolean flags.  A set's neighborhood N(U) is computed
+boolean flags.  Every public (graph, set) entry reads the set's bitmap
+through ``LatticeGraph.own``, which refuses a set of another graph;
+raw-bitmap helpers check nothing.  A set's neighborhood N(U) is computed
 for the whole set at once: along each axis, the bits off the high face
 shift up by the axis stride and those off the low face shift down, and
 on a periodic axis each face also shifts onto the opposite one.  Vertex
@@ -102,7 +104,7 @@ class VertexSet(Record):
 
     def _check(self, other: "VertexSet") -> None:
         if self.n != other.n:
-            raise PreconditionError("vertex sets belong to different ambient graphs")
+            raise _foreign(other, self.n)
 
     def __contains__(self, v: int) -> bool:
         v = operator.index(v)
@@ -169,6 +171,13 @@ class VertexSet(Record):
 # the slots' own setters: a set is built by them alone, past the refusing
 # __setattr__, at about the cost of a plain attribute store
 _set_bits, _set_n = VertexSet.bits.__set__, VertexSet.n.__set__
+
+
+def _foreign(U: VertexSet, owner: int) -> PreconditionError:
+    """The one ownership refusal, of U where the ambient has ``owner`` cells."""
+    past = f"; bitmap outside [0, 2^{owner})" if U.bits.bit_length() > owner else ""
+    return PreconditionError(f"vertex sets belong to different ambient graphs: "
+                             f"a graph of {U.n} cells, not {owner}{past}")
 
 
 # -- the bit layout ----------------------------------------------------------
@@ -374,6 +383,12 @@ class LatticeGraph:
             axis += 1
         return v
 
+    def own(self, U: VertexSet) -> int:
+        """U's bitmap; a set of another graph is refused: the ownership guard."""
+        if U.n != self.n:
+            raise _foreign(U, self.n)
+        return U.bits
+
     def vertex_set(self, ids: Iterable[int]) -> VertexSet:
         return VertexSet.from_ids(self.n, ids)
 
@@ -506,7 +521,7 @@ def _boundary_maps(G: LatticeGraph, sets: Iterable[VertexSet]) -> list[int]:
     number of entries holding w counts its boundary edges."""
     out = [0] * G.full_degree
     for S in sets:
-        for j, m in enumerate(_edge_maps(G, S.bits)):
+        for j, m in enumerate(_edge_maps(G, G.own(S))):
             out[j] |= m
     return out
 
@@ -531,27 +546,34 @@ def _ladder(maps: Iterable[int], top: int) -> list[int]:
     return levels
 
 
+def _at_least(G: LatticeGraph, maps: list[int], t: int) -> int:
+    """Cells in at least t of the maps (all when t <= 0, none past their number)."""
+    return _ladder(maps, min(t, len(maps) + 1))[-1] if t > 0 else (1 << G.n) - 1
+
+
 def neighborhood(G: LatticeGraph, U: VertexSet) -> VertexSet:
     """N(U): vertices adjacent to some vertex of U, by whole-bitmap shifts."""
-    return VertexSet(_neighbor_bits(G, U.bits), G.n)
+    return VertexSet(_neighbor_bits(G, G.own(U)), G.n)
 
 
 def closed_neighborhood(G: LatticeGraph, U: VertexSet) -> VertexSet:
     """U^+ = U together with its neighbors."""
-    return VertexSet(U.bits | _neighbor_bits(G, U.bits), G.n)
+    return VertexSet(_neighbor_bits(G, G.own(U)) | U.bits, G.n)
 
 
 def expand(G: LatticeGraph, U: VertexSet, r: int) -> VertexSet:
     """U^{+r}: vertices within graph distance r of U."""
-    return VertexSet(_expand_bits(G, U.bits, r), G.n)
+    return VertexSet(_expand_bits(G, G.own(U), r), G.n)
 
 
 def _expand_bits(G: LatticeGraph, bits: int, r: int) -> int:
-    """``expand`` on a raw bitmap."""
+    """``expand`` on a raw bitmap; it stops once a step adds no cell."""
     if r < 0:
         raise PreconditionError("radius must be >= 0")
     for _ in range(r):
-        bits |= _neighbor_bits(G, bits)
+        bits, last = bits | _neighbor_bits(G, bits), bits
+        if bits == last:
+            break
     return bits
 
 
@@ -569,10 +591,10 @@ def interior(G: LatticeGraph, depth: int) -> VertexSet:
 
 
 def n_t(G: LatticeGraph, U: VertexSet, t: int) -> VertexSet:
-    """Vertices with at least t neighbors inside U."""
+    """Vertices with at least t neighbors inside U (none when t > 2d)."""
     if t < 1:
         raise PreconditionError("t must be >= 1")
-    return VertexSet(_ladder(_images(G, U.bits), t)[-1], G.n)
+    return VertexSet(_at_least(G, _images(G, G.own(U)), t), G.n)
 
 
 def vertex_boundaries(G: LatticeGraph, U: VertexSet) -> tuple[VertexSet, VertexSet, VertexSet]:
@@ -646,7 +668,7 @@ def _split_components(G: LatticeGraph, bits: int, power: int = 1) -> tuple[int, 
 
 def connected_components(G: LatticeGraph, U: VertexSet, power: int = 1) -> list[VertexSet]:
     """Components of U under distance-<=power adjacency, by smallest id."""
-    isolated, comps = _split_components(G, U.bits, power)
+    isolated, comps = _split_components(G, G.own(U), power)
     comps += [1 << v for v in _bits_to_ids(isolated, G.n)]
     comps.sort(key=lambda comp: comp & -comp)   # by lowest id
     return [VertexSet(comp, G.n) for comp in comps]
@@ -654,22 +676,23 @@ def connected_components(G: LatticeGraph, U: VertexSet, power: int = 1) -> list[
 
 def is_connected(G: LatticeGraph, U: VertexSet) -> bool:
     """Whether U is empty or the component of its lowest cell is all of it."""
-    return not U or _grow(G, U.bits, U.bits & -U.bits, 1) == U.bits
+    bits = G.own(U)
+    return not bits or _grow(G, bits, bits & -bits, 1) == bits
 
 
 def component_of(G: LatticeGraph, U: VertexSet, v: int) -> VertexSet:
     """Component of v within U (empty if v is outside U); an id outside
     [0, n) is a ConfigError."""
-    v = _vertex_id(v, G.n)
-    if v not in U:
+    bits, v = G.own(U), _vertex_id(v, G.n)
+    if not bits >> v & 1:
         return G.empty_set()
-    return VertexSet(_grow(G, U.bits, 1 << v, 1), G.n)
+    return VertexSet(_grow(G, bits, 1 << v, 1), G.n)
 
 
 def co_connected_closure(G: LatticeGraph, U: VertexSet, v: int) -> VertexSet:
     """Complement of the component of v in U^c; the full set when v is in U
-    (an id outside [0, n) is refused by ``component_of``)."""
-    if v in U:
+    (an id outside [0, n) is a ConfigError)."""
+    if G.own(U) >> _vertex_id(v, G.n) & 1:
         return G.full_set()
     return component_of(G, U.complement(), v).complement()
 
@@ -679,16 +702,15 @@ def diameter(G: LatticeGraph, U: VertexSet) -> int:
 
     Each vertex's farthest distance into U is the number of neighborhood
     steps its ball takes to cover U (the ambient graph is connected).  The
-    empty set has no diameter; callers must special-case it.  A set of
-    another graph is refused: no ball of G covers its cells at n and above.
+    empty set has no diameter; callers must special-case it.
     """
-    G.odd._check(U)
-    if not U:
+    bits = G.own(U)   # no ball of G covers a cell at n or above
+    if not bits:
         raise PreconditionError("diameter of the empty set is undefined")
     best = 0
-    for u in U:
+    for u in _bits_to_ids(bits, G.n):
         reached, steps = 1 << u, 0
-        while U.bits & ~reached:
+        while bits & ~reached:
             reached |= _neighbor_bits(G, reached)
             steps += 1
         best = max(best, steps)
@@ -696,9 +718,7 @@ def diameter(G: LatticeGraph, U: VertexSet) -> int:
 
 
 def diam_star(G: LatticeGraph, U: VertexSet) -> int:
-    """Sum of (2 + diameter) over the distance-2 components of U; 0 if
-    empty.  A set of another graph is refused, as ``diameter`` refuses it."""
-    G.odd._check(U)
+    """Sum of (2 + diameter) over the distance-2 components of U; 0 if empty."""
     total = 0
     for comp in connected_components(G, U, power=2):
         total += 2 + diameter(G, comp)

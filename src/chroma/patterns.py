@@ -272,14 +272,12 @@ def _pattern_slots(G: "LatticeGraph", planes: list[int], pats: tuple[Pattern, ..
 def in_pattern(f: "Coloring", U: "VertexSet", P: Pattern, G: "LatticeGraph") -> bool:
     """True when every vertex of U follows (A, B): evens in A, odds in B.
 
-    Reads the colors of U's cells only, through ``_fits``.  A coloring or a
-    set of another graph, or a pattern of another q than the coloring's,
-    is a PreconditionError."""
+    Reads the colors of U's cells only, through ``_fits``.  A coloring of
+    another graph or a pattern of another q is a PreconditionError."""
     values = f.values_on(G)
-    G.odd._check(U)   # any set of G compares n
+    ids = np.array(_bits_to_ids(G.own(U), G.n), dtype=np.intp)
     if P.q != f.q:
         raise _not_dominant_for(P, f.q)
-    ids = np.array(_bits_to_ids(U.bits, U.n), dtype=np.intp)
     return bool(_fits(G, P, ids, values[ids]).all())
 
 

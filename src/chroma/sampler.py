@@ -119,8 +119,7 @@ class ChainConfig(Record):
                  periodic: tuple[bool, ...] | None = None, margin: int = 0, burn_in: int = 0,
                  thin: int = 1, algorithm: str = "heat-bath", cluster_every: int = 8,
                  chains: int = 1):
-        if q > MAX_Q:
-            raise ConfigError(f"the sampler takes at most {MAX_Q} colors, got q = {q}")
+        _bits(q)   # refuses q > MAX_Q
         if sweeps < burn_in or burn_in < 0:
             raise ConfigError("need sweeps >= burn_in >= 0")
         if thin < 1:
@@ -369,11 +368,10 @@ def _sweep_function(n: int, n_scan: int, reads: tuple[tuple[int, ...], ...],
 def _layout(G: LatticeGraph, domain: VertexSet, p0: Pattern | None, q: int) -> _Layout:
     """The sweep layout, built on first use and kept on the graph.
 
-    The cells' masks are ``allowed_masks`` under the pattern boundary of
-    p0 (none for None); it refuses a domain of another graph or a pattern
-    of another q, and stores nothing, so every later call is refused again.
+    The cells' masks are ``allowed_masks`` under the pattern boundary of p0
+    (none for None); a refused pattern stores nothing, so it is refused again.
     """
-    key = ("sweep layout", domain.bits, p0, q)
+    key = ("sweep layout", G.own(domain), p0, q)
     layout = G.memo.get(key)
     if layout is not None:
         return layout

@@ -59,7 +59,7 @@ def random_subset(G: LatticeGraph, rng, cells: VertexSet, p: float = 0.35) -> Ve
     """Each cell kept with probability p: one uniform per cell, in ascending
     id order, drawn in one call."""
     keep = _unpack(cells)
-    keep[keep] = rng.random(len(cells)) < p
+    keep[keep] = rng.random(G.own(cells).bit_count()) < p
     return VertexSet(_pack(keep), G.n)
 
 
@@ -76,11 +76,11 @@ def random_connected_set(G: LatticeGraph, rng, size: int, avoid: VertexSet | Non
     may repeat a cell; a repeat is drawn and skipped) until the set has
     ``size`` cells or the frontier runs out.
     """
-    allowed = avoid.complement() if avoid is not None else G.full_set()
+    blocked = G.own(avoid) if avoid is not None else 0
+    allowed = VertexSet(G.full_set().bits & ~blocked, G.n)
     if not allowed:
         return G.empty_set()
     seed = _pick(rng, allowed)
-    blocked = ~allowed.bits
     neighbors = G.neighbors
     grown = 1 << seed
     count = 1

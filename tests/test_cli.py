@@ -286,6 +286,23 @@ def test_sample_more_than_sixteen_colors_exit_one(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_sample_margin_past_the_box_exits_one_at_once():
+    # the margin's interior stops growing the rim once it fills the box: each
+    # step of a margin past that took about 1.5 us, so 10^9 took minutes
+    import chroma
+
+    src = os.path.dirname(os.path.dirname(chroma.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chroma.cli", "sample", "--dims", "64,64", "--q", "3",
+         "--pattern", "A=1;B=2,3", "--seed", "1", "--sweeps", "1", "--margin", str(10**9)],
+        capture_output=True, text=True, timeout=5,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 1
+    assert "margin leaves an empty domain" in proc.stderr
+
+
 def test_sample_scan_field_removed(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dims": [4, 4], "q": 3, "pattern": "A=1;B=2,3",

@@ -1,6 +1,7 @@
 import ast
 import random
 import re
+import signal
 import time
 import tracemalloc
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 from chroma.errors import ConfigError, PreconditionError, ResourceLimitError
 from chroma.lattice import (
+    _at_least,
     _edge_maps,
     _fold_slots,
     _ids_to_bits,
@@ -21,6 +23,7 @@ from chroma.lattice import (
     _sublattice_identity,
     LatticeGraph,
     VertexSet,
+    boundary_cells,
     boundary_edge_count,
     build_graph,
     closed_neighborhood,
@@ -31,6 +34,7 @@ from chroma.lattice import (
     diameter,
     expand,
     interior,
+    is_connected,
     n_t,
     neighborhood,
     vertex_boundaries,
@@ -848,3 +852,209 @@ def test_slot_shifts_match_per_slot_shifts(dims, periodic):
             assert _fold_slots(packed, n, k) == (
                 sum(1 << v for v in range(n) if hits[v] >= 1),
                 sum(1 << v for v in range(n) if hits[v] >= 2))
+
+
+class _Overran(Exception):
+    pass
+
+
+def _within(seconds, call):
+    """call(), stopped by a real-time alarm (raising _Overran) after the given
+    seconds: a call that never returns fails rather than hangs."""
+    def alarm(signum, frame):
+        raise _Overran(f"still running after {seconds} s")
+    old = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return call()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _set_entries(G):
+    """Every public entry that takes G and a vertex set, as a call of the set
+    alone; every other argument is valid for G."""
+    from chroma.coloring import (BoundaryCondition, check_boundary, extend_outside,
+                                 plan_repair, pure_pattern_sample, repair_inverse,
+                                 repair_transform, striped_pattern_coloring)
+    from chroma.decomposition import (bp_components, construct_breakup, seen_from,
+                                      verify_breakup)
+    from chroma.entropy import classify, entropy_loss_eval, k_omega, u_p_sets
+    from chroma.exact import (Constraint, allowed_masks, count_colorings, enumerate_colorings,
+                              exact_marginal, toy_ratio)
+    from chroma.geometry import (OddSetCollection, four_cycle_check, greedy_cover,
+                                 is_parity_set, isoperimetry_checks, regularity_check,
+                                 revealed_vertices, weak_approximation)
+    from chroma.patterns import Pattern, in_pattern
+    from chroma.sampler import (cluster_step, heat_bath_sweep, single_site_transition_matrix,
+                                swappable_components)
+    from chroma.suites import random_connected_set, random_subset
+
+    p0, p1 = Pattern.make(3, [1], [2, 3]), Pattern.make(3, [2], [1, 3])
+    f, E, full = striped_pattern_coloring(G, p0), G.empty_set(), G.full_set()
+    X = construct_breakup(G, f, E, full, p0)
+    parts, rng = {p0: full}, make_rng(0)
+    return {
+        "neighborhood": lambda U: neighborhood(G, U),
+        "closed_neighborhood": lambda U: closed_neighborhood(G, U),
+        "expand": lambda U: expand(G, U, 1),
+        "n_t": lambda U: n_t(G, U, 1),
+        "vertex_boundaries": lambda U: vertex_boundaries(G, U),
+        "boundary_cells": lambda U: boundary_cells(G, U),
+        "boundary_edge_count": lambda U: boundary_edge_count(G, [full, U]),
+        "connected_components": lambda U: connected_components(G, U),
+        "connected_components power 2": lambda U: connected_components(G, U, 2),
+        "is_connected": lambda U: is_connected(G, U),
+        "component_of": lambda U: component_of(G, U, U.min_id()),
+        "co_connected_closure": lambda U: co_connected_closure(G, U, 2),
+        "diameter": lambda U: diameter(G, U),
+        "diam_star": lambda U: diam_star(G, U),
+        "regularity_check": lambda U: regularity_check(G, U, "odd"),
+        "is_parity_set": lambda U: is_parity_set(G, U, "odd"),
+        "OddSetCollection": lambda U: OddSetCollection(G, [full, U]),
+        "revealed_vertices": lambda U: revealed_vertices(G, U),
+        "four_cycle_check": lambda U: four_cycle_check(G, U),
+        "greedy_cover": lambda U: greedy_cover(G, U, 1),
+        "weak_approximation": lambda U: weak_approximation(G, U, OddSetCollection(G, [])),
+        "isoperimetry_checks": lambda U: isoperimetry_checks(G, U),
+        "seen_from z_star": lambda U: seen_from(G, U, E),
+        "seen_from V": lambda U: seen_from(G, E, U),
+        "construct_breakup V": lambda U: construct_breakup(G, f, U, full, p0),
+        "construct_breakup domain": lambda U: construct_breakup(G, f, E, U, p0),
+        "verify_breakup": lambda U: verify_breakup(X, f, U, p0),
+        "bp_components": lambda U: bp_components(G, f, U, p0),
+        "allowed_masks": lambda U: allowed_masks(G, U, 3, Constraint.free()),
+        "count_colorings": lambda U: count_colorings(G, U, 3),
+        "enumerate_colorings": lambda U: next(enumerate_colorings(G, U, [7] * G.n)),
+        "exact_marginal": lambda U: exact_marginal(G, U, 3, U.min_id()),
+        "toy_ratio domain": lambda U: toy_ratio(G, U, E, p0, p1),
+        "toy_ratio droplet": lambda U: toy_ratio(G, full, U, p0, p1),
+        "pure_pattern_sample": lambda U: pure_pattern_sample(G, U, p0, 1),
+        "boundary_vertices": lambda U: BoundaryCondition(U, p0).boundary_vertices(G),
+        "check_boundary": lambda U: check_boundary(f, BoundaryCondition(U, p0), G),
+        "extend_outside": lambda U: extend_outside(f, BoundaryCondition(U, p0), G, 1),
+        "plan_repair S": lambda U: plan_repair(G, U, parts),
+        "plan_repair parts": lambda U: plan_repair(G, E, {p0: U}),
+        "repair_transform": lambda U: repair_transform(f, U, parts, {}, G, p0),
+        "repair_inverse": lambda U: repair_inverse(f, U, parts, G, p0),
+        "in_pattern": lambda U: in_pattern(f, U, p0, G),
+        "heat_bath_sweep": lambda U: heat_bath_sweep(f, G, U, p0, rng),
+        "swappable_components": lambda U: swappable_components(f, G, U, p0, 1, 2),
+        "cluster_step": lambda U: cluster_step(f, G, U, p0, rng),
+        "single_site_transition_matrix": lambda U: single_site_transition_matrix(G, U, 3),
+        "random_subset": lambda U: random_subset(G, rng, U),
+        "random_connected_set": lambda U: random_connected_set(G, rng, 3, U),
+        "classify": lambda U: classify(f, [f], U, G),
+        "k_omega": lambda U: k_omega([f], U, G),
+        "u_p_sets": lambda U: u_p_sets(f, G, U),
+        "entropy_loss_eval": lambda U: entropy_loss_eval(G, U, {(1,): 1.0}, 3),
+    }
+
+
+@pytest.mark.parametrize("dims, ids", [((6, 6), [0, 1, 7]), ((8, 9), [70, 71])])
+def test_every_set_entry_refuses_a_set_of_another_graph(dims, ids):
+    # a smaller graph's set fits under 2^n and was read with G's cells; a
+    # larger one's cells past n were never covered by a flood of G
+    G = build_graph([8, 8])
+    U = build_graph(dims).vertex_set(ids)
+    message = f"vertex sets belong to different ambient graphs: a graph of {U.n} cells, not 64"
+    failures = []
+    for name, call in _set_entries(G).items():
+        try:
+            _within(1.0, lambda: call(U))
+        except PreconditionError as exc:
+            if message not in str(exc):
+                failures.append(f"{name}: {exc}")
+        except Exception as exc:
+            failures.append(f"{name}: {type(exc).__name__}: {exc}")
+        else:
+            failures.append(f"{name}: returned")
+    assert failures == []
+
+
+def _set_parameters(node):
+    """The parameters of a function annotated as one vertex set (None allowed)."""
+    return [arg.arg for arg in node.args.args + node.args.kwonlyargs
+            if arg.annotation is not None
+            and ast.unparse(arg.annotation).strip("'\"").removesuffix(" | None") == "VertexSet"]
+
+
+def _guarded_parameters():
+    """Per package function (a class stands for its ``__init__`` less self),
+    the parameters it reads through the guard: passed to ``own`` or, never
+    rebound, passed on to a function's guarded parameter."""
+    src = Path(__file__).resolve().parent.parent / "src" / "chroma"
+    functions, imported = {}, {}
+    for path in src.glob("*.py"):
+        module = path.stem
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                functions[module, node.name] = (node, [a.arg for a in node.args.args])
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                        functions[module, node.name] = (item, [a.arg for a in item.args.args[1:]])
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    imported[module, alias.asname or alias.name] = (node.module, alias.name)
+    guarded = {key: set() for key in functions}
+    grew = True
+    while grew:
+        grew = False
+        for (module, name), (node, _) in functions.items():
+            rebound = {n.id for n in ast.walk(node)
+                       if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                if isinstance(call.func, ast.Attribute) and call.func.attr == "own":
+                    reads = call.args[:1]
+                elif isinstance(call.func, ast.Name):
+                    callee = (module, call.func.id)
+                    callee = callee if callee in functions else imported.get(callee)
+                    if callee not in functions:
+                        continue
+                    positions, through = functions[callee][1], guarded[callee]
+                    reads = [a for a, p in zip(call.args, positions) if p in through]
+                    reads += [k.value for k in call.keywords if k.arg in through]
+                else:
+                    continue
+                new = {a.id for a in reads if isinstance(a, ast.Name)} - rebound
+                new -= guarded[module, name]
+                if new:
+                    guarded[module, name] |= new
+                    grew = True
+    return functions, guarded
+
+
+def test_every_set_parameter_reaches_the_ownership_guard():
+    # a public function taking a vertex set reads its bits through
+    # LatticeGraph.own, or hands the set unchanged to a function that does
+    functions, guarded = _guarded_parameters()
+    assert {"U"} <= guarded["lattice", "neighborhood"]
+    assert {"domain"} <= guarded["sampler", "heat_bath_sweep"]
+    missing = [f"{module}.{name}({param})"
+               for (module, name), (node, _) in sorted(functions.items())
+               if not name.startswith("_") and node.name != "__init__"
+               for param in _set_parameters(node) if param not in guarded[module, name]]
+    assert missing == []
+
+
+def test_no_loop_outruns_its_graph():
+    # a radius, depth or power past the graph's reach stops once the set
+    # stops growing, and a threshold past 2d builds no ladder: at 10^9 each
+    # call ran for minutes or asked for gigabytes
+    from chroma.decomposition import seen_from
+
+    G = build_graph([64, 64])
+    U, big = G.vertex_set([0, 2080]), 10**9
+    assert _within(1.0, lambda: expand(G, U, big)) == G.full_set()
+    assert _within(1.0, lambda: interior(G, big)) == G.empty_set()
+    assert _within(1.0, lambda: connected_components(G, U, big)) == [U]
+    assert _within(1.0, lambda: seen_from(G, U, U, big)) == G.full_set()
+    assert _within(1.0, lambda: n_t(G, G.full_set(), big)) == G.empty_set()
+    assert n_t(G, G.full_set(), 5) == G.empty_set() and n_t(G, G.full_set(), 4) == interior(G, 1)
+    assert _within(1.0, lambda: _at_least(G, _images(G, U.bits), big)) == 0
+    with pytest.raises(PreconditionError, match="radius must be >= 0"):
+        expand(G, U, -1)
