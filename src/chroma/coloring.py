@@ -37,14 +37,7 @@ from .lattice import (
     closed_neighborhood,
     vertex_boundaries,
 )
-from .patterns import (
-    Pattern,
-    _color_planes,
-    _fits,
-    _pattern_slots,
-    canonical_permutation,
-    in_pattern,
-)
+from .patterns import Pattern, _fits, canonical_permutation, in_pattern
 from .record import Record
 from .rng import make_rng
 
@@ -209,9 +202,9 @@ class RepairPlan(Record):
     ``regions`` are the parts minus S^+, class-0 first.  ``moves`` holds,
     per region, the ids of its cells, the ids their colors land on (one
     step against the shift for a class-1 part, the cells themselves
-    otherwise) and the bitmap of its internal boundary; ``filling`` holds
-    the ids of S*, the cells a filling must cover.  Equality, hashing and
-    the repr leave ``moves`` and ``filling`` out.
+    otherwise) and the ids of its internal boundary, each ascending;
+    ``filling`` holds the ids of S*, the cells a filling must cover.
+    Equality, hashing and the repr leave ``moves`` and ``filling`` out.
     """
 
     __slots__ = ("s", "parts", "regions", "s_star", "shift_axis", "shift_dir",
@@ -221,7 +214,8 @@ class RepairPlan(Record):
     def __init__(self, s: VertexSet, parts: tuple[tuple[Pattern, VertexSet], ...],
                  regions: tuple[tuple[Pattern, VertexSet], ...], s_star: VertexSet,
                  shift_axis: int, shift_dir: int,
-                 moves: tuple[tuple[np.ndarray, np.ndarray, int], ...], filling: frozenset[int]):
+                 moves: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...],
+                 filling: frozenset[int]):
         self._init(s, parts, regions, s_star, shift_axis, shift_dir, moves, filling)
 
 
@@ -259,14 +253,15 @@ def plan_repair(
         raise ConfigError(f"shift axis {shift_axis} outside 0..{G.d - 1}")
     if shift_dir not in (-1, 1):
         raise ConfigError("shift direction must be +1 or -1")
-    union = G.empty_set()
+    union = 0
     for P, part in parts.items():
         if not P.is_dominant():
             raise PreconditionError(f"part pattern {P!r} is not dominant")
-        if not union.isdisjoint(part):
+        bits = G.own(part)
+        if union & bits:
             raise PreconditionError("parts overlap")
-        union = union | part
-    if union != S.complement():
+        union |= bits
+    if union != S.complement().bits:
         raise PreconditionError("parts must partition the complement of S")
     _, ext_s, _ = vertex_boundaries(G, S)
     s_plus = closed_neighborhood(G, S)
@@ -296,7 +291,8 @@ def plan_repair(
                 "from that face"
             )
         occupied[dest] = True
-        moves.append((cells, dest, vertex_boundaries(G, region)[0].bits))
+        internal = _bits_to_ids(vertex_boundaries(G, region)[0].bits, G.n)
+        moves.append((cells, dest, np.array(internal, dtype=np.intp)))
     s_star = VertexSet(_pack(~occupied), G.n)
     plan = G.memo[key] = RepairPlan(
         s=S,
@@ -371,20 +367,23 @@ def _check_filling(G: LatticeGraph, ids: list[int], colors: list[int], p0: Patte
 
 
 def _check_regions(G: LatticeGraph, plan: RepairPlan, f: Coloring) -> None:
-    """Per region: f in its part's pattern on the internal boundary, no HOLE."""
-    planes = _color_planes(G, f)
-    for (P, region), (_, _, internal) in zip(plan.regions, plan.moves):
-        stray = internal & ~planes[HOLE] & ~_pattern_slots(G, planes, (P,))[0]
-        if stray:
-            v = (stray & -stray).bit_length() - 1
+    """Per region: f in its part's pattern on the internal boundary (HOLEs
+    aside), through ``_fits``, and no HOLE on the region; the lowest failing
+    id is named."""
+    values = f.values_on(G)
+    for (P, _), (cells, _, internal) in zip(plan.regions, plan.moves):
+        colors = values[internal]
+        stray = ~_fits(G, P, internal, colors) & (colors != HOLE)
+        if stray.any():
+            i = int(np.argmax(stray))
             raise PreconditionError(
-                f"vertex {v} of the {P.text()} part borders the filling region "
-                f"but carries color {f.values[v]} outside the pattern"
+                f"vertex {internal[i]} of the {P.text()} part borders the filling region "
+                f"but carries color {colors[i]} outside the pattern"
             )
-        holes = region.bits & planes[HOLE]
-        if holes:
+        colors = values[cells]
+        if not colors.all():
             raise PreconditionError(
-                f"coloring has a HOLE at part vertex {(holes & -holes).bit_length() - 1}")
+                f"coloring has a HOLE at part vertex {cells[np.argmin(colors)]}")
 
 
 def repair_inverse(

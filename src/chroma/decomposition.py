@@ -14,7 +14,9 @@ and membership of P-odd vertices near the defect set is exactly
 equivalent to their neighborhood being in the P-pattern.  The
 construction here localizes the canonical decomposition so that every
 finite defect component surrounds a requested vertex, filling the holes
-with the unique pattern that surrounds them.
+with the unique pattern that surrounds them.  Like a decomposition, an
+atlas derives its overlap, bad and defect sets once, when it is built
+from regions read through the ownership guard.
 
 All of it is algebra on raw ``int`` bitmaps over the lattice's shift
 tables: pattern cells from the color planes (``_pattern_slots``), settled
@@ -78,10 +80,12 @@ class RegionDecomposition(Record):
 
     def __init__(self, graph: LatticeGraph, z_p: dict[Pattern, VertexSet],
                  z_overlap: VertexSet, z_bad: VertexSet, z_star: VertexSet):
+        for U in (*z_p.values(), z_overlap, z_bad, z_star):
+            graph.own(U)
         self._init(graph, z_p, z_overlap, z_bad, z_star)
 
     def as_atlas(self) -> "Atlas":
-        return Atlas(self.graph, dict(self.z_p))
+        return Atlas(self.graph, self.z_p)
 
     def to_json(self) -> dict:
         out = {P.text(): list(U) for P, U in sorted(
@@ -95,13 +99,9 @@ class RegionDecomposition(Record):
         }
 
 
-def _derived_sets(G: LatticeGraph, x_p: Mapping[Pattern, VertexSet]) -> tuple[int, int, int]:
-    """(overlap, bad, defect) bitmaps of a pattern-indexed family of regions."""
-    return _derived_slots(G, _pack_slots((U.bits for U in x_p.values()), G.n), len(x_p))
-
-
 def _derived_slots(G: LatticeGraph, regions: int, k: int) -> tuple[int, int, int]:
-    """``_derived_sets`` of the regions held in the k slots of one bitmap.
+    """(overlap, bad, defect) bitmaps of the regions held in the k slots of
+    one bitmap.
 
     A region's vertex boundary (both sides) is the set of cells with an
     edge crossing it: the OR of its edge maps over the directions.
@@ -147,22 +147,18 @@ def _decompose(
 
 
 class Atlas(Record):
-    __slots__ = ("graph", "x_p")
+    """A copy of a pattern-indexed family of regions, each read through the
+    ownership guard, and its derived sets; equality and the repr read the
+    graph and the regions."""
 
-    def __init__(self, graph: LatticeGraph, x_p: dict[Pattern, VertexSet]):
-        self._init(graph, x_p)
+    __slots__ = ("graph", "x_p", "x_overlap", "x_bad", "x_star")
+    _compared = 2
 
-    @property
-    def x_overlap(self) -> VertexSet:
-        return VertexSet(_derived_sets(self.graph, self.x_p)[0], self.graph.n)
-
-    @property
-    def x_bad(self) -> VertexSet:
-        return VertexSet(_derived_sets(self.graph, self.x_p)[1], self.graph.n)
-
-    @property
-    def x_star(self) -> VertexSet:
-        return VertexSet(_derived_sets(self.graph, self.x_p)[2], self.graph.n)
+    def __init__(self, graph: LatticeGraph, x_p: Mapping[Pattern, VertexSet]):
+        x_p = dict(x_p)
+        regions = _pack_slots((graph.own(U) for U in x_p.values()), graph.n)
+        derived = _derived_slots(graph, regions, len(x_p))
+        self._init(graph, x_p, *(VertexSet(x, graph.n) for x in derived))
 
     def to_json(self) -> dict:
         return {P.text(): list(U) for P, U in sorted(
@@ -187,10 +183,8 @@ def classify_atlas(X: Atlas) -> BreakupClass:
     """
     G = X.graph
     L = boundary_edge_count(G, X.x_p.values())
-    overlap, bad, star = _derived_sets(G, X.x_p)
-    trivial = not star
-    min_ok = trivial or L >= G.d * G.d
-    return BreakupClass(L, overlap.bit_count(), bad.bit_count(), min_ok)
+    min_ok = not X.x_star or L >= G.d * G.d
+    return BreakupClass(L, len(X.x_overlap), len(X.x_bad), min_ok)
 
 
 def seen_from(G: LatticeGraph, z_star: VertexSet, V: VertexSet, radius: int = 5) -> VertexSet:
@@ -282,7 +276,7 @@ def construct_breakup(
                 )
         x_p[owner] |= hole
     X = Atlas(G, {P: VertexSet(U, G.n) for P, U in x_p.items()})
-    _, _, x_star = _derived_sets(G, X.x_p)
+    x_star = X.x_star.bits
     if _expand_bits(G, x_star, radius) != B:
         raise InternalInvariantError(
             "the fattened defect set of the breakup does not match the kept components"

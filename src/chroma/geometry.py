@@ -366,11 +366,23 @@ def separating_set(
     t = d/6, clamped up to 1 in low dimension where the asymptotic
     bound is not claimed; the size bound |dS| d^{-3/2} log d is reported,
     never asserted.  A set that fails to separate raises.
+
+    The lemma takes an integer s in 1..d: from s = d on the witness step
+    has no heavy cells (the construction's own clamp), and below 1 every
+    outside cell would count as a high-boundary one.  t counts neighbors,
+    so it lies in 1..2d, as no cell has more.  A threshold outside its
+    range is a PreconditionError.  The cover argument needs t <= d (a
+    revealed cell sees at least d boundary edges); past d the final check
+    can still raise InternalInvariantError.
     """
     G = collection.graph
     d = G.d
     s_val = s if s is not None else max(1, math.isqrt(d) + (0 if math.isqrt(d) ** 2 == d else 1))
     t_val = t if t is not None else max(1, d // 6)
+    if not 1 <= s_val <= d:
+        raise PreconditionError(f"s must be in 1..{d}, got {s_val}")
+    if not 1 <= t_val <= 2 * d:
+        raise PreconditionError(f"t must be in 1..{2 * d}, got {t_val}")
     U = _half_separating_core(G, collection, s_val, t_val)
     U = U | _half_separating_core(G, collection.complements(), s_val, t_val)
     separator = neighborhood(G, U)

@@ -17,11 +17,10 @@ Membership has one scalar definition (``vertex_in_pattern``: one color
 at one parity) and one set-level rule: a coloring's color planes give
 the bitmap of every cell whose own color fits a pattern, one slot per
 pattern of a tuple (``_pattern_slots``); breakups, the decomposition and
-the repair transformation read it, a one-pattern tuple where they need
-one pattern.
-``in_pattern`` and the repair's filling check read only the cells they
-are asked about, through one table of the scalar rule by parity and
-color (``_fits``).
+``bp_components`` read it, a one-pattern tuple where they need one
+pattern.  ``in_pattern`` and the repair's filling and region checks read
+only the cells they are asked about, through one table of the scalar
+rule by parity and color (``_fits``).
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ import pytest
 from chroma.coloring import Coloring, is_proper, striped_pattern_coloring
 from chroma.decomposition import (
     Atlas,
-    _derived_sets,
+    RegionDecomposition,
     bp_components,
     classify_atlas,
     construct_breakup,
@@ -540,8 +540,36 @@ def test_derived_sets_match_per_vertex_definitions(dims, periodic):
                     if any((u in S) != (v in S) for u in nbrs[v])}
         X = Atlas(G, {P: G.vertex_set(S) for P, S in family.items()})
         want = [G.vertex_set(W).bits for W in (overlap, bad, crossing | overlap | bad)]
-        assert list(_derived_sets(G, X.x_p)) == want
         assert [X.x_overlap.bits, X.x_bad.bits, X.x_star.bits] == want
+
+
+def test_region_families_refuse_a_set_of_another_graph():
+    # an atlas reads each region through the ownership guard when it is
+    # built, and a decomposition every one of its sets, so no check
+    # downstream reads a foreign bitmap with this graph's cells
+    G, H = build_graph([8, 8]), build_graph([6, 6])
+    p0 = p0_for(3)
+    message = "vertex sets belong to different ambient graphs: a graph of 36 cells, not 64"
+    with pytest.raises(PreconditionError, match=message):
+        Atlas(G, {p0: H.full_set()})
+    with pytest.raises(PreconditionError, match=message):
+        Atlas(G, {p0: G.full_set(), Pattern.make(3, [2], [1, 3]): H.empty_set()})
+    E, W = G.empty_set(), H.empty_set()
+    for fields in (({p0: W}, E, E, E), ({p0: E}, W, E, E), ({p0: E}, E, W, E),
+                   ({p0: E}, E, E, W)):
+        with pytest.raises(PreconditionError, match=message):
+            RegionDecomposition(G, *fields)
+
+
+def test_atlas_copies_its_regions_and_keeps_its_derived_sets():
+    G = build_graph([6, 6])
+    p0 = p0_for(3)
+    x_p = {p0: G.full_set()}
+    X = Atlas(G, x_p)
+    x_p[p0] = G.empty_set()
+    assert X.x_p == {p0: G.full_set()} and X == Atlas(G, {p0: G.full_set()})
+    assert (X.x_overlap, X.x_bad, X.x_star) == (G.empty_set(),) * 3
+    assert Atlas(G, x_p).x_bad == G.full_set() and X != Atlas(G, x_p)
 
 
 def test_verify_failures_named_in_atlas_order():

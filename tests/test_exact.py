@@ -190,6 +190,30 @@ def test_transfer_wide_strips():
         transfer_count(W, 3, state_budget=1000)
 
 
+def test_transfer_square_ice_strips_follow_lieb_and_the_c1_law():
+    # proper 3-colorings of Z^2 are square ice, W = (4/3)^{3/2} per site
+    # (Lieb 1967).  On a strip of width L, periodic across, the growth per
+    # row W_L = (Z_{M+1}/Z_M)^{1/L} obeys ln(W_L/W) ~ pi c/(6 L^2) with
+    # c = 1 (Bloete, Cardy and Nightingale 1986); M = 2L rows are enough
+    W = (4 / 3) ** 1.5
+    for L in (6, 8, 10):
+        M = 2 * L
+        Z = [transfer_count(build_graph([m, L], [False, True]), 3).count for m in (M, M + 1)]
+        log_ratio = (math.log(Z[1]) - math.log(Z[0])) / L - math.log(W)
+        assert abs(math.exp(log_ratio - math.pi / (6 * L * L)) - 1) < 1e-3, L
+        if L >= 8:
+            assert abs(6 * L * L / math.pi * log_ratio - 1) < 0.05, L
+
+
+def test_counter_on_even_cycles_matches_the_chromatic_polynomial():
+    # a 1-D torus of even length n is the n-cycle, (q-1)^n + (-1)^n (q-1)
+    # colorings; n = 2 is one edge, the length-2 wrap counted once
+    for n in range(2, 41, 2):
+        G = build_graph([n], [True])
+        for q in range(2, 7):
+            assert count_colorings(G, G.full_set(), q).count == (q - 1) ** n + (q - 1), (n, q)
+
+
 def test_transfer_relabelled_profiles_fit_small_budget():
     # free q = 4: S_4 relabelling leaves at most 55 live profiles where the
     # raw colors need 1296, so a budget of 100 counts the box

@@ -360,6 +360,27 @@ def test_separating_set_randomized_and_bound_reported():
         assert rep.size_bound > 0 or not boundary_edges(G, coll.sets)
 
 
+def test_separating_set_refuses_thresholds_out_of_range():
+    # t counts neighbors, so it lies in 1..2d, and s in the lemma's 1..d; a
+    # threshold outside its range is the caller's error (exit 1), never a
+    # failed separation check (exit 3).  Inside the ranges the sets stay put.
+    G = build_graph([8, 8])
+    coll = OddSetCollection(G, [random_regular_odd_set(G, make_rng(3))])
+    assert {t: separating_set(coll, t=t).vertices.ids() for t in range(1, 5)} == {
+        1: (19, 21, 26, 27, 28, 29, 30, 35, 36, 37, 42, 43, 44, 45, 46, 51, 53),
+        2: (19, 27, 28, 30, 36, 42, 44, 45, 53),
+        3: (28, 36),
+        4: (28, 36),
+    }
+    assert [len(separating_set(coll, s=s).vertices) for s in (1, 2)] == [9, 17]
+    for t in (-1, 0, 5, 6, 7, 10**9):
+        with pytest.raises(PreconditionError, match=re.escape(f"t must be in 1..4, got {t}")):
+            separating_set(coll, t=t)
+    for s in (-1, 0, 3, 10**9):
+        with pytest.raises(PreconditionError, match=re.escape(f"s must be in 1..2, got {s}")):
+            separating_set(coll, s=s)
+
+
 def test_weak_approximation_properties():
     G = build_graph([8, 8])
     rng = make_rng(33)

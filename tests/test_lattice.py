@@ -973,17 +973,55 @@ def test_every_set_entry_refuses_a_set_of_another_graph(dims, ids):
     assert failures == []
 
 
+def _annotation(arg):
+    return ast.unparse(arg.annotation).strip("'\"").removesuffix(" | None")
+
+
 def _set_parameters(node):
-    """The parameters of a function annotated as one vertex set (None allowed)."""
+    """The parameters of a function annotated as one vertex set (None allowed)
+    or a container of them: an Iterable or Sequence of sets, a Mapping or
+    dict to sets."""
     return [arg.arg for arg in node.args.args + node.args.kwonlyargs
             if arg.annotation is not None
-            and ast.unparse(arg.annotation).strip("'\"").removesuffix(" | None") == "VertexSet"]
+            and re.fullmatch(r"VertexSet|(Iterable|Sequence|Mapping|dict)\[(.*, )?VertexSet\]",
+                             _annotation(arg))]
+
+
+def _checked(name, node):
+    """Public functions, and the constructors of public classes taking a graph."""
+    return not name.startswith("_") and (node.name != "__init__" or any(
+        arg.annotation is not None and _annotation(arg) == "LatticeGraph"
+        for arg in node.args.args))
+
+
+def _iterated(node):
+    """Per name bound by a loop or comprehension target, the names whose
+    elements it takes: iterated directly, through ``values()`` or
+    ``items()``, or as members (starred or not) of a tuple or list display."""
+    sources = {}
+    for loop in ast.walk(node):
+        if not isinstance(loop, (ast.For, ast.comprehension)):
+            continue
+        items = loop.iter.elts if isinstance(loop.iter, (ast.Tuple, ast.List)) else [loop.iter]
+        names = set()
+        for item in items:
+            item = item.value if isinstance(item, ast.Starred) else item
+            if (isinstance(item, ast.Call) and isinstance(item.func, ast.Attribute)
+                    and item.func.attr in ("values", "items")):
+                item = item.func.value
+            if isinstance(item, ast.Name):
+                names.add(item.id)
+        for target in ast.walk(loop.target):
+            if isinstance(target, ast.Name):
+                sources.setdefault(target.id, set()).update(names)
+    return sources
 
 
 def _guarded_parameters():
     """Per package function (a class stands for its ``__init__`` less self),
     the parameters it reads through the guard: passed to ``own`` or, never
-    rebound, passed on to a function's guarded parameter."""
+    rebound, passed on to a function's guarded parameter; a container is
+    guarded when a loop over its elements binds a name that is."""
     src = Path(__file__).resolve().parent.parent / "src" / "chroma"
     functions, imported = {}, {}
     for path in src.glob("*.py"):
@@ -1005,6 +1043,7 @@ def _guarded_parameters():
         for (module, name), (node, _) in functions.items():
             rebound = {n.id for n in ast.walk(node)
                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            sources = _iterated(node)
             for call in ast.walk(node):
                 if not isinstance(call, ast.Call):
                     continue
@@ -1020,7 +1059,9 @@ def _guarded_parameters():
                     reads += [k.value for k in call.keywords if k.arg in through]
                 else:
                     continue
-                new = {a.id for a in reads if isinstance(a, ast.Name)} - rebound
+                names = {a.id for a in reads if isinstance(a, ast.Name)}
+                new = names - rebound
+                new |= {source for n in names for source in sources.get(n, ())}
                 new -= guarded[module, name]
                 if new:
                     guarded[module, name] |= new
@@ -1029,14 +1070,21 @@ def _guarded_parameters():
 
 
 def test_every_set_parameter_reaches_the_ownership_guard():
-    # a public function taking a vertex set reads its bits through
-    # LatticeGraph.own, or hands the set unchanged to a function that does
+    # a public function, or the constructor of a public class that takes a
+    # graph, reads the bits of every vertex set it is given through
+    # LatticeGraph.own, or hands the set unchanged to a function that does;
+    # a container of sets is read element by element
     functions, guarded = _guarded_parameters()
     assert {"U"} <= guarded["lattice", "neighborhood"]
     assert {"domain"} <= guarded["sampler", "heat_bath_sweep"]
+    assert {"sets"} <= guarded["lattice", "boundary_edge_count"]
+    assert {"parts"} <= guarded["coloring", "repair_transform"]
+    checked = {name for (_, name), (node, _) in functions.items()
+               if _checked(name, node) and _set_parameters(node)}
+    assert {"Atlas", "RegionDecomposition", "OddSetCollection", "boundary_edge_count",
+            "plan_repair"} <= checked
     missing = [f"{module}.{name}({param})"
-               for (module, name), (node, _) in sorted(functions.items())
-               if not name.startswith("_") and node.name != "__init__"
+               for (module, name), (node, _) in sorted(functions.items()) if _checked(name, node)
                for param in _set_parameters(node) if param not in guarded[module, name]]
     assert missing == []
 
