@@ -308,7 +308,10 @@ def plan_repair(
 
 
 def filling_count(G: LatticeGraph, plan: RepairPlan, q: int) -> int:
-    """Number of admissible fillings: floor(q/2)^even * ceil(q/2)^odd on S*."""
+    """Number of admissible fillings: floor(q/2)^even * ceil(q/2)^odd on S*;
+    q below 2 is a ConfigError, as for a coloring."""
+    if q < 2:
+        raise ConfigError(f"q must be >= 2, got {q}")
     n_even = len(plan.s_star & G.even)
     n_odd = len(plan.s_star) - n_even
     return (q // 2) ** n_even * ((q + 1) // 2) ** n_odd
@@ -402,9 +405,10 @@ def repair_inverse(
     """
     plan = plan_repair(G, S, parts, shift_axis, shift_dir)
     _check_q(g, p0)
+    repaired = g.values_on(G)
     values = np.zeros(G.n, dtype=np.int16)
     for (P, _), (cells, dest, _) in zip(plan.regions, plan.moves):
-        colors = g.values[dest]
+        colors = repaired[dest]
         if not colors.all():
             raise PreconditionError(
                 f"repaired coloring has a HOLE at vertex {dest[np.argmin(colors)]}")
@@ -412,7 +416,7 @@ def repair_inverse(
     f = Coloring(values, p0.q)
     _check_regions(G, plan, f)
     ids = _bits_to_ids(plan.s_star.bits, G.n)
-    colors = g.values[ids].tolist()
+    colors = repaired[ids].tolist()
     _check_filling(G, ids, colors, p0)
     h = dict(zip(ids, colors))
     if not is_proper(g, G):

@@ -14,16 +14,17 @@ and membership of P-odd vertices near the defect set is exactly
 equivalent to their neighborhood being in the P-pattern.  The
 construction here localizes the canonical decomposition so that every
 finite defect component surrounds a requested vertex, filling the holes
-with the unique pattern that surrounds them.  Like a decomposition, an
-atlas derives its overlap, bad and defect sets once, when it is built
-from regions read through the ownership guard.
+with the unique pattern that surrounds them.  A decomposition and an
+atlas are built by one body: it reads the regions through the ownership
+guard and derives their overlap, bad and defect sets once.
 
 All of it is algebra on raw ``int`` bitmaps over the lattice's shift
 tables: pattern cells from the color planes (``_pattern_slots``), settled
 cores and closures as neighborhood shifts, each region's vertex boundary
 as the OR of its edge maps, components grown bit-parallel (those meeting
 V as one flood).  A ``VertexSet`` is made only where a public function
-returns one or an atlas or decomposition field holds one.
+returns one or a region family holds one; the breakup path stays on
+``_decompose``'s bitmaps.
 
 Every pattern is handled at once.  With k patterns, one ``int`` holds
 pattern i's bitmap in slot i (bits i*n .. i*n+n-1), and the shift masks,
@@ -64,7 +65,7 @@ from .lattice import (
     boundary_edge_count,
     diam_star,
 )
-from .patterns import Pattern, _color_planes, _dominant, _pattern_slots
+from .patterns import Pattern, _color_planes, _dominant, _not_dominant_for, _pattern_slots
 from .record import Record
 
 
@@ -76,27 +77,32 @@ def _settled(G: LatticeGraph, in_pat: int, k: int) -> int:
 
 
 class RegionDecomposition(Record):
-    __slots__ = ("graph", "z_p", "z_overlap", "z_bad", "z_star")
+    """A coloring's canonical regions, built, compared and printed as an atlas is."""
 
-    def __init__(self, graph: LatticeGraph, z_p: dict[Pattern, VertexSet],
-                 z_overlap: VertexSet, z_bad: VertexSet, z_star: VertexSet):
-        for U in (*z_p.values(), z_overlap, z_bad, z_star):
-            graph.own(U)
-        self._init(graph, z_p, z_overlap, z_bad, z_star)
+    __slots__ = ("graph", "z_p", "z_overlap", "z_bad", "z_star")
+    _compared = 2
+
+    def __init__(self, graph: LatticeGraph, z_p: Mapping[Pattern, VertexSet]):
+        self._init(*_region_family(graph, z_p))
 
     def as_atlas(self) -> "Atlas":
         return Atlas(self.graph, self.z_p)
 
     def to_json(self) -> dict:
-        out = {P.text(): list(U) for P, U in sorted(
-            self.z_p.items(), key=lambda kv: kv[0].sort_key()
-        )}
-        return {
-            "regions": out,
-            "overlap": list(self.z_overlap),
-            "bad": list(self.z_bad),
-            "defect": list(self.z_star),
-        }
+        return {"regions": _regions_json(self.z_p), "overlap": list(self.z_overlap),
+                "bad": list(self.z_bad), "defect": list(self.z_star)}
+
+
+def _region_family(graph: LatticeGraph, regions: Mapping[Pattern, VertexSet]) -> tuple:
+    """(graph, a copy of the regions read through the guard, overlap, bad, defect)."""
+    regions = dict(regions)
+    packed = _pack_slots((graph.own(U) for U in regions.values()), graph.n)
+    derived = _derived_slots(graph, packed, len(regions))
+    return (graph, regions, *(VertexSet(x, graph.n) for x in derived))
+
+
+def _regions_json(regions: Mapping[Pattern, VertexSet]) -> dict:
+    return {P.text(): list(regions[P]) for P in sorted(regions, key=Pattern.sort_key)}
 
 
 def _derived_slots(G: LatticeGraph, regions: int, k: int) -> tuple[int, int, int]:
@@ -118,7 +124,9 @@ def decompose(G: LatticeGraph, f: Coloring) -> RegionDecomposition:
     """Region decomposition of a total proper coloring over every dominant
     pattern.  Each region is certified to be a regular P-even set.
     """
-    return _decompose(G, _color_planes(G, f), f.q, None)
+    pats, _, regions = _decompose(G, _color_planes(G, f), f.q, None)
+    return RegionDecomposition(G, {P: VertexSet(_slot(regions, i, G.n), G.n)
+                                   for i, P in enumerate(pats)})
 
 
 def _decompose(
@@ -126,13 +134,13 @@ def _decompose(
     planes: list[int],
     q: int,
     patterns: Iterable[Pattern] | None,
-) -> RegionDecomposition:
-    """``decompose`` from the coloring's color planes, over the given
-    patterns (every dominant one when None), each pattern in its own slot."""
+) -> tuple[tuple[Pattern, ...], int, int]:
+    """``decompose``'s patterns (every dominant one when None), slotted
+    in-pattern cells and slotted regions, from the coloring's color planes."""
     if planes[0]:
         raise PreconditionError("decomposition needs a total coloring")
     pats = tuple(dict.fromkeys(patterns)) if patterns is not None else _dominant(q)
-    k, n = len(pats), G.n
+    k = len(pats)
     in_pat, p_odd = _pattern_slots(G, planes, pats)
     # the P-odd cells whose whole neighborhood is in the P-pattern
     core = p_odd & _settled(G, in_pat, k)
@@ -141,9 +149,7 @@ def _decompose(
         raise InternalInvariantError(
             f"ordered region for {P.text()} is not a regular set (witness vertex {witness})"
         )
-    z_p = {P: VertexSet(_slot(regions, i, n), n) for i, P in enumerate(pats)}
-    overlap, bad, star = _derived_slots(G, regions, k)
-    return RegionDecomposition(G, z_p, *(VertexSet(x, n) for x in (overlap, bad, star)))
+    return pats, in_pat, regions
 
 
 class Atlas(Record):
@@ -155,15 +161,10 @@ class Atlas(Record):
     _compared = 2
 
     def __init__(self, graph: LatticeGraph, x_p: Mapping[Pattern, VertexSet]):
-        x_p = dict(x_p)
-        regions = _pack_slots((graph.own(U) for U in x_p.values()), graph.n)
-        derived = _derived_slots(graph, regions, len(x_p))
-        self._init(graph, x_p, *(VertexSet(x, graph.n) for x in derived))
+        self._init(*_region_family(graph, x_p))
 
     def to_json(self) -> dict:
-        return {P.text(): list(U) for P, U in sorted(
-            self.x_p.items(), key=lambda kv: kv[0].sort_key()
-        )}
+        return _regions_json(self.x_p)
 
 
 class BreakupClass(Record):
@@ -240,16 +241,16 @@ def construct_breakup(
         raise PreconditionError(
             "the complement of the domain interior must follow the reference pattern"
         )
-    Z = _decompose(G, planes, f.q, patterns)
-    if p0 not in Z.z_p:
+    pats, _, slotted = _decompose(G, planes, f.q, patterns)
+    if p0 not in pats:
         raise PreconditionError(f"the breakup patterns omit the reference pattern {p0!r}")
-    regions = {P: U.bits for P, U in Z.z_p.items()}
+    regions = {P: _slot(slotted, i, G.n) for i, P in enumerate(pats)}
     if outside & ~regions[p0]:
         raise InternalInvariantError(
             "the exterior escaped the reference region despite the boundary pattern"
         )
-    z_star = Z.z_star.bits
-    B = seen_from(G, Z.z_star, V, radius).bits
+    z_star = _derived_slots(G, slotted, len(pats))[2]
+    B = seen_from(G, VertexSet(z_star, G.n), V, radius).bits
     x_p = {P: U & B for P, U in regions.items()}
     isolated, grown = _split_components(G, full & ~B)
     for hole in grown + [1 << v for v in _bits_to_ids(isolated, G.n)]:
@@ -311,8 +312,9 @@ def verify_breakup(
     defect set are in pattern, non-overlap P-odd members are in pattern,
     bad P-odd vertices see a color off the boundary side, and boundary
     edges leave from an in-pattern vertex toward a constrained one).
-    A coloring of another size, or an atlas pattern not dominant for the
-    coloring's q, is refused (``PreconditionError``) rather than reported.
+    A coloring of another size, or an atlas or reference pattern not
+    dominant for the coloring's q, is refused (``PreconditionError``)
+    rather than reported.
     """
     G, n = X.graph, X.graph.n
     pats = tuple(X.x_p)
@@ -323,6 +325,8 @@ def verify_breakup(
     # inside core of its regularity test
     U = _pack_slots((region.bits for region in X.x_p.values()), n)
     in_pat, p_odd = _pattern_slots(G, _color_planes(G, f), pats)
+    if p0.q != f.q or not p0.is_dominant():
+        raise _not_dominant_for(p0, f.q)
     problems += [f"region {P.text()} is not a regular set (witness {witness})"
                  for P, witness in _irregular(G, U, p_odd, pats)]
     outside = G.full_set().bits & ~G.own(domain)
@@ -404,9 +408,8 @@ def bp_components(
     adjacency that meet V are returned as one flood from V's cells in
     it, together with their total diameter score.
     """
-    planes = _color_planes(G, f)
-    Z = _decompose(G, planes, f.q, [P])
-    bar = VertexSet(Z.z_p[P].bits & _pattern_slots(G, planes, (P,))[0], G.n)
+    _, in_pat, region = _decompose(G, _color_planes(G, f), f.q, [P])
+    bar = VertexSet(region & in_pat, G.n)
     rest = bar.complement()
     b_p = VertexSet(_grow(G, rest.bits, rest.bits & G.own(V), 2), G.n)
     return BPResult(bar, b_p, diam_star(G, b_p))

@@ -19,8 +19,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .coloring import Coloring, HOLE
-from .errors import PreconditionError, ResourceLimitError
-from .lattice import LatticeGraph, VertexSet, _full_degree, closed_neighborhood, vertex_boundaries
+from .errors import ConfigError, PreconditionError, ResourceLimitError
+from .lattice import (LatticeGraph, VertexSet, _full_degree, _vertex_id, closed_neighborhood,
+                      vertex_boundaries)
 from .patterns import Pattern, _dominant
 from .record import Record
 
@@ -104,7 +105,9 @@ def shearer_check(
     joint: Mapping[tuple, float], cover: Sequence[Sequence[int]], k: int
 ) -> ShearerResult:
     """Ent(all) <= (1/k) * sum of Ent over the cover, when it covers k-fold,
-    up to ENT_TOL."""
+    up to ENT_TOL; k below 1 is a PreconditionError."""
+    if k < 1:
+        raise PreconditionError(f"k must be >= 1, got {k}")
     check_distribution(joint)
     n = len(next(iter(joint)))
     counts = [0] * n
@@ -147,9 +150,9 @@ def neighborhood_type(f: Coloring, v: int, G: LatticeGraph, q: int) -> Neighborh
     A color counts as rare when its multiplicity is at most d/q, the
     comparison done exactly (mult * q <= d).
     """
-    if not _full_degree(G) >> v & 1:
+    if not _full_degree(G) >> _vertex_id(v, G.n) & 1:
         raise PreconditionError(f"vertex {v} lacks full degree; type undefined")
-    values = f.values.take(G.neighbors[v]).tolist()
+    values = f.values_on(G).take(G.neighbors[v]).tolist()
     if any(c == HOLE for c in values):
         raise PreconditionError(f"vertex {v} has HOLE neighbors; type undefined")
     return _type_of_values(values, G.d, q)
@@ -201,8 +204,8 @@ def classify(
     a neighborhood image, so the event is grouped per image once.
     """
     q = f.q
-    values = f.values.tolist()
-    omega_tuples = [g.values.tolist() for g in omega]
+    values = f.values_on(G).tolist()
+    omega_tuples = [g.values_on(G).tolist() for g in omega]
     if not any(values == g for g in omega_tuples):
         raise PreconditionError("f must belong to omega")
     short = VertexSet(G.own(S) & ~_full_degree(G), G.n).min_id()
@@ -271,7 +274,7 @@ def u_p_sets(f: Coloring, G: LatticeGraph, x_bad: VertexSet) -> dict[Pattern, Ve
     colors are exactly the pattern's interior side.  The sets are pairwise
     disjoint.
     """
-    values = f.values.tolist()
+    values = f.values_on(G).tolist()
     G.own(x_bad)
     out: dict[Pattern, VertexSet] = {}
     for P in _dominant(f.q):
@@ -298,10 +301,17 @@ def enumerate_type_functions(
     """All neighbor assignments [2d] -> colors with image exactly J and flag z.
 
     The |J|^{2d} candidates are walked one by one; more than
-    ``state_budget`` of them raise ResourceLimitError before the walk starts.
+    ``state_budget`` of them, or 2d above it (a candidate holds 2d
+    coordinates), raise ResourceLimitError before the walk starts.  d
+    below 1 is a PreconditionError.
     """
+    if d < 1:
+        raise PreconditionError(f"d must be >= 1, got {d}")
     J = tuple(sorted(set(J)))
-    if len(J) ** (2 * d) > state_budget:
+    # |J|^{2d} passes the budget iff |J|^e does, with e capped at one more
+    # than the budget's bit length (past it, any |J| >= 2 already passes)
+    if (2 * d > state_budget
+            or len(J) ** min(2 * d, state_budget.bit_length() + 1) > state_budget):
         raise ResourceLimitError(
             f"{len(J)}^{2 * d} neighbor assignments exceed the budget of "
             f"{state_budget}"
@@ -342,8 +352,11 @@ def z_bound_check(
     coordinates (coordinates not realizing all of J across Psi), the
     baseline (floor(q/2) ceil(q/2))^{2d} is discounted by e^{-k/q}
     always, by e^{-4d/q^2} when |J| is not a dominant side size, and by
-    e^{-d/4q} when I u J misses a color or the family is unbalanced.
+    e^{-d/4q} when I u J misses a color or the family is unbalanced.  q
+    below 2 is a ConfigError, as for a coloring.
     """
+    if q < 2:
+        raise ConfigError(f"q must be >= 2, got {q}")
     if not psi_set:
         raise PreconditionError("psi_set must be nonempty")
     two_d = 2 * d
@@ -419,8 +432,11 @@ def entropy_loss_eval(
     inequality Ent(masked field) <= sum(I + II)/2 is asserted along with
     the per-vertex caps I <= q log 2 / 2d and II <= log(floor * ceil),
     where the caps apply unless a vertex of S has no neighbor in S and
-    q = 3.  A failed cap or grand inequality raises PreconditionError.
+    q = 3.  A failed cap or grand inequality raises PreconditionError; q
+    below 2 is a ConfigError, as for a coloring.
     """
+    if q < 2:
+        raise ConfigError(f"q must be >= 2, got {q}")
     check_distribution(dist)
     short = VertexSet(G.own(S) & ~_full_degree(G), G.n).min_id()
     if short is not None:

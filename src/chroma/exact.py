@@ -38,7 +38,7 @@ from .lattice import (
     closed_neighborhood,
     vertex_boundaries,
 )
-from .patterns import Pattern, _not_dominant_for
+from .patterns import MAX_COLORS, Pattern, _not_dominant_for
 from .record import Record
 
 
@@ -100,16 +100,18 @@ def allowed_masks(
     """Per-vertex color bitmasks for the domain; second value is feasibility.
 
     Pins inside the domain force single colors; pins outside it knock
-    their color out of adjacent domain cells.  A negative q, or a pin off
-    the graph or outside 1..q, is a ConfigError; a pattern of another q is
-    a PreconditionError.  Infeasibility (a pinned pair clashing, or an
-    empty mask) yields count zero, not an error.  When the constraint has
-    a pattern, ``_pattern_cut`` cuts the boundary cells to its side; the
-    pins apply on top.  A dominant side is never empty, so only pins can
-    make a pattern boundary infeasible.
+    their color out of adjacent domain cells.  A negative q, a q past the
+    pattern ceiling ``MAX_COLORS``, or a pin off the graph or outside 1..q,
+    is a ConfigError; a pattern of another q is a PreconditionError.
+    Infeasibility (a pinned pair clashing, or an empty mask) yields count
+    zero, not an error.  When the constraint has a pattern, ``_pattern_cut``
+    cuts the boundary cells to its side; the pins apply on top.  A dominant
+    side is never empty, so only pins can make a pattern boundary infeasible.
     """
     if q < 0:
         raise ConfigError(f"q must be >= 0, got {q}")
+    if q > MAX_COLORS:
+        raise ConfigError(f"q must be at most {MAX_COLORS}, got {q}")
     G.own(domain)
     P = constraint.pattern
     if P is not None and P.q != q:
@@ -774,8 +776,11 @@ def htop_estimate(q: int, boxes: Iterable[Iterable[int]]) -> list[HtopPoint]:
     Every box is a torus, so every side is even (the graph refuses an odd
     periodic axis with a ConfigError).  The density can never fall below
     log(floor(q/2) * ceil(q/2)) / 2, witnessed by the pure pattern
-    colorings themselves, and a torus below it raises.
+    colorings themselves, and a torus below it raises.  q below 2 is a
+    ConfigError, as for a coloring.
     """
+    if q < 2:
+        raise ConfigError(f"q must be >= 2, got {q}")
     bound = 0.5 * math.log((q // 2) * ((q + 1) // 2))
     out = []
     for dims in boxes:

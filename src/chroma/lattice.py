@@ -598,10 +598,10 @@ def n_t(G: LatticeGraph, U: VertexSet, t: int) -> VertexSet:
 
 
 def vertex_boundaries(G: LatticeGraph, U: VertexSet) -> tuple[VertexSet, VertexSet, VertexSet]:
-    """(internal, external, both) vertex boundaries of U."""
-    external = neighborhood(G, U) - U
-    internal = neighborhood(G, U.complement()) & U
-    return internal, external, internal | external
+    """(internal, external, both) vertex boundaries of U, from the OR of U's edge maps."""
+    bits = G.own(U)
+    both = reduce(operator.or_, _edge_maps(G, bits), 0)
+    return VertexSet(both & bits, G.n), VertexSet(both & ~bits, G.n), VertexSet(both, G.n)
 
 
 def boundary_cells(G: LatticeGraph, domain: VertexSet) -> VertexSet:

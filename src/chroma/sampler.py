@@ -161,6 +161,9 @@ class OrderStats(Record):
                    split_half_max_diff)
 
     def vertex_marginal(self, v: int) -> dict[int, Fraction]:
+        """Color frequencies at v; a vertex not observed is a ConfigError."""
+        if v not in self.vertex_ids:
+            raise ConfigError(f"vertex {v} is not among the observed vertices")
         i = self.vertex_ids.index(v)
         return {
             c + 1: Fraction(self.occupation_counts[i][c], self.samples)

@@ -17,7 +17,7 @@ a boundary.
 
 from __future__ import annotations
 
-from .errors import ConfigError, InternalInvariantError
+from .errors import ConfigError, InternalInvariantError, PreconditionError
 from .geometry import (
     four_cycle_check,
     isoperimetry_checks,
@@ -74,8 +74,11 @@ def random_connected_set(G: LatticeGraph, rng, size: int, avoid: VertexSet | Non
 
     A uniform seed cell, then uniform picks from the frontier list (which
     may repeat a cell; a repeat is drawn and skipped) until the set has
-    ``size`` cells or the frontier runs out.
+    ``size`` cells or the frontier runs out.  A size below 1 is a
+    PreconditionError.
     """
+    if size < 1:
+        raise PreconditionError(f"size must be >= 1, got {size}")
     blocked = G.own(avoid) if avoid is not None else 0
     allowed = VertexSet(G.full_set().bits & ~blocked, G.n)
     if not allowed:

@@ -23,6 +23,7 @@ import pytest
 from chroma.coloring import striped_pattern_coloring
 from chroma.decomposition import (
     Atlas,
+    RegionDecomposition,
     classify_atlas,
     construct_breakup,
     decompose,
@@ -128,3 +129,21 @@ def test_breakup_outputs_pinned(name):
     digest = {key: hashlib.sha256(repr(val).encode()).hexdigest()
               for key, val in got.items()}
     assert digest == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_decomposition_rebuilt_from_its_regions(name):
+    # a decomposition is its regions: rebuilt from them it is equal and
+    # derives the same overlap, bad and defect sets
+    dims, periodic, q, whole, steps = CASES[name]
+    G = build_graph(dims, periodic)
+    p0 = reference_pattern(q)
+    dom = G.full_set() if whole else inner_domain(G)
+    rng = make_rng(14)
+    f = striped_pattern_coloring(G, p0)
+    for _ in range(steps):
+        f = heat_bath_sweep(f, G, dom, p0, rng)
+        Z = decompose(G, f)
+        W = RegionDecomposition(G, Z.z_p)
+        assert W == Z and W.z_p is not Z.z_p
+        assert (W.z_overlap, W.z_bad, W.z_star) == (Z.z_overlap, Z.z_bad, Z.z_star)

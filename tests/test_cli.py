@@ -303,6 +303,28 @@ def test_sample_margin_past_the_box_exits_one_at_once():
     assert "margin leaves an empty domain" in proc.stderr
 
 
+def test_exact_count_refuses_a_q_past_the_pattern_ceiling():
+    # under a 2 GiB address-space limit a 10^9-color count of two cells
+    # exits 1 at once with one error line, instead of building 10^9-bit masks
+    import resource
+
+    import chroma
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = os.path.dirname(os.path.dirname(chroma.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chroma.cli", "exact-count", "--dims", "2", "--q", str(10**9)],
+        capture_output=True, text=True, timeout=5, preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "at most 62" in lines[0]
+
+
 def test_sample_scan_field_removed(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dims": [4, 4], "q": 3, "pattern": "A=1;B=2,3",

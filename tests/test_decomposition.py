@@ -554,11 +554,8 @@ def test_region_families_refuse_a_set_of_another_graph():
         Atlas(G, {p0: H.full_set()})
     with pytest.raises(PreconditionError, match=message):
         Atlas(G, {p0: G.full_set(), Pattern.make(3, [2], [1, 3]): H.empty_set()})
-    E, W = G.empty_set(), H.empty_set()
-    for fields in (({p0: W}, E, E, E), ({p0: E}, W, E, E), ({p0: E}, E, W, E),
-                   ({p0: E}, E, E, W)):
-        with pytest.raises(PreconditionError, match=message):
-            RegionDecomposition(G, *fields)
+    with pytest.raises(PreconditionError, match=message):
+        RegionDecomposition(G, {p0: H.empty_set()})
 
 
 def test_atlas_copies_its_regions_and_keeps_its_derived_sets():
@@ -570,6 +567,27 @@ def test_atlas_copies_its_regions_and_keeps_its_derived_sets():
     assert X.x_p == {p0: G.full_set()} and X == Atlas(G, {p0: G.full_set()})
     assert (X.x_overlap, X.x_bad, X.x_star) == (G.empty_set(),) * 3
     assert Atlas(G, x_p).x_bad == G.full_set() and X != Atlas(G, x_p)
+
+
+def test_only_decompose_builds_a_decomposition(monkeypatch):
+    # the breakup path reads _decompose's bitmaps and builds no
+    # RegionDecomposition; decompose builds exactly one
+    G = build_graph([8, 8])
+    p0 = p0_for(3)
+    f, center = droplet_coloring(G, 3)
+    V, built = G.vertex_set([center]), []
+    init = RegionDecomposition.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RegionDecomposition, "__init__", counted)
+    X = construct_breakup(G, f, V, inner_domain(G), p0)
+    assert X.x_star and len(built) == 0
+    assert bp_components(G, f, V, p0).b_p and len(built) == 0
+    Z = decompose(G, f)
+    assert len(built) == 1 and Z.z_star
 
 
 def test_verify_failures_named_in_atlas_order():

@@ -24,6 +24,8 @@ from chroma.lattice import build_graph, closed_neighborhood, vertex_boundaries
 from chroma.patterns import Pattern
 from chroma.rng import make_rng
 
+from test_lattice import _within
+
 TOL = 1e-10
 
 
@@ -335,6 +337,21 @@ def test_type_functions_state_budget():
     assert enumerate_type_functions([1, 2], 0, 3, 3, state_budget=64)
     with pytest.raises(ResourceLimitError):
         enumerate_type_functions([1, 2], 0, 3, 3, state_budget=63)
+
+
+def test_type_functions_refuse_without_forming_the_power():
+    # d below 1 is refused; the budget is decided without forming |J|^{2d}
+    # (3^{2 * 10^9} has 3.2e9 bits), and a single candidate of 2d
+    # coordinates past the budget is refused even when |J| = 1
+    for d in (-1, 0):
+        with pytest.raises(PreconditionError, match=f"d must be >= 1, got {d}"):
+            enumerate_type_functions([1, 2], 0, d, 3)
+    with pytest.raises(ResourceLimitError):
+        _within(1.0, lambda: enumerate_type_functions([1, 2, 3], 0, 10**9, 3))
+    with pytest.raises(ResourceLimitError):
+        enumerate_type_functions([1], 0, 40, 3, state_budget=79)
+    assert enumerate_type_functions([1], 0, 40, 3, state_budget=80) == [(1,) * 80]
+    assert enumerate_type_functions([], 0, 40, 3, state_budget=80) == []
 
 
 def test_z_bound_exhaustive_small():

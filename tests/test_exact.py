@@ -29,6 +29,7 @@ from chroma.patterns import Pattern
 from chroma.rng import make_rng
 
 import oracles
+from test_lattice import _within
 
 
 def test_four_cycle_count():
@@ -91,6 +92,28 @@ def test_negative_q_refused_and_zero_q_counts():
     assert count_colorings(G, G.full_set(), 0).count == 0
     assert transfer_count(G, 0).count == 0
     assert count_colorings(G, G.vertex_set([]), 0).count == 1
+
+
+def test_q_above_the_pattern_ceiling_is_refused():
+    # allowed_masks refuses q past MAX_COLORS (62) before it builds a mask,
+    # and every engine inherits it: at q = 10^6 a 2-cell count ran past a
+    # second, and at 10^9 it asked for a 10^9-bit mask per cell
+    G = build_graph([2])
+    assert count_colorings(G, G.full_set(), 62).count == 62 * 61
+    for q in (63, 10**6):
+        for call in (lambda: allowed_masks(G, G.full_set(), q, Constraint.free()),
+                     lambda: count_colorings(G, G.full_set(), q),
+                     lambda: transfer_count(G, q),
+                     lambda: exact_marginal(G, G.full_set(), q, 0),
+                     lambda: htop_estimate(q, [(2, 2)])):
+            with pytest.raises(ConfigError, match=f"q must be at most 62, got {q}"):
+                _within(1.0, call)
+
+
+def test_htop_estimate_refuses_fewer_than_two_colors():
+    for q in (-1, 0, 1):
+        with pytest.raises(ConfigError, match=f"q must be >= 2, got {q}"):
+            htop_estimate(q, [(2, 2)])
 
 
 def test_count_matches_brute_force_random_subgraphs():

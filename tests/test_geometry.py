@@ -366,19 +366,32 @@ def test_separating_set_refuses_thresholds_out_of_range():
     # failed separation check (exit 3).  Inside the ranges the sets stay put.
     G = build_graph([8, 8])
     coll = OddSetCollection(G, [random_regular_odd_set(G, make_rng(3))])
-    assert {t: separating_set(coll, t=t).vertices.ids() for t in range(1, 5)} == {
+    assert {t: separating_set(coll, t=t).vertices.ids() for t in range(1, 3)} == {
         1: (19, 21, 26, 27, 28, 29, 30, 35, 36, 37, 42, 43, 44, 45, 46, 51, 53),
         2: (19, 27, 28, 30, 36, 42, 44, 45, 53),
-        3: (28, 36),
-        4: (28, 36),
     }
     assert [len(separating_set(coll, s=s).vertices) for s in (1, 2)] == [9, 17]
-    for t in (-1, 0, 5, 6, 7, 10**9):
-        with pytest.raises(PreconditionError, match=re.escape(f"t must be in 1..4, got {t}")):
+    for t in (-1, 0, 3, 4, 5, 6, 7, 10**9):
+        with pytest.raises(PreconditionError, match=re.escape(f"t must be in 1..2, got {t}")):
             separating_set(coll, t=t)
     for s in (-1, 0, 3, 10**9):
         with pytest.raises(PreconditionError, match=re.escape(f"s must be in 1..2, got {s}")):
             separating_set(coll, s=s)
+
+
+def test_separating_set_never_fails_its_own_check():
+    # over every t in 1..2d each call separates or refuses the threshold:
+    # past d the cover argument fails, and the construction at t = 3 or 4
+    # leaves 22 of these 36 sets unseparated
+    for dims in ((8, 8), (10, 10), (12, 12)):
+        G = build_graph(dims)
+        for seed in range(12):
+            coll = OddSetCollection(G, [random_regular_odd_set(G, make_rng(seed))])
+            for t in range(1, 2 * G.d + 1):
+                try:
+                    assert separating_set(coll, s=1, t=t).separates
+                except PreconditionError as exc:
+                    assert t > G.d and f"t must be in 1..{G.d}, got {t}" in str(exc)
 
 
 def test_weak_approximation_properties():

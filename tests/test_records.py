@@ -54,10 +54,9 @@ RECORDS = [
      "RepairPlan(s=VertexSet(bits=5, n=8), parts=((Pattern(q=3, A=1;B=2,3), "
      "VertexSet(bits=7, n=8)),), regions=((Pattern(q=3, A=1;B=2,3), VertexSet(bits=5, n=8)),), "
      "s_star=VertexSet(bits=7, n=8), shift_axis=0, shift_dir=1)", True),
-    (RegionDecomposition, (G, {P: U}, W, U, W), 2, U,
+    (RegionDecomposition, (G, {P: U}), 1, {P: W},
      "RegionDecomposition(graph=LatticeGraph(dims=2,4;periodic=0,0), "
-     "z_p={Pattern(q=3, A=1;B=2,3): VertexSet(bits=5, n=8)}, z_overlap=VertexSet(bits=7, n=8), "
-     "z_bad=VertexSet(bits=5, n=8), z_star=VertexSet(bits=7, n=8))", False),
+     "z_p={Pattern(q=3, A=1;B=2,3): VertexSet(bits=5, n=8)})", False),
     (Atlas, (G, {P: U}), 1, {P: W},
      "Atlas(graph=LatticeGraph(dims=2,4;periodic=0,0), "
      "x_p={Pattern(q=3, A=1;B=2,3): VertexSet(bits=5, n=8)})", False),
