@@ -312,6 +312,9 @@ def verify_breakup(
     defect set are in pattern, non-overlap P-odd members are in pattern,
     bad P-odd vertices see a color off the boundary side, and boundary
     edges leave from an in-pattern vertex toward a constrained one).
+    After the regularity and reference messages, the clauses are listed
+    pattern by pattern: one message per cell of each vertex clause, from
+    one template per clause in the order above, then the boundary edges.
     A coloring of another size, or an atlas or reference pattern not
     dominant for the coloring's q, is refused (``PreconditionError``)
     rather than reported.
@@ -349,28 +352,21 @@ def verify_breakup(
     )
     if not any(clauses):
         return BreakupReport(not problems, tuple(problems))
+    # the vertex clauses' messages; the edge clause, last, names both ends below
+    templates = (
+        "vertex {v} near the defect set: membership in {P} is {member} but its "
+        "neighborhood in-pattern is {calm}",
+        "P-even vertex {v} of region {P} near the defect set is out of pattern",
+        "non-overlap P-odd vertex {v} of region {P} is out of pattern",
+        "bad vertex {v} has its whole neighborhood in the {P} pattern",
+    )
     for i, P in enumerate(pats):
         member, fits, calm = (_slot(x, i, n) for x in (U, in_pat, settled))
-        mismatch, even_out, odd_out, bad_calm, edges = (_slot(x, i, n) for x in clauses)
-        for v in _bits_to_ids(mismatch, n):
-            problems.append(
-                f"vertex {v} near the defect set: membership in {P.text()} is "
-                f"{bool(member >> v & 1)} but its neighborhood in-pattern is {bool(calm >> v & 1)}"
-            )
-        for v in _bits_to_ids(even_out, n):
-            problems.append(
-                f"P-even vertex {v} of region {P.text()} near the defect set "
-                "is out of pattern"
-            )
-        for v in _bits_to_ids(odd_out, n):
-            problems.append(
-                f"non-overlap P-odd vertex {v} of region {P.text()} is out of pattern"
-            )
-        for v in _bits_to_ids(bad_calm, n):
-            problems.append(
-                f"bad vertex {v} has its whole neighborhood in the {P.text()} pattern"
-            )
-        for u in _bits_to_ids(edges, n):
+        for clause, template in zip(clauses, templates):
+            problems += [template.format(v=v, P=P.text(), member=bool(member >> v & 1),
+                                         calm=bool(calm >> v & 1))
+                         for v in _bits_to_ids(_slot(clause, i, n), n)]
+        for u in _bits_to_ids(_slot(clauses[-1], i, n), n):
             # u's distinct neighbors in ascending order; -1 marks a clipped face
             for v in sorted(set(G.neighbor_table[:, u].tolist()) - {-1}):
                 if member >> v & 1:

@@ -19,10 +19,10 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .coloring import Coloring, HOLE
-from .errors import ConfigError, PreconditionError, ResourceLimitError
+from .errors import ConfigError, PreconditionError, ResourceLimitError, UndefinedMeasureError
 from .lattice import (LatticeGraph, VertexSet, _full_degree, _vertex_id, closed_neighborhood,
                       vertex_boundaries)
-from .patterns import Pattern, _dominant
+from .patterns import Pattern, _dominant, _dominant_size
 from .record import Record
 
 ENT_TOL = 1e-10
@@ -144,18 +144,18 @@ def _type_of_values(values: Sequence[int], d: int, q: int) -> NeighborhoodType:
     return NeighborhoodType(frozenset(cnt), unbal)
 
 
-def neighborhood_type(f: Coloring, v: int, G: LatticeGraph, q: int) -> NeighborhoodType:
+def neighborhood_type(f: Coloring, v: int, G: LatticeGraph) -> NeighborhoodType:
     """(set of colors on N(v), some-color-rare flag); needs full degree.
 
-    A color counts as rare when its multiplicity is at most d/q, the
-    comparison done exactly (mult * q <= d).
+    A color counts as rare when its multiplicity is at most d/q, for the
+    coloring's own q, the comparison done exactly (mult * q <= d).
     """
     if not _full_degree(G) >> _vertex_id(v, G.n) & 1:
         raise PreconditionError(f"vertex {v} lacks full degree; type undefined")
     values = f.values_on(G).take(G.neighbors[v]).tolist()
     if any(c == HOLE for c in values):
         raise PreconditionError(f"vertex {v} has HOLE neighbors; type undefined")
-    return _type_of_values(values, G.d, q)
+    return _type_of_values(values, G.d, f.q)
 
 
 def _image(f_values: Sequence[int], vertices: Iterable[int]) -> frozenset[int]:
@@ -177,10 +177,6 @@ class ClassificationReport(Record):
             "uniq": list(self.uniq.ids()),
             "k_value": f"{self.k_value.numerator}/{self.k_value.denominator}",
         }
-
-
-def _is_nondominant(f_values: Sequence[int], v: int, G: LatticeGraph, q: int) -> bool:
-    return len(_image(f_values, G.neighbors[v])) not in (q // 2, (q + 1) // 2)
 
 
 def classify(
@@ -223,31 +219,20 @@ def classify(
         for h in omega_tuples:
             groups.setdefault(_image(h, nbrs), []).append(h)
 
-        def edge_flags(img: frozenset[int]) -> tuple[bool, dict[int, bool]]:
+        def edge_flags(img: frozenset[int]) -> dict[int, bool]:
             members = groups[img]
-            seen_v = {h[v] for h in members}
-            tail = seen_v != all_colors - set(img)
-            per_u = {}
-            for u in nbrs:
-                per_u[u] = tail or {h[u] for h in members} != img
-            return tail, per_u
+            tail = {h[v] for h in members} != all_colors - set(img)
+            return {u: tail or {h[u] for h in members} != img for u in nbrs}
 
-        if neighborhood_type(f, v, G, q).unbal:
+        if neighborhood_type(f, v, G).unbal:
             unbal_bits |= 1 << v
-        if _is_nondominant(values, v, G, q):
+        image = _image(values, nbrs)
+        if not _dominant_size(len(image), q):
             nondom_bits |= 1 << v
-        _, mine = edge_flags(_image(values, nbrs))
-        for u in nbrs:
-            if mine[u]:
-                restricted.append((v, u))
-        healthy_images = set()
-        for img in groups:
-            if len(img) not in (q // 2, (q + 1) // 2):
-                continue
-            _, flags = edge_flags(img)
-            if all(flags.values()):
-                continue
-            healthy_images.add(img)
+        mine = edge_flags(image)
+        restricted += [(v, u) for u in nbrs if mine[u]]
+        healthy_images = {img for img in groups
+                          if _dominant_size(len(img), q) and not all(edge_flags(img).values())}
         if len(healthy_images) <= 1:
             uniq_bits |= 1 << v
     k_value = (
@@ -265,7 +250,10 @@ def classify(
 
 
 def k_omega(omega: Sequence[Coloring], S: VertexSet, G: LatticeGraph) -> Fraction:
-    """Minimum classification score over the event."""
+    """Minimum classification score over the event; an empty event is an
+    UndefinedMeasureError."""
+    if not omega:
+        raise UndefinedMeasureError("the event omega is empty")
     return min(classify(f, omega, S, G).k_value for f in omega)
 
 
@@ -381,7 +369,7 @@ def z_bound_check(
     cases = []
     rhs_always = base * math.exp(-k / q)
     cases.append(ZBoundCase("semi-restricted", True, rhs_always, lhs <= rhs_always * (1 + 1e-12)))
-    nondom = len(J) not in (q // 2, (q + 1) // 2)
+    nondom = not _dominant_size(len(J), q)
     rhs_nd = base * math.exp(-4 * d / q**2)
     cases.append(
         ZBoundCase("non-dominant", nondom, rhs_nd, lhs <= rhs_nd * (1 + 1e-12) if nondom else None)

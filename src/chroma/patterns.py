@@ -113,8 +113,7 @@ class Pattern(Record):
         return self.b_bits.bit_count()
 
     def is_dominant(self) -> bool:
-        sizes = {self.size_a, self.size_b}
-        return sizes == {self.q // 2, (self.q + 1) // 2}
+        return _dominant_size(self.size_a, self.q) and self.size_a + self.size_b == self.q
 
     @property
     def bdry_bits(self) -> int:
@@ -169,6 +168,11 @@ class PatternSides(Record):
         self._init(bdry, interior, klass)
 
 
+def _dominant_size(k: int, q: int) -> bool:
+    """Whether k colors is a dominant side's size: floor(q/2) or ceil(q/2)."""
+    return k in (q // 2, (q + 1) // 2)
+
+
 def enumerate_dominant(q: int) -> list[Pattern]:
     """All dominant patterns, sorted by (|A|, A-mask, B-mask).
 
@@ -184,11 +188,9 @@ def _dominant(q: int) -> tuple[Pattern, ...]:
         raise ConfigError("dominant pattern enumeration needs q >= 3")
     if q > MAX_COLORS:
         raise ConfigError(f"q must be at most {MAX_COLORS}")
-    half = q // 2
-    sizes = [half] if q % 2 == 0 else [half, q - half]
     full = (1 << q) - 1
     out = []
-    for size in sizes:
+    for size in filter(lambda k: _dominant_size(k, q), range(q + 1)):
         for combo in itertools.combinations(range(1, q + 1), size):
             a_bits = color_mask(combo, q)
             out.append(Pattern(q, a_bits, full & ~a_bits))

@@ -102,7 +102,6 @@ from .rng import make_rng
 
 MAX_Q = 16               # the kernel's tables hold masks m < 2^q in uint16
 _DRAW_BLOCK = 1 << 15    # uniforms drawn for a batch of chains at a time
-_TALLY_BLOCK = 1 << 15   # recorded cell states held before they are counted
 _LOOP_CELLS = 48         # batches of at most this many chain cells sweep in a Python loop
 _LOOP_MAX_Q = 8          # the loop reads _pick as a list, 7424 small ints at q = 8
 
@@ -119,7 +118,7 @@ class ChainConfig(Record):
                  periodic: tuple[bool, ...] | None = None, margin: int = 0, burn_in: int = 0,
                  thin: int = 1, algorithm: str = "heat-bath", cluster_every: int = 8,
                  chains: int = 1):
-        _bits(q)   # refuses q > MAX_Q
+        _bits(q)   # refuses q outside 2..MAX_Q
         if sweeps < burn_in or burn_in < 0:
             raise ConfigError("need sweeps >= burn_in >= 0")
         if thin < 1:
@@ -205,7 +204,9 @@ def _tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @cache
 def _bits(q: int) -> np.ndarray:
     """``bit[c]``, the uint16 bit of color c in a kernel column (0 for
-    HOLE), built once per q; q > MAX_Q raises ConfigError."""
+    HOLE), built once per q; q outside 2..MAX_Q raises ConfigError."""
+    if q < 2:
+        raise ConfigError(f"q must be >= 2, got {q}")
     if q > MAX_Q:
         raise ConfigError(f"the sampler takes at most {MAX_Q} colors, got q = {q}")
     bit = np.array([0] + [1 << c for c in range(q)], dtype=np.uint16)
@@ -391,11 +392,7 @@ def _layout(G: LatticeGraph, domain: VertexSet, p0: Pattern | None, q: int) -> _
     mask = allowed[scan]
     # the distinct forbidden masks in ascending order, and each scan
     # cell's index among them
-    forbid = full & ~mask
-    present = np.zeros(full + 1, dtype=bool)
-    present[forbid] = True
-    forbidden = np.flatnonzero(present)
-    which = np.cumsum(present)[forbid] - 1
+    forbidden, which = np.unique(full & ~mask, return_inverse=True)
     column = np.empty(n + 1, dtype=np.intp)   # column[-1] is the 0 column
     column[cells] = ids
     column[n] = n
@@ -687,9 +684,8 @@ def run_experiment(cfg: ChainConfig, threads: int = 1) -> OrderStats:
     occ = np.zeros((2, n_scan * q), dtype=np.int64)
     bins = np.arange(n_scan) * q - 1   # bin of (scan cell i, color c) is bins[i] + c
     block = max(1, _DRAW_BLOCK // (cfg.chains * n_scan))
-    # recorded samples are held here until they are counted
-    held = np.empty((max(block, _TALLY_BLOCK // (cfg.chains * n_scan)), cfg.chains, n_scan),
-                    dtype=kernel.x.dtype)
+    # a block's recorded samples are held here until they are counted
+    held = np.empty((block, cfg.chains, n_scan), dtype=kernel.x.dtype)
     draws = np.empty((cfg.chains, block, n_scan))   # each block's uniforms, chain by chain
     codes = np.empty(draws.shape, dtype=np.intp)    # and their _draw_codes
     n_held = counted = 0

@@ -3,7 +3,11 @@
 Each suite draws instances from a seeded Philox stream, checks one
 geometric fact that is a theorem for valid inputs, and reports any
 failures with a witness string.  The command line runner treats a
-failing suite as an internal invariant violation.
+failing suite as an internal invariant violation.  A suite is a trial
+body on the box ``SUITES`` names for it, run by one trial loop
+(``_run_trials``): the body draws one instance and yields a message per
+failed check, recorded as ``trial {t}: ...``.  ``isoperimetry`` draws
+nothing and checks four fixed boxes.
 
 The generators work on bitmaps: a random subset takes one uniform per
 cell, in ascending id order, from a single call, which is the same
@@ -151,120 +155,92 @@ def _co_closure_instance(G: LatticeGraph, rng):
 # -- suites --------------------------------------------------------------------
 
 
-def suite_four_cycle(trials: int, seed: int) -> SuiteResult:
+def _four_cycle(G: LatticeGraph, rng):
     """Boundary edges of odd sets satisfy the direction-exchange property."""
-    G = LatticeGraph((8, 8))
-    failures = []
-    rng = make_rng(seed)
-    for t in range(trials):
-        S = random_regular_odd_set(G, rng)
-        try:
-            four_cycle_check(G, S, "odd")
-            four_cycle_check(G, S.complement(), "even")
-        except InternalInvariantError as exc:
-            failures.append(f"trial {t}: {exc}")
-    return SuiteResult("four-cycle", trials, tuple(failures))
+    S = random_regular_odd_set(G, rng)
+    try:
+        four_cycle_check(G, S, "odd")
+        four_cycle_check(G, S.complement(), "even")
+    except InternalInvariantError as exc:
+        yield str(exc)
 
 
-def suite_revealed(trials: int, seed: int) -> SuiteResult:
+def _revealed(G: LatticeGraph, rng):
     """Revealed vertices meet every boundary edge of a regular odd set."""
-    G = LatticeGraph((8, 8))
-    failures = []
-    rng = make_rng(seed)
-    for t in range(trials):
-        S = random_regular_odd_set(G, rng)
-        try:
-            revealed_vertices(G, S, "odd")
-        except InternalInvariantError as exc:
-            failures.append(f"trial {t}: {exc}")
-    return SuiteResult("revealed", trials, tuple(failures))
+    S = random_regular_odd_set(G, rng)
+    try:
+        revealed_vertices(G, S, "odd")
+    except InternalInvariantError as exc:
+        yield str(exc)
 
 
-def suite_even_odd(trials: int, seed: int) -> SuiteResult:
-    """Sublattice imbalance equals the boundary-split difference over 2d."""
-    G = LatticeGraph((7, 7))
-    cells = interior(G, 1)
-    failures = []
-    rng = make_rng(seed)
-    for t in range(trials):
-        U = random_subset(G, rng, cells, p=float(rng.uniform(0.15, 0.7)))
-        imbalance, n_even, n_odd, defined = _sublattice_identity(G, U)
-        if not defined:
-            failures.append(f"trial {t}: identity unexpectedly undefined")
-        elif 2 * G.d * imbalance != n_even - n_odd:
-            failures.append(f"trial {t}: imbalance {imbalance} vs splits {n_even}/{n_odd}")
-    return SuiteResult("even-odd", trials, tuple(failures))
+def _even_odd(G: LatticeGraph, rng, cells: VertexSet):
+    """Sublattice imbalance equals the boundary-split difference over 2d,
+    for random subsets of ``cells``."""
+    U = random_subset(G, rng, cells, p=float(rng.uniform(0.15, 0.7)))
+    imbalance, n_even, n_odd, defined = _sublattice_identity(G, U)
+    if not defined:
+        yield "identity unexpectedly undefined"
+    elif 2 * G.d * imbalance != n_even - n_odd:
+        yield f"imbalance {imbalance} vs splits {n_even}/{n_odd}"
 
 
-def suite_sizes(trials: int, seed: int) -> SuiteResult:
+def _sizes(G: LatticeGraph, rng):
     """|N_t(U)| is at most (max degree / t) |U|."""
-    G = LatticeGraph((6, 6))
-    failures = []
-    rng = make_rng(seed)
+    U = random_subset(G, rng, G.full_set(), p=float(rng.uniform(0.1, 0.6)))
+    if not U:
+        return
     delta = G.full_degree
-    for t in range(trials):
-        U = random_subset(G, rng, G.full_set(), p=float(rng.uniform(0.1, 0.6)))
-        if not U:
-            continue
-        thresh = int(rng.integers(1, delta + 1))
-        size = len(n_t(G, U, thresh))
-        if size * thresh > delta * len(U):
-            failures.append(
-                f"trial {t}: |N_{thresh}(U)|={size} exceeds {delta}/{thresh}*{len(U)}"
-            )
-    return SuiteResult("sizes", trials, tuple(failures))
+    thresh = int(rng.integers(1, delta + 1))
+    size = len(n_t(G, U, thresh))
+    if size * thresh > delta * len(U):
+        yield f"|N_{thresh}(U)|={size} exceeds {delta}/{thresh}*{len(U)}"
 
 
-def suite_co_closure(trials: int, seed: int) -> SuiteResult:
+def _co_closure(G: LatticeGraph, rng):
     """Boundary containment, co-connectedness and absorption of closures."""
-    G = LatticeGraph((6, 6))
-    failures = []
-    rng = make_rng(seed)
-    for t in range(trials):
-        instance = _co_closure_instance(G, rng)
-        if instance is None:
-            continue
-        A, anchor, B_any, C, B_conn = instance
-        closure = co_connected_closure(G, A, anchor)
-        if not _out_edges_within(G, closure, A):
-            failures.append(f"trial {t}: closure boundary escaped the original")
-        if not A.issubset(closure):
-            failures.append(f"trial {t}: closure lost part of the set")
-        if not is_connected(G, closure.complement()) and closure.complement():
-            failures.append(f"trial {t}: closure is not co-connected")
-        # (b): clipping any disjoint set by the closure shrinks its boundary
-        if not _out_edges_within(G, B_any - closure, B_any):
-            failures.append(f"trial {t}: clipped-set boundary escaped")
-        # (c): clipping preserves co-connectedness; B is the complement of a
-        # connected dilation of A, so it is co-connected and disjoint
-        clipped = C.complement() - closure
-        if clipped and not is_connected(G, clipped.complement()):
-            failures.append(f"trial {t}: clipped co-connected set lost the property")
-        # (d): a connected disjoint set is absorbed or untouched
-        if B_conn:
-            swallowed = B_conn.issubset(closure)
-            untouched = B_conn.isdisjoint(closure)
-            if not (swallowed or untouched):
-                failures.append(f"trial {t}: connected set split by the closure")
-    return SuiteResult("co-closure", trials, tuple(failures))
+    instance = _co_closure_instance(G, rng)
+    if instance is None:
+        return
+    A, anchor, B_any, C, B_conn = instance
+    closure = co_connected_closure(G, A, anchor)
+    if not _out_edges_within(G, closure, A):
+        yield "closure boundary escaped the original"
+    if not A.issubset(closure):
+        yield "closure lost part of the set"
+    if not is_connected(G, closure.complement()) and closure.complement():
+        yield "closure is not co-connected"
+    # (b): clipping any disjoint set by the closure shrinks its boundary
+    if not _out_edges_within(G, B_any - closure, B_any):
+        yield "clipped-set boundary escaped"
+    # (c): clipping preserves co-connectedness; B is the complement of a
+    # connected dilation of A, so it is co-connected and disjoint
+    clipped = C.complement() - closure
+    if clipped and not is_connected(G, clipped.complement()):
+        yield "clipped co-connected set lost the property"
+    # (d): a connected disjoint set is absorbed or untouched
+    if B_conn and not (B_conn.issubset(closure) or B_conn.isdisjoint(closure)):
+        yield "connected set split by the closure"
 
 
-def suite_boundary_connected(trials: int, seed: int) -> SuiteResult:
+def _boundary_connected(G: LatticeGraph, rng):
     """The two-sided boundary of a connected co-connected set is connected."""
-    G = LatticeGraph((6, 6, 6))
-    failures = []
+    A = random_connected_set(G, rng, int(rng.integers(2, max(3, G.n // 2))))
+    if not A or A == G.full_set():
+        return
+    A = co_connected_closure(G, A, _pick(rng, A.complement()))
+    if A != G.full_set() and not is_connected(G, vertex_boundaries(G, A)[2]):
+        yield f"boundary of {len(A)}-cell set disconnected"
+
+
+def _run_trials(name: str, G: LatticeGraph, trials: int, seed: int, body,
+                *constants) -> SuiteResult:
+    """``trials`` instances of ``body(G, rng, *constants)`` drawn in turn from
+    one Philox stream; each message an instance yields is recorded as
+    ``trial {t}: {message}``."""
     rng = make_rng(seed)
-    for t in range(trials):
-        A = random_connected_set(G, rng, int(rng.integers(2, max(3, G.n // 2))))
-        if not A or A == G.full_set():
-            continue
-        A = co_connected_closure(G, A, _pick(rng, A.complement()))
-        if A == G.full_set():
-            continue
-        _, _, both = vertex_boundaries(G, A)
-        if not is_connected(G, both):
-            failures.append(f"trial {t}: boundary of {len(A)}-cell set disconnected")
-    return SuiteResult("boundary-connected", trials, tuple(failures))
+    return SuiteResult(name, trials, tuple(
+        f"trial {t}: {message}" for t in range(trials) for message in body(G, rng, *constants)))
 
 
 def suite_isoperimetry(trials: int, seed: int) -> SuiteResult:
@@ -287,22 +263,30 @@ def suite_isoperimetry(trials: int, seed: int) -> SuiteResult:
     return SuiteResult("isoperimetry", 4, tuple(failures))
 
 
+# name: (box, trial body, the body's constants as functions of the box's
+# graph, computed once per run); isoperimetry has no stream
 SUITES = {
-    "four-cycle": suite_four_cycle,
-    "revealed": suite_revealed,
-    "even-odd": suite_even_odd,
-    "sizes": suite_sizes,
-    "co-closure": suite_co_closure,
-    "boundary-connected": suite_boundary_connected,
-    "isoperimetry": suite_isoperimetry,
+    "four-cycle": ((8, 8), _four_cycle),
+    "revealed": ((8, 8), _revealed),
+    "even-odd": ((7, 7), _even_odd, lambda G: interior(G, 1)),
+    "sizes": ((6, 6), _sizes),
+    "co-closure": ((6, 6), _co_closure),
+    "boundary-connected": ((6, 6, 6), _boundary_connected),
+    "isoperimetry": None,
 }
+
+
+def _suite(name: str, trials: int, seed: int) -> SuiteResult:
+    if SUITES[name] is None:
+        return suite_isoperimetry(trials, seed)
+    dims, body, *constants = SUITES[name]
+    G = LatticeGraph(dims)
+    return _run_trials(name, G, trials, seed, body, *(make(G) for make in constants))
 
 
 def run_suite(name: str, trials: int, seed: int) -> list[SuiteResult]:
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
-    if name == "all":
-        return [fn(trials, seed) for fn in SUITES.values()]
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise ConfigError(f"unknown suite {name!r}; options: {sorted(SUITES)} or 'all'")
-    return [SUITES[name](trials, seed)]
+    return [_suite(n, trials, seed) for n in (SUITES if name == "all" else [name])]

@@ -8,13 +8,16 @@ pattern is sent one of another size or another q.  Every call runs under
 a one-second alarm: it returns or raises ConfigError, PreconditionError or
 ResourceLimitError, never InternalInvariantError or a bare built-in
 exception, and never hangs; a value below an entry's range, a coloring of
-another size and a pattern of another q are refused.
+another size and a pattern of another q are refused.  Each entry that
+takes a sequence of colorings, sets or assignments is sent an empty one,
+and returns or raises the one error class its table row names.
 """
 
 from chroma import coloring, decomposition, entropy, exact, geometry, lattice, patterns, sampler
 from chroma import suites
 from chroma.coloring import BoundaryCondition, Coloring, striped_pattern_coloring
-from chroma.errors import ConfigError, PreconditionError, ResourceLimitError
+from chroma.errors import (ConfigError, PreconditionError, ResourceLimitError,
+                           UndefinedMeasureError)
 from chroma.lattice import LatticeGraph
 from chroma.patterns import Pattern
 from chroma.rng import make_rng
@@ -88,9 +91,7 @@ def _value_entries():
         "htop_estimate q": (lambda x: exact.htop_estimate(x, [(2, 2)]), 2, 63, Q_BIG),
         "htop_estimate box": (lambda x: exact.htop_estimate(3, [(x, 2)]), 1,
                               lattice.CELL_LIMIT, BIG),
-        "neighborhood_type v": (lambda x: entropy.neighborhood_type(f, x, G, 3), 0, n, BIG),
-        "neighborhood_type q": (lambda x: entropy.neighborhood_type(f, G.vid((3, 3)), G, x),
-                                None, 63, Q_BIG),
+        "neighborhood_type v": (lambda x: entropy.neighborhood_type(f, x, G), 0, n, BIG),
         "enumerate_type_functions d": (
             lambda x: entropy.enumerate_type_functions([1, 2, 3], 0, x, 3), 1, None, Q_BIG),
         "enumerate_type_functions q": (
@@ -112,7 +113,7 @@ def _value_entries():
         "color_mask q": (lambda x: patterns.color_mask([1], x), None, 63, BIG),
         "is_p_even": (lambda x: patterns.is_p_even(x, P0, G), 0, n, BIG),
         "p_parity": (lambda x: patterns.p_parity(x, P0, G), 0, n, BIG),
-        "ChainConfig q": (lambda x: sampler.ChainConfig(**{**cfg, "q": x}), None, 17, BIG),
+        "ChainConfig q": (lambda x: sampler.ChainConfig(**{**cfg, "q": x}), 2, 17, BIG),
         "ChainConfig sweeps": (lambda x: sampler.ChainConfig(**{**cfg, "sweeps": x}), 0, None,
                                BIG),
         "ChainConfig margin": (lambda x: sampler.ChainConfig(**{**cfg, "margin": x}), None, None,
@@ -151,7 +152,7 @@ def _coloring_entries():
         "construct_breakup": lambda g: decomposition.construct_breakup(G, g, U, full, P0),
         "verify_breakup": lambda g: decomposition.verify_breakup(X, g, full, P0),
         "bp_components": lambda g: decomposition.bp_components(G, g, U, P0),
-        "neighborhood_type": lambda g: entropy.neighborhood_type(g, G.vid((3, 3)), G, 3),
+        "neighborhood_type": lambda g: entropy.neighborhood_type(g, G.vid((3, 3)), G),
         "classify f": lambda g: entropy.classify(g, [g], S, G),
         "classify omega": lambda g: entropy.classify(f, [f, g], S, G),
         "k_omega": lambda g: entropy.k_omega([g], S, G),
@@ -194,6 +195,29 @@ def _pattern_entries():
     }
 
 
+def _empty_entries():
+    """name: (call with one empty sequence, the error it raises or None when it
+    returns)."""
+    f = striped_pattern_coloring(G, P0)
+    S = G.vertex_set([G.vid((4, 4))])
+    return {
+        "k_omega": (lambda: entropy.k_omega([], S, G), UndefinedMeasureError),
+        "classify omega": (lambda: entropy.classify(f, [], S, G), PreconditionError),
+        "shearer_check joint": (lambda: entropy.shearer_check({}, [[0]], 1), PreconditionError),
+        "shearer_check cover": (lambda: entropy.shearer_check({(0,): 1.0}, [], 1),
+                                PreconditionError),
+        "z_bound_check psi_set": (lambda: entropy.z_bound_check([], [3], 2, 3),
+                                  PreconditionError),
+        "z_bound_check I": (lambda: entropy.z_bound_check([(1, 2, 1, 2)], [], 2, 3), None),
+        "entropy_loss_eval": (lambda: entropy.entropy_loss_eval(G, S, {}, 3), PreconditionError),
+        "boundary_edge_count": (lambda: lattice.boundary_edge_count(G, []), None),
+        "OddSetCollection": (lambda: geometry.OddSetCollection(G, []), None),
+        "Atlas": (lambda: decomposition.classify_atlas(decomposition.Atlas(G, {})), None),
+        "RegionDecomposition": (lambda: decomposition.RegionDecomposition(G, {}).to_json(),
+                                None),
+    }
+
+
 def _outcome(call):
     """'returned', 'refused', or what went wrong."""
     try:
@@ -232,4 +256,17 @@ def test_a_coloring_of_another_size_is_refused():
 def test_a_pattern_of_another_q_is_refused():
     failures = [f"{name}: {got}" for name, call in _pattern_entries().items()
                 if (got := _outcome(lambda: call(P4))) != "refused"]
+    assert failures == []
+
+
+def test_every_sequence_entry_takes_an_empty_sequence():
+    failures = []
+    for name, (call, error) in _empty_entries().items():
+        try:
+            _within(1.0, call)
+            got = None
+        except Exception as exc:
+            got = type(exc)
+        if got is not error:
+            failures.append(f"{name}: {got.__name__ if got else 'returned'}")
     assert failures == []

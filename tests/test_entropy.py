@@ -122,21 +122,21 @@ def test_neighborhood_type_examples():
     for u in nbrs[:7]:
         f.values[u] = 1
     f.values[nbrs[7]] = 2
-    t = neighborhood_type(f, v, G, 3)
+    t = neighborhood_type(f, v, G)
     assert t.colorset == frozenset({1, 2}) and t.unbal  # multiplicity 1 <= 4/3
 
     g = Coloring([1] * G.n, 2)
     for i, u in enumerate(nbrs):
         g.values[u] = 1 if i < 4 else 2
-    t = neighborhood_type(g, v, G, 2)
+    t = neighborhood_type(g, v, G)
     assert t.colorset == frozenset({1, 2}) and not t.unbal  # 4 > 4/2
 
     h = Coloring([1] * G.n, 3)
-    t = neighborhood_type(h, v, G, 3)
+    t = neighborhood_type(h, v, G)
     assert t.colorset == frozenset({1}) and not t.unbal
 
     with pytest.raises(PreconditionError):
-        neighborhood_type(f, G.vid((0, 0, 0, 0)), G, 3)
+        neighborhood_type(f, G.vid((0, 0, 0, 0)), G)
 
 
 def _omega_on_block(G, base, block, q):

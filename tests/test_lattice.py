@@ -739,6 +739,45 @@ def test_every_import_is_used():
     assert offenders == []
 
 
+def _top_level_names(stmt) -> set[str]:
+    """The functions, classes and module constants a top-level statement defines."""
+    if isinstance(stmt, ast.FunctionDef | ast.ClassDef):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign | ast.AnnAssign):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return set()
+
+
+def _named(stmt):
+    """The names a statement reads: ``_loaded_names``, attributes, imported
+    names, and strings that are one name (``monkeypatch.setattr`` targets,
+    perfbench's traced-function tables)."""
+    yield from _loaded_names(stmt)
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_top_level_name_is_named_elsewhere():
+    # a function, class or module constant of the package that nothing in
+    # src/, tests/ or perfbench/ names outside its own definition is dead
+    root = Path(__file__).resolve().parent.parent
+    defined, named = {}, set()
+    for path in sorted(p for d in ("src", "tests", "perfbench") for p in (root / d).rglob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            own = _top_level_names(stmt)
+            if path.parent == root / "src" / "chroma":
+                defined.update(dict.fromkeys(own, path.name))
+            named.update(name for name in _named(stmt) if name not in own)
+    assert len(defined) > 200
+    assert sorted(f"{module}:{name}" for name, module in defined.items() if name not in named) == []
+
+
 VIEWS = ("neighbors", "degree", "parity")
 
 

@@ -59,9 +59,10 @@ def test_config_refuses_no_chains_no_cluster_interval_and_class1_pattern():
     base = dict(dims=(4, 4), q=3, pattern=P03, seed=1, sweeps=5)
     for kwargs, message in (({"chains": 0}, "chains must be >= 1"),
                             ({"algorithm": "heat-bath+cluster", "cluster_every": 0},
-                             "cluster_every must be >= 1")):
+                             "cluster_every must be >= 1"),
+                            ({"q": -1}, "^q must be >= 2, got -1$")):
         with pytest.raises(ConfigError, match=message):
-            ChainConfig(**base, **kwargs)
+            ChainConfig(**{**base, **kwargs})
     with pytest.raises(ConfigError, match="dominant with"):
         ChainConfig(**{**base, "pattern": "A=1,2;B=3"}).p0()
 
@@ -799,7 +800,6 @@ def test_draw_and_tally_blocks_change_no_output(monkeypatch):
                         chains=3, margin=1)]
     want = [run_experiment(cfg) for cfg in cfgs]
     monkeypatch.setattr(sampler, "_DRAW_BLOCK", 37)
-    monkeypatch.setattr(sampler, "_TALLY_BLOCK", 50)
     assert [run_experiment(cfg) for cfg in cfgs] == want
 
 

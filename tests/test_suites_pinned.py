@@ -7,7 +7,9 @@ on five graphs, and so is every ``SuiteResult`` of ``run_suite("all", 100,
 seed)`` together with the final state of each suite's Philox stream.  The
 digests were recorded from the earlier per-cell generators, which took
 one scalar draw per cell, so a digest that changes means the stream or
-an instance changed.
+an instance changed.  The failure texts of the six randomized suites are
+pinned as well, each suite's check forced to fail by a monkeypatch; they
+were recorded when every suite wrote its own trial loop.
 """
 
 import hashlib
@@ -15,6 +17,7 @@ import hashlib
 import pytest
 
 from chroma import suites
+from chroma.errors import InternalInvariantError
 from chroma.lattice import build_graph
 from chroma.rng import make_rng
 
@@ -131,3 +134,42 @@ def test_suite_results_and_streams_pinned(seed, monkeypatch):
         states.append((state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
                        state["buffer_pos"]))
     assert _digest([[repr(r) for r in results], states]) == PINNED_RUNS[seed]
+
+
+def _forced(*args):
+    raise InternalInvariantError("forced")
+
+
+def _undefined_then_unbalanced():
+    """``_sublattice_identity`` for two trials: undefined, then a wrong imbalance."""
+    outcomes = iter([(0, 0, 0, False), (1, 0, 0, True)])
+    return lambda G, U: next(outcomes)
+
+
+# suite: (the name in ``suites`` replaced, a factory of its replacement, failures)
+FORCED_FAILURES = {
+    "four-cycle": ("four_cycle_check", lambda: _forced,
+                   ("trial 0: forced", "trial 1: forced")),
+    "revealed": ("revealed_vertices", lambda: _forced, ("trial 0: forced", "trial 1: forced")),
+    "even-odd": ("_sublattice_identity", _undefined_then_unbalanced,
+                 ("trial 0: identity unexpectedly undefined",
+                  "trial 1: imbalance 1 vs splits 0/0")),
+    "sizes": ("n_t", lambda: lambda G, U, t: G.full_set(),
+              ("trial 0: |N_4(U)|=36 exceeds 4/4*24", "trial 1: |N_1(U)|=36 exceeds 4/1*8")),
+    "co-closure": ("co_connected_closure", lambda: lambda G, A, anchor: G.even,
+                   tuple(f"trial {t}: {text}" for t in range(2) for text in (
+                       "closure boundary escaped the original", "closure lost part of the set",
+                       "closure is not co-connected", "clipped-set boundary escaped",
+                       "clipped co-connected set lost the property",
+                       "connected set split by the closure"))),
+    "boundary-connected": ("is_connected", lambda: lambda G, U: False,
+                           ("trial 0: boundary of 19-cell set disconnected",
+                            "trial 1: boundary of 58-cell set disconnected")),
+}
+
+
+@pytest.mark.parametrize("name", FORCED_FAILURES)
+def test_forced_suite_failure_texts_pinned(name, monkeypatch):
+    attr, replacement, failures = FORCED_FAILURES[name]
+    monkeypatch.setattr(suites, attr, replacement())
+    assert suites.run_suite(name, 2, 7) == [suites.SuiteResult(name, 2, failures)]
