@@ -197,6 +197,19 @@ def _count_backtrack(
     of ``count_colorings``), one per distinct component of four or more
     cells.
 
+    Before any cache key or branch, two chromatic-polynomial rules (Read,
+    J. Combin. Theory 4, 1968) take out what needs no search.  A pendant
+    cell, one with a single neighbor left, whose mask holds every color of
+    that neighbor's has |mask| - 1 colors left whatever the neighbor takes:
+    it multiplies the count by that and goes, and its neighbor may become
+    pendant in turn, so a worklist peels every such tree.  A component
+    left that is a cycle of L >= 4 cells, each with two neighbors in it
+    and every one allowing the same k colors, has (k-1)^L + (-1)^L (k-1)
+    colorings.  So a tree whose every peeled cell covers its neighbor, and
+    an alike ring, are counted at any length without recursion.  The
+    rules run at the root only: peeling at every node of a box's search
+    (a box with no side of 1 has no pendant cell) cost more than it saved.
+
     Every mask is nonempty on entry; the count is exact.
     """
     # ascending ids are row-major: axis 0 varies slowest
@@ -322,9 +335,32 @@ def _count_backtrack(
             if mask >> c & 1:
                 sets[c] |= bits
     total = 1
+    live = (1 << m) - 1
+    pendant = [i for i, near in enumerate(nbr) if near and not near & (near - 1)]
+    while pendant:
+        i = pendant.pop()
+        near = nbr[i] & live
+        if not near or near & (near - 1):
+            continue
+        j = near.bit_length() - 1
+        if masks[order[j]] & ~masks[order[i]]:
+            continue   # the neighbor allows a color the cell does not
+        total *= masks[order[i]].bit_count() - 1
+        live ^= 1 << i
+        far = nbr[j] & live
+        if far and not far & (far - 1):
+            pendant.append(j)
     try:
-        for part in split((1 << m) - 1):
-            total *= count(part, [t & part for t in sets])
+        for part in split(live):
+            sub = [t & part for t in sets]
+            L = part.bit_count()
+            k = sub.count(part)
+            if L >= 4 and k + sub.count(0) == q and all(
+                (nbr[i] & part).bit_count() == 2 for i in _bits_to_ids(part, m)
+            ):
+                total *= (k - 1) ** L + (-1) ** L * (k - 1)
+                continue
+            total *= count(part, sub)
     except RecursionError:
         raise ResourceLimitError(
             f"a {m}-cell domain is too deep for the counting search"
@@ -630,7 +666,9 @@ def exact_marginal(
     pinned count is made per class of alike colors, and its probability
     is shared by the class.  (v's pin is dropped first: kept, it leaves v
     allowing one color only, and colors that a pattern boundary treats
-    differently at v could then look alike.)
+    differently at v could then look alike.)  When v carries no pin and
+    every color is alike, each has probability 1/q by that symmetry, and
+    no pinned count is made.
     """
     G.own(domain)
     if v not in domain:
@@ -641,6 +679,8 @@ def exact_marginal(
         raise UndefinedMeasureError("no proper coloring satisfies the constraint")
     others = Constraint(constraint.pattern, tuple((u, c) for u, c in constraint.pins if u != v))
     distinct = set(allowed_masks(G, domain, q, others)[0])
+    if others.pins == constraint.pins and distinct <= {0, (1 << q) - 1}:
+        return ExactMarginal(v, (Fraction(1, q),) * q)
     by_class: dict[tuple[int, ...], Fraction] = {}
     probs = []
     for c in range(1, q + 1):

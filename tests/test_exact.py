@@ -5,7 +5,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from chroma import exact
 from chroma.errors import (
     ConfigError,
     PreconditionError,
@@ -235,6 +238,60 @@ def test_counter_on_even_cycles_matches_the_chromatic_polynomial():
         G = build_graph([n], [True])
         for q in range(2, 7):
             assert count_colorings(G, G.full_set(), q).count == (q - 1) ** n + (q - 1), (n, q)
+            # cell 0 pinned: a 1/q share by color symmetry, and the masks are
+            # no longer alike, so the ring is counted by search
+            pinned = count_colorings(G, G.full_set(), q, Constraint.pinned({0: 1})).count
+            assert pinned * q == (q - 1) ** n + (q - 1), (n, q)
+
+
+def test_trees_and_alike_rings_of_any_depth_are_counted():
+    # deeper than the recursion limit, and not whole boxes: row 0 of a
+    # 2 x 2000 box is a path, the rim of a 300 x 300 box a 1196-cell ring
+    G = build_graph([2, 2000])
+    row = G.vertex_set(range(2000))
+    assert count_colorings(G, row, 3).count == 3 * 2 ** 1999
+    B = build_graph([300, 300])
+    rim = B.vertex_set(v for v in range(B.n) if {0, 299} & set(B.coords(v)))
+    assert len(rim) == 1196
+    for q in (2, 3, 4):
+        assert count_colorings(B, rim, q).count == (q - 1) ** 1196 + (q - 1), q
+
+
+@st.composite
+def _domains_and_masks(draw):
+    """A lattice, 1-12 of its cells, q and nonempty masks for the cells.
+
+    The masks come from a pool of one to three, so that neighbors often
+    hold equal masks (alike rings, pendant cells covering their neighbor)
+    and often do not.  Brute force enumerates the product of the mask
+    sizes, which stays at most 20 000.
+    """
+    dims, periodic = draw(st.sampled_from([
+        ((3, 3), (False, False)), ((3, 4), (False, False)), ((2, 6), (False, False)),
+        ((2, 2, 3), (False,) * 3), ((3, 3, 2), (False,) * 3), ((4, 4), (True, True)),
+        ((2, 4), (True, True)), ((2, 2, 2), (True,) * 3), ((4, 3), (True, False)),
+        ((4,), (True,)), ((6,), (True,)), ((8,), (True,)), ((12,), (True,)),
+    ]))
+    n = math.prod(dims)
+    cells = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 12))))
+    q = draw(st.integers(2, 6))
+    pool = draw(st.lists(st.integers(1, (1 << q) - 1), min_size=1, max_size=3))
+    masks = [0] * n
+    for v in cells:
+        masks[v] = draw(st.sampled_from(pool))
+    assume(math.prod(masks[v].bit_count() for v in cells) <= 20_000)
+    return dims, periodic, cells, q, masks
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_domains_and_masks())
+def test_root_reductions_match_brute_force(instance):
+    # pendant cells that cover their neighbor or not, rings alike or not
+    dims, periodic, cells, q, masks = instance
+    G = build_graph(dims, periodic)
+    allowed = {v: {c + 1 for c in range(q) if masks[v] >> c & 1} for v in cells}
+    want = oracles.brute_force_count(dims, periodic, cells, q, allowed=allowed)
+    assert _count_backtrack(G, G.vertex_set(cells), masks, q) == want
 
 
 def test_transfer_relabelled_profiles_fit_small_budget():
@@ -428,6 +485,26 @@ def test_marginal_undefined_on_empty_event():
     G = build_graph([2, 1])
     with pytest.raises(UndefinedMeasureError):
         exact_marginal(G, G.full_set(), 3, 0, Constraint.pinned({0: 1, 1: 1}))
+
+
+def test_marginal_counts_only_what_symmetry_does_not_give(monkeypatch):
+    # a free vertex with every color alike needs the total count alone; a
+    # pinned vertex keeps its pinned count per class and the sum check
+    calls = []
+    counter = exact.count_colorings
+    monkeypatch.setattr(exact, "count_colorings", lambda *a: calls.append(a) or counter(*a))
+    G = build_graph([3, 3])
+    assert exact_marginal(G, G.full_set(), 3, 4).probs == (Fraction(1, 3),) * 3
+    assert len(calls) == 1
+    calls.clear()
+    P = build_graph([3, 1])
+    assert exact_marginal(P, P.full_set(), 3, 1,
+                          Constraint.pinned({0: 1, 1: 3, 2: 2})).probs == (0, 0, 1)
+    assert len(calls) == 4
+    calls.clear()
+    with pytest.raises(PreconditionError, match="marginal slices do not add up"):
+        exact_marginal(G, G.full_set(), 3, 4, Constraint.pinned({4: 1}))
+    assert len(calls) == 2
 
 
 def test_marginal_pin_consistency():
