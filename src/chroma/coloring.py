@@ -31,6 +31,7 @@ from .lattice import (
     LatticeGraph,
     VertexSet,
     _bits_to_ids,
+    _id_array,
     _pack,
     _unpack,
     boundary_cells,
@@ -116,7 +117,7 @@ def pure_pattern_sample(
         raise ConfigError("pattern has no even-side colors but U has even cells")
     if not b and bits & G.odd.bits:
         raise ConfigError("pattern has no odd-side colors but U has odd cells")
-    cells = np.array(_bits_to_ids(bits, G.n), dtype=np.intp)
+    cells = _id_array(bits, G.n)
     odd = G.odd_flags[cells]
     # one draw per cell in ascending id order, below its side's size
     index = make_rng(seed).integers(0, np.where(odd, len(b), len(a)))
@@ -162,7 +163,7 @@ class BoundaryCondition(Record):
             raise ConfigError("boundary pattern must be dominant")
         if pattern.klass != 0:
             raise ConfigError("boundary pattern must have |A| <= |B|")
-        self._init(domain, pattern)
+        super().__init__(domain, pattern)
 
     def boundary_vertices(self, G: LatticeGraph) -> VertexSet:
         return boundary_cells(G, self.domain)
@@ -210,13 +211,6 @@ class RepairPlan(Record):
     __slots__ = ("s", "parts", "regions", "s_star", "shift_axis", "shift_dir",
                  "moves", "filling")
     _compared = 6
-
-    def __init__(self, s: VertexSet, parts: tuple[tuple[Pattern, VertexSet], ...],
-                 regions: tuple[tuple[Pattern, VertexSet], ...], s_star: VertexSet,
-                 shift_axis: int, shift_dir: int,
-                 moves: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...],
-                 filling: frozenset[int]):
-        self._init(s, parts, regions, s_star, shift_axis, shift_dir, moves, filling)
 
 
 @cache
@@ -282,7 +276,7 @@ def plan_repair(
     occupied = np.zeros(G.n, dtype=bool)
     moves = []
     for P, region in regions:
-        cells = np.array(_bits_to_ids(region.bits, G.n), dtype=np.intp)
+        cells = _id_array(region.bits, G.n)
         dest = cells if P.klass == 0 else step[cells]
         if (dest < 0).any():
             raise PreconditionError(
@@ -291,8 +285,7 @@ def plan_repair(
                 "from that face"
             )
         occupied[dest] = True
-        internal = _bits_to_ids(vertex_boundaries(G, region)[0].bits, G.n)
-        moves.append((cells, dest, np.array(internal, dtype=np.intp)))
+        moves.append((cells, dest, _id_array(vertex_boundaries(G, region)[0].bits, G.n)))
     s_star = VertexSet(_pack(~occupied), G.n)
     plan = G.memo[key] = RepairPlan(
         s=S,

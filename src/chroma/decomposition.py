@@ -83,7 +83,7 @@ class RegionDecomposition(Record):
     _compared = 2
 
     def __init__(self, graph: LatticeGraph, z_p: Mapping[Pattern, VertexSet]):
-        self._init(*_region_family(graph, z_p))
+        super().__init__(*_region_family(graph, z_p))
 
     def as_atlas(self) -> "Atlas":
         return Atlas(self.graph, self.z_p)
@@ -161,17 +161,14 @@ class Atlas(Record):
     _compared = 2
 
     def __init__(self, graph: LatticeGraph, x_p: Mapping[Pattern, VertexSet]):
-        self._init(*_region_family(graph, x_p))
+        super().__init__(*_region_family(graph, x_p))
 
     def to_json(self) -> dict:
         return _regions_json(self.x_p)
 
 
 class BreakupClass(Record):
-    __slots__ = ("L", "M", "N", "min_boundary_ok")
-
-    def __init__(self, L: int, M: int, N: int, min_boundary_ok: bool):
-        self._init(L, M, N, min_boundary_ok)
+    __slots__ = ("L", "M", "N", "min_boundary_ok")   # boundary-edge, overlap and bad counts
 
 
 def classify_atlas(X: Atlas) -> BreakupClass:
@@ -292,9 +289,6 @@ def construct_breakup(
 class BreakupReport(Record):
     __slots__ = ("ok", "violations")
 
-    def __init__(self, ok: bool, violations: tuple[str, ...]):
-        self._init(ok, violations)
-
 
 def verify_breakup(
     X: Atlas,
@@ -385,10 +379,7 @@ def verify_breakup(
 
 
 class BPResult(Record):
-    __slots__ = ("bar_z_p", "b_p", "diam_star")
-
-    def __init__(self, bar_z_p: VertexSet, b_p: VertexSet, diam_star: int):
-        self._init(bar_z_p, b_p, diam_star)
+    __slots__ = ("bar_z_p", "b_p", "diam_star")   # bar Z_P, B_P and its diameter score
 
 
 def bp_components(

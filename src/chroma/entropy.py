@@ -57,7 +57,7 @@ class FiniteDistribution(Record):
                 raise PreconditionError("exact probabilities must sum to 1")
         else:
             check_distribution(probs, tol=1e-12)
-        self._init(probs)
+        super().__init__(probs)
 
     def entropy(self) -> float:
         return shannon_entropy(self.probs)
@@ -95,10 +95,7 @@ def conditional_entropy(joint: Mapping[tuple, float], given: Sequence[int]) -> f
 
 
 class ShearerResult(Record):
-    __slots__ = ("lhs", "rhs", "holds")
-
-    def __init__(self, lhs: float, rhs: float, holds: bool):
-        self._init(lhs, rhs, holds)
+    __slots__ = ("lhs", "rhs", "holds")   # Ent(all), the cover's entropies over k
 
 
 def shearer_check(
@@ -130,10 +127,7 @@ def shearer_check(
 
 
 class NeighborhoodType(Record):
-    __slots__ = ("colorset", "unbal")
-
-    def __init__(self, colorset: frozenset[int], unbal: bool):
-        self._init(colorset, unbal)
+    __slots__ = ("colorset", "unbal")   # colors on N(v); unbal: one of them on <= d/q cells
 
 
 def _type_of_values(values: Sequence[int], d: int, q: int) -> NeighborhoodType:
@@ -163,11 +157,7 @@ def _image(f_values: Sequence[int], vertices: Iterable[int]) -> frozenset[int]:
 
 
 class ClassificationReport(Record):
-    __slots__ = ("unbal", "nondom", "restricted", "uniq", "k_value")
-
-    def __init__(self, unbal: VertexSet, nondom: VertexSet,
-                 restricted: tuple[tuple[int, int], ...], uniq: VertexSet, k_value: Fraction):
-        self._init(unbal, nondom, restricted, uniq, k_value)
+    __slots__ = ("unbal", "nondom", "restricted", "uniq", "k_value")   # k_value: the score
 
     def to_json(self) -> dict:
         return {
@@ -313,18 +303,11 @@ def enumerate_type_functions(
 
 
 class ZBoundCase(Record):
-    __slots__ = ("name", "applicable", "rhs", "holds")
-
-    def __init__(self, name: str, applicable: bool, rhs: float, holds: bool | None):
-        self._init(name, applicable, rhs, holds)
+    __slots__ = ("name", "applicable", "rhs", "holds")   # holds: None when not applicable
 
 
 class ZBoundReport(Record):
-    __slots__ = ("lhs", "k_semi_restricted", "cases", "holds")
-
-    def __init__(self, lhs: int, k_semi_restricted: int, cases: tuple[ZBoundCase, ...],
-                 holds: bool):
-        self._init(lhs, k_semi_restricted, cases, holds)
+    __slots__ = ("lhs", "k_semi_restricted", "cases", "holds")   # lhs = |Psi| |I|^{2d}
 
 
 def z_bound_check(
@@ -390,19 +373,11 @@ class VertexTerms(Record):
     __slots__ = ("vertex",
                  "term_neighborhood_image",   # Ent(image of masked values on N(v)) / 2d
                  "term_local",                # Ent(masked N(v) | image)/2d + Ent(masked v | image)
-                 "cap_applicable", "caps_hold")
-
-    def __init__(self, vertex: int, term_neighborhood_image: float, term_local: float,
-                 cap_applicable: bool, caps_hold: bool | None):
-        self._init(vertex, term_neighborhood_image, term_local, cap_applicable, caps_hold)
+                 "cap_applicable", "caps_hold")   # caps_hold: None when the caps do not apply
 
 
 class EntropyLossReport(Record):
-    __slots__ = ("terms", "total_bound", "ent_masked", "holds")
-
-    def __init__(self, terms: tuple[VertexTerms, ...], total_bound: float, ent_masked: float,
-                 holds: bool):
-        self._init(terms, total_bound, ent_masked, holds)
+    __slots__ = ("terms", "total_bound", "ent_masked", "holds")   # total_bound = sum(I + II)/2
 
 
 def entropy_loss_eval(

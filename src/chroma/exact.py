@@ -88,10 +88,9 @@ class Constraint(Record):
         return Constraint(self.pattern, tuple(sorted(pins.items())))
 
 
-# the slots' own setters, past the refusing __setattr__ (counts build these
-# records by the hundred)
-_set_count, _set_method = CountResult.count.__set__, CountResult.method.__set__
-_set_pattern, _set_pins = Constraint.pattern.__set__, Constraint.pins.__set__
+# counts build these records by the hundred, through their slots' own setters
+_set_count, _set_method = CountResult._setters
+_set_pattern, _set_pins = Constraint._setters
 
 
 def allowed_masks(
@@ -639,10 +638,7 @@ def count_colorings(
 
 
 class ExactMarginal(Record):
-    __slots__ = ("vertex", "probs")
-
-    def __init__(self, vertex: int, probs: tuple[Fraction, ...]):
-        self._init(vertex, probs)
+    __slots__ = ("vertex", "probs")   # probs: a Fraction per color 1..q
 
     def to_json(self) -> dict:
         return {
@@ -660,15 +656,14 @@ def exact_marginal(
 ) -> ExactMarginal:
     """Exact color distribution at v under the constrained uniform measure.
 
-    Colors c and c' are alike when every cell's mask under the constraint
-    with v's own pin dropped holds both or neither: swapping them maps the
-    colorings with v pinned to c onto those with v pinned to c'.  So one
-    pinned count is made per class of alike colors, and its probability
-    is shared by the class.  (v's pin is dropped first: kept, it leaves v
-    allowing one color only, and colors that a pattern boundary treats
-    differently at v could then look alike.)  When v carries no pin and
-    every color is alike, each has probability 1/q by that symmetry, and
-    no pinned count is made.
+    A v that the constraint pins to c has probability 1 at c, once some
+    coloring satisfies the constraint.  Otherwise colors c and c' are alike
+    when every cell's mask under the constraint holds both or neither:
+    swapping them maps the colorings with v pinned to c onto those with v
+    pinned to c'.  So one pinned count is made per class of alike colors,
+    and its probability is shared by the class.  When every color is
+    alike, each has probability 1/q by that symmetry, and no pinned count
+    is made.
     """
     G.own(domain)
     if v not in domain:
@@ -677,9 +672,11 @@ def exact_marginal(
     total = count_colorings(G, domain, q, constraint).count
     if total == 0:
         raise UndefinedMeasureError("no proper coloring satisfies the constraint")
-    others = Constraint(constraint.pattern, tuple((u, c) for u, c in constraint.pins if u != v))
-    distinct = set(allowed_masks(G, domain, q, others)[0])
-    if others.pins == constraint.pins and distinct <= {0, (1 << q) - 1}:
+    pin = dict(constraint.pins).get(v)
+    if pin is not None:
+        return ExactMarginal(v, tuple(Fraction(c == pin) for c in range(1, q + 1)))
+    distinct = set(allowed_masks(G, domain, q, constraint)[0])
+    if distinct <= {0, (1 << q) - 1}:
         return ExactMarginal(v, (Fraction(1, q),) * q)
     by_class: dict[tuple[int, ...], Fraction] = {}
     probs = []
@@ -712,10 +709,6 @@ class ToyRatio(Record):
     __slots__ = ("ratio", "bound_base", "bound_exponent",
                  "verdict",   # 'equal' | 'below' | 'above'
                  "expected_equality", "n_u", "n_empty")
-
-    def __init__(self, ratio: Fraction, bound_base: Fraction, bound_exponent: Fraction,
-                 verdict: str, expected_equality: bool, n_u: int, n_empty: int):
-        self._init(ratio, bound_base, bound_exponent, verdict, expected_equality, n_u, n_empty)
 
     def to_json(self) -> dict:
         return {
@@ -804,10 +797,6 @@ def toy_ratio(
 
 class HtopPoint(Record):
     __slots__ = ("dims", "count", "log_per_site", "lower_bound")
-
-    def __init__(self, dims: tuple[int, ...], count: int, log_per_site: float,
-                 lower_bound: float):
-        self._init(dims, count, log_per_site, lower_bound)
 
 
 def htop_estimate(q: int, boxes: Iterable[Iterable[int]]) -> list[HtopPoint]:

@@ -294,10 +294,6 @@ class SeparatingSetReport(Record):
                  "size_bound",   # reported, asymptotic: |dS| d^{-3/2} log d
                  "separates", "s_threshold", "t_threshold")
 
-    def __init__(self, vertices: VertexSet, separator: VertexSet, size: int,
-                 size_bound: float, separates: bool, s_threshold: int, t_threshold: int):
-        self._init(vertices, separator, size, size_bound, separates, s_threshold, t_threshold)
-
 
 def _witness_set(
     G: LatticeGraph, own: list[list[int]], m_levels: list[int], outside: int
@@ -407,9 +403,6 @@ class WeakApproximation(Record):
                  "fringe",            # unknown region (separator plus small pockets)
                  "fringe_bound_ok")   # |fringe| <= 3 |W| (true away from box faces)
 
-    def __init__(self, known: list[VertexSet], fringe: VertexSet, fringe_bound_ok: bool):
-        self._init(known, fringe, fringe_bound_ok)
-
 
 def weak_approximation(
     G: LatticeGraph, W: VertexSet, collection: OddSetCollection
@@ -459,7 +452,7 @@ class Approximation(Record):
     def __init__(self, a_p: dict[Pattern, VertexSet], a_star: VertexSet, a_2star: VertexSet):
         if not a_star.issubset(a_2star):
             raise PreconditionError("a_star must be contained in a_2star")
-        self._init(a_p, a_star, a_2star)
+        super().__init__(a_p, a_star, a_2star)
 
 
 def verify_approximation(
@@ -538,11 +531,8 @@ def enumerate_regular_parity_sets(G: LatticeGraph, parity: str) -> list[VertexSe
 
 
 class IsoperimetryReport(Record):
+    # small_*: the small-set bound, None unless it applies; per_component: the diameter bound
     __slots__ = ("applicable_small", "small_lhs", "small_rhs", "small_holds", "per_component")
-
-    def __init__(self, applicable_small: bool, small_lhs: int | None, small_rhs: int | None,
-                 small_holds: bool | None, per_component: tuple[dict, ...]):
-        self._init(applicable_small, small_lhs, small_rhs, small_holds, per_component)
 
 
 def isoperimetry_checks(G: LatticeGraph, U: VertexSet) -> IsoperimetryReport:

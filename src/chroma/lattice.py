@@ -13,11 +13,11 @@ before anything is allocated.
 
 A vertex set is an integer bitmap: bit v is vertex v, and as bytes the
 bitmap is little-endian.  Only this module reads or writes that layout:
-``_bits_to_ids`` and ``_ids_to_bits`` convert between bitmaps and ids in
-time linear in the cell count, and the packers between bitmaps and
-boolean flags.  Every public (graph, set) entry reads the set's bitmap
-through ``LatticeGraph.own``, which refuses a set of another graph;
-raw-bitmap helpers check nothing.  A set's neighborhood N(U) is computed
+``_bits_to_ids`` (``_id_array`` for an array) and ``_ids_to_bits`` convert
+between bitmaps and ids in time linear in the cell count, and the packers
+between bitmaps and boolean flags.  Every public (graph, set) entry reads
+the set's bitmap through ``LatticeGraph.own``, which refuses a set of
+another graph; raw-bitmap helpers check nothing.  A set's neighborhood N(U) is computed
 for the whole set at once: along each axis, the bits off the high face
 shift up by the axis stride and those off the low face shift down, and
 on a periodic axis each face also shifts onto the opposite one.  Vertex
@@ -168,9 +168,8 @@ class VertexSet(Record):
         return cls.from_ids(n, (int(tok) for tok in text.split(",")))
 
 
-# the slots' own setters: a set is built by them alone, past the refusing
-# __setattr__, at about the cost of a plain attribute store
-_set_bits, _set_n = VertexSet.bits.__set__, VertexSet.n.__set__
+# a set is built by its slots' own setters alone (see ``Record``)
+_set_bits, _set_n = VertexSet._setters
 
 
 def _foreign(U: VertexSet, owner: int) -> PreconditionError:
@@ -192,13 +191,20 @@ def _bits_to_ids(bits: int, n: int) -> list[int]:
     either way.
     """
     if bits.bit_count() > 16:
-        return np.flatnonzero(_unpack(VertexSet(bits, n))).tolist()
+        return _id_array(bits, n).tolist()
     out = []
     while bits:
         low = bits & -bits
         out.append(low.bit_length() - 1)
         bits ^= low
     return out
+
+
+def _id_array(bits: int, n: int) -> np.ndarray:
+    """``_bits_to_ids`` as an intp array, by the same walk or unpack."""
+    if bits.bit_count() > 16:
+        return np.flatnonzero(_unpack(VertexSet(bits, n)))
+    return np.array(_bits_to_ids(bits, n), dtype=np.intp)
 
 
 def _vertex_id(v: int, n: int) -> int:

@@ -19,8 +19,8 @@ the bitmap of every cell whose own color fits a pattern, one slot per
 pattern of a tuple (``_pattern_slots``); breakups, the decomposition and
 ``bp_components`` read it, a one-pattern tuple where they need one
 pattern.  ``in_pattern`` and the repair's filling and region checks read
-only the cells they are asked about, through one table of the scalar
-rule by parity and color (``_fits``).
+only the cells they are asked about, through ``_fits``.  Both rules read
+one table of the scalar rule by parity and color (``_fit_table``).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Iterable, TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .lattice import _bits_to_ids, _pack_rows, _pack_slots, _replicate, _vertex_id
+from .lattice import _id_array, _pack_rows, _pack_slots, _replicate, _vertex_id
 from .record import Record
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -157,15 +157,11 @@ class Pattern(Record):
         return f"Pattern(q={self.q}, {self.text()})"
 
 
-_set_q, _set_a_bits, _set_b_bits, _set_klass, _set_hash = (
-    getattr(Pattern, name).__set__ for name in Pattern.__slots__)
+_set_q, _set_a_bits, _set_b_bits, _set_klass, _set_hash = Pattern._setters
 
 
 class PatternSides(Record):
-    __slots__ = ("bdry", "interior", "klass")
-
-    def __init__(self, bdry: tuple[int, ...], interior: tuple[int, ...], klass: int):
-        self._init(bdry, interior, klass)
+    __slots__ = ("bdry", "interior", "klass")   # the colors of each side; klass as Pattern's
 
 
 def _dominant_size(k: int, q: int) -> bool:
@@ -250,7 +246,8 @@ def _pattern_slots(G: "LatticeGraph", planes: list[int], pats: tuple[Pattern, ..
     a HOLE) and the P-odd cells, of every pattern at once, pattern i's in slot
     i (bits i*n .. i*n+n-1): each color plane, copied into every slot, keeps
     the cells where that color fits the slot's pattern.  Those masks are built
-    once per pattern tuple, each pattern checked dominant for q, and kept on the graph."""
+    once per pattern tuple from the patterns' ``_fit_table``, each pattern
+    checked dominant for q, and kept on the graph."""
     q, k = len(planes) - 1, len(pats)
     key = ("pattern slots", pats, q)
     masks = G.memo.get(key)
@@ -259,9 +256,9 @@ def _pattern_slots(G: "LatticeGraph", planes: list[int], pats: tuple[Pattern, ..
             if P.q != q or not P.is_dominant():
                 raise _not_dominant_for(P, q)
         even, odd = G.even.bits, G.odd.bits
-        fits = [_pack_slots([(even if P.a_bits >> c & 1 else 0) | (odd if P.b_bits >> c & 1 else 0)
-                             for P in pats], G.n)
-                for c in range(q)]
+        fits = [_pack_slots([(even if t[0, c] else 0) | (odd if t[1, c] else 0)
+                             for t in map(_fit_table, pats)], G.n)
+                for c in range(1, q + 1)]
         masks = G.memo[key] = fits, _pack_slots([_p_odd(G, P).bits for P in pats], G.n)
     fits, p_odd = masks
     out = 0
@@ -276,7 +273,7 @@ def in_pattern(f: "Coloring", U: "VertexSet", P: Pattern, G: "LatticeGraph") -> 
     Reads the colors of U's cells only, through ``_fits``.  A coloring of
     another graph or a pattern of another q is a PreconditionError."""
     values = f.values_on(G)
-    ids = np.array(_bits_to_ids(G.own(U), G.n), dtype=np.intp)
+    ids = _id_array(G.own(U), G.n)
     if P.q != f.q:
         raise _not_dominant_for(P, f.q)
     return bool(_fits(G, P, ids, values[ids]).all())

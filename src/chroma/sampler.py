@@ -88,8 +88,8 @@ from .exact import Constraint, allowed_masks, enumerate_colorings
 from .lattice import (
     LatticeGraph,
     VertexSet,
-    _bits_to_ids,
     _grow,
+    _id_array,
     _pack,
     _split_components,
     _unpack,
@@ -129,8 +129,8 @@ class ChainConfig(Record):
             raise ConfigError("chains must be >= 1")
         if algorithm == "heat-bath+cluster" and cluster_every < 1:
             raise ConfigError("cluster_every must be >= 1")
-        self._init(dims, q, pattern, seed, sweeps, periodic, margin, burn_in, thin, algorithm,
-                   cluster_every, chains)
+        super().__init__(dims, q, pattern, seed, sweeps, periodic, margin, burn_in, thin,
+                         algorithm, cluster_every, chains)
 
     def graph(self) -> LatticeGraph:
         return LatticeGraph(self.dims, self.periodic)
@@ -151,13 +151,6 @@ class ChainConfig(Record):
 class OrderStats(Record):
     __slots__ = ("vertex_ids", "samples", "violation_counts", "occupation_counts",
                  "parity_occupation", "split_half_max_diff")
-
-    def __init__(self, vertex_ids: tuple[int, ...], samples: int,
-                 violation_counts: tuple[int, ...],
-                 occupation_counts: tuple[tuple[int, ...], ...],
-                 parity_occupation: dict[str, tuple[float, ...]], split_half_max_diff: float):
-        self._init(vertex_ids, samples, violation_counts, occupation_counts, parity_occupation,
-                   split_half_max_diff)
 
     def vertex_marginal(self, v: int) -> dict[int, Fraction]:
         """Color frequencies at v; a vertex not observed is a ConfigError."""
@@ -292,12 +285,6 @@ class _Layout(Record):
     __slots__ = ("cells", "slot", "n_scan", "spans", "forbidden", "movable", "single", "live",
                  "fixed", "__dict__")
     _compared = 6
-
-    def __init__(self, cells: np.ndarray, slot: np.ndarray, n_scan: int,
-                 spans: tuple[tuple[int, int, np.ndarray], ...], forbidden: np.ndarray,
-                 movable: int, single: np.ndarray, live: np.ndarray,
-                 fixed: tuple[np.ndarray, np.ndarray, bytes]):
-        self._init(cells, slot, n_scan, spans, forbidden, movable, single, live, fixed)
 
     @cached_property
     def loop(self) -> tuple[Callable, np.ndarray]:
@@ -632,7 +619,7 @@ def _cluster_move(kernel: _Kernel, c: int, G: LatticeGraph, rng: np.random.Gener
     if not heads:
         return
     row, slot = kernel.x[c], kernel.slot
-    ids = np.array(_bits_to_ids(heads, G.n), dtype=np.intp)   # ascending
+    ids = _id_array(heads, G.n)   # ascending
     chosen = rng.random(len(ids)) < 0.5
     row[slot[ids[chosen]]] ^= m
     rest = 0

@@ -51,9 +51,6 @@ from .rng import make_rng
 class SuiteResult(Record):
     __slots__ = ("name", "trials", "failures")
 
-    def __init__(self, name: str, trials: int, failures: tuple[str, ...]):
-        self._init(name, trials, failures)
-
     @property
     def ok(self) -> bool:
         return not self.failures

@@ -382,6 +382,9 @@ def _per_color_marginal(G, domain, q, v, constraint):
     total = count_colorings(G, domain, q, constraint).count
     if total == 0:
         raise UndefinedMeasureError("no proper coloring satisfies the constraint")
+    pins = dict(constraint.pins)
+    if v in pins:   # a pinned v is a point mass
+        return tuple(Fraction(c == pins[v]) for c in range(1, q + 1))
     probs = tuple(
         Fraction(count_colorings(G, domain, q, constraint.with_pin(v, c)).count, total)
         for c in range(1, q + 1)
@@ -488,8 +491,8 @@ def test_marginal_undefined_on_empty_event():
 
 
 def test_marginal_counts_only_what_symmetry_does_not_give(monkeypatch):
-    # a free vertex with every color alike needs the total count alone; a
-    # pinned vertex keeps its pinned count per class and the sum check
+    # a free vertex with every color alike, or a pinned one, needs the
+    # total count alone
     calls = []
     counter = exact.count_colorings
     monkeypatch.setattr(exact, "count_colorings", lambda *a: calls.append(a) or counter(*a))
@@ -500,11 +503,10 @@ def test_marginal_counts_only_what_symmetry_does_not_give(monkeypatch):
     P = build_graph([3, 1])
     assert exact_marginal(P, P.full_set(), 3, 1,
                           Constraint.pinned({0: 1, 1: 3, 2: 2})).probs == (0, 0, 1)
-    assert len(calls) == 4
+    assert len(calls) == 1
     calls.clear()
-    with pytest.raises(PreconditionError, match="marginal slices do not add up"):
-        exact_marginal(G, G.full_set(), 3, 4, Constraint.pinned({4: 1}))
-    assert len(calls) == 2
+    assert exact_marginal(G, G.full_set(), 3, 4, Constraint.pinned({4: 1})).probs == (1, 0, 0)
+    assert len(calls) == 1
 
 
 def test_marginal_pin_consistency():

@@ -3,6 +3,7 @@ refusal of assignment that callers, tests and pinned digests read."""
 
 import ast
 import copy
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from chroma.geometry import (
 )
 from chroma.lattice import LatticeGraph, VertexSet
 from chroma.patterns import Pattern, PatternSides
+from chroma.record import Record
 from chroma.sampler import ChainConfig, OrderStats, _Layout
 from chroma.suites import SuiteResult
 
@@ -150,6 +152,25 @@ def test_record_repr_equality_hash_and_frozen_fields(cls, fields, i, other, text
     assert repr(x) == text
 
 
+BASE_BUILT = [row[:2] for row in RECORDS if row[0].__init__ is Record.__init__]
+
+
+@pytest.mark.parametrize("cls, fields", BASE_BUILT, ids=[cls.__name__ for cls, _ in BASE_BUILT])
+def test_the_one_constructor_takes_fields_by_position_or_by_name(cls, fields):
+    names = [name for name in cls.__slots__ if name != "__dict__"]
+    named = dict(zip(names, fields))
+    assert cls(**named) == cls(*fields) == cls(*fields[:1], **dict(list(named.items())[1:]))
+    for values, extra in (
+        (fields[:-1], {}),                      # one field short
+        ((), dict(list(named.items())[:-1])),   # one field short, by name
+        (fields + (fields[0],), {}),            # one field extra
+        (fields, {"no_such_field": 1}),         # an unknown name
+        (fields, {names[0]: fields[0]}),        # a field by position and by name
+    ):
+        with pytest.raises(TypeError, match=re.escape(f"({', '.join(names)})")):
+            cls(*values, **extra)
+
+
 def test_repair_plan_compares_without_its_moves_and_filling():
     fields = RECORDS[4][1]
     other = RepairPlan(*fields[:6], (), frozenset())
@@ -219,4 +240,47 @@ def test_no_module_imports_dataclasses():
                 continue
             if any(name.partition(".")[0] == "dataclasses" for name in names):
                 offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def _pass_through_inits(source: str) -> list[str]:
+    """The classes whose ``__init__`` body, a docstring aside, only passes
+    its own parameters, in order, to a constructor."""
+    found = []
+    classes = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)]
+    for cls in classes:
+        for fn in (fn for fn in cls.body if getattr(fn, "name", None) == "__init__"):
+            body = [stmt for stmt in fn.body
+                    if not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant))]
+            call = body[0].value if len(body) == 1 and isinstance(body[0], ast.Expr) else None
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr in ("__init__", "_init")):
+                continue
+            passed = [ast.unparse(arg) for arg in call.args]
+            passed += [kw.arg for kw in call.keywords if kw.arg == ast.unparse(kw.value)]
+            params = [arg.arg for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs]
+            if len(passed) == len(call.args) + len(call.keywords) and passed in (params,
+                                                                                 params[1:]):
+                found.append(cls.name)
+    return found
+
+
+def test_no_record_writes_out_the_one_constructor():
+    # a record whose __init__ only hands its parameters on declares its
+    # __slots__ and is built by Record.__init__ instead
+    assert _pass_through_inits(
+        "class A(Record):\n"
+        "    def __init__(self, x, y):\n        super().__init__(x, y)\n"
+        "class B(Record):\n"
+        "    def __init__(self, x, y):\n        'doc'\n        Record.__init__(self, x, y)\n"
+        "class C(Record):\n"
+        "    def __init__(self, x, y):\n        super().__init__(x=x, y=y)\n"
+        "class D(Record):\n"
+        "    def __init__(self, x, y):\n        super().__init__(y, x)\n"
+        "class E(Record):\n"
+        "    def __init__(self, x):\n        check(x)\n        super().__init__(x)\n"
+    ) == ["A", "B", "C"]
+    src = Path(__file__).resolve().parent.parent / "src" / "chroma"
+    offenders = [f"{path.name}:{name}" for path in sorted(src.glob("*.py"))
+                 for name in _pass_through_inits(path.read_text())]
     assert offenders == []
