@@ -219,8 +219,7 @@ def _vertex_from(G: LatticeGraph, v: Any) -> int:
 # -- commands --------------------------------------------------------------------
 
 
-def _cmd_exact_count(args) -> int:
-    cfg = _effective_config("exact-count", args)
+def _cmd_exact_count(cfg: dict, out: str | None) -> int:
     G = _graph_from(cfg)
     _require(cfg, "q")
     q = cfg["q"]
@@ -231,23 +230,21 @@ def _cmd_exact_count(args) -> int:
         G, domain, q, _constraint_from(cfg, q), cfg.get("method", "auto")
     )
     instance = {"graph": G.key(), "q": q, "constraint": cfg.get("constraint", "free")}
-    _emit_json(result.to_json(instance), cfg, args.out)
+    _emit_json(result.to_json(instance), cfg, out)
     return 0
 
 
-def _cmd_marginal(args) -> int:
-    cfg = _effective_config("marginal", args)
+def _cmd_marginal(cfg: dict, out: str | None) -> int:
     G = _graph_from(cfg)
     _require(cfg, "q")
     q = cfg["q"]
     vid = _vertex_from(G, cfg.get("vertex", "center"))
     m = exact_marginal(G, G.full_set(), q, vid, _constraint_from(cfg, q))
-    _emit_json({"marginal": m.to_json(), "graph": G.key(), "q": q}, cfg, args.out)
+    _emit_json({"marginal": m.to_json(), "graph": G.key(), "q": q}, cfg, out)
     return 0
 
 
-def _cmd_toy_ratio(args) -> int:
-    cfg = _effective_config("toy-ratio", args)
+def _cmd_toy_ratio(cfg: dict, out: str | None) -> int:
     G = _graph_from(cfg)
     _require(cfg, "q", "pattern0", "pattern")
     q = cfg["q"]
@@ -264,12 +261,11 @@ def _cmd_toy_ratio(args) -> int:
     else:
         U = G.vertex_set(droplet)
     result = toy_ratio(G, G.full_set(), U, p0, p)
-    _emit_json({"toy_ratio": result.to_json(), "graph": G.key()}, cfg, args.out)
+    _emit_json({"toy_ratio": result.to_json(), "graph": G.key()}, cfg, out)
     return 0
 
 
-def _cmd_sample(args) -> int:
-    cfg = _effective_config("sample", args)
+def _cmd_sample(cfg: dict, out: str | None) -> int:
     _require(cfg, "dims", "q", "pattern", "seed", "sweeps")
     # every sample field is a ChainConfig field, and ChainConfig holds the defaults
     chain = ChainConfig(**{
@@ -277,7 +273,7 @@ def _cmd_sample(args) -> int:
         for key, value in cfg.items()
     })
     stats = run_experiment(chain)
-    out = args.out or "stats.csv"
+    out = out or "stats.csv"
     header = ["vertex_id", "violation_rate"] + [f"c{i}" for i in range(1, chain.q + 1)]
     _emit_csv(header, stats.csv_rows(), cfg, out)
     summary = {
@@ -290,18 +286,16 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _cmd_decompose(args) -> int:
-    cfg = _effective_config("decompose", args)
+def _cmd_decompose(cfg: dict, out: str | None) -> int:
     _require(cfg, "coloring")
     f, G = coloring_from_text(_read_text(cfg["coloring"]))
     Z = decompose(G, f)
     payload = {"graph": G.key(), "q": f.q, "decomposition": Z.to_json()}
-    _emit_json(payload, cfg, args.out or "regions.json")
+    _emit_json(payload, cfg, out or "regions.json")
     return 0
 
 
-def _cmd_verify_lemmas(args) -> int:
-    cfg = _effective_config("verify-lemmas", args)
+def _cmd_verify_lemmas(cfg: dict, out: str | None) -> int:
     suite = cfg.get("suite", "all")
     trials = cfg.get("trials", 100)
     seed = cfg.get("seed", 0)
@@ -318,8 +312,7 @@ def _cmd_verify_lemmas(args) -> int:
     return 0
 
 
-def _cmd_approx(args) -> int:
-    cfg = _effective_config("approx", args)
+def _cmd_approx(cfg: dict, out: str | None) -> int:
     G = _graph_from(cfg)
     seed = cfg.get("seed", 0)
     n_sets = cfg.get("sets", 2)
@@ -338,7 +331,7 @@ def _cmd_approx(args) -> int:
             "regular_odd_sets": len(family),
             "coarse_grained": len(family),
         }
-        _emit_json(payload, cfg, args.out)
+        _emit_json(payload, cfg, out)
         return 0
     rng = make_rng(seed)
     sets = [random_regular_odd_set(G, rng) for _ in range(n_sets)]
@@ -356,10 +349,11 @@ def _cmd_approx(args) -> int:
         "fringe_bound_ok": weak.fringe_bound_ok,
         "known_sizes": [len(k) for k in weak.known],
     }
-    _emit_json(payload, cfg, args.out)
+    _emit_json(payload, cfg, out)
     return 0
 
 
+# each command takes its effective config, which main reads once, and --out
 _COMMANDS = {
     "exact-count": _cmd_exact_count,
     "marginal": _cmd_marginal,
@@ -419,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](_effective_config(args.command, args), args.out)
     except (ConfigError, PreconditionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -129,17 +129,16 @@ def allowed_masks(
             raise ConfigError(f"pinned vertex {v} outside 0..{G.n - 1}")
         if not 1 <= c <= q:
             raise ConfigError(f"pinned color {c} outside 1..{q}")
-    # a pin's table neighbors, -1 where a face clips (a repeat changes nothing)
-    for v, c in pins.items():
-        for u in G.neighbor_table[:, v].tolist():
-            if u >= 0 and pins.get(u) == c:
-                feasible = False
     for v, c in pins.items():
         bit = 1 << (c - 1)
         if inside[v] == "1":
             masks[v] &= bit
+        # a pin's table neighbors, -1 where a face clips (a repeat changes nothing)
         for u in G.neighbor_table[:, v].tolist():
-            if u >= 0 and inside[u] == "1" and u not in pins:
+            if u in pins:
+                if pins[u] == c:
+                    feasible = False
+            elif u >= 0 and inside[u] == "1":
                 masks[u] &= ~bit
     # every cell outside the domain holds 0, so an empty domain cell is one 0 too many
     if masks.count(0) > G.n - len(domain):
@@ -171,20 +170,22 @@ def _count_backtrack(
     of its longest extent varies slowest (ascending ids are row-major, so
     they are re-sorted only when ordering the axes by extent changes the
     axis order), and cells and masks become integer bitsets over that order:
-    ``sets[c]`` holds the cells that may still take color c + 1.  A
-    component of at most three cells is counted in closed form: one cell by
-    its mask, an edge by the product of its masks less the shared colors,
-    and three cells, a path since the lattice is bipartite, by summing over
-    each color of the middle cell the choices it leaves at either end.  A
-    larger connected component of unassigned cells branches on its first
-    cell; each color knocks itself out of the cell's neighbors, and the
-    cells left split into connected components whose counts multiply.
+    ``sets[c]`` holds the cells that may still take color c + 1.  A star,
+    a component with one cell (the middle) next to every other cell, is
+    counted in closed form: the lattice is bipartite, so no two of the
+    other cells (the leaves) are adjacent, and the count is the sum over
+    each color c of the middle of the product over the leaves of
+    |mask(leaf)| - [c in mask(leaf)].  Every component of at most three
+    cells is a star, as is a plus: a cell and any of its 2d neighbors.
+    Any other connected component of unassigned cells branches on its
+    first cell; each color knocks itself out of the cell's neighbors, and
+    the cells left split into connected components whose counts multiply.
     Colors whose bitsets within the component are equal form a class:
     swapping two of them maps the colorings with the first cell in one onto
     those with it in the other, so the search branches once per class and
     weighs that branch by the class's size (interchangeable values, Freuder
     1991).  At the root of a free count all q colors are one class.  Every
-    component of four or more cells is cached under its color bitsets in
+    component that is not a star is cached under its color bitsets in
     sorted order: relabeling the colors does not change the count, and the
     union of the bitsets still fixes the component's cells, since no cell's
     mask is empty.  So the residual subproblems that the fixed order repeats
@@ -193,8 +194,8 @@ def _count_backtrack(
     2006).  Along the longest axis the boundary between assigned and free
     cells stays a small cross-section, which keeps the distinct residuals
     few.  The cache holds at most ``budget`` entries (the ``state_budget``
-    of ``count_colorings``), one per distinct component of four or more
-    cells.
+    of ``count_colorings``), one per distinct component that is not a
+    star.
 
     Before any cache key or branch, two chromatic-polynomial rules (Read,
     J. Combin. Theory 4, 1968) take out what needs no search.  A pendant
@@ -251,37 +252,31 @@ def _count_backtrack(
 
     def count(comp: int, sets: list[int]) -> int:
         low = comp & -comp
-        if low == comp:
-            return sum(1 for s in sets if s & low)
         rest = comp ^ low
-        if rest & (rest - 1) == 0:
-            # an edge: |mask(low)| * |mask(rest)| minus the shared colors
-            a = b = shared = 0
-            for s in sets:
-                if s & low:
-                    a += 1
-                    if s & rest:
-                        shared += 1
-                if s & rest:
-                    b += 1
-            return a * b - shared
         around = nbr[low.bit_length() - 1] & rest
-        high = rest & (rest - 1)   # rest less its lowest cell
-        if high & (high - 1) == 0:
-            # three cells: a path, since the lattice has no triangle; each
-            # color of the middle cell times the choices it leaves at the ends
-            mid, end = (low, high ^ rest) if around == rest else (around, low)
-            other = comp ^ mid ^ end
-            a = b = 0
-            for s in sets:
-                if s & end:
-                    a += 1
-                if s & other:
-                    b += 1
+        # a star's middle is the lowest cell, or else that cell's one
+        # neighbor, when the middle's neighbors cover the component
+        mid = low if around == rest else around
+        if not mid & (mid - 1) and not (comp ^ mid) & ~nbr[mid.bit_length() - 1]:
+            # |mask(leaf)| per leaf, then each color of the middle times
+            # the choices it leaves at every leaf
+            sizes = []
+            leaves = comp ^ mid
+            while leaves:
+                leaf = leaves & -leaves
+                leaves ^= leaf
+                size = 0
+                for s in sets:
+                    if s & leaf:
+                        size += 1
+                sizes.append((leaf, size))
             total = 0
             for s in sets:
                 if s & mid:
-                    total += (a - 1 if s & end else a) * (b - 1 if s & other else b)
+                    product = 1
+                    for leaf, size in sizes:
+                        product *= size - 1 if s & leaf else size
+                    total += product
             return total
         key = 0
         for s in sorted(sets):
@@ -619,9 +614,9 @@ def count_colorings(
     cells, otherwise the component-caching counter.  With its profiles
     keyed up to color relabelling the transfer engine is ahead on every
     whole box tried (free q=3, process time, best of ten runs on a shared
-    2-core machine, transfer against counter: 7x7 0.003 s against 0.012 s,
-    3x3x3 0.0026 s against 0.0053 s, 8x12 0.014 s against 0.050 s, 10x12
-    0.045 s against 0.19 s, 12x12 0.27 s against 0.96 s).  Its cost is
+    2-core machine, transfer against counter: 7x7 0.0016 s against 0.0099 s,
+    3x3x3 0.0012 s against 0.0024 s, 8x12 0.0064 s against 0.026 s, 10x12
+    0.033 s against 0.13 s, 12x12 0.18 s against 0.67 s).  Its cost is
     set by the cross-section, the counter's by a cache that the budget
     caps.  state_budget caps the transfer engine's live canonical
     profiles and the counter's cache entries; passing it raises
@@ -656,39 +651,39 @@ def exact_marginal(
 ) -> ExactMarginal:
     """Exact color distribution at v under the constrained uniform measure.
 
-    A v that the constraint pins to c has probability 1 at c, once some
-    coloring satisfies the constraint.  Otherwise colors c and c' are alike
-    when every cell's mask under the constraint holds both or neither:
-    swapping them maps the colorings with v pinned to c onto those with v
-    pinned to c'.  So one pinned count is made per class of alike colors,
-    and its probability is shared by the class.  When every color is
-    alike, each has probability 1/q by that symmetry, and no pinned count
-    is made.
+    Colors c and c' are alike when every cell's mask under the constraint
+    holds both or neither: swapping them maps the colorings with v at c
+    onto those with v at c', so alike colors share one probability.  The
+    colors of v's mask split into such classes; each class but the last
+    takes one count, with v's mask cut to the class's first color, and
+    the last shares what is left of 1.  A color outside v's mask has
+    probability 0.  So a pinned v, or a v whose colors are all alike,
+    takes the total count alone.
     """
     G.own(domain)
     if v not in domain:
         raise PreconditionError(f"vertex {v} is outside the domain")
-    constraint = constraint or Constraint.free()
-    total = count_colorings(G, domain, q, constraint).count
+    masks, feasible = allowed_masks(G, domain, q, constraint or Constraint.free())
+    total = _count_masked(G, domain, q, masks, feasible).count
     if total == 0:
         raise UndefinedMeasureError("no proper coloring satisfies the constraint")
-    pin = dict(constraint.pins).get(v)
-    if pin is not None:
-        return ExactMarginal(v, tuple(Fraction(c == pin) for c in range(1, q + 1)))
-    distinct = set(allowed_masks(G, domain, q, constraint)[0])
-    if distinct <= {0, (1 << q) - 1}:
-        return ExactMarginal(v, (Fraction(1, q),) * q)
-    by_class: dict[tuple[int, ...], Fraction] = {}
-    probs = []
-    for c in range(1, q + 1):
-        column = tuple(m >> c - 1 & 1 for m in distinct)
-        prob = by_class.get(column)
-        if prob is None:
-            pinned = count_colorings(G, domain, q, constraint.with_pin(v, c)).count
-            prob = by_class[column] = Fraction(pinned, total)
-        probs.append(prob)
-    if sum(probs) != 1:
-        raise PreconditionError("marginal slices do not add up; inconsistent pins?")
+    distinct = set(masks)
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for c in range(q):
+        if masks[v] >> c & 1:
+            classes.setdefault(tuple(m >> c & 1 for m in distinct), []).append(c)
+    *counted, last = classes.values()
+    probs = [Fraction(0)] * q
+    left = Fraction(1)
+    for alike in counted:
+        cut = masks.copy()
+        cut[v] = 1 << alike[0]
+        prob = Fraction(_count_masked(G, domain, q, cut, True).count, total)
+        left -= prob * len(alike)
+        for c in alike:
+            probs[c] = prob
+    for c in last:
+        probs[c] = left / len(last)
     return ExactMarginal(v, tuple(probs))
 
 

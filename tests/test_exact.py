@@ -460,6 +460,25 @@ def test_backtracking_cache_budget():
         count_colorings(T, T.full_set(), 3)
 
 
+def test_stars_count_in_closed_form():
+    # a plus, one cell and its 2d neighbors, is a star: under a pattern
+    # boundary its leaves keep one side each, so no root rule takes them
+    # out, and the counter still needs no cache entry
+    patterns = {3: Pattern.make(3, [1], [2, 3]), 4: Pattern.make(4, [1, 2], [3, 4])}
+    for dims in ((3, 3), (5, 5), (3, 3, 3)):
+        G = build_graph(dims)
+        plus = closed_neighborhood(G, G.vertex_set([G.vid(tuple(x // 2 for x in dims))]))
+        for q, P in patterns.items():
+            c = Constraint.pattern_boundary(P)
+            masks, _ = allowed_masks(G, plus, q, c)
+            cells = sorted(plus.ids())
+            allowed = {v: {k + 1 for k in range(q) if masks[v] >> k & 1} for v in cells}
+            want = oracles.brute_force_count(dims, (False,) * len(dims), cells, q,
+                                             allowed=allowed)
+            got = count_colorings(G, plus, q, c, method="backtracking", state_budget=0)
+            assert got.count == want > 0, (dims, q)
+
+
 def test_marginal_four_cycle_uniform():
     G = build_graph([2, 2])
     m = exact_marginal(G, G.full_set(), 3, 0)
@@ -492,10 +511,11 @@ def test_marginal_undefined_on_empty_event():
 
 def test_marginal_counts_only_what_symmetry_does_not_give(monkeypatch):
     # a free vertex with every color alike, or a pinned one, needs the
-    # total count alone
+    # total count alone; otherwise each class of alike colors but the last
+    # needs one count
     calls = []
-    counter = exact.count_colorings
-    monkeypatch.setattr(exact, "count_colorings", lambda *a: calls.append(a) or counter(*a))
+    counter = exact._count_masked
+    monkeypatch.setattr(exact, "_count_masked", lambda *a: calls.append(a) or counter(*a))
     G = build_graph([3, 3])
     assert exact_marginal(G, G.full_set(), 3, 4).probs == (Fraction(1, 3),) * 3
     assert len(calls) == 1
@@ -507,6 +527,13 @@ def test_marginal_counts_only_what_symmetry_does_not_give(monkeypatch):
     calls.clear()
     assert exact_marginal(G, G.full_set(), 3, 4, Constraint.pinned({4: 1})).probs == (1, 0, 0)
     assert len(calls) == 1
+    calls.clear()
+    # A = {1} against B = {2, 3}: the centre's classes are {1} and {2, 3}
+    F = build_graph([5, 5])
+    p0 = Pattern.make(3, [1], [2, 3])
+    m = exact_marginal(F, F.full_set(), 3, F.vid((2, 2)), Constraint.pattern_boundary(p0))
+    assert len(calls) == 2
+    assert m.probs[1] == m.probs[2] and sum(m.probs) == 1
 
 
 def test_marginal_pin_consistency():
