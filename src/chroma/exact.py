@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -157,6 +157,94 @@ def _pattern_cut(G: LatticeGraph, masks: list[int], U: VertexSet, P: Pattern) ->
 # -- backtracking engine -------------------------------------------------------
 
 
+def _layout(
+    cells: list[int], G: LatticeGraph, masks: list[int], q: int
+) -> tuple[list[int], list[int]]:
+    """The counter's bitsets over ``cells``, bit i standing for ``cells[i]``:
+    each cell's neighbors among them, and ``sets[c]``, the cells whose mask
+    holds color c + 1."""
+    bit = {v: 1 << i for i, v in enumerate(cells)}.get
+    neighbors = G.neighbors
+    nbr = []
+    cells_by_mask: dict[int, int] = {}
+    for v in cells:
+        bits = 0
+        for u in neighbors[v]:
+            bits |= bit(u, 0)
+        nbr.append(bits)
+        cells_by_mask[masks[v]] = cells_by_mask.get(masks[v], 0) | bit(v)
+    sets = [0] * q
+    for mask, bits in cells_by_mask.items():
+        for c in range(q):
+            if mask >> c & 1:
+                sets[c] |= bits
+    return nbr, sets
+
+
+def _axis_order(G: LatticeGraph, cells: list[int]) -> list[int]:
+    """Ascending ids re-sorted so that the axis of their longest extent varies
+    slowest, ties in axis order; ascending ids are row-major (axis 0
+    slowest), so they come back as they are when the spans already fall."""
+    at = G.coordinates
+    spans = [max(col) - min(col) for col in zip(*[at[v] for v in cells])]
+    if spans == sorted(spans, reverse=True):
+        return cells
+    by_axes = itemgetter(*sorted(range(G.d), key=spans.__getitem__, reverse=True))
+    return sorted(cells, key=lambda v: by_axes(at[v]))
+
+
+def _split(free: int, nbr: list[int]) -> list[tuple[int, int]]:
+    """The connected components of the cells in ``free``, one bitset each,
+    with the component's middle if it is a star and 0 if not.
+
+    A star's middle is its lowest cell, or else that cell's one neighbor,
+    when the middle's neighbors cover the component.
+    """
+    parts = []
+    while free:
+        comp = frontier = free & -free
+        while frontier:
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grow |= nbr[low.bit_length() - 1]
+            frontier = grow & free & ~comp
+            comp |= frontier
+        free ^= comp
+        low = comp & -comp
+        around = nbr[low.bit_length() - 1] & comp
+        mid = low if around == comp ^ low else around
+        if mid & (mid - 1) or (comp ^ mid) & ~nbr[mid.bit_length() - 1]:
+            mid = 0
+        parts.append((comp, mid))
+    return parts
+
+
+def _star(mid: int, comp: int, sets: list[int]) -> int:
+    """The count of a star component with middle ``mid``, in closed form."""
+    # |mask(leaf)| per leaf, then each color of the middle times the
+    # choices it leaves at every leaf
+    sizes = []
+    leaves = comp ^ mid
+    while leaves:
+        leaf = leaves & -leaves
+        leaves ^= leaf
+        size = 0
+        for s in sets:
+            if s & leaf:
+                size += 1
+        sizes.append((leaf, size))
+    total = 0
+    for s in sets:
+        if s & mid:
+            product = 1
+            for leaf, size in sizes:
+                product *= size - 1 if s & leaf else size
+            total += product
+    return total
+
+
 def _count_backtrack(
     G: LatticeGraph,
     domain: VertexSet,
@@ -164,129 +252,120 @@ def _count_backtrack(
     q: int,
     budget: int = 500_000,
 ) -> int:
-    """Component-caching search over per-cell color masks.
+    """Component-caching search over per-cell color masks, after the rules
+    that need no search.
 
-    The domain's cells are put in a static lattice order in which the axis
-    of its longest extent varies slowest (ascending ids are row-major, so
-    they are re-sorted only when ordering the axes by extent changes the
-    axis order), and cells and masks become integer bitsets over that order:
-    ``sets[c]`` holds the cells that may still take color c + 1.  A star,
-    a component with one cell (the middle) next to every other cell, is
-    counted in closed form: the lattice is bipartite, so no two of the
-    other cells (the leaves) are adjacent, and the count is the sum over
-    each color c of the middle of the product over the leaves of
-    |mask(leaf)| - [c in mask(leaf)].  Every component of at most three
-    cells is a star, as is a plus: a cell and any of its 2d neighbors.
-    Any other connected component of unassigned cells branches on its
-    first cell; each color knocks itself out of the cell's neighbors, and
-    the cells left split into connected components whose counts multiply.
-    Colors whose bitsets within the component are equal form a class:
-    swapping two of them maps the colorings with the first cell in one onto
-    those with it in the other, so the search branches once per class and
-    weighs that branch by the class's size (interchangeable values, Freuder
-    1991).  At the root of a free count all q colors are one class.  Every
-    component that is not a star is cached under its color bitsets in
-    sorted order: relabeling the colors does not change the count, and the
-    union of the bitsets still fixes the component's cells, since no cell's
-    mask is empty.  So the residual subproblems that the fixed order repeats
-    are counted once, up to a permutation of the colors (component caching,
-    as in the #SAT solvers of Sang et al. 2004 and Thurley's sharpSAT
-    2006).  Along the longest axis the boundary between assigned and free
-    cells stays a small cross-section, which keeps the distinct residuals
-    few.  The cache holds at most ``budget`` entries (the ``state_budget``
-    of ``count_colorings``), one per distinct component that is not a
-    star.
+    The domain's cells are taken in ascending ids, and cells and masks
+    become integer bitsets over that order (``_layout``): ``nbr[i]`` holds
+    cell i's neighbors and ``sets[c]`` the cells that may still take color
+    c + 1.  On that layout three rules count what needs no search.  Two are
+    chromatic-polynomial rules (Read, J. Combin. Theory 4, 1968).  A
+    pendant cell, one with a single neighbor left, whose mask holds every
+    color of that neighbor's has |mask| - 1 colors left whatever the
+    neighbor takes: it multiplies the count by that and goes, and its
+    neighbor may become pendant in turn, so a worklist peels every such
+    tree.  A component left that is a cycle of L >= 4 cells, each with two
+    neighbors in it and every one allowing the same k colors, has
+    (k-1)^L + (-1)^L (k-1) colorings.  The third is the star, a component
+    with one cell (the middle) next to every other cell, which ``_split``
+    recognizes as it finds the component.  The lattice is bipartite, so no
+    two of the other cells (the leaves) are adjacent, and ``_star`` counts
+    the sum over each color c of the middle of the product over the leaves
+    of |mask(leaf)| - [c in mask(leaf)].  Every component of at most three
+    cells is a star, as is a plus: a cell and any of its 2d neighbors.  So
+    a tree whose every peeled cell covers its neighbor, an alike ring and a
+    star are counted at any length with no cache entry and no axis order.
+    The peel and the ring rule run at the root only: peeling at every node
+    of a box's search (a box with no side of 1 has no pendant cell) cost
+    more than it saved.
 
-    Before any cache key or branch, two chromatic-polynomial rules (Read,
-    J. Combin. Theory 4, 1968) take out what needs no search.  A pendant
-    cell, one with a single neighbor left, whose mask holds every color of
-    that neighbor's has |mask| - 1 colors left whatever the neighbor takes:
-    it multiplies the count by that and goes, and its neighbor may become
-    pendant in turn, so a worklist peels every such tree.  A component
-    left that is a cycle of L >= 4 cells, each with two neighbors in it
-    and every one allowing the same k colors, has (k-1)^L + (-1)^L (k-1)
-    colorings.  So a tree whose every peeled cell covers its neighbor, and
-    an alike ring, are counted at any length without recursion.  The
-    rules run at the root only: peeling at every node of a box's search
-    (a box with no side of 1 has no pendant cell) cost more than it saved.
+    Only the cells of the components left are put in a static lattice
+    order, in which the axis of their longest extent varies slowest
+    (``_axis_order``); the bitsets are built again over it only when it is
+    not the ascending one.  Along the longest axis the boundary between
+    assigned and free cells stays a small cross-section, which keeps the
+    distinct residuals few.  The search branches on a component's first
+    cell; each color knocks itself out of the cell's neighbors, and the
+    cells left split into connected components whose counts multiply, a
+    star among them counted by ``_star``.  Colors whose bitsets within the
+    component are equal form a class: swapping two of them maps the
+    colorings with the first cell in one onto those with it in the other,
+    so the search branches once per class and weighs that branch by the
+    class's size (interchangeable values, Freuder 1991).  At the root of a
+    free count all q colors are one class.  Every component searched is
+    cached under its color bitsets in sorted order: relabeling the colors
+    does not change the count, and the union of the bitsets still fixes
+    the component's cells, since no cell's mask is empty.  So the residual
+    subproblems that the fixed order repeats are counted once, up to a
+    permutation of the colors (component caching, as in the #SAT solvers
+    of Sang et al. 2004 and Thurley's sharpSAT 2006).  The cache holds at
+    most ``budget`` entries (the ``state_budget`` of ``count_colorings``),
+    one per distinct component searched.
 
     Every mask is nonempty on entry; the count is exact.
     """
-    # ascending ids are row-major: axis 0 varies slowest
     order = _bits_to_ids(domain.bits, G.n)
-    if not order:
-        return 1
-    at = G.coordinates
-    spans = [max(col) - min(col) for col in zip(*[at[v] for v in order])]
-    if spans != sorted(spans, reverse=True):
-        # axes by extent, longest first, ties in axis order
-        by_axes = itemgetter(*sorted(range(G.d), key=spans.__getitem__, reverse=True))
-        order.sort(key=lambda v: by_axes(at[v]))
-    bit = {v: 1 << i for i, v in enumerate(order)}.get
-    neighbors = G.neighbors
-    nbr = []
-    for v in order:
-        bits = 0
-        for u in neighbors[v]:
-            bits |= bit(u, 0)
-        nbr.append(bits)
+    nbr, sets = _layout(order, G, masks, q)
     m = len(order)
+    total = 1
+    live = (1 << m) - 1
+    pendant = [i for i, near in enumerate(nbr) if near and not near & (near - 1)]
+    while pendant:
+        i = pendant.pop()
+        near = nbr[i] & live
+        if not near or near & (near - 1):
+            continue
+        j = near.bit_length() - 1
+        if masks[order[j]] & ~masks[order[i]]:
+            continue   # the neighbor allows a color the cell does not
+        total *= masks[order[i]].bit_count() - 1
+        live ^= 1 << i
+        far = nbr[j] & live
+        if far and not far & (far - 1):
+            pendant.append(j)
+    to_search = 0
+    searched = []
+    for part, mid in _split(live, nbr):
+        if mid:
+            total *= _star(mid, part, sets)
+            continue
+        sub = [t & part for t in sets]
+        L = part.bit_count()
+        k = sub.count(part)
+        if L >= 4 and k + sub.count(0) == q and all(
+            (nbr[i] & part).bit_count() == 2 for i in _bits_to_ids(part, m)
+        ):
+            total *= (k - 1) ** L + (-1) ** L * (k - 1)
+            continue
+        to_search |= part
+        searched.append(part)
+    if not to_search:
+        return total
+    # every cell left: the ascending ids are the domain's own list
+    cells = (order if to_search == (1 << m) - 1
+             else [order[i] for i in _bits_to_ids(to_search, m)])
+    static = _axis_order(G, cells)
+    if static != cells:
+        nbr, sets = _layout(static, G, masks, q)
+        m = len(static)
+        searched = ([(1 << m) - 1] if len(searched) == 1
+                    else [part for part, _ in _split((1 << m) - 1, nbr)])
     cache: dict[int, int] = {}
-    splits: dict[int, list[int]] = {}
-
-    def split(free: int) -> list[int]:
-        parts = []
-        while free:
-            comp = frontier = free & -free
-            while frontier:
-                grow = 0
-                while frontier:
-                    low = frontier & -frontier
-                    frontier ^= low
-                    grow |= nbr[low.bit_length() - 1]
-                frontier = grow & free & ~comp
-                comp |= frontier
-            parts.append(comp)
-            free ^= comp
-        return parts
+    splits: dict[int, list[tuple[int, int]]] = {}
 
     def count(comp: int, sets: list[int]) -> int:
-        low = comp & -comp
-        rest = comp ^ low
-        around = nbr[low.bit_length() - 1] & rest
-        # a star's middle is the lowest cell, or else that cell's one
-        # neighbor, when the middle's neighbors cover the component
-        mid = low if around == rest else around
-        if not mid & (mid - 1) and not (comp ^ mid) & ~nbr[mid.bit_length() - 1]:
-            # |mask(leaf)| per leaf, then each color of the middle times
-            # the choices it leaves at every leaf
-            sizes = []
-            leaves = comp ^ mid
-            while leaves:
-                leaf = leaves & -leaves
-                leaves ^= leaf
-                size = 0
-                for s in sets:
-                    if s & leaf:
-                        size += 1
-                sizes.append((leaf, size))
-            total = 0
-            for s in sets:
-                if s & mid:
-                    product = 1
-                    for leaf, size in sizes:
-                        product *= size - 1 if s & leaf else size
-                    total += product
-            return total
         key = 0
         for s in sorted(sets):
             key = key << m | s
         total = cache.get(key)
         if total is not None:
             return total
+        low = comp & -comp
+        rest = comp ^ low
+        around = nbr[low.bit_length() - 1] & rest
         parts = splits.get(rest)
         if parts is None:
-            parts = splits[rest] = split(rest)
+            parts = splits[rest] = _split(rest, nbr)
         left = [t & rest for t in sets]
         total = 0
         for c, s in enumerate(sets):
@@ -305,11 +384,13 @@ def _count_backtrack(
             if around & ~alive:
                 continue
             if len(parts) == 1:
-                total += weight * count(rest, sub)
+                # the one part is rest, and sub is cut to it already
+                ((_, mid),) = parts
+                total += weight * (_star(mid, rest, sub) if mid else count(rest, sub))
                 continue
             product = weight
-            for part in parts:
-                product *= count(part, [t & part for t in sub])
+            for part, mid in parts:
+                product *= _star(mid, part, sub) if mid else count(part, [t & part for t in sub])
                 if not product:
                     break
             total += product
@@ -320,44 +401,12 @@ def _count_backtrack(
             )
         return total
 
-    cells_by_mask: dict[int, int] = {}
-    for i, v in enumerate(order):
-        cells_by_mask[masks[v]] = cells_by_mask.get(masks[v], 0) | 1 << i
-    sets = [0] * q
-    for mask, bits in cells_by_mask.items():
-        for c in range(q):
-            if mask >> c & 1:
-                sets[c] |= bits
-    total = 1
-    live = (1 << m) - 1
-    pendant = [i for i, near in enumerate(nbr) if near and not near & (near - 1)]
-    while pendant:
-        i = pendant.pop()
-        near = nbr[i] & live
-        if not near or near & (near - 1):
-            continue
-        j = near.bit_length() - 1
-        if masks[order[j]] & ~masks[order[i]]:
-            continue   # the neighbor allows a color the cell does not
-        total *= masks[order[i]].bit_count() - 1
-        live ^= 1 << i
-        far = nbr[j] & live
-        if far and not far & (far - 1):
-            pendant.append(j)
     try:
-        for part in split(live):
-            sub = [t & part for t in sets]
-            L = part.bit_count()
-            k = sub.count(part)
-            if L >= 4 and k + sub.count(0) == q and all(
-                (nbr[i] & part).bit_count() == 2 for i in _bits_to_ids(part, m)
-            ):
-                total *= (k - 1) ** L + (-1) ** L * (k - 1)
-                continue
-            total *= count(part, sub)
+        for part in searched:
+            total *= count(part, [t & part for t in sets])
     except RecursionError:
         raise ResourceLimitError(
-            f"a {m}-cell domain is too deep for the counting search"
+            f"a {len(order)}-cell domain is too deep for the counting search"
         ) from None
     return total
 
@@ -661,6 +710,7 @@ def exact_marginal(
     takes the total count alone.
     """
     G.own(domain)
+    v = index(v)   # a numpy integer is stored as the int it stands for
     if v not in domain:
         raise PreconditionError(f"vertex {v} is outside the domain")
     masks, feasible = allowed_masks(G, domain, q, constraint or Constraint.free())

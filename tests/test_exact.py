@@ -1,9 +1,12 @@
 import ast
+import itertools
+import json
 import math
 import re
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -479,6 +482,113 @@ def test_stars_count_in_closed_form():
             assert got.count == want > 0, (dims, q)
 
 
+def test_a_count_that_needs_no_search_builds_no_axis_order():
+    # the root rules read ascending ids: a peeled path, an alike ring and a
+    # star take no cache entry, and the coordinate table that the search's
+    # axis order reads is never built
+    G = build_graph([300, 300])
+    path = G.vertex_set(G.vid((5, j)) for j in range(6))
+    ring = G.vertex_set(G.vid(x) for x in [(0, 0), (0, 1), (0, 2), (1, 2),
+                                           (2, 2), (2, 1), (2, 0), (1, 0)])
+    plus = closed_neighborhood(G, G.vertex_set([G.vid((150, 150))]))
+    c = Constraint.pattern_boundary(Pattern.make(3, [1], [2, 3]))
+    for q in (3, 4):
+        assert count_colorings(G, path, q, method="backtracking",
+                               state_budget=0).count == q * (q - 1) ** 5
+        assert count_colorings(G, ring, q, method="backtracking",
+                               state_budget=0).count == (q - 1) ** 8 + (q - 1)
+    got = count_colorings(G, plus, 3, c, method="backtracking", state_budget=0).count
+    assert "coordinates" not in G.__dict__
+    # the same masks on the plus around the centre of 5 x 5, which has the
+    # same parity, by brute force
+    masks, _ = allowed_masks(G, plus, 3, c)
+    allowed = {}
+    for v in plus.ids():
+        x, y = divmod(v, 300)
+        allowed[(x - 148) * 5 + y - 148] = {k + 1 for k in range(3) if masks[v] >> k & 1}
+    assert got == oracles.brute_force_count((5, 5), (False, False), sorted(allowed), 3,
+                                            allowed=allowed) > 0
+
+
+def _block_with_tails(G, rng, long, short, blocks):
+    """Cells and masks: blocks of 3 cells along axis ``long`` and 2 along
+    axis ``short`` (1 or 2 along any other axis), spaced along ``long``,
+    each with a tail of 2 or more cells leaving it along ``short``.
+
+    The tails take every color, so the root peels them, and the blocks left
+    are longest along ``long``.  With one block the domain is longest along
+    ``short``, so peeling changes the axis the search's order follows; two
+    blocks leave two components to search.  The blocks take random masks
+    from a pool of one to three.
+    """
+    q = int(rng.integers(2, 6))
+    pool = [int(m) for m in rng.integers(1, 1 << q, size=int(rng.integers(1, 4)))]
+    widths = [int(rng.integers(1, min(2, n) + 1)) for n in G.dims]
+    widths[long], widths[short] = 3, 2
+    cells, masks = [], [0] * G.n
+    for b in range(blocks):
+        corner = [0] * G.d
+        corner[long] = 5 * b
+        for offset in itertools.product(*map(range, widths)):
+            v = G.vid(tuple(x + o for x, o in zip(corner, offset)))
+            cells.append(v)
+            masks[v] = pool[int(rng.integers(len(pool)))]
+        corner[short] = 1
+        corner[long] += int(rng.integers(3))
+        # a tail that stops short of wrapping round to its block
+        for _ in range(int(rng.integers(2, G.dims[short] - 2))):
+            corner[short] += 1
+            v = G.vid(tuple(corner))
+            cells.append(v)
+            masks[v] = (1 << q) - 1
+    return sorted(cells), masks, q
+
+
+def test_the_search_order_follows_the_cells_left_to_search():
+    rng = make_rng(4401)
+    # (dims, periodic, axis of the blocks' longest extent, axis of the
+    # tails, blocks); length-2 periodic axes reach one cell both ways
+    shapes = [((6, 3), (False, False), 1, 0, 1), ((3, 6), (False, False), 0, 1, 1),
+              ((6, 4), (True, True), 1, 0, 1), ((6, 9), (False, False), 1, 0, 2),
+              ((5, 3, 2), (False,) * 3, 1, 0, 1), ((2, 3, 6), (True, False, False), 1, 2, 1),
+              ((6, 3, 2), (True, False, True), 1, 0, 1), ((2, 6, 3), (True, True, False), 2, 1, 1)]
+    for dims, periodic, long, short, blocks in shapes:
+        G = build_graph(dims, periodic)
+        for _ in range(8):
+            cells, masks, q = _block_with_tails(G, rng, long, short, blocks)
+            if math.prod(masks[v].bit_count() for v in cells) > 300_000:
+                continue
+            allowed = {v: {k + 1 for k in range(q) if masks[v] >> k & 1} for v in cells}
+            want = oracles.brute_force_count(dims, periodic, cells, q, allowed=allowed)
+            assert _count_backtrack(G, G.vertex_set(cells), masks, q) == want, (dims, cells)
+    # peeling (1, 1) turns the longest axis from 0 to 1
+    G = build_graph([4, 4])
+    cells = [G.vid(x) for x in [(1, 1), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2)]]
+    for q in range(2, 6):
+        assert (count_colorings(G, G.vertex_set(cells), q).count
+                == oracles.brute_force_count((4, 4), (False, False), cells, q))
+        for _ in range(4):
+            masks = [0] * G.n
+            for v in cells:
+                masks[v] = int(rng.integers(1, 1 << q))
+            allowed = {v: {k + 1 for k in range(q) if masks[v] >> k & 1} for v in cells}
+            assert _count_backtrack(G, G.vertex_set(cells), masks, q) == (
+                oracles.brute_force_count((4, 4), (False, False), cells, q, allowed=allowed))
+    # whole boxes whose order is re-sorted, against the transfer engine
+    for dims in ((2, 2, 3), (2, 3, 4), (3, 3, 4)):
+        G = build_graph(dims)
+        assert (count_colorings(G, G.full_set(), 3, method="backtracking").count
+                == transfer_count(G, 3).count), dims
+    # a 2 x 10 block with an 11-cell tail along axis 0: the search runs
+    # along the block's axis 1 in 24 cache entries; in ascending ids, the
+    # domain's own order, it takes 1143
+    G = build_graph([14, 10])
+    cells = [G.vid((r, c)) for r in range(2) for c in range(10)]
+    cells += [G.vid((r, 0)) for r in range(2, 13)]
+    got = count_colorings(G, G.vertex_set(cells), 3, method="backtracking", state_budget=100)
+    assert got.count == transfer_count(build_graph([2, 10]), 3).count * 2 ** 11
+
+
 def test_marginal_four_cycle_uniform():
     G = build_graph([2, 2])
     m = exact_marginal(G, G.full_set(), 3, 0)
@@ -552,6 +662,17 @@ def test_marginal_pin_consistency():
     for color in range(1, q + 1):
         slice_prob = Fraction(joint.get((color, c), 0), denom)
         assert cond.probs[color - 1] == slice_prob
+
+
+def test_marginal_at_a_numpy_vertex_is_stored_as_an_int():
+    # a vertex read off a numpy array is kept as the int it stands for, so
+    # the record serializes; -1 is refused as before
+    G = build_graph([3, 3])
+    m = exact_marginal(G, G.full_set(), 3, np.int64(4))
+    assert type(m.vertex) is int and m == exact_marginal(G, G.full_set(), 3, 4)
+    assert json.loads(json.dumps(m.to_json()))["vertex"] == 4
+    with pytest.raises(PreconditionError, match="vertex -1 is outside the domain"):
+        exact_marginal(G, G.full_set(), 3, np.int64(-1))
 
 
 def test_tv_distance_basics():
@@ -702,13 +823,6 @@ def _enumerated(G, cells, masks):
     return len(list(enumerate_colorings(G, G.vertex_set(cells), masks)))
 
 
-def _static_order(G, cells):
-    """The counter's cell order: axes by span, longest slowest, ties in axis order."""
-    spans = [max(col) - min(col) for col in zip(*(G.coords(v) for v in cells))]
-    axes = sorted(range(G.d), key=lambda a: -spans[a])
-    return sorted(cells, key=lambda v: [G.coords(v)[a] for a in axes])
-
-
 def test_counter_matches_enumeration_on_small_random_domains():
     # 1-6 cells, connected or not, with random nonempty masks at q = 2..5:
     # every component reaches a single-cell, edge or three-cell leaf
@@ -751,7 +865,8 @@ def test_counter_matches_enumeration_under_constraints():
 
 def test_three_cell_paths_with_the_middle_anywhere_in_the_order():
     # every connected three-cell set of the lattice is a path; its middle
-    # cell may come first, second or last in the counter's static order
+    # cell may come first, second or last in ascending ids, the order the
+    # star rule reads
     rng = make_rng(3205)
     places = set()
     for dims, periodic in LEAF_GRAPHS:
@@ -760,7 +875,7 @@ def test_three_cell_paths_with_the_middle_anywhere_in_the_order():
                  for mid in range(G.n) for a in G.neighbors[mid] for b in G.neighbors[mid]
                  if a < b}
         for cells, mid in paths.items():
-            places.add(_static_order(G, list(cells)).index(mid))
+            places.add(cells.index(mid))
             for q in range(2, 6):
                 free = [(1 << q) - 1] * G.n
                 assert (count_colorings(G, G.vertex_set(cells), q, method="backtracking").count
