@@ -408,6 +408,10 @@ def _count_backtrack(
         raise ResourceLimitError(
             f"a {len(order)}-cell domain is too deep for the counting search"
         ) from None
+    finally:
+        # count holds itself through its closure: dropping it frees the cache
+        # now, not at the garbage collector's next pass
+        del count
     return total
 
 
@@ -446,20 +450,126 @@ def enumerate_colorings(
 # -- transfer-matrix engine ----------------------------------------------------
 
 
-def _transfer(
-    G: LatticeGraph, masks: list[int], q: int, state_budget: int
-) -> int:
-    """Whole-box count under per-cell masks, adding one cell at a time.
+class _TransferPlan:
+    """What ``_transfer`` does at each cell, worked out once per count.
 
     Cells go in layer order along the longest non-periodic axis, in vertex
-    order within a layer; cross-section position i is slot i.  The profile
-    holds the color of the last cell added in each slot, a layer broken at
-    the next cell (the broken-profile transfer matrix of Jacobsen and
-    Salas, J. Stat. Phys. 2001).  Every neighbor of cell v added before it
-    still sits in a slot: the cell below in v's own slot, earlier cells of
-    v's layer (periodic wrap-around included) in theirs.  Adding v tries
-    each color of masks[v] that no slot occupied by a neighbor holds and
-    writes it into v's slot, at O(S * q) for S profiles.
+    order within a layer: with that axis's stride and length, cell v lies
+    in layer v // stride % length, at slot v // (stride * length) * stride
+    + v % stride of the cross-section.  The colors are ordered so that
+    every class of interchangeable colors is a run, and ``merges`` holds
+    the cell counts after which runs merge.  ``steps`` holds one entry per
+    cell: its slot, the slots its earlier neighbors still occupy and every
+    plane's bits at them, its mask spread to bit 0 of each allowed color's
+    plane, what it shares, and which use of that share past the first
+    layer it is.  Every layer repeats the first one's neighbor slots, so
+    between two merges the cells of one slot and mask make the same step:
+    they share one dict of moves by the colors their neighbor slots hold,
+    and, once two of them lie past the first layer, a table from profile
+    to successor keys (``tables`` lists them).  A first-layer profile
+    still has empty slots, so no later step meets it, and the first layer
+    gets no table.
+    """
+
+    def __init__(self, G: LatticeGraph, masks: list[int], q: int):
+        axis = -1   # the longest non-periodic axis
+        for a, x in enumerate(G.dims):
+            if not G.periodic[a] and (axis < 0 or x > G.dims[axis]):
+                axis = a
+        length = G.dims[axis]
+        stride = math.prod(G.dims[axis + 1:])
+        order = [b + layer * stride + r for layer in range(length)
+                 for b in range(0, G.n, stride * length) for r in range(stride)]
+        self.s = s = G.n // length
+        self.q = q
+        at: dict[int, int] = {}   # bit k of at[m]: cell order[k] has mask m
+        for k, v in enumerate(order):
+            at[masks[v]] = at.get(masks[v], 0) | 1 << k
+        # bit k of a color's signature: cell order[k] allows it.  Sorted with
+        # the last cell most significant, colors sharing a suffix are adjacent,
+        # and colors g - 1 and g become interchangeable after cut[g] cells.
+        sig = [0] * q
+        for m, bits in at.items():
+            for c in range(q):
+                if m >> c & 1:
+                    sig[c] |= bits
+        colors = sorted(range(q), key=sig.__getitem__)
+        sig.sort()
+        self.cut = [0] + [(sig[g - 1] ^ sig[g]).bit_length() for g in range(1, q)]
+        self.merges = merges = set(self.cut) - {0, G.n}  # no relabelling once every cell is in
+        self.heads = ((1 << q * s) - 1) // ((1 << s) - 1)  # bit 0 of every plane
+        spread = dict.fromkeys(at, 0)   # each mask with bit 0 of its colors' planes
+        for g, c in enumerate(colors):
+            for m in spread:
+                if m >> c & 1:
+                    spread[m] |= 1 << g * s
+        # a layer's cells are the first layer's moved up by a stride, so a
+        # slot sees the same earlier neighbors in every layer, and the cell
+        # below in its own slot (in the first layer that slot is still empty)
+        slot_of = {v: i for i, v in enumerate(order[:s])}
+        near = [[i] for i in range(s)]
+        around = [self.heads << i for i in range(s)]   # every plane at those slots
+        for v, i in slot_of.items():
+            for u in G.neighbors[v]:
+                j = slot_of.get(u, s)
+                if j < i:
+                    near[i].append(j)
+                    around[i] |= self.heads << j
+        self.steps = steps = []
+        self.tables: list[dict[int, list[int]]] = []
+        # per slot, by mask, since the last merge: the moves (the first
+        # layer's too, as its slot below is empty), the table, and the uses
+        # past the first layer
+        entries: list[dict[int, list]] = [{} for _ in range(s)]
+        for k, v in enumerate(order):
+            if k in merges:
+                entries = [{} for _ in range(s)]
+            i = k % s
+            mask = spread[masks[v]]
+            if k < s:
+                entries[i][mask] = entry = [{}, None, 0]
+                steps.append((i, near[i], around[i], mask, (entry[0], None, 0), 0))
+                continue
+            entry = entries[i].get(mask)
+            if entry is None:
+                entry = entries[i][mask] = [{}, None, 0]
+            entry[2] += 1
+            if entry[2] == 2:
+                entry[1] = {}
+                self.tables.append(entry[1])
+            steps.append((i, near[i], around[i], mask, entry, entry[2]))
+
+    def classes_after(self, k: int) -> list[tuple[int, int]]:
+        """Runs [a, b) of interchangeable colors once k cells are added."""
+        bounds = [g for g in range(1, self.q) if self.cut[g] > k]
+        return list(zip([0] + bounds, bounds + [self.q]))
+
+    def moves_after(self, k: int) -> list[tuple[int, int, int, int, int]]:
+        """Each color's move once k cells are added: bit 0 of its plane, the
+        shifts to its plane and to its run's first, and the masks that make
+        it the first occurrence of its run (plain when it is the first)."""
+        s = self.s
+        full = (1 << s) - 1
+        out = []
+        for a, b in self.classes_after(k):
+            for g in range(a, b):
+                below = (1 << (g - a) * s) - 1 << a * s
+                out.append((1 << g * s, g * s, a * s, ~(below | full << g * s), below))
+        return out
+
+
+def _transfer(plan: _TransferPlan, state_budget: int) -> int:
+    """Whole-box count under per-cell masks, adding one cell at a time.
+
+    Cells go in the layer order of ``_TransferPlan``, which numbers the
+    cross-section's slots.  The profile holds the color of the last cell
+    added in each slot, a layer broken at the next cell (the
+    broken-profile transfer matrix of Jacobsen and Salas, J. Stat. Phys.
+    2001).  Every neighbor of cell v added before it still sits in a
+    slot: the cell below in v's own slot, earlier cells of v's layer
+    (periodic wrap-around included) in theirs.  Adding v tries each color
+    of masks[v] that no slot occupied by a neighbor holds and writes it
+    into v's slot, at O(S * q) for S profiles.
 
     Profiles are kept up to the color permutations that cannot change the
     number of completions.  Two colors are interchangeable at a cell when
@@ -485,92 +595,96 @@ def _transfer(
     every profile is relabelled once and counts that land on one key are
     added.
 
-    ``state_budget`` counts canonical profiles: more than that many live
-    at once raise ResourceLimitError while the next map is being built.
-    No table is keyed by profiles, so nothing else can outgrow it: each
-    cell builds its successor moves once per set of neighbor colors met,
-    never more sets than live profiles, and the classes change at most
+    A step with a table looks each profile up: one met before only adds
+    its count into the stored successor keys.  ``state_budget`` counts
+    canonical profiles: more than that many live at once raise
+    ResourceLimitError while the next map is being built.  The tables share
+    that budget, each entry charged one state for its profile and one for
+    each color its step allows (a bound on its successor keys), so table
+    keys and live profiles together stay within it.  A step stores the
+    profiles its table lacks, all or none: only if they fit beside the
+    entries stored and the largest live map so far, and never at the
+    table's last use, which no later step reads.  When the map being built
+    would not fit beside the tables, they are emptied, so a refusal falls
+    where it would with no tables.  The moves are built once per set of
+    neighbor colors met and kept by the colors of the neighbor slots,
+    never more keys than live profiles, and the classes change at most
     q - 1 times.
     """
-    axes = [a for a in range(G.d) if not G.periodic[a]]
-    axis = max(axes, key=lambda a: G.dims[a])
-    layers: list[list[int]] = [[] for _ in range(G.dims[axis])]
-    for v in range(G.n):
-        layers[G.coords(v)[axis]].append(v)
-    order = [v for layer in layers for v in layer]
-    s = len(layers[0])
+    s, q, heads, merges = plan.s, plan.q, plan.heads, plan.merges
     full = (1 << s) - 1
-    # bit k of a color's signature: cell order[k] allows it.  Sorted with
-    # the last cell most significant, colors sharing a suffix are adjacent,
-    # and colors g - 1 and g become interchangeable after cut[g] cells.
-    sig = [sum((masks[v] >> c & 1) << k for k, v in enumerate(order)) for c in range(q)]
-    colors = sorted(range(q), key=sig.__getitem__)
-    sig.sort()
-    cut = [0] + [(sig[g - 1] ^ sig[g]).bit_length() for g in range(1, q)]
-    spread: dict[int, int] = {}
-    heads = sum(1 << g * s for g in range(q))  # bit 0 of every plane
-
-    def classes_after(k: int) -> list[tuple[int, int]]:
-        """Runs [a, b) of interchangeable colors once k cells are added."""
-        bounds = [g for g in range(1, q) if cut[g] > k]
-        return list(zip([0] + bounds, bounds + [q]))
-
-    occupant = [-1] * s
     counts = {0: 1}
-    classes = classes_after(0)
-    merges = set(cut) - {0, G.n}  # no relabelling once every cell is in
-    k = 0
-    for layer in layers:
-        for i, v in enumerate(layer):
-            nbrs = [j for j, u in enumerate(occupant) if u in G.neighbors[v]]
-            occupant[i] = v
-            keep = ~(heads << i)
-            mask = spread.get(masks[v])
-            if mask is None:
-                mask = spread[masks[v]] = sum(
-                    1 << g * s for g, c in enumerate(colors) if masks[v] >> c & 1
-                )
-            options: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
-            nxt: dict[int, int] = {}
-            get = nxt.get
-            for profile, n in counts.items():
-                used = 0  # bit g * s set when a neighbor holds color g
-                for j in nbrs:
-                    used |= profile >> j
-                used &= heads
-                opts = options.get(used)
+    moves = plan.moves_after(0)
+    limit = state_budget   # less what the table entries and a step's store are charged
+    peak = 0   # the largest live map so far
+    for k, (i, nbrs, around, mask, (options, table, uses), use) in enumerate(plan.steps, 1):
+        keep = ~(heads << i)
+        if len(counts) > peak:
+            peak = len(counts)
+        # the table takes every profile of the step it does not hold, or none,
+        # and nothing at its last use, which no later step reads; an entry is
+        # charged for its profile and for each color the step allows
+        weight = 1 + mask.bit_count()
+        store = table is not None and use < uses and limit - peak >= len(counts) * weight
+        if store:
+            before = len(table)
+            limit -= len(counts) * weight
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for profile, n in counts.items():
+            if table and (succ := table.get(profile)) is not None:
+                for key in succ:
+                    nxt[key] = get(key, 0) + n
+            else:
+                met = profile & around   # the neighbor slots' colors
+                opts = options.get(met)
                 if opts is None:
-                    avail = mask & ~used
-                    plain, turned = [], []
-                    for a, b in classes:
-                        for g in range(a, b):
-                            if not avail >> g * s & 1:
-                                continue
-                            if g == a:
-                                plain.append(1 << g * s + i)
-                            else:
-                                below = (1 << (g - a) * s) - 1 << a * s
-                                turned.append((
-                                    ~(below | full << g * s), below,
-                                    g * s, a * s, 1 << a * s + i,
-                                ))
-                    opts = options[used] = (plain, turned)
+                    used = 0  # bit g * s set when a neighbor holds color g
+                    for j in nbrs:
+                        used |= met >> j
+                    used &= heads
+                    # the set of colors used keys the same dict: a met key
+                    # equal to it is a lone neighbor color at slot 0 (or
+                    # none), which uses just that set
+                    opts = options.get(used)
+                    if opts is None:
+                        avail = mask & ~used
+                        plain, turned = [], []
+                        for bit, at, head, rest, below in moves:
+                            if avail & bit:
+                                if at == head:
+                                    plain.append(bit << i)
+                                else:
+                                    turned.append((rest, below, at, head, 1 << head + i))
+                        opts = options[used] = (plain, turned)
+                    options[met] = opts
+                if store:
+                    succ = table[profile] = []
                 base = profile & keep
                 for o in opts[0]:
                     key = base | o
                     nxt[key] = get(key, 0) + n
+                    if store:
+                        succ.append(key)
                 for rest, below, at, head, o in opts[1]:
                     key = base & rest | (base & below) << s | (base >> at & full) << head | o
                     nxt[key] = get(key, 0) + n
-                if len(nxt) > state_budget:
+                    if store:
+                        succ.append(key)
+            if len(nxt) > limit:
+                if limit == state_budget:
                     raise ResourceLimitError(
                         f"transfer profiles exceed the budget of {state_budget} states"
                     )
-            k += 1
-            if k in merges:
-                classes = classes_after(k)
-                nxt = _relabel(nxt, classes, s, q, i)
-            counts = nxt
+                for t in plan.tables:
+                    t.clear()
+                limit, store = state_budget, False
+        if store:
+            limit += (len(counts) - (len(table) - before)) * weight
+        if k in merges:
+            moves = plan.moves_after(k)
+            nxt = _relabel(nxt, plan.classes_after(k), s, q, i)
+        counts = nxt
     return sum(counts.values())
 
 
@@ -627,7 +741,7 @@ def _count_masked(
     if not feasible:
         return CountResult(0, method)
     if method == "transfer":
-        total = _transfer(G, masks, q, state_budget)
+        total = _transfer(_TransferPlan(G, masks, q), state_budget)
     else:
         total = _count_backtrack(G, domain, masks, q, state_budget)
     return CountResult(total, method)
@@ -663,9 +777,9 @@ def count_colorings(
     cells, otherwise the component-caching counter.  With its profiles
     keyed up to color relabelling the transfer engine is ahead on every
     whole box tried (free q=3, process time, best of ten runs on a shared
-    2-core machine, transfer against counter: 7x7 0.0016 s against 0.0099 s,
-    3x3x3 0.0012 s against 0.0024 s, 8x12 0.0064 s against 0.026 s, 10x12
-    0.033 s against 0.13 s, 12x12 0.18 s against 0.67 s).  Its cost is
+    2-core machine, transfer against counter: 7x7 0.0008 s against 0.0092 s,
+    3x3x3 0.0008 s against 0.0023 s, 8x12 0.0027 s against 0.023 s, 10x12
+    0.014 s against 0.12 s, 12x12 0.076 s against 0.61 s).  Its cost is
     set by the cross-section, the counter's by a cache that the budget
     caps.  state_budget caps the transfer engine's live canonical
     profiles and the counter's cache entries; passing it raises

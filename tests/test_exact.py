@@ -1,4 +1,5 @@
 import ast
+import gc
 import itertools
 import json
 import math
@@ -21,6 +22,8 @@ from chroma.errors import (
 from chroma.exact import (
     Constraint,
     _count_backtrack,
+    _transfer,
+    _TransferPlan,
     allowed_masks,
     count_colorings,
     enumerate_colorings,
@@ -336,6 +339,74 @@ def test_transfer_color_classes_match_counter():
         assert t.count == b.count > 0, (dims, q, c)
 
 
+def test_transfer_tables_agree_with_the_counter_where_steps_recur():
+    # every layer after the first repeats its slots' steps, so these counts
+    # read successor tables; the counter runs at its default budget
+    cases = [((length, w), (False, False), q, Constraint.free())
+             for q in (3, 4, 5) for w in range(2, 7) for length in (w + 1, 11, 20)]
+    q3 = Pattern.make(3, [1], [2, 3])
+    G = build_graph([12, 5])
+    middle = {G.vid((6, 1)): 1, G.vid((6, 3)): 2}   # two slots of layer 6 leave the shared steps
+    cases += [
+        ((12, 5), (False, False), 3, Constraint.pattern_boundary(q3)),
+        ((9, 4), (False, False), 4,
+         Constraint.pattern_boundary(Pattern.make(4, [1, 2], [3, 4]))),
+        ((12, 5), (False, False), 3, Constraint.pinned(middle)),
+        ((12, 5), (False, False), 4, Constraint.pinned({G.vid((5, 2)): 3})),
+        ((16, 4), (False, True), 3, Constraint.free()),
+        ((14, 4), (False, True), 4, Constraint.free()),
+        ((14, 4), (False, True), 3, Constraint.pattern_boundary(q3)),
+        ((16, 2), (False, True), 3, Constraint.free()),
+        ((10, 4, 2), (False, True, True), 3, Constraint.free()),
+        ((8, 2, 2), (False, True, True), 4, Constraint.free()),
+    ]
+    for dims, periodic, q, c in cases:
+        G = build_graph(dims, periodic)
+        t = transfer_count(G, q, c)
+        b = count_colorings(G, G.full_set(), q, c, method="backtracking")
+        assert t.count == b.count > 0, (dims, periodic, q, c)
+
+
+def test_transfer_steps_share_moves_only_between_merges():
+    # a pin in layer 2 keeps its color apart until layer 3; the steps of
+    # the free layers on either side share moves, but only with their own side
+    G = build_graph([12, 5])
+    masks, _ = allowed_masks(G, G.full_set(), 3, Constraint.pinned({G.vid((2, 1)): 1}))
+    plan = _TransferPlan(G, masks, 3)
+    assert plan.merges
+    side = {}
+    for k, (*_, (options, _, _), _) in enumerate(plan.steps):
+        merged = sum(m <= k for m in plan.merges)
+        assert side.setdefault(id(options), merged) == merged, k
+    assert len(side) < len(plan.steps)
+
+
+def test_transfer_tables_share_the_state_budget():
+    # a 20 x 6 strip at q = 3 has at most 24 live canonical profiles: the
+    # tables never move a refusal, and the keys they hold (profiles and
+    # successors) plus that peak stay within the budget
+    G = build_graph([20, 6])
+    want = count_colorings(G, G.full_set(), 3, method="backtracking").count
+    assert transfer_count(G, 3, state_budget=24).count == want
+    with pytest.raises(ResourceLimitError):
+        transfer_count(G, 3, state_budget=23)
+    masks, _ = allowed_masks(G, G.full_set(), 3, Constraint.free())
+    for budget in (24, 30, 48, 100, 500_000):
+        plan = _TransferPlan(G, masks, 3)
+        assert _transfer(plan, budget) == want
+        held = sum(len(t) + sum(map(len, t.values())) for t in plan.tables)
+        assert held + 24 <= budget, budget
+    # given room, every slot's table holds the profiles it meets
+    assert len(plan.tables) == 6 and all(plan.tables)
+
+
+def test_transfer_layer_order_needs_no_coordinate_table():
+    G = build_graph([40, 6])
+    t = transfer_count(G, 3).count
+    assert "coordinates" not in G.__dict__
+    assert t == count_colorings(G, G.full_set(), 3, method="backtracking").count
+
+
 def _shared_column_masks(rng, G, cells, q):
     """Nonempty per-cell masks under which some colors share columns.
 
@@ -462,6 +533,21 @@ def test_backtracking_cache_budget():
     with pytest.raises(ResourceLimitError):
         count_colorings(T, T.full_set(), 3)
 
+
+def test_a_search_leaves_no_reference_cycle():
+    # the search's cache goes with its count, refused or not: nothing is
+    # left for the garbage collector to find
+    G = build_graph([3, 3, 3])
+    want = transfer_count(G, 3).count
+    gc.collect()
+    gc.disable()
+    try:
+        assert count_colorings(G, G.full_set(), 3, method="backtracking").count == want
+        with pytest.raises(ResourceLimitError):
+            count_colorings(G, G.full_set(), 3, method="backtracking", state_budget=10)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 def test_stars_count_in_closed_form():
     # a plus, one cell and its 2d neighbors, is a star: under a pattern
@@ -912,7 +998,8 @@ def test_counter_masks_that_leave_no_coloring():
 
 
 def _reachable(functions, root):
-    """The module functions a function's body names, transitively, itself included."""
+    """The module functions and classes a function's or class's body names,
+    transitively, itself included (a class's body holds its methods)."""
     seen, todo = set(), [root]
     while todo:
         name = todo.pop()
@@ -926,11 +1013,13 @@ def _reachable(functions, root):
 
 def test_the_two_engines_share_no_function():
     # the digit-for-digit agreement tests compare two independent engines
-    # only while no exact.py function is reachable from both
+    # only while no exact.py function or class is reachable from both; the
+    # fold reaches its plan's class (and so its methods) by its annotation
     tree = ast.parse((Path(__file__).resolve().parent.parent / "src" / "chroma" / "exact.py")
                      .read_text())
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     counter = _reachable(functions, "_count_backtrack")
     transfer = _reachable(functions, "_transfer")
-    assert "_relabel" in transfer
+    assert {"_relabel", "_TransferPlan"} <= transfer
     assert counter & transfer == set()
