@@ -161,7 +161,8 @@ def _layout(
     cells: list[int], G: LatticeGraph, masks: list[int], q: int
 ) -> tuple[list[int], list[int]]:
     """The counter's bitsets over ``cells``, bit i standing for ``cells[i]``:
-    each cell's neighbors among them, and ``sets[c]``, the cells whose mask
+    each cell's neighbors among them that share a color of its mask (an
+    idle edge constrains nothing), and ``sets[c]``, the cells whose mask
     holds color c + 1."""
     bit = {v: 1 << i for i, v in enumerate(cells)}.get
     neighbors = G.neighbors
@@ -173,6 +174,11 @@ def _layout(
             bits |= bit(u, 0)
         nbr.append(bits)
         cells_by_mask[masks[v]] = cells_by_mask.get(masks[v], 0) | bit(v)
+    if len(cells_by_mask) > 1:
+        # per mask, the cells whose masks share a color with it (the sum of
+        # disjoint bitsets is their union): an edge to any other is idle
+        meets = {m: sum(b for n, b in cells_by_mask.items() if n & m) for m in cells_by_mask}
+        nbr = [bits & meets[masks[v]] for v, bits in zip(cells, nbr)]
     sets = [0] * q
     for mask, bits in cells_by_mask.items():
         for c in range(q):
@@ -251,14 +257,17 @@ def _count_backtrack(
     masks: list[int],
     q: int,
     budget: int = 500_000,
-) -> int:
+    root_only: bool = False,
+) -> int | None:
     """Component-caching search over per-cell color masks, after the rules
-    that need no search.
+    that need no search; with ``root_only``, None where a search is left.
 
     The domain's cells are taken in ascending ids, and cells and masks
     become integer bitsets over that order (``_layout``): ``nbr[i]`` holds
-    cell i's neighbors and ``sets[c]`` the cells that may still take color
-    c + 1.  On that layout three rules count what needs no search.  Two are
+    cell i's neighbors that share a color with it, so a cut that leaves
+    two neighbors disjoint masks splits them apart, and ``sets[c]`` the
+    cells that may still take color c + 1.  On that layout three rules
+    count what needs no search.  Two are
     chromatic-polynomial rules (Read, J. Combin. Theory 4, 1968).  A
     pendant cell, one with a single neighbor left, whose mask holds every
     color of that neighbor's has |mask| - 1 colors left whatever the
@@ -341,6 +350,8 @@ def _count_backtrack(
         searched.append(part)
     if not to_search:
         return total
+    if root_only:
+        return None
     # every cell left: the ascending ids are the domain's own list
     cells = (order if to_search == (1 << m) - 1
              else [order[i] for i in _bits_to_ids(to_search, m)])
@@ -727,12 +738,19 @@ def _count_masked(
     """Count the domain's colorings under per-cell masks with one engine.
 
     The engine choice for ``method='auto'`` (see ``count_colorings``) is
-    made here and nowhere else.
+    made here and nowhere else.  A box bound for the transfer engine whose
+    masks differ (so not a free box) first runs the counter's root rules,
+    and a count they finish is the counter's.
     """
     whole = domain.bits == (1 << G.n) - 1
     if method == "auto":
-        auto_transfer = whole and not all(G.periodic) and G.n > 16
-        method = "transfer" if auto_transfer else "backtracking"
+        method = "backtracking"
+        if whole and not all(G.periodic) and G.n > 16:
+            if feasible and len(set(masks)) > 1:
+                total = _count_backtrack(G, domain, masks, q, root_only=True)
+                if total is not None:
+                    return CountResult(total, method)
+            method = "transfer"
     if method == "transfer":
         if not whole:
             raise PreconditionError("transfer counting covers whole boxes only")
@@ -774,15 +792,19 @@ def count_colorings(
 
     method 'auto' uses the cell-by-cell transfer engine when the domain is
     the whole box, a non-periodic axis exists and the box has more than 16
-    cells, otherwise the component-caching counter.  With its profiles
-    keyed up to color relabelling the transfer engine is ahead on every
-    whole box tried (free q=3, process time, best of ten runs on a shared
-    2-core machine, transfer against counter: 7x7 0.0008 s against 0.0092 s,
-    3x3x3 0.0008 s against 0.0023 s, 8x12 0.0027 s against 0.023 s, 10x12
-    0.014 s against 0.12 s, 12x12 0.076 s against 0.61 s).  Its cost is
-    set by the cross-section, the counter's by a cache that the budget
-    caps.  state_budget caps the transfer engine's live canonical
-    profiles and the counter's cache entries; passing it raises
+    cells, unless the box's masks differ and the counter's root rules leave
+    nothing to search; otherwise the component-caching counter.  With its
+    profiles keyed up to color relabelling the transfer engine is ahead on
+    every free box tried (q=3, process time, best of ten runs on a shared
+    2-core machine, transfer against counter: 7x7 0.0009 s against 0.0066 s,
+    3x3x3 0.0010 s against 0.0028 s, 8x12 0.0032 s against 0.029 s, 10x12
+    0.017 s against 0.15 s).  The counter drops the edges a cut leaves
+    idle: the q=3 pattern box 3x3x3 is one star to it (0.0001 s against
+    0.0002 s), and a q=4 droplet count of ``toy_ratio`` in 5x5x5 takes it
+    0.0003 s where the transfer engine passes its budget.  The transfer
+    engine's cost is set by the cross-section, the counter's by a cache
+    that the budget caps.  state_budget caps the transfer engine's live
+    canonical profiles and the counter's cache entries; passing it raises
     ResourceLimitError.
     """
     constraint = constraint or Constraint.free()
@@ -905,7 +927,10 @@ def toy_ratio(
     per-interface bound: ((q-2)/q)^{|vertex boundary of U|} for even q,
     ((q-1)/(q+1))^{|edge boundary of U| / 2d} for odd q.  Both counts
     cut the free masks by ``_pattern_cut`` (U^+ to p, (domain minus U)^+
-    to p0) and use the engine that ``count_colorings`` would choose.
+    to p0) and use the engine that ``count_colorings`` would choose.  Two
+    neighbors cut to one pattern share no color, so few edges stay and the
+    counter's root rules finish most of these counts, which auto then
+    gives the counter.
     """
     q = p0.q
     if p.q != q:

@@ -438,6 +438,24 @@ def test_edge_count_artifacts_pinned(args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 
+# sha256 of the stdout of each command, recorded when the counter first
+# dropped the edges whose cells share no color and auto let it finish these
+# boxes; before that the transfer engine refused them at its state budget
+# (exit code 2), so no earlier stdout exists
+@pytest.mark.parametrize("dims, ratio, digest", [
+    ("5,5,5", "1/128", "7ffb502ddb70e41f307a8173e9345aadacc63d08195dab6eeab2e351a35357ff"),
+    ("8,8,8", "1/128", "f34b644996bbd0a3a813033f713f0d4ff29ecd914e6b8c680adff2aebe173adf"),
+    ("4,4,4,4", "1/512", "e468c223c7a9f81c8ba6b42cbfb346005dfbe3cad43e13babbe21b3f0d644cf6"),
+])
+def test_toy_ratio_in_three_and_four_dimensions_pinned(dims, ratio, digest):
+    code, out = run_cli(["toy-ratio", "--dims", dims, "--q", "4", "--pattern0", "A=1,2;B=3,4",
+                         "--pattern", "A=1,3;B=2,4", "--droplet", "center"])
+    assert code == 0
+    doc = json.loads(out)["toy_ratio"]
+    assert (doc["ratio"], doc["verdict"]) == (ratio, "equal")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
 @pytest.mark.parametrize("command, cfg", [
     ("exact-count", {"dims": [2, 2], "q": True}),
     ("marginal", {"dims": [3, 3], "q": 3, "vertex": True}),

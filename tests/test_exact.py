@@ -22,6 +22,9 @@ from chroma.errors import (
 from chroma.exact import (
     Constraint,
     _count_backtrack,
+    _count_masked,
+    _layout,
+    _pattern_cut,
     _transfer,
     _TransferPlan,
     allowed_masks,
@@ -34,7 +37,7 @@ from chroma.exact import (
     tv_distance,
 )
 from chroma.lattice import build_graph, closed_neighborhood
-from chroma.patterns import Pattern
+from chroma.patterns import Pattern, enumerate_dominant
 from chroma.rng import make_rng
 
 import oracles
@@ -673,6 +676,125 @@ def test_the_search_order_follows_the_cells_left_to_search():
     cells += [G.vid((r, 0)) for r in range(2, 13)]
     got = count_colorings(G, G.vertex_set(cells), 3, method="backtracking", state_budget=100)
     assert got.count == transfer_count(build_graph([2, 10]), 3).count * 2 ** 11
+
+
+def _idle_edge_masks(G, rng, kind, q):
+    """Whole-box masks with many idle edges, whose two cells share no color.
+
+    'cuts': each cell cut to one of two dominant patterns or left free;
+    'pins': a pattern boundary plus three pins that leave a coloring;
+    'pairs': every cell two random colors.  Returns the masks and their
+    feasibility.
+    """
+    full = (1 << q) - 1
+    if kind == "pairs":
+        masks = []
+        for _ in range(G.n):
+            a, b = rng.choice(q, size=2, replace=False).tolist()
+            masks.append(1 << a | 1 << b)
+        return masks, True
+    pats = enumerate_dominant(q)
+    p0, p = (pats[i] for i in rng.choice(len(pats), size=2, replace=False))
+    if kind == "cuts":
+        side = rng.integers(0, 3, size=G.n).tolist()
+        masks = _pattern_cut(G, [full] * G.n, G.vertex_set(v for v in range(G.n) if side[v] == 0), p)
+        masks = _pattern_cut(G, masks, G.vertex_set(v for v in range(G.n) if side[v] == 1), p0)
+        return masks, True
+    feasible = False
+    while not feasible:   # pins drawn until no two clash
+        pins = {int(v): int(rng.integers(1, q + 1))
+                for v in rng.choice(G.n, size=3, replace=False)}
+        masks, feasible = allowed_masks(G, G.full_set(), q,
+                                        Constraint(p0, tuple(sorted(pins.items()))))
+    return masks, feasible
+
+
+def test_idle_edges_leave_the_counter_and_every_count_stays_exact():
+    # fixed-seed masks in d = 2 and 3 where many neighbors share no color:
+    # the counter's layout links exactly the neighbors whose masks meet, and
+    # the counter, the transfer engine and auto agree with each other, and
+    # with enumeration on the small boxes, every count under a budget
+    rng = make_rng(4601)
+    graphs = [((3, 4), (False, False), True), ((2, 2, 3), (False,) * 3, True),
+              ((4, 3), (True, False), True), ((6, 5), (False, False), False),
+              ((3, 3, 3), (False,) * 3, False), ((4, 2, 4), (False, True, False), False)]
+    edges = idle = 0
+    for dims, periodic, small in graphs:
+        G = build_graph(dims, periodic)
+        cells = list(range(G.n))
+        for kind in ("cuts", "pins", "pairs"):
+            for q in (3, 4, 5):
+                if kind == "pairs" and q == 3:
+                    continue
+                masks, feasible = _idle_edge_masks(G, rng, kind, q)
+                nbr, _ = _layout(cells, G, masks, q)
+                for v in cells:
+                    near = set(G.neighbors[v])
+                    assert nbr[v] == sum(1 << u for u in near if masks[u] & masks[v]), (dims, v)
+                    edges += len(near)
+                    idle += sum(not masks[u] & masks[v] for u in near)
+                counts = {method: _count_masked(G, G.full_set(), q, masks, feasible, method,
+                                                state_budget=20_000).count
+                          for method in ("backtracking", "transfer", "auto")}
+                assert len(set(counts.values())) == 1, (dims, kind, q, counts)
+                if small:
+                    enumerated = sum(1 for _ in enumerate_colorings(G, G.full_set(), masks))
+                    assert counts["auto"] == enumerated, (dims, kind, q)
+    assert idle > edges // 3, (idle, edges)
+
+
+def test_auto_counts_a_box_with_the_counter_when_nothing_is_left_to_search(monkeypatch):
+    # the 3x3x3 q=3 pattern box: the cut leaves the centre and its six
+    # neighbors one star, so the counter's root rules finish it; the
+    # 3x3x4 one keeps two linked interior cells to search and stays with
+    # the transfer engine, and so do free boxes
+    c = Constraint.pattern_boundary(Pattern.make(3, [1], [2, 3]))
+    G = build_graph([3, 3, 3])
+    auto = count_colorings(G, G.full_set(), 3, c)
+    assert auto.method == "backtracking"
+    assert auto.count == transfer_count(G, 3, c).count == 8192
+    G = build_graph([3, 3, 4])
+    assert count_colorings(G, G.full_set(), 3, c).method == "transfer"
+    assert (count_colorings(G, G.full_set(), 3, c).count
+            == count_colorings(G, G.full_set(), 3, c, "backtracking").count)
+    # a box whose masks are all one value is never probed
+    monkeypatch.setattr(exact, "_count_backtrack", None)
+    for dims in ((3, 3, 3), (7, 7), (3, 3, 4)):
+        G = build_graph(dims)
+        got = count_colorings(G, G.full_set(), 3)
+        assert got.method == "transfer" and got.count == transfer_count(G, 3).count
+
+
+def _droplets(G, centre, k):
+    """Every connected set of at most k cells holding ``centre``."""
+    layer = {frozenset([centre])}
+    out = list(layer)
+    for _ in range(k - 1):
+        layer = {s | {u} for s in layer for v in s for u in G.neighbors[v] if u not in s}
+        out += layer
+    return out
+
+
+@pytest.mark.parametrize("dims, q, k", [
+    ((7, 7), 4, 4), ((5, 5, 5), 3, 3), ((5, 5, 5), 4, 3), ((5, 5, 5), 5, 2),
+    ((5, 5, 5, 5), 4, 2),
+])
+def test_droplet_ratios_never_exceed_the_bound(dims, q, k):
+    # every connected droplet through the centre with at most k cells, in a
+    # sea of the last dominant pattern, against every other dominant
+    # pattern: no ratio lies above the sharp per-interface bound, and it
+    # meets the bound exactly where expected_equality says it does
+    G = build_graph(dims)
+    *others, p0 = enumerate_dominant(q)
+    verdicts = set()
+    for drop in _droplets(G, G.vid(tuple(x // 2 for x in dims)), k):
+        U = G.vertex_set(drop)
+        for p in others:
+            r = toy_ratio(G, G.full_set(), U, p0, p)
+            assert r.verdict != "above", (dims, q, sorted(drop), p)
+            assert (r.verdict == "equal") == r.expected_equality, (dims, q, sorted(drop), p)
+            verdicts.add(r.verdict)
+    assert verdicts == {"equal", "below"}
 
 
 def test_marginal_four_cycle_uniform():
