@@ -266,6 +266,95 @@ def test_trees_and_alike_rings_of_any_depth_are_counted():
         assert count_colorings(B, rim, q).count == (q - 1) ** 1196 + (q - 1), q
 
 
+def _free_root(G, cells, q):
+    """The counter's root total of the cells under free masks, None where a
+    search is left."""
+    masks = [(1 << q) - 1] * G.n
+    return _count_backtrack(G, G.vertex_set(cells), masks, q, root_only=True)
+
+
+def test_counter_matches_brute_force_on_connected_free_subdomains():
+    # fixed-seed connected sets of up to 10 cells grown from a random cell,
+    # where series-parallel parts close at the root and the rest is searched
+    rng = make_rng(4701)
+    shapes = [((4, 4), (False, False)), ((3, 5), (False, False)), ((4, 4), (True, False)),
+              ((3, 3, 3), (False,) * 3), ((2, 3, 4), (False, False, True))]
+    closed = searched = 0
+    for dims, periodic in shapes:
+        G = build_graph(dims, periodic)
+        for _ in range(12):
+            q = int(rng.integers(2, 5))
+            size = int(rng.integers(4, 11))
+            members = {int(rng.integers(0, G.n))}
+            while len(members) < size:
+                frontier = sorted({u for v in members for u in G.neighbors[v]} - members)
+                members.add(frontier[int(rng.integers(0, len(frontier)))])
+            cells = sorted(members)
+            want = oracles.brute_force_count(dims, periodic, cells, q)
+            assert count_colorings(G, G.vertex_set(cells), q).count == want, (dims, cells, q)
+            root = _free_root(G, cells, q)
+            assert root in (None, want), (dims, cells, q)
+            closed += root is not None
+            searched += root is None
+    assert closed >= 20 and searched >= 5, (closed, searched)
+
+
+def test_free_ladders_close_at_the_root():
+    # the 2 x L ladder has q (q-1) (q^2 - 3q + 3)^(L-1) proper colorings; it
+    # is series-parallel, so the root closes it at any length, past the
+    # recursion limit a search would hit
+    for L in (1, 2, 3, 4, 7, 40, 2000):
+        G = build_graph([2, L])
+        cells = range(G.n)
+        for q in range(2, 6):
+            want = q * (q - 1) * (q * q - 3 * q + 3) ** (L - 1)
+            assert _free_root(G, cells, q) == want, (L, q)
+
+
+def test_thetas_and_flowers_close_at_the_root():
+    G = build_graph([3, 5])
+    H = build_graph([3, 3, 3])
+    ladder = [G.vid(x) for x in itertools.product(range(2), range(3))]
+    rim = [G.vid(x) for x in itertools.product(range(3), range(5)) if x[0] != 1 or x[1] in (0, 4)]
+    flower = [G.vid(x) for x in [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)]]
+    flower3 = [H.vid(x) for x in [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0),
+                                  (1, 1, 1), (1, 2, 0), (1, 2, 1)]]
+    parts = [
+        (G, ladder),                      # a theta: paths of 1, 3 and 3 edges
+        (G, rim + [G.vid((1, 2))]),       # K_{2,3}-like: three paths of 2, 6 and 6
+        (G, flower),                      # two 4-cycles sharing (1, 1)
+        (H, flower3),                     # the same in two planes of 3-D
+        (G, ladder + [G.vid((2, 1)), G.vid((2, 2))]),   # a theta and a 4-cycle on one edge
+    ]
+    for K, cells in parts:
+        dims, periodic = K.dims, K.periodic
+        # brute force enumerates q^cells assignments: at most 2 million
+        for q in (q for q in range(2, 6) if q ** len(cells) <= 2_000_000):
+            want = oracles.brute_force_count(dims, periodic, sorted(cells), q)
+            assert _free_root(K, sorted(cells), q) == want, (cells, q)
+            # one cell cut to two colors: the cells are no longer alike, so
+            # the root leaves the part to the search
+            masks = [(1 << q) - 1] * K.n
+            masks[cells[-1]] = 0b11
+            allowed = {v: {k + 1 for k in range(q) if masks[v] >> k & 1} for v in cells}
+            domain = K.vertex_set(cells)
+            if q > 2:
+                assert _count_backtrack(K, domain, masks, q, root_only=True) is None
+            assert _count_backtrack(K, domain, masks, q) == oracles.brute_force_count(
+                dims, periodic, sorted(cells), q, allowed=allowed), (cells, q)
+
+
+def test_parts_with_a_k4_minor_are_searched():
+    # the 2 x 2 x 2 cube and the 3 x 3 grid leave no cell of two neighbors
+    # after the reductions, so the root leaves them to the search
+    for dims in ((2, 2, 2), (3, 3)):
+        G = build_graph(dims)
+        for q in (3, 4):
+            assert _free_root(G, range(G.n), q) is None
+            assert (count_colorings(G, G.full_set(), q, method="backtracking").count
+                    == oracles.brute_force_count(dims, (False,) * len(dims), list(range(G.n)), q))
+
+
 @st.composite
 def _domains_and_masks(draw):
     """A lattice, 1-12 of its cells, q and nonempty masks for the cells.

@@ -12,15 +12,21 @@ failed op stops the script with exit code 1.  It prints one JSON line per op
 kind, in the order the kinds first occur: the kind, its op count, and the
 minimum over the passes of the kind's summed milliseconds, unscaled (the
 first pass also builds the graphs' lazy tables, so take two or more).  The
-last line gives the pass sum: the sum of those minima.  To compare two trees,
+next line gives the pass sum: the sum of those minima.  The last line gives
+perfbench's three latency figures in process, unscaled, from each op's
+median over the passes: their sum (``wall_ms``, as ``wall_s``), the median
+of the ops perfbench times for latency (``op_p50_ms``) and its tail op, the
+11th slowest (``op_tail_ms``, by perfbench's own ``run.tail``).  So a move
+of ``op_p50_ms`` shows here before a perfbench round.  To compare two trees,
 run the script on each in turn, alternating, several times.  Standard
-library only; nothing imports this.
+library and the tree's ``perfbench/`` only; nothing imports this.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from collections import Counter
@@ -38,25 +44,34 @@ def main() -> None:
         ap.error("--passes must be at least 1")
     tree = args.tree.resolve()
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    import run
     import workloads
 
     ops = workloads.build_exact(SEED).ops
     counts = Counter(op.kind for op in ops)   # kinds in order of first occurrence
     best = dict.fromkeys(counts, float("inf"))
+    times: list[list[float]] = [[] for _ in ops]   # per op, its time in each pass
     for done in range(args.passes):
         spent = dict.fromkeys(counts, 0.0)
-        for op in ops:
+        for op, seen in zip(ops, times):
             t0 = time.process_time()
             result = op.call()
-            spent[op.kind] += time.process_time() - t0
+            dt = time.process_time() - t0
+            spent[op.kind] += dt
+            seen.append(dt)
             if not done and not op.check(result):
                 sys.exit(f"failed op: {op.kind}")
         for kind, s in spent.items():
             best[kind] = min(best[kind], s)
+    medians = [statistics.median(seen) for seen in times]
+    latencies = [t for op, t in zip(ops, medians) if op.latency]
     for kind, s in best.items():
         print(json.dumps({"kind": kind, "ops": counts[kind], "min_ms": round(s * 1e3, 3)}))
     print(json.dumps({"pass_sum_ms": round(sum(best.values()) * 1e3, 3),
-                      "passes": args.passes, "tree": str(tree)}), flush=True)
+                      "passes": args.passes, "tree": str(tree)}))
+    print(json.dumps({"wall_ms": round(sum(medians) * 1e3, 3),
+                      "op_p50_ms": round(statistics.median(latencies) * 1e3, 4),
+                      "op_tail_ms": round(run.tail(latencies)[0] * 1e3, 4)}), flush=True)
 
 
 if __name__ == "__main__":
