@@ -31,7 +31,6 @@ from .errors import (
 from .lattice import (
     LatticeGraph,
     VertexSet,
-    _bit_chars,
     _bits_to_ids,
     boundary_cells,
     boundary_edge_count,
@@ -96,7 +95,25 @@ _set_pattern, _set_pins = Constraint._setters
 def allowed_masks(
     G: LatticeGraph, domain: VertexSet, q: int, constraint: Constraint
 ) -> tuple[list[int], bool]:
-    """Per-vertex color bitmasks for the domain; second value is feasibility.
+    """``_domain_masks`` scattered over every vertex id, 0 off the domain,
+    with its refusals and feasibility.  The only list of a mask per cell of
+    the box (the sampler's layout and ``enumerate_colorings`` read it); a
+    count reads the domain's masks alone, so its cost follows the domain.
+    """
+    masks, feasible = _domain_masks(G, domain, q, constraint)
+    if len(masks) == G.n:
+        return masks, feasible
+    out = [0] * G.n
+    for v, mask in zip(_bits_to_ids(domain.bits, G.n), masks):
+        out[v] = mask
+    return out, feasible
+
+
+def _domain_masks(
+    G: LatticeGraph, domain: VertexSet, q: int, constraint: Constraint | None
+) -> tuple[list[int], bool]:
+    """Each domain cell's color bitmask, in ascending ids, and feasibility;
+    a constraint of None is free.
 
     Pins inside the domain force single colors; pins outside it knock
     their color out of adjacent domain cells.  A negative q, a q past the
@@ -106,52 +123,59 @@ def allowed_masks(
     zero, not an error.  When the constraint has a pattern, ``_pattern_cut``
     cuts the boundary cells to its side; the pins apply on top.  A dominant
     side is never empty, so only pins can make a pattern boundary infeasible.
+    The cells cut are found from the domain's bitmaps and the pins'
+    neighbors, so the cost follows the domain, not the box.
     """
     if q < 0:
         raise ConfigError(f"q must be >= 0, got {q}")
     if q > MAX_COLORS:
         raise ConfigError(f"q must be at most {MAX_COLORS}, got {q}")
-    G.own(domain)
-    P = constraint.pattern
+    bits = G.own(domain)
+    P, pins = (constraint.pattern, dict(constraint.pins)) if constraint else (None, {})
     if P is not None and P.q != q:
         raise _not_dominant_for(P, q)
-    full = (1 << q) - 1
-    # one character per vertex, "1" inside: linear in the cell count, where
-    # testing or iterating the bits of an n-bit int one at a time is not
-    inside = _bit_chars(domain)
-    masks = [full if b == "1" else 0 for b in inside]
-    feasible = True
-    if P is not None:
-        masks = _pattern_cut(G, masks, boundary_cells(G, domain), P)
-    pins = dict(constraint.pins)
     for v, c in pins.items():
         if not 0 <= v < G.n:
             raise ConfigError(f"pinned vertex {v} outside 0..{G.n - 1}")
         if not 1 <= c <= q:
             raise ConfigError(f"pinned color {c} outside 1..{q}")
-    for v, c in pins.items():
-        bit = 1 << (c - 1)
-        if inside[v] == "1":
-            masks[v] &= bit
-        # a pin's table neighbors, -1 where a face clips (a repeat changes nothing)
-        for u in G.neighbor_table[:, v].tolist():
-            if u in pins:
-                if pins[u] == c:
-                    feasible = False
-            elif u >= 0 and inside[u] == "1":
-                masks[u] &= ~bit
-    # every cell outside the domain holds 0, so an empty domain cell is one 0 too many
-    if masks.count(0) > G.n - len(domain):
-        feasible = False
-    return masks, feasible
+    masks = [(1 << q) - 1] * bits.bit_count()
+    feasible = True
+    if P is not None or pins:
+        at = _places(G, bits, len(masks))
+        if P is not None:
+            masks = _pattern_cut(G, masks, boundary_cells(G, domain), P, at)
+        for v, c in pins.items():
+            bit = 1 << (c - 1)
+            if v in at:
+                masks[at[v]] &= bit
+            # a pin's table neighbors, -1 where a face clips (a repeat changes nothing)
+            for u in G.neighbor_table[:, v].tolist():
+                if u in pins:
+                    feasible &= pins[u] != c
+                elif u in at:
+                    masks[at[u]] &= ~bit
+    return masks, feasible and 0 not in masks
 
 
-def _pattern_cut(G: LatticeGraph, masks: list[int], U: VertexSet, P: Pattern) -> list[int]:
-    """``masks`` with each cell of U cut to P's side for its parity; linear
-    in the cell count, one ``_bit_chars`` character per cell."""
-    sides = {p: P.side_for_parity(int(p)) for p in "01"}
-    return [m & sides[p] if b == "1" else m
-            for m, b, p in zip(masks, _bit_chars(U), _bit_chars(G.odd))]
+def _places(G: LatticeGraph, bits: int, m: int) -> range | dict[int, int]:
+    """Each cell of an m-cell domain by vertex id, to its place among the
+    domain's masks: the ids themselves (a range) for the whole box."""
+    return range(G.n) if m == G.n else dict(zip(_bits_to_ids(bits, G.n), range(m)))
+
+
+def _pattern_cut(G: LatticeGraph, masks: list[int], U: VertexSet, P: Pattern,
+                 at: range | dict[int, int] | None = None) -> list[int]:
+    """``masks`` with each cell of U cut to P's side for its parity: the
+    domain's masks, U's cells in the domain placed by ``at`` (``_places``),
+    or with no ``at`` every cell's by vertex id.  Linear in U's cells after
+    a few bitmap steps."""
+    cut = masks.copy()
+    for parity, part in enumerate((U.bits & G.even.bits, U.bits & G.odd.bits)):
+        side = P.side_for_parity(parity)
+        for v in _bits_to_ids(part, G.n):
+            cut[v if at is None else at[v]] &= side
+    return cut
 
 
 # -- backtracking engine -------------------------------------------------------
@@ -160,25 +184,25 @@ def _pattern_cut(G: LatticeGraph, masks: list[int], U: VertexSet, P: Pattern) ->
 def _layout(
     cells: list[int], G: LatticeGraph, masks: list[int], q: int
 ) -> tuple[list[int], list[int]]:
-    """The counter's bitsets over ``cells``, bit i standing for ``cells[i]``:
-    each cell's neighbors among them that share a color of its mask (an
-    idle edge constrains nothing), and ``sets[c]``, the cells whose mask
-    holds color c + 1."""
+    """The counter's bitsets over ``cells``, bit i standing for ``cells[i]``,
+    whose mask is ``masks[i]``: each cell's neighbors among them that share
+    a color of its mask (an idle edge constrains nothing), and ``sets[c]``,
+    the cells whose mask holds color c + 1."""
     bit = {v: 1 << i for i, v in enumerate(cells)}.get
     neighbors = G.neighbors
     nbr = []
     cells_by_mask: dict[int, int] = {}
-    for v in cells:
+    for v, mask in zip(cells, masks):
         bits = 0
         for u in neighbors[v]:
             bits |= bit(u, 0)
         nbr.append(bits)
-        cells_by_mask[masks[v]] = cells_by_mask.get(masks[v], 0) | bit(v)
+        cells_by_mask[mask] = cells_by_mask.get(mask, 0) | bit(v)
     if len(cells_by_mask) > 1:
         # per mask, the cells whose masks share a color with it (the sum of
         # disjoint bitsets is their union): an edge to any other is idle
         meets = {m: sum(b for n, b in cells_by_mask.items() if n & m) for m in cells_by_mask}
-        nbr = [bits & meets[masks[v]] for v, bits in zip(cells, nbr)]
+        nbr = [bits & meets[mask] for mask, bits in zip(masks, nbr)]
     sets = [0] * q
     for mask, bits in cells_by_mask.items():
         for c in range(q):
@@ -380,9 +404,13 @@ def _count_backtrack(
     most ``budget`` entries (the ``state_budget`` of ``count_colorings``),
     one per distinct component searched.
 
+    ``masks`` holds the domain's masks (``_domain_masks``), or every
+    cell's (``allowed_masks``), which the root gathers to the domain's.
     Every mask is nonempty on entry; the count is exact.
     """
     order = _bits_to_ids(domain.bits, G.n)
+    if len(masks) != len(order):
+        masks = [masks[v] for v in order]
     nbr, sets = _layout(order, G, masks, q)
     m = len(order)
     total = 1
@@ -394,9 +422,9 @@ def _count_backtrack(
         if not near or near & (near - 1):
             continue
         j = near.bit_length() - 1
-        if masks[order[j]] & ~masks[order[i]]:
+        if masks[j] & ~masks[i]:
             continue   # the neighbor allows a color the cell does not
-        total *= masks[order[i]].bit_count() - 1
+        total *= masks[i].bit_count() - 1
         live ^= 1 << i
         far = nbr[j] & live
         if far and not far & (far - 1):
@@ -425,7 +453,8 @@ def _count_backtrack(
              else [order[i] for i in _bits_to_ids(to_search, m)])
     static = _axis_order(G, cells)
     if static != cells:
-        nbr, sets = _layout(static, G, masks, q)
+        mask_of = dict(zip(order, masks))
+        nbr, sets = _layout(static, G, [mask_of[v] for v in static], q)
         m = len(static)
         searched = ([(1 << m) - 1] if len(searched) == 1
                     else [part for part, _ in _split((1 << m) - 1, nbr)])
@@ -803,14 +832,15 @@ def _count_masked(
     method: str = "auto",
     state_budget: int = 500_000,
 ) -> CountResult:
-    """Count the domain's colorings under per-cell masks with one engine.
+    """Count the domain's colorings under its masks with one engine.
 
     The engine choice for ``method='auto'`` (see ``count_colorings``) is
     made here and nowhere else.  A box bound for the transfer engine whose
     masks differ (so not a free box) first runs the counter's root rules,
-    and a count they finish is the counter's.
+    and a count they finish is the counter's.  ``masks`` are the domain's
+    (``_domain_masks``): a whole box's are by vertex id.
     """
-    whole = domain.bits == (1 << G.n) - 1
+    whole = len(masks) == G.n
     if method == "auto":
         method = "backtracking"
         if whole and not all(G.periodic) and G.n > 16:
@@ -874,12 +904,14 @@ def count_colorings(
     The transfer engine's cost is set by the cross-section, the counter's
     by a cache that the budget caps.  state_budget caps the transfer
     engine's live canonical profiles and the counter's cache entries;
-    passing it raises ResourceLimitError.
+    passing it raises ResourceLimitError.  The count reads the masks of
+    the domain's cells alone (``_domain_masks``), so its cost follows the
+    domain, not the box; only ``allowed_masks`` builds a mask per cell of
+    the box.
     """
-    constraint = constraint or Constraint.free()
     if method not in ("auto", "backtracking", "transfer"):
         raise ConfigError(f"unknown counting method {method!r}")
-    masks, feasible = allowed_masks(G, domain, q, constraint)
+    masks, feasible = _domain_masks(G, domain, q, constraint)
     return _count_masked(G, domain, q, masks, feasible, method, state_budget)
 
 
@@ -912,27 +944,30 @@ def exact_marginal(
     takes one count, with v's mask cut to the class's first color, and
     the last shares what is left of 1.  A color outside v's mask has
     probability 0.  So a pinned v, or a v whose colors are all alike,
-    takes the total count alone.
+    takes the total count alone.  Each count reads the domain's masks
+    alone, so its cost follows the domain; only ``allowed_masks`` builds
+    a mask per cell of the box.
     """
-    G.own(domain)
+    bits = G.own(domain)
     v = index(v)   # a numpy integer is stored as the int it stands for
     if v not in domain:
         raise PreconditionError(f"vertex {v} is outside the domain")
-    masks, feasible = allowed_masks(G, domain, q, constraint or Constraint.free())
+    masks, feasible = _domain_masks(G, domain, q, constraint)
     total = _count_masked(G, domain, q, masks, feasible).count
     if total == 0:
         raise UndefinedMeasureError("no proper coloring satisfies the constraint")
+    at = (bits & ((1 << v) - 1)).bit_count()   # v's place among the domain's ids
     distinct = set(masks)
     classes: dict[tuple[int, ...], list[int]] = {}
     for c in range(q):
-        if masks[v] >> c & 1:
+        if masks[at] >> c & 1:
             classes.setdefault(tuple(m >> c & 1 for m in distinct), []).append(c)
     *counted, last = classes.values()
     probs = [Fraction(0)] * q
     left = Fraction(1)
     for alike in counted:
         cut = masks.copy()
-        cut[v] = 1 << alike[0]
+        cut[at] = 1 << alike[0]
         prob = Fraction(_count_masked(G, domain, q, cut, True).count, total)
         left -= prob * len(alike)
         for c in alike:
@@ -995,11 +1030,13 @@ def toy_ratio(
     empty droplet, and compares the exact ratio against the sharp
     per-interface bound: ((q-2)/q)^{|vertex boundary of U|} for even q,
     ((q-1)/(q+1))^{|edge boundary of U| / 2d} for odd q.  Both counts
-    cut the free masks by ``_pattern_cut`` (U^+ to p, (domain minus U)^+
-    to p0) and use the engine that ``count_colorings`` would choose.  Two
-    neighbors cut to one pattern share no color, so few edges stay and the
-    counter's root rules finish most of these counts, which auto then
-    gives the counter.
+    cut the domain's free masks by ``_pattern_cut`` (U^+ to p, the part of
+    (domain minus U)^+ in the domain to p0) and use the engine that
+    ``count_colorings`` would choose.  They read the domain's masks alone,
+    so their cost follows the domain; only ``allowed_masks`` builds a mask
+    per cell of the box.  Two neighbors cut to one pattern share no color,
+    so few edges stay and the counter's root rules finish most of these
+    counts, which auto then gives the counter.
     """
     q = p0.q
     if p.q != q:
@@ -1009,14 +1046,13 @@ def toy_ratio(
     if not closed_neighborhood(G, U).issubset(domain):
         raise PreconditionError("U^+ must be inside the domain")
 
-    free, _ = allowed_masks(G, domain, q, Constraint.free())
+    free, _ = _domain_masks(G, domain, q, None)
+    at = _places(G, domain.bits, len(free))
 
     def droplet_count(drop: VertexSet) -> int:
-        # cells off the domain hold 0 and keep it under every cut
-        masks = _pattern_cut(G, free, closed_neighborhood(G, drop), p)
-        masks = _pattern_cut(G, masks, closed_neighborhood(G, domain - drop), p0)
-        feasible = masks.count(0) == G.n - len(domain)
-        return _count_masked(G, domain, q, masks, feasible).count
+        masks = _pattern_cut(G, free, closed_neighborhood(G, drop), p, at)
+        masks = _pattern_cut(G, masks, closed_neighborhood(G, domain - drop) & domain, p0, at)
+        return _count_masked(G, domain, q, masks, 0 not in masks).count
 
     n_empty = droplet_count(G.empty_set())
     if n_empty == 0:

@@ -185,18 +185,20 @@ def _foreign(U: VertexSet, owner: int) -> PreconditionError:
 def _bits_to_ids(bits: int, n: int) -> list[int]:
     """The ids of an n-bit bitmap's set bits, ascending, as Python ints.
 
-    A walk over the set bits takes one pass over the bitmap per id, and an
+    A walk over the set bits takes one pass per id over the bits from the
+    lowest id up, so a few ids far up a large box cost what they span; an
     unpack to one flag per cell takes one pass after a fixed numpy cost of
-    a few microseconds; so up to 16 ids walk and more unpack, linear in n
-    either way.
+    a few microseconds.  So up to 16 ids walk and more unpack.
     """
-    if bits.bit_count() > 16:
+    base = (bits & -bits).bit_length() - 1 if bits else 0
+    rest = bits >> base
+    if rest.bit_count() > 16:
         return _id_array(bits, n).tolist()
     out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
+    while rest:
+        low = rest & -rest
+        out.append(base + low.bit_length() - 1)
+        rest ^= low
     return out
 
 
@@ -251,11 +253,6 @@ def _unpack(U: VertexSet) -> np.ndarray:
     """Membership of each vertex id in U, as a boolean array."""
     raw = np.frombuffer(U.bits.to_bytes((U.n + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(raw, count=U.n, bitorder="little").view(bool)
-
-
-def _bit_chars(U: VertexSet) -> str:
-    """U's membership as one "0"/"1" character per vertex id, ascending."""
-    return format(U.bits, f"0{U.n}b")[::-1]
 
 
 class LatticeGraph:
@@ -611,9 +608,11 @@ def vertex_boundaries(G: LatticeGraph, U: VertexSet) -> tuple[VertexSet, VertexS
 
 
 def boundary_cells(G: LatticeGraph, domain: VertexSet) -> VertexSet:
-    """Cells of the domain facing its complement or a non-periodic face."""
-    internal, _, _ = vertex_boundaries(G, domain)
-    return internal | (domain & G.rim)
+    """Cells of the domain facing its complement or a non-periodic face:
+    its internal vertex boundary and its rim cells."""
+    bits = G.own(domain)
+    both = reduce(operator.or_, _edge_maps(G, bits), 0)
+    return VertexSet(bits & (both | G.rim.bits), G.n)
 
 
 def _sublattice_identity(G: LatticeGraph, U: VertexSet) -> tuple[int, int, int, bool]:

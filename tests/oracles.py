@@ -148,6 +148,37 @@ def weak_approximation(dims, periodic, W: set[int], sets: list[set[int]]):
     return known, fringe
 
 
+def constraint_colors(dims, periodic, domain, q, sides=None, pins=None):
+    """Each domain cell's allowed colors under a boundary constraint, read
+    off the definitions, and whether the constraint is feasible.
+
+    ``sides`` is a dominant pattern's (even side, odd side) as color sets,
+    or None; ``pins`` maps vertex ids, in the domain or not, to colors.  A
+    domain cell with a neighbor outside the domain, or a coordinate on a
+    non-periodic face, takes the side of its parity.  A pinned domain cell
+    keeps only its pin's color; an unpinned one loses the color of every
+    pinned neighbor.  Two neighboring pins of one color, or a cell left with
+    no color, make the constraint infeasible.
+    """
+    members = set(domain)
+    pins = pins or {}
+    out = {}
+    for v in domain:
+        cs = coords_of(dims, v)
+        nbrs = neighbors_of(dims, periodic, v)
+        colors = set(range(1, q + 1))
+        face = any(not periodic[a] and c in (0, dims[a] - 1) for a, c in enumerate(cs))
+        if sides is not None and (face or any(u not in members for u in nbrs)):
+            colors &= set(sides[sum(cs) % 2])
+        if v in pins:
+            colors &= {pins[v]}
+        else:
+            colors -= {pins[u] for u in nbrs if u in pins}
+        out[v] = colors
+    clash = any(pins.get(u) == c for v, c in pins.items() for u in neighbors_of(dims, periodic, v))
+    return out, not clash and all(out.values())
+
+
 def brute_force_count(dims, periodic, domain: list[int], q: int,
                       allowed: dict[int, set[int]] | None = None,
                       chunk: int = 1 << 18) -> int:

@@ -1,12 +1,13 @@
 """Time each op kind of perfbench's ``exact`` workload in one interpreter.
 
-    python3 tools/exact_ops.py [--tree PATH] [--passes N]
+    python3 tools/exact_ops.py [--tree PATH] [--passes N] [--seed N]
 
 Run from anywhere; ``--tree`` is a checkout of this repository (default: the
 one holding this script).  The script imports ``chroma`` from the tree's
 ``src/`` and builds the ``exact`` op list with the tree's
-``perfbench/workloads.py`` at perfbench's default seed, changing nothing
-there.  It then runs the op list ``--passes`` times, timing every op with
+``perfbench/workloads.py`` at ``--seed`` (default: perfbench's default
+seed; perfbench's held-out seed checks a claim), changing nothing there.
+It then runs the op list ``--passes`` times, timing every op with
 ``time.process_time``, and checks each op's result in the first pass; a
 failed op stops the script with exit code 1.  It prints one JSON line per op
 kind, in the order the kinds first occur: the kind, its op count, and the
@@ -39,6 +40,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tree", type=Path, default=Path(__file__).resolve().parent.parent)
     ap.add_argument("--passes", type=int, default=7)
+    ap.add_argument("--seed", type=int, default=SEED)
     args = ap.parse_args()
     if args.passes < 1:
         ap.error("--passes must be at least 1")
@@ -47,7 +49,7 @@ def main() -> None:
     import run
     import workloads
 
-    ops = workloads.build_exact(SEED).ops
+    ops = workloads.build_exact(args.seed).ops
     counts = Counter(op.kind for op in ops)   # kinds in order of first occurrence
     best = dict.fromkeys(counts, float("inf"))
     times: list[list[float]] = [[] for _ in ops]   # per op, its time in each pass
