@@ -19,8 +19,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from operator import index, itemgetter
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .errors import (
     ConfigError,
@@ -557,6 +560,14 @@ def enumerate_colorings(
 
 # -- transfer-matrix engine ----------------------------------------------------
 
+# A cycle of repeating layers is frozen into gathers only from this many
+# live profiles at its start.  Whole boxes, replay against none, in
+# process: those freezing 2 to 5 profiles took up to 49 % more time, 8 to
+# 10 from 12 % less to 14 % more (short boxes lose: 7x5 +14 %, 12x5
+# -12 %), and 16 to 64 from 12 % to 55 % less (7x6, the free 7x7 box, the
+# exact workload's strips 6x12 to 8x12).  Its slabs freeze at most 3.
+REPLAY_FROM = 12
+
 
 class _TransferPlan:
     """What ``_transfer`` does at each cell, worked out once per count.
@@ -576,7 +587,9 @@ class _TransferPlan:
     and, once two of them lie past the first layer, a table from profile
     to successor keys (``tables`` lists them).  A first-layer profile
     still has empty slots, so no later step meets it, and the first layer
-    gets no table.
+    gets no table.  A layer whose steps are those of the layer one or two
+    before it (``repeats``) makes the same map as that layer, which
+    ``_transfer`` may replay; ``replayed`` lists the layers it ran so.
     """
 
     def __init__(self, G: LatticeGraph, masks: list[int], q: int):
@@ -646,6 +659,19 @@ class _TransferPlan:
                 entry[1] = {}
                 self.tables.append(entry[1])
             steps.append((i, near[i], around[i], mask, entry, entry[2]))
+        self.replayed: list[int] = []   # the layers _transfer ran as gathers
+
+    @cached_property
+    def repeats(self) -> list[int]:
+        """Per layer, the smaller p of 1 and 2 such that its steps are
+        those of the layer p before it (the same entries) and no merge
+        relabels at its end, or 0."""
+        s = self.s
+        ids = [id(step[4]) for step in self.steps]
+        rows = [ids[k:k + s] for k in range(0, len(ids), s)]
+        return [0 if (layer + 1) * s in self.merges else 1 if layer and row == rows[layer - 1]
+                else 2 if layer > 1 and row == rows[layer - 2] else 0
+                for layer, row in enumerate(rows)]
 
     def classes_after(self, k: int) -> list[tuple[int, int]]:
         """Runs [a, b) of interchangeable colors once k cells are added."""
@@ -718,6 +744,20 @@ def _transfer(plan: _TransferPlan, state_budget: int) -> int:
     neighbor colors met and kept by the colors of the neighbor slots,
     never more keys than live profiles, and the classes change at most
     q - 1 times.
+
+    A layer whose steps are those of the layer p = 1 or 2 before it
+    (``plan.repeats``), and whose profiles are the ones that layer started
+    from, begins a cycle of p layers that maps that set to itself.  From
+    ``REPLAY_FROM`` live profiles, and when the cycle comes twice more,
+    ``_replay_maps`` freezes it from the tables, and every layer that
+    repeats it runs as ``take`` and ``np.add.reduceat`` on an object array
+    of the counts (Python ints, so exact) until the first that does not (a
+    pattern's far face, a pin, a merge), where the dict is rebuilt.  The
+    maps are charged like table entries and built only if they fit beside
+    the tables and the largest live map; a replay stores nothing and grows
+    no live map, so every refusal falls where it would without it.  After
+    a freeze that does not fit, or whose tables lack a profile, none is
+    tried.
     """
     s, q, heads, merges = plan.s, plan.q, plan.heads, plan.merges
     full = (1 << s) - 1
@@ -725,10 +765,51 @@ def _transfer(plan: _TransferPlan, state_budget: int) -> int:
     moves = plan.moves_after(0)
     limit = state_budget   # less what the table entries and a step's store are charged
     peak = 0   # the largest live map so far
-    for k, (i, nbrs, around, mask, (options, table, uses), use) in enumerate(plan.steps, 1):
+    sizes = [0] * len(plan.steps)   # the live map before each step
+    back = [None, None]   # the maps at the last two layer starts (None while replaying)
+    cur = None   # while replaying, the counts by position in the layer's start keys
+    # a freeze needs two layers before its cycle and three from its start,
+    # and once one fails none is tried again
+    tries = len(plan.steps) >= 5 * s
+    steps = enumerate(plan.steps, 1)
+    for k, (i, nbrs, around, mask, (options, table, uses), use) in steps:
+        if tries and not i:   # a layer starts: keep replaying, stop, or freeze a cycle
+            layer = (k - 1) // s
+            if cur is not None and plan.repeats[layer] != period:
+                counts = dict(zip(starts[(layer - first) % period], cur.tolist()))
+                cur = maps = starts = None
+            # layers layer - p to layer - 1 led from these profiles back to
+            # them, so the same steps repeat that map, with the same live
+            # maps: frozen if the cycle comes twice more (a freeze costs
+            # about two table layers per layer) and its maps, charged like
+            # table entries, fit beside the tables and the largest live map
+            if (cur is None and len(counts) >= REPLAY_FROM
+                    and 2 <= layer <= len(plan.steps) // s - 3 and (p := plan.repeats[layer])
+                    and plan.repeats[layer:layer + 3 * p] == [p] * (3 * p)
+                    and (prior := back[(layer - p) % 2]) is not None
+                    and counts.keys() == prior.keys()):
+                charge = sum(n * (1 + step[3].bit_count()) for n, step in
+                             zip(sizes[(layer - p) * s:layer * s], plan.steps[layer * s:]))
+                frozen = _replay_maps(plan, layer, p, list(counts)) if charge <= limit - peak else None
+                if frozen is None:
+                    tries = False
+                else:
+                    (maps, starts), period, first = frozen, p, layer
+                    cur = np.array(list(counts.values()), dtype=object)
+            back[layer % 2] = counts if cur is None else None
+            if cur is not None:   # replay the layer and skip its other steps
+                plan.replayed.append(layer)
+                at = (layer - first) % period * s
+                for order, groups in maps[at:at + s]:
+                    cur = np.add.reduceat(cur.take(order), groups)
+                for _ in range(s - 1):
+                    next(steps)
+                continue
         keep = ~(heads << i)
         if len(counts) > peak:
             peak = len(counts)
+        if tries:
+            sizes[k - 1] = len(counts)
         # the table takes every profile of the step it does not hold, or none,
         # and nothing at its last use, which no later step reads; an entry is
         # charged for its profile and for each color the step allows
@@ -793,7 +874,38 @@ def _transfer(plan: _TransferPlan, state_budget: int) -> int:
             moves = plan.moves_after(k)
             nxt = _relabel(nxt, plan.classes_after(k), s, q, i)
         counts = nxt
-    return sum(counts.values())
+    return sum(counts.values() if cur is None else cur.tolist())
+
+
+def _replay_maps(
+    plan: _TransferPlan, layer: int, p: int, keys: list[int]
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[list[int]]] | None:
+    """Per step of layers layer to layer + p - 1 from ``keys``, the
+    positions of each successor's predecessors (one per key its table
+    lists) grouped by successor, and the groups' starts; and each layer's
+    start keys.  Successors are numbered as they first occur, the last
+    step's as ``keys``.  None when a table lacks a profile.
+    """
+    s = plan.s
+    maps, starts = [], []
+    for k in range(layer * s, (layer + p) * s):
+        if k % s == 0:
+            starts.append(keys)
+        table = plan.steps[k][4][1]
+        groups = {key: [] for key in starts[0]} if k == (layer + p) * s - 1 else {}
+        for a, key in enumerate(keys):
+            succ = table.get(key)
+            if succ is None:
+                return None
+            for b in succ:
+                groups.setdefault(b, []).append(a)
+        order, at = [], []
+        for group in groups.values():
+            at.append(len(order))
+            order += group
+        maps.append((np.array(order, np.intp), np.array(at, np.intp)))
+        keys = list(groups)
+    return maps, starts
 
 
 def _relabel(
@@ -894,10 +1006,10 @@ def count_colorings(
     nothing to search; otherwise the component-caching counter.  With its
     profiles keyed up to color relabelling the transfer engine is ahead on
     every free box tried (q=3, process time, best of ten runs on a shared
-    2-core machine, transfer against counter: 7x7 0.0009 s against 0.0066 s,
-    3x3x3 0.0010 s against 0.0028 s, 8x12 0.0032 s against 0.029 s, 10x12
-    0.017 s against 0.15 s, and 2x400, which the counter closes at its root
-    without a search, 0.0012 s against 0.0024 s).  The counter drops the
+    2-core machine, transfer against counter: 7x7 0.0007 s against 0.0062 s,
+    3x3x3 0.0009 s against 0.0027 s, 8x12 0.0015 s against 0.029 s, 10x12
+    0.0065 s against 0.15 s, and 2x400, which the counter closes at its root
+    without a search, 0.0014 s against 0.0026 s).  The counter drops the
     edges a cut leaves idle: the q=3 pattern box 3x3x3 is one star to it
     (0.0001 s against 0.0002 s), and a q=4 droplet count of ``toy_ratio``
     in 5x5x5 takes it 0.0003 s where the transfer engine passes its budget.

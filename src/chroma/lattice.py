@@ -643,6 +643,8 @@ def _grow(G: LatticeGraph, bits: int, seed: int, power: int) -> int:
     """Component of the seed bits within a bitmap under distance-<=power adjacency."""
     if power < 1:
         raise PreconditionError("power must be >= 1")
+    if seed and bits == (1 << G.n) - 1:
+        return bits   # a box or torus is connected at every power
     comp = frontier = seed
     while frontier:
         reach = _neighbor_bits(G, frontier) if power == 1 else _expand_bits(G, frontier, power)

@@ -565,6 +565,109 @@ def test_transfer_tables_share_the_state_budget():
     assert len(plan.tables) == 6 and all(plan.tables)
 
 
+def _replayed(G, q, c=None, state_budget=500_000):
+    """The transfer count of the whole box and the layers it replayed."""
+    masks, _ = allowed_masks(G, G.full_set(), q, c)
+    plan = _TransferPlan(G, masks, q)
+    return _transfer(plan, state_budget), plan.replayed
+
+
+def test_transfer_replays_repeating_layers_exactly():
+    # every box here replays some layers as gathers; a pattern's far face
+    # ends its replay, and a pin's layers stop one that starts again past them
+    q3, q4 = Pattern.make(3, [1], [2, 3]), Pattern.make(4, [1, 2], [3, 4])
+    G5, G6 = build_graph([20, 5]), build_graph([20, 6])
+    # strips wide enough to hold REPLAY_FROM live profiles
+    cases = [((length, 6 if q == 3 else 5), (False, False), q, Constraint.free())
+             for q in (3, 4, 5) for length in (11, 20)]
+    cases += [
+        ((20, 8), (False, False), 3, Constraint.pattern_boundary(q3)),
+        ((16, 5), (False, False), 4, Constraint.pattern_boundary(q4)),
+        ((20, 6), (False, False), 3, Constraint.pinned({G6.vid((8, 2)): 1})),
+        ((20, 5), (False, False), 4, Constraint.pinned({G5.vid((9, 1)): 1, G5.vid((9, 3)): 2})),
+        ((16, 8), (False, True), 3, Constraint.free()),
+        ((10, 4, 2), (False, True, True), 3, Constraint.free()),
+    ]
+    for dims, periodic, q, c in cases:
+        G = build_graph(dims, periodic)
+        got, replayed = _replayed(G, q, c)
+        b = count_colorings(G, G.full_set(), q, c, method="backtracking")
+        assert got == b.count > 0, (dims, periodic, q, c)
+        assert replayed, (dims, periodic, q, c)
+        if c.pattern:
+            assert replayed[-1] < dims[0] - 1
+        if c.pins:
+            runs = [b for a, b in zip([-2] + replayed, replayed) if b != a + 1]
+            assert len(runs) == 2, replayed
+
+
+def test_transfer_replay_stops_where_the_layers_stop_repeating():
+    # masks no constraint makes, against the counter: column 0 alternates
+    # {1, 2} and {1, 3} for ten layers and then keeps {1, 2} (column 4 keeps
+    # {1, 3}, so no classes merge before the last layer), and a replay of
+    # period 2 meets layer 11, which repeats the one before it; then column 4
+    # alone holds {1, 2} for ten layers, whose classes merge at the end of
+    # layer 9, which ends a replay of period 1
+    G = build_graph([20, 5])
+    alternate, merge = [7] * G.n, [7] * G.n
+    for layer in range(20):
+        alternate[G.vid((layer, 0))] = 3 if layer >= 10 or layer % 2 == 0 else 5
+        alternate[G.vid((layer, 4))] = 5
+        merge[G.vid((layer, 4))] = 3 if layer < 10 else 7
+    for masks, repeats, stop in ((alternate, [0, 0, 0] + [2] * 8 + [1] * 8 + [0], 11),
+                                 (merge, [0, 0] + [1] * 7 + [0, 0] + [1] * 9, 9)):
+        plan = _TransferPlan(G, masks, 3)
+        assert plan.repeats == repeats
+        assert _transfer(plan, 500_000) == _count_backtrack(G, G.full_set(), masks, 3)
+        assert stop - 1 in plan.replayed and stop not in plan.replayed, plan.replayed
+
+
+def test_transfer_replays_no_slab_of_the_exact_workload():
+    # perfbench's slabs have too few layers or profiles for a replay to pay
+    ref = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
+                      / "reference.json").read_text())
+    p0 = Pattern.make(3, ref["slab_pattern"]["A"], ref["slab_pattern"]["B"])
+    for slab in ref["slabs"]:
+        G = build_graph(slab["dims"])
+        c = {"free": Constraint.free(), "pattern": Constraint.pattern_boundary(p0)}.get(
+            slab["constraint"]) or Constraint.pinned({int(v): col for v, col in slab["pins"].items()})
+        got, replayed = _replayed(G, 3, c)
+        assert got == int(slab["count"]) and replayed == [], slab
+
+
+def test_transfer_replay_shares_the_state_budget(monkeypatch):
+    # a 20 x 6 strip at q = 3 peaks at 24 live profiles; its tables are
+    # charged 544 states and its replay maps 544 more, so replay engages
+    # from 24 + 544 + 544 = 1112 states and never moves a refusal
+    G = build_graph([20, 6])
+    want = count_colorings(G, G.full_set(), 3, method="backtracking").count
+    built, build = [], exact._replay_maps
+
+    def keep(*args):
+        built.append(maps := build(*args))
+        return maps
+
+    monkeypatch.setattr(exact, "_replay_maps", keep)
+    assert _replayed(G, 3, state_budget=24) == (want, [])
+    with pytest.raises(ResourceLimitError):
+        _replayed(G, 3, state_budget=23)
+    assert _replayed(G, 3, state_budget=1111) == (want, [])
+    for budget in (1112, 2000, 500_000):
+        built.clear()
+        masks, _ = allowed_masks(G, G.full_set(), 3, Constraint.free())
+        plan = _TransferPlan(G, masks, 3)
+        assert _transfer(plan, budget) == want
+        assert plan.replayed == list(range(2, 20)) and len(built) == 1
+        held = sum(len(t) + sum(map(len, t.values())) for t in plan.tables)
+        maps = sum(len(order) + len(groups) for order, groups in built[0][0])
+        assert held + maps + 24 <= budget, budget
+    # at 200 states a 16 x 8 tube empties its tables before its freeze, and
+    # a table lacks a profile there: the count goes on without replay
+    T = build_graph([16, 8], [False, True])
+    want = count_colorings(T, T.full_set(), 3, method="backtracking").count
+    assert _replayed(T, 3, state_budget=200) == (want, [])
+
+
 def test_transfer_layer_order_needs_no_coordinate_table():
     G = build_graph([40, 6])
     t = transfer_count(G, 3).count

@@ -14,6 +14,7 @@ from chroma.lattice import (
     _at_least,
     _edge_maps,
     _fold_slots,
+    _grow,
     _ids_to_bits,
     _images,
     _neighbor_bits,
@@ -214,6 +215,30 @@ def oracle_samples(n, seed):
         p = rng.random()
         samples.append({v for v in range(n) if rng.random() < p})
     return samples
+
+
+@pytest.mark.parametrize("dims,periodic", SHIFT_GRAPHS)
+def test_floods_match_a_step_by_step_flood(dims, periodic):
+    # a flood of every cell returns at once, so the oracle's breadth-first
+    # flood checks that boxes and tori (a side of 1 included) are connected
+    # at both powers; floods of other sets take their steps as before
+    G = build_graph(dims, periodic)
+    full = (1 << G.n) - 1
+    rng = random.Random(23)
+    for members in oracle_samples(G.n, 29):
+        bits = G.vertex_set(members).bits
+        seeds = [0, bits & -bits, bits and 1 << bits.bit_length() - 1]
+        seeds += [bits & rng.getrandbits(G.n) for _ in range(3)]
+        for power in (1, 2):
+            comps = oracles.flood_components(dims, periodic, members, power)
+            if bits == full:
+                assert comps == [set(range(G.n))]
+            for seed in seeds:
+                want = seed
+                for comp in comps:
+                    if any(seed >> v & 1 for v in comp):
+                        want |= G.vertex_set(comp).bits
+                assert _grow(G, bits, seed, power) == want, (members, seed, power)
 
 
 @pytest.mark.parametrize("dims,periodic", SHIFT_GRAPHS)
