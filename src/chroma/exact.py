@@ -168,16 +168,15 @@ def _places(G: LatticeGraph, bits: int, m: int) -> range | dict[int, int]:
 
 
 def _pattern_cut(G: LatticeGraph, masks: list[int], U: VertexSet, P: Pattern,
-                 at: range | dict[int, int] | None = None) -> list[int]:
-    """``masks`` with each cell of U cut to P's side for its parity: the
-    domain's masks, U's cells in the domain placed by ``at`` (``_places``),
-    or with no ``at`` every cell's by vertex id.  Linear in U's cells after
-    a few bitmap steps."""
+                 at: range | dict[int, int]) -> list[int]:
+    """The domain's ``masks`` with each cell of U cut to P's side for its
+    parity, U's cells in the domain placed by ``at`` (``_places``).  Linear
+    in U's cells after a few bitmap steps."""
     cut = masks.copy()
     for parity, part in enumerate((U.bits & G.even.bits, U.bits & G.odd.bits)):
         side = P.side_for_parity(parity)
         for v in _bits_to_ids(part, G.n):
-            cut[v if at is None else at[v]] &= side
+            cut[at[v]] &= side
     return cut
 
 
@@ -407,13 +406,10 @@ def _count_backtrack(
     most ``budget`` entries (the ``state_budget`` of ``count_colorings``),
     one per distinct component searched.
 
-    ``masks`` holds the domain's masks (``_domain_masks``), or every
-    cell's (``allowed_masks``), which the root gathers to the domain's.
-    Every mask is nonempty on entry; the count is exact.
+    ``masks`` holds the domain's masks (``_domain_masks``), in ascending
+    ids.  Every mask is nonempty on entry; the count is exact.
     """
     order = _bits_to_ids(domain.bits, G.n)
-    if len(masks) != len(order):
-        masks = [masks[v] for v in order]
     nbr, sets = _layout(order, G, masks, q)
     m = len(order)
     total = 1
@@ -580,16 +576,15 @@ class _TransferPlan:
     the cell counts after which runs merge.  ``steps`` holds one entry per
     cell: its slot, the slots its earlier neighbors still occupy and every
     plane's bits at them, its mask spread to bit 0 of each allowed color's
-    plane, what it shares, and which use of that share past the first
-    layer it is.  Every layer repeats the first one's neighbor slots, so
-    between two merges the cells of one slot and mask make the same step:
-    they share one dict of moves by the colors their neighbor slots hold,
-    and, once two of them lie past the first layer, a table from profile
-    to successor keys (``tables`` lists them).  A first-layer profile
-    still has empty slots, so no later step meets it, and the first layer
-    gets no table.  A layer whose steps are those of the layer one or two
-    before it (``repeats``) makes the same map as that layer, which
-    ``_transfer`` may replay; ``replayed`` lists the layers it ran so.
+    plane, and its moves.  Every layer repeats the first one's neighbor
+    slots, so between two merges the cells of one slot and mask make the
+    same step: they share one dict of moves by the colors their neighbor
+    slots hold.  A layer whose steps are those of the layer one or two
+    before it (``repeats``) makes the same map as that layer: ``_transfer``
+    reads that layer's record (``records``, by step, each profile's
+    successor keys) and may replay the layer; ``replayed`` lists the
+    layers it ran so.  A first-layer profile still has empty slots, so no
+    later step meets it, and no layer repeats the first.
     """
 
     def __init__(self, G: LatticeGraph, masks: list[int], q: int):
@@ -637,40 +632,31 @@ class _TransferPlan:
                     near[i].append(j)
                     around[i] |= self.heads << j
         self.steps = steps = []
-        self.tables: list[dict[int, list[int]]] = []
         # per slot, by mask, since the last merge: the moves (the first
-        # layer's too, as its slot below is empty), the table, and the uses
-        # past the first layer
-        entries: list[dict[int, list]] = [{} for _ in range(s)]
+        # layer's too, as its slot below is empty)
+        shared: list[dict[int, dict]] = [{} for _ in range(s)]
         for k, v in enumerate(order):
             if k in merges:
-                entries = [{} for _ in range(s)]
+                shared = [{} for _ in range(s)]
             i = k % s
             mask = spread[masks[v]]
-            if k < s:
-                entries[i][mask] = entry = [{}, None, 0]
-                steps.append((i, near[i], around[i], mask, (entry[0], None, 0), 0))
-                continue
-            entry = entries[i].get(mask)
-            if entry is None:
-                entry = entries[i][mask] = [{}, None, 0]
-            entry[2] += 1
-            if entry[2] == 2:
-                entry[1] = {}
-                self.tables.append(entry[1])
-            steps.append((i, near[i], around[i], mask, entry, entry[2]))
+            options = shared[i].get(mask)
+            if options is None:
+                options = shared[i][mask] = {}
+            steps.append((i, near[i], around[i], mask, options))
+        self.records: dict[int, dict[int, list[int]]] = {}   # _transfer's, by step
         self.replayed: list[int] = []   # the layers _transfer ran as gathers
 
     @cached_property
     def repeats(self) -> list[int]:
         """Per layer, the smaller p of 1 and 2 such that its steps are
-        those of the layer p before it (the same entries) and no merge
-        relabels at its end, or 0."""
+        those of the layer p before it, not the first (the same moves), and
+        no merge relabels at its end, or 0."""
         s = self.s
         ids = [id(step[4]) for step in self.steps]
         rows = [ids[k:k + s] for k in range(0, len(ids), s)]
-        return [0 if (layer + 1) * s in self.merges else 1 if layer and row == rows[layer - 1]
-                else 2 if layer > 1 and row == rows[layer - 2] else 0
+        return [0 if (layer + 1) * s in self.merges else 1 if layer > 1 and row == rows[layer - 1]
+                else 2 if layer > 2 and row == rows[layer - 2] else 0
                 for layer, row in enumerate(rows)]
 
     def classes_after(self, k: int) -> list[tuple[int, int]]:
@@ -729,74 +715,70 @@ def _transfer(plan: _TransferPlan, state_budget: int) -> int:
     every profile is relabelled once and counts that land on one key are
     added.
 
-    A step with a table looks each profile up: one met before only adds
-    its count into the stored successor keys.  ``state_budget`` counts
-    canonical profiles: more than that many live at once raise
-    ResourceLimitError while the next map is being built.  The tables share
-    that budget, each entry charged one state for its profile and one for
-    each color its step allows (a bound on its successor keys), so table
-    keys and live profiles together stay within it.  A step stores the
-    profiles its table lacks, all or none: only if they fit beside the
-    entries stored and the largest live map so far, and never at the
-    table's last use, which no later step reads.  When the map being built
-    would not fit beside the tables, they are emptied, so a refusal falls
-    where it would with no tables.  The moves are built once per set of
-    neighbor colors met and kept by the colors of the neighbor slots,
-    never more keys than live profiles, and the classes change at most
-    q - 1 times.
+    A layer that repeats the one p = 1 or 2 before it (``plan.repeats``)
+    makes the same steps, so each of its steps reads the record that step
+    made p layers back: a profile met there only adds its count into the
+    recorded successor keys.  A layer is recorded only when a later layer
+    repeats it (never the first), each step whole or not at all.  Only
+    one layer reads a record (``repeats`` takes the smaller p), so it
+    goes once read; a recorded step takes it over, adding the profiles
+    it missed and removing those the step did not meet, so a converged
+    layer copies nothing.  ``state_budget`` counts canonical profiles:
+    more than that many live at once raise ResourceLimitError while the
+    next map is being built.  The records share that budget, each entry
+    charged one state for its profile and one for each color its step
+    allows (a bound on its successor keys).  A step is recorded only if
+    it fits beside the other records kept and the largest live map so
+    far (a record taken over holds, until its step ends, the profiles it
+    then loses), and when the map being built would not fit beside them
+    they are dropped, so a refusal falls where it would with none.  The
+    moves are built once per set of neighbor colors met and kept by the
+    colors of the neighbor slots, never more keys than live profiles,
+    and the classes change at most q - 1 times.
 
-    A layer whose steps are those of the layer p = 1 or 2 before it
-    (``plan.repeats``), and whose profiles are the ones that layer started
-    from, begins a cycle of p layers that maps that set to itself.  From
-    ``REPLAY_FROM`` live profiles, and when the cycle comes twice more,
-    ``_replay_maps`` freezes it from the tables, and every layer that
-    repeats it runs as ``take`` and ``np.add.reduceat`` on an object array
-    of the counts (Python ints, so exact) until the first that does not (a
-    pattern's far face, a pin, a merge), where the dict is rebuilt.  The
-    maps are charged like table entries and built only if they fit beside
-    the tables and the largest live map; a replay stores nothing and grows
-    no live map, so every refusal falls where it would without it.  After
-    a freeze that does not fit, or whose tables lack a profile, none is
-    tried.
+    A repeating layer whose profiles are the ones the layer p before it
+    started from begins a cycle of p layers that maps that set to itself.
+    From ``REPLAY_FROM`` live profiles, when the cycle comes twice more
+    and its records are whole, ``_replay_maps`` freezes it from them, the
+    records go, and every layer that repeats it runs as ``take`` and
+    ``np.add.reduceat`` on an object array of the counts (Python ints, so
+    exact) until the first that does not (a pattern's far face, a pin, a
+    merge), where the dict is rebuilt.  The maps are charged what the
+    cycle's records were, and a replay stores nothing and grows no live
+    map, so every refusal falls where it would without it.
     """
-    s, q, heads, merges = plan.s, plan.q, plan.heads, plan.merges
+    s, q, heads, merges, repeats = plan.s, plan.q, plan.heads, plan.merges, plan.repeats
     full = (1 << s) - 1
     counts = {0: 1}
     moves = plan.moves_after(0)
-    limit = state_budget   # less what the table entries and a step's store are charged
+    records = plan.records
+    read = {layer - p for layer, p in enumerate(repeats) if p}   # the layers recorded
+    limit = state_budget   # less what the records are charged
     peak = 0   # the largest live map so far
-    sizes = [0] * len(plan.steps)   # the live map before each step
-    back = [None, None]   # the maps at the last two layer starts (None while replaying)
     cur = None   # while replaying, the counts by position in the layer's start keys
-    # a freeze needs two layers before its cycle and three from its start,
-    # and once one fails none is tried again
-    tries = len(plan.steps) >= 5 * s
-    steps = enumerate(plan.steps, 1)
-    for k, (i, nbrs, around, mask, (options, table, uses), use) in steps:
-        if tries and not i:   # a layer starts: keep replaying, stop, or freeze a cycle
-            layer = (k - 1) // s
-            if cur is not None and plan.repeats[layer] != period:
+    steps = enumerate(plan.steps)
+    for k, (i, nbrs, around, mask, options) in steps:
+        if not i:   # a layer starts: keep replaying, stop, or freeze a cycle
+            layer = k // s
+            p = repeats[layer]
+            if cur is not None and p != period:
                 counts = dict(zip(starts[(layer - first) % period], cur.tolist()))
                 cur = maps = starts = None
             # layers layer - p to layer - 1 led from these profiles back to
             # them, so the same steps repeat that map, with the same live
-            # maps: frozen if the cycle comes twice more (a freeze costs
-            # about two table layers per layer) and its maps, charged like
-            # table entries, fit beside the tables and the largest live map
-            if (cur is None and len(counts) >= REPLAY_FROM
-                    and 2 <= layer <= len(plan.steps) // s - 3 and (p := plan.repeats[layer])
-                    and plan.repeats[layer:layer + 3 * p] == [p] * (3 * p)
-                    and (prior := back[(layer - p) % 2]) is not None
-                    and counts.keys() == prior.keys()):
-                charge = sum(n * (1 + step[3].bit_count()) for n, step in
-                             zip(sizes[(layer - p) * s:layer * s], plan.steps[layer * s:]))
-                frozen = _replay_maps(plan, layer, p, list(counts)) if charge <= limit - peak else None
-                if frozen is None:
-                    tries = False
-                else:
-                    (maps, starts), period, first = frozen, p, layer
-                    cur = np.array(list(counts.values()), dtype=object)
-            back[layer % 2] = counts if cur is None else None
+            # maps: frozen from their records if every step was recorded
+            # and the cycle comes twice more (a freeze costs about two
+            # folded layers per layer)
+            if (cur is None and p and len(counts) >= REPLAY_FROM
+                    and repeats[layer:layer + 3 * p] == [p] * (3 * p)
+                    and (cycle := range((layer - p) * s, layer * s))
+                    and all(j in records for j in cycle)
+                    and counts.keys() == records[cycle[0]].keys()):
+                maps, starts = _replay_maps([records[j] for j in cycle], list(counts), s)
+                records.clear()   # the maps take the records' place
+                old = new = None   # and the last step's record goes too
+                limit, period, first = state_budget, p, layer
+                cur = np.array(list(counts.values()), dtype=object)
             if cur is not None:   # replay the layer and skip its other steps
                 plan.replayed.append(layer)
                 at = (layer - first) % period * s
@@ -805,23 +787,29 @@ def _transfer(plan: _TransferPlan, state_budget: int) -> int:
                 for _ in range(s - 1):
                     next(steps)
                 continue
+            recorded = layer in read
         keep = ~(heads << i)
         if len(counts) > peak:
             peak = len(counts)
-        if tries:
-            sizes[k - 1] = len(counts)
-        # the table takes every profile of the step it does not hold, or none,
-        # and nothing at its last use, which no later step reads; an entry is
-        # charged for its profile and for each color the step allows
+        old = records.pop(k - p * s, None) if p else None   # read by this step alone
+        # a recorded step holds every profile it meets, each charged for
+        # itself and for each color the step allows; the record read is
+        # charged until the step ends, or until this step takes it over
         weight = 1 + mask.bit_count()
-        store = table is not None and use < uses and limit - peak >= len(counts) * weight
+        freed = len(old) * weight if old else 0
+        store = recorded and limit + freed - peak >= len(counts) * weight
         if store:
-            before = len(table)
-            limit -= len(counts) * weight
+            limit += freed - len(counts) * weight
+            freed = 0
+            # the record read becomes this one: it gains the profiles it
+            # misses, and at the end loses those the step did not meet
+            new = records[k] = {} if old is None else old
+        else:
+            new = None   # holds no record past its step
         nxt: dict[int, int] = {}
         get = nxt.get
         for profile, n in counts.items():
-            if table and (succ := table.get(profile)) is not None:
+            if old and (succ := old.get(profile)) is not None:
                 for key in succ:
                     nxt[key] = get(key, 0) + n
             else:
@@ -848,7 +836,7 @@ def _transfer(plan: _TransferPlan, state_budget: int) -> int:
                         opts = options[used] = (plain, turned)
                     options[met] = opts
                 if store:
-                    succ = table[profile] = []
+                    succ = new[profile] = []
                 base = profile & keep
                 for o in opts[0]:
                     key = base | o
@@ -865,39 +853,37 @@ def _transfer(plan: _TransferPlan, state_budget: int) -> int:
                     raise ResourceLimitError(
                         f"transfer profiles exceed the budget of {state_budget} states"
                     )
-                for t in plan.tables:
-                    t.clear()
-                limit, store = state_budget, False
-        if store:
-            limit += (len(counts) - (len(table) - before)) * weight
-        if k in merges:
-            moves = plan.moves_after(k)
-            nxt = _relabel(nxt, plan.classes_after(k), s, q, i)
+                # this step's own too, freed now, not when the step ends
+                records.clear()
+                limit, store, old, new, freed = state_budget, False, None, None, 0
+        if store and len(new) > len(counts):
+            for profile in [key for key in new if key not in counts]:
+                del new[profile]
+        limit += freed
+        if k + 1 in merges:
+            moves = plan.moves_after(k + 1)
+            nxt = _relabel(nxt, plan.classes_after(k + 1), s, q, i)
         counts = nxt
     return sum(counts.values() if cur is None else cur.tolist())
 
 
 def _replay_maps(
-    plan: _TransferPlan, layer: int, p: int, keys: list[int]
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[list[int]]] | None:
-    """Per step of layers layer to layer + p - 1 from ``keys``, the
-    positions of each successor's predecessors (one per key its table
-    lists) grouped by successor, and the groups' starts; and each layer's
-    start keys.  Successors are numbered as they first occur, the last
-    step's as ``keys``.  None when a table lacks a profile.
+    records: list[dict[int, list[int]]], keys: list[int], s: int
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[list[int]]]:
+    """Per step of a cycle of layers, from the steps' records and the keys
+    the cycle starts from: the positions of each successor's predecessors
+    (one per key its record lists) grouped by successor, and the groups'
+    starts; and each layer's start keys.  Successors are numbered as they
+    first occur, the last step's as ``keys``.
     """
-    s = plan.s
     maps, starts = [], []
-    for k in range(layer * s, (layer + p) * s):
+    last = len(records) - 1
+    for k, record in enumerate(records):
         if k % s == 0:
             starts.append(keys)
-        table = plan.steps[k][4][1]
-        groups = {key: [] for key in starts[0]} if k == (layer + p) * s - 1 else {}
+        groups = {key: [] for key in starts[0]} if k == last else {}
         for a, key in enumerate(keys):
-            succ = table.get(key)
-            if succ is None:
-                return None
-            for b in succ:
+            for b in record[key]:
                 groups.setdefault(b, []).append(a)
         order, at = [], []
         for group in groups.values():

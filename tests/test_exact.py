@@ -339,11 +339,18 @@ def test_trees_and_alike_rings_of_any_depth_are_counted():
         assert count_colorings(B, rim, q).count == (q - 1) ** 1196 + (q - 1), q
 
 
+def _by_id_count(G, cells, masks, q, **kw):
+    """``_count_backtrack`` over the cells, their masks gathered from a
+    list by vertex id (as ``allowed_masks`` gives) into the domain's order."""
+    return _count_backtrack(G, G.vertex_set(cells), [masks[v] for v in sorted(set(cells))],
+                            q, **kw)
+
+
 def _free_root(G, cells, q):
     """The counter's root total of the cells under free masks, None where a
     search is left."""
     masks = [(1 << q) - 1] * G.n
-    return _count_backtrack(G, G.vertex_set(cells), masks, q, root_only=True)
+    return _by_id_count(G, cells, masks, q, root_only=True)
 
 
 def test_counter_matches_brute_force_on_connected_free_subdomains():
@@ -410,10 +417,9 @@ def test_thetas_and_flowers_close_at_the_root():
             masks = [(1 << q) - 1] * K.n
             masks[cells[-1]] = 0b11
             allowed = {v: {k + 1 for k in range(q) if masks[v] >> k & 1} for v in cells}
-            domain = K.vertex_set(cells)
             if q > 2:
-                assert _count_backtrack(K, domain, masks, q, root_only=True) is None
-            assert _count_backtrack(K, domain, masks, q) == oracles.brute_force_count(
+                assert _by_id_count(K, cells, masks, q, root_only=True) is None
+            assert _by_id_count(K, cells, masks, q) == oracles.brute_force_count(
                 dims, periodic, sorted(cells), q, allowed=allowed), (cells, q)
 
 
@@ -462,7 +468,7 @@ def test_root_reductions_match_brute_force(instance):
     G = build_graph(dims, periodic)
     allowed = {v: {c + 1 for c in range(q) if masks[v] >> c & 1} for v in cells}
     want = oracles.brute_force_count(dims, periodic, cells, q, allowed=allowed)
-    assert _count_backtrack(G, G.vertex_set(cells), masks, q) == want
+    assert _by_id_count(G, cells, masks, q) == want
 
 
 def test_transfer_relabelled_profiles_fit_small_budget():
@@ -540,29 +546,53 @@ def test_transfer_steps_share_moves_only_between_merges():
     plan = _TransferPlan(G, masks, 3)
     assert plan.merges
     side = {}
-    for k, (*_, (options, _, _), _) in enumerate(plan.steps):
+    for k, (*_, options) in enumerate(plan.steps):
         merged = sum(m <= k for m in plan.merges)
         assert side.setdefault(id(options), merged) == merged, k
     assert len(side) < len(plan.steps)
 
 
-def test_transfer_tables_share_the_state_budget():
+class _HeldRecords(dict):
+    """A plan's ``records`` that remember the most keys (profiles and
+    their successor keys) they held at once, noted before each change."""
+
+    most = 0
+
+    def note(self):
+        self.most = max(self.most, sum(len(r) + sum(map(len, r.values())) for r in self.values()))
+
+    def __setitem__(self, k, record):
+        self.note()
+        super().__setitem__(k, record)
+
+    def pop(self, k, *default):
+        self.note()
+        return super().pop(k, *default)
+
+    def clear(self):
+        self.note()
+        super().clear()
+
+
+def test_transfer_records_share_the_state_budget():
     # a 20 x 6 strip at q = 3 has at most 24 live canonical profiles: the
-    # tables never move a refusal, and the keys they hold (profiles and
-    # successors) plus that peak stay within the budget
+    # records never move a refusal, and the keys they hold (profiles and
+    # successors) plus that peak stay within the budget at every step
     G = build_graph([20, 6])
     want = count_colorings(G, G.full_set(), 3, method="backtracking").count
     assert transfer_count(G, 3, state_budget=24).count == want
     with pytest.raises(ResourceLimitError):
         transfer_count(G, 3, state_budget=23)
     masks, _ = allowed_masks(G, G.full_set(), 3, Constraint.free())
-    for budget in (24, 30, 48, 100, 500_000):
+    for budget in (24, 30, 48, 100, 567):
         plan = _TransferPlan(G, masks, 3)
-        assert _transfer(plan, budget) == want
-        held = sum(len(t) + sum(map(len, t.values())) for t in plan.tables)
-        assert held + 24 <= budget, budget
-    # given room, every slot's table holds the profiles it meets
-    assert len(plan.tables) == 6 and all(plan.tables)
+        plan.records = held = _HeldRecords()
+        assert _transfer(plan, budget) == want and plan.replayed == []
+        held.note()
+        assert held.most + 24 <= budget, budget
+    # given room, layers are recorded, and each record goes once the step
+    # that repeats it has read it
+    assert held.most and held == {}
 
 
 def _replayed(G, q, c=None, state_budget=500_000):
@@ -622,6 +652,21 @@ def test_transfer_replay_stops_where_the_layers_stop_repeating():
         assert stop - 1 in plan.replayed and stop not in plan.replayed, plan.replayed
 
 
+def test_a_record_keeps_only_the_profiles_its_step_meets():
+    # masks no constraint makes: the last cell of layer 1 allows {1, 3},
+    # that of every other layer {1, 2}, so layer 3 meets fewer profiles
+    # than layer 2, whose record it reads and takes over; a record still
+    # holding the profiles layer 3 did not meet would never match its
+    # cycle's start, and the replay from layer 4 would not start
+    G = build_graph([16, 5])
+    masks = [7, 7, 7, 7, 3] * 16   # the layer's last cell {1, 2}
+    masks[9] = 5                    # and layer 1's {1, 3}
+    plan = _TransferPlan(G, masks, 3)
+    assert plan.repeats == [0, 0, 0] + [1] * 13
+    assert _transfer(plan, 500_000) == _count_backtrack(G, G.full_set(), masks, 3)
+    assert plan.replayed == list(range(4, 16))
+
+
 def test_transfer_replays_no_slab_of_the_exact_workload():
     # perfbench's slabs have too few layers or profiles for a replay to pay
     ref = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
@@ -636,9 +681,10 @@ def test_transfer_replays_no_slab_of_the_exact_workload():
 
 
 def test_transfer_replay_shares_the_state_budget(monkeypatch):
-    # a 20 x 6 strip at q = 3 peaks at 24 live profiles; its tables are
-    # charged 544 states and its replay maps 544 more, so replay engages
-    # from 24 + 544 + 544 = 1112 states and never moves a refusal
+    # a 20 x 6 strip at q = 3 peaks at 24 live profiles; the records of
+    # its cycle are charged 544 states, and its replay maps take their
+    # place, so replay engages from 24 + 544 = 568 states and never moves a
+    # refusal
     G = build_graph([20, 6])
     want = count_colorings(G, G.full_set(), 3, method="backtracking").count
     built, build = [], exact._replay_maps
@@ -651,21 +697,68 @@ def test_transfer_replay_shares_the_state_budget(monkeypatch):
     assert _replayed(G, 3, state_budget=24) == (want, [])
     with pytest.raises(ResourceLimitError):
         _replayed(G, 3, state_budget=23)
-    assert _replayed(G, 3, state_budget=1111) == (want, [])
-    for budget in (1112, 2000, 500_000):
+    assert _replayed(G, 3, state_budget=567) == (want, [])
+    for budget in (568, 2000, 500_000):
         built.clear()
         masks, _ = allowed_masks(G, G.full_set(), 3, Constraint.free())
         plan = _TransferPlan(G, masks, 3)
+        plan.records = held = _HeldRecords()
         assert _transfer(plan, budget) == want
         assert plan.replayed == list(range(2, 20)) and len(built) == 1
-        held = sum(len(t) + sum(map(len, t.values())) for t in plan.tables)
+        held.note()
         maps = sum(len(order) + len(groups) for order, groups in built[0][0])
-        assert held + maps + 24 <= budget, budget
-    # at 200 states a 16 x 8 tube empties its tables before its freeze, and
-    # a table lacks a profile there: the count goes on without replay
+        assert held.most + 24 <= budget and maps <= held.most, budget
+        assert held == {}   # the freeze released its cycle's records
+    # at 200 states the records of a 16 x 8 tube's cycle cannot all fit:
+    # the count goes on without replay
     T = build_graph([16, 8], [False, True])
     want = count_colorings(T, T.full_set(), 3, method="backtracking").count
     assert _replayed(T, 3, state_budget=200) == (want, [])
+    # a q = 3 pattern box reads several layers' records before its cycle
+    # comes round at layer 6, each taken over by the step that reads it or
+    # released: the cycle's records fit from 3195 states, and below that
+    # no cycle's do
+    B = build_graph([30, 8])
+    c = Constraint.pattern_boundary(Pattern.make(3, [1], [2, 3]))
+    want = transfer_count(B, 3, c).count
+    assert _replayed(B, 3, c, state_budget=3195) == (want, list(range(6, 29)))
+    assert _replayed(B, 3, c, state_budget=3194) == (want, [])
+
+
+def test_transfer_replay_starts_where_its_cycle_comes_round():
+    # q = 3 pattern boxes whose layers read their records: the replay
+    # starts once a layer's profiles are the ones the layer before started
+    # from, and stops at the far face; the 12 x 12 box's live set still
+    # grows when the far face comes, so it replays nothing
+    c = Constraint.pattern_boundary(Pattern.make(3, [1], [2, 3]))
+    for dims, layers in (((16, 12), range(8, 15)), ((40, 10), range(7, 39)),
+                         ((30, 8), range(6, 29)), ((12, 12), ())):
+        G = build_graph(dims)
+        got, replayed = _replayed(G, 3, c)
+        assert replayed == list(layers), dims
+        assert got == count_colorings(G, G.full_set(), 3, c, method="backtracking").count, dims
+
+
+def test_transfer_refusals_fall_at_the_live_peak():
+    # the smallest state_budget that counts each box, its peak of live
+    # canonical profiles: records and replay never move it
+    q3, q4 = Pattern.make(3, [1], [2, 3]), Pattern.make(4, [1, 2], [3, 4])
+    cases = [
+        ((8, 12), (), 3, None, 96),
+        ((7, 7), (), 4, None, 163),
+        ((20, 5), (), 3, Constraint.pattern_boundary(q3), 10),
+        ((16, 5), (), 4, Constraint.pattern_boundary(q4), 27),
+        ((12, 12), (), 3, Constraint.pattern_boundary(q3), 1254),
+        ((16, 6), (1,), 3, None, 24),
+        ((10, 4, 2), (1, 2), 3, None, 43),
+        ((16, 4, 4), (1, 2), 3, None, 1534),
+    ]
+    for dims, axes, q, c, least in cases:
+        G = build_graph(dims, [a in axes for a in range(len(dims))])
+        want = transfer_count(G, q, c).count
+        assert transfer_count(G, q, c, state_budget=least).count == want, dims
+        with pytest.raises(ResourceLimitError):
+            transfer_count(G, q, c, state_budget=least - 1)
 
 
 def test_transfer_layer_order_needs_no_coordinate_table():
@@ -712,7 +805,7 @@ def test_counter_matches_brute_force_under_random_masks():
                 cells = sorted(rng.choice(G.n, size=size, replace=False).tolist())
                 masks = _shared_column_masks(rng, G, cells, q)
                 allowed = {v: {c + 1 for c in range(q) if masks[v] >> c & 1} for v in cells}
-                got = _count_backtrack(G, G.vertex_set(cells), masks, q)
+                got = _by_id_count(G, cells, masks, q)
                 want = oracles.brute_force_count(dims, periodic, cells, q, allowed=allowed)
                 assert got == want, (dims, periodic, q, cells, masks)
 
@@ -914,7 +1007,7 @@ def test_the_search_order_follows_the_cells_left_to_search():
                 continue
             allowed = {v: {k + 1 for k in range(q) if masks[v] >> k & 1} for v in cells}
             want = oracles.brute_force_count(dims, periodic, cells, q, allowed=allowed)
-            assert _count_backtrack(G, G.vertex_set(cells), masks, q) == want, (dims, cells)
+            assert _by_id_count(G, cells, masks, q) == want, (dims, cells)
     # peeling (1, 1) turns the longest axis from 0 to 1
     G = build_graph([4, 4])
     cells = [G.vid(x) for x in [(1, 1), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2)]]
@@ -926,7 +1019,7 @@ def test_the_search_order_follows_the_cells_left_to_search():
             for v in cells:
                 masks[v] = int(rng.integers(1, 1 << q))
             allowed = {v: {k + 1 for k in range(q) if masks[v] >> k & 1} for v in cells}
-            assert _count_backtrack(G, G.vertex_set(cells), masks, q) == (
+            assert _by_id_count(G, cells, masks, q) == (
                 oracles.brute_force_count((4, 4), (False, False), cells, q, allowed=allowed))
     # whole boxes whose order is re-sorted, against the transfer engine
     for dims in ((2, 2, 3), (2, 3, 4), (3, 3, 4)):
@@ -962,8 +1055,9 @@ def _idle_edge_masks(G, rng, kind, q):
     p0, p = (pats[i] for i in rng.choice(len(pats), size=2, replace=False))
     if kind == "cuts":
         side = rng.integers(0, 3, size=G.n).tolist()
-        masks = _pattern_cut(G, [full] * G.n, G.vertex_set(v for v in range(G.n) if side[v] == 0), p)
-        masks = _pattern_cut(G, masks, G.vertex_set(v for v in range(G.n) if side[v] == 1), p0)
+        cut = [G.vertex_set(v for v in range(G.n) if side[v] == s) for s in (0, 1)]
+        masks = _pattern_cut(G, [full] * G.n, cut[0], p, range(G.n))
+        masks = _pattern_cut(G, masks, cut[1], p0, range(G.n))
         return masks, True
     feasible = False
     while not feasible:   # pins drawn until no two clash
@@ -1310,7 +1404,7 @@ def test_counter_matches_enumeration_on_small_random_domains():
                 masks = [0] * G.n
                 for v in cells:
                     masks[v] = int(rng.integers(1, 1 << q))
-                got = _count_backtrack(G, G.vertex_set(cells), masks, q)
+                got = _by_id_count(G, cells, masks, q)
                 want = _enumerated(G, cells, masks)
                 assert got == want, (dims, periodic, q, cells, masks)
                 seen_zero |= want == 0
@@ -1356,7 +1450,7 @@ def test_three_cell_paths_with_the_middle_anywhere_in_the_order():
                 masks = [0] * G.n
                 for v in cells:
                     masks[v] = int(rng.integers(1, 1 << q))
-                assert _count_backtrack(G, G.vertex_set(cells), masks, q) == _enumerated(
+                assert _by_id_count(G, cells, masks, q) == _enumerated(
                     G, cells, masks), (dims, periodic, cells, masks)
     assert places == {0, 1, 2}
 
@@ -1381,7 +1475,7 @@ def test_counter_masks_that_leave_no_coloring():
             masks[v] = m
         cells = sorted(chosen)
         assert _enumerated(G, cells, masks) == 0
-        assert _count_backtrack(G, G.vertex_set(cells), masks, 2) == 0, chosen
+        assert _by_id_count(G, cells, masks, 2) == 0, chosen
 
 
 def _reachable(functions, root):

@@ -25,8 +25,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-# (dims, periodic axes, q, constraint): the boxes of ROADMAP item 5's table,
-# then the exact workload's three free strips and its free 7x7 marginal box
+# (dims, periodic axes, q, constraint): the boxes of ROADMAP item 5's table;
+# the exact workload's three free strips and its free 7x7 marginal box; and
+# three q=3 pattern boxes, two whose repeating layers read the records of
+# the layers before them (16x12, 40x10) and one whose records cannot all
+# fit beside its live profiles (20x6x4, axis 2 periodic)
 BOXES = [
     ((28, 14), (1,), 3, "free"),
     ((12, 12), (), 3, "free"),
@@ -38,6 +41,9 @@ BOXES = [
     ((7, 12), (), 3, "free"),
     ((8, 12), (), 3, "free"),
     ((7, 7), (), 3, "free"),
+    ((16, 12), (), 3, "pattern"),
+    ((40, 10), (), 3, "pattern"),
+    ((20, 6, 4), (2,), 3, "pattern"),
 ]
 
 CHILD = """
