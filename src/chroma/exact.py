@@ -556,13 +556,18 @@ def enumerate_colorings(
 
 # -- transfer-matrix engine ----------------------------------------------------
 
-# A cycle of repeating layers is frozen into gathers only from this many
-# live profiles at its start.  Whole boxes, replay against none, in
-# process: those freezing 2 to 5 profiles took up to 49 % more time, 8 to
-# 10 from 12 % less to 14 % more (short boxes lose: 7x5 +14 %, 12x5
-# -12 %), and 16 to 64 from 12 % to 55 % less (7x6, the free 7x7 box, the
-# exact workload's strips 6x12 to 8x12).  Its slabs freeze at most 3.
+# A layer that a later one repeats keeps its gather maps (and runs on the
+# arrays) from this many live profiles at its start.  On the exact workload,
+# in process, 8 made the free slabs 2x3x3, 2x3x4 and 3x3x2 13-49 % slower
+# and 20 the 6x12 strip 2.4 times as slow.
 REPLAY_FROM = 12
+
+# The fold holds its live profiles in a dict below this many, as arrays from
+# it.  Whole boxes in process, a cut cell in each layer so none replays (q = 3
+# 12x5 to 12x10, q = 4, 5 12x4 to 12x6, 10x3x3 to 10x4x3): 24 to 128 all came
+# within 10 % of the best but for q = 3 12x5 (+51 % at 48, +18 % at 64 over
+# the dict alone), and the dict alone took 1.4-2.7 times as long.
+ARRAY_FROM = 64
 
 
 class _TransferPlan:
@@ -580,11 +585,9 @@ class _TransferPlan:
     slots, so between two merges the cells of one slot and mask make the
     same step: they share one dict of moves by the colors their neighbor
     slots hold.  A layer whose steps are those of the layer one or two
-    before it (``repeats``) makes the same map as that layer: ``_transfer``
-    reads that layer's record (``records``, by step, each profile's
-    successor keys) and may replay the layer; ``replayed`` lists the
-    layers it ran so.  A first-layer profile still has empty slots, so no
-    later step meets it, and no layer repeats the first.
+    before it (``repeats``) makes the same map as that layer, which
+    ``_transfer`` may replay (``maps``, ``replayed``); none repeats the
+    first, whose profiles still have empty slots.
     """
 
     def __init__(self, G: LatticeGraph, masks: list[int], q: int):
@@ -644,8 +647,14 @@ class _TransferPlan:
             if options is None:
                 options = shared[i][mask] = {}
             steps.append((i, near[i], around[i], mask, options))
-        self.records: dict[int, dict[int, list[int]]] = {}   # _transfer's, by step
+        self.word = np.min_scalar_type((1 << s) - 1)   # a plane in _transfer's arrays
+        self.maps: dict[int, tuple] = {}   # _transfer's, by layer (see there)
         self.replayed: list[int] = []   # the layers _transfer ran as gathers
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Each plane's weight in its profile's int, for q * s <= 64."""
+        return np.array([1 << g * self.s for g in range(self.q)], np.uint64)
 
     @cached_property
     def repeats(self) -> list[int]:
@@ -700,119 +709,94 @@ def _transfer(plan: _TransferPlan, state_budget: int) -> int:
     model).  The classes only merge as cells are added: free boxes keep
     one class of all q colors, a pattern boundary keeps its two sides
     apart until its last boundary cell, and pins split off smaller ones.
-    Colors are ordered once so that every class at every cell is a run of
-    consecutive positions, and a profile is one int of q planes of one bit
-    per slot, plane g holding the slots of the g-th color in that order.
+    Colors are ordered once so that every class at every cell is a run,
+    and a profile is one int of q planes of one bit per slot, plane g
+    holding the slots of the g-th color in that order.
 
     The canonical key relabels each class by first occurrence, reading
     the slots from the one just written backwards (i, i - 1, ..., 0,
     then the last slot down to i + 1).  The next cell writes the last
     slot of that reading, so clearing it keeps a key canonical, and the
     new color is then the first occurrence of its class: it takes the
-    class's first plane and the planes before its own move up by one,
-    a few shifts per successor with no lookup.  Where every class is a
-    single color the successor is the raw one.  When the classes merge,
-    every profile is relabelled once and counts that land on one key are
-    added.
+    class's first plane and the planes before its own move up by one.
+    When the classes merge, every profile is relabelled once and counts
+    that land on one key are added.
 
-    A layer that repeats the one p = 1 or 2 before it (``plan.repeats``)
-    makes the same steps, so each of its steps reads the record that step
-    made p layers back: a profile met there only adds its count into the
-    recorded successor keys.  A layer is recorded only when a later layer
-    repeats it (never the first), each step whole or not at all.  Only
-    one layer reads a record (``repeats`` takes the smaller p), so it
-    goes once read; a recorded step takes it over, adding the profiles
-    it missed and removing those the step did not meet, so a converged
-    layer copies nothing.  ``state_budget`` counts canonical profiles:
-    more than that many live at once raise ResourceLimitError while the
-    next map is being built.  The records share that budget, each entry
-    charged one state for its profile and one for each color its step
-    allows (a bound on its successor keys).  A step is recorded only if
-    it fits beside the other records kept and the largest live map so
-    far (a record taken over holds, until its step ends, the profiles it
-    then loses), and when the map being built would not fit beside them
-    they are dropped, so a refusal falls where it would with none.  The
-    moves are built once per set of neighbor colors met and kept by the
-    colors of the neighbor slots, never more keys than live profiles,
-    and the classes change at most q - 1 times.
+    Below ``ARRAY_FROM`` live profiles they sit in a dict, and a step
+    builds each profile's moves once per set of neighbor colors met (kept
+    by the colors of the neighbor slots); from there, while a plane fits a
+    word (s <= 64), in arrays: each profile's planes as a row of words, in
+    ``_group`` order, beside an object array of the exact counts.  There a
+    step (``_array_step``) is one gather and one sort, whose order and run
+    starts, its gather map, carry the counts along (``_carry``).  A merge
+    of the classes goes back to the dict.
 
-    A repeating layer whose profiles are the ones the layer p before it
-    started from begins a cycle of p layers that maps that set to itself.
-    From ``REPLAY_FROM`` live profiles, when the cycle comes twice more
-    and its records are whole, ``_replay_maps`` freezes it from them, the
-    records go, and every layer that repeats it runs as ``take`` and
-    ``np.add.reduceat`` on an object array of the counts (Python ints, so
-    exact) until the first that does not (a pattern's far face, a pin, a
-    merge), where the dict is rebuilt.  The maps are charged what the
-    cycle's records were, and a replay stores nothing and grows no live
-    map, so every refusal falls where it would without it.
+    A layer that a later one repeats (``plan.repeats``) and that starts
+    from ``REPLAY_FROM`` live profiles runs on the arrays and keeps its
+    start keys and step maps in ``plan.maps``, and its end keys once whole.
+    A layer repeating the one p = 1 or 2 before it from the same start
+    keys makes the same maps, so it replays them (``plan.replayed``) and
+    keeps them in turn; maps are read once (``repeats`` takes the smaller
+    p), so a replay runs to the first layer that does not repeat (a
+    pattern's far face, a pin).
+
+    ``state_budget`` counts canonical profiles: more than that many live
+    at once raise ResourceLimitError.  The maps share it, a state per
+    start key and per step's successor (whose 8-byte positions weigh about
+    a live profile): they go whenever they do not fit beside the live
+    profiles, so a count refuses where it would with none, and a layer
+    replays only where they fit beside every live set of the replay.
+    Classes merge at most q - 1 times.
     """
     s, q, heads, merges, repeats = plan.s, plan.q, plan.heads, plan.merges, plan.repeats
     full = (1 << s) - 1
+    maps = plan.maps
+    read = {layer - p for layer, p in enumerate(repeats) if p}   # the layers a later one repeats
+    charged = 0   # the states the maps hold
     counts = {0: 1}
+    keys = vals = None   # the live profiles as arrays, in place of counts
+    kept = None   # this layer's start keys and step maps (in maps), while it keeps them
     moves = plan.moves_after(0)
-    records = plan.records
-    read = {layer - p for layer, p in enumerate(repeats) if p}   # the layers recorded
-    limit = state_budget   # less what the records are charged
-    peak = 0   # the largest live map so far
-    cur = None   # while replaying, the counts by position in the layer's start keys
     steps = enumerate(plan.steps)
     for k, (i, nbrs, around, mask, options) in steps:
-        if not i:   # a layer starts: keep replaying, stop, or freeze a cycle
+        if not i:   # a layer starts: replay it, or keep its maps
             layer = k // s
-            p = repeats[layer]
-            if cur is not None and p != period:
-                counts = dict(zip(starts[(layer - first) % period], cur.tolist()))
-                cur = maps = starts = None
-            # layers layer - p to layer - 1 led from these profiles back to
-            # them, so the same steps repeat that map, with the same live
-            # maps: frozen from their records if every step was recorded
-            # and the cycle comes twice more (a freeze costs about two
-            # folded layers per layer)
-            if (cur is None and p and len(counts) >= REPLAY_FROM
-                    and repeats[layer:layer + 3 * p] == [p] * (3 * p)
-                    and (cycle := range((layer - p) * s, layer * s))
-                    and all(j in records for j in cycle)
-                    and counts.keys() == records[cycle[0]].keys()):
-                maps, starts = _replay_maps([records[j] for j in cycle], list(counts), s)
-                records.clear()   # the maps take the records' place
-                old = new = None   # and the last step's record goes too
-                limit, period, first = state_budget, p, layer
-                cur = np.array(list(counts.values()), dtype=object)
-            if cur is not None:   # replay the layer and skip its other steps
+            old = maps.pop(layer - repeats[layer], None)
+            charged -= 0 if old is None else old[3]
+            live = len(counts) if keys is None else len(keys)
+            wanted = live >= REPLAY_FROM and s <= 64 and (old is not None or layer in read)
+        if keys is None and s <= 64 and (len(counts) >= ARRAY_FROM or not i and wanted):
+            ints = np.fromiter(counts, object, len(counts))   # to rows of plane words
+            keys = (ints[:, None] >> np.array(range(0, q * s, s), object) & full).astype(plan.word)
+            order = _group(keys, plan)[0]
+            keys, vals = keys[order], np.fromiter(counts.values(), object, len(counts))[order]
+        if not i and wanted:
+            if old is not None and np.array_equal(keys, old[0]) and (   # old's maps, if they fit
+                    charged + old[3] + max(len(groups) for _, groups in old[1]) <= state_budget):
                 plan.replayed.append(layer)
-                at = (layer - first) % period * s
-                for order, groups in maps[at:at + s]:
-                    cur = np.add.reduceat(cur.take(order), groups)
+                if layer in read:
+                    maps[layer] = old
+                    charged += old[3]
+                for src, groups in old[1]:
+                    vals = _carry(vals, src, groups)
+                keys = old[2]
                 for _ in range(s - 1):
                     next(steps)
                 continue
-            recorded = layer in read
-        keep = ~(heads << i)
-        if len(counts) > peak:
-            peak = len(counts)
-        old = records.pop(k - p * s, None) if p else None   # read by this step alone
-        # a recorded step holds every profile it meets, each charged for
-        # itself and for each color the step allows; the record read is
-        # charged until the step ends, or until this step takes it over
-        weight = 1 + mask.bit_count()
-        freed = len(old) * weight if old else 0
-        store = recorded and limit + freed - peak >= len(counts) * weight
-        if store:
-            limit += freed - len(counts) * weight
-            freed = 0
-            # the record read becomes this one: it gains the profiles it
-            # misses, and at the end loses those the step did not meet
-            new = records[k] = {} if old is None else old
+            if layer in read:
+                kept = maps[layer] = (keys, [])
+                charged += live
+        if keys is not None:
+            src, groups, keys = _array_step(keys, plan.steps[k], moves, plan)
+            live = len(keys)
+            if kept is not None:
+                kept[1].append((src, groups))
+                charged += live
         else:
-            new = None   # holds no record past its step
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for profile, n in counts.items():
-            if old and (succ := old.get(profile)) is not None:
-                for key in succ:
-                    nxt[key] = get(key, 0) + n
-            else:
+            keep = ~(heads << i)
+            nxt: dict[int, int] = {}
+            get = nxt.get
+            for profile, n in counts.items():
                 met = profile & around   # the neighbor slots' colors
                 opts = options.get(met)
                 if opts is None:
@@ -835,63 +819,78 @@ def _transfer(plan: _TransferPlan, state_budget: int) -> int:
                                     turned.append((rest, below, at, head, 1 << head + i))
                         opts = options[used] = (plain, turned)
                     options[met] = opts
-                if store:
-                    succ = new[profile] = []
                 base = profile & keep
                 for o in opts[0]:
                     key = base | o
                     nxt[key] = get(key, 0) + n
-                    if store:
-                        succ.append(key)
                 for rest, below, at, head, o in opts[1]:
                     key = base & rest | (base & below) << s | (base >> at & full) << head | o
                     nxt[key] = get(key, 0) + n
-                    if store:
-                        succ.append(key)
-            if len(nxt) > limit:
-                if limit == state_budget:
-                    raise ResourceLimitError(
-                        f"transfer profiles exceed the budget of {state_budget} states"
-                    )
-                # this step's own too, freed now, not when the step ends
-                records.clear()
-                limit, store, old, new, freed = state_budget, False, None, None, 0
-        if store and len(new) > len(counts):
-            for profile in [key for key in new if key not in counts]:
-                del new[profile]
-        limit += freed
+            counts, live = nxt, len(nxt)
+        if charged + live > state_budget:   # the maps go before the live profiles
+            maps.clear()
+            charged, kept = 0, None
+            if live > state_budget:
+                raise ResourceLimitError(
+                    f"transfer profiles exceed the budget of {state_budget} states")
+        if keys is not None:
+            vals = _carry(vals, src, groups)
+        if kept is not None and i == s - 1:   # the layer's maps are whole, and their charge
+            maps[k // s], kept = (*kept, keys, len(kept[0]) + sum(len(g) for _, g in kept[1])), None
         if k + 1 in merges:
             moves = plan.moves_after(k + 1)
-            nxt = _relabel(nxt, plan.classes_after(k + 1), s, q, i)
-        counts = nxt
-    return sum(counts.values() if cur is None else cur.tolist())
+            if keys is not None:   # each row's int, by its planes
+                ints = keys.astype(object) @ np.array([1 << g * s for g in range(q)], object)
+                counts, keys = dict(zip(ints.tolist(), vals.tolist())), None
+            counts = _relabel(counts, plan.classes_after(k + 1), s, q, i)
+    return sum(counts.values() if keys is None else vals.tolist())
 
 
-def _replay_maps(
-    records: list[dict[int, list[int]]], keys: list[int], s: int
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[list[int]]]:
-    """Per step of a cycle of layers, from the steps' records and the keys
-    the cycle starts from: the positions of each successor's predecessors
-    (one per key its record lists) grouped by successor, and the groups'
-    starts; and each layer's start keys.  Successors are numbered as they
-    first occur, the last step's as ``keys``.
-    """
-    maps, starts = [], []
-    last = len(records) - 1
-    for k, record in enumerate(records):
-        if k % s == 0:
-            starts.append(keys)
-        groups = {key: [] for key in starts[0]} if k == last else {}
-        for a, key in enumerate(keys):
-            for b in record[key]:
-                groups.setdefault(b, []).append(a)
-        order, at = [], []
-        for group in groups.values():
-            at.append(len(order))
-            order += group
-        maps.append((np.array(order, np.intp), np.array(at, np.intp)))
-        keys = list(groups)
-    return maps, starts
+def _group(keys: np.ndarray, plan: _TransferPlan) -> tuple[np.ndarray, np.ndarray]:
+    """An order of the rows of ``keys`` that brings equal rows together,
+    and where each run starts in it: by each row's profile int where q
+    planes fit 64 bits, else by the rows themselves."""
+    new = np.ones(len(keys), bool)
+    if plan.q * plan.s <= 64:
+        tag = keys @ plan.weights
+        order = tag.argsort()
+        tag = tag[order]
+        np.not_equal(tag[1:], tag[:-1], out=new[1:])
+    else:
+        order = np.lexsort(keys.T)
+        rows = keys[order]
+        new[1:] = (rows[1:] != rows[:-1]).any(1)
+    return order, new.nonzero()[0]
+
+
+def _carry(vals: np.ndarray, src: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """The counts after an array step or its replay, by its gather map."""
+    return np.add.reduceat(vals.take(src), groups)
+
+
+def _array_step(keys: np.ndarray, step: tuple, moves: list, plan: _TransferPlan) -> tuple:
+    """A step of ``_transfer`` (``plan.steps``) on rows of planes, slot j at
+    bit j: each successor's predecessors' positions, successor by successor,
+    where each successor's run starts, and the successors' rows.  Each color
+    the mask allows and no neighbor holds is one gather: the slot cleared in
+    every plane, the color's plane, the slot set, at its run's first place
+    and the planes between moved up by one (``moves``, as arrays in the
+    step's moves dict under None)."""
+    i, nbrs, _, mask, options = step
+    arrays = options.get(None)
+    if arrays is None:
+        s, q, word = plan.s, plan.q, plan.word.type
+        arrays = options[None] = (  # per color: allowed, and where each plane comes from
+            word(sum(1 << j for j in nbrs)), word((1 << s) - 1 ^ 1 << i), word(1 << i),
+            np.array([bool(mask & move[0]) for move in moves]),
+            np.array([[*range(a), q + g, *range(a, g), *range(g + 1, q)]   # a: its run's first
+                      for g, a in enumerate(head // s for _, _, head, _, _ in moves)]))
+    near, clear, bit, allowed, perms = arrays
+    src, moved = ((keys & near == 0) & allowed).nonzero()
+    base = keys & clear
+    succ = np.concatenate((base, base | bit), axis=1)[src[:, None], perms[moved]]
+    order, groups = _group(succ, plan)
+    return src[order], groups, succ[order[groups]]
 
 
 def _relabel(
@@ -992,10 +991,10 @@ def count_colorings(
     nothing to search; otherwise the component-caching counter.  With its
     profiles keyed up to color relabelling the transfer engine is ahead on
     every free box tried (q=3, process time, best of ten runs on a shared
-    2-core machine, transfer against counter: 7x7 0.0007 s against 0.0062 s,
-    3x3x3 0.0009 s against 0.0027 s, 8x12 0.0015 s against 0.029 s, 10x12
-    0.0065 s against 0.15 s, and 2x400, which the counter closes at its root
-    without a search, 0.0014 s against 0.0026 s).  The counter drops the
+    2-core machine, transfer against counter: 7x7 0.0005 s against 0.0064 s,
+    3x3x3 0.0005 s against 0.0028 s, 8x12 0.0009 s against 0.029 s, 10x12
+    0.0024 s against 0.16 s, and 2x400, which the counter closes at its root
+    without a search, 0.0019 s against 0.0029 s).  The counter drops the
     edges a cut leaves idle: the q=3 pattern box 3x3x3 is one star to it
     (0.0001 s against 0.0002 s), and a q=4 droplet count of ``toy_ratio``
     in 5x5x5 takes it 0.0003 s where the transfer engine passes its budget.

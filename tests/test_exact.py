@@ -530,12 +530,58 @@ def test_transfer_tables_agree_with_the_counter_where_steps_recur():
         ((16, 2), (False, True), 3, Constraint.free()),
         ((10, 4, 2), (False, True, True), 3, Constraint.free()),
         ((8, 2, 2), (False, True, True), 4, Constraint.free()),
+        # 22 slots: three planes fill 66 bits, past one word, so the
+        # fold's arrays sort their rows by the rows themselves
+        ((12, 11, 2), (False, False, False), 3, Constraint.pattern_boundary(q3)),
     ]
     for dims, periodic, q, c in cases:
         G = build_graph(dims, periodic)
         t = transfer_count(G, q, c)
         b = count_colorings(G, G.full_set(), q, c, method="backtracking")
         assert t.count == b.count > 0, (dims, periodic, q, c)
+
+
+def test_transfer_containers_agree_with_the_counter(monkeypatch):
+    # the fold's containers forced: every step on the arrays, so the
+    # classes merge after an array step; the arrays from a few profiles on,
+    # so the fold goes back to them after a merge; and the smallest live
+    # sets replayed; each against the counter
+    q3 = Pattern.make(3, [1], [2, 3])
+    G = build_graph([9, 5])
+    cases = [
+        ((9, 5), (False, False), 3, Constraint.pinned({G.vid((4, 2)): 1, G.vid((2, 0)): 3})),
+        ((9, 5), (False, False), 4, Constraint.pinned({G.vid((3, 1)): 2})),
+        ((10, 6), (False, False), 3, Constraint.pattern_boundary(q3)),
+        ((8, 4), (False, True), 3, Constraint.free()),
+        ((6, 2, 3), (False, True, False), 4, Constraint.free()),
+        ((7, 4), (False, False), 5,
+         Constraint.pattern_boundary(Pattern.make(5, [2, 4], [1, 3, 5]))),
+    ]
+    events = []
+    for name in ("_array_step", "_relabel"):
+        def logged(*args, name=name, inner=getattr(exact, name)):
+            events.append(name)
+            return inner(*args)
+        monkeypatch.setattr(exact, name, logged)
+    for array_from, replay_from in ((1, 1), (1, 10**9), (6, 6), (10**9, 10**9)):
+        monkeypatch.setattr(exact, "ARRAY_FROM", array_from)
+        monkeypatch.setattr(exact, "REPLAY_FROM", replay_from)
+        events.clear()
+        replays = 0
+        for dims, periodic, q, c in cases:
+            G = build_graph(dims, periodic)
+            got, replayed = _replayed(G, q, c)
+            assert got == count_colorings(G, G.full_set(), q, c, method="backtracking").count
+            replays += len(replayed)
+        trail = " ".join(events)
+        assert ("_array_step" in events) == (array_from < 10**9)
+        if array_from == 1:
+            assert "_array_step _relabel" in trail
+        if array_from == 6:
+            assert "_relabel _array_step" in trail
+        assert bool(replays) == (replay_from < 10**9)
+    # 81 slots: a plane does not fit a word, and the fold keeps its dict
+    assert transfer_count(build_graph([9, 9, 9]), 2).count == 2
 
 
 def test_transfer_steps_share_moves_only_between_merges():
@@ -552,47 +598,63 @@ def test_transfer_steps_share_moves_only_between_merges():
     assert len(side) < len(plan.steps)
 
 
-class _HeldRecords(dict):
-    """A plan's ``records`` that remember the most keys (profiles and
-    their successor keys) they held at once, noted before each change."""
-
-    most = 0
-
-    def note(self):
-        self.most = max(self.most, sum(len(r) + sum(map(len, r.values())) for r in self.values()))
-
-    def __setitem__(self, k, record):
-        self.note()
-        super().__setitem__(k, record)
-
-    def pop(self, k, *default):
-        self.note()
-        return super().pop(k, *default)
-
-    def clear(self):
-        self.note()
-        super().clear()
+def _charge(kept):
+    """The states a layer's maps hold: its start keys and each step's successors."""
+    return len(kept[0]) + sum(len(groups) for _, groups in kept[1])
 
 
-def test_transfer_records_share_the_state_budget():
+class _HeldMaps(dict):
+    """A plan's ``maps`` that remember the maps last read, which a replay
+    still holds once they are out of the dict."""
+
+    read = None
+
+    def pop(self, layer, default=None):
+        self.read = super().pop(layer, default)
+        return self.read
+
+
+def test_transfer_maps_share_the_state_budget(monkeypatch):
     # a 20 x 6 strip at q = 3 has at most 24 live canonical profiles: the
-    # records never move a refusal, and the keys they hold (profiles and
-    # successors) plus that peak stay within the budget at every step
+    # gather maps never move a refusal, and at every array step and every
+    # step of a replay the states they hold (a layer's maps as it builds
+    # them, and those a replay reads) plus the live profiles fit the budget
     G = build_graph([20, 6])
     want = count_colorings(G, G.full_set(), 3, method="backtracking").count
     assert transfer_count(G, 3, state_budget=24).count == want
     with pytest.raises(ResourceLimitError):
         transfer_count(G, 3, state_budget=23)
     masks, _ = allowed_masks(G, G.full_set(), 3, Constraint.free())
-    for budget in (24, 30, 48, 100, 567):
+    held = []   # per step on the arrays: the states the maps hold
+
+    def carry(vals, src, groups, inner=exact._carry):
+        kept = list(plan.maps.values())
+        read = plan.maps.read
+        if read is not None and all(read is not m for m in kept) and any(
+                src is step for step, _ in read[1]):
+            kept.append(read)   # a replay's maps that no later layer reads
+        for m in kept:   # a whole layer's charge, and its end keys
+            assert len(m) == 2 or m[3] == _charge(m) and len(m[2]) == len(m[1][-1][1])
+        held.append(sum(map(_charge, kept)))
+        assert held[-1] + len(groups) <= budget, (held[-1], len(groups), budget)
+        return inner(vals, src, groups)
+
+    monkeypatch.setattr(exact, "_carry", carry)
+    most = {}
+    for budget in (24, 30, 48, 100, 167, 168, 175, 176, 2000, 500_000):
         plan = _TransferPlan(G, masks, 3)
-        plan.records = held = _HeldRecords()
-        assert _transfer(plan, budget) == want and plan.replayed == []
-        held.note()
-        assert held.most + 24 <= budget, budget
-    # given room, layers are recorded, and each record goes once the step
-    # that repeats it has read it
-    assert held.most and held == {}
+        plan.maps = _HeldMaps()
+        held.clear()
+        assert _transfer(plan, budget) == want
+        assert plan.replayed == (list(range(2, 20)) if budget >= 176 else []), budget
+        most[budget] = max(held)
+        # each layer's maps go once the layer that repeats it has read them
+        assert plan.maps == {}
+    # layer 1's maps, 16 start keys and 136 successors, are built up to
+    # where they stop fitting and dropped there below 168 states, and held
+    # whole from 168
+    assert most == {24: 0, 30: 0, 48: 0, 100: 64, 167: 136,
+                     168: 152, 175: 152, 176: 152, 2000: 152, 500_000: 152}
 
 
 def _replayed(G, q, c=None, state_budget=500_000):
@@ -652,12 +714,11 @@ def test_transfer_replay_stops_where_the_layers_stop_repeating():
         assert stop - 1 in plan.replayed and stop not in plan.replayed, plan.replayed
 
 
-def test_a_record_keeps_only_the_profiles_its_step_meets():
+def test_a_layer_replays_only_from_the_start_keys_of_the_layer_it_repeats():
     # masks no constraint makes: the last cell of layer 1 allows {1, 3},
-    # that of every other layer {1, 2}, so layer 3 meets fewer profiles
-    # than layer 2, whose record it reads and takes over; a record still
-    # holding the profiles layer 3 did not meet would never match its
-    # cycle's start, and the replay from layer 4 would not start
+    # that of every other layer {1, 2}, so layer 3 repeats the steps of
+    # layer 2 but not its start keys, and folds; layer 4 starts from the
+    # keys layer 3 started from, and the replay runs from there
     G = build_graph([16, 5])
     masks = [7, 7, 7, 7, 3] * 16   # the layer's last cell {1, 2}
     masks[9] = 5                    # and layer 1's {1, 3}
@@ -667,8 +728,10 @@ def test_a_record_keeps_only_the_profiles_its_step_meets():
     assert plan.replayed == list(range(4, 16))
 
 
-def test_transfer_replays_no_slab_of_the_exact_workload():
-    # perfbench's slabs have too few layers or profiles for a replay to pay
+def test_transfer_replays_one_slab_of_the_exact_workload():
+    # of perfbench's slabs only the free 3 x 3 x 3 cube holds REPLAY_FROM
+    # live profiles where a layer repeats the one before it: its last layer
+    # starts from the keys the middle one started from, and replays it
     ref = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
                       / "reference.json").read_text())
     p0 = Pattern.make(3, ref["slab_pattern"]["A"], ref["slab_pattern"]["B"])
@@ -677,62 +740,47 @@ def test_transfer_replays_no_slab_of_the_exact_workload():
         c = {"free": Constraint.free(), "pattern": Constraint.pattern_boundary(p0)}.get(
             slab["constraint"]) or Constraint.pinned({int(v): col for v, col in slab["pins"].items()})
         got, replayed = _replayed(G, 3, c)
-        assert got == int(slab["count"]) and replayed == [], slab
+        cube = slab["dims"] == [3, 3, 3] and slab["constraint"] == "free"
+        assert got == int(slab["count"]) and replayed == ([2] if cube else []), slab
 
 
-def test_transfer_replay_shares_the_state_budget(monkeypatch):
-    # a 20 x 6 strip at q = 3 peaks at 24 live profiles; the records of
-    # its cycle are charged 544 states, and its replay maps take their
-    # place, so replay engages from 24 + 544 = 568 states and never moves a
-    # refusal
+def test_transfer_replay_shares_the_state_budget():
+    # a 20 x 6 strip at q = 3 peaks at 24 live profiles; layer 1 keeps 152
+    # states of maps (16 start keys and its six steps' 136 successors), and
+    # a replay holds them while up to 24 profiles are live, so every layer
+    # from 2 on replays from 176 states and none below; and no refusal moves
     G = build_graph([20, 6])
     want = count_colorings(G, G.full_set(), 3, method="backtracking").count
-    built, build = [], exact._replay_maps
-
-    def keep(*args):
-        built.append(maps := build(*args))
-        return maps
-
-    monkeypatch.setattr(exact, "_replay_maps", keep)
     assert _replayed(G, 3, state_budget=24) == (want, [])
     with pytest.raises(ResourceLimitError):
         _replayed(G, 3, state_budget=23)
-    assert _replayed(G, 3, state_budget=567) == (want, [])
-    for budget in (568, 2000, 500_000):
-        built.clear()
-        masks, _ = allowed_masks(G, G.full_set(), 3, Constraint.free())
-        plan = _TransferPlan(G, masks, 3)
-        plan.records = held = _HeldRecords()
-        assert _transfer(plan, budget) == want
-        assert plan.replayed == list(range(2, 20)) and len(built) == 1
-        held.note()
-        maps = sum(len(order) + len(groups) for order, groups in built[0][0])
-        assert held.most + 24 <= budget and maps <= held.most, budget
-        assert held == {}   # the freeze released its cycle's records
-    # at 200 states the records of a 16 x 8 tube's cycle cannot all fit:
-    # the count goes on without replay
+    assert _replayed(G, 3, state_budget=175) == (want, [])
+    assert _replayed(G, 3, state_budget=176) == (want, list(range(2, 20)))
+    # at 200 states a 16 x 8 tube's maps do not fit: the count goes on
+    # without replay
     T = build_graph([16, 8], [False, True])
     want = count_colorings(T, T.full_set(), 3, method="backtracking").count
     assert _replayed(T, 3, state_budget=200) == (want, [])
-    # a q = 3 pattern box reads several layers' records before its cycle
-    # comes round at layer 6, each taken over by the step that reads it or
-    # released: the cycle's records fit from 3195 states, and below that
-    # no cycle's do
+    # a q = 3 pattern box's cycle comes round at layer 6, and from 1015
+    # states its maps fit beside every layer's live profiles; its layers
+    # repeat those two before them, so two layers' maps are held at once,
+    # and one state less an odd layer's replay does not fit beside the even
+    # layer's maps: odd layers fold and keep their own, even layers replay
     B = build_graph([30, 8])
     c = Constraint.pattern_boundary(Pattern.make(3, [1], [2, 3]))
     want = transfer_count(B, 3, c).count
-    assert _replayed(B, 3, c, state_budget=3195) == (want, list(range(6, 29)))
-    assert _replayed(B, 3, c, state_budget=3194) == (want, [])
+    assert _replayed(B, 3, c, state_budget=1015) == (want, list(range(6, 29)))
+    assert _replayed(B, 3, c, state_budget=1014) == (want, list(range(6, 29, 2)))
+    assert _replayed(B, 3, c, state_budget=300) == (want, [])
 
 
 def test_transfer_replay_starts_where_its_cycle_comes_round():
-    # q = 3 pattern boxes whose layers read their records: the replay
-    # starts once a layer's profiles are the ones the layer before started
-    # from, and stops at the far face; the 12 x 12 box's live set still
-    # grows when the far face comes, so it replays nothing
+    # q = 3 pattern boxes: the replay starts once a layer's start keys are
+    # the ones the layer before started from, and stops at the far face;
+    # the 12 x 12 box's live set comes round at layer 8, just before it
     c = Constraint.pattern_boundary(Pattern.make(3, [1], [2, 3]))
     for dims, layers in (((16, 12), range(8, 15)), ((40, 10), range(7, 39)),
-                         ((30, 8), range(6, 29)), ((12, 12), ())):
+                         ((30, 8), range(6, 29)), ((12, 12), range(8, 11))):
         G = build_graph(dims)
         got, replayed = _replayed(G, 3, c)
         assert replayed == list(layers), dims
